@@ -16,6 +16,13 @@ pub const KEY_MIN: u64 = 1;
 /// Largest key usable by callers. `u64::MAX` is reserved for tail sentinels.
 pub const KEY_MAX: u64 = u64::MAX - 1;
 
+/// Largest value usable with a [`ReplaceMap`]. `u64::MAX` is reserved: the
+/// Fraser skip lists store it in a removed node's value word as a
+/// tombstone, so that a `replace` racing a `remove` cannot hand the same
+/// old value to both callers. Implementations `debug_assert!` this on
+/// `insert` and `replace`.
+pub const VALUE_MAX: u64 = u64::MAX - 1;
+
 /// The common interface of every concurrent search data structure in
 /// ASCYLIB-RS (a set of `u64 → u64` elements, as in the original ASCYLIB,
 /// which uses 64-bit keys and values).
@@ -63,6 +70,30 @@ pub trait ConcurrentMap: Send + Sync {
     }
 }
 
+/// A [`ConcurrentMap`] that can overwrite a present key's value in place.
+///
+/// `insert` is insert-if-absent, so without this an overwrite is a
+/// `remove` followed by an `insert`: two structural updates, and a window
+/// in which a concurrent `search` of a key that is never deleted misses.
+/// `replace` is one value-word update on the element the parse phase
+/// found (ASCY4: a successful update writes what a sequential one would).
+///
+/// # Value range
+///
+/// Values must be at most [`VALUE_MAX`].
+pub trait ReplaceMap: ConcurrentMap {
+    /// Atomically swaps the value of a present key and returns the old
+    /// value. An absent key is left absent and answers `None`.
+    fn replace(&self, key: u64, value: u64) -> Option<u64>;
+}
+
+/// Shared handles delegate, like the [`ConcurrentMap`] impl below.
+impl<M: ReplaceMap + ?Sized> ReplaceMap for std::sync::Arc<M> {
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        (**self).replace(key, value)
+    }
+}
+
 /// Shared handles delegate to the underlying structure, so an
 /// `Arc<dyn ConcurrentMap>` (e.g. from [`crate::registry`]) is itself a
 /// `ConcurrentMap` and can back composite layers such as sharded maps.
@@ -99,6 +130,12 @@ pub(crate) fn debug_check_key(key: u64) {
         (KEY_MIN..=KEY_MAX).contains(&key),
         "keys must be in [{KEY_MIN}, {KEY_MAX}], got {key}"
     );
+}
+
+/// Checks that a caller-supplied value avoids the reserved tombstone.
+#[inline]
+pub(crate) fn debug_check_value(value: u64) {
+    debug_assert!(value <= VALUE_MAX, "values must be at most {VALUE_MAX}, got {value}");
 }
 
 /// Which synchronization family an algorithm belongs to (Table 1 of the

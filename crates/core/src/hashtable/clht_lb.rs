@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use ascylib_ssmem as ssmem;
 
-use crate::api::{debug_check_key, ConcurrentMap};
+use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap};
 use crate::stats;
 
 /// Number of key/value pairs per cache-line bucket.
@@ -98,7 +98,7 @@ impl ClhtLb {
         &self.buckets[idx as usize]
     }
 
-    /// Wait-free search of a bucket chain using the paper's atomic key/value
+    /// Store-free search of a bucket chain using the paper's atomic key/value
     /// snapshot: read the value, check the key, re-check the value.
     fn chain_search(bucket: &Bucket, key: u64) -> Option<u64> {
         let mut curr: *const Bucket = bucket;
@@ -108,13 +108,19 @@ impl ClhtLb {
             while !curr.is_null() {
                 let b = &*curr;
                 for i in 0..ENTRIES_PER_BUCKET {
-                    let val = b.vals[i].load(Ordering::Acquire);
-                    if b.keys[i].load(Ordering::Acquire) == key {
+                    let mut val = b.vals[i].load(Ordering::Acquire);
+                    while b.keys[i].load(Ordering::Acquire) == key {
                         // Atomic snapshot: the pair is consistent only if the
                         // value did not change while we examined the key.
-                        if b.vals[i].load(Ordering::Acquire) == val {
+                        let again = b.vals[i].load(Ordering::Acquire);
+                        if again == val {
                             return Some(val);
                         }
+                        // The value moved under a matching key: an in-place
+                        // `replace` (or a reuse of the slot for this key).
+                        // The key may well still be here, so look at the
+                        // slot again instead of reporting a miss.
+                        val = again;
                     }
                 }
                 curr = b.next.load(Ordering::Acquire);
@@ -144,6 +150,42 @@ impl ClhtLb {
     fn unlock_bucket(bucket: &Bucket) {
         bucket.lock.store(0, Ordering::Release);
     }
+
+    /// The shared shape of `remove` and `replace`: fail read-only when `key`
+    /// is absent (ASCY3); otherwise lock the bucket, find the key's slot
+    /// again and apply `update` to it — one in-place store — returning
+    /// what it returns.
+    fn update_in_place(
+        &self,
+        key: u64,
+        update: impl FnOnce(&Bucket, usize) -> u64,
+    ) -> Option<u64> {
+        let bucket = self.bucket(key);
+        if Self::chain_search(bucket, key).is_none() {
+            stats::record_operation();
+            return None;
+        }
+        Self::lock_bucket(bucket);
+        let mut curr: *const Bucket = bucket;
+        let mut result = None;
+        // SAFETY: chain is append-only; the lock serializes modifications.
+        unsafe {
+            'chain: while !curr.is_null() {
+                let b = &*curr;
+                for i in 0..ENTRIES_PER_BUCKET {
+                    if b.keys[i].load(Ordering::Acquire) == key {
+                        result = Some(update(b, i));
+                        stats::record_store();
+                        break 'chain;
+                    }
+                }
+                curr = b.next.load(Ordering::Acquire);
+            }
+        }
+        Self::unlock_bucket(bucket);
+        stats::record_operation();
+        result
+    }
 }
 
 impl ConcurrentMap for ClhtLb {
@@ -155,6 +197,7 @@ impl ConcurrentMap for ClhtLb {
 
     fn insert(&self, key: u64, value: u64) -> bool {
         debug_check_key(key);
+        debug_check_value(value);
         let bucket = self.bucket(key);
         // ASCY3: check feasibility with a read-only search first.
         if Self::chain_search(bucket, key).is_some() {
@@ -217,36 +260,12 @@ impl ConcurrentMap for ClhtLb {
 
     fn remove(&self, key: u64) -> Option<u64> {
         debug_check_key(key);
-        let bucket = self.bucket(key);
-        // ASCY3: read-only failure.
-        if Self::chain_search(bucket, key).is_none() {
-            stats::record_operation();
-            return None;
-        }
-        Self::lock_bucket(bucket);
-        let mut curr: *const Bucket = bucket;
-        // SAFETY: chain is append-only; the lock serializes modifications.
-        let result = unsafe {
-            let mut found = None;
-            'outer: while !curr.is_null() {
-                let b = &*curr;
-                for i in 0..ENTRIES_PER_BUCKET {
-                    if b.keys[i].load(Ordering::Acquire) == key {
-                        let val = b.vals[i].load(Ordering::Acquire);
-                        // In-place removal: clearing the key frees the slot.
-                        b.keys[i].store(0, Ordering::Release);
-                        stats::record_store();
-                        found = Some(val);
-                        break 'outer;
-                    }
-                }
-                curr = b.next.load(Ordering::Acquire);
-            }
-            found
-        };
-        Self::unlock_bucket(bucket);
-        stats::record_operation();
-        result
+        self.update_in_place(key, |b, i| {
+            let val = b.vals[i].load(Ordering::Acquire);
+            // In-place removal: clearing the key frees the slot.
+            b.keys[i].store(0, Ordering::Release);
+            val
+        })
     }
 
     fn size(&self) -> usize {
@@ -267,6 +286,20 @@ impl ConcurrentMap for ClhtLb {
             }
         }
         count
+    }
+}
+
+impl ReplaceMap for ClhtLb {
+    /// In-place overwrite under the bucket lock: one store to the value
+    /// word of the slot holding `key`.
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        debug_check_key(key);
+        debug_check_value(value);
+        self.update_in_place(key, |b, i| {
+            let old = b.vals[i].load(Ordering::Acquire);
+            b.vals[i].store(value, Ordering::Release);
+            old
+        })
     }
 }
 

@@ -214,6 +214,11 @@ pub(crate) trait ChainNode {
     fn chain_value(&self) -> u64;
     /// Whether the node is logically present (unmarked / fully linked).
     fn chain_live(&self) -> bool;
+    /// The value of a logically present node, `None` otherwise. Nodes whose
+    /// value word can itself say "removed" override this to load it once.
+    fn chain_read(&self) -> Option<u64> {
+        self.chain_live().then(|| self.chain_value())
+    }
     /// The next node in key order (never null before the tail sentinel).
     fn chain_next(&self) -> *mut Self;
 }
@@ -244,8 +249,12 @@ pub(crate) unsafe fn walk_chain<N: ChainNode>(
                 break;
             }
             traversed += 1;
-            if key >= lo && node.chain_live() && !visit(key, node.chain_value()) {
-                break;
+            if key >= lo {
+                if let Some(value) = node.chain_read() {
+                    if !visit(key, value) {
+                        break;
+                    }
+                }
             }
             curr = node.chain_next();
         }

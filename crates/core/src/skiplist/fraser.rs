@@ -22,11 +22,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ascylib_ssmem as ssmem;
 
-use crate::api::{debug_check_key, ConcurrentMap};
+use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap};
 use crate::marked::{tag, MarkedPtr};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
 use crate::skiplist::{random_level, MAX_LEVEL};
 use crate::stats;
+
+/// Value word of a removed node. `remove` swaps it in after winning the
+/// level-0 mark, so whichever of a racing `remove` and `replace` reaches
+/// the word first takes the old value and the other sees the loss. It is
+/// [`crate::api::VALUE_MAX`]` + 1`, which callers may not store.
+const TOMB: u64 = u64::MAX;
+
+/// Maps the tombstone to "absent"; every read of a value word goes
+/// through here.
+#[inline]
+fn live_value(raw: u64) -> Option<u64> {
+    (raw != TOMB).then_some(raw)
+}
 
 #[repr(C)]
 struct Node {
@@ -138,11 +151,13 @@ impl<const OPT: bool> Fraser<OPT> {
         }
     }
 
-    /// ASCY1-compliant wait-free traversal (used by `fraser-opt` searches and
-    /// by both variants' `size`). No stores, no retries.
+    /// ASCY1-compliant wait-free traversal (used by `fraser-opt` searches,
+    /// by both variants' update parses and by `replace`): the node holding
+    /// `key` if its level-0 pointer is unmarked at this instant. No stores,
+    /// no retries.
     ///
     /// Caller must hold an SSMEM guard.
-    fn traverse(&self, key: u64) -> Option<u64> {
+    fn locate(&self, key: u64) -> Option<*mut Node> {
         let mut traversed = 0u64;
         // SAFETY: guard protects every traversed node.
         unsafe {
@@ -156,17 +171,25 @@ impl<const OPT: bool> Fraser<OPT> {
                     traversed += 1;
                 }
                 if (*curr).key == key {
-                    result = if (*curr).next[0].load(Ordering::Acquire).1 == tag::CLEAN {
-                        Some((*curr).value.load(Ordering::Acquire))
-                    } else {
-                        None
-                    };
+                    if (*curr).next[0].load(Ordering::Acquire).1 == tag::CLEAN {
+                        result = Some(curr);
+                    }
                     break;
                 }
             }
             stats::record_traversal(traversed);
             result
         }
+    }
+
+    /// The value `key` maps to, via [`Self::locate`]. A node removed
+    /// between the mark check and the value load reads as absent.
+    ///
+    /// Caller must hold an SSMEM guard.
+    fn traverse(&self, key: u64) -> Option<u64> {
+        let node = self.locate(key)?;
+        // SAFETY: guard protects the located node.
+        live_value(unsafe { (*node).value.load(Ordering::Acquire) })
     }
 
     fn search_op(&self, key: u64) -> Option<u64> {
@@ -181,11 +204,37 @@ impl<const OPT: bool> Fraser<OPT> {
             let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
             if self.find(key, &mut preds, &mut succs) {
                 // SAFETY: guard protects succs[0].
-                unsafe { Some((*succs[0]).value.load(Ordering::Acquire)) }
+                live_value(unsafe { (*succs[0]).value.load(Ordering::Acquire) })
             } else {
                 None
             }
         }
+    }
+
+    /// In-place overwrite: a read-only parse finds the node, then a CAS
+    /// loop on its value word swaps the value. The word is the only thing
+    /// written, and a tombstone there means a `remove` got to it first.
+    ///
+    /// If the CAS lands after a concurrent `remove` marked the node, the
+    /// `remove` returns the new value, so the replace linearizes just
+    /// before that mark, where its parse saw the node unmarked.
+    fn replace_op(&self, key: u64, value: u64) -> Option<u64> {
+        let _guard = ssmem::protect();
+        stats::record_operation();
+        let node = self.locate(key)?;
+        // SAFETY: guard protects the located node.
+        let word = unsafe { &(*node).value };
+        let mut old = word.load(Ordering::Acquire);
+        while old != TOMB {
+            let swapped =
+                word.compare_exchange_weak(old, value, Ordering::AcqRel, Ordering::Acquire);
+            stats::record_atomic(swapped.is_ok());
+            match swapped {
+                Ok(_) => return Some(old),
+                Err(seen) => old = seen,
+            }
+        }
+        None
     }
 
     fn insert_op(&self, key: u64, value: u64) -> bool {
@@ -367,7 +416,11 @@ impl<const OPT: bool> Fraser<OPT> {
                 }
                 stats::record_restart();
             }
-            let value = (*victim).value.load(Ordering::Acquire);
+            // Take the value and leave the tombstone in one step, so a
+            // racing `replace` either swapped before this (we return its
+            // value) or sees the tombstone and fails.
+            let value = (*victim).value.swap(TOMB, Ordering::AcqRel);
+            stats::record_atomic(true);
             // Physically unlink it everywhere, then retire it.
             let _ = self.find(key, &mut preds, &mut succs);
             ssmem::retire(victim);
@@ -406,6 +459,12 @@ impl ChainNode for Node {
     fn chain_live(&self) -> bool {
         // A marked level-0 pointer is the logical deletion point.
         self.next[0].load(Ordering::Acquire).1 == tag::CLEAN
+    }
+
+    fn chain_read(&self) -> Option<u64> {
+        // One load of the value word: a node removed after the mark check
+        // must not reach the visitor as a tombstone.
+        self.chain_live().then(|| self.chain_value()).and_then(live_value)
     }
 
     fn chain_next(&self) -> *mut Self {
@@ -487,6 +546,7 @@ impl ConcurrentMap for FraserSkipList {
     }
     fn insert(&self, key: u64, value: u64) -> bool {
         debug_check_key(key);
+        debug_check_value(value);
         self.inner.insert_op(key, value)
     }
     fn remove(&self, key: u64) -> Option<u64> {
@@ -495,6 +555,14 @@ impl ConcurrentMap for FraserSkipList {
     }
     fn size(&self) -> usize {
         self.inner.size()
+    }
+}
+
+impl ReplaceMap for FraserSkipList {
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        debug_check_key(key);
+        debug_check_value(value);
+        self.inner.replace_op(key, value)
     }
 }
 
@@ -540,6 +608,7 @@ impl ConcurrentMap for FraserOptSkipList {
     }
     fn insert(&self, key: u64, value: u64) -> bool {
         debug_check_key(key);
+        debug_check_value(value);
         self.inner.insert_op(key, value)
     }
     fn remove(&self, key: u64) -> Option<u64> {
@@ -548,6 +617,14 @@ impl ConcurrentMap for FraserOptSkipList {
     }
     fn size(&self) -> usize {
         self.inner.size()
+    }
+}
+
+impl ReplaceMap for FraserOptSkipList {
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        debug_check_key(key);
+        debug_check_value(value);
+        self.inner.replace_op(key, value)
     }
 }
 
@@ -596,6 +673,36 @@ mod tests {
             let expected = if (k - 1) % 4 == 0 { None } else { Some(k * 5) };
             assert_eq!(sl.search(k), expected, "key {k}");
         }
+    }
+
+    /// The interleaving the tombstone exists for: a reader passes the mark
+    /// check, a `remove` marks the node and swaps the tombstone in, the
+    /// reader loads the value. Staged by planting the tombstone in an
+    /// unmarked node; no path may hand it out.
+    fn tombstone_reads_as_absent<const OPT: bool>() {
+        let sl = Fraser::<OPT>::new();
+        assert!(sl.insert_op(5, 50));
+        {
+            let _guard = ssmem::protect();
+            let node = sl.locate(5).expect("just inserted");
+            // SAFETY: the guard protects the located node.
+            unsafe { (*node).value.store(TOMB, Ordering::Release) };
+            assert_eq!(sl.traverse(5), None);
+        }
+        assert_eq!(sl.search_op(5), None);
+        assert_eq!(sl.replace_op(5, 51), None);
+        let mut seen = Vec::new();
+        sl.walk(1, &mut |k, v| {
+            seen.push((k, v));
+            true
+        });
+        assert_eq!(seen, Vec::new(), "a scan yielded the tombstone");
+    }
+
+    #[test]
+    fn a_tombstoned_value_reads_as_absent_on_every_path() {
+        tombstone_reads_as_absent::<false>();
+        tombstone_reads_as_absent::<true>();
     }
 
     #[test]

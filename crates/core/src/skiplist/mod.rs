@@ -89,6 +89,12 @@ mod tests {
     }
 
     #[test]
+    fn fraser_skiplists_replace_suite() {
+        testing::replace_suite(FraserSkipList::new);
+        testing::replace_suite(FraserOptSkipList::new);
+    }
+
+    #[test]
     fn all_skiplists_ordered_model_check() {
         testing::ordered_model_check(HerlihySkipList::new, 1_500);
         testing::ordered_model_check(PughSkipList::new, 1_500);

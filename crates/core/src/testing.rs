@@ -5,10 +5,10 @@
 //! of the supported public API.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
-use crate::api::{ConcurrentMap, KEY_MAX, KEY_MIN};
+use crate::api::{ConcurrentMap, ReplaceMap, KEY_MAX, KEY_MIN, VALUE_MAX};
 use crate::ordered::OrderedMap;
 
 /// A tiny deterministic RNG (xorshift64*) so the test battery does not need
@@ -391,6 +391,134 @@ where
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// The battery for [`ReplaceMap`] implementations: sequential semantics,
+/// then the two concurrent guarantees in-place overwrite exists for.
+pub fn replace_suite<M, F>(ctor: F)
+where
+    M: ReplaceMap,
+    F: Fn() -> M,
+{
+    let m = ctor();
+    assert_eq!(m.replace(5, 50), None);
+    assert_eq!(m.search(5), None, "replace of an absent key must not insert it");
+    assert_eq!(m.size(), 0);
+    assert!(m.insert(5, 50));
+    assert_eq!(m.replace(5, 51), Some(50));
+    assert_eq!(m.search(5), Some(51));
+    assert!(!m.insert(5, 52), "a replaced key is still present");
+    assert_eq!(m.size(), 1);
+    assert_eq!(m.remove(5), Some(51));
+    assert_eq!(m.replace(5, 53), None, "replace of a removed key must fail");
+    assert_eq!(m.size(), 0);
+
+    replace_never_hides_a_present_key(&ctor());
+    replace_and_remove_take_each_value_once(&ctor());
+}
+
+/// One thread overwrites a key that is never removed while another searches
+/// it: every search must hit, and — the writer's values only grow — must
+/// never see an older value after a newer one.
+fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
+    const KEY: u64 = 7;
+    const WRITES: u64 = 200_000;
+    // Neighbours, so a one-bucket hash table has the key in a shared chain.
+    for k in 1..=12 {
+        assert!(m.insert(k, 0));
+    }
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            let mut newest = 0;
+            // Relaxed: `done` publishes nothing, it only ends the loop.
+            while !done.load(Ordering::Relaxed) {
+                let seen = m.search(KEY).expect("a key under continuous replace read as absent");
+                assert!(seen >= newest, "search returned {seen} after {newest}");
+                newest = seen;
+            }
+        });
+        let writer = s.spawn(|| {
+            start.wait();
+            for v in 1..=WRITES {
+                assert_eq!(m.replace(KEY, v), Some(v - 1));
+            }
+        });
+        // Stop the reader before reporting the writer's panic, or the scope
+        // would wait on it forever.
+        let outcome = writer.join();
+        done.store(true, Ordering::Relaxed);
+        outcome.expect("writer panicked");
+    });
+    assert_eq!(m.search(KEY), Some(WRITES));
+}
+
+/// An insert/remove cycler and a replacer race on a few keys. Every value
+/// that went in (by `insert` or `replace`) must come out exactly once (from
+/// `remove`, from `replace`, or by being there at the end), and no search
+/// may return the reserved value.
+fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
+    const ROUNDS: u64 = 50_000;
+    const KEYS: u64 = 3;
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    let (mut put, mut taken) = std::thread::scope(|s| {
+        let cycler = s.spawn(|| {
+            let (mut put, mut taken) = (Vec::new(), Vec::new());
+            start.wait();
+            for i in 0..ROUNDS {
+                let key = 1 + i % KEYS;
+                if m.insert(key, 2 * i) {
+                    put.push(2 * i);
+                }
+                taken.extend(m.remove(key));
+            }
+            (put, taken)
+        });
+        let replacer = s.spawn(|| {
+            let (mut put, mut taken) = (Vec::new(), Vec::new());
+            start.wait();
+            for i in 0..ROUNDS {
+                if let Some(old) = m.replace(1 + i % KEYS, 2 * i + 1) {
+                    put.push(2 * i + 1);
+                    taken.push(old);
+                }
+            }
+            (put, taken)
+        });
+        s.spawn(|| {
+            start.wait();
+            let mut key = 1;
+            // Relaxed: `done` publishes nothing, it only ends the loop.
+            while !done.load(Ordering::Relaxed) {
+                if let Some(v) = m.search(key) {
+                    assert!(v <= VALUE_MAX, "search returned the reserved value");
+                }
+                key = 1 + key % KEYS;
+            }
+        });
+        let (cycled, replaced) = (cycler.join(), replacer.join());
+        done.store(true, Ordering::Relaxed);
+        let (mut put, mut taken) = cycled.expect("cycler panicked");
+        let (put_b, taken_b) = replaced.expect("replacer panicked");
+        put.extend(put_b);
+        taken.extend(taken_b);
+        (put, taken)
+    });
+    for key in 1..=KEYS {
+        taken.extend(m.remove(key));
+    }
+    put.sort_unstable();
+    taken.sort_unstable();
+    // Not `assert_eq!`: a failure would print both 100k-element vectors.
+    assert!(
+        put == taken,
+        "a displaced value was lost or handed out twice ({} went in, {} came out)",
+        put.len(),
+        taken.len()
+    );
 }
 
 /// The full battery used by every linearizable implementation.

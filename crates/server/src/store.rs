@@ -7,12 +7,12 @@
 //! arenas, epoch-guarded copy-out reads); the sharded index itself moves
 //! only 64-bit handles. Two adapters cover the library:
 //!
-//! * [`BlobStore`] — any [`ConcurrentMap`] backing (hash tables included).
-//!   `SCAN` frames are answered with an error: the backing has no key order
-//!   to scan in.
-//! * [`BlobOrderedStore`] — ordered backings (lists, skip lists, BSTs),
-//!   adding `SCAN` with payload copy-out via the shard layer's k-way-merged
-//!   scans.
+//! * [`BlobStore`] — any [`ReplaceMap`] backing (CLHT-LB, the Fraser skip
+//!   lists). `SCAN` frames are answered with an error: the backing need
+//!   not have a key order to scan in.
+//! * [`BlobOrderedStore`] — backings that are ordered as well (the Fraser
+//!   skip lists), adding `SCAN` with payload copy-out via the shard layer's
+//!   k-way-merged scans.
 //!
 //! Both adapters hold an `Arc` to the blob map, so the process that started
 //! the server keeps a handle for direct inspection (the loopback tests
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use ascylib::api::{ConcurrentMap, KEY_MAX, KEY_MIN};
+use ascylib::api::{ReplaceMap, KEY_MAX, KEY_MIN};
 use ascylib::ordered::OrderedMap;
 use ascylib_shard::{BlobMap, CacheStatsSnapshot, HotKeyStatsSnapshot};
 
@@ -55,7 +55,7 @@ pub trait KvStore: Send + Sync + 'static {
     fn scan(&self, from: u64, n: usize) -> Option<Vec<(u64, Vec<u8>)>>;
 
     /// Element count (`STATS`; same non-linearizable caveat as
-    /// [`ConcurrentMap::size`]).
+    /// [`ascylib::api::ConcurrentMap::size`]).
     fn size(&self) -> usize;
 
     /// Number of shards behind this store (`STATS`).
@@ -138,7 +138,7 @@ pub struct BlobStore<M> {
     map: Arc<BlobMap<M>>,
 }
 
-impl<M: ConcurrentMap + 'static> BlobStore<M> {
+impl<M: ReplaceMap + 'static> BlobStore<M> {
     /// Wraps a shared blob map (the caller keeps its handle).
     pub fn new(map: Arc<BlobMap<M>>) -> Self {
         Self { map }
@@ -150,7 +150,7 @@ impl<M: ConcurrentMap + 'static> BlobStore<M> {
     }
 }
 
-impl<M: ConcurrentMap + 'static> KvStore for BlobStore<M> {
+impl<M: ReplaceMap + 'static> KvStore for BlobStore<M> {
     fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
         self.map.get(key, out)
     }
@@ -232,7 +232,7 @@ pub struct BlobOrderedStore<M> {
     inner: BlobStore<M>,
 }
 
-impl<M: OrderedMap + 'static> BlobOrderedStore<M> {
+impl<M: OrderedMap + ReplaceMap + 'static> BlobOrderedStore<M> {
     /// Wraps a shared blob map over an ordered backing.
     pub fn new(map: Arc<BlobMap<M>>) -> Self {
         Self { inner: BlobStore::new(map) }
@@ -244,7 +244,7 @@ impl<M: OrderedMap + 'static> BlobOrderedStore<M> {
     }
 }
 
-impl<M: OrderedMap + 'static> KvStore for BlobOrderedStore<M> {
+impl<M: OrderedMap + ReplaceMap + 'static> KvStore for BlobOrderedStore<M> {
     fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
         self.inner.get(key, out)
     }

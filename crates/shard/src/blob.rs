@@ -34,11 +34,13 @@
 //!              without loading anything
 //! ```
 //!
-//! The blob header grew from 8 to 16 bytes:
+//! The blob header is three words, 24 bytes:
 //!
 //! ```text
 //! word 0   meta: payload length (low 63 bits) | CLOCK reference bit (63)
 //! word 1   expire_at_ms (0 = no deadline); atomic, EXPIRE/PERSIST mutate it
+//! word 2   this blob's position in its shard's ledger; read and written
+//!          only under the ledger mutex
 //! ```
 //!
 //! The CLOCK reference bit lives in the header word the read path already
@@ -75,30 +77,41 @@
 //!
 //! # Consistency
 //!
-//! Per-key operations keep the shard layer's linearizability with one
-//! deliberate exception: an **overwrite** (`set` on a present key) is
-//! remove-then-insert on the index, so a concurrent reader can observe a
-//! transient miss between the two steps. Readers never see a mix of old and
-//! new payload bytes — payloads are immutable after publish (the expiry
-//! word is the one mutable, atomic field). `expire`/`persist` racing an
-//! overwrite of the same key resolve in an arbitrary order.
+//! Per-key operations keep the shard layer's linearizability. An
+//! **overwrite** (`set` on a present key) swaps the handle in place with
+//! [`ReplaceMap::replace`], so a reader of a key that is never deleted
+//! never misses. Two windows remain in which a present key can read as
+//! absent, both unlink-then-republish on the index:
+//!
+//! * `expire` on a value stored without a deadline retags its handle
+//!   (`retag_with_ttl`), because readers consult the expiry word only when
+//!   the handle carries the TTL flag;
+//! * the evictor and the expiry reclaim (`evict_one`, `expire_reclaim`)
+//!   unlink the key they chose and, when the handle they get is not the
+//!   one they chose (an overwrite raced them), put it back.
+//!
+//! Closing them takes a compare-and-replace on the index, not `replace`.
+//! Readers never see a mix of old and new payload bytes — payloads are
+//! immutable after publish (the expiry word is the one mutable, atomic
+//! field). `expire`/`persist` racing an overwrite of the same key resolve
+//! in an arbitrary order.
 //!
 //! # Teardown
 //!
 //! Hash backings cannot enumerate their keys, so each arena keeps a
-//! write-path-only ledger of live handles (one mutex per *shard*, touched
-//! only by `set`/`del` and the eviction/sweep machinery — reads stay
-//! asynchronized). Dropping the map frees every live blob through the
-//! ledger; blobs already retired are owned by the epoch machinery and
-//! freed by its collector.
+//! write-path-only ledger of live handles: a dense vector under one mutex
+//! per *shard*, touched only by `set`/`del` and the eviction/sweep
+//! machinery — reads stay asynchronized. There is no hash index beside it;
+//! each blob's header says where its entry sits. Dropping the map frees
+//! every live blob through the ledger; blobs already retired are owned by
+//! the epoch machinery and freed by its collector.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ascylib::api::ConcurrentMap;
+use ascylib::api::{ConcurrentMap, ReplaceMap};
 use ascylib::ordered::OrderedMap;
 use ascylib_ssmem as ssmem;
 use crossbeam_utils::CachePadded;
@@ -111,11 +124,11 @@ use crate::hotkey::{
 use crate::map::ShardedMap;
 
 /// Bytes of blob header: the meta word (payload length + CLOCK reference
-/// bit) and the expiry word. The retire path reconstructs the allocation
-/// layout from the header alone.
-const HEADER: usize = 16;
+/// bit), the expiry word and the ledger-position word. The retire path
+/// reconstructs the allocation layout from the header alone.
+const HEADER: usize = 24;
 
-/// Blob alignment (a header of two `u64` words).
+/// Blob alignment (a header of three `u64` words).
 const ALIGN: usize = 8;
 
 /// Allocation sizes are rounded up to this granularity so the ssmem reuse
@@ -178,6 +191,15 @@ unsafe fn meta_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
 unsafe fn expire_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
     // SAFETY: forwarded caller contract; word 1 sits inside the header.
     unsafe { &*(ptr.add(8) as *const AtomicU64) }
+}
+
+/// The ledger-position word of a blob. Same safety contract as
+/// [`meta_cell`]; the ledger mutex orders every access, so they are all
+/// `Relaxed`.
+#[inline]
+unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
+    // SAFETY: forwarded caller contract; word 2 sits inside the header.
+    unsafe { &*(ptr.add(16) as *const AtomicU64) }
 }
 
 /// The allocation layout backing a blob of `len` payload bytes. Must be a
@@ -246,16 +268,15 @@ impl ArenaStatsSnapshot {
     }
 }
 
-/// The write-path ledger: every live handle with its key, indexed by blob
-/// address (tags excluded, so retagging a handle in place — `EXPIRE` on a
-/// previously deadline-free value — keeps the entry findable), plus the
-/// persistent CLOCK hand and the TTL-sweep cursor.
+/// The write-path ledger: every live handle with its key, plus the
+/// persistent CLOCK hand and the TTL-sweep cursor. An entry is found from
+/// its blob: header word 2 holds the entry's position (so retagging a
+/// handle in place — `EXPIRE` on a previously deadline-free value — keeps
+/// the entry findable).
 #[derive(Debug, Default)]
 struct Ledger {
     /// `(key, tagged handle)` of every live blob on this shard.
     entries: Vec<(u64, u64)>,
-    /// Blob address → position in `entries`.
-    index: HashMap<u64, usize>,
     /// CLOCK hand: where the next victim scan resumes.
     hand: usize,
     /// TTL-sweep cursor: where the next sweep step resumes.
@@ -263,27 +284,54 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn insert(&mut self, key: u64, handle: u64) {
-        self.index.insert(handle & ADDR_MASK, self.entries.len());
+    /// The position of `handle`'s entry, from its blob header.
+    ///
+    /// # Safety
+    ///
+    /// `handle`'s blob must be allocated and in this ledger.
+    unsafe fn position(&self, handle: u64) -> usize {
+        // SAFETY: forwarded caller contract.
+        let pos = unsafe { pos_cell(blob_addr(handle)).load(Ordering::Relaxed) } as usize;
+        debug_assert_eq!(
+            self.entries.get(pos).map(|e| e.1 & ADDR_MASK),
+            Some(handle & ADDR_MASK),
+            "blob header and ledger disagree (handle retired twice?)"
+        );
+        pos
+    }
+
+    /// # Safety
+    ///
+    /// `handle`'s blob must be allocated and not in any ledger.
+    unsafe fn insert(&mut self, key: u64, handle: u64) {
+        // SAFETY: forwarded caller contract.
+        unsafe { pos_cell(blob_addr(handle)).store(self.entries.len() as u64, Ordering::Relaxed) };
         self.entries.push((key, handle));
     }
 
-    fn remove(&mut self, handle: u64) {
-        if let Some(pos) = self.index.remove(&(handle & ADDR_MASK)) {
-            self.entries.swap_remove(pos);
-            if pos < self.entries.len() {
-                let moved = self.entries[pos].1;
-                self.index.insert(moved & ADDR_MASK, pos);
-            }
+    /// # Safety
+    ///
+    /// As [`position`](Self::position).
+    unsafe fn remove(&mut self, handle: u64) {
+        // SAFETY: forwarded caller contract.
+        let pos = unsafe { self.position(handle) };
+        self.entries.swap_remove(pos);
+        if let Some(&(_, moved)) = self.entries.get(pos) {
+            // SAFETY: `moved` is in the ledger, so its blob is allocated.
+            unsafe { pos_cell(blob_addr(moved)).store(pos as u64, Ordering::Relaxed) };
         }
     }
 
     /// Rewrites the stored handle of a live entry (same blob address).
-    fn retag(&mut self, handle: u64, new_handle: u64) {
+    ///
+    /// # Safety
+    ///
+    /// As [`position`](Self::position).
+    unsafe fn retag(&mut self, handle: u64, new_handle: u64) {
         debug_assert_eq!(handle & ADDR_MASK, new_handle & ADDR_MASK);
-        if let Some(&pos) = self.index.get(&(handle & ADDR_MASK)) {
-            self.entries[pos].1 = new_handle;
-        }
+        // SAFETY: forwarded caller contract.
+        let pos = unsafe { self.position(handle) };
+        self.entries[pos].1 = new_handle;
     }
 }
 
@@ -375,7 +423,8 @@ impl ValueArena {
             handle |= TAG_TTL;
             self.cache.ttl_live.fetch_add(1, Ordering::Relaxed);
         }
-        self.ledger.lock().expect("arena ledger poisoned").insert(key, handle);
+        // SAFETY: `ptr` was allocated above and is in no ledger yet.
+        unsafe { self.ledger.lock().expect("arena ledger poisoned").insert(key, handle) };
         self.stats.blobs_stored.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_stored.fetch_add(value.len() as u64, Ordering::Relaxed);
         handle
@@ -454,11 +503,17 @@ impl ValueArena {
 
     /// Rewrites a live ledger entry's handle in place (EXPIRE retagging a
     /// deadline-free value) and keeps the TTL gauge coherent.
-    fn retag(&self, handle: u64, new_handle: u64) {
+    ///
+    /// # Safety
+    ///
+    /// `handle` must come from [`store`](Self::store) on this arena and
+    /// not have been retired.
+    unsafe fn retag(&self, handle: u64, new_handle: u64) {
         if !has_ttl(handle) && has_ttl(new_handle) {
             self.cache.ttl_live.fetch_add(1, Ordering::Relaxed);
         }
-        self.ledger.lock().expect("arena ledger poisoned").retag(handle, new_handle);
+        // SAFETY: stored here and not retired, so allocated and in the ledger.
+        unsafe { self.ledger.lock().expect("arena ledger poisoned").retag(handle, new_handle) };
     }
 
     /// Reserves `len` payload bytes against the gauge unconditionally
@@ -551,14 +606,17 @@ impl ValueArena {
     ///
     /// # Safety
     ///
-    /// `handle` must come from [`store`](Self::store), must already be
-    /// unlinked from every shared index, and must not be retired twice.
+    /// `handle` must come from [`store`](Self::store) on this arena, must
+    /// already be unlinked from every shared index, and must not be retired
+    /// twice.
     pub unsafe fn retire(&self, handle: u64) {
         let ptr = blob_addr(handle);
         // SAFETY: the handle is unlinked (caller contract), so this thread
         // owns the right to read its header and retire it.
         let len = (unsafe { meta_cell(ptr).load(Ordering::Relaxed) } & META_LEN_MASK) as usize;
-        self.ledger.lock().expect("arena ledger poisoned").remove(handle);
+        // SAFETY: stored here and not yet retired (caller contract), so the
+        // blob is allocated and in this ledger.
+        unsafe { self.ledger.lock().expect("arena ledger poisoned").remove(handle) };
         self.stats.blobs_retired.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_retired.fetch_add(len as u64, Ordering::Relaxed);
         // Saturating release of the reservation: direct arena users that
@@ -712,7 +770,7 @@ pub struct BlobMap<M> {
     default_ttl_ms: Option<u64>,
 }
 
-impl<M: ConcurrentMap> BlobMap<M> {
+impl<M: ReplaceMap> BlobMap<M> {
     /// Builds a blob map over `shards` instances of the backing; `make(i)`
     /// constructs the `i`-th shard. No hot-key engine, inert cache tier.
     ///
@@ -792,28 +850,8 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// engine does that, version-guarded, around this call).
     fn apply_hot(&self, op: &HotOp) -> HotOpResult {
         match op.kind {
-            HotOpKind::Set => {
-                // The publisher already stored the blob; publish its handle
-                // (same loop as the plain `set` path).
-                let arena = self.arena_of(op.key);
-                let mut created = true;
-                loop {
-                    if self.map.insert(op.key, op.val_u64) {
-                        return HotOpResult { ok: created, old: 0 };
-                    }
-                    if let Some(old) = self.map.remove(op.key) {
-                        // Overwriting an already-dead value is a create.
-                        // SAFETY: `remove` returned `old` to this thread
-                        // alone; unlinked, readable, retired exactly once.
-                        unsafe {
-                            if !(has_ttl(old) && arena.is_expired(old)) {
-                                created = false;
-                            }
-                            arena.retire(old);
-                        }
-                    }
-                }
-            }
+            // The publisher already stored the blob; publish its handle.
+            HotOpKind::Set => HotOpResult { ok: self.publish(op.key, op.val_u64), old: 0 },
             HotOpKind::Del => match self.map.remove(op.key) {
                 Some(handle) => {
                     let arena = self.arena_of(op.key);
@@ -990,26 +1028,30 @@ impl<M: ConcurrentMap> BlobMap<M> {
     }
 
     fn set_backing_at(&self, key: u64, value: &[u8], expire_at_ms: u64) -> bool {
+        let handle = self.arena_of(key).store(key, value, expire_at_ms);
+        self.publish(key, handle)
+    }
+
+    /// Makes `handle` the value of `key`: swaps it over a present handle in
+    /// place (retiring the displaced blob), else inserts it; loops while a
+    /// concurrent `del`/`set` of the key wins between the two. `true` if
+    /// the key was created — overwriting an expired corpse is a create, not
+    /// a replace.
+    fn publish(&self, key: u64, handle: u64) -> bool {
         let arena = self.arena_of(key);
-        let handle = arena.store(key, value, expire_at_ms);
-        let mut created = true;
         loop {
-            if self.map.insert(key, handle) {
-                return created;
-            }
-            if let Some(old) = self.map.remove(key) {
-                // Overwriting an expired corpse is a create, not a replace.
-                // SAFETY: `remove` returned `old` to this thread alone, so
+            if let Some(old) = self.map.replace(key, handle) {
+                // SAFETY: `replace` returned `old` to this thread alone, so
                 // it is unlinked, readable, and retired exactly once.
                 unsafe {
-                    if !(has_ttl(old) && arena.is_expired(old)) {
-                        created = false;
-                    }
+                    let was_dead = has_ttl(old) && arena.is_expired(old);
                     arena.retire(old);
+                    return was_dead;
                 }
             }
-            // Lost a race with a concurrent writer on this key in either
-            // branch; retry until our handle is published.
+            if self.map.insert(key, handle) {
+                return true;
+            }
         }
     }
 
@@ -1090,8 +1132,8 @@ impl<M: ConcurrentMap> BlobMap<M> {
 
     /// Republishes a deadline-free value with the TTL flag set (readers
     /// only consult the expiry word when the handle carries the flag).
-    /// The remove/insert pair has the same transient-miss window as an
-    /// overwrite.
+    /// Between the remove and the insert a reader of the key misses (the
+    /// first of the two windows in the module docs).
     fn retag_with_ttl(&self, key: u64, h: u64, deadline: u64) -> bool {
         let arena = self.arena_of(key);
         match self.map.remove(key) {
@@ -1103,7 +1145,8 @@ impl<M: ConcurrentMap> BlobMap<M> {
                 // SAFETY: unlinked by our remove, returned only to us.
                 unsafe { arena.set_expire(got, deadline) };
                 let tagged = got | TAG_TTL;
-                arena.retag(got, tagged);
+                // SAFETY: as above; `got` is stored and not retired.
+                unsafe { arena.retag(got, tagged) };
                 if let Some(hot) = &self.hot {
                     hot.poison(key);
                 }
@@ -1466,7 +1509,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     }
 }
 
-impl<M: OrderedMap> BlobMap<M> {
+impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// Up to `n` `(key, value)` pairs with key `>= from` in ascending key
     /// order, values copied out. Inherits the non-snapshot scan semantics
     /// of [`OrderedMap`] (each pair was present at some point during the
@@ -1522,7 +1565,7 @@ impl<M: OrderedMap> BlobMap<M> {
     }
 }
 
-impl<M: ConcurrentMap> std::fmt::Debug for BlobMap<M> {
+impl<M: ReplaceMap> std::fmt::Debug for BlobMap<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlobMap")
             .field("shards", &self.shard_count())
@@ -1729,12 +1772,48 @@ mod tests {
             .iter()
             .map(|a| {
                 let ledger = a.ledger.lock().unwrap();
-                assert_eq!(ledger.entries.len(), ledger.index.len());
+                for (pos, &(_, handle)) in ledger.entries.iter().enumerate() {
+                    // SAFETY: in-ledger blobs are allocated.
+                    assert_eq!(unsafe { ledger.position(handle) }, pos);
+                }
                 ledger.entries.len()
             })
             .sum();
         assert_eq!(ledger_total as u64, stats.live_blobs());
         drop(map); // frees the 36 live blobs via the ledger
+    }
+
+    #[test]
+    fn ledger_positions_survive_retires_in_any_order() {
+        // Every retire is a `swap_remove` that moves the last entry into the
+        // hole and must rewrite that blob's position word.
+        const BLOBS: u64 = 97;
+        let arena = ValueArena::with_policy(Some(1 << 20), Arc::new(WallClock));
+        let mut handles: Vec<(u64, u64)> =
+            (1..=BLOBS).map(|k| (k, arena.store(k, &k.to_le_bytes(), 0))).collect();
+        // A fixed shuffle (multiplicative hash order), then retire two of
+        // every three.
+        handles.sort_by_key(|&(k, _)| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let survivors = handles.split_off(2 * handles.len() / 3);
+        for (_, handle) in handles {
+            // SAFETY: stored above, never published, retired once.
+            unsafe { arena.retire(handle) };
+        }
+        // CLOCK must still reach every survivor: reference bits start clear,
+        // so each call returns the entry under the hand and advances it.
+        let mut visited: Vec<(u64, u64)> =
+            (0..survivors.len()).map(|_| arena.clock_victim().expect("non-empty")).collect();
+        visited.sort_unstable();
+        let mut expected = survivors.clone();
+        expected.sort_unstable();
+        assert_eq!(visited, expected);
+        // And a retag finds its entry through the moved position words.
+        let (key, handle) = survivors[0];
+        // SAFETY: a survivor: stored here, not retired.
+        unsafe { arena.retag(handle, handle | TAG_TTL) };
+        let ledger = arena.ledger.lock().unwrap();
+        assert!(ledger.entries.contains(&(key, handle | TAG_TTL)));
+        assert_eq!(ledger.entries.len(), survivors.len());
     }
 
     #[test]

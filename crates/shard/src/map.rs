@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ascylib::api::ConcurrentMap;
+use ascylib::api::{ConcurrentMap, ReplaceMap};
 
 use crate::hotkey::{FrontReadU64, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot, HotOp, HotOpKind, HotOpResult};
 use crate::router::ShardRouter;
@@ -258,6 +258,29 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 }
 
+impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
+    /// Routes to the owning shard's `replace`. A swap is recorded as one
+    /// insert attempt that did not create a key (so `inserts_ok −
+    /// removes_ok` keeps tracking `size`); a miss records nothing, the
+    /// caller's follow-up `insert` is the attempt. With a hot-key engine
+    /// attached the swap takes the plain path and poisons the front slot
+    /// afterwards, exactly like a non-fronted `insert`.
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        if let Some(hot) = &self.hot {
+            hot.record_access(key);
+        }
+        let (shard, stats) = self.shard_and_stats(key);
+        let old = shard.replace(key, value);
+        if old.is_some() {
+            stats.record_insert(false);
+        }
+        if let Some(hot) = &self.hot {
+            hot.poison(key);
+        }
+        old
+    }
+}
+
 impl<M: ConcurrentMap> std::fmt::Debug for ShardedMap<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedMap")
@@ -298,6 +321,23 @@ mod tests {
         assert_eq!(stats.inserts_ok, 200);
         assert_eq!(stats.removes_ok, 200);
         assert_eq!(stats.hits, 200);
+    }
+
+    #[test]
+    fn replace_swaps_in_place_and_counts_as_a_non_creating_insert() {
+        let map = ShardedMap::with_hotkeys(4, HotKeyConfig::eager(8), |_| ClhtLb::with_capacity(16));
+        assert_eq!(map.replace(9, 90), None, "absent key: no-op");
+        assert_eq!(map.size(), 0);
+        assert!(map.insert(9, 90));
+        // Front the key and fill its slot, so a swap that skipped the
+        // poison would leave a stale copy to serve.
+        map.hotkey_engine().expect("engine attached").pin(9);
+        assert_eq!(map.search(9), Some(90));
+        assert_eq!(map.replace(9, 91), Some(90));
+        assert_eq!(map.search(9), Some(91), "front copy outlived the swap");
+        let stats = map.total_stats();
+        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (2, 1, 0));
+        assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
     }
 
     #[test]

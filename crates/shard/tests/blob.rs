@@ -180,7 +180,7 @@ fn arena_reuses_blob_memory_across_epochs_without_leak_growth() {
 /// result must agree.
 fn check_against_model<M, F>(make: F, ops: &[(u8, u64, Vec<u8>)], ordered: bool)
 where
-    M: ascylib::api::ConcurrentMap,
+    M: ascylib::api::ReplaceMap,
     F: Fn() -> BlobMap<M>,
     BlobMap<M>: ScanIfOrdered,
 {

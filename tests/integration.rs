@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ascylib::api::{ConcurrentMap, StructureKind};
+use ascylib::api::{ConcurrentMap, ReplaceMap, StructureKind};
 use ascylib::ordered::OrderedMap;
 use ascylib::registry;
 use ascylib_harness::{run_benchmark, run_benchmark_ordered, KeyDist, OpMix, WorkloadBuilder};
@@ -189,10 +189,10 @@ fn serving_tier_replays_a_harness_workload_over_loopback() {
 
     // Over loopback: same mix, same distribution, same sharding and the
     // same CLHT backing — through sockets, frames, the closed-loop client,
-    // and the blob-value layer (registry shards drop straight into BlobMap
-    // via the `Arc<dyn ConcurrentMap>` blanket impl).
+    // and the blob-value layer (built directly: the blob layer needs
+    // `ReplaceMap`, which the registry's `dyn ConcurrentMap` handles hide).
     let per_shard = 1024 / 4;
-    let map = Arc::new(BlobMap::new(4, |_| (entry.construct)(per_shard)));
+    let map = Arc::new(BlobMap::new(4, |_| ascylib::hashtable::ClhtLb::with_capacity(per_shard)));
     let server = Server::start(
         "127.0.0.1:0",
         BlobStore::new(Arc::clone(&map)),
@@ -265,22 +265,30 @@ fn registry_structure_coverage() {
     }
 }
 
+/// `ReplaceMap::replace` of a structure that has one.
+type Replace<M> = fn(&M, u64, u64) -> Option<u64>;
+
 /// Property-based differential testing: arbitrary operation sequences applied
 /// to a CSDS and to a `BTreeMap` model must agree. One representative per
 /// structure family is checked (the full matrix runs in the unit tests).
-fn check_against_model(make: impl Fn() -> Arc<dyn ConcurrentMap>, ops: &[(u8, u64)]) {
-    let map = make();
+/// Structures that implement `ReplaceMap` pass their `replace`, and a quarter
+/// of the ops exercise it; for the others those ops are searches.
+fn check_against_model<M: ConcurrentMap>(map: M, ops: &[(u8, u64)], replace: Option<Replace<M>>) {
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, &(op, key)) in ops.iter().enumerate() {
         let key = 1 + key % 64;
-        match op % 3 {
-            0 => {
+        match (op % 4, replace) {
+            (0, _) => {
                 let expected = !model.contains_key(&key);
                 assert_eq!(map.insert(key, i as u64), expected, "insert({key}) step {i}");
                 model.entry(key).or_insert(i as u64);
             }
-            1 => {
+            (1, _) => {
                 assert_eq!(map.remove(key), model.remove(&key), "remove({key}) step {i}");
+            }
+            (2, Some(replace)) => {
+                let expected = model.get_mut(&key).map(|v| std::mem::replace(v, i as u64));
+                assert_eq!(replace(&map, key, i as u64), expected, "replace({key}) step {i}");
             }
             _ => {
                 assert_eq!(map.search(key), model.get(&key).copied(), "search({key}) step {i}");
@@ -288,6 +296,9 @@ fn check_against_model(make: impl Fn() -> Arc<dyn ConcurrentMap>, ops: &[(u8, u6
         }
     }
     assert_eq!(map.size(), model.len());
+    for (&key, &value) in &model {
+        assert_eq!(map.search(key), Some(value), "final value of {key}");
+    }
 }
 
 proptest! {
@@ -295,41 +306,52 @@ proptest! {
 
     #[test]
     fn prop_lazy_list_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::list::LazyList::new()), &ops);
+        check_against_model(ascylib::list::LazyList::new(), &ops, None);
     }
 
     #[test]
     fn prop_harris_opt_list_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::list::HarrisOptList::new()), &ops);
+        check_against_model(ascylib::list::HarrisOptList::new(), &ops, None);
     }
 
     #[test]
     fn prop_clht_lb_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::hashtable::ClhtLb::with_capacity(32)), &ops);
+        check_against_model(ascylib::hashtable::ClhtLb::with_capacity(32), &ops, Some(ReplaceMap::replace));
     }
 
     #[test]
     fn prop_clht_lf_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::hashtable::ClhtLf::with_capacity(32)), &ops);
+        check_against_model(ascylib::hashtable::ClhtLf::with_capacity(32), &ops, None);
     }
 
     #[test]
     fn prop_fraser_skiplist_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::skiplist::FraserSkipList::new()), &ops);
+        check_against_model(ascylib::skiplist::FraserSkipList::new(), &ops, Some(ReplaceMap::replace));
+    }
+
+    #[test]
+    fn prop_fraser_opt_skiplist_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
+        check_against_model(ascylib::skiplist::FraserOptSkipList::new(), &ops, Some(ReplaceMap::replace));
+    }
+
+    #[test]
+    fn prop_sharded_clht_lb_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
+        let map = ShardedMap::new(4, |_| ascylib::hashtable::ClhtLb::with_capacity(16));
+        check_against_model(map, &ops, Some(ReplaceMap::replace));
     }
 
     #[test]
     fn prop_bst_tk_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::bst::BstTk::new()), &ops);
+        check_against_model(ascylib::bst::BstTk::new(), &ops, None);
     }
 
     #[test]
     fn prop_natarajan_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::bst::NatarajanBst::new()), &ops);
+        check_against_model(ascylib::bst::NatarajanBst::new(), &ops, None);
     }
 
     #[test]
     fn prop_ellen_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(|| Arc::new(ascylib::bst::EllenBst::new()), &ops);
+        check_against_model(ascylib::bst::EllenBst::new(), &ops, None);
     }
 }
