@@ -25,7 +25,9 @@ use ascylib_ssmem as ssmem;
 use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap};
 use crate::marked::{tag, MarkedPtr};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_node, assert_node_bytes, free_node, link, random_level, retire_node, Tower, MAX_LEVEL,
+};
 use crate::stats;
 
 /// Value word of a removed node. `remove` swaps it in after winning the
@@ -41,24 +43,38 @@ fn live_value(raw: u64) -> Option<u64> {
     (raw != TOMB).then_some(raw)
 }
 
+/// The node header; the tower's upper links follow it in the same
+/// allocation (see [`crate::skiplist`]'s layout helper).
 #[repr(C)]
 struct Node {
     key: u64,
     value: AtomicU64,
     toplevel: usize,
-    next: [MarkedPtr<Node>; MAX_LEVEL],
+    next0: MarkedPtr<Node>,
 }
 
-fn empty_tower() -> [MarkedPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| MarkedPtr::null())
+// SAFETY: `repr(C)`, `next0` is the last field and a single atomic word whose
+// zero value is the clean null pointer; `toplevel` is written once by
+// `new_node`. The offsets are pinned by the assertions below.
+unsafe impl Tower for Node {
+    type Link = MarkedPtr<Node>;
+    const LINK0: usize = std::mem::offset_of!(Node, next0);
+
+    #[inline]
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
+
+// A 32-byte header with `next0` at offset 24: `24 + 8·h` bytes per node.
+const _: () = assert_node_bytes::<Node>(24);
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
+    alloc_node(Node {
         key,
         value: AtomicU64::new(value),
         toplevel,
-        next: empty_tower(),
+        next0: MarkedPtr::null(),
     })
 }
 
@@ -84,7 +100,7 @@ impl<const OPT: bool> Fraser<OPT> {
         // `Self` to another thread synchronizes.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, tag::CLEAN, Ordering::Relaxed);
+                link(head, level).store(tail, tag::CLEAN, Ordering::Relaxed);
             }
         }
         Self { head, tail }
@@ -108,13 +124,12 @@ impl<const OPT: bool> Fraser<OPT> {
                 let mut traversed = 0u64;
                 let mut pred = self.head;
                 for level in (0..MAX_LEVEL).rev() {
-                    let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                    let mut curr = link(pred, level).load(Ordering::Acquire).0;
                     loop {
-                        let (mut succ, mut marked) = (*curr).next[level].load(Ordering::Acquire);
+                        let (mut succ, mut marked) = link(curr, level).load(Ordering::Acquire);
                         while marked != tag::CLEAN {
                             // curr is logically deleted: unlink it here.
-                            let ok = (*pred)
-                                .next[level]
+                            let ok = link(pred, level)
                                 .compare_exchange(
                                     curr,
                                     tag::CLEAN,
@@ -129,8 +144,8 @@ impl<const OPT: bool> Fraser<OPT> {
                                 stats::record_restart();
                                 continue 'retry;
                             }
-                            curr = (*pred).next[level].load(Ordering::Acquire).0;
-                            let (s, m) = (*curr).next[level].load(Ordering::Acquire);
+                            curr = link(pred, level).load(Ordering::Acquire).0;
+                            let (s, m) = link(curr, level).load(Ordering::Acquire);
                             succ = s;
                             marked = m;
                         }
@@ -164,14 +179,14 @@ impl<const OPT: bool> Fraser<OPT> {
             let mut pred = self.head;
             let mut result = None;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                let mut curr = link(pred, level).load(Ordering::Acquire).0;
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire).0;
+                    curr = link(curr, level).load(Ordering::Acquire).0;
                     traversed += 1;
                 }
                 if (*curr).key == key {
-                    if (*curr).next[0].load(Ordering::Acquire).1 == tag::CLEAN {
+                    if link(curr, 0).load(Ordering::Acquire).1 == tag::CLEAN {
                         result = Some(curr);
                     }
                     break;
@@ -261,11 +276,10 @@ impl<const OPT: bool> Fraser<OPT> {
                 // Relaxed: the node is private until the level-0 CAS below
                 // (AcqRel) publishes it.
                 for level in 0..toplevel {
-                    (*node).next[level].store(succs[level], tag::CLEAN, Ordering::Relaxed);
+                    link(node, level).store(succs[level], tag::CLEAN, Ordering::Relaxed);
                 }
                 // Publish at level 0.
-                let ok = (*preds[0])
-                    .next[0]
+                let ok = link(preds[0], 0)
                     .compare_exchange(
                         succs[0],
                         tag::CLEAN,
@@ -277,7 +291,7 @@ impl<const OPT: bool> Fraser<OPT> {
                     .is_ok();
                 stats::record_atomic(ok);
                 if !ok {
-                    ssmem::dealloc_immediate(node);
+                    free_node(node);
                     stats::record_restart();
                     continue;
                 }
@@ -285,21 +299,20 @@ impl<const OPT: bool> Fraser<OPT> {
                 for level in 1..toplevel {
                     loop {
                         // Stop if our node got logically deleted meanwhile.
-                        if (*node).next[0].load(Ordering::Acquire).1 != tag::CLEAN {
+                        if link(node, 0).load(Ordering::Acquire).1 != tag::CLEAN {
                             stats::record_operation();
                             return true;
                         }
-                        let succ = (*node).next[level].load(Ordering::Acquire).0;
+                        let succ = link(node, level).load(Ordering::Acquire).0;
                         // Do not link to a marked successor (it is about to be
                         // unlinked and retired).
                         if succ != self.tail
-                            && (*succ).next[level].load(Ordering::Acquire).1 != tag::CLEAN
+                            && link(succ, level).load(Ordering::Acquire).1 != tag::CLEAN
                         {
                             self.refresh_level(key, level, node, &mut preds, &mut succs);
                             continue;
                         }
-                        let ok = (*preds[level])
-                            .next[level]
+                        let ok = link(preds[level], level)
                             .compare_exchange(
                                 succ,
                                 tag::CLEAN,
@@ -344,15 +357,14 @@ impl<const OPT: bool> Fraser<OPT> {
         let mut succ = succs[level];
         if succ == node {
             // SAFETY: node is our own live node.
-            succ = unsafe { (*node).next[level].load(Ordering::Acquire).0 };
+            succ = unsafe { link(node, level).load(Ordering::Acquire).0 };
         }
         // SAFETY: node is our own; only removers mark its pointers, in which
         // case we stop at the next loop iteration.
         unsafe {
-            let (old, m) = (*node).next[level].load(Ordering::Acquire);
+            let (old, m) = link(node, level).load(Ordering::Acquire);
             if m == tag::CLEAN && old != succ {
-                let ok = (*node)
-                    .next[level]
+                let ok = link(node, level)
                     .compare_exchange(old, tag::CLEAN, succ, tag::CLEAN, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
                 stats::record_atomic(ok);
@@ -384,12 +396,11 @@ impl<const OPT: bool> Fraser<OPT> {
             // Mark the upper levels (top-down).
             for level in (1..toplevel).rev() {
                 loop {
-                    let (succ, m) = (*victim).next[level].load(Ordering::Acquire);
+                    let (succ, m) = link(victim, level).load(Ordering::Acquire);
                     if m != tag::CLEAN {
                         break;
                     }
-                    let ok = (*victim)
-                        .next[level]
+                    let ok = link(victim, level)
                         .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok();
                     stats::record_atomic(ok);
@@ -400,14 +411,13 @@ impl<const OPT: bool> Fraser<OPT> {
             }
             // Mark level 0: whoever succeeds owns the removal.
             loop {
-                let (succ, m) = (*victim).next[0].load(Ordering::Acquire);
+                let (succ, m) = link(victim, 0).load(Ordering::Acquire);
                 if m != tag::CLEAN {
                     // Someone else removed it first.
                     stats::record_operation();
                     return None;
                 }
-                let ok = (*victim)
-                    .next[0]
+                let ok = link(victim, 0)
                     .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
                 stats::record_atomic(ok);
@@ -423,7 +433,7 @@ impl<const OPT: bool> Fraser<OPT> {
             stats::record_atomic(true);
             // Physically unlink it everywhere, then retire it.
             let _ = self.find(key, &mut preds, &mut succs);
-            ssmem::retire(victim);
+            retire_node(victim);
             stats::record_operation();
             Some(value)
         }
@@ -434,9 +444,9 @@ impl<const OPT: bool> Fraser<OPT> {
         let mut count = 0;
         // SAFETY: guard protects the traversal.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Acquire).0;
+            let mut curr = link(self.head, 0).load(Ordering::Acquire).0;
             while curr != self.tail {
-                let (next, m) = (*curr).next[0].load(Ordering::Acquire);
+                let (next, m) = link(curr, 0).load(Ordering::Acquire);
                 if m == tag::CLEAN {
                     count += 1;
                 }
@@ -458,7 +468,7 @@ impl ChainNode for Node {
 
     fn chain_live(&self) -> bool {
         // A marked level-0 pointer is the logical deletion point.
-        self.next[0].load(Ordering::Acquire).1 == tag::CLEAN
+        self.next0.load(Ordering::Acquire).1 == tag::CLEAN
     }
 
     fn chain_read(&self) -> Option<u64> {
@@ -468,7 +478,7 @@ impl ChainNode for Node {
     }
 
     fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Acquire).0
+        self.next0.load(Ordering::Acquire).0
     }
 }
 
@@ -483,10 +493,10 @@ impl<const OPT: bool> RangeWalk for Fraser<OPT> {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                let mut curr = link(pred, level).load(Ordering::Acquire).0;
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire).0;
+                    curr = link(curr, level).load(Ordering::Acquire).0;
                 }
             }
             walk_chain(pred, lo, visit);
@@ -507,9 +517,9 @@ impl<const OPT: bool> Drop for Fraser<OPT> {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed).0
+                    link(curr, 0).load(Ordering::Relaxed).0
                 };
-                ssmem::dealloc_immediate(curr);
+                free_node(curr);
                 curr = next;
             }
         }
@@ -703,6 +713,69 @@ mod tests {
     fn a_tombstoned_value_reads_as_absent_on_every_path() {
         tombstone_reads_as_absent::<false>();
         tombstone_reads_as_absent::<true>();
+    }
+
+    /// Address and recorded height of the node behind every key in `keys`.
+    fn towers(sl: &Fraser<true>, keys: std::ops::RangeInclusive<u64>) -> Vec<(usize, usize)> {
+        let _guard = ssmem::protect();
+        keys.map(|key| {
+            let node = sl.locate(key).expect("key present");
+            // SAFETY: the guard protects the located node.
+            (node as usize, unsafe { (*node).toplevel })
+        })
+        .collect()
+    }
+
+    #[test]
+    fn sentinels_are_full_height_and_reuse_stays_within_a_height() {
+        let sl = Fraser::<true>::new();
+        // SAFETY: the sentinels live as long as the list.
+        unsafe {
+            assert_eq!((*sl.head).toplevel, MAX_LEVEL);
+            assert_eq!((*sl.tail).toplevel, MAX_LEVEL);
+            assert_eq!(link(sl.head, MAX_LEVEL - 1).load(Ordering::Acquire).0, sl.tail);
+            assert!(link(sl.tail, MAX_LEVEL - 1).load(Ordering::Acquire).0.is_null());
+        }
+        // Fewer nodes than a pool class holds, so nothing returns to the
+        // system allocator: an address seen twice was recycled by ssmem.
+        const KEYS: u64 = 2_000;
+        ssmem::set_gc_threshold(64);
+        for key in 1..=KEYS {
+            assert!(sl.insert_op(key, key));
+        }
+        let first: std::collections::HashMap<usize, usize> =
+            towers(&sl, 1..=KEYS).into_iter().collect();
+        for key in 1..=KEYS {
+            assert_eq!(sl.remove_op(key), Some(key));
+        }
+        // Guards held by tests running beside this one can delay a pass.
+        for _ in 0..2_000 {
+            ssmem::collect();
+            if ssmem::thread_stats().pending == 0 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Fresh heights are drawn for every key, so a recycled address now
+        // serves another key; its height is the one it was allocated with,
+        // because a pool class holds one layout and the layout is the height.
+        for key in 1..=KEYS {
+            assert!(sl.insert_op(key, key + 1));
+        }
+        let mut reused_heights = std::collections::BTreeSet::new();
+        let mut reused = 0;
+        for (addr, height) in towers(&sl, 1..=KEYS) {
+            if let Some(&allocated_with) = first.get(&addr) {
+                assert_eq!(height, allocated_with, "node at {addr:#x} changed height in the pool");
+                reused_heights.insert(height);
+                reused += 1;
+            }
+        }
+        assert!(reused > KEYS as usize / 2, "only {reused} of {KEYS} nodes came from the pool");
+        assert!(reused_heights.len() >= 4, "reuse covered heights {reused_heights:?} only");
+        for key in 1..=KEYS {
+            assert_eq!(sl.search_op(key), Some(key + 1));
+        }
     }
 
     #[test]

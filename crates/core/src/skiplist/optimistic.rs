@@ -20,9 +20,13 @@ use ascylib_sync::TtasLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_node, assert_node_bytes, free_node, link, random_level, retire_node, Tower, MAX_LEVEL,
+};
 use crate::stats;
 
+/// The node header; the tower's upper links follow it in the same
+/// allocation (see [`crate::skiplist`]'s layout helper).
 #[repr(C)]
 struct Node {
     key: u64,
@@ -31,22 +35,35 @@ struct Node {
     marked: AtomicBool,
     fully_linked: AtomicBool,
     lock: TtasLock,
-    next: [AtomicPtr<Node>; MAX_LEVEL],
+    next0: AtomicPtr<Node>,
 }
 
-fn empty_tower() -> [AtomicPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut()))
+// SAFETY: `repr(C)`, `next0` is the last field and a single atomic word whose
+// zero value is the null pointer; `toplevel` is written once by `new_node`.
+// The offsets are pinned by the assertions below.
+unsafe impl Tower for Node {
+    type Link = AtomicPtr<Node>;
+    const LINK0: usize = std::mem::offset_of!(Node, next0);
+
+    #[inline]
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
+
+// The two flags and the one-byte lock pad to one word before `next0`: a
+// 40-byte header with `next0` at offset 32, `32 + 8·h` bytes per node.
+const _: () = assert_node_bytes::<Node>(32);
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
+    alloc_node(Node {
         key,
         value: AtomicU64::new(value),
         toplevel,
         marked: AtomicBool::new(false),
         fully_linked: AtomicBool::new(false),
         lock: TtasLock::new(),
-        next: empty_tower(),
+        next0: AtomicPtr::new(std::ptr::null_mut()),
     })
 }
 
@@ -71,7 +88,7 @@ impl SkipListBase {
         // `Self` to another thread synchronizes.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, Ordering::Relaxed);
+                link(head, level).store(tail, Ordering::Relaxed);
             }
             (*head).fully_linked.store(true, Ordering::Relaxed);
             (*tail).fully_linked.store(true, Ordering::Relaxed);
@@ -95,10 +112,10 @@ impl SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = link(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = link(curr, level).load(Ordering::Acquire);
                     traversed += 1;
                 }
                 if found.is_none() && (*curr).key == key {
@@ -121,10 +138,10 @@ impl SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = link(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = link(curr, level).load(Ordering::Acquire);
                     traversed += 1;
                 }
                 if (*curr).key == key {
@@ -148,14 +165,14 @@ impl SkipListBase {
         let mut count = 0;
         // SAFETY: guard protects the traversal.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Acquire);
+            let mut curr = link(self.head, 0).load(Ordering::Acquire);
             while curr != self.tail {
                 if !(*curr).marked.load(Ordering::Acquire)
                     && (*curr).fully_linked.load(Ordering::Acquire)
                 {
                     count += 1;
                 }
-                curr = (*curr).next[0].load(Ordering::Acquire);
+                curr = link(curr, 0).load(Ordering::Acquire);
             }
         }
         count
@@ -176,7 +193,7 @@ impl ChainNode for Node {
     }
 
     fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Acquire)
+        self.next0.load(Ordering::Acquire)
     }
 }
 
@@ -191,10 +208,10 @@ impl RangeWalk for SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = link(pred, level).load(Ordering::Acquire);
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = link(curr, level).load(Ordering::Acquire);
                 }
             }
             walk_chain(pred, lo, visit);
@@ -215,9 +232,9 @@ impl Drop for SkipListBase {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed)
+                    link(curr, 0).load(Ordering::Relaxed)
                 };
-                ssmem::dealloc_immediate(curr);
+                free_node(curr);
                 curr = next;
             }
         }
@@ -296,7 +313,7 @@ impl HerlihySkipList {
                 }
                 let valid = !(*pred).marked.load(Ordering::Acquire)
                     && !(*succ).marked.load(Ordering::Acquire)
-                    && (*pred).next[level].load(Ordering::Acquire) == succ;
+                    && link(pred, level).load(Ordering::Acquire) == succ;
                 if !valid {
                     return Err(highest);
                 }
@@ -351,10 +368,10 @@ impl ConcurrentMap for HerlihySkipList {
                         // Relaxed: the node is private until the Release
                         // stores below link it level by level.
                         for level in 0..toplevel {
-                            (*node).next[level].store(succs[level], Ordering::Relaxed);
+                            link(node, level).store(succs[level], Ordering::Relaxed);
                         }
                         for level in 0..toplevel {
-                            (*preds[level]).next[level].store(node, Ordering::Release);
+                            link(preds[level], level).store(node, Ordering::Release);
                             stats::record_store();
                         }
                         (*node).fully_linked.store(true, Ordering::Release);
@@ -429,7 +446,7 @@ impl ConcurrentMap for HerlihySkipList {
                         prev = pred;
                     }
                     if (*pred).marked.load(Ordering::Acquire)
-                        || (*pred).next[level].load(Ordering::Acquire) != victim
+                        || link(pred, level).load(Ordering::Acquire) != victim
                     {
                         valid = false;
                         break;
@@ -444,14 +461,13 @@ impl ConcurrentMap for HerlihySkipList {
                 }
                 let value = (*victim).value.load(Ordering::Acquire);
                 for level in (0..toplevel).rev() {
-                    (*preds[level])
-                        .next[level]
-                        .store((*victim).next[level].load(Ordering::Acquire), Ordering::Release);
+                    link(preds[level], level)
+                        .store(link(victim, level).load(Ordering::Acquire), Ordering::Release);
                     stats::record_store();
                 }
                 (*victim).lock.unlock();
                 Self::unlock_preds(&preds, toplevel - 1);
-                ssmem::retire(victim);
+                retire_node(victim);
                 stats::record_operation();
                 return Some(value);
             }
@@ -517,14 +533,14 @@ impl PughSkipList {
             let mut pred = start;
             loop {
                 // Advance optimistically (no locks, ASCY2).
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = link(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = link(curr, level).load(Ordering::Acquire);
                 }
                 (*pred).lock.lock();
                 stats::record_lock();
-                let succ = (*pred).next[level].load(Ordering::Acquire);
+                let succ = link(pred, level).load(Ordering::Acquire);
                 if !(*pred).marked.load(Ordering::Acquire)
                     && (*succ).key >= key
                 {
@@ -573,7 +589,7 @@ impl ConcurrentMap for PughSkipList {
                 if level == 0 && (*succ).key == key && !(*succ).marked.load(Ordering::Acquire) {
                     // A concurrent insert won the race at the bottom level.
                     (*pred).lock.unlock();
-                    ssmem::dealloc_immediate(node);
+                    free_node(node);
                     stats::record_operation();
                     return false;
                 }
@@ -586,8 +602,8 @@ impl ConcurrentMap for PughSkipList {
                 // Relaxed: readers reach `node` at this level only through
                 // the Release store of `pred.next[level]` just below, which
                 // orders this store before the publication.
-                (*node).next[level].store(succ, Ordering::Relaxed);
-                (*pred).next[level].store(node, Ordering::Release);
+                link(node, level).store(succ, Ordering::Relaxed);
+                link(pred, level).store(node, Ordering::Release);
                 stats::record_store();
                 (*pred).lock.unlock();
             }
@@ -651,7 +667,7 @@ impl ConcurrentMap for PughSkipList {
                     };
                     // Advance to the direct predecessor of the victim.
                     loop {
-                        let curr = (*pred).next[level].load(Ordering::Acquire);
+                        let curr = link(pred, level).load(Ordering::Acquire);
                         if curr == victim {
                             break;
                         }
@@ -667,11 +683,10 @@ impl ConcurrentMap for PughSkipList {
                     (*pred).lock.lock();
                     stats::record_lock();
                     if !(*pred).marked.load(Ordering::Acquire)
-                        && (*pred).next[level].load(Ordering::Acquire) == victim
+                        && link(pred, level).load(Ordering::Acquire) == victim
                     {
-                        (*pred)
-                            .next[level]
-                            .store((*victim).next[level].load(Ordering::Acquire), Ordering::Release);
+                        link(pred, level)
+                            .store(link(victim, level).load(Ordering::Acquire), Ordering::Release);
                         stats::record_store();
                         (*pred).lock.unlock();
                         break 'level;
@@ -680,7 +695,7 @@ impl ConcurrentMap for PughSkipList {
                     stats::record_restart();
                 }
             }
-            ssmem::retire(victim);
+            retire_node(victim);
             stats::record_operation();
             Some(value)
         }
@@ -706,6 +721,18 @@ impl std::fmt::Debug for PughSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sentinels_are_full_height() {
+        let base = SkipListBase::new();
+        // SAFETY: the sentinels live as long as the list.
+        unsafe {
+            assert_eq!((*base.head).toplevel, MAX_LEVEL);
+            assert_eq!((*base.tail).toplevel, MAX_LEVEL);
+            assert_eq!(link(base.head, MAX_LEVEL - 1).load(Ordering::Acquire), base.tail);
+            assert!(link(base.tail, MAX_LEVEL - 1).load(Ordering::Acquire).is_null());
+        }
+    }
 
     #[test]
     fn herlihy_basic_semantics() {

@@ -10,31 +10,46 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_node, assert_node_bytes, free_node, link, random_level, Tower, MAX_LEVEL,
+};
 use crate::stats;
 
+/// The node header; the tower's upper links follow it in the same
+/// allocation (see [`crate::skiplist`]'s layout helper).
 #[repr(C)]
 struct Node {
     key: u64,
     value: AtomicU64,
     toplevel: usize,
-    next: [AtomicPtr<Node>; MAX_LEVEL],
+    next0: AtomicPtr<Node>,
 }
 
-fn empty_tower() -> [AtomicPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut()))
+// SAFETY: `repr(C)`, `next0` is the last field and a single atomic word whose
+// zero value is the null pointer; `toplevel` is written once by `new_node`.
+// The offsets are pinned by the assertions below.
+unsafe impl Tower for Node {
+    type Link = AtomicPtr<Node>;
+    const LINK0: usize = std::mem::offset_of!(Node, next0);
+
+    #[inline]
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
+
+// A 32-byte header with `next0` at offset 24: `24 + 8·h` bytes per node.
+const _: () = assert_node_bytes::<Node>(24);
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
+    alloc_node(Node {
         key,
         value: AtomicU64::new(value),
         toplevel,
-        next: empty_tower(),
+        next0: AtomicPtr::new(std::ptr::null_mut()),
     })
 }
 
@@ -69,7 +84,7 @@ impl AsyncSkipList {
         // SAFETY: freshly allocated sentinels.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, Ordering::Relaxed);
+                link(head, level).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, tail }
@@ -82,10 +97,10 @@ impl AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = link(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = link(curr, level).load(Ordering::Relaxed);
                     traversed += 1;
                 }
                 preds[level] = pred;
@@ -105,10 +120,10 @@ impl ConcurrentMap for AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = link(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = link(curr, level).load(Ordering::Relaxed);
                     traversed += 1;
                 }
                 if (*curr).key == key {
@@ -136,8 +151,8 @@ impl ConcurrentMap for AsyncSkipList {
             let toplevel = random_level();
             let node = new_node(key, value, toplevel);
             for level in 0..toplevel {
-                (*node).next[level].store(succs[level], Ordering::Relaxed);
-                (*preds[level]).next[level].store(node, Ordering::Relaxed);
+                link(node, level).store(succs[level], Ordering::Relaxed);
+                link(preds[level], level).store(node, Ordering::Relaxed);
                 stats::record_store();
             }
             true
@@ -159,10 +174,9 @@ impl ConcurrentMap for AsyncSkipList {
             }
             let value = (*victim).value.load(Ordering::Relaxed);
             for level in 0..(*victim).toplevel {
-                if (*preds[level]).next[level].load(Ordering::Relaxed) == victim {
-                    (*preds[level])
-                        .next[level]
-                        .store((*victim).next[level].load(Ordering::Relaxed), Ordering::Relaxed);
+                if link(preds[level], level).load(Ordering::Relaxed) == victim {
+                    link(preds[level], level)
+                        .store(link(victim, level).load(Ordering::Relaxed), Ordering::Relaxed);
                     stats::record_store();
                 }
             }
@@ -175,10 +189,10 @@ impl ConcurrentMap for AsyncSkipList {
         // SAFETY: level-0 chain traversal; nodes alive for the structure's
         // lifetime.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Relaxed);
+            let mut curr = link(self.head, 0).load(Ordering::Relaxed);
             while curr != self.tail {
                 count += 1;
-                curr = (*curr).next[0].load(Ordering::Relaxed);
+                curr = link(curr, 0).load(Ordering::Relaxed);
             }
         }
         count
@@ -201,7 +215,7 @@ impl ChainNode for Node {
     }
 
     fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Relaxed)
+        self.next0.load(Ordering::Relaxed)
     }
 }
 
@@ -212,10 +226,10 @@ impl RangeWalk for AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = link(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = link(curr, level).load(Ordering::Relaxed);
                 }
             }
             walk_chain(pred, lo, visit);
@@ -241,9 +255,9 @@ impl Drop for AsyncSkipList {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed)
+                    link(curr, 0).load(Ordering::Relaxed)
                 };
-                ssmem::dealloc_immediate(curr);
+                free_node(curr);
                 curr = next;
             }
         }
@@ -259,6 +273,30 @@ impl std::fmt::Debug for AsyncSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sentinels_are_full_height() {
+        let sl = AsyncSkipList::new();
+        // SAFETY: the sentinels live as long as the list.
+        unsafe {
+            assert_eq!((*sl.head).toplevel, MAX_LEVEL);
+            assert_eq!((*sl.tail).toplevel, MAX_LEVEL);
+            assert_eq!(link(sl.head, MAX_LEVEL - 1).load(Ordering::Relaxed), sl.tail);
+            assert!(link(sl.tail, MAX_LEVEL - 1).load(Ordering::Relaxed).is_null());
+        }
+    }
+
+    /// The accessor is the only way past the header, so its debug check is
+    /// what stands between a level-arithmetic slip and a read off the end of
+    /// a 32-byte allocation.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "link 1 of a 1-level node")]
+    fn a_link_above_the_tower_is_refused_in_debug_builds() {
+        let node = new_node(1, 1, 1);
+        // SAFETY: the node is ours; the assertion fires before any access.
+        let _ = unsafe { link(node, 1) };
+    }
 
     #[test]
     fn basic_semantics() {

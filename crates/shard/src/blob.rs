@@ -34,7 +34,8 @@
 //!              without loading anything
 //! ```
 //!
-//! The blob header is three words, 24 bytes:
+//! The blob header is three words, 24 bytes, and the payload follows it in
+//! the same allocation:
 //!
 //! ```text
 //! word 0   meta: payload length (low 63 bits) | CLOCK reference bit (63)
@@ -42,6 +43,14 @@
 //! word 2   this blob's position in its shard's ledger; read and written
 //!          only under the ledger mutex
 //! ```
+//!
+//! The allocation is header + payload rounded up at one of two
+//! granularities: to 16 bytes while the total is at most 256 bytes, to 64
+//! bytes above. Small values are where rounding costs most — at 64-byte
+//! steps a 64-byte value took 128 bytes, now 96 — and 16 bytes is what the
+//! system allocator rounds to anyway; large values keep the coarse step so
+//! the reuse pool sees few classes per kilobyte. Either way the size is a
+//! function of the payload length alone, which the header records.
 //!
 //! The CLOCK reference bit lives in the header word the read path already
 //! loads for the length, so tracking a hit costs **one relaxed bit-set and
@@ -131,10 +140,19 @@ const HEADER: usize = 24;
 /// Blob alignment (a header of three `u64` words).
 const ALIGN: usize = 8;
 
-/// Allocation sizes are rounded up to this granularity so the ssmem reuse
-/// pool sees a bounded number of size classes (two payloads within the same
-/// 64-byte bucket recycle each other's memory).
+/// Allocation sizes above [`SMALL_BLOB_MAX`] are rounded up to this
+/// granularity, so the ssmem reuse pool sees a bounded number of size classes
+/// per kilobyte of value length (two payloads within the same 64-byte bucket
+/// recycle each other's memory).
 const SIZE_CLASS: usize = 64;
+
+/// Allocation sizes up to [`SMALL_BLOB_MAX`] are rounded up to this finer
+/// granularity: it is the system allocator's own, so a finer one would save
+/// nothing, and it adds at most fifteen classes (32, 48, .. 256 bytes).
+const SMALL_SIZE_CLASS: usize = 16;
+
+/// Largest allocation (header included) rounded at [`SMALL_SIZE_CLASS`].
+const SMALL_BLOB_MAX: usize = 256;
 
 /// Handle bit 0: the value carries an expiry deadline.
 const TAG_TTL: u64 = 1;
@@ -206,7 +224,9 @@ unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
 /// pure function of `len`: `store` and `retire` both derive it, and the
 /// layouts have to match for the allocator.
 fn blob_layout(len: usize) -> Layout {
-    let size = (HEADER + len).div_ceil(SIZE_CLASS) * SIZE_CLASS;
+    let exact = HEADER + len;
+    let class = if exact <= SMALL_BLOB_MAX { SMALL_SIZE_CLASS } else { SIZE_CLASS };
+    let size = exact.div_ceil(class) * class;
     Layout::from_size_align(size, ALIGN).expect("valid blob layout")
 }
 
@@ -1594,6 +1614,27 @@ mod tests {
         let map =
             BlobMap::with_config(1, HotKeyConfig::default(), cfg, |_| FraserOptSkipList::new());
         (map, clock)
+    }
+
+    #[test]
+    fn blob_layout_rounds_small_blobs_to_16_and_large_ones_to_64() {
+        let table = [(0, 32), (8, 32), (9, 48), (64, 96), (232, 256), (233, 320), (256, 320)];
+        for (len, size) in table {
+            assert_eq!(blob_layout(len).size(), size, "payload of {len} bytes");
+        }
+        let mut classes = std::collections::BTreeSet::new();
+        let mut previous = 0;
+        for len in 0..=4096 {
+            let layout = blob_layout(len);
+            assert_eq!(layout.align(), ALIGN);
+            assert!(layout.size() >= HEADER + len, "a {len}-byte payload does not fit");
+            assert!(layout.size() < HEADER + len + SIZE_CLASS, "payload {len} over-rounded");
+            assert!(layout.size() >= previous, "not monotone at {len}");
+            previous = layout.size();
+            classes.insert(layout.size());
+        }
+        // 15 fine classes up to 256 bytes, then one per 64: bounded.
+        assert_eq!(classes.len(), 15 + (4160 - 256) / 64);
     }
 
     #[test]

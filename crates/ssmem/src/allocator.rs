@@ -39,6 +39,72 @@ fn orphan_sets() -> &'static Mutex<Vec<SealedSet>> {
 /// memory is returned to the system allocator.
 const POOL_CAP_PER_CLASS: usize = 4096;
 
+/// Word-aligned layouts of up to this many bytes have a slot of their own
+/// in the reuse pool's flat table.
+const SMALL_MAX: usize = 512;
+
+/// The one alignment the flat table serves; a slot must hold a single
+/// layout, so it is matched exactly.
+const SMALL_ALIGN: usize = 8;
+
+/// The reuse pool: free lists of allocations past their grace period, one
+/// per layout.
+///
+/// Every node and blob the structures allocate is a few words at word
+/// alignment, and skip-list towers and blob size classes make a dozen such
+/// layouts live at once, so those are found by indexing a flat table with
+/// `size / 8` — no hashing on the allocate and recycle paths. Anything
+/// else (the copy-on-write list's arrays, over-aligned buckets) goes
+/// through the map.
+#[derive(Debug)]
+struct Pool {
+    small: Vec<Vec<*mut u8>>,
+    other: HashMap<(usize, usize), Vec<*mut u8>>,
+}
+
+impl Pool {
+    fn new() -> Self {
+        Self {
+            small: (0..=SMALL_MAX / SMALL_ALIGN).map(|_| Vec::new()).collect(),
+            other: HashMap::new(),
+        }
+    }
+
+    /// The flat-table slot holding exactly the layout `(size, align)`.
+    #[inline]
+    fn small_slot(size: usize, align: usize) -> Option<usize> {
+        (align == SMALL_ALIGN && size <= SMALL_MAX && size % SMALL_ALIGN == 0)
+            .then_some(size / SMALL_ALIGN)
+    }
+
+    /// The free list of this layout, created on first use.
+    #[inline]
+    fn list(&mut self, size: usize, align: usize) -> &mut Vec<*mut u8> {
+        match Self::small_slot(size, align) {
+            Some(slot) => &mut self.small[slot],
+            None => self.other.entry((size, align)).or_default(),
+        }
+    }
+
+    /// Number of pooled allocations.
+    fn len(&self) -> usize {
+        let small = self.small.iter().map(Vec::len).sum::<usize>();
+        small + self.other.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Every pooled allocation with its layout.
+    fn drain(&mut self) -> impl Iterator<Item = Retired> + '_ {
+        let small = self.small.iter_mut().enumerate().flat_map(|(slot, list)| {
+            let size = slot * SMALL_ALIGN;
+            list.drain(..).map(move |ptr| Retired { ptr, size, align: SMALL_ALIGN })
+        });
+        let other = self.other.iter_mut().flat_map(|(&(size, align), list)| {
+            list.drain(..).map(move |ptr| Retired { ptr, size, align })
+        });
+        small.chain(other)
+    }
+}
+
 /// Counters describing the activity of one thread's SSMEM allocator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SsmemStats {
@@ -93,7 +159,7 @@ pub struct SsmemAllocator {
     entry: Arc<ThreadEntry>,
     current: Vec<Retired>,
     sealed: VecDeque<SealedSet>,
-    pool: HashMap<(usize, usize), Vec<*mut u8>>,
+    pool: Pool,
     threshold: usize,
     guard_depth: usize,
     stats: SsmemStats,
@@ -106,7 +172,7 @@ impl SsmemAllocator {
             entry: registry::register(),
             current: Vec::new(),
             sealed: VecDeque::new(),
-            pool: HashMap::new(),
+            pool: Pool::new(),
             threshold: DEFAULT_GC_THRESHOLD,
             guard_depth: 0,
             stats: SsmemStats::default(),
@@ -129,7 +195,7 @@ impl SsmemAllocator {
         let mut s = self.stats;
         s.pending = (self.current.len()
             + self.sealed.iter().map(|s| s.retired.len()).sum::<usize>()) as u64;
-        s.pooled = self.pool.values().map(|list| list.len() as u64).sum();
+        s.pooled = self.pool.len() as u64;
         s.guard_depth = self.guard_depth as u64;
         s
     }
@@ -174,12 +240,9 @@ impl SsmemAllocator {
     /// Allocates `layout` bytes, reusing retired memory when possible.
     pub fn alloc_raw(&mut self, layout: Layout) -> *mut u8 {
         self.stats.allocations += 1;
-        let key = (layout.size(), layout.align());
-        if let Some(list) = self.pool.get_mut(&key) {
-            if let Some(ptr) = list.pop() {
-                self.stats.reused += 1;
-                return ptr;
-            }
+        if let Some(ptr) = self.pool.list(layout.size(), layout.align()).pop() {
+            self.stats.reused += 1;
+            return ptr;
         }
         // SAFETY: layout has non-zero size for all node types we allocate;
         // guard against zero-size just in case.
@@ -302,8 +365,7 @@ impl SsmemAllocator {
     }
 
     fn recycle(&mut self, r: Retired) {
-        let key = (r.size, r.align);
-        let list = self.pool.entry(key).or_default();
+        let list = self.pool.list(r.size, r.align);
         if list.len() < POOL_CAP_PER_CLASS {
             list.push(r.ptr);
         } else {
@@ -330,12 +392,9 @@ impl Drop for SsmemAllocator {
                 orphans.extend(self.sealed.drain(..));
             }
         }
-        for (&(size, align), list) in self.pool.iter() {
-            for &ptr in list {
-                let r = Retired { ptr, size, align };
-                // SAFETY: pool entries are unreachable by any thread.
-                unsafe { dealloc_retired(&r) };
-            }
+        for r in self.pool.drain() {
+            // SAFETY: pool entries are unreachable by any thread.
+            unsafe { dealloc_retired(&r) };
         }
         self.entry.active.store(false, Ordering::Release);
     }
@@ -452,6 +511,41 @@ mod tests {
             assert_eq!(a.stats().pooled, 0, "allocation drains the pool");
             // SAFETY: q is exclusively owned.
             unsafe { dealloc_now(q) };
+        }
+    }
+
+    #[test]
+    fn pool_keeps_every_layout_apart() {
+        // Same size at another alignment, a size that is no multiple of the
+        // word, and sizes either side of the flat table's end: each must come
+        // back only for its own layout, whichever side of the pool holds it.
+        let layouts = [(16, 8), (16, 4), (16, 16), (12, 4), (24, 8), (512, 8), (520, 8), (64, 64)]
+            .map(|(size, align)| Layout::from_size_align(size, align).unwrap());
+        let mut a = SsmemAllocator::new();
+        let ptrs = layouts.map(|layout| a.alloc_raw(layout));
+        for (&ptr, &layout) in ptrs.iter().zip(&layouts) {
+            a.recycle(Retired { ptr, size: layout.size(), align: layout.align() });
+        }
+        assert_eq!(a.stats().pooled, layouts.len() as u64);
+        let in_table = layouts
+            .iter()
+            .filter(|l| Pool::small_slot(l.size(), l.align()).is_some())
+            .count();
+        assert_eq!(in_table, 3, "(16, 8), (24, 8) and (512, 8)");
+        for (&ptr, &layout) in ptrs.iter().zip(&layouts) {
+            assert_eq!(a.alloc_raw(layout), ptr, "{layout:?}");
+            assert_eq!(a.stats().reused, a.stats().allocations - layouts.len() as u64);
+            a.recycle(Retired { ptr, size: layout.size(), align: layout.align() });
+        }
+        let mut drained: Vec<_> = a.pool.drain().map(|r| (r.ptr, r.size, r.align)).collect();
+        let mut expected: Vec<_> =
+            ptrs.iter().zip(&layouts).map(|(&p, l)| (p, l.size(), l.align())).collect();
+        drained.sort();
+        expected.sort();
+        assert_eq!(drained, expected, "drain must report the layout each pointer was pooled under");
+        for (ptr, size, align) in drained {
+            // SAFETY: drained pool entries are owned allocations of that layout.
+            unsafe { dealloc_retired(&Retired { ptr, size, align }) };
         }
     }
 
