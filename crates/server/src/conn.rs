@@ -2,9 +2,9 @@
 //! dispatch, in-order buffered replies, write backpressure.
 //!
 //! A connection is a small explicit state machine driven by
-//! [`Connection::advance`], which a worker calls whenever the event loop
-//! reports the socket ready (or the connection yielded with work still
-//! buffered). One call makes as much progress as the socket allows and then
+//! [`Connection::advance`], which the worker that owns the connection calls
+//! whenever its poller reports the socket ready (or the connection yielded
+//! with work still buffered). One call makes as much progress as the socket allows and then
 //! says how to continue:
 //!
 //! * **Reading** — drain the socket into the incremental [`RequestParser`]
@@ -12,8 +12,9 @@
 //! * **Executing** — run every complete frame that arrived (in
 //!   pipeline-sized batches), appending replies to one write buffer in
 //!   request order;
-//! * **Writing** — flush the write buffer; a partial write re-arms the
-//!   connection for *writability* and, crucially, stops reading — a peer
+//! * **Writing** — flush the write buffer; a partial write narrows the
+//!   connection's registration to *writability* and, crucially, stops
+//!   reading — a peer
 //!   that won't drain its replies cannot make the server buffer unboundedly
 //!   (this is what defeats slow-loris-style clients);
 //! * **Closing** — EOF, `QUIT` (answered `+BYE` and flushed first), or an
@@ -21,7 +22,7 @@
 //!
 //! The worker never blocks in here: every socket op is nonblocking, and a
 //! single `advance` bounds its own work so one firehose connection cannot
-//! starve the rest of a worker's ready queue ([`Advance::Yield`]).
+//! starve the worker's other connections ([`Advance::Yield`]).
 //!
 //! `MGET` dispatches through the store's batched lookup into a per-
 //! connection result buffer (the shard layer visits each shard once per
@@ -144,10 +145,13 @@ pub(crate) enum ConnExit {
 
 /// What the serving loop should do with the connection next.
 pub(crate) enum Advance {
-    /// No more progress without the socket: re-arm for the given readiness.
+    /// No more progress without the socket: this is the readiness to wait
+    /// for. The worker tells the poller only if it differs from what the
+    /// connection is already registered for.
     Arm(Interest),
-    /// Work remains buffered but this call's fairness budget ran out:
-    /// re-queue the token without touching the poller.
+    /// Work remains buffered but this call's fairness budget ran out: put
+    /// the connection on the worker's run queue, behind the connections
+    /// already waiting there, without touching the poller.
     Yield,
     /// Done: deregister, drop, free the slot.
     Close(ConnExit),
@@ -178,8 +182,8 @@ const ADVANCE_BUDGET: usize = 32;
 /// (see [`Connection::execute_batch`]).
 const SAMPLE_EVERY: usize = 8;
 
-/// One nonblocking connection owned by the server's registry and advanced
-/// by whichever worker the event loop hands its readiness token to.
+/// One nonblocking connection, owned from accept to close by the worker it
+/// was dealt to: no other thread reads or writes any of this.
 pub(crate) struct Connection {
     stream: TcpStream,
     parser: RequestParser,
@@ -196,7 +200,8 @@ pub(crate) struct Connection {
     /// timer wheel re-checks this lazily at each scheduled deadline).
     pub(crate) last_active: Instant,
     /// Set when a `MONITOR` frame executed: the worker (which knows this
-    /// connection's registry token) must subscribe it to the hub. Carries
+    /// connection's address, its own index and the slab slot) must
+    /// subscribe it to the hub. Carries
     /// the optional sampling stride.
     pending_monitor: Option<Option<u64>>,
     /// The monitor mailbox once subscribed; drained into `wbuf` at the
@@ -232,7 +237,7 @@ impl Connection {
 
     /// Takes the sampling argument of a just-executed `MONITOR` frame, if
     /// any. The worker calls this after `advance` and performs the actual
-    /// hub subscription — only it knows the connection's registry token.
+    /// hub subscription — only it knows the address a wake must come back to.
     pub(crate) fn take_pending_monitor(&mut self) -> Option<Option<u64>> {
         self.pending_monitor.take()
     }
@@ -759,7 +764,7 @@ fn execute(req: &Request, ctx: &ConnCtx<'_>, bufs: &mut ConnBufs, out: &mut Vec<
         Request::Metrics => bulk_capped(out, &render_metrics(ctx)),
         Request::Monitor(sample) => {
             // The hub subscription happens back in the worker loop, which
-            // knows this connection's registry token; from the peer's
+            // knows this connection's address; from the peer's
             // view the `+OK` marks the start of the stream.
             wire::simple(out, "OK");
             return Flow::Monitor(*sample);

@@ -23,14 +23,16 @@
 //! * `conn` (internal) — a nonblocking per-connection **state machine**
 //!   (Reading → Executing → Writing → Closing) with request **pipelining**
 //!   and write backpressure: every complete frame that arrived is executed
-//!   and answered in order; a partial flush re-arms for writability and
+//!   and answered in order; a partial flush waits for writability and
 //!   stops reading, so a peer that won't drain its replies cannot grow
 //!   server buffers; `MGET` dispatches through the shard layer's batched
 //!   `multi_get_into` (no per-batch result allocation).
-//! * [`server`] — the **event-driven** TCP tier: an epoll/poll readiness
-//!   loop (`vendor/polling`, oneshot semantics) dispatching to a small
-//!   worker pool through a generation-tagged slab registry, with idle-
-//!   timeout eviction, per-worker cache-padded stats, graceful
+//! * [`server`] — the **event-driven** TCP tier: an acceptor deals
+//!   connections round-robin to a small pool of workers, each with its own
+//!   epoll/poll readiness loop (`vendor/polling`, persistent
+//!   registrations), connection slab and idle-deadline wheel, so a
+//!   connection is served from accept to close by one thread and no
+//!   request takes a lock; per-worker cache-padded stats, graceful
 //!   `QUIT`/shutdown draining, and ephemeral port support for tests.
 //!   Thousands of concurrent connections per handful of worker threads.
 //! * [`client`] — a blocking client with typed per-verb calls over `&[u8]`

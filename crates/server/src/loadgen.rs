@@ -776,9 +776,9 @@ struct OpenConn {
     /// The next scheduled arrival. Never pushed back by server slowness —
     /// that is the whole point of the open loop.
     next_send: Instant,
-    /// What the poller currently has this socket armed for (`None` after a
-    /// delivered oneshot event).
-    armed: Option<Interest>,
+    /// What the poller reports this socket for; `None` once the connection
+    /// closed and its socket was deregistered.
+    interest: Option<Interest>,
     rng: SmallRng,
     open: bool,
 }
@@ -895,17 +895,22 @@ fn open_drain_replies(
     }
 }
 
-/// Re-arms a connection for what it is actually waiting on: always
-/// readability, plus writability while queued bytes remain.
-fn open_ensure_armed(poller: &Poller, conn: &mut OpenConn, token: u64) {
+/// Keeps a connection's registration at what it is actually waiting on:
+/// always readability, plus writability while queued bytes remain. A
+/// connection that closed is deregistered — its socket stays open until the
+/// run ends and would report its EOF on every `wait`.
+fn open_sync_interest(poller: &Poller, conn: &mut OpenConn, token: u64) {
+    let fd = conn.stream.as_raw_fd();
     if !conn.open {
+        if conn.interest.take().is_some() {
+            let _ = poller.deregister(fd);
+        }
         return;
     }
     let want =
         if conn.wpos < conn.out.len() { Interest::BOTH } else { Interest::READABLE };
-    if conn.armed != Some(want) && poller.rearm(conn.stream.as_raw_fd(), token, want).is_ok()
-    {
-        conn.armed = Some(want);
+    if conn.interest != Some(want) && poller.modify(fd, token, want).is_ok() {
+        conn.interest = Some(want);
     }
 }
 
@@ -950,7 +955,7 @@ fn run_open(
                             wpos: 0,
                             pending: VecDeque::new(),
                             next_send: Instant::now(), // re-based after the barrier
-                            armed: Some(Interest::READABLE),
+                            interest: Some(Interest::READABLE),
                             rng: SmallRng::seed_from_u64(
                                 cfg.seed ^ ((global_id as u64 + 1) * 0x9E37_79B9),
                             ),
@@ -976,6 +981,22 @@ fn run_open(
                 for conn in conns.iter_mut() {
                     conn.next_send = start + interarrival(arrival, mean_ns, &mut conn.rng);
                 }
+
+                // Waits up to `timeout` and serves whatever became ready.
+                let mut serve_ready =
+                    |timeout: Duration, conns: &mut [OpenConn], out: &mut ConnOutput| {
+                        let _ = poller.wait(&mut events, Some(timeout));
+                        for ev in events.iter() {
+                            let conn = &mut conns[ev.token as usize];
+                            if ev.readable {
+                                open_drain_replies(conn, out, &mut chunk, hist);
+                            }
+                            if ev.writable && conn.open {
+                                open_flush(conn);
+                            }
+                            open_sync_interest(&poller, conn, ev.token);
+                        }
+                    };
 
                 loop {
                     let now = Instant::now();
@@ -1025,7 +1046,7 @@ fn run_open(
                             conn.next_send += interarrival(arrival, mean_ns, &mut conn.rng);
                         }
                         open_flush(conn);
-                        open_ensure_armed(&poller, conn, i as u64);
+                        open_sync_interest(&poller, conn, i as u64);
                         if conn.open {
                             min_next = Some(match min_next {
                                 Some(t) => t.min(conn.next_send),
@@ -1042,18 +1063,7 @@ fn run_open(
                     let timeout = until_send
                         .min(deadline.saturating_duration_since(now))
                         .min(Duration::from_millis(10));
-                    let _ = poller.wait(&mut events, Some(timeout));
-                    for ev in events.iter() {
-                        let conn = &mut conns[ev.token as usize];
-                        conn.armed = None;
-                        if ev.readable {
-                            open_drain_replies(conn, &mut out, &mut chunk, hist);
-                        }
-                        if ev.writable && conn.open {
-                            open_flush(conn);
-                        }
-                        open_ensure_armed(&poller, conn, ev.token);
-                    }
+                    serve_ready(timeout, &mut conns, &mut out);
                     if let Some(b) = board {
                         b.publish(driver, &out);
                     }
@@ -1069,18 +1079,7 @@ fn run_open(
                     if all_done || Instant::now() >= drain_deadline {
                         break;
                     }
-                    let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
-                    for ev in events.iter() {
-                        let conn = &mut conns[ev.token as usize];
-                        conn.armed = None;
-                        if ev.readable {
-                            open_drain_replies(conn, &mut out, &mut chunk, hist);
-                        }
-                        if ev.writable && conn.open {
-                            open_flush(conn);
-                        }
-                        open_ensure_armed(&poller, conn, ev.token);
-                    }
+                    serve_ready(Duration::from_millis(20), &mut conns, &mut out);
                 }
                 for conn in &conns {
                     out.unanswered += conn.pending.len() as u64;

@@ -3,16 +3,15 @@
 //!
 //! # Why an intermediate queue
 //!
-//! A worker publishing an event holds its own connection's slot lock (it
-//! is inside that connection's `advance`). Writing directly into a
-//! subscriber's output buffer would mean taking a *second* slot lock while
-//! holding the first — and two workers publishing to each other's
-//! subscriber connections is then a textbook AB-BA deadlock. So the hub
-//! never touches a subscriber's `Connection`: events land in a
-//! per-subscriber [`MonitorSink`] (a small mutex-guarded frame queue), the
-//! publisher notes the subscriber's token in a wake list, and the
-//! *subscriber's own worker* — woken through the ordinary ready queue —
-//! drains the sink into its write buffer under its own slot lock.
+//! A connection belongs to one worker thread (see [`crate::server`]), and a
+//! publisher is usually a different one: it cannot write into a
+//! subscriber's output buffer. So the hub never touches a subscriber's
+//! `Connection`: events land in a per-subscriber [`MonitorSink`] (a small
+//! mutex-guarded frame queue) and the publisher notes the subscriber's
+//! address — `(worker, slab index)` — in a wake list. After its connection
+//! pass the publishing worker routes each wake to the worker that owns the
+//! subscriber, and *that* worker drains the sink into the connection's
+//! write buffer.
 //!
 //! # Flow control
 //!
@@ -103,8 +102,8 @@ struct SinkQueue {
 /// drops and the hub prunes the sink on the next publish or scrape.
 #[derive(Debug)]
 pub(crate) struct MonitorSink {
-    /// Registry token of the subscribing connection (what the wake list
-    /// carries back to `Shared::enqueue`).
+    /// Address of the subscribing connection — its worker and slab slot —
+    /// which is what the wake list carries back to the workers.
     token: u64,
     /// Keep every `sample_n`-th eligible event (>= 1).
     sample_n: u64,
@@ -173,7 +172,7 @@ pub(crate) struct MonitorHub {
     subs: Mutex<Vec<Arc<MonitorSink>>>,
     /// Cached `subs.len()` for the hot-path zero-subscriber check.
     active: AtomicUsize,
-    /// Tokens of sinks that went non-empty (or evicted) and need their
+    /// Addresses of sinks that went non-empty (or evicted) and need their
     /// worker woken. Drained by whichever worker published last.
     wakes: Mutex<Vec<u64>>,
     has_wakes: AtomicBool,
@@ -240,7 +239,7 @@ impl MonitorHub {
     /// Fans one event out to every live subscriber. Frames are rendered
     /// once; full sinks count a drop instead of queueing. Sinks that went
     /// non-empty are noted in the wake list for the caller's worker to
-    /// enqueue (see [`take_wakes`](Self::take_wakes)).
+    /// route (see [`take_wakes`](Self::take_wakes)).
     pub(crate) fn publish(&self, ev: &MonitorEvent) {
         let mut subs = self.subs.lock().unwrap();
         Self::prune(&mut subs);
@@ -280,11 +279,14 @@ impl MonitorHub {
         }
     }
 
-    /// Takes the pending wake tokens (empty almost always: one relaxed
-    /// load when nothing is pending). Workers call this after each
-    /// connection pass and `enqueue` every token returned.
+    /// Takes the pending wake addresses. Workers call this after every
+    /// connection pass, subscribers or not, so the empty case must not
+    /// write the flag's line: it is one load, and the swap happens only
+    /// when a publisher raised the flag.
     pub(crate) fn take_wakes(&self) -> Vec<u64> {
-        if !self.has_wakes.swap(false, Ordering::AcqRel) {
+        if !self.has_wakes.load(Ordering::Acquire)
+            || !self.has_wakes.swap(false, Ordering::AcqRel)
+        {
             return Vec::new();
         }
         std::mem::take(&mut *self.wakes.lock().unwrap())

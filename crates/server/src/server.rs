@@ -1,55 +1,56 @@
-//! The TCP serving tier: an event-driven readiness loop over a worker pool.
+//! The TCP serving tier: worker-owned connections.
 //!
-//! [`Server::start`] binds a nonblocking listener and spawns one **event
-//! loop** thread plus `N` **worker** threads. The event loop owns a oneshot
-//! [`Poller`] (epoll on Linux, poll(2) elsewhere — see `vendor/polling`):
-//! it accepts new sockets, registers each under a generation-tagged token,
-//! and pushes ready tokens onto a queue the workers drain. A worker locks
-//! the connection's slot, drives its state machine (`Connection::advance`
-//! in `conn.rs`) as far as the socket allows, and re-arms the descriptor
-//! for whatever readiness the machine is waiting on.
+//! [`Server::start`] binds a nonblocking listener and spawns one
+//! **acceptor** thread plus `N` **worker** threads. The acceptor accepts
+//! sockets, deals each to a worker and never touches it again. A worker
+//! owns everything its connections touch — its own [`Poller`] (epoll on
+//! Linux, poll(2) elsewhere — see `vendor/polling`), a slab of connections
+//! with a free list, an idle-deadline wheel (`timer.rs`) and a run queue —
+//! and drives each connection's state machine (`Connection::advance` in
+//! `conn.rs`) as far as the socket allows whenever its poller reports the
+//! socket ready.
 //!
-//! **Why oneshot readiness:** a delivered event disarms the descriptor
-//! until the serving worker re-arms it, so two workers can never be woken
-//! for the same connection — cross-thread dispatch is race-free by
-//! construction, and each connection's frames stay strictly ordered.
+//! **The ownership rule:** a connection lives and dies on the thread it
+//! was dealt to. That thread registers the descriptor, reads, executes,
+//! writes, checks idleness and closes, so none of it takes a lock, a
+//! connection's frames stay strictly ordered, and a descriptor is closed
+//! by the only thread that could otherwise still use it. The one structure
+//! another thread writes is the worker's **inbox** (a mutex-guarded vector
+//! plus [`Poller::notify`]): new connections from the acceptor, `MONITOR`
+//! wakes from publishers on other workers. A request never goes near it.
 //!
-//! **Capacity:** connections are no longer pinned to threads. A handful of
-//! workers serves any number of concurrent connections (the registry grows
-//! slab-style, slots are recycled through a free list), bounded by file
-//! descriptors rather than threads — this is the refactor that takes the
-//! tier from `workers` concurrent clients to thousands.
+//! **Registrations persist.** A connection is registered once, for
+//! readability, and the kernel is told again only when what it waits for
+//! changes: a flush that blocks narrows the interest to writability — so a
+//! peer that will not drain its replies cannot wake the worker with more
+//! input — and the flush completing widens it back.
 //!
-//! **Token hygiene:** a token packs `(generation << 32) | slot-index`. The
-//! generation bumps whenever a slot's connection closes, so a stale token —
-//! still in the ready queue, or filed in the idle timer wheel — fails the
-//! generation check and is dropped instead of touching a recycled slot.
-//! Descriptors are closed while the slot lock is held, which is what makes
-//! a worker's re-arm race against fd reuse impossible.
+//! **Dealing** is round-robin, so the numbers of connections *dealt* to any
+//! two workers differ by at most one. That bounds connections, not load: a
+//! worker whose connections are the busy ones stays busier, and closes can
+//! leave the live counts further apart. Nothing rebalances; what was given
+//! up is work-sharing between workers.
 //!
-//! **Idle eviction:** the event loop files one deadline per connection in a
-//! coarse timer wheel (`timer.rs`) and lazily re-checks `last_active` when it comes
-//! due — active connections just reschedule, idle ones (and slow-loris
-//! trickles that never complete a frame... which *do* update `last_active`,
-//! so "idle" means no socket progress at all) are closed and counted in
-//! `timeouts`.
+//! **Idle eviction:** a worker files one deadline per connection in its
+//! wheel and lazily re-checks `last_active` when it comes due — active
+//! connections just reschedule, idle ones (no socket progress at all; a
+//! slow-loris trickle *is* progress) are closed and counted in `timeouts`.
 //!
-//! **Shutdown** ([`ServerHandle::shutdown`]) is graceful and bounded: the
-//! event loop wakes via [`Poller::notify`], stops accepting, best-effort
-//! flushes every live connection's buffered replies, and closes them;
-//! workers drain and exit. [`ServerHandle::join`] (or dropping the handle)
-//! blocks until every thread has exited.
+//! **Shutdown** ([`ServerHandle::shutdown`]) sets the flag and notifies
+//! every poller: the acceptor stops accepting, each worker closes its
+//! inbox, best-effort flushes its connections' buffered replies and closes
+//! them. [`ServerHandle::join`] (or dropping the handle) blocks until every
+//! thread has exited.
 //!
-//! Per-worker counters live in cache-line-padded blocks
-//! ([`crate::stats::WorkerStats`]); the event loop owns one extra block for
-//! accept/timeout/wakeup counts.
+//! Counters live in cache-line-padded blocks, one per worker
+//! ([`crate::stats::WorkerStats`]) plus a trailing one for the acceptor.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,8 +73,9 @@ use crate::timer::TimerWheel;
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads executing ready connections. Decoupled from the
-    /// connection count: a few workers serve thousands of connections.
+    /// Worker threads, each serving the connections dealt to it. Decoupled
+    /// from the connection count: a few workers serve thousands of
+    /// connections.
     pub workers: usize,
     /// Most frames executed per pipelining batch.
     pub max_pipeline: usize,
@@ -114,88 +116,69 @@ impl ServerConfig {
     }
 }
 
-/// Reserved readiness token for the listening socket (distinct from every
-/// `(generation, index)` connection token in practice, and from the
-/// poller's internal waker at `u64::MAX`).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
+/// The listening socket's token; the acceptor's poller holds nothing else.
+const LISTENER_TOKEN: u64 = 0;
 
-/// Most sockets accepted per listener readiness event before re-arming, so
-/// an accept flood cannot starve ready-connection dispatch.
+/// Most sockets accepted before they are dealt, so that a connect flood
+/// cannot keep accepted connections from their workers.
 const ACCEPT_BURST: usize = 64;
 
-#[inline]
-fn make_token(idx: u32, gen: u32) -> u64 {
-    ((gen as u64) << 32) | idx as u64
+/// `(worker, slab index)`: a connection's readiness token and `MONITOR`
+/// wake address. `(epoch, slab index)`: an idle deadline in a worker's wheel.
+fn pack(hi: u32, lo: u32) -> u64 {
+    ((hi as u64) << 32) | lo as u64
 }
 
-#[inline]
-fn split_token(token: u64) -> (u32, u32) {
-    (token as u32, (token >> 32) as u32)
+fn unpack(packed: u64) -> (u32, u32) {
+    ((packed >> 32) as u32, packed as u32)
 }
 
-/// One registry slot: the connection (if open) and the generation its
-/// token must carry to be considered current.
-struct Slot {
-    gen: u32,
-    conn: Option<Connection>,
+/// What another thread can hand a worker.
+enum Mail {
+    /// A connection the acceptor dealt to this worker.
+    Conn(Box<Connection>),
+    /// A `MONITOR` wake from another worker for the subscriber in this slot.
+    Wake(u32),
 }
 
-/// Slab-style connection registry: an append-only vector of slots plus a
-/// free list. Lookup by index is a read-lock and a clone of the slot's
-/// `Arc`; the vector's write lock is taken only when the slab grows.
-struct Registry {
-    slots: RwLock<Vec<Arc<Mutex<Slot>>>>,
-    free: Mutex<Vec<u32>>,
+/// The part of a worker other threads can reach: its inbox, and its poller
+/// for [`Poller::notify`] only (the ownership contract of `vendor/polling`).
+struct Port {
+    poller: Poller,
+    /// `None` once the worker, on its way out, swept it for the last time.
+    inbox: Mutex<Option<Vec<Mail>>>,
+    /// Mail is waiting: lets the worker skip the lock on every turn that
+    /// brought none. A hint; the mutex orders the mail itself.
+    flagged: AtomicBool,
 }
 
-impl Registry {
-    fn new() -> Registry {
-        Registry { slots: RwLock::new(Vec::new()), free: Mutex::new(Vec::new()) }
-    }
-
-    /// A free slot (recycled or freshly grown) and its index.
-    fn alloc(&self) -> (u32, Arc<Mutex<Slot>>) {
-        if let Some(idx) = self.free.lock().expect("free list poisoned").pop() {
-            let slot =
-                Arc::clone(&self.slots.read().expect("registry poisoned")[idx as usize]);
-            return (idx, slot);
-        }
-        let mut slots = self.slots.write().expect("registry poisoned");
-        let idx = slots.len() as u32;
-        let slot = Arc::new(Mutex::new(Slot { gen: 0, conn: None }));
-        slots.push(Arc::clone(&slot));
-        (idx, slot)
-    }
-
-    fn slot(&self, idx: u32) -> Option<Arc<Mutex<Slot>>> {
-        self.slots.read().expect("registry poisoned").get(idx as usize).cloned()
-    }
-
-    /// Returns `idx` to the free list. Call only after the slot's
-    /// connection was taken and its generation bumped.
-    fn release(&self, idx: u32) {
-        self.free.lock().expect("free list poisoned").push(idx);
-    }
-
-    fn all(&self) -> Vec<Arc<Mutex<Slot>>> {
-        self.slots.read().expect("registry poisoned").clone()
+impl Port {
+    /// Hands `mail` to the worker and wakes it. `false` (and the mail
+    /// dropped) if the worker is gone.
+    fn send(&self, mail: impl IntoIterator<Item = Mail>) -> bool {
+        let mut guard = self.inbox.lock().expect("inbox poisoned");
+        let Some(inbox) = guard.as_mut() else { return false };
+        inbox.extend(mail);
+        drop(guard);
+        self.flagged.store(true, Ordering::Release);
+        let _ = self.poller.notify();
+        true
     }
 }
 
-/// Shared state between the event loop, the workers, and the handle.
+/// Shared state between the acceptor, the workers, and the handle.
 struct Shared {
     store: Arc<dyn KvStore>,
     shutdown: AtomicBool,
-    poller: Poller,
-    registry: Registry,
-    /// Tokens whose connections are ready to advance.
-    ready: Mutex<VecDeque<u64>>,
-    available: Condvar,
+    /// The acceptor's poller: the listener, and `notify` for shutdown.
+    acceptor: Poller,
+    /// One per worker.
+    ports: Box<[Port]>,
     /// `workers` blocks for the workers plus one trailing block owned by
-    /// the event loop (accepts, timeouts, wakeups, swept connections).
+    /// the acceptor (accepts, and connections it had to turn away).
     stats: Box<[CachePadded<WorkerStats>]>,
-    /// One telemetry block per worker (the event loop executes no frames,
-    /// so it needs none).
+    /// One telemetry block per worker (the acceptor executes no frames, so
+    /// it needs none).
     tel: Box<[CachePadded<WorkerTelemetry>]>,
     /// One structure-level concurrency block per worker: each worker
     /// drains its thread-local [`ascylib::stats::OpCounters`] delta and
@@ -207,41 +190,68 @@ struct Shared {
     window: WindowRing,
     /// The `MONITOR` broadcast hub.
     monitor: MonitorHub,
-    /// Gauge of currently open connections.
-    curr_conns: AtomicU64,
     started: Instant,
     config: ServerConfig,
 }
 
 impl Shared {
+    fn new(store: Arc<dyn KvStore>, config: ServerConfig) -> io::Result<Shared> {
+        let workers = config.workers.max(1);
+        Ok(Shared {
+            store,
+            shutdown: AtomicBool::new(false),
+            acceptor: Poller::new()?,
+            ports: (0..workers)
+                .map(|_| {
+                    Ok(Port {
+                        poller: Poller::new()?,
+                        inbox: Mutex::new(Some(Vec::new())),
+                        flagged: AtomicBool::new(false),
+                    })
+                })
+                .collect::<io::Result<_>>()?,
+            stats: (0..workers + 1).map(|_| CachePadded::new(WorkerStats::default())).collect(),
+            tel: (0..workers).map(|_| CachePadded::new(WorkerTelemetry::new())).collect(),
+            conc: (0..workers).map(|_| CachePadded::new(ConcurrencyStats::default())).collect(),
+            window: WindowRing::new(DEFAULT_WINDOW_INTERVAL_NS, DEFAULT_WINDOW_CAPACITY),
+            monitor: MonitorHub::default(),
+            started: Instant::now(),
+            config: ServerConfig { workers, ..config },
+        })
+    }
+
     fn totals(&self) -> ServerStatsSnapshot {
         let mut total = ServerStatsSnapshot::default();
         for s in self.stats.iter() {
             total.merge_counters(&s.snapshot());
         }
         // Gauge contract (see `stats.rs`): the merge leaves the gauge at
-        // zero; the aggregator overwrites it from the live source.
-        total.curr_connections = self.curr_conns.load(Ordering::Relaxed);
+        // zero and the aggregator fills it in. Every accepted connection is
+        // counted closed exactly once, later: open = accepted − closed.
+        total.curr_connections = total.accepted.saturating_sub(total.connections);
         total
     }
 
-    fn enqueue(&self, token: u64) {
-        self.ready.lock().expect("ready queue poisoned").push_back(token);
-        self.available.notify_one();
+    /// Everything worker `index` needs to serve a connection.
+    fn ctx<'a>(
+        &'a self,
+        index: usize,
+        totals: &'a dyn Fn() -> ServerStatsSnapshot,
+    ) -> ConnCtx<'a> {
+        ConnCtx {
+            store: &*self.store,
+            max_pipeline: self.config.max_pipeline,
+            stats: &self.stats[index],
+            totals,
+            tel: &self.tel[index],
+            hub: self,
+            recording: self.config.telemetry,
+            slow_ns: self.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
+            worker: index as u32,
+            monitor: &self.monitor,
+        }
     }
 
-    /// Takes the connection out of a locked slot, deregisters it, and
-    /// closes it — all under the slot lock, so a racing worker can never
-    /// re-arm a recycled descriptor. The caller releases the index (after
-    /// dropping the lock) and does its own counting.
-    fn retire(&self, slot: &mut Slot) {
-        if let Some(conn) = slot.conn.take() {
-            let _ = self.poller.deregister(conn.fd());
-            drop(conn);
-            self.curr_conns.fetch_sub(1, Ordering::Relaxed);
-        }
-        slot.gen = slot.gen.wrapping_add(1);
-    }
 }
 
 impl TelemetryHub for Shared {
@@ -320,7 +330,7 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port — the bound address
-    /// is on the handle) and starts the event loop + worker threads serving
+    /// is on the handle) and starts the acceptor + worker threads serving
     /// `store`.
     pub fn start<S: KvStore>(
         addr: impl ToSocketAddrs,
@@ -335,253 +345,286 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let workers = config.workers.max(1);
-        let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-        let shared = Arc::new(Shared {
-            store: Arc::new(store),
-            shutdown: AtomicBool::new(false),
-            poller,
-            registry: Registry::new(),
-            ready: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stats: (0..workers + 1).map(|_| CachePadded::new(WorkerStats::default())).collect(),
-            tel: (0..workers).map(|_| CachePadded::new(WorkerTelemetry::new())).collect(),
-            conc: (0..workers).map(|_| CachePadded::new(ConcurrencyStats::default())).collect(),
-            window: WindowRing::new(DEFAULT_WINDOW_INTERVAL_NS, DEFAULT_WINDOW_CAPACITY),
-            monitor: MonitorHub::default(),
-            curr_conns: AtomicU64::new(0),
-            started: Instant::now(),
-            config: ServerConfig { workers, ..config },
-        });
+        let shared = Arc::new(Shared::new(Arc::new(store), config)?);
+        shared.acceptor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
 
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ascy-events".into())
-                    .spawn(move || event_loop(listener, &shared))?,
-            );
-        }
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
+        // The handle comes first: a failed spawn leaves through `?`, and
+        // dropping the handle stops and joins the threads that did start.
+        let mut handle = ServerHandle { addr: local, shared, threads: Vec::new() };
+        let shared = Arc::clone(&handle.shared);
+        handle.threads.push(
+            std::thread::Builder::new()
+                .name("ascy-acceptor".into())
+                .spawn(move || acceptor_loop(listener, &shared))?,
+        );
+        for i in 0..handle.shared.config.workers {
+            let shared = Arc::clone(&handle.shared);
+            handle.threads.push(
                 std::thread::Builder::new()
                     .name(format!("ascy-worker-{i}"))
                     .spawn(move || worker_loop(i, &shared))?,
             );
         }
-        Ok(ServerHandle { addr: local, shared, threads })
+        Ok(handle)
     }
 }
 
-fn event_loop(listener: TcpListener, shared: &Shared) {
-    // The trailing stats block belongs to the event loop.
+fn acceptor_loop(listener: TcpListener, shared: &Shared) {
+    // The trailing stats block belongs to the acceptor.
     let stats = &shared.stats[shared.config.workers];
-    let idle = shared.config.idle_timeout;
-    let mut wheel = idle.map(|t| {
-        let gran = (t / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
-        TimerWheel::new(t, gran, Instant::now())
-    });
-    let tick = wheel.as_ref().map_or(Duration::from_millis(200), |w| w.granularity());
     let mut events = Events::new();
-    let mut expired: Vec<u64> = Vec::new();
-
-    while !shared.shutdown.load(Ordering::Acquire) {
-        if shared.poller.wait(&mut events, Some(tick)).is_err() {
-            break;
+    let mut hands: Vec<Vec<Mail>> = shared.ports.iter().map(|_| Vec::new()).collect();
+    let mut next = 0;
+    while !shared.shutdown.load(Ordering::Acquire)
+        && shared.acceptor.wait(&mut events, None).is_ok()
+    {
+        // Accept first, deal afterwards: waking a worker per socket makes
+        // the acceptor share its CPU with the workers it wakes, and a
+        // listen queue that overflows meanwhile costs the peer a second.
+        // Any failed accept ends the pass; the listener stays registered,
+        // so the next `wait` reports whatever is still queued.
+        for _ in 0..ACCEPT_BURST {
+            let Ok((stream, _peer)) = listener.accept() else { break };
+            let Ok(conn) = Connection::new(stream) else { continue };
+            WorkerStats::bump(&stats.accepted, 1);
+            hands[next].push(Mail::Conn(Box::new(conn)));
+            next = (next + 1) % hands.len();
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        for ev in events.iter() {
-            if ev.token == LISTENER_TOKEN {
-                accept_burst(&listener, shared, stats, wheel.as_mut(), idle);
-                let _ = shared.poller.rearm(
-                    listener.as_raw_fd(),
-                    LISTENER_TOKEN,
-                    Interest::READABLE,
-                );
-            } else {
-                WorkerStats::bump(&stats.wakeups, 1);
-                shared.enqueue(ev.token);
-            }
-        }
-        if let (Some(wheel), Some(idle)) = (wheel.as_mut(), idle) {
-            expired.clear();
-            wheel.advance(Instant::now(), &mut expired);
-            for &token in &expired {
-                check_idle(shared, stats, wheel, token, idle);
+        for (port, hand) in shared.ports.iter().zip(hands.iter_mut()) {
+            let dealt = hand.len() as u64;
+            if dealt > 0 && !port.send(hand.drain(..)) {
+                // The worker is gone (shutdown raced these accepts); the
+                // refused connections closed as the drain dropped.
+                WorkerStats::bump(&stats.connections, dealt);
             }
         }
     }
-
-    // Final sweep: flush what was already computed, close everything. Swept
-    // connections count as served so accept/close bookkeeping balances.
-    for slot_arc in shared.registry.all() {
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        if let Some(conn) = slot.conn.as_mut() {
-            conn.final_flush(stats);
-            shared.retire(&mut slot);
-            WorkerStats::bump(&stats.connections, 1);
-        }
-    }
-    shared.ready.lock().expect("ready queue poisoned").clear();
     // Dropping the listener here closes the accept socket.
 }
 
-fn accept_burst(
-    listener: &TcpListener,
-    shared: &Shared,
-    stats: &WorkerStats,
-    mut wheel: Option<&mut TimerWheel>,
-    idle: Option<Duration>,
-) {
-    for _ in 0..ACCEPT_BURST {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            // Transient accept failure (e.g. aborted handshake): the
-            // listener re-arms and the next readiness event retries.
-            Err(_) => break,
+/// One slab slot of a worker.
+struct Entry {
+    conn: Option<Box<Connection>>,
+    /// What the poller currently reports this connection's socket for.
+    interest: Interest,
+    /// The slot is on the run queue.
+    queued: bool,
+    /// Connections closed in this slot so far. A deadline carries the epoch
+    /// it was filed under, so one left by an earlier tenant neither evicts
+    /// the next nor files it twice. No other thread reads it.
+    epoch: u32,
+}
+
+/// A worker thread's private state: everything its connections touch.
+struct Worker<'a> {
+    index: usize,
+    shared: &'a Shared,
+    port: &'a Port,
+    slab: Vec<Entry>,
+    free: Vec<u32>,
+    /// Slots with work that needs no readiness event: connections that
+    /// yielded ([`Advance::Yield`]) and woken `MONITOR` subscribers.
+    run: VecDeque<u32>,
+    /// Idle deadlines and the timeout they enforce (`None`: no eviction).
+    wheel: Option<(TimerWheel, Duration)>,
+    chunk: Vec<u8>,
+}
+
+impl<'a> Worker<'a> {
+    fn new(index: usize, shared: &'a Shared) -> Worker<'a> {
+        let wheel = shared.config.idle_timeout.map(|idle| {
+            let gran = (idle / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
+            (TimerWheel::new(idle, gran, Instant::now()), idle)
+        });
+        Worker {
+            index,
+            shared,
+            port: &shared.ports[index],
+            slab: Vec::new(),
+            free: Vec::new(),
+            run: VecDeque::new(),
+            wheel,
+            chunk: vec![0u8; 16 * 1024],
+        }
+    }
+
+    /// Readiness first, then the inbox, the run queue and due deadlines.
+    fn turn(&mut self, ctx: &ConnCtx<'_>, events: &mut Events) -> io::Result<()> {
+        let timeout = if self.run.is_empty() {
+            self.wheel.as_ref().map(|(wheel, _)| wheel.granularity())
+        } else {
+            Some(Duration::ZERO)
         };
-        let Ok(conn) = Connection::new(stream) else { continue };
-        let fd = conn.fd();
-        let (idx, slot_arc) = shared.registry.alloc();
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        let token = make_token(idx, slot.gen);
-        if shared.poller.register(fd, token, Interest::READABLE).is_err() {
-            slot.gen = slot.gen.wrapping_add(1);
-            drop(slot);
-            shared.registry.release(idx);
-            continue;
+        self.port.poller.wait(events, timeout)?;
+        for ev in events.iter() {
+            WorkerStats::bump(&ctx.stats.wakeups, 1);
+            self.advance(ctx, unpack(ev.token).1);
         }
-        slot.conn = Some(conn);
-        drop(slot);
-        WorkerStats::bump(&stats.accepted, 1);
-        shared.curr_conns.fetch_add(1, Ordering::Relaxed);
-        if let (Some(wheel), Some(idle)) = (wheel.as_deref_mut(), idle) {
-            wheel.schedule(token, Instant::now() + idle);
-        }
-    }
-}
-
-/// A wheel deadline came due: evict if the connection really made no
-/// progress for the whole timeout, otherwise reschedule from its actual
-/// last activity (the lazy re-check that keeps activity O(1)).
-fn check_idle(
-    shared: &Shared,
-    stats: &WorkerStats,
-    wheel: &mut TimerWheel,
-    token: u64,
-    idle: Duration,
-) {
-    let (idx, gen) = split_token(token);
-    let Some(slot_arc) = shared.registry.slot(idx) else { return };
-    let mut slot = slot_arc.lock().expect("slot poisoned");
-    if slot.gen != gen {
-        return; // stale: the connection this deadline was for is gone
-    }
-    let Some(conn) = slot.conn.as_ref() else { return };
-    let deadline = conn.last_active + idle;
-    if Instant::now() >= deadline {
-        shared.retire(&mut slot);
-        drop(slot);
-        shared.registry.release(idx);
-        WorkerStats::bump(&stats.timeouts, 1);
-        WorkerStats::bump(&stats.connections, 1);
-    } else {
-        drop(slot);
-        wheel.schedule(token, deadline);
-    }
-}
-
-fn worker_loop(index: usize, shared: &Shared) {
-    let stats = &shared.stats[index];
-    let totals = || shared.totals();
-    let ctx = ConnCtx {
-        store: &*shared.store,
-        max_pipeline: shared.config.max_pipeline,
-        stats,
-        totals: &totals,
-        tel: &shared.tel[index],
-        hub: shared,
-        recording: shared.config.telemetry,
-        slow_ns: shared.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
-        worker: index as u32,
-        monitor: &shared.monitor,
-    };
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        let token = {
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            loop {
-                if let Some(token) = ready.pop_front() {
-                    break Some(token);
+        if self.port.flagged.load(Ordering::Acquire) {
+            self.port.flagged.store(false, Ordering::Release);
+            let mail = self.port.inbox.lock().expect("inbox poisoned").replace(Vec::new());
+            for mail in mail.into_iter().flatten() {
+                match mail {
+                    Mail::Conn(conn) => self.adopt(ctx, conn),
+                    Mail::Wake(idx) => self.enqueue(idx),
                 }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .available
-                    .wait_timeout(ready, Duration::from_millis(100))
-                    .expect("ready queue poisoned");
-                ready = guard;
             }
-        };
-        let Some(token) = token else { return };
-        let (idx, gen) = split_token(token);
-        let Some(slot_arc) = shared.registry.slot(idx) else { continue };
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        if slot.gen != gen {
-            continue; // stale wakeup for a recycled slot
         }
-        let Some(conn) = slot.conn.as_mut() else { continue };
-        let fd = conn.fd();
-        let outcome = conn.advance(&ctx, &mut chunk);
-        // A MONITOR frame executed this pass: perform the subscription
-        // here, where the connection's registry token is known (the wake
-        // path enqueues exactly this token).
+        // Only what was queued when the pass began: a connection that
+        // yields again waits for the next `wait` like everyone else.
+        for _ in 0..self.run.len() {
+            let idx = self.run.pop_front().expect("length checked above");
+            if std::mem::take(&mut self.slab[idx as usize].queued) {
+                self.advance(ctx, idx);
+            }
+        }
+        self.evict_idle(ctx);
+        Ok(())
+    }
+
+    /// Gives a dealt connection a slot, a registration and an idle deadline.
+    fn adopt(&mut self, ctx: &ConnCtx<'_>, conn: Box<Connection>) {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Entry {
+                conn: None,
+                interest: Interest::READABLE,
+                queued: false,
+                epoch: 0,
+            });
+            (self.slab.len() - 1) as u32
+        });
+        let token = pack(self.index as u32, idx);
+        let registered = self.port.poller.register(conn.fd(), token, Interest::READABLE);
+        let entry = &mut self.slab[idx as usize];
+        if let Some((wheel, idle)) = self.wheel.as_mut() {
+            wheel.schedule(pack(entry.epoch, idx), conn.last_active + *idle);
+        }
+        entry.interest = Interest::READABLE;
+        entry.conn = Some(conn);
+        if registered.is_err() {
+            self.close(ctx, idx);
+        }
+    }
+
+    /// Puts the connection in slot `idx` on the run queue. `MONITOR` wakes
+    /// land here, and a wake can outlive its subscriber: a vacant slot drops
+    /// it, a new tenant gets one spurious `advance` that finds nothing to
+    /// do. No trace frame goes astray either way — a connection drains only
+    /// the sink it holds itself, and the subscriber's went with it.
+    fn enqueue(&mut self, idx: u32) {
+        if let Some(entry) = self.slab.get_mut(idx as usize) {
+            if entry.conn.is_some() && !entry.queued {
+                entry.queued = true;
+                self.run.push_back(idx);
+            }
+        }
+    }
+
+    /// Drives the connection in slot `idx` and does what it asks for next.
+    fn advance(&mut self, ctx: &ConnCtx<'_>, idx: u32) {
+        let entry = &mut self.slab[idx as usize];
+        let Some(conn) = entry.conn.as_mut() else { return };
+        let token = pack(self.index as u32, idx);
+        let outcome = conn.advance(ctx, &mut self.chunk);
+        // A MONITOR frame executed this pass: subscribe here, where the
+        // address a publisher's wake must come back to is known.
         if let Some(sample) = conn.take_pending_monitor() {
-            conn.attach_monitor(shared.monitor.subscribe(token, sample));
+            conn.attach_monitor(ctx.monitor.subscribe(token, sample));
         }
         // Per-pass drain: fold the structure-level counter deltas this
         // pass generated (the store work ran on this thread) into the
         // worker's padded block, and refresh the allocator absolutes.
-        shared.conc[index].fold_ops(&ascylib::stats::drain_delta());
-        shared.conc[index].set_ssmem(&ascylib_ssmem::thread_stats());
-        // Wake subscribers whose monitor sinks went non-empty under this
-        // pass's publishes.
-        for wake in shared.monitor.take_wakes() {
-            shared.enqueue(wake);
-        }
+        let conc = &self.shared.conc[self.index];
+        conc.fold_ops(&ascylib::stats::drain_delta());
+        conc.set_ssmem(&ascylib_ssmem::thread_stats());
         match outcome {
+            Advance::Arm(interest) if interest == entry.interest => {}
             Advance::Arm(interest) => {
-                // Re-arm while still holding the slot lock: eviction closes
-                // descriptors under this same lock, so the fd cannot have
-                // been recycled out from under the token.
-                if shared.poller.rearm(fd, token, interest).is_ok() {
-                    continue;
+                entry.interest = interest;
+                if self.port.poller.modify(conn.fd(), token, interest).is_err() {
+                    self.close(ctx, idx);
                 }
-                // Un-armable (poller torn down or fd invalid): close.
-                shared.retire(&mut slot);
-                drop(slot);
-                shared.registry.release(idx);
-                WorkerStats::bump(&stats.connections, 1);
             }
-            Advance::Yield => {
-                drop(slot);
-                shared.enqueue(token);
-            }
-            Advance::Close(_exit) => {
-                shared.retire(&mut slot);
-                drop(slot);
-                shared.registry.release(idx);
-                WorkerStats::bump(&stats.connections, 1);
+            Advance::Yield => self.enqueue(idx),
+            Advance::Close(_exit) => self.close(ctx, idx),
+        }
+        // Wake the subscribers whose sinks went non-empty under this pass's
+        // publishes, each on the worker that owns it.
+        for wake in ctx.monitor.take_wakes() {
+            let (worker, idx) = unpack(wake);
+            if worker as usize == self.index {
+                self.enqueue(idx);
+            } else {
+                // Refused only by a worker that is shutting down.
+                self.shared.ports[worker as usize].send([Mail::Wake(idx)]);
             }
         }
     }
+
+    /// Deregisters and closes the connection in slot `idx`; frees the slot.
+    fn close(&mut self, ctx: &ConnCtx<'_>, idx: u32) {
+        let entry = &mut self.slab[idx as usize];
+        let Some(conn) = entry.conn.take() else { return };
+        let _ = self.port.poller.deregister(conn.fd());
+        drop(conn);
+        entry.epoch = entry.epoch.wrapping_add(1);
+        entry.queued = false;
+        self.free.push(idx);
+        WorkerStats::bump(&ctx.stats.connections, 1);
+    }
+
+    /// Deadlines that came due: evict a connection that really made no
+    /// progress for the whole timeout, otherwise file it again from its
+    /// actual last activity (the lazy re-check that keeps activity O(1)).
+    fn evict_idle(&mut self, ctx: &ConnCtx<'_>) {
+        let Some((wheel, idle)) = self.wheel.as_mut() else { return };
+        let (now, idle) = (Instant::now(), *idle);
+        let mut expired = Vec::new();
+        wheel.advance(now, &mut expired);
+        for filed in expired {
+            let (epoch, idx) = unpack(filed);
+            let entry = &self.slab[idx as usize];
+            let Some(conn) = entry.conn.as_ref().filter(|_| entry.epoch == epoch) else {
+                continue; // filed for a connection that has closed since
+            };
+            let deadline = conn.last_active + idle;
+            if now >= deadline {
+                self.close(ctx, idx);
+                WorkerStats::bump(&ctx.stats.timeouts, 1);
+            } else if let Some((wheel, _)) = self.wheel.as_mut() {
+                wheel.schedule(filed, deadline);
+            }
+        }
+    }
+
+    /// The final sweep: refuse further mail, flush what was already computed
+    /// and close everything, connections dealt but not yet adopted included.
+    fn shut(mut self, ctx: &ConnCtx<'_>) {
+        let mail = self.port.inbox.lock().expect("inbox poisoned").take();
+        for mail in mail.into_iter().flatten() {
+            if let Mail::Conn(conn) = mail {
+                self.adopt(ctx, conn);
+            }
+        }
+        for idx in 0..self.slab.len() as u32 {
+            if let Some(conn) = self.slab[idx as usize].conn.as_mut() {
+                conn.final_flush(ctx.stats);
+                self.close(ctx, idx);
+            }
+        }
+    }
+}
+
+fn worker_loop(index: usize, shared: &Shared) {
+    let totals = || shared.totals();
+    let ctx = shared.ctx(index, &totals);
+    let (mut worker, mut events) = (Worker::new(index, shared), Events::new());
+    while !shared.shutdown.load(Ordering::Acquire) {
+        if worker.turn(&ctx, &mut events).is_err() {
+            break; // the poller is unusable: close what this worker holds
+        }
+    }
+    worker.shut(&ctx);
 }
 
 /// Handle to a running server: its bound address, live statistics, and
@@ -636,11 +679,13 @@ impl ServerHandle {
     /// buffered replies, close connections.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.poller.notify();
-        self.shared.available.notify_all();
+        let _ = self.shared.acceptor.notify();
+        for port in self.shared.ports.iter() {
+            let _ = port.poller.notify();
+        }
     }
 
-    /// Shuts down, blocks until the event loop and every worker exited, and
+    /// Shuts down, blocks until the acceptor and every worker exited, and
     /// returns the final (race-free: all threads joined) counters.
     pub fn join(mut self) -> ServerStatsSnapshot {
         self.join_inner();
@@ -793,5 +838,78 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         server.join();
+    }
+
+    #[test]
+    fn a_wake_that_outlives_its_subscriber_is_dropped_or_a_spurious_advance() {
+        // One worker, driven by hand: the test thread plays the acceptor and
+        // the publisher on "another worker".
+        let map = Arc::new(BlobMap::new(2, |_| ClhtLb::with_capacity(64)));
+        let config = ServerConfig { workers: 1, idle_timeout: None, ..ServerConfig::default() };
+        let shared = Shared::new(Arc::new(BlobStore::new(map)), config).unwrap();
+        let totals = || shared.totals();
+        let ctx = shared.ctx(0, &totals);
+        let mut worker = Worker::new(0, &shared);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let deal = || {
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            peer.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+            let conn = Connection::new(listener.accept().unwrap().0).unwrap();
+            WorkerStats::bump(&shared.stats[1].accepted, 1);
+            (peer, Mail::Conn(Box::new(conn)))
+        };
+        // A sticky notify first, so a turn with nothing ready still returns.
+        let turn = |worker: &mut Worker<'_>| {
+            shared.ports[0].poller.notify().unwrap();
+            worker.turn(&ctx, &mut Events::new()).unwrap();
+        };
+        let mut buf = [0u8; 256];
+
+        let (mut sub, mail) = deal();
+        assert!(shared.ports[0].send([mail]));
+        sub.write_all(b"MONITOR\r\n").unwrap();
+        while sub.read(&mut buf).map_or(true, |n| n == 0) {
+            turn(&mut worker);
+        }
+        assert_eq!(shared.monitor.stats().subscribers, 1, "in slot 0 of worker 0");
+
+        // A publisher on another worker queues a frame and notes the wake;
+        // the subscriber hangs up before anyone routes it.
+        shared.monitor.publish(&crate::monitor::MonitorEvent {
+            unix_ms: 0,
+            family: ascylib_telemetry::Family::Set,
+            key: 7,
+            bytes: 1,
+            service_ns: 1,
+            worker: 1,
+        });
+        drop(sub);
+        while worker.slab[0].conn.is_some() {
+            turn(&mut worker);
+        }
+        // The closing pass routed the wake to a vacant slot: dropped.
+        assert!(shared.monitor.take_wakes().is_empty(), "the wake was routed");
+        assert!(worker.run.is_empty());
+
+        // A new tenant in the same slot, then the late wake: one advance
+        // that finds nothing to do, and not a byte for the tenant's peer.
+        let (mut tenant, mail) = deal();
+        assert!(shared.ports[0].send([mail]));
+        assert!(shared.ports[0].send([Mail::Wake(0)]));
+        turn(&mut worker);
+        assert!(worker.slab[0].conn.is_some(), "the freed slot was reused");
+        assert!(worker.run.is_empty(), "the wake was served within the turn");
+        assert!(tenant.read(&mut buf).is_err(), "nothing may reach the new tenant");
+        tenant.write_all(b"PING\r\n").unwrap();
+        let n = loop {
+            turn(&mut worker);
+            if let Ok(n) = tenant.read(&mut buf) {
+                break n;
+            }
+        };
+        assert_eq!(&buf[..n], b"+PONG\r\n");
+        worker.shut(&ctx);
+        assert_eq!(shared.totals().connections, 2);
+        assert_eq!(shared.totals().curr_connections, 0);
     }
 }

@@ -3,9 +3,9 @@
 //! Each worker thread owns one cache-line-padded [`WorkerStats`] block, so
 //! hot-path counting never bounces a line between workers (the same
 //! observability-without-false-sharing discipline as
-//! `ascylib_shard::stats`). The event loop owns one extra block for the
-//! counters only it maintains (accepts, idle-timeout evictions, readiness
-//! wakeups). Aggregation walks the blocks only when a snapshot is requested
+//! `ascylib_shard::stats`). The acceptor owns one extra block for what
+//! only it counts (accepts, and connections it had to turn away at
+//! shutdown). Aggregation walks the blocks only when a snapshot is requested
 //! (`STATS` frames, [`crate::server::ServerHandle`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,14 +23,15 @@ use ascylib_ssmem::SsmemStats;
 pub struct WorkerStats {
     /// Connections fully served (accepted, drained, closed).
     pub connections: AtomicU64,
-    /// Connections accepted (event-loop block only).
+    /// Connections accepted (acceptor block only).
     pub accepted: AtomicU64,
-    /// Connections evicted by the idle timeout (event-loop block only).
+    /// Connections this worker evicted by the idle timeout.
     pub timeouts: AtomicU64,
-    /// Readiness events dispatched to workers (event-loop block only).
+    /// Readiness events this worker's poller delivered for a connection.
+    /// Inbox notifies and run-queue turns are not events and do not count.
     pub wakeups: AtomicU64,
-    /// Reply flushes that hit `WouldBlock` mid-buffer and had to re-arm the
-    /// connection for writability.
+    /// Reply flushes that hit `WouldBlock` mid-buffer and had to wait for
+    /// writability.
     pub partial_writes: AtomicU64,
     /// Well-formed request frames executed.
     pub frames: AtomicU64,
@@ -85,7 +86,7 @@ impl WorkerStats {
 /// full snapshots would double-count it, so
 /// [`merge_counters`](Self::merge_counters) deliberately leaves it
 /// untouched and the owner of the aggregate overwrites it from the live
-/// registry afterwards (see
+/// gauge afterwards (see
 /// `Shared::totals` in `server.rs`). Any future gauge field must follow the
 /// same contract: excluded from the merge, set once by the aggregator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,16 +94,15 @@ pub struct ServerStatsSnapshot {
     /// Connections fully served.
     pub connections: u64,
     /// Connections currently open (a gauge, not a counter: the server fills
-    /// it in from its registry when the snapshot is taken; per-worker blocks
-    /// report 0).
+    /// it in when the snapshot is taken; per-worker blocks report 0).
     pub curr_connections: u64,
     /// Connections accepted since the server started.
     pub accepted: u64,
     /// Connections evicted by the idle timeout.
     pub timeouts: u64,
-    /// Readiness events dispatched to workers.
+    /// Readiness events delivered for connections.
     pub wakeups: u64,
-    /// Reply flushes that blocked mid-buffer (wait-for-writability re-arms).
+    /// Reply flushes that blocked mid-buffer and waited for writability.
     pub partial_writes: u64,
     /// Well-formed request frames executed.
     pub frames: u64,

@@ -1,16 +1,15 @@
 //! A coarse timer wheel for idle-connection deadlines.
 //!
-//! The event loop schedules one deadline per live connection and checks them
-//! lazily: when a bucket comes due, each token in it is looked up in the
-//! connection registry and its *actual* last-activity time decides whether
-//! to evict or reschedule. That laziness is what keeps the wheel O(1) per
-//! operation — activity on a connection never has to find and remove a
-//! pending entry, it just updates `last_active` and lets the stale wheel
-//! entry fall out on its next expiry.
-//!
-//! Tokens carry a generation tag (see the registry in [`crate::server`]),
-//! so an entry for a connection that closed — and whose slot was reused —
-//! fails the generation check at expiry and is dropped harmlessly.
+//! Each worker has one, for the connections it owns. It files one deadline
+//! per live connection and checks them lazily: when a bucket comes due, the
+//! worker looks each token up in its slab and the connection's *actual*
+//! last-activity time decides whether to evict or reschedule. That laziness
+//! is what keeps the wheel O(1) per operation — activity on a connection
+//! never has to find and remove a pending entry, it just updates
+//! `last_active` and lets the stale wheel entry fall out on its next expiry.
+//! Closing a connection removes nothing either: what a token means is the
+//! worker's business (see `Entry::epoch` in [`crate::server`]), and one
+//! filed for a connection that has closed since is dropped when it expires.
 
 use std::time::{Duration, Instant};
 
