@@ -294,54 +294,6 @@ pub fn to_json(r: &BenchmarkResult) -> String {
     )
 }
 
-/// Serializes histogram buckets as a JSON array of `[upper_bound, count]`
-/// pairs — the sparse nonzero-bucket form the telemetry crate's snapshots
-/// export (`nonzero_buckets()`), in ascending bound order. An empty slice
-/// renders as `[]`.
-pub fn json_histogram(buckets: &[(u64, u64)]) -> String {
-    let mut out = String::with_capacity(2 + buckets.len() * 12);
-    out.push('[');
-    for (i, (bound, count)) in buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{bound},{count}]"));
-    }
-    out.push(']');
-    out
-}
-
-/// Grafts named histograms onto an existing JSON object: inserts a
-/// `"histograms":{"<name>":[[bound,count],...],...}` member before the
-/// object's final `}`. Names are emitted in the order given (stable — the
-/// bench-trajectory diffing relies on it) and escaped as JSON strings.
-///
-/// # Panics
-///
-/// Panics if `object_json` does not end with `}` (it must be a JSON
-/// object).
-pub fn embed_histograms(object_json: &str, histograms: &[(&str, &[(u64, u64)])]) -> String {
-    let trimmed = object_json.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .expect("embed_histograms needs a JSON object ending in '}'");
-    let mut out = String::with_capacity(trimmed.len() + 64);
-    out.push_str(body);
-    // `{}` (empty object) needs no separating comma before the new member.
-    if body.len() > 1 {
-        out.push(',');
-    }
-    out.push_str("\"histograms\":{");
-    for (i, (name, buckets)) in histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", escape_json(name), json_histogram(buckets)));
-    }
-    out.push_str("}}");
-    out
-}
-
 /// Writes a JSON document under `target/ascylib/BENCH_<name>.json` (the
 /// bench-trajectory convention: one file per figure/config, overwritten per
 /// run).
@@ -352,17 +304,6 @@ pub fn write_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
     let mut file = fs::File::create(&path)?;
     writeln!(file, "{json}")?;
     Ok(path)
-}
-
-/// [`to_json`] plus embedded latency histograms (see
-/// [`embed_histograms`]): the full-resolution bucket arrays let downstream
-/// tooling recompute any percentile instead of being limited to the
-/// pre-baked ones.
-pub fn to_json_with_histograms(
-    r: &BenchmarkResult,
-    histograms: &[(&str, &[(u64, u64)])],
-) -> String {
-    embed_histograms(&to_json(r), histograms)
 }
 
 /// Formats a floating point value with two decimals.
@@ -582,52 +523,6 @@ mod tests {
         let contents = std::fs::read_to_string(path).unwrap();
         assert_wellformed_json(contents.trim());
         assert!(contents.contains("\"total_ops\""));
-    }
-
-    #[test]
-    fn json_histogram_renders_sparse_bucket_pairs() {
-        assert_eq!(json_histogram(&[]), "[]");
-        assert_eq!(json_histogram(&[(31, 4)]), "[[31,4]]");
-        assert_eq!(
-            json_histogram(&[(31, 4), (1023, 7), (u64::MAX, 1)]),
-            format!("[[31,4],[1023,7],[{},1]]", u64::MAX)
-        );
-        assert_wellformed_json(&json_histogram(&[(31, 4), (1023, 7)]));
-    }
-
-    #[test]
-    fn embed_histograms_grafts_members_in_stable_order() {
-        let base = "{\"total_ops\":10}";
-        let a: &[(u64, u64)] = &[(31, 4), (63, 6)];
-        let b: &[(u64, u64)] = &[(127, 10)];
-        let json = embed_histograms(base, &[("request", a), ("flush", b)]);
-        assert_wellformed_json(&json);
-        assert_eq!(
-            json,
-            "{\"total_ops\":10,\"histograms\":{\"request\":[[31,4],[63,6]],\
-             \"flush\":[[127,10]]}}"
-        );
-        // Order is the caller's, not alphabetical.
-        let flipped = embed_histograms(base, &[("flush", b), ("request", a)]);
-        assert!(flipped.find("\"flush\"").unwrap() < flipped.find("\"request\"").unwrap());
-        // Empty object and empty histogram list both stay well-formed.
-        assert_eq!(embed_histograms("{}", &[]), "{\"histograms\":{}}");
-        // Trailing whitespace (write_json appends a newline) is tolerated.
-        assert_eq!(embed_histograms("{\"a\":1}\n", &[]), "{\"a\":1,\"histograms\":{}}");
-        // Hostile names are escaped, keeping the document well-formed.
-        let hostile = embed_histograms(base, &[("a\"b\n", a)]);
-        assert_wellformed_json(&hostile);
-        assert!(hostile.contains("\"a\\\"b\\n\""), "{hostile}");
-    }
-
-    #[test]
-    fn to_json_with_histograms_extends_the_stable_document() {
-        let r = sample_result();
-        let buckets: &[(u64, u64)] = &[(31, 2), (1023, 5)];
-        let json = to_json_with_histograms(&r, &[("request_ns", buckets)]);
-        assert_wellformed_json(&json);
-        assert!(json.contains("\"total_ops\":"), "base fields survive: {json}");
-        assert!(json.contains("\"histograms\":{\"request_ns\":[[31,2],[1023,5]]}"), "{json}");
     }
 
     #[test]

@@ -414,6 +414,14 @@ fn decode_text(reply: Reply) -> io::Result<String> {
     }
 }
 
+/// Reads one integer `name:value` line out of an `INFO` body. The whole key
+/// must match: `request_p99_ns` does not read `request_p99_10s_ns`.
+pub fn info_field(body: &str, name: &str) -> Option<u64> {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(':')))
+        .and_then(|v| v.trim().parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +471,16 @@ mod tests {
         assert!(stats.contains("value_bytes="), "{stats}");
         c.quit().unwrap();
         server.join();
+    }
+
+    #[test]
+    fn info_field_matches_whole_keys_only() {
+        let body = "# latency\nrequest_p99_10s_ns:7\nrequest_p99_ns:42\nrequest_mean_ns:1.5\n";
+        assert_eq!(info_field(body, "request_p99_ns"), Some(42));
+        assert_eq!(info_field(body, "request_p99_10s_ns"), Some(7));
+        assert_eq!(info_field(body, "request_p99"), None, "a key prefix is not the key");
+        assert_eq!(info_field(body, "request_mean_ns"), None, "not an integer");
+        assert_eq!(info_field(body, "request_max_ns"), None);
     }
 
     #[test]

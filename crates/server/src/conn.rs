@@ -29,7 +29,9 @@
 //! frame and no per-batch result vector is allocated); `GET` copies the
 //! value out into a reused buffer. Malformed frames — oversized values
 //! included — consume exactly one error reply and the connection keeps
-//! serving (the parser resynchronizes past the offending input).
+//! serving (the parser resynchronizes past the offending input). The scrape
+//! verbs (`STATS`, `INFO`, `SLOWLOG`, `METRICS`) are one call each into
+//! [`crate::report`], which owns every line of their rendering.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -39,60 +41,13 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use polling::Interest;
 
-use ascylib_telemetry::expo::Exposition;
-use ascylib_telemetry::{
-    clock, Family, HistogramSnapshot, Phase, SlowOp, TelemetrySnapshot, WindowDelta,
-    WorkerTelemetry,
-};
+use ascylib_telemetry::{clock, Family, Phase, SlowOp, WorkerTelemetry};
 
 use crate::monitor::{MonitorEvent, MonitorHub, MonitorSink, MONITOR_DRAIN_BACKLOG};
-use crate::protocol::{wire, Request, RequestParser, SlowlogCmd, MAX_VALUE};
-use crate::stats::{ConcurrencySnapshot, ServerStatsSnapshot, WorkerStats};
+use crate::protocol::{wire, Request, RequestParser};
+use crate::report::{self, TelemetryHub};
+use crate::stats::{ServerStatsSnapshot, WorkerStats};
 use crate::store::{KvStore, KEY_RANGE};
-
-/// Cross-worker telemetry aggregation, implemented by the server's shared
-/// state (and by test fixtures). The hot path records into this worker's
-/// own [`WorkerTelemetry`]; the observability verbs (`INFO`, `SLOWLOG`,
-/// `METRICS`) read the whole server through this trait.
-pub(crate) trait TelemetryHub {
-    /// Merged telemetry across every worker block.
-    fn telemetry_totals(&self) -> TelemetrySnapshot;
-    /// Slow-op entries across every worker, newest first.
-    fn slow_ops(&self) -> Vec<SlowOp>;
-    /// Clears every worker's slow-op ring.
-    fn slow_reset(&self);
-    /// Total entries currently held across every ring.
-    fn slow_len(&self) -> u64;
-    /// Worker thread count.
-    fn workers(&self) -> usize;
-    /// Milliseconds since the server started.
-    fn uptime_ms(&self) -> u64;
-    /// Summed structure-level concurrency counters across every worker
-    /// block: coherence events (stores, CAS, restarts) plus ssmem
-    /// allocator state.
-    fn concurrency_totals(&self) -> ConcurrencySnapshot;
-    /// Rotates the telemetry sample ring if an interval elapsed and
-    /// returns the delta over the default window. `None` until at least
-    /// two samples exist (the window is still warming up).
-    fn window(&self) -> Option<WindowDelta>;
-}
-
-/// Indices of the cumulative counters carried in every window sample
-/// (`WindowSample::counters`); the hub's sampler and the scrape renderers
-/// must agree on these.
-pub(crate) const WIN_OPS: usize = 0;
-/// Bytes read from sockets.
-pub(crate) const WIN_BYTES_IN: usize = 1;
-/// Bytes written to sockets.
-pub(crate) const WIN_BYTES_OUT: usize = 2;
-/// Error frames sent.
-pub(crate) const WIN_ERRORS: usize = 3;
-/// Failed CAS attempts inside the structures.
-pub(crate) const WIN_CAS_FAILS: usize = 4;
-/// Structure-level operation restarts.
-pub(crate) const WIN_RESTARTS: usize = 5;
-/// How many counters a window sample carries.
-pub(crate) const WIN_COUNTERS: usize = 6;
 
 /// Everything a worker needs to serve one connection.
 pub(crate) struct ConnCtx<'a> {
@@ -110,7 +65,7 @@ pub(crate) struct ConnCtx<'a> {
     /// Whole-server telemetry (`INFO` / `SLOWLOG` / `METRICS`).
     pub hub: &'a dyn TelemetryHub,
     /// Latency recording switch. When off, the serving loop takes no clock
-    /// readings at all — the fig15 overhead comparison flips exactly this.
+    /// readings at all.
     pub recording: bool,
     /// Requests at or above this service time (execute phase, ns) are
     /// captured in the slow-op ring.
@@ -125,7 +80,7 @@ pub(crate) struct ConnCtx<'a> {
 /// Reusable per-connection buffers for value copy-out, so the serving hot
 /// path allocates per payload copy, not per frame.
 #[derive(Default)]
-struct ConnBufs {
+pub(crate) struct ConnBufs {
     /// `GET` value destination.
     value: Vec<u8>,
     /// `MGET` result destination.
@@ -511,7 +466,7 @@ fn slow_fields(req: &Request) -> (u64, u64) {
 }
 
 #[derive(PartialEq, Eq)]
-enum Flow {
+pub(crate) enum Flow {
     Continue,
     Quit,
     /// A `MONITOR` frame executed: the worker must subscribe this
@@ -525,10 +480,15 @@ fn key_ok(key: u64) -> bool {
 
 const KEY_RANGE_MSG: &str = "key out of usable range [1, 2^64-2]";
 
-const EXPIRY_UNSUPPORTED_MSG: &str = "expiry unsupported by this store (no cache tier)";
+pub(crate) const EXPIRY_UNSUPPORTED_MSG: &str = "expiry unsupported by this store (no cache tier)";
 
 /// Executes one well-formed frame against the store, appending its reply.
-fn execute(req: &Request, ctx: &ConnCtx<'_>, bufs: &mut ConnBufs, out: &mut Vec<u8>) -> Flow {
+pub(crate) fn execute(
+    req: &Request,
+    ctx: &ConnCtx<'_>,
+    bufs: &mut ConnBufs,
+    out: &mut Vec<u8>,
+) -> Flow {
     let stats = ctx.stats;
     WorkerStats::bump(&stats.frames, 1);
     match req {
@@ -691,77 +651,10 @@ fn execute(req: &Request, ctx: &ConnCtx<'_>, bufs: &mut ConnBufs, out: &mut Vec<
             }
         },
         Request::Ping => wire::simple(out, "PONG"),
-        Request::Stats => {
-            let totals = (ctx.totals)();
-            let (store_ops, store_hits) = ctx.store.ops_and_hits();
-            let mut info = format!(
-                "size={} shards={} value_bytes={} store_ops={store_ops} store_hits={store_hits} conns={} curr_conns={} accepted={} timeouts={} wakeups={} partial_writes={} frames={} ops={} hits={} misses={} errors={} bytes_in={} bytes_out={}",
-                ctx.store.size(),
-                ctx.store.shard_count(),
-                ctx.store.value_bytes(),
-                totals.connections,
-                totals.curr_connections,
-                totals.accepted,
-                totals.timeouts,
-                totals.wakeups,
-                totals.partial_writes,
-                totals.frames,
-                totals.ops,
-                totals.hits,
-                totals.misses,
-                totals.errors,
-                totals.bytes_in,
-                totals.bytes_out,
-            );
-            // Hot-key engine counters ride at the end of the line (new
-            // fields append, existing parsers keep their positions).
-            if let Some(h) = ctx.store.hotkey_stats() {
-                use std::fmt::Write as _;
-                let _ = write!(
-                    info,
-                    " hotkey_fronted={} hotkey_front_hits={} hotkey_front_absent={} hotkey_delegated={} hotkey_batches={}",
-                    h.fronted, h.front_hits, h.front_absent, h.delegated, h.combined_batches,
-                );
-            }
-            // Epoch-allocator aggregates, summed over every worker's
-            // thread-local allocator.
-            {
-                use std::fmt::Write as _;
-                let m = ctx.hub.concurrency_totals().ssmem;
-                let _ = write!(
-                    info,
-                    " ssmem_allocations={} ssmem_frees={} ssmem_reclaimed={} ssmem_pending={} ssmem_pooled={}",
-                    m.allocations, m.frees, m.reclaimed, m.pending, m.pooled,
-                );
-            }
-            // Cache-tier gauges and counters (stores with a cache tier
-            // only — same append-at-end discipline as the hotkey block).
-            if let Some(c) = ctx.store.cache_stats() {
-                use std::fmt::Write as _;
-                let _ = write!(
-                    info,
-                    " cache_budget_bytes={} cache_live_bytes={} cache_evictions={} cache_expired_lazy={} cache_expired_swept={}",
-                    c.budget_bytes, c.live_bytes, c.evictions, c.expired_lazy, c.expired_swept,
-                );
-            }
-            wire::simple(out, &info);
-        }
-        Request::Info(section) => match render_info(ctx, section.as_deref()) {
-            Ok(body) => bulk_capped(out, &body),
-            Err(msg) => {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, msg);
-            }
-        },
-        Request::Slowlog(cmd) => match cmd {
-            SlowlogCmd::Get => bulk_capped(out, &render_slowlog(&ctx.hub.slow_ops())),
-            SlowlogCmd::Reset => {
-                ctx.hub.slow_reset();
-                wire::simple(out, "OK");
-            }
-            SlowlogCmd::Len => wire::int(out, ctx.hub.slow_len()),
-        },
-        Request::Metrics => bulk_capped(out, &render_metrics(ctx)),
+        Request::Stats => report::answer_stats(ctx, out),
+        Request::Info(section) => report::answer_info(ctx, section.as_deref(), out),
+        Request::Slowlog(cmd) => report::answer_slowlog(ctx, cmd, out),
+        Request::Metrics => report::answer_metrics(ctx, out),
         Request::Monitor(sample) => {
             // The hub subscription happens back in the worker loop, which
             // knows this connection's address; from the peer's
@@ -777,408 +670,12 @@ fn execute(req: &Request, ctx: &ConnCtx<'_>, bufs: &mut ConnBufs, out: &mut Vec<
     Flow::Continue
 }
 
-/// Writes `body` as one bulk frame, truncating at the last full line under
-/// the reply value cap (with a marker line) — the client-side parser
-/// rejects bulk frames over [`MAX_VALUE`], so a report body must never
-/// exceed it.
-fn bulk_capped(out: &mut Vec<u8>, body: &str) {
-    const MARKER: &str = "# truncated\n";
-    if body.len() <= MAX_VALUE {
-        wire::bulk(out, body.as_bytes());
-        return;
-    }
-    let budget = MAX_VALUE - MARKER.len();
-    let cut = body.as_bytes()[..budget]
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let mut truncated = String::with_capacity(cut + MARKER.len());
-    truncated.push_str(&body[..cut]);
-    truncated.push_str(MARKER);
-    wire::bulk(out, truncated.as_bytes());
-}
-
-/// Renders the `INFO` report: all seven sections, or just the named one.
-/// Unknown section names are a semantic error answered in-band.
-fn render_info(ctx: &ConnCtx<'_>, section: Option<&str>) -> Result<String, &'static str> {
-    use std::fmt::Write as _;
-    const KNOWN: [&str; 7] =
-        ["server", "commands", "latency", "memory", "concurrency", "hotkeys", "cache"];
-    if let Some(s) = section {
-        if !KNOWN.contains(&s) {
-            return Err(
-                "unknown INFO section (server|commands|latency|memory|concurrency|hotkeys|cache)",
-            );
-        }
-    }
-    let want = |name: &str| section.is_none() || section == Some(name);
-    let totals = (ctx.totals)();
-    let mut sections: Vec<String> = Vec::new();
-    if want("server") {
-        let mut s = String::new();
-        let _ = writeln!(s, "# server");
-        let _ = writeln!(s, "version:{}", env!("CARGO_PKG_VERSION"));
-        let _ = writeln!(s, "workers:{}", ctx.hub.workers());
-        let _ = writeln!(s, "uptime_ms:{}", ctx.hub.uptime_ms());
-        let _ = writeln!(s, "telemetry:{}", if ctx.recording { "on" } else { "off" });
-        let _ = writeln!(s, "slowlog_threshold_ns:{}", ctx.slow_ns);
-        let _ = writeln!(s, "curr_connections:{}", totals.curr_connections);
-        let _ = writeln!(s, "connections:{}", totals.connections);
-        let _ = writeln!(s, "accepted:{}", totals.accepted);
-        sections.push(s);
-    }
-    if want("commands") || want("latency") {
-        let tel = ctx.hub.telemetry_totals();
-        if want("commands") {
-            let mut s = String::new();
-            let _ = writeln!(s, "# commands");
-            for f in Family::ALL {
-                let fam = tel.family(f);
-                let _ = writeln!(s, "cmd_{}_ops:{}", f.name(), fam.ops());
-                match f {
-                    Family::Get | Family::MGet => {
-                        let _ = writeln!(s, "cmd_{}_hits:{}", f.name(), fam.hits);
-                        let _ = writeln!(s, "cmd_{}_misses:{}", f.name(), fam.misses);
-                    }
-                    Family::Del => {
-                        let _ = writeln!(s, "cmd_del_found:{}", fam.hits);
-                        let _ = writeln!(s, "cmd_del_not_found:{}", fam.misses);
-                    }
-                    _ => {}
-                }
-            }
-            let _ = writeln!(s, "frames:{}", totals.frames);
-            let _ = writeln!(s, "ops:{}", totals.ops);
-            let _ = writeln!(s, "hits:{}", totals.hits);
-            let _ = writeln!(s, "misses:{}", totals.misses);
-            let _ = writeln!(s, "errors:{}", totals.errors);
-            sections.push(s);
-        }
-        if want("latency") {
-            let mut s = String::new();
-            let _ = writeln!(s, "# latency");
-            let req = tel.data_requests();
-            let _ = writeln!(s, "request_count:{}", tel.data_ops());
-            let _ = writeln!(s, "request_samples:{}", req.count());
-            let _ = writeln!(s, "request_mean_ns:{:.0}", req.mean());
-            let _ = writeln!(s, "request_p50_ns:{}", req.quantile(0.50));
-            let _ = writeln!(s, "request_p99_ns:{}", req.quantile(0.99));
-            let _ = writeln!(s, "request_p999_ns:{}", req.quantile(0.999));
-            let _ = writeln!(s, "request_max_ns:{}", req.max());
-            for p in Phase::ALL {
-                let h: &HistogramSnapshot = &tel.phases[p.index()];
-                let _ = writeln!(s, "phase_{}_count:{}", p.name(), h.count());
-                let _ = writeln!(s, "phase_{}_p99_ns:{}", p.name(), h.quantile(0.99));
-            }
-            for f in Family::DATA {
-                let _ =
-                    writeln!(s, "cmd_{}_p99_ns:{}", f.name(), tel.family(f).hist.quantile(0.99));
-            }
-            // Windowed tail latency: the same service-time histogram, but
-            // only what landed in the last sampling window.
-            if let Some(w) = ctx.hub.window() {
-                let _ = writeln!(s, "request_p99_10s_ns:{}", w.hist.quantile(0.99));
-                let _ = writeln!(s, "request_window_ms:{}", w.elapsed_ms());
-            }
-            sections.push(s);
-        }
-    }
-    if want("memory") {
-        let (store_ops, store_hits) = ctx.store.ops_and_hits();
-        let mut s = String::new();
-        let _ = writeln!(s, "# memory");
-        let _ = writeln!(s, "keys:{}", ctx.store.size());
-        let _ = writeln!(s, "shards:{}", ctx.store.shard_count());
-        let _ = writeln!(s, "value_bytes:{}", ctx.store.value_bytes());
-        let _ = writeln!(s, "store_ops:{store_ops}");
-        let _ = writeln!(s, "store_hits:{store_hits}");
-        let m = ctx.hub.concurrency_totals().ssmem;
-        let _ = writeln!(s, "ssmem_allocations:{}", m.allocations);
-        let _ = writeln!(s, "ssmem_frees:{}", m.frees);
-        let _ = writeln!(s, "ssmem_reclaimed:{}", m.reclaimed);
-        let _ = writeln!(s, "ssmem_reused:{}", m.reused);
-        let _ = writeln!(s, "ssmem_gc_passes:{}", m.gc_passes);
-        let _ = writeln!(s, "ssmem_pending:{}", m.pending);
-        let _ = writeln!(s, "ssmem_pooled:{}", m.pooled);
-        sections.push(s);
-    }
-    if want("concurrency") {
-        let conc = ctx.hub.concurrency_totals();
-        let mut s = String::new();
-        let _ = writeln!(s, "# concurrency");
-        let _ = writeln!(s, "coherence_shared_stores:{}", conc.ops.shared_stores);
-        let _ = writeln!(s, "coherence_atomic_ops:{}", conc.ops.atomic_ops);
-        let _ = writeln!(s, "coherence_atomic_failures:{}", conc.ops.atomic_failures);
-        let _ = writeln!(s, "coherence_lock_acquisitions:{}", conc.ops.lock_acquisitions);
-        let _ = writeln!(s, "coherence_restarts:{}", conc.ops.restarts);
-        let _ = writeln!(s, "coherence_waits:{}", conc.ops.waits);
-        let _ = writeln!(s, "coherence_nodes_traversed:{}", conc.ops.nodes_traversed);
-        let _ = writeln!(s, "coherence_operations:{}", conc.ops.operations);
-        if conc.ops.operations > 0 {
-            // The paper's scalability determinants, normalized per
-            // structure operation: stores to shared lines and atomics.
-            let per = |n: u64| n as f64 / conc.ops.operations as f64;
-            let _ = writeln!(s, "coherence_stores_per_op:{:.3}", per(conc.ops.shared_stores));
-            let _ = writeln!(s, "coherence_atomics_per_op:{:.3}", per(conc.ops.atomic_ops));
-        }
-        let mon = ctx.monitor.stats();
-        let _ = writeln!(s, "monitor_subscribers:{}", mon.subscribers);
-        let _ = writeln!(s, "monitor_events:{}", mon.events);
-        let _ = writeln!(s, "monitor_dropped:{}", mon.dropped);
-        match ctx.hub.window() {
-            Some(w) => {
-                let _ = writeln!(s, "window_samples:{}", w.samples);
-                let _ = writeln!(s, "window_span_ms:{}", w.elapsed_ms());
-                let _ = writeln!(s, "ops_per_sec:{:.1}", w.rate(WIN_OPS));
-                let _ = writeln!(s, "net_in_bytes_per_sec:{:.0}", w.rate(WIN_BYTES_IN));
-                let _ = writeln!(s, "net_out_bytes_per_sec:{:.0}", w.rate(WIN_BYTES_OUT));
-                let _ = writeln!(s, "errors_per_sec:{:.1}", w.rate(WIN_ERRORS));
-                let _ = writeln!(s, "cas_fails_per_sec:{:.1}", w.rate(WIN_CAS_FAILS));
-                let _ = writeln!(s, "restarts_per_sec:{:.1}", w.rate(WIN_RESTARTS));
-            }
-            None => {
-                // Fewer than two samples so far; rates appear once the
-                // ring has a measurable span.
-                let _ = writeln!(s, "window_samples:0");
-            }
-        }
-        sections.push(s);
-    }
-    if want("hotkeys") {
-        let mut s = String::new();
-        let _ = writeln!(s, "# hotkeys");
-        match ctx.store.hotkey_stats() {
-            Some(h) => {
-                let _ = writeln!(s, "hotkey_engine:on");
-                let _ = writeln!(s, "hotkey_fronted:{}", h.fronted);
-                let _ = writeln!(s, "hotkey_sampled:{}", h.sampled);
-                let _ = writeln!(s, "hotkey_promotions:{}", h.promotions);
-                let _ = writeln!(s, "hotkey_demotions:{}", h.demotions);
-                let _ = writeln!(s, "hotkey_front_hits:{}", h.front_hits);
-                let _ = writeln!(s, "hotkey_front_absent:{}", h.front_absent);
-                let _ = writeln!(s, "hotkey_front_pending:{}", h.front_pending);
-                let _ = writeln!(s, "hotkey_front_hit_rate:{:.4}", h.front_hit_rate());
-                let _ = writeln!(s, "hotkey_fills:{}", h.fills);
-                let _ = writeln!(s, "hotkey_poisons:{}", h.poisons);
-                let _ = writeln!(s, "hotkey_delegated:{}", h.delegated);
-                let _ = writeln!(s, "hotkey_combined_batches:{}", h.combined_batches);
-                let _ = writeln!(s, "hotkey_avg_batch:{:.2}", h.avg_batch());
-                for (rank, (key, est)) in ctx.store.hot_keys().into_iter().enumerate() {
-                    let _ = writeln!(s, "hot_key_{rank}:key={key} est={est}");
-                }
-            }
-            None => {
-                let _ = writeln!(s, "hotkey_engine:off");
-            }
-        }
-        sections.push(s);
-    }
-    if want("cache") {
-        let mut s = String::new();
-        let _ = writeln!(s, "# cache");
-        match ctx.store.cache_stats() {
-            Some(c) => {
-                let bounded = c.budget_bytes > 0;
-                let _ = writeln!(s, "cache_tier:on");
-                let _ = writeln!(s, "cache_budget:{}", if bounded { "on" } else { "off" });
-                let _ = writeln!(s, "cache_budget_bytes:{}", c.budget_bytes);
-                let _ = writeln!(s, "cache_live_bytes:{}", c.live_bytes);
-                if bounded {
-                    let _ = writeln!(
-                        s,
-                        "cache_fill_ratio:{:.4}",
-                        c.live_bytes as f64 / c.budget_bytes as f64
-                    );
-                }
-                let _ = writeln!(s, "cache_evictions:{}", c.evictions);
-                let _ = writeln!(s, "cache_forced_admissions:{}", c.forced);
-                let _ = writeln!(s, "cache_expired_lazy:{}", c.expired_lazy);
-                let _ = writeln!(s, "cache_expired_swept:{}", c.expired_swept);
-                let _ = writeln!(s, "cache_expired_total:{}", c.expired());
-                let _ = writeln!(s, "cache_ttl_live:{}", c.ttl_live);
-            }
-            None => {
-                let _ = writeln!(s, "cache_tier:off");
-            }
-        }
-        sections.push(s);
-    }
-    Ok(sections.join("\n"))
-}
-
-/// Renders the `SLOWLOG GET` body: one line per entry, newest first.
-fn render_slowlog(ops: &[SlowOp]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (i, op) in ops.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{i} family={} key={} bytes={} duration_ns={} unix_ms={} worker={} shard={}",
-            op.family.name(),
-            op.key,
-            op.bytes,
-            op.duration_ns,
-            op.unix_ms,
-            op.worker,
-            op.shard,
-        );
-    }
-    out
-}
-
-/// Renders the `METRICS` body: Prometheus text exposition over the server
-/// counters, store gauges, and per-family / per-phase latency histograms.
-fn render_metrics(ctx: &ConnCtx<'_>) -> String {
-    let totals = (ctx.totals)();
-    let tel = ctx.hub.telemetry_totals();
-    let (store_ops, store_hits) = ctx.store.ops_and_hits();
-    let mut e = Exposition::new();
-    e.gauge("ascy_curr_connections", "Connections currently open.", &[], totals.curr_connections);
-    e.counter("ascy_connections_total", "Connections fully served.", &[], totals.connections);
-    e.counter("ascy_accepted_total", "Connections accepted.", &[], totals.accepted);
-    e.counter("ascy_timeouts_total", "Connections evicted by the idle timeout.", &[], totals.timeouts);
-    e.counter("ascy_frames_total", "Well-formed request frames executed.", &[], totals.frames);
-    e.counter("ascy_ops_total", "Keyspace operations performed.", &[], totals.ops);
-    e.counter("ascy_read_hits_total", "Per-key read lookups that found a value.", &[], totals.hits);
-    e.counter("ascy_read_misses_total", "Per-key read lookups that missed.", &[], totals.misses);
-    e.counter("ascy_errors_total", "Error frames sent.", &[], totals.errors);
-    e.counter("ascy_bytes_in_total", "Bytes read from sockets.", &[], totals.bytes_in);
-    e.counter("ascy_bytes_out_total", "Bytes written to sockets.", &[], totals.bytes_out);
-    e.gauge("ascy_store_keys", "Elements in the served store.", &[], ctx.store.size() as u64);
-    e.gauge("ascy_store_shards", "Shards backing the store.", &[], ctx.store.shard_count() as u64);
-    e.gauge("ascy_store_value_bytes", "Live payload bytes in the value arena.", &[], ctx.store.value_bytes());
-    e.counter("ascy_store_ops_total", "Structure-level operations.", &[], store_ops);
-    e.counter("ascy_store_hits_total", "Structure-level lookup hits.", &[], store_hits);
-    e.gauge("ascy_slowlog_len", "Slow-op entries currently held.", &[], ctx.hub.slow_len());
-    if let Some(h) = ctx.store.hotkey_stats() {
-        e.gauge("ascy_hotkey_fronted", "Hot keys currently holding a front-cache slot.", &[], h.fronted);
-        e.counter("ascy_hotkey_sampled_total", "Accesses fed to the hot-key sketch.", &[], h.sampled);
-        e.counter("ascy_hotkey_promotions_total", "Keys promoted into the top-k set.", &[], h.promotions);
-        e.counter("ascy_hotkey_demotions_total", "Keys demoted out of the top-k set.", &[], h.demotions);
-        e.counter(
-            "ascy_hotkey_front_reads_total",
-            "Front-cache read probes by outcome.",
-            &[("result", "hit")],
-            h.front_hits,
-        );
-        e.counter(
-            "ascy_hotkey_front_reads_total",
-            "Front-cache read probes by outcome.",
-            &[("result", "absent")],
-            h.front_absent,
-        );
-        e.counter(
-            "ascy_hotkey_front_reads_total",
-            "Front-cache read probes by outcome.",
-            &[("result", "pending")],
-            h.front_pending,
-        );
-        e.counter("ascy_hotkey_fills_total", "Front-cache slots filled from backing reads.", &[], h.fills);
-        e.counter("ascy_hotkey_poisons_total", "Front-cache invalidations by bypassing writes.", &[], h.poisons);
-        e.counter("ascy_hotkey_delegated_total", "Hot writes routed through flat combining.", &[], h.delegated);
-        e.counter(
-            "ascy_hotkey_combined_batches_total",
-            "Flat-combining drain passes that applied at least one op.",
-            &[],
-            h.combined_batches,
-        );
-    }
-    if let Some(c) = ctx.store.cache_stats() {
-        e.gauge("ascy_cache_budget_bytes", "Configured payload-byte budget (0 = unbounded).", &[], c.budget_bytes);
-        e.gauge("ascy_cache_live_bytes", "Payload bytes currently reserved against the budget.", &[], c.live_bytes);
-        e.gauge("ascy_cache_ttl_live", "Live values currently carrying an expiry deadline.", &[], c.ttl_live);
-        e.counter("ascy_cache_evictions_total", "Values evicted by the CLOCK policy to fit the budget.", &[], c.evictions);
-        e.counter("ascy_cache_forced_admissions_total", "Over-budget stores admitted when nothing was evictable.", &[], c.forced);
-        e.counter(
-            "ascy_cache_expired_total",
-            "Expired values reclaimed, by discovery mode.",
-            &[("mode", "lazy")],
-            c.expired_lazy,
-        );
-        e.counter(
-            "ascy_cache_expired_total",
-            "Expired values reclaimed, by discovery mode.",
-            &[("mode", "swept")],
-            c.expired_swept,
-        );
-    }
-    for f in Family::ALL {
-        let fam = tel.family(f);
-        e.counter(
-            "ascy_cmd_requests_total",
-            "Requests recorded per command family.",
-            &[("family", f.name())],
-            fam.ops(),
-        );
-        e.counter(
-            "ascy_cmd_hits_total",
-            "Per-key hits (found keys for del) per command family.",
-            &[("family", f.name())],
-            fam.hits,
-        );
-        e.counter(
-            "ascy_cmd_misses_total",
-            "Per-key misses (absent keys for del) per command family.",
-            &[("family", f.name())],
-            fam.misses,
-        );
-        e.histogram(
-            "ascy_request_duration_ns",
-            "Request service time (execute phase, sampled) in nanoseconds.",
-            &[("family", f.name())],
-            &fam.hist,
-        );
-    }
-    for p in Phase::ALL {
-        e.histogram(
-            "ascy_phase_duration_ns",
-            "Time per request-processing phase in nanoseconds.",
-            &[("phase", p.name())],
-            &tel.phases[p.index()],
-        );
-    }
-    let conc = ctx.hub.concurrency_totals();
-    e.counter("ascy_coherence_shared_stores_total", "Stores to shared cache lines inside the structures.", &[], conc.ops.shared_stores);
-    e.counter("ascy_coherence_atomic_ops_total", "Atomic RMW operations (CAS/TAS/FAI) attempted.", &[], conc.ops.atomic_ops);
-    e.counter("ascy_coherence_atomic_failures_total", "Atomic RMW operations that failed and retried.", &[], conc.ops.atomic_failures);
-    e.counter("ascy_coherence_lock_acquisitions_total", "Lock acquisitions inside lock-based structures.", &[], conc.ops.lock_acquisitions);
-    e.counter("ascy_coherence_restarts_total", "Structure operations that restarted from scratch.", &[], conc.ops.restarts);
-    e.counter("ascy_coherence_waits_total", "Spin-wait episodes on in-flight concurrent work.", &[], conc.ops.waits);
-    e.counter("ascy_coherence_nodes_traversed_total", "Nodes visited during structure traversals.", &[], conc.ops.nodes_traversed);
-    e.counter("ascy_coherence_operations_total", "Structure-level operations recorded.", &[], conc.ops.operations);
-    e.counter("ascy_ssmem_allocations_total", "Epoch-allocator objects handed out.", &[], conc.ssmem.allocations);
-    e.counter("ascy_ssmem_frees_total", "Objects released into the epoch limbo lists.", &[], conc.ssmem.frees);
-    e.counter("ascy_ssmem_reclaimed_total", "Limbo objects whose grace period expired.", &[], conc.ssmem.reclaimed);
-    e.counter("ascy_ssmem_reused_total", "Allocations served from reclaimed memory.", &[], conc.ssmem.reused);
-    e.counter("ascy_ssmem_gc_passes_total", "Epoch-advance collection passes.", &[], conc.ssmem.gc_passes);
-    e.gauge("ascy_ssmem_pending", "Objects waiting in limbo lists across workers.", &[], conc.ssmem.pending);
-    e.gauge("ascy_ssmem_pooled", "Reclaimed objects pooled for reuse across workers.", &[], conc.ssmem.pooled);
-    let mon = ctx.monitor.stats();
-    e.gauge("ascy_monitor_subscribers", "Connections subscribed to the MONITOR stream.", &[], mon.subscribers);
-    e.counter("ascy_monitor_events_total", "Trace events published to the MONITOR stream.", &[], mon.events);
-    e.counter("ascy_monitor_dropped_total", "Trace events dropped on full subscriber sinks.", &[], mon.dropped);
-    if let Some(w) = ctx.hub.window() {
-        e.gauge("ascy_window_span_ms", "Span of the telemetry window backing the rate gauges.", &[], w.elapsed_ms());
-        e.gauge("ascy_window_ops_per_sec", "Keyspace operations per second over the window.", &[], w.rate(WIN_OPS) as u64);
-        e.gauge("ascy_window_bytes_in_per_sec", "Socket bytes read per second over the window.", &[], w.rate(WIN_BYTES_IN) as u64);
-        e.gauge("ascy_window_bytes_out_per_sec", "Socket bytes written per second over the window.", &[], w.rate(WIN_BYTES_OUT) as u64);
-        e.gauge("ascy_window_errors_per_sec", "Error frames per second over the window.", &[], w.rate(WIN_ERRORS) as u64);
-        e.gauge("ascy_window_cas_fails_per_sec", "Failed structure CAS attempts per second over the window.", &[], w.rate(WIN_CAS_FAILS) as u64);
-        e.gauge("ascy_window_restarts_per_sec", "Structure restarts per second over the window.", &[], w.rate(WIN_RESTARTS) as u64);
-        e.gauge("ascy_window_request_p99_ns", "p99 service time over the window in nanoseconds.", &[], w.hist.quantile(0.99));
-    }
-    e.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::BlobStore;
-    use ascylib::hashtable::ClhtLb;
-    use ascylib_shard::BlobMap;
+    use crate::protocol::SlowlogCmd;
+    use crate::report::tests::run_ctx;
     use std::net::TcpListener;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn pair() -> (Connection, TcpStream) {
@@ -1186,105 +683,6 @@ mod tests {
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         (Connection::new(accepted).unwrap(), peer)
-    }
-
-    /// Single-worker hub over one telemetry block, standing in for the
-    /// server's `Shared`. The test thread doubles as the worker: the
-    /// concurrency fold that a real worker performs after each connection
-    /// pass happens here at query time, and the window clock is a fake
-    /// that advances one millisecond per call so two consecutive scrapes
-    /// always produce a measurable window.
-    struct TestHub<'a> {
-        tel: &'a WorkerTelemetry,
-        stats: &'a WorkerStats,
-        conc: crate::stats::ConcurrencyStats,
-        ring: ascylib_telemetry::WindowRing,
-        ticks: std::sync::atomic::AtomicU64,
-        started: Instant,
-    }
-
-    impl<'a> TestHub<'a> {
-        fn new(tel: &'a WorkerTelemetry, stats: &'a WorkerStats) -> TestHub<'a> {
-            TestHub {
-                tel,
-                stats,
-                conc: crate::stats::ConcurrencyStats::default(),
-                ring: ascylib_telemetry::WindowRing::new(1, 8),
-                ticks: std::sync::atomic::AtomicU64::new(0),
-                started: Instant::now(),
-            }
-        }
-    }
-
-    impl TelemetryHub for TestHub<'_> {
-        fn telemetry_totals(&self) -> TelemetrySnapshot {
-            self.tel.snapshot()
-        }
-        fn slow_ops(&self) -> Vec<SlowOp> {
-            let mut ops = self.tel.slow_ops();
-            ops.reverse();
-            ops
-        }
-        fn slow_reset(&self) {
-            self.tel.slow_reset();
-        }
-        fn slow_len(&self) -> u64 {
-            self.tel.slow_len() as u64
-        }
-        fn workers(&self) -> usize {
-            1
-        }
-        fn uptime_ms(&self) -> u64 {
-            self.started.elapsed().as_millis() as u64
-        }
-        fn concurrency_totals(&self) -> ConcurrencySnapshot {
-            self.conc.fold_ops(&ascylib::stats::drain_delta());
-            self.conc.set_ssmem(&ascylib_ssmem::thread_stats());
-            self.conc.snapshot()
-        }
-        fn window(&self) -> Option<WindowDelta> {
-            use std::sync::atomic::Ordering;
-            let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            let t = self.stats.snapshot();
-            let c = self.conc.snapshot();
-            self.ring.rotate(ascylib_telemetry::WindowSample {
-                unix_ms: tick,
-                mono_ns: tick * 1_000_000,
-                counters: vec![
-                    t.ops,
-                    t.bytes_in,
-                    t.bytes_out,
-                    t.errors,
-                    c.ops.atomic_failures,
-                    c.ops.restarts,
-                ],
-                hist: self.tel.snapshot().data_requests(),
-            });
-            self.ring.delta(ascylib_telemetry::window::DEFAULT_WINDOW_NS)
-        }
-    }
-
-    fn run_ctx(test: impl FnOnce(&ConnCtx<'_>)) {
-        let map = Arc::new(BlobMap::new(1, |_| ClhtLb::with_capacity(64)));
-        let store = BlobStore::new(map);
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store: &store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            recording: true,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
-        test(&ctx);
     }
 
     #[test]
@@ -1372,285 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn info_and_metrics_render_from_served_traffic() {
-        run_ctx(|ctx| {
-            let mut bufs = ConnBufs::default();
-            let mut out = Vec::new();
-            execute(&Request::Set(5, b"abc".to_vec()), ctx, &mut bufs, &mut out);
-            execute(&Request::Get(5), ctx, &mut bufs, &mut out);
-            execute(&Request::Get(6), ctx, &mut bufs, &mut out);
-            execute(&Request::Del(5), ctx, &mut bufs, &mut out);
-            execute(&Request::Del(5), ctx, &mut bufs, &mut out);
-            let load = |c: &std::sync::atomic::AtomicU64| {
-                c.load(std::sync::atomic::Ordering::Relaxed)
-            };
-            assert_eq!(load(&ctx.stats.hits), 1);
-            assert_eq!(load(&ctx.stats.misses), 1);
-
-            let info = render_info(ctx, None).unwrap();
-            for header in ["# server", "# commands", "# latency", "# memory", "# concurrency"] {
-                assert!(info.contains(header), "INFO is missing {header}:\n{info}");
-            }
-            assert!(info.contains("cmd_get_hits:1"));
-            assert!(info.contains("cmd_get_misses:1"));
-            assert!(info.contains("cmd_del_found:1"));
-            assert!(info.contains("cmd_del_not_found:1"));
-            let only = render_info(ctx, Some("memory")).unwrap();
-            assert!(only.starts_with("# memory") && !only.contains("# server"));
-            assert!(render_info(ctx, Some("bogus")).is_err());
-
-            let metrics = render_metrics(ctx);
-            ascylib_telemetry::expo::validate(&metrics).expect("METRICS body validates");
-            assert!(metrics.contains("ascy_cmd_requests_total{family=\"get\"}"));
-            assert!(metrics.contains("ascy_request_duration_ns_bucket"));
-        });
-    }
-
-    #[test]
-    fn hotkey_surfaces_render_and_validate() {
-        use ascylib_shard::HotKeyConfig;
-        let map = Arc::new(BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| {
-            ClhtLb::with_capacity(64)
-        }));
-        let store = BlobStore::new(Arc::clone(&map));
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store: &store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            recording: true,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
-        let mut bufs = ConnBufs::default();
-        let mut out = Vec::new();
-        execute(&Request::Set(7, b"hot".to_vec()), &ctx, &mut bufs, &mut out);
-        for _ in 0..64 {
-            execute(&Request::Get(7), &ctx, &mut bufs, &mut out);
-        }
-        execute(&Request::Set(7, b"hotter".to_vec()), &ctx, &mut bufs, &mut out);
-        execute(&Request::Get(7), &ctx, &mut bufs, &mut out);
-        let h = store.hotkey_stats().expect("engine is attached");
-        assert!(h.front_hits > 0, "64 gets on one key must hit the front cache: {h:?}");
-
-        out.clear();
-        execute(&Request::Stats, &ctx, &mut bufs, &mut out);
-        let stats_line = String::from_utf8_lossy(&out).into_owned();
-        for field in ["hotkey_fronted=", "hotkey_front_hits=", "hotkey_delegated="] {
-            assert!(stats_line.contains(field), "STATS is missing {field}: {stats_line}");
-        }
-
-        let info = render_info(&ctx, Some("hotkeys")).unwrap();
-        assert!(info.starts_with("# hotkeys"));
-        assert!(info.contains("hotkey_engine:on"));
-        assert!(info.contains("hotkey_front_hits:"));
-        assert!(info.contains("hotkey_front_hit_rate:"));
-        assert!(info.contains("hot_key_0:key=7 est="), "top-k line missing:\n{info}");
-        assert!(render_info(&ctx, None).unwrap().contains("# hotkeys"));
-
-        let metrics = render_metrics(&ctx);
-        ascylib_telemetry::expo::validate(&metrics).expect("METRICS body validates");
-        for family in [
-            "ascy_hotkey_fronted ",
-            "ascy_hotkey_sampled_total ",
-            "ascy_hotkey_front_reads_total{result=\"hit\"}",
-            "ascy_hotkey_front_reads_total{result=\"absent\"}",
-            "ascy_hotkey_front_reads_total{result=\"pending\"}",
-            "ascy_hotkey_fills_total ",
-            "ascy_hotkey_delegated_total ",
-            "ascy_hotkey_combined_batches_total ",
-        ] {
-            assert!(metrics.contains(family), "METRICS is missing {family}");
-        }
-
-        // Engine-less stores keep the section but mark the engine off and
-        // export no hotkey metric families.
-        run_ctx(|ctx| {
-            let info = render_info(ctx, Some("hotkeys")).unwrap();
-            assert!(info.contains("hotkey_engine:off"));
-            assert!(!render_metrics(ctx).contains("ascy_hotkey"));
-            out.clear();
-            let mut bufs = ConnBufs::default();
-            execute(&Request::Stats, ctx, &mut bufs, &mut out);
-            assert!(!String::from_utf8_lossy(&out).contains("hotkey_"));
-        });
-    }
-
-    /// A [`KvStore`] without a cache tier: delegates the byte-value surface
-    /// to a blob store but keeps the trait's expiry defaults, so the
-    /// connection layer's in-band rejection path is reachable in tests.
-    struct NoCacheStore(BlobStore<ClhtLb>);
-
-    impl KvStore for NoCacheStore {
-        fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
-            self.0.get(key, out)
-        }
-        fn set(&self, key: u64, value: &[u8]) -> bool {
-            self.0.set(key, value)
-        }
-        fn del(&self, key: u64) -> bool {
-            self.0.del(key)
-        }
-        fn multi_get(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
-            self.0.multi_get(keys, out)
-        }
-        fn multi_set(&self, entries: &[(u64, Vec<u8>)]) -> Vec<bool> {
-            self.0.multi_set(entries)
-        }
-        fn scan(&self, from: u64, n: usize) -> Option<Vec<(u64, Vec<u8>)>> {
-            self.0.scan(from, n)
-        }
-        fn size(&self) -> usize {
-            self.0.size()
-        }
-        fn shard_count(&self) -> usize {
-            self.0.shard_count()
-        }
-        fn ops_and_hits(&self) -> (u64, u64) {
-            self.0.ops_and_hits()
-        }
-        fn value_bytes(&self) -> u64 {
-            self.0.value_bytes()
-        }
-    }
-
-    #[test]
-    fn cache_surfaces_and_expiry_verbs_render_and_validate() {
-        use ascylib_shard::{CacheConfig, FakeClock, HotKeyConfig};
-        let clock = Arc::new(FakeClock::new());
-        clock.set(1_000);
-        let cfg = CacheConfig::unbounded()
-            .with_budget(16 * 1024)
-            .with_clock(clock.clone());
-        let map = Arc::new(BlobMap::with_config(1, HotKeyConfig::default(), cfg, |_| {
-            ClhtLb::with_capacity(1024)
-        }));
-        let store = BlobStore::new(Arc::clone(&map));
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store: &store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            recording: true,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
-        let mut bufs = ConnBufs::default();
-        let mut out = Vec::new();
-
-        // The expiry verbs run end to end: lease a key, inspect the lease,
-        // strip it, re-arm it, and probe a key that was never set.
-        execute(&Request::SetEx(7, b"lease".to_vec(), 60), &ctx, &mut bufs, &mut out);
-        execute(&Request::Ttl(7), &ctx, &mut bufs, &mut out);
-        execute(&Request::Persist(7), &ctx, &mut bufs, &mut out);
-        execute(&Request::Ttl(7), &ctx, &mut bufs, &mut out);
-        execute(&Request::Expire(7, 5), &ctx, &mut bufs, &mut out);
-        execute(&Request::Ttl(9), &ctx, &mut bufs, &mut out);
-        assert_eq!(
-            String::from_utf8_lossy(&out),
-            ":1\r\n:60\r\n:1\r\n+none\r\n:1\r\n_\r\n",
-            "SETEX/TTL/PERSIST/EXPIRE reply stream"
-        );
-        // Past the deadline the lease reads back as a miss (lazy expiry).
-        clock.advance(6_000);
-        out.clear();
-        execute(&Request::Get(7), &ctx, &mut bufs, &mut out);
-        assert_eq!(out, b"_\r\n", "an expired lease must read as a miss");
-
-        // Churn well past the 16 KiB budget so CLOCK eviction engages.
-        let payload = vec![0xAB; 256];
-        for k in 1..=256u64 {
-            execute(&Request::Set(k, payload.clone()), &ctx, &mut bufs, &mut out);
-        }
-        let c = store.cache_stats().expect("blob stores always report a cache tier");
-        assert!(c.evictions > 0, "256 x 256 B against 16 KiB must evict: {c:?}");
-        assert_eq!(c.forced, 0, "values fit the budget, nothing should be forced: {c:?}");
-        assert!(c.live_bytes <= c.budget_bytes, "budget overrun: {c:?}");
-        assert!(c.expired_lazy >= 1, "the lapsed lease was collected lazily: {c:?}");
-
-        out.clear();
-        execute(&Request::Stats, &ctx, &mut bufs, &mut out);
-        let stats_line = String::from_utf8_lossy(&out).into_owned();
-        for field in [
-            "cache_budget_bytes=",
-            "cache_live_bytes=",
-            "cache_evictions=",
-            "cache_expired_lazy=",
-            "cache_expired_swept=",
-        ] {
-            assert!(stats_line.contains(field), "STATS is missing {field}: {stats_line}");
-        }
-
-        let info = render_info(&ctx, Some("cache")).unwrap();
-        assert!(info.starts_with("# cache"));
-        assert!(info.contains("cache_tier:on"));
-        assert!(info.contains("cache_budget:on"));
-        assert!(info.contains("cache_budget_bytes:16384"));
-        assert!(info.contains("cache_fill_ratio:"), "bounded tiers report fill:\n{info}");
-        assert!(info.contains("cache_ttl_live:"));
-        assert!(render_info(&ctx, None).unwrap().contains("# cache"));
-
-        let metrics = render_metrics(&ctx);
-        ascylib_telemetry::expo::validate(&metrics).expect("METRICS body validates");
-        for family in [
-            "ascy_cache_budget_bytes ",
-            "ascy_cache_live_bytes ",
-            "ascy_cache_ttl_live ",
-            "ascy_cache_evictions_total ",
-            "ascy_cache_forced_admissions_total ",
-            "ascy_cache_expired_total{mode=\"lazy\"}",
-            "ascy_cache_expired_total{mode=\"swept\"}",
-        ] {
-            assert!(metrics.contains(family), "METRICS is missing {family}");
-        }
-
-        // A store without a cache tier rejects the expiry verbs in-band
-        // and exports none of the cache surfaces.
-        let plain = NoCacheStore(BlobStore::new(Arc::new(BlobMap::new(1, |_| {
-            ClhtLb::with_capacity(64)
-        }))));
-        let ctx = ConnCtx { store: &plain, ..ctx };
-        out.clear();
-        execute(&Request::Set(3, b"v".to_vec()), &ctx, &mut bufs, &mut out);
-        for req in [
-            Request::SetEx(3, b"v".to_vec(), 5),
-            Request::Expire(3, 5),
-            Request::Ttl(3),
-            Request::Persist(3),
-        ] {
-            out.clear();
-            execute(&req, &ctx, &mut bufs, &mut out);
-            let reply = String::from_utf8_lossy(&out).into_owned();
-            assert!(
-                reply.starts_with('-') && reply.contains(EXPIRY_UNSUPPORTED_MSG),
-                "{req:?} must be rejected in-band: {reply}"
-            );
-        }
-        let info = render_info(&ctx, Some("cache")).unwrap();
-        assert!(info.contains("cache_tier:off"));
-        assert!(!render_metrics(&ctx).contains("ascy_cache"));
-        out.clear();
-        execute(&Request::Stats, &ctx, &mut bufs, &mut out);
-        assert!(!String::from_utf8_lossy(&out).contains("cache_"));
-    }
-
-    #[test]
     fn slowlog_threshold_zero_captures_everything() {
         run_ctx(|ctx| {
             let ctx = ConnCtx { slow_ns: 0, ..*ctx };
@@ -1672,91 +791,13 @@ mod tests {
             assert!(ops[0].unix_ms > 0);
             assert_eq!(ops[0].worker, 0);
             assert_eq!(ops[0].shard, 0, "single-shard store attributes shard 0");
-            let body = render_slowlog(&ops);
+            let mut body = Vec::new();
+            report::answer_slowlog(&ctx, &SlowlogCmd::Get, &mut body);
+            let body = String::from_utf8_lossy(&body);
             assert!(body.contains("family=set key=9 bytes=3"));
             assert!(body.contains("worker=0 shard=0"), "{body}");
             ctx.hub.slow_reset();
             assert_eq!(ctx.hub.slow_len(), 0);
-        });
-    }
-
-    #[test]
-    fn oversized_report_bodies_truncate_at_a_line_boundary() {
-        let line = "x".repeat(99);
-        let mut body = String::new();
-        while body.len() <= MAX_VALUE + 1000 {
-            body.push_str(&line);
-            body.push('\n');
-        }
-        let mut out = Vec::new();
-        bulk_capped(&mut out, &body);
-        let header_end = out.iter().position(|&b| b == b'\n').unwrap();
-        let header = std::str::from_utf8(&out[1..header_end - 1]).unwrap();
-        let len: usize = header.parse().unwrap();
-        assert!(len <= MAX_VALUE, "bulk of {len} bytes would be rejected client-side");
-        let payload = &out[header_end + 1..header_end + 1 + len];
-        assert!(payload.ends_with(b"# truncated\n"));
-        // Whole lines only: every chunk before the marker is a full line.
-        let text = std::str::from_utf8(payload).unwrap();
-        for l in text.lines() {
-            assert!(l == "# truncated" || l.len() == 99);
-        }
-        // Small bodies pass through untouched.
-        let mut small = Vec::new();
-        bulk_capped(&mut small, "hello\n");
-        assert_eq!(small, b"$6\r\nhello\n\r\n");
-    }
-
-    #[test]
-    fn info_concurrency_and_windowed_rates_render_from_served_traffic() {
-        run_ctx(|ctx| {
-            let mut bufs = ConnBufs::default();
-            let mut out = Vec::new();
-            for k in 1..=32u64 {
-                execute(&Request::Set(k, b"v".to_vec()), ctx, &mut bufs, &mut out);
-                execute(&Request::Get(k), ctx, &mut bufs, &mut out);
-            }
-            let first = render_info(ctx, Some("concurrency")).unwrap();
-            assert!(first.starts_with("# concurrency"), "{first}");
-            assert!(first.contains("coherence_atomic_ops:"), "{first}");
-            assert!(first.contains("monitor_subscribers:0"), "{first}");
-            // The structures really moved the coherence counters.
-            let conc = ctx.hub.concurrency_totals();
-            assert!(
-                conc.ops.operations > 0,
-                "served sets/gets must fold into the concurrency block: {conc:?}"
-            );
-            // The second scrape has two window samples and renders rates.
-            let second = render_info(ctx, Some("concurrency")).unwrap();
-            assert!(second.contains("ops_per_sec:"), "{second}");
-            assert!(second.contains("window_span_ms:"), "{second}");
-            assert!(second.contains("cas_fails_per_sec:"), "{second}");
-            // Memory section carries the allocator aggregates.
-            let mem = render_info(ctx, Some("memory")).unwrap();
-            assert!(mem.contains("ssmem_allocations:"), "{mem}");
-            assert!(mem.contains("ssmem_pending:"), "{mem}");
-            // The windowed tail-latency fields land in the latency section.
-            let lat = render_info(ctx, Some("latency")).unwrap();
-            assert!(lat.contains("request_p99_10s_ns:"), "{lat}");
-            // STATS rides the allocator aggregates at the end of the line.
-            out.clear();
-            execute(&Request::Stats, ctx, &mut bufs, &mut out);
-            let line = String::from_utf8_lossy(&out).into_owned();
-            assert!(line.contains("ssmem_allocations="), "{line}");
-            // METRICS exports the new families and still validates.
-            let metrics = render_metrics(ctx);
-            ascylib_telemetry::expo::validate(&metrics).expect("METRICS body validates");
-            for family in [
-                "ascy_coherence_atomic_ops_total ",
-                "ascy_coherence_operations_total ",
-                "ascy_ssmem_allocations_total ",
-                "ascy_ssmem_pending ",
-                "ascy_monitor_subscribers ",
-                "ascy_window_ops_per_sec ",
-                "ascy_window_request_p99_ns ",
-            ] {
-                assert!(metrics.contains(family), "METRICS is missing {family}:\n{metrics}");
-            }
         });
     }
 

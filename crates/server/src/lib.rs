@@ -27,6 +27,9 @@
 //!   stops reading, so a peer that won't drain its replies cannot grow
 //!   server buffers; `MGET` dispatches through the shard layer's batched
 //!   `multi_get_into` (no per-batch result allocation).
+//! * `report` (internal) — the scrape surfaces: one table with one row per
+//!   metric, from which the `STATS` line, every `INFO` section and the
+//!   `METRICS` exposition are rendered.
 //! * [`server`] — the **event-driven** TCP tier: an acceptor deals
 //!   connections round-robin to a small pool of workers, each with its own
 //!   epoll/poll readiness loop (`vendor/polling`, persistent
@@ -86,6 +89,7 @@ mod conn;
 pub mod loadgen;
 mod monitor;
 pub mod protocol;
+mod report;
 pub mod server;
 pub mod stats;
 pub mod store;

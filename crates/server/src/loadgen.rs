@@ -51,7 +51,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use ascylib_harness::{KeyDist, KeySampler, LatencyStats, OpMix, Operation};
 use ascylib_telemetry::{Histogram, HistogramSnapshot};
 
-use crate::client::Client;
+use crate::client::{info_field, Client};
 use crate::protocol::{encode_request, encode_set, Reply, ReplyParser, Request, MAX_SCAN, MAX_VALUE};
 
 /// Distribution of `SET` payload sizes (bytes).
@@ -477,11 +477,7 @@ impl ServerLatency {
     /// `None` when the section carries no samples (telemetry off, or no
     /// data requests served).
     fn parse(info: &str) -> Option<ServerLatency> {
-        let field = |name: &str| -> Option<u64> {
-            info.lines()
-                .find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(':')))
-                .and_then(|v| v.trim().parse().ok())
-        };
+        let field = |name| info_field(info, name);
         let count = field("request_count")?;
         if count == 0 {
             return None;

@@ -61,11 +61,12 @@ use ascylib_telemetry::{SlowOp, TelemetrySnapshot, WindowDelta, WindowRing, Wind
 use crossbeam_utils::CachePadded;
 use polling::{Events, Interest, Poller};
 
-use crate::conn::{
-    unix_ms_now, Advance, ConnCtx, Connection, TelemetryHub, WIN_BYTES_IN, WIN_BYTES_OUT,
-    WIN_CAS_FAILS, WIN_COUNTERS, WIN_ERRORS, WIN_OPS, WIN_RESTARTS,
-};
+use crate::conn::{unix_ms_now, Advance, ConnCtx, Connection};
 use crate::monitor::{MonitorHub, MonitorStats};
+use crate::report::{
+    TelemetryHub, WIN_BYTES_IN, WIN_BYTES_OUT, WIN_CAS_FAILS, WIN_COUNTERS, WIN_ERRORS, WIN_OPS,
+    WIN_RESTARTS,
+};
 use crate::stats::{ConcurrencySnapshot, ConcurrencyStats, ServerStatsSnapshot, WorkerStats};
 use crate::store::KvStore;
 use crate::timer::TimerWheel;
@@ -85,8 +86,7 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Latency recording (histograms, phase timings, slow-op capture).
     /// Always on by default; turning it off removes every clock reading
-    /// from the serving loop (the `fig15_observability` bench measures
-    /// exactly this delta). The `INFO`/`SLOWLOG`/`METRICS` verbs answer
+    /// from the serving loop. The `INFO`/`SLOWLOG`/`METRICS` verbs answer
     /// either way — with zeroed latency data when recording is off.
     pub telemetry: bool,
     /// Requests with service time (execute phase) at or above this are

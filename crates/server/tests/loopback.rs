@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use ascylib::skiplist::FraserOptSkipList;
-use ascylib_server::client::{decode_optional_bulk, decode_pair};
+use ascylib_server::client::{decode_optional_bulk, decode_pair, info_field};
 use ascylib_server::protocol::MAX_VALUE;
 use ascylib_server::{BlobOrderedStore, Client, Reply, Request, Server, ServerConfig};
 use ascylib_shard::BlobMap;
@@ -411,13 +411,8 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     for header in ["# server", "# commands", "# latency", "# memory"] {
         assert!(info.contains(header), "INFO missing {header}");
     }
-    let field = |name: &str| -> u64 {
-        info.lines()
-            .find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(':')))
-            .unwrap_or_else(|| panic!("missing {name} in INFO"))
-            .trim()
-            .parse()
-            .unwrap()
+    let field = |name: &str| {
+        info_field(&info, name).unwrap_or_else(|| panic!("missing {name} in INFO"))
     };
     assert_eq!(field("cmd_get_ops"), r.gets, "server GET count == client GETs answered");
     assert_eq!(
@@ -433,6 +428,45 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     assert!(metrics.contains("ascy_request_duration_ns_bucket"), "{metrics}");
     assert!(metrics.contains("ascy_phase_duration_ns_bucket{phase=\"execute\""), "{metrics}");
 
+    c.quit().expect("quit");
+    server.join();
+}
+
+/// With recording off the serving loop reads no clock and counts no
+/// request families: `INFO latency` has nothing to scrape (the load
+/// generator's end-of-run scrape comes back empty) while the serving
+/// counters stay exact.
+#[test]
+fn telemetry_off_leaves_info_latency_with_nothing_to_scrape() {
+    use ascylib_server::loadgen::{self, LoadGenConfig, ValueSize};
+
+    let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
+    let server = Server::start(
+        "127.0.0.1:0",
+        BlobOrderedStore::new(map),
+        ServerConfig { telemetry: false, ..ServerConfig::for_connections(2) },
+    )
+    .expect("bind");
+    let cfg = LoadGenConfig {
+        connections: 2,
+        duration_ms: 80,
+        key_range: 512,
+        value_size: ValueSize::Fixed(64),
+        pipeline_depth: 8,
+        ..LoadGenConfig::default()
+    };
+    let r = loadgen::run(server.addr(), &cfg).expect("loadgen");
+    assert!(r.total_ops > 0);
+    assert_eq!(r.errors, 0);
+    assert!(r.server_latency.is_none(), "telemetry off must leave nothing to scrape");
+
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let info = c.info(None).expect("info");
+    assert!(info.contains("telemetry:off"), "{info}");
+    assert_eq!(info_field(&info, "request_count"), Some(0), "{info}");
+    assert_eq!(info_field(&info, "request_samples"), Some(0), "{info}");
+    assert_eq!(info_field(&info, "phase_execute_count"), Some(0), "{info}");
+    assert!(info_field(&info, "ops").unwrap() >= r.total_ops, "serving counters stay live:\n{info}");
     c.quit().expect("quit");
     server.join();
 }

@@ -14,6 +14,12 @@ use ascylib::hashtable::ClhtLb;
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_shard::BlobMap;
 
+/// Held by the tests whose outcome depends on who pins the epoch: seven
+/// threads of reader/writer churn on two CPUs are descheduled inside epoch
+/// guards for milliseconds at a time, and reclamation on every other thread
+/// of the process stalls for as long.
+static EPOCH_CHURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Payload self-description: `[key | seq | len]` header (24 bytes, LE) and a
 /// fill byte derived from `(key, seq)`. Any torn, truncated, or
 /// reused-while-reading blob breaks at least one of the checks in
@@ -57,6 +63,7 @@ fn check_canary(key: u64, bytes: &[u8]) {
 /// written payload (canary bytes + length prefix intact).
 #[test]
 fn readers_never_observe_torn_or_reused_blobs_under_churn() {
+    let _quiet = EPOCH_CHURN.lock().unwrap_or_else(|e| e.into_inner());
     const WRITERS: usize = 4;
     const READERS: usize = 3;
     const HOT_KEYS: u64 = 16;
@@ -138,6 +145,7 @@ fn readers_never_observe_torn_or_reused_blobs_under_churn() {
 /// and live payload bytes stay exactly one value's worth per key.
 #[test]
 fn arena_reuses_blob_memory_across_epochs_without_leak_growth() {
+    let _quiet = EPOCH_CHURN.lock().unwrap_or_else(|e| e.into_inner());
     let map = BlobMap::new(2, |_| ClhtLb::with_capacity(64));
     ascylib_ssmem::set_gc_threshold(4);
     let mut rng = SmallRng::seed_from_u64(42);

@@ -9,14 +9,23 @@
 //! hot-key cooperation contract: a fronted key whose backing value is
 //! evicted or expires is poisoned *before* the blob is retired, so the
 //! front cache can never serve the retired bytes.
+//!
+//! The last two tests are what the deleted `fig17_budget` bench checked
+//! about the tier's behaviour (its timings are the `cache.*` rungs of
+//! `benchmark/` now): the hit rate a budget buys is monotone in the budget,
+//! and the budget holds at every sample of a multi-writer churn.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use ascylib::hashtable::ClhtLb;
-use ascylib_shard::{BlobMap, CacheConfig, FakeClock, HotKeyConfig, MsClock};
+use ascylib::skiplist::FraserOptSkipList;
+use ascylib_harness::{KeyDist, KeySampler};
+use ascylib_shard::{BlobMap, CacheConfig, CacheStatsSnapshot, FakeClock, HotKeyConfig, MsClock};
 
 /// Sequential model: key → (value, optional absolute deadline in ms).
 type Model = BTreeMap<u64, (Vec<u8>, Option<u64>)>;
@@ -310,4 +319,144 @@ fn concurrent_churn_under_budget_never_returns_torn_values() {
         c.live_bytes <= c.budget_bytes || c.forced > 0,
         "quiescent overrun without forced admissions: {c:?}"
     );
+}
+
+/// The working set of the two budget tests: 4096 keys of 256 B, 1 MiB of
+/// payload over the two-shard skip-list map the stock `kv_server` serves.
+const WS_KEYS: u64 = 4096;
+const VALUE_LEN: usize = 256;
+const WS_BYTES: u64 = WS_KEYS * VALUE_LEN as u64;
+
+fn budgeted(budget: u64, hot: HotKeyConfig) -> BlobMap<FraserOptSkipList> {
+    let cfg = CacheConfig::unbounded().with_budget(budget);
+    BlobMap::with_config(2, hot, cfg, |_| FraserOptSkipList::new())
+}
+
+/// Prefills the working set through `budget`, then serves a read-mostly
+/// stream (10 % writes) in which a read miss refetches and re-`SET`s, as a
+/// cache in front of a backing store would. Hot-key fronting is off so the
+/// curve isolates the budget. Single-threaded and seeded: it repeats.
+fn hit_rate_at(budget: u64, dist: KeyDist, seed: u64) -> (f64, CacheStatsSnapshot) {
+    let map = budgeted(budget, HotKeyConfig::with_k(0));
+    let value = [0xA5u8; VALUE_LEN];
+    for k in 1..=WS_KEYS {
+        map.set(k, &value);
+    }
+    let sampler = KeySampler::new(dist, WS_KEYS);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut buf = Vec::with_capacity(VALUE_LEN);
+    let (mut reads, mut hits) = (0u64, 0u64);
+    for _ in 0..1 << 15 {
+        let key = sampler.sample(&mut rng);
+        if rng.random_range(0..100u32) < 10 {
+            map.set(key, &value);
+        } else {
+            reads += 1;
+            if map.get(key, &mut buf) {
+                hits += 1;
+            } else {
+                map.set(key, &value);
+            }
+        }
+    }
+    (hits as f64 / reads as f64, map.cache_stats())
+}
+
+#[test]
+fn hit_rate_is_monotone_in_the_budget_and_every_point_stays_within_it() {
+    let dists = [("zipf(0.99)", KeyDist::Zipfian { theta: 0.99 }), ("uniform", KeyDist::Uniform)];
+    for (label, dist) in dists {
+        let mut prev = -1.0f64;
+        for (i, pct) in [10u64, 25, 50, 100, 200].into_iter().enumerate() {
+            let (rate, c) = hit_rate_at(WS_BYTES * pct / 100, dist, 0xF17A + i as u64);
+            assert!(
+                c.live_bytes <= c.budget_bytes && c.forced == 0,
+                "{label} @{pct}%: budget invariant violated: {c:?}"
+            );
+            if pct < 100 {
+                assert!(c.evictions > 0, "{label} @{pct}%: an under-provisioned budget must evict: {c:?}");
+            }
+            if pct == 200 {
+                assert_eq!(c.evictions, 0, "{label}: twice the working set must never evict: {c:?}");
+            }
+            // More memory never hurts the hit rate (1 % slack for CLOCK's
+            // approximation of recency).
+            assert!(
+                rate + 0.01 >= prev,
+                "{label}: hit rate fell from {prev:.4} to {rate:.4} when the budget grew to {pct}%"
+            );
+            prev = prev.max(rate);
+        }
+        assert!(prev > 0.99, "{label}: everything fits at 200%, so every read hits: {prev:.4}");
+    }
+}
+
+/// Four writers churn twice the working set — plain sets, short leases,
+/// deletes — against a budget of a quarter of it, while this thread samples
+/// the gauges: the budget must hold at *every* sample, not only at rest.
+#[test]
+fn the_budget_holds_at_every_sample_of_a_four_writer_churn() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let budget = WS_BYTES / 4;
+    let map = budgeted(budget, HotKeyConfig::default());
+    let value = [0xB7u8; VALUE_LEN];
+    for k in 1..=WS_KEYS {
+        map.set(k, &value);
+    }
+    let stop = AtomicBool::new(false);
+    let (samples, c) = std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (map, stop) = (&map, &stop);
+            scope.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(0xF17B ^ t.wrapping_mul(0x9E37));
+                while !stop.load(Ordering::Relaxed) {
+                    let key = 1 + rng.random_range(0..WS_KEYS * 2);
+                    match rng.random_range(0..16u32) {
+                        0 => {
+                            map.del(key);
+                        }
+                        // Leases of 1-5 ms: they lapse under the churn and
+                        // the sweep piggybacked on later writes reclaims them.
+                        1 | 2 => {
+                            map.set_ex(key, &value, 1 + rng.random_range(0..5u64));
+                        }
+                        _ => {
+                            map.set(key, &value);
+                        }
+                    }
+                }
+            });
+        }
+        // Sample until the churn has shown everything the test is about;
+        // the deadline only turns a hang into a failure.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut samples = 0u64;
+        let last = loop {
+            let c = map.cache_stats();
+            assert_eq!(c.budget_bytes, budget, "budget gauge drifted");
+            assert!(
+                c.live_bytes <= c.budget_bytes,
+                "sample {samples}: live {} B over the {} B budget",
+                c.live_bytes,
+                c.budget_bytes
+            );
+            assert_eq!(c.forced, 0, "256 B values never need a forced admission: {c:?}");
+            samples += 1;
+            if samples >= 1000 && c.evictions > 0 && c.expired() > 0 {
+                break c;
+            }
+            if Instant::now() >= deadline {
+                stop.store(true, Ordering::Relaxed);
+                panic!("after {samples} samples the churn neither evicted nor expired: {c:?}");
+            }
+            std::thread::yield_now();
+        };
+        stop.store(true, Ordering::Relaxed);
+        (samples, last)
+    });
+    assert!(samples >= 1000);
+    assert!(c.evictions > 0, "churn past the budget must evict: {c:?}");
+    assert!(c.expired() > 0, "short leases must expire under churn: {c:?}");
 }

@@ -6,8 +6,8 @@
 //! ASCYLIB C library from the ASPLOS'15 paper *"Asynchronized Concurrency:
 //! The Secret to Scaling Concurrent Search Data Structures"*:
 //!
-//! * [`TasLock`] / [`TtasLock`] — test-and-set and test-and-test-and-set spin
-//!   locks (the per-node locks used by the `lazy` and `pugh` lists).
+//! * [`TtasLock`] — a test-and-test-and-set spin lock (the per-node lock
+//!   used by the `lazy` and `pugh` lists).
 //! * [`TicketLock`] — a FIFO ticket lock (used by the `coupling` list and the
 //!   per-bucket hash-table locks).
 //! * [`TreeLock`] — the *versioned* ticket lock pair used by BST-TK: two
@@ -16,8 +16,6 @@
 //!   still the one observed during the optimistic parse phase.
 //! * [`RwSpinLock`] — a reader-writer spin lock (used by the TBB-style hash
 //!   table substitute).
-//! * [`McsLock`] — a queue-based MCS lock, provided for completeness and used
-//!   by the lock ablation benchmarks.
 //! * [`Backoff`] — bounded exponential back-off.
 //! * [`CachePadded`] — re-exported from `crossbeam-utils`, plus the
 //!   [`CACHE_LINE_SIZE`] constant used to size CLHT buckets.
@@ -41,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod backoff;
-pub mod mcs;
 pub mod rw;
 pub mod tas;
 pub mod ticket;
@@ -49,9 +46,8 @@ pub mod versioned;
 
 pub use backoff::Backoff;
 pub use crossbeam_utils::CachePadded;
-pub use mcs::McsLock;
 pub use rw::RwSpinLock;
-pub use tas::{TasLock, TtasLock};
+pub use tas::TtasLock;
 pub use ticket::TicketLock;
 pub use versioned::{TreeLock, TreeLockSnapshot};
 
@@ -119,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn tas_lock_guards_counter_under_contention() {
-        let lock = Arc::new(TasLock::new());
-        exercise_mutual_exclusion(move |c| {
-            lock.lock();
-            bump(c);
-            lock.unlock();
-        });
-    }
-
-    #[test]
     fn ttas_lock_guards_counter_under_contention() {
         let lock = Arc::new(TtasLock::new());
         exercise_mutual_exclusion(move |c| {
@@ -145,16 +131,6 @@ mod tests {
             lock.lock();
             bump(c);
             lock.unlock();
-        });
-    }
-
-    #[test]
-    fn mcs_lock_guards_counter_under_contention() {
-        let lock = Arc::new(McsLock::new());
-        exercise_mutual_exclusion(move |c| {
-            let guard = lock.lock();
-            bump(c);
-            drop(guard);
         });
     }
 
@@ -189,11 +165,9 @@ mod tests {
     #[test]
     fn locks_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<TasLock>();
         assert_send_sync::<TtasLock>();
         assert_send_sync::<TicketLock>();
         assert_send_sync::<TreeLock>();
         assert_send_sync::<RwSpinLock>();
-        assert_send_sync::<McsLock>();
     }
 }

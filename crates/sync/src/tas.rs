@@ -1,7 +1,7 @@
-//! Test-and-set and test-and-test-and-set spin locks.
+//! The test-and-test-and-set spin lock.
 //!
-//! These are the per-node locks used by the `lazy` and `pugh` linked lists
-//! and by several other hybrid lock-based structures in ASCYLIB. They are a
+//! This is the per-node lock used by the `lazy` and `pugh` linked lists
+//! and by several other hybrid lock-based structures in ASCYLIB. It is a
 //! single byte wide so that embedding one in every node does not blow up the
 //! node footprint (ASCY4 cares about the number of cache lines touched per
 //! update).
@@ -13,82 +13,11 @@ use crate::Backoff;
 const UNLOCKED: u8 = 0;
 const LOCKED: u8 = 1;
 
-/// A test-and-set spin lock.
-///
-/// Every acquisition attempt performs an atomic swap, which always generates
-/// a cache-line transfer; prefer [`TtasLock`] under contention.
-///
-/// # Example
-///
-/// ```
-/// use ascylib_sync::TasLock;
-///
-/// let lock = TasLock::new();
-/// assert!(lock.try_lock());
-/// assert!(!lock.try_lock());
-/// lock.unlock();
-/// assert!(lock.try_lock());
-/// # lock.unlock();
-/// ```
-#[derive(Debug)]
-pub struct TasLock {
-    state: AtomicU8,
-}
-
-impl TasLock {
-    /// Creates a new, unlocked lock.
-    #[inline]
-    pub const fn new() -> Self {
-        Self { state: AtomicU8::new(UNLOCKED) }
-    }
-
-    /// Attempts to acquire the lock without spinning.
-    ///
-    /// Returns `true` if the lock was acquired.
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        self.state.swap(LOCKED, Ordering::Acquire) == UNLOCKED
-    }
-
-    /// Acquires the lock, spinning (with back-off) until it is available.
-    #[inline]
-    pub fn lock(&self) {
-        let mut backoff = Backoff::new();
-        while !self.try_lock() {
-            backoff.spin();
-            if backoff.is_saturated() {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Releases the lock.
-    ///
-    /// Calling this when the lock is not held leaves the lock unlocked; the
-    /// data structures in ASCYLIB only ever unlock locks they hold.
-    #[inline]
-    pub fn unlock(&self) {
-        self.state.store(UNLOCKED, Ordering::Release);
-    }
-
-    /// Returns `true` if the lock is currently held by some thread.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == LOCKED
-    }
-}
-
-impl Default for TasLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A test-and-test-and-set spin lock.
 ///
 /// Spins on a plain load until the lock looks free, and only then attempts
-/// the atomic swap. This reduces coherence traffic compared to [`TasLock`]
-/// while keeping the same single-byte footprint.
+/// the atomic swap: a waiter re-reads its own cached copy of the line
+/// instead of forcing a cache-line transfer with every attempt.
 ///
 /// # Example
 ///
@@ -163,18 +92,6 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn tas_basic() {
-        let l = TasLock::new();
-        assert!(!l.is_locked());
-        l.lock();
-        assert!(l.is_locked());
-        assert!(!l.try_lock());
-        l.unlock();
-        assert!(l.try_lock());
-        l.unlock();
-    }
-
-    #[test]
     fn ttas_basic() {
         let l = TtasLock::new();
         assert!(l.try_lock());
@@ -214,11 +131,6 @@ mod tests {
         }
         assert_eq!(counter.load(Ordering::Relaxed), THREADS as u64 * ITERS);
         counter.load(Ordering::Relaxed)
-    }
-
-    #[test]
-    fn tas_provides_mutual_exclusion() {
-        hammer_counter(Arc::new(TasLock::new()), TasLock::lock, TasLock::unlock);
     }
 
     #[test]

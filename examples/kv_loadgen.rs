@@ -57,6 +57,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ascylib_harness::{arg_value, bench_millis, env_or, KeyDist, OpMix};
+use ascylib_server::client::info_field;
 use ascylib_server::loadgen::{self, LoadGenConfig};
 use ascylib_server::{
     BlobOrderedStore, Client, LoadMode, Server, ServerConfig, ServerHandle, ValueSize,
@@ -230,13 +231,7 @@ fn main() {
         for line in hotkeys.lines().take(6) {
             println!("    {line}");
         }
-        let field = |name: &str| -> u64 {
-            hotkeys
-                .lines()
-                .find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(':')))
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0)
-        };
+        let field = |name: &str| info_field(&hotkeys, name).unwrap_or(0);
         if hotkeys.contains("hotkey_engine:on") {
             assert!(field("hotkey_sampled") > 0, "engine on but nothing sampled:\n{hotkeys}");
             if matches!(dist, KeyDist::Zipfian { theta } if theta >= 1.0) {

@@ -62,6 +62,7 @@ use std::time::Duration;
 
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_harness::{arg_value, bench_millis, env_or, KeyDist, OpMix};
+use ascylib_server::client::info_field;
 use ascylib_server::loadgen::{self, LoadGenConfig, LoadGenResult};
 use ascylib_server::{BlobOrderedStore, Client, Server, ServerConfig, ServerHandle, ValueSize};
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
@@ -306,13 +307,8 @@ fn demo(shards: usize, workers: usize, cache: CacheConfig) {
     // Coherence counters must have registered the burst, the ssmem totals
     // must be on the wire, and the second scrape's rotated window must
     // carry live rates.
-    let field = |body: &str, name: &str| -> Option<u64> {
-        body.lines()
-            .find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(':')))
-            .and_then(|v| v.trim().parse().ok())
-    };
     assert!(
-        field(&concurrency, "coherence_operations").unwrap_or(0) > 0,
+        info_field(&concurrency, "coherence_operations").unwrap_or(0) > 0,
         "the burst must register structure-level operations:\n{concurrency}"
     );
     assert!(
@@ -335,15 +331,15 @@ fn demo(shards: usize, workers: usize, cache: CacheConfig) {
         cache_info.contains("cache_tier:on") && cache_info.contains("cache_budget:on"),
         "the demo store must carry a bounded cache tier:\n{cache_info}"
     );
-    let budget = field(&cache_info, "cache_budget_bytes").unwrap_or(0);
-    let live = field(&cache_info, "cache_live_bytes").unwrap_or(u64::MAX);
+    let budget = info_field(&cache_info, "cache_budget_bytes").unwrap_or(0);
+    let live = info_field(&cache_info, "cache_live_bytes").unwrap_or(u64::MAX);
     assert!(budget > 0 && live <= budget, "budget gauges incoherent:\n{cache_info}");
     assert!(
-        field(&cache_info, "cache_evictions").unwrap_or(0) > 0,
+        info_field(&cache_info, "cache_evictions").unwrap_or(0) > 0,
         "a 1 MiB churn against a 256 KiB budget must evict:\n{cache_info}"
     );
     assert!(
-        field(&cache_info, "cache_ttl_live").unwrap_or(0) > 0,
+        info_field(&cache_info, "cache_ttl_live").unwrap_or(0) > 0,
         "the leased key must register on the TTL gauge:\n{cache_info}"
     );
     assert!(
