@@ -26,7 +26,7 @@ use ascylib::skiplist::FraserOptSkipList;
 use ascylib_harness::report::{bandwidth_line, f2, write_json, Table};
 use ascylib_harness::{bench_millis, KeyDist, OpMix};
 use ascylib_server::loadgen::{self, LoadGenConfig};
-use ascylib_server::{BlobOrderedStore, Server, ServerConfig, ValueSize};
+use ascylib_server::{BlobStore, Server, ServerConfig, ValueSize};
 use ascylib_shard::BlobMap;
 
 const INITIAL_SIZE: u64 = 4096;
@@ -41,7 +41,7 @@ fn run_config(shards: usize, conns: usize, size: usize) -> loadgen::LoadGenResul
     let map = Arc::new(BlobMap::new(shards, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(Arc::clone(&map)),
+        BlobStore::ordered(Arc::clone(&map)),
         ServerConfig::for_connections(conns),
     )
     .expect("bind ephemeral port");

@@ -34,7 +34,7 @@ use ascylib::skiplist::FraserOptSkipList;
 use ascylib_harness::report::{f2, write_json, Table};
 use ascylib_harness::{bench_millis, env_or, KeyDist, OpMix};
 use ascylib_server::loadgen::{self, Arrival, LoadGenConfig, LoadMode};
-use ascylib_server::{BlobOrderedStore, Server, ServerConfig, ValueSize};
+use ascylib_server::{BlobStore, Server, ServerConfig, ValueSize};
 use ascylib_shard::BlobMap;
 
 const INITIAL_SIZE: u64 = 4096;
@@ -64,7 +64,7 @@ fn run_config(conns: usize, rate: f64) -> loadgen::LoadGenResult {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(map),
+        BlobStore::ordered(map),
         ServerConfig::for_connections(conns),
     )
     .expect("bind ephemeral port");

@@ -426,14 +426,14 @@ pub fn info_field(body: &str, name: &str) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
-    use crate::store::BlobOrderedStore;
+    use crate::store::BlobStore;
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
     use std::sync::Arc;
 
     fn ordered_server() -> crate::server::ServerHandle {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-        Server::start("127.0.0.1:0", BlobOrderedStore::new(map), ServerConfig::default())
+        Server::start("127.0.0.1:0", BlobStore::ordered(map), ServerConfig::default())
             .expect("bind ephemeral")
     }
 

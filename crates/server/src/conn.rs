@@ -64,9 +64,6 @@ pub(crate) struct ConnCtx<'a> {
     pub tel: &'a WorkerTelemetry,
     /// Whole-server telemetry (`INFO` / `SLOWLOG` / `METRICS`).
     pub hub: &'a dyn TelemetryHub,
-    /// Latency recording switch. When off, the serving loop takes no clock
-    /// readings at all.
-    pub recording: bool,
     /// Requests at or above this service time (execute phase, ns) are
     /// captured in the slow-op ring.
     pub slow_ns: u64,
@@ -235,11 +232,9 @@ impl Connection {
             // that stops a non-draining peer from growing `wbuf` forever.
             if self.wpos < self.wbuf.len() {
                 self.state = State::Writing;
-                let flush_start = if ctx.recording { Some(clock::now()) } else { None };
+                let flush_start = clock::now();
                 let flushed = self.flush_pending(ctx);
-                if let Some(start) = flush_start {
-                    ctx.tel.record_phase(Phase::Flush, clock::delta_ns(start, clock::now()));
-                }
+                ctx.tel.record_phase(Phase::Flush, clock::delta_ns(flush_start, clock::now()));
                 match flushed {
                     Flush::Done => {
                         self.wbuf.clear();
@@ -339,67 +334,56 @@ impl Connection {
         // fully timed, and slow-op detection is exact for the heavyweight
         // verbs that can plausibly be slow. The parse phase rides on the
         // first slot (batch start -> its start reading); its service time
-        // doubles as the execute-phase sample. With recording off, no
-        // clock is read at all.
-        let batch_start = if ctx.recording { Some(clock::now()) } else { None };
+        // doubles as the execute-phase sample.
+        let batch_start = clock::now();
         let mut slot = 0usize;
         while consumed < ctx.max_pipeline {
             match self.parser.next() {
                 Some(Ok(req)) => {
                     consumed += 1;
-                    let flow = if ctx.recording {
-                        let family = family_of(&req);
-                        let heavy =
-                            !matches!(family, Family::Get | Family::Set | Family::Del);
-                        if heavy || slot % SAMPLE_EVERY == 0 {
-                            let start = clock::now();
-                            if slot == 0 {
-                                if let Some(t0) = batch_start {
-                                    ctx.tel.record_phase(
-                                        Phase::Parse,
-                                        clock::delta_ns(t0, start),
-                                    );
-                                }
-                            }
-                            let flow = execute(&req, ctx, &mut self.bufs, &mut self.wbuf);
-                            let done = clock::now();
-                            let total = clock::delta_ns(start, done);
-                            ctx.tel.record_request(family, total);
-                            if slot == 0 {
-                                ctx.tel.record_phase(Phase::Execute, total);
-                            }
-                            if total >= ctx.slow_ns {
-                                let (key, bytes) = slow_fields(&req);
-                                ctx.tel.record_slow(SlowOp {
-                                    family,
-                                    key,
-                                    bytes,
-                                    duration_ns: total,
-                                    unix_ms: unix_ms_now(),
-                                    worker: ctx.worker,
-                                    shard: ctx.store.shard_of(key).unwrap_or(0) as u32,
-                                });
-                            }
-                            // The MONITOR stream rides the sampled timing
-                            // path (it needs the service clock); with no
-                            // subscribers this is one relaxed load.
-                            if ctx.monitor.active() {
-                                let (key, bytes) = slow_fields(&req);
-                                ctx.monitor.publish(&MonitorEvent {
-                                    unix_ms: unix_ms_now(),
-                                    family,
-                                    key,
-                                    bytes,
-                                    service_ns: total,
-                                    worker: ctx.worker,
-                                });
-                            }
-                            flow
-                        } else {
-                            ctx.tel.count_request(family);
-                            execute(&req, ctx, &mut self.bufs, &mut self.wbuf)
+                    let family = family_of(&req);
+                    let heavy = !matches!(family, Family::Get | Family::Set | Family::Del);
+                    let flow = if heavy || slot % SAMPLE_EVERY == 0 {
+                        let start = clock::now();
+                        if slot == 0 {
+                            ctx.tel.record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
                         }
+                        let flow = execute(&req, ctx, &mut self.bufs, &mut self.wbuf);
+                        let done = clock::now();
+                        let total = clock::delta_ns(start, done);
+                        ctx.tel.record_request(family, total);
+                        if slot == 0 {
+                            ctx.tel.record_phase(Phase::Execute, total);
+                        }
+                        if total >= ctx.slow_ns {
+                            let (key, bytes) = slow_fields(&req);
+                            ctx.tel.record_slow(SlowOp {
+                                family,
+                                key,
+                                bytes,
+                                duration_ns: total,
+                                unix_ms: unix_ms_now(),
+                                worker: ctx.worker,
+                                shard: ctx.store.shard_of(key) as u32,
+                            });
+                        }
+                        // The MONITOR stream rides the sampled timing
+                        // path (it needs the service clock); with no
+                        // subscribers this is one relaxed load.
+                        if ctx.monitor.active() {
+                            let (key, bytes) = slow_fields(&req);
+                            ctx.monitor.publish(&MonitorEvent {
+                                unix_ms: unix_ms_now(),
+                                family,
+                                key,
+                                bytes,
+                                service_ns: total,
+                                worker: ctx.worker,
+                            });
+                        }
+                        flow
                     } else {
+                        ctx.tel.count_request(family);
                         execute(&req, ctx, &mut self.bufs, &mut self.wbuf)
                     };
                     slot += 1;
@@ -480,8 +464,6 @@ fn key_ok(key: u64) -> bool {
 
 const KEY_RANGE_MSG: &str = "key out of usable range [1, 2^64-2]";
 
-pub(crate) const EXPIRY_UNSUPPORTED_MSG: &str = "expiry unsupported by this store (no cache tier)";
-
 /// Executes one well-formed frame against the store, appending its reply.
 pub(crate) fn execute(
     req: &Request,
@@ -501,15 +483,11 @@ pub(crate) fn execute(
             WorkerStats::bump(&stats.ops, 1);
             if ctx.store.get(*k, &mut bufs.value) {
                 WorkerStats::bump(&stats.hits, 1);
-                if ctx.recording {
-                    ctx.tel.record_lookups(Family::Get, 1, 0);
-                }
+                ctx.tel.record_lookups(Family::Get, 1, 0);
                 wire::bulk(out, &bufs.value);
             } else {
                 WorkerStats::bump(&stats.misses, 1);
-                if ctx.recording {
-                    ctx.tel.record_lookups(Family::Get, 0, 1);
-                }
+                ctx.tel.record_lookups(Family::Get, 0, 1);
                 wire::null(out);
             }
         }
@@ -528,11 +506,6 @@ pub(crate) fn execute(
                 wire::error(out, KEY_RANGE_MSG);
                 return Flow::Continue;
             }
-            if ctx.store.cache_stats().is_none() {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, EXPIRY_UNSUPPORTED_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.set_ex(*k, v, secs.saturating_mul(1000)) as u64);
         }
@@ -542,11 +515,6 @@ pub(crate) fn execute(
                 wire::error(out, KEY_RANGE_MSG);
                 return Flow::Continue;
             }
-            if ctx.store.cache_stats().is_none() {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, EXPIRY_UNSUPPORTED_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.expire(*k, secs.saturating_mul(1000)) as u64);
         }
@@ -554,11 +522,6 @@ pub(crate) fn execute(
             if !key_ok(*k) {
                 WorkerStats::bump(&stats.errors, 1);
                 wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
-            if ctx.store.cache_stats().is_none() {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, EXPIRY_UNSUPPORTED_MSG);
                 return Flow::Continue;
             }
             WorkerStats::bump(&stats.ops, 1);
@@ -576,11 +539,6 @@ pub(crate) fn execute(
                 wire::error(out, KEY_RANGE_MSG);
                 return Flow::Continue;
             }
-            if ctx.store.cache_stats().is_none() {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, EXPIRY_UNSUPPORTED_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.persist(*k) as u64);
         }
@@ -594,9 +552,7 @@ pub(crate) fn execute(
             let removed = ctx.store.del(*k);
             // DEL reuses the lookup cells as found / not-found (it is not a
             // read, so the server-wide read hit counters stay untouched).
-            if ctx.recording {
-                ctx.tel.record_lookups(Family::Del, removed as u64, !removed as u64);
-            }
+            ctx.tel.record_lookups(Family::Del, removed as u64, !removed as u64);
             wire::int(out, removed as u64);
         }
         Request::MGet(keys) => {
@@ -613,9 +569,7 @@ pub(crate) fn execute(
             let missed = bufs.batch.len() as u64 - found;
             WorkerStats::bump(&stats.hits, found);
             WorkerStats::bump(&stats.misses, missed);
-            if ctx.recording {
-                ctx.tel.record_lookups(Family::MGet, found, missed);
-            }
+            ctx.tel.record_lookups(Family::MGet, found, missed);
             wire::array_header(out, bufs.batch.len());
             for item in &bufs.batch {
                 match item {
@@ -674,7 +628,10 @@ pub(crate) fn execute(
 mod tests {
     use super::*;
     use crate::protocol::SlowlogCmd;
-    use crate::report::tests::run_ctx;
+    use crate::report::tests::{run_ctx, with_store};
+    use crate::store::BlobStore;
+    use ascylib::hashtable::ClhtLb;
+    use ascylib_shard::BlobMap;
     use std::net::TcpListener;
     use std::time::Duration;
 
@@ -771,7 +728,12 @@ mod tests {
 
     #[test]
     fn slowlog_threshold_zero_captures_everything() {
-        run_ctx(|ctx| {
+        // Four shards, and a key that does not route to the first: the
+        // entry must carry the store's own routing, not a default.
+        let map = Arc::new(BlobMap::new(4, |_| ClhtLb::with_capacity(64)));
+        let shard = map.shard_of(9) as u32;
+        assert_ne!(shard, 0, "pick a key off shard 0");
+        with_store(&BlobStore::new(map), |ctx| {
             let ctx = ConnCtx { slow_ns: 0, ..*ctx };
             let (mut conn, mut peer) = pair();
             peer.write_all(b"SET 9 3\r\nxyz\r\n").unwrap();
@@ -790,12 +752,12 @@ mod tests {
             assert_eq!(ops[0].bytes, 3);
             assert!(ops[0].unix_ms > 0);
             assert_eq!(ops[0].worker, 0);
-            assert_eq!(ops[0].shard, 0, "single-shard store attributes shard 0");
+            assert_eq!(ops[0].shard, shard);
             let mut body = Vec::new();
             report::answer_slowlog(&ctx, &SlowlogCmd::Get, &mut body);
             let body = String::from_utf8_lossy(&body);
             assert!(body.contains("family=set key=9 bytes=3"));
-            assert!(body.contains("worker=0 shard=0"), "{body}");
+            assert!(body.contains(&format!("worker=0 shard={shard}")), "{body}");
             ctx.hub.slow_reset();
             assert_eq!(ctx.hub.slow_len(), 0);
         });

@@ -17,9 +17,9 @@
 //!   always resynchronizing). The full grammar lives in `PROTOCOL.md` at
 //!   the repository root.
 //! * [`store`] — the byte-valued [`KvStore`] keyspace interface and its
-//!   adapters over [`ascylib_shard::BlobMap`] (per-shard ssmem value
-//!   arenas, epoch-guarded copy-out reads): [`BlobStore`] for any backing,
-//!   [`BlobOrderedStore`] adding cross-shard merged scans.
+//!   adapter over [`ascylib_shard::BlobMap`] (per-shard ssmem value
+//!   arenas, epoch-guarded copy-out reads): [`BlobStore::new`] for any
+//!   backing, [`BlobStore::ordered`] adding cross-shard merged scans.
 //! * `conn` (internal) — a nonblocking per-connection **state machine**
 //!   (Reading → Executing → Writing → Closing) with request **pipelining**
 //!   and write backpressure: every complete frame that arrived is executed
@@ -69,11 +69,11 @@
 //! use std::sync::Arc;
 //! use ascylib::skiplist::FraserOptSkipList;
 //! use ascylib_shard::BlobMap;
-//! use ascylib_server::{BlobOrderedStore, Client, Server, ServerConfig};
+//! use ascylib_server::{BlobStore, Client, Server, ServerConfig};
 //!
 //! let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
 //! let server =
-//!     Server::start("127.0.0.1:0", BlobOrderedStore::new(map), ServerConfig::default())?;
+//!     Server::start("127.0.0.1:0", BlobStore::ordered(map), ServerConfig::default())?;
 //! let mut client = Client::connect(server.addr())?;
 //! client.set(7, b"seven hundred")?;
 //! assert_eq!(client.get(7)?, Some(b"seven hundred".to_vec()));

@@ -424,8 +424,8 @@ pub struct LoadGenResult {
     /// p999/p9999 tails are honest). Empty in closed-loop runs.
     pub latency: LatencyStats,
     /// The server's own service-time view of the run, scraped from
-    /// `INFO latency` after the load stops (`None` when the server has
-    /// telemetry disabled or the scrape fails).
+    /// `INFO latency` after the load stops (`None` when the scrape fails
+    /// or no data request was recorded).
     pub server_latency: Option<ServerLatency>,
     /// Wall-clock measurement duration.
     pub elapsed: Duration,
@@ -474,8 +474,8 @@ pub struct ServerLatency {
 
 impl ServerLatency {
     /// Parses the `request_*` lines of an `INFO latency` body. Returns
-    /// `None` when the section carries no samples (telemetry off, or no
-    /// data requests served).
+    /// `None` when the section carries no samples (no data requests
+    /// served).
     fn parse(info: &str) -> Option<ServerLatency> {
         let field = |name| info_field(info, name);
         let count = field("request_count")?;
@@ -493,7 +493,7 @@ impl ServerLatency {
 }
 
 /// Scrapes the server's own latency view over a fresh connection. Any
-/// failure (connect refused, telemetry disabled, nothing recorded) yields
+/// failure (connect refused, nothing recorded) yields
 /// `None` — the scrape is best-effort garnish on the client-side numbers.
 fn scrape_server_latency(addr: SocketAddr) -> Option<ServerLatency> {
     let mut client = Client::connect(addr).ok()?;
@@ -1147,7 +1147,7 @@ pub fn prefill(
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
-    use crate::store::BlobOrderedStore;
+    use crate::store::BlobStore;
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
 
@@ -1277,7 +1277,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(map),
+            BlobStore::ordered(map),
             ServerConfig::for_connections(3),
         )
         .unwrap();
@@ -1307,7 +1307,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(Arc::clone(&map)),
+            BlobStore::ordered(Arc::clone(&map)),
             ServerConfig::for_connections(2),
         )
         .unwrap();
@@ -1356,7 +1356,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(Arc::clone(&map)),
+            BlobStore::ordered(Arc::clone(&map)),
             ServerConfig::for_connections(4),
         )
         .unwrap();
@@ -1399,7 +1399,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(map),
+            BlobStore::ordered(map),
             ServerConfig::for_connections(2),
         )
         .unwrap();
@@ -1429,7 +1429,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(Arc::clone(&map)),
+            BlobStore::ordered(Arc::clone(&map)),
             ServerConfig::for_connections(1),
         )
         .unwrap();
@@ -1446,7 +1446,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(map),
+            BlobStore::ordered(map),
             ServerConfig::for_connections(2),
         )
         .unwrap();

@@ -7,7 +7,7 @@
 //! the whole-server reading gathered once per request. Three renderers
 //! walk the table ([`stats_line`], [`info`], [`metrics`]); which surfaces a
 //! row appears on follows from its [`Kind`], and a row whose getter answers
-//! `None` (no hot-key engine, no cache tier, window still warming) is
+//! `None` (no hot-key engine, no byte budget, window still warming) is
 //! skipped on all of them. Only the per-family and per-phase lines and the
 //! `hot_key_<rank>` list are written by hand, because their keys are
 //! computed from [`Family::name`] / [`Phase::name`] / a rank.
@@ -78,7 +78,6 @@ pub(crate) const WIN_COUNTERS: usize = 6;
 pub(crate) struct Scrape {
     workers: u64,
     uptime_ms: u64,
-    recording: bool,
     slow_ns: u64,
     slow_len: u64,
     totals: ServerStatsSnapshot,
@@ -89,7 +88,7 @@ pub(crate) struct Scrape {
     store_hits: u64,
     hotkey: Option<HotKeyStatsSnapshot>,
     hot_keys: Vec<(u64, u64)>,
-    cache: Option<CacheStatsSnapshot>,
+    cache: CacheStatsSnapshot,
     conc: ConcurrencySnapshot,
     monitor: MonitorStats,
     window: Option<WindowDelta>,
@@ -105,7 +104,6 @@ impl Scrape {
         Scrape {
             workers: ctx.hub.workers() as u64,
             uptime_ms: ctx.hub.uptime_ms(),
-            recording: ctx.recording,
             slow_ns: ctx.slow_ns,
             slow_len: ctx.hub.slow_len(),
             totals: (ctx.totals)(),
@@ -266,7 +264,6 @@ static TABLE: &[Row] = &[
     info_only(Server, "version", |_| Some(Value::Text(env!("CARGO_PKG_VERSION")))),
     info_only(Server, "workers", |s| int(s.workers)),
     info_only(Server, "uptime_ms", |s| int(s.uptime_ms)),
-    info_only(Server, "telemetry", |s| on_off(s.recording)),
     info_only(Server, "slowlog_threshold_ns", |s| int(s.slow_ns)),
     counter(Server, "connections", ("ascy_connections_total", "Connections fully served."), |s| int(s.totals.connections)).stats("conns"),
     gauge(Server, "curr_connections", ("ascy_curr_connections", "Connections currently open."), |s| int(s.totals.curr_connections)).stats("curr_conns"),
@@ -316,17 +313,16 @@ static TABLE: &[Row] = &[
     counter(Memory, "ssmem_gc_passes", ("ascy_ssmem_gc_passes_total", "Epoch-advance collection passes."), |s| int(s.conc.ssmem.gc_passes)),
     gauge(Memory, "ssmem_pending", ("ascy_ssmem_pending", "Objects waiting in limbo lists across workers."), |s| int(s.conc.ssmem.pending)).stats("ssmem_pending"),
     gauge(Memory, "ssmem_pooled", ("ascy_ssmem_pooled", "Reclaimed objects pooled for reuse across workers."), |s| int(s.conc.ssmem.pooled)).stats("ssmem_pooled"),
-    info_only(Cache, "cache_tier", |s| on_off(s.cache.is_some())),
-    info_only(Cache, "cache_budget", |s| on_off(s.cache?.budget_bytes > 0)),
-    gauge(Cache, "cache_budget_bytes", ("ascy_cache_budget_bytes", "Configured payload-byte budget (0 = unbounded)."), |s| int(s.cache?.budget_bytes)).stats("cache_budget_bytes"),
-    gauge(Cache, "cache_live_bytes", ("ascy_cache_live_bytes", "Payload bytes currently reserved against the budget."), |s| int(s.cache?.live_bytes)).stats("cache_live_bytes"),
-    info_only(Cache, "cache_fill_ratio", |s| s.cache.filter(|c| c.budget_bytes > 0).and_then(|c| real(c.live_bytes as f64 / c.budget_bytes as f64, 4))),
-    counter(Cache, "cache_evictions", ("ascy_cache_evictions_total", "Values evicted by the CLOCK policy to fit the budget."), |s| int(s.cache?.evictions)).stats("cache_evictions"),
-    counter(Cache, "cache_forced_admissions", ("ascy_cache_forced_admissions_total", "Over-budget stores admitted when nothing was evictable."), |s| int(s.cache?.forced)),
-    counter(Cache, "cache_expired_lazy", CACHE_EXPIRED, |s| int(s.cache?.expired_lazy)).labels(&[("mode", "lazy")]).stats("cache_expired_lazy"),
-    counter(Cache, "cache_expired_swept", CACHE_EXPIRED, |s| int(s.cache?.expired_swept)).labels(&[("mode", "swept")]).stats("cache_expired_swept"),
-    info_only(Cache, "cache_expired_total", |s| int(s.cache?.expired())),
-    gauge(Cache, "cache_ttl_live", ("ascy_cache_ttl_live", "Live values currently carrying an expiry deadline."), |s| int(s.cache?.ttl_live)),
+    info_only(Cache, "cache_budget", |s| on_off(s.cache.budget_bytes > 0)),
+    gauge(Cache, "cache_budget_bytes", ("ascy_cache_budget_bytes", "Configured payload-byte budget (0 = unbounded)."), |s| int(s.cache.budget_bytes)).stats("cache_budget_bytes"),
+    gauge(Cache, "cache_live_bytes", ("ascy_cache_live_bytes", "Payload bytes currently reserved against the budget."), |s| int(s.cache.live_bytes)).stats("cache_live_bytes"),
+    info_only(Cache, "cache_fill_ratio", |s| (s.cache.budget_bytes > 0).then(|| Value::Real(s.cache.live_bytes as f64 / s.cache.budget_bytes as f64, 4))),
+    counter(Cache, "cache_evictions", ("ascy_cache_evictions_total", "Values evicted by the CLOCK policy to fit the budget."), |s| int(s.cache.evictions)).stats("cache_evictions"),
+    counter(Cache, "cache_forced_admissions", ("ascy_cache_forced_admissions_total", "Over-budget stores admitted when nothing was evictable."), |s| int(s.cache.forced)),
+    counter(Cache, "cache_expired_lazy", CACHE_EXPIRED, |s| int(s.cache.expired_lazy)).labels(&[("mode", "lazy")]).stats("cache_expired_lazy"),
+    counter(Cache, "cache_expired_swept", CACHE_EXPIRED, |s| int(s.cache.expired_swept)).labels(&[("mode", "swept")]).stats("cache_expired_swept"),
+    info_only(Cache, "cache_expired_total", |s| int(s.cache.expired())),
+    gauge(Cache, "cache_ttl_live", ("ascy_cache_ttl_live", "Live values currently carrying an expiry deadline."), |s| int(s.cache.ttl_live)),
     counter(Concurrency, "coherence_shared_stores", ("ascy_coherence_shared_stores_total", "Stores to shared cache lines inside the structures."), |s| int(s.conc.ops.shared_stores)),
     counter(Concurrency, "coherence_atomic_ops", ("ascy_coherence_atomic_ops_total", "Atomic RMW operations (CAS/TAS/FAI) attempted."), |s| int(s.conc.ops.atomic_ops)),
     counter(Concurrency, "coherence_atomic_failures", ("ascy_coherence_atomic_failures_total", "Atomic RMW operations that failed and retried."), |s| int(s.conc.ops.atomic_failures)),
@@ -579,7 +575,7 @@ pub(crate) fn answer_slowlog(ctx: &ConnCtx<'_>, cmd: &SlowlogCmd, out: &mut Vec<
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::conn::{execute, ConnBufs, EXPIRY_UNSUPPORTED_MSG};
+    use crate::conn::{execute, ConnBufs};
     use crate::monitor::MonitorHub;
     use crate::protocol::Request;
     use crate::store::{BlobStore, KvStore};
@@ -667,7 +663,7 @@ pub(crate) mod tests {
     }
 
     /// Runs `test` as the one worker of a server over `store`.
-    fn with_store(store: &dyn KvStore, test: impl FnOnce(&ConnCtx<'_>)) {
+    pub(crate) fn with_store(store: &dyn KvStore, test: impl FnOnce(&ConnCtx<'_>)) {
         let stats = WorkerStats::default();
         let tel = WorkerTelemetry::new();
         let hub = TestHub::new(&tel, &stats);
@@ -680,7 +676,6 @@ pub(crate) mod tests {
             totals: &totals,
             tel: &tel,
             hub: &hub,
-            recording: true,
             slow_ns: u64::MAX,
             worker: 0,
             monitor: &monitor,
@@ -755,7 +750,6 @@ pub(crate) mod tests {
             totals: &totals,
             tel: &tel,
             hub: &hub,
-            recording: true,
             slow_ns: u64::MAX,
             worker: 0,
             monitor: &monitor,
@@ -814,44 +808,6 @@ pub(crate) mod tests {
         });
     }
 
-    /// A [`KvStore`] without a cache tier: delegates the byte-value surface
-    /// to a blob store but keeps the trait's expiry defaults, so the
-    /// connection layer's in-band rejection path is reachable in tests.
-    struct NoCacheStore(BlobStore<ClhtLb>);
-
-    impl KvStore for NoCacheStore {
-        fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
-            self.0.get(key, out)
-        }
-        fn set(&self, key: u64, value: &[u8]) -> bool {
-            self.0.set(key, value)
-        }
-        fn del(&self, key: u64) -> bool {
-            self.0.del(key)
-        }
-        fn multi_get(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
-            self.0.multi_get(keys, out)
-        }
-        fn multi_set(&self, entries: &[(u64, Vec<u8>)]) -> Vec<bool> {
-            self.0.multi_set(entries)
-        }
-        fn scan(&self, from: u64, n: usize) -> Option<Vec<(u64, Vec<u8>)>> {
-            self.0.scan(from, n)
-        }
-        fn size(&self) -> usize {
-            self.0.size()
-        }
-        fn shard_count(&self) -> usize {
-            self.0.shard_count()
-        }
-        fn ops_and_hits(&self) -> (u64, u64) {
-            self.0.ops_and_hits()
-        }
-        fn value_bytes(&self) -> u64 {
-            self.0.value_bytes()
-        }
-    }
-
     #[test]
     fn cache_surfaces_and_expiry_verbs_render_and_validate() {
         use ascylib_shard::{CacheConfig, FakeClock, HotKeyConfig};
@@ -876,7 +832,6 @@ pub(crate) mod tests {
             totals: &totals,
             tel: &tel,
             hub: &hub,
-            recording: true,
             slow_ns: u64::MAX,
             worker: 0,
             monitor: &monitor,
@@ -908,7 +863,7 @@ pub(crate) mod tests {
         for k in 1..=256u64 {
             execute(&Request::Set(k, payload.clone()), &ctx, &mut bufs, &mut out);
         }
-        let c = store.cache_stats().expect("blob stores always report a cache tier");
+        let c = store.cache_stats();
         assert!(c.evictions > 0, "256 x 256 B against 16 KiB must evict: {c:?}");
         assert_eq!(c.forced, 0, "values fit the budget, nothing should be forced: {c:?}");
         assert!(c.live_bytes <= c.budget_bytes, "budget overrun: {c:?}");
@@ -929,7 +884,6 @@ pub(crate) mod tests {
 
         let info = render_info(&ctx, Some("cache")).unwrap();
         assert!(info.starts_with("# cache"));
-        assert!(info.contains("cache_tier:on"));
         assert!(info.contains("cache_budget:on"));
         assert!(info.contains("cache_budget_bytes:16384"));
         assert!(info.contains("cache_fill_ratio:"), "bounded tiers report fill:\n{info}");
@@ -950,34 +904,37 @@ pub(crate) mod tests {
             assert!(metrics.contains(family), "METRICS is missing {family}");
         }
 
-        // A store without a cache tier rejects the expiry verbs in-band
-        // and exports none of the cache surfaces.
-        let plain = NoCacheStore(BlobStore::new(Arc::new(BlobMap::new(1, |_| {
-            ClhtLb::with_capacity(64)
-        }))));
-        let ctx = ConnCtx { store: &plain, ..ctx };
-        out.clear();
-        execute(&Request::Set(3, b"v".to_vec()), &ctx, &mut bufs, &mut out);
-        for req in [
-            Request::SetEx(3, b"v".to_vec(), 5),
-            Request::Expire(3, 5),
-            Request::Ttl(3),
-            Request::Persist(3),
-        ] {
-            out.clear();
-            execute(&req, &ctx, &mut bufs, &mut out);
-            let reply = String::from_utf8_lossy(&out).into_owned();
-            assert!(
-                reply.starts_with('-') && reply.contains(EXPIRY_UNSUPPORTED_MSG),
-                "{req:?} must be rejected in-band: {reply}"
+    }
+
+    /// The plainest store served — hash backing, no engine, no budget — is
+    /// still a cache tier: the expiry verbs run and `INFO cache` reports
+    /// live bytes against a budget that is off.
+    #[test]
+    fn expiry_verbs_and_info_cache_work_without_an_engine_or_a_budget() {
+        run_ctx(|ctx| {
+            let mut bufs = ConnBufs::default();
+            let mut out = Vec::new();
+            execute(&Request::SetEx(3, b"lease".to_vec(), 60), ctx, &mut bufs, &mut out);
+            execute(&Request::Ttl(3), ctx, &mut bufs, &mut out);
+            execute(&Request::Persist(3), ctx, &mut bufs, &mut out);
+            execute(&Request::Ttl(3), ctx, &mut bufs, &mut out);
+            execute(&Request::Expire(3, 5), ctx, &mut bufs, &mut out);
+            execute(&Request::Ttl(3), ctx, &mut bufs, &mut out);
+            assert_eq!(
+                String::from_utf8_lossy(&out),
+                ":1\r\n:60\r\n:1\r\n+none\r\n:1\r\n:5\r\n",
+                "SETEX/TTL/PERSIST/EXPIRE reply stream"
             );
-        }
-        let info = render_info(&ctx, Some("cache")).unwrap();
-        assert!(info.contains("cache_tier:off"));
-        assert!(!render_metrics(&ctx).contains("ascy_cache"));
-        out.clear();
-        execute(&Request::Stats, &ctx, &mut bufs, &mut out);
-        assert!(!String::from_utf8_lossy(&out).contains("cache_"));
+            let errors = ctx.stats.errors.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(errors, 0, "no expiry verb was rejected");
+            let info = render_info(ctx, Some("cache")).unwrap();
+            assert!(info.contains("cache_budget:off"), "{info}");
+            assert!(info.contains("cache_budget_bytes:0"), "{info}");
+            assert!(info.contains("cache_live_bytes:5"), "{info}");
+            assert!(info.contains("cache_ttl_live:1"), "{info}");
+            assert!(!info.contains("cache_fill_ratio"), "no budget, no fill ratio:\n{info}");
+            assert!(!info.contains("cache_tier"), "{info}");
+        });
     }
 
     #[test]
@@ -1294,12 +1251,14 @@ pub(crate) mod tests {
             assert_eq!(stats_keys(&stats_line(&s)), words(GOLDEN_STATS));
             for (section, golden) in GOLDEN_INFO {
                 let mut expected = words(golden);
+                // The two removals: switches that can no longer be off.
+                expected.retain(|key| !["telemetry", "cache_tier"].contains(key));
                 if section == "server" {
                     // The one reorder: `connections` now precedes
                     // `curr_connections`, as `conns`/`curr_conns` do on
                     // the STATS line. Then the six keys the table exposed
                     // as missing from INFO, appended.
-                    expected.swap(5, 6);
+                    expected.swap(4, 5);
                     expected.extend([
                         "timeouts",
                         "wakeups",

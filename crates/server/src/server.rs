@@ -84,11 +84,6 @@ pub struct ServerConfig {
     /// disables eviction). Enforced lazily at timer-wheel granularity
     /// (about an eighth of the timeout), so eviction can run a tick late.
     pub idle_timeout: Option<Duration>,
-    /// Latency recording (histograms, phase timings, slow-op capture).
-    /// Always on by default; turning it off removes every clock reading
-    /// from the serving loop. The `INFO`/`SLOWLOG`/`METRICS` verbs answer
-    /// either way — with zeroed latency data when recording is off.
-    pub telemetry: bool,
     /// Requests with service time (execute phase) at or above this are
     /// captured in the per-worker slow-op rings.
     pub slowlog_threshold: Duration,
@@ -100,7 +95,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_pipeline: 128,
             idle_timeout: Some(Duration::from_secs(60)),
-            telemetry: true,
             slowlog_threshold: Duration::from_millis(10),
         }
     }
@@ -245,7 +239,6 @@ impl Shared {
             totals,
             tel: &self.tel[index],
             hub: self,
-            recording: self.config.telemetry,
             slow_ns: self.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
             worker: index as u32,
             monitor: &self.monitor,
@@ -300,8 +293,7 @@ impl TelemetryHub for Shared {
         // Reader-driven rotation: a scrape landing past the interval takes
         // a whole-server cumulative sample (`rotate` elects exactly one
         // contender under concurrent scrapes). The monotonic clock is the
-        // server's uptime — `Instant`-based, so it needs no calibration
-        // and works with telemetry recording off.
+        // server's uptime — `Instant`-based, so it needs no calibration.
         let mono_ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if self.window.due(mono_ns) {
             let totals = self.totals();
@@ -339,9 +331,7 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         // Calibrate the telemetry fast clock before any request is timed,
         // so the one-time spin (~200 µs) never lands on a served frame.
-        if config.telemetry {
-            ascylib_telemetry::clock::calibrate();
-        }
+        ascylib_telemetry::clock::calibrate();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;

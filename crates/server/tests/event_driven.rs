@@ -8,12 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ascylib::skiplist::FraserOptSkipList;
-use ascylib_server::{BlobOrderedStore, Client, Server, ServerConfig, ServerHandle};
+use ascylib_server::{BlobStore, Client, Server, ServerConfig, ServerHandle};
 use ascylib_shard::BlobMap;
 
 fn start(config: ServerConfig) -> ServerHandle {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
-    Server::start("127.0.0.1:0", BlobOrderedStore::new(map), config).expect("bind ephemeral port")
+    Server::start("127.0.0.1:0", BlobStore::ordered(map), config).expect("bind ephemeral port")
 }
 
 /// Sends one `PING` on a raw stream and reads back `+PONG\r\n`.

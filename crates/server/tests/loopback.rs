@@ -10,7 +10,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_server::client::{decode_optional_bulk, decode_pair, info_field};
 use ascylib_server::protocol::MAX_VALUE;
-use ascylib_server::{BlobOrderedStore, Client, Reply, Request, Server, ServerConfig};
+use ascylib_server::{BlobStore, Client, Reply, Request, Server, ServerConfig};
 use ascylib_shard::BlobMap;
 
 const CLIENTS: usize = 4;
@@ -58,7 +58,7 @@ fn concurrent_pipelined_clients_match_the_sequential_model() {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(Arc::clone(&map)),
+        BlobStore::ordered(Arc::clone(&map)),
         ServerConfig::for_connections(CLIENTS + 1),
     )
     .expect("bind");
@@ -205,7 +205,7 @@ fn binary_and_max_size_values_round_trip_every_verb() {
     let map = Arc::new(BlobMap::new(3, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(Arc::clone(&map)),
+        BlobStore::ordered(Arc::clone(&map)),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -276,7 +276,7 @@ fn malformed_frame_mid_pipeline_resynchronizes() {
     let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(map),
+        BlobStore::ordered(map),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -301,7 +301,7 @@ fn stats_frame_reports_store_and_server_counters() {
     let map = Arc::new(BlobMap::new(3, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(map),
+        BlobStore::ordered(map),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -344,7 +344,7 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobOrderedStore::new(map),
+        BlobStore::ordered(map),
         ServerConfig {
             // A zero threshold turns the slow-op log into a full recent-op
             // log, so the deliberate slow op below is captured regardless
@@ -428,45 +428,6 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     assert!(metrics.contains("ascy_request_duration_ns_bucket"), "{metrics}");
     assert!(metrics.contains("ascy_phase_duration_ns_bucket{phase=\"execute\""), "{metrics}");
 
-    c.quit().expect("quit");
-    server.join();
-}
-
-/// With recording off the serving loop reads no clock and counts no
-/// request families: `INFO latency` has nothing to scrape (the load
-/// generator's end-of-run scrape comes back empty) while the serving
-/// counters stay exact.
-#[test]
-fn telemetry_off_leaves_info_latency_with_nothing_to_scrape() {
-    use ascylib_server::loadgen::{self, LoadGenConfig, ValueSize};
-
-    let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-    let server = Server::start(
-        "127.0.0.1:0",
-        BlobOrderedStore::new(map),
-        ServerConfig { telemetry: false, ..ServerConfig::for_connections(2) },
-    )
-    .expect("bind");
-    let cfg = LoadGenConfig {
-        connections: 2,
-        duration_ms: 80,
-        key_range: 512,
-        value_size: ValueSize::Fixed(64),
-        pipeline_depth: 8,
-        ..LoadGenConfig::default()
-    };
-    let r = loadgen::run(server.addr(), &cfg).expect("loadgen");
-    assert!(r.total_ops > 0);
-    assert_eq!(r.errors, 0);
-    assert!(r.server_latency.is_none(), "telemetry off must leave nothing to scrape");
-
-    let mut c = Client::connect(server.addr()).expect("connect");
-    let info = c.info(None).expect("info");
-    assert!(info.contains("telemetry:off"), "{info}");
-    assert_eq!(info_field(&info, "request_count"), Some(0), "{info}");
-    assert_eq!(info_field(&info, "request_samples"), Some(0), "{info}");
-    assert_eq!(info_field(&info, "phase_execute_count"), Some(0), "{info}");
-    assert!(info_field(&info, "ops").unwrap() >= r.total_ops, "serving counters stay live:\n{info}");
     c.quit().expect("quit");
     server.join();
 }

@@ -134,14 +134,6 @@ impl<M: ConcurrentMap> ShardedMap<M> {
     /// input order. A front-end answering a stream of `MGET` batches reuses
     /// one buffer instead of allocating a fresh result vector per frame.
     pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        if let Some(hot) = self.hot() {
-            // Detection only: the batched read path answers from the
-            // backing (which writes always reach first, so it is never
-            // behind the front cache).
-            for &k in keys {
-                hot.record_access(k);
-            }
-        }
         self.dispatch_into(
             keys,
             |&k| k,
@@ -157,42 +149,25 @@ impl<M: ConcurrentMap> ShardedMap<M> {
     /// key inside one batch inserts once (the first occurrence in input
     /// order within its shard wins, matching a loop of single inserts).
     pub fn multi_insert(&self, entries: &[(u64, u64)]) -> Vec<bool> {
-        let results = self.dispatch(
+        self.dispatch(
             entries,
             |&(k, _)| k,
             |shard, (k, v)| shard.insert(k, v),
             |&ok| ok,
             |stats, n, ok| stats.record_inserts(n, ok),
-        );
-        if let Some(hot) = self.hot() {
-            // Batched writes bypass the delegation fast path but must keep
-            // the coherence contract: drop any cached copy of a key this
-            // batch just wrote, after the backing writes completed.
-            for &(k, _) in entries {
-                hot.record_access(k);
-                hot.poison(k);
-            }
-        }
-        results
+        )
     }
 
     /// Removes every key, visiting each shard once; `result[i]` is the value
     /// removed for `keys[i]` (a duplicate key removes once).
     pub fn multi_remove(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let results = self.dispatch(
+        self.dispatch(
             keys,
             |&k| k,
             |shard, k| shard.remove(k),
             Option::is_some,
             |stats, n, ok| stats.record_removes(n, ok),
-        );
-        if let Some(hot) = self.hot() {
-            for &k in keys {
-                hot.record_access(k);
-                hot.poison(k);
-            }
-        }
-        results
+        )
     }
 }
 

@@ -128,7 +128,6 @@ use crossbeam_utils::CachePadded;
 use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock, WallClock};
 use crate::hotkey::{
     FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot, HotOp, HotOpKind,
-    HotOpResult,
 };
 use crate::map::ShardedMap;
 
@@ -868,25 +867,11 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// Applies a delegated op against the backing (index + arena). Called
     /// by whichever thread combines; must not touch the front cache (the
     /// engine does that, version-guarded, around this call).
-    fn apply_hot(&self, op: &HotOp) -> HotOpResult {
+    fn apply_hot(&self, op: &HotOp) -> bool {
         match op.kind {
             // The publisher already stored the blob; publish its handle.
-            HotOpKind::Set => HotOpResult { ok: self.publish(op.key, op.val_u64), old: 0 },
-            HotOpKind::Del => match self.map.remove(op.key) {
-                Some(handle) => {
-                    let arena = self.arena_of(op.key);
-                    // SAFETY: unlinked by the remove, returned only to us.
-                    let was_dead = unsafe { has_ttl(handle) && arena.is_expired(handle) };
-                    // SAFETY: as above; retired exactly once.
-                    unsafe { arena.retire(handle) };
-                    if was_dead {
-                        arena.cache.expired_lazy.fetch_add(1, Ordering::Relaxed);
-                    }
-                    HotOpResult { ok: !was_dead, old: 0 }
-                }
-                None => HotOpResult { ok: false, old: 0 },
-            },
-            HotOpKind::Insert => unreachable!("BlobMap never publishes u64 inserts"),
+            HotOpKind::Set => self.publish(op.key, op.val_u64),
+            HotOpKind::Del => self.del_backing(op.key),
         }
     }
 
@@ -1033,9 +1018,7 @@ impl<M: ReplaceMap> BlobMap<M> {
                 // Store the blob up front (arena stores are uncontended);
                 // only the index publish + slot refresh is delegated.
                 let handle = arena.store(key, value, 0);
-                let res =
-                    hot.delegate(HotOp::set(key, handle, value), &mut |op| self.apply_hot(op));
-                return res.ok;
+                return hot.delegate(HotOp::set(key, handle, value), &mut |op| self.apply_hot(op));
             }
             let created = self.set_backing_at(key, value, expire_at);
             // The key may have been promoted while we wrote (and TTL'd
@@ -1082,7 +1065,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if hot.fronted(key) {
-                return hot.delegate(HotOp::del(key), &mut |op| self.apply_hot(op)).ok;
+                return hot.delegate(HotOp::del(key), &mut |op| self.apply_hot(op));
             }
             let removed = self.del_backing(key);
             hot.poison(key);

@@ -90,8 +90,8 @@ const SLOT_DONE: u32 = 3;
 const STRIPES: usize = 8;
 
 /// Tuning knobs for [`HotKeyEngine`]. `k = 0` disables the engine
-/// entirely (constructors return `None` and the maps run their plain
-/// paths).
+/// entirely ([`HotKeyEngine::new`] returns `None` and the blob map runs
+/// its plain paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotKeyConfig {
     /// Maximum keys fronted at once (clamped to [`MAX_K`]; 0 disables).
@@ -156,11 +156,9 @@ impl HotKeyConfig {
 /// The kind of write travelling through the combiner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HotOpKind {
-    /// Blob-layer overwrite: `val_u64` carries the pre-stored arena
-    /// handle, `ptr`/`len` the payload bytes (for the slot refresh).
+    /// Overwrite: `val_u64` carries the pre-stored arena handle,
+    /// `ptr`/`len` the payload bytes (for the slot refresh).
     Set,
-    /// Structure-level insert-if-absent of `val_u64`.
-    Insert,
     /// Remove.
     Del,
 }
@@ -174,7 +172,7 @@ pub struct HotOp {
     pub kind: HotOpKind,
     /// The (hot) key.
     pub key: u64,
-    /// Value (`Insert`) or arena handle (`Set`).
+    /// Arena handle for `Set` (0 otherwise).
     pub val_u64: u64,
     /// Payload pointer for `Set` (as an address; 0 otherwise).
     pub ptr: usize,
@@ -183,11 +181,6 @@ pub struct HotOp {
 }
 
 impl HotOp {
-    /// A structure-level insert op.
-    pub fn insert(key: u64, value: u64) -> Self {
-        HotOp { kind: HotOpKind::Insert, key, val_u64: value, ptr: 0, len: 0 }
-    }
-
     /// A delete op.
     pub fn del(key: u64) -> Self {
         HotOp { kind: HotOpKind::Del, key, val_u64: 0, ptr: 0, len: 0 }
@@ -215,17 +208,6 @@ impl HotOp {
         // SAFETY: forwarded caller contract.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
-}
-
-/// What a delegated write produced: `ok` is the operation's boolean
-/// outcome (created / inserted / removed), `old` the removed value when
-/// the apply returns one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotOpResult {
-    /// Operation outcome (`set` created, `insert` succeeded, `del` found).
-    pub ok: bool,
-    /// Removed value (structure-level `Del` only).
-    pub old: u64,
 }
 
 /// Outcome of a front-cache read probe.
@@ -533,7 +515,6 @@ struct CombineSlot {
     ptr: AtomicU64,
     len: AtomicU64,
     res_ok: AtomicU32,
-    res_old: AtomicU64,
 }
 
 impl Default for CombineSlot {
@@ -546,7 +527,6 @@ impl Default for CombineSlot {
             ptr: AtomicU64::new(0),
             len: AtomicU64::new(0),
             res_ok: AtomicU32::new(0),
-            res_old: AtomicU64::new(0),
         }
     }
 }
@@ -558,7 +538,6 @@ impl CombineSlot {
     fn op(&self) -> HotOp {
         let kind = match self.kind.load(Ordering::Relaxed) {
             0 => HotOpKind::Set,
-            1 => HotOpKind::Insert,
             _ => HotOpKind::Del,
         };
         HotOp {
@@ -573,8 +552,7 @@ impl CombineSlot {
     fn put_op(&self, op: &HotOp) {
         let kind = match op.kind {
             HotOpKind::Set => 0,
-            HotOpKind::Insert => 1,
-            HotOpKind::Del => 2,
+            HotOpKind::Del => 1,
         };
         self.kind.store(kind, Ordering::Relaxed);
         self.key.store(op.key, Ordering::Relaxed);
@@ -624,9 +602,8 @@ impl Default for EngineCounters {
 }
 
 /// The three-part hot-key engine (see the module docs). One instance
-/// serves one map; [`ShardedMap`](crate::ShardedMap) and
-/// [`BlobMap`](crate::BlobMap) construct it via their `with_hotkeys`
-/// constructors and thread every operation through it.
+/// serves one [`BlobMap`](crate::BlobMap), which constructs it
+/// (`with_hotkeys`, `with_config`) and threads every operation through it.
 pub struct HotKeyEngine {
     k: usize,
     sample_mask: u32,
@@ -657,10 +634,10 @@ pub struct HotKeyEngine {
 
 impl HotKeyEngine {
     /// Builds an engine for a map of `shards` shards. Returns `None` when
-    /// `cfg.k == 0` or the `hotkey` cargo feature is disabled — callers
-    /// hold an `Option` and fall back to their plain paths.
+    /// `cfg.k == 0` — the caller holds an `Option` and falls back to its
+    /// plain paths.
     pub fn new(shards: usize, cfg: HotKeyConfig) -> Option<Box<HotKeyEngine>> {
-        if cfg.k == 0 || !cfg!(feature = "hotkey") {
+        if cfg.k == 0 {
             return None;
         }
         let k = cfg.k.min(MAX_K);
@@ -975,58 +952,6 @@ impl HotKeyEngine {
         FrontRead::Miss
     }
 
-    /// [`read`](Self::read) specialised for `u64`-valued maps (the value
-    /// is cached as its 8-byte little-endian image; one word load, no
-    /// byte buffer).
-    #[inline]
-    pub fn read_u64(&self, key: u64) -> FrontReadU64 {
-        // Same empty-front early-out as `read`.
-        if key == 0 || self.live.load(Ordering::Relaxed) == 0 {
-            return FrontReadU64::Miss;
-        }
-        let idx = (mix(key) >> self.slot_shift) as usize;
-        // Same cold-key filter fast path as `read`.
-        if self.filter[idx].load(Ordering::Relaxed) != key {
-            return FrontReadU64::Miss;
-        }
-        let slot = &self.slots[idx];
-        for _ in 0..2 {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 & 1 != 0 {
-                self.c.front_pending.add(1);
-                return FrontReadU64::Miss;
-            }
-            if slot.key.load(Ordering::Relaxed) != key {
-                return FrontReadU64::Miss;
-            }
-            let len = slot.len.load(Ordering::Relaxed);
-            let res = if len == LEN_PENDING {
-                let version = slot.version.load(Ordering::Acquire);
-                FrontReadU64::Pending(FillTicket { slot: idx, key, version })
-            } else if len == LEN_ABSENT {
-                FrontReadU64::Absent
-            } else if len == 8 {
-                FrontReadU64::Hit(slot.words[0].load(Ordering::Relaxed))
-            } else {
-                // A non-8-byte copy can only mean the slot serves a
-                // different (byte-valued) map — treat as uncached.
-                FrontReadU64::Miss
-            };
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == s1 {
-                match &res {
-                    FrontReadU64::Hit(_) => self.c.front_hits.add(1),
-                    FrontReadU64::Absent => self.c.front_absent.add(1),
-                    FrontReadU64::Pending(_) => self.c.front_pending.add(1),
-                    FrontReadU64::Miss => {}
-                }
-                return res;
-            }
-        }
-        self.c.front_pending.add(1);
-        FrontReadU64::Miss
-    }
-
     /// Offers a backing read's result to a pending slot. The install only
     /// lands if the lease is still valid — i.e. no write invalidated the
     /// slot since before the caller's backing read. `None` caches absence;
@@ -1053,14 +978,6 @@ impl HotKeyEngine {
             self.c.fills.fetch_add(1, Ordering::Relaxed);
         }
         slot.release();
-    }
-
-    /// [`fill`](Self::fill) for `u64`-valued maps.
-    pub fn fill_u64(&self, ticket: &FillTicket, value: Option<u64>) {
-        match value {
-            Some(v) => self.fill(ticket, Some(&v.to_le_bytes())),
-            None => self.fill(ticket, None),
-        }
     }
 
     // -- front cache: write side -------------------------------------------
@@ -1102,14 +1019,10 @@ impl HotKeyEngine {
     /// batch of published ops against the backing (via `apply`) and
     /// refreshes the front cache after each, while the others spin on
     /// their slot. `apply` must perform the op against the backing and
-    /// return its outcome; it is called by whichever thread ends up
-    /// combining, possibly for *other* threads' ops of any [`HotOpKind`]
-    /// this map publishes.
-    pub fn delegate(
-        &self,
-        op: HotOp,
-        apply: &mut dyn FnMut(&HotOp) -> HotOpResult,
-    ) -> HotOpResult {
+    /// return its outcome (`Set` created, `Del` found); it is called by
+    /// whichever thread ends up combining, possibly for *other* threads'
+    /// ops of either [`HotOpKind`].
+    pub fn delegate(&self, op: HotOp, apply: &mut dyn FnMut(&HotOp) -> bool) -> bool {
         self.c.delegated.add(1);
         let combiner = &self.combiners[self.router.route(op.key)];
         let mut spins = 0u32;
@@ -1144,13 +1057,13 @@ impl HotKeyEngine {
     /// merely skipping would leave the poison's version live, and a fill
     /// lease taken against it could install a backing read that predates
     /// this delegated write.
-    fn apply_one(&self, op: &HotOp, apply: &mut dyn FnMut(&HotOp) -> HotOpResult) -> HotOpResult {
+    fn apply_one(&self, op: &HotOp, apply: &mut dyn FnMut(&HotOp) -> bool) -> bool {
         let slot = self.slot_of(op.key);
         let fronted = slot.key.load(Ordering::Relaxed) == op.key;
         let version = slot.version.load(Ordering::Acquire);
-        let res = apply(op);
+        let ok = apply(op);
         if !fronted {
-            return res;
+            return ok;
         }
         let state = match op.kind {
             HotOpKind::Set => {
@@ -1162,11 +1075,10 @@ impl HotKeyEngine {
                     Some(SlotState::Value(unsafe { op.payload() }))
                 }
             }
-            HotOpKind::Insert if res.ok => Some(SlotState::Value(&op.val_u64.to_le_bytes())),
-            HotOpKind::Del if res.ok => Some(SlotState::Absent),
-            // Failed insert / delete mutated nothing; the cached copy (if
-            // any) is still the latest completed write.
-            _ => None,
+            HotOpKind::Del if ok => Some(SlotState::Absent),
+            // A failed delete mutated nothing; the cached copy (if any) is
+            // still the latest completed write.
+            HotOpKind::Del => None,
         };
         if let Some(state) = state {
             slot.acquire();
@@ -1187,19 +1099,18 @@ impl HotKeyEngine {
             }
             slot.release();
         }
-        res
+        ok
     }
 
-    fn drain(&self, combiner: &Combiner, apply: &mut dyn FnMut(&HotOp) -> HotOpResult) {
+    fn drain(&self, combiner: &Combiner, apply: &mut dyn FnMut(&HotOp) -> bool) {
         // Two passes: the second catches ops published while the first
         // was busy (stragglers beyond that reclaim their op themselves).
         for _ in 0..2 {
             for slot in &combiner.slots {
                 if slot.state.load(Ordering::Acquire) == SLOT_PUBLISHED {
                     let op = slot.op();
-                    let res = self.apply_one(&op, apply);
-                    slot.res_ok.store(res.ok as u32, Ordering::Relaxed);
-                    slot.res_old.store(res.old, Ordering::Relaxed);
+                    let ok = self.apply_one(&op, apply);
+                    slot.res_ok.store(ok as u32, Ordering::Relaxed);
                     slot.state.store(SLOT_DONE, Ordering::Release);
                 }
             }
@@ -1230,19 +1141,16 @@ impl HotKeyEngine {
         combiner: &Combiner,
         idx: usize,
         op: &HotOp,
-        apply: &mut dyn FnMut(&HotOp) -> HotOpResult,
-    ) -> HotOpResult {
+        apply: &mut dyn FnMut(&HotOp) -> bool,
+    ) -> bool {
         let slot = &combiner.slots[idx];
         let mut rounds = 0u32;
         loop {
             for _ in 0..64 {
                 if slot.state.load(Ordering::Acquire) == SLOT_DONE {
-                    let res = HotOpResult {
-                        ok: slot.res_ok.load(Ordering::Relaxed) != 0,
-                        old: slot.res_old.load(Ordering::Relaxed),
-                    };
+                    let ok = slot.res_ok.load(Ordering::Relaxed) != 0;
                     slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    return res;
+                    return ok;
                 }
                 std::hint::spin_loop();
             }
@@ -1259,12 +1167,9 @@ impl HotKeyEngine {
                     self.apply_one(op, apply)
                 } else {
                     debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_DONE);
-                    let res = HotOpResult {
-                        ok: slot.res_ok.load(Ordering::Relaxed) != 0,
-                        old: slot.res_old.load(Ordering::Relaxed),
-                    };
+                    let ok = slot.res_ok.load(Ordering::Relaxed) != 0;
                     slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    res
+                    ok
                 };
                 self.drain(combiner, apply);
                 combiner.lock.store(0, Ordering::Release);
@@ -1297,20 +1202,6 @@ impl HotKeyEngine {
                 as u64,
         }
     }
-}
-
-/// [`FrontRead`] for `u64`-valued maps.
-#[derive(Debug)]
-pub enum FrontReadU64 {
-    /// Served from the front cache.
-    Hit(u64),
-    /// Cached negative lookup.
-    Absent,
-    /// Fronted but uncached — read the backing, then
-    /// [`HotKeyEngine::fill_u64`].
-    Pending(FillTicket),
-    /// Not fronted.
-    Miss,
 }
 
 impl std::fmt::Debug for HotKeyEngine {
@@ -1448,7 +1339,7 @@ mod tests {
                 panic!("poisoned slot must read pending");
             };
             lease = Some(t);
-            HotOpResult { ok: true, old: 0 }
+            true
         });
         // The install saw the version mismatch and must have voided the
         // lease (re-poison), not skipped silently — otherwise the lease
@@ -1468,17 +1359,16 @@ mod tests {
         let e = eager(4);
         e.pin(11);
         assert!(e.fronted(11));
-        let res = e.delegate(HotOp::set(11, 0xDEAD, b"fresh"), &mut |op| {
+        let created = e.delegate(HotOp::set(11, 0xDEAD, b"fresh"), &mut |op| {
             assert_eq!(op.key, 11);
-            HotOpResult { ok: true, old: 0 }
+            true
         });
-        assert!(res.ok);
+        assert!(created);
         let mut out = Vec::new();
         assert!(matches!(e.read(11, &mut out), FrontRead::Hit));
         assert_eq!(out, b"fresh");
         // A delegated delete caches the absence.
-        let res = e.delegate(HotOp::del(11), &mut |_| HotOpResult { ok: true, old: 0 });
-        assert!(res.ok);
+        assert!(e.delegate(HotOp::del(11), &mut |_| true));
         out.clear();
         assert!(matches!(e.read(11, &mut out), FrontRead::Absent));
         let s = e.stats();
@@ -1491,31 +1381,32 @@ mod tests {
     fn delegated_u64_insert_and_remove_round_trip() {
         let e = eager(4);
         e.pin(21);
-        let res = e.delegate(HotOp::insert(21, 777), &mut |op| HotOpResult {
-            ok: true,
-            old: op.val_u64,
+        let mut handle = 0;
+        let created = e.delegate(HotOp::set(21, 0xBEEF, &777u64.to_le_bytes()), &mut |op| {
+            handle = op.val_u64;
+            true
         });
-        assert!(res.ok);
-        match e.read_u64(21) {
-            FrontReadU64::Hit(v) => assert_eq!(v, 777),
-            other => panic!("expected cached 777, got {other:?}"),
-        }
-        let res = e.delegate(HotOp::del(21), &mut |_| HotOpResult { ok: true, old: 777 });
-        assert_eq!(res.old, 777);
-        assert!(matches!(e.read_u64(21), FrontReadU64::Absent));
+        assert!(created);
+        assert_eq!(handle, 0xBEEF, "the apply sees the publisher's handle");
+        let mut out = Vec::new();
+        assert!(matches!(e.read(21, &mut out), FrontRead::Hit));
+        assert_eq!(out, 777u64.to_le_bytes(), "a delegated write refreshes the slot");
+        assert!(e.delegate(HotOp::del(21), &mut |_| true));
+        out.clear();
+        assert!(matches!(e.read(21, &mut out), FrontRead::Absent), "a delete caches absence");
     }
 
     #[test]
     fn failed_mutations_leave_the_cached_copy_alone() {
         let e = eager(4);
         e.pin(13);
-        e.delegate(HotOp::insert(13, 5), &mut |_| HotOpResult { ok: true, old: 0 });
-        // A failed insert (key already present) must not clobber the copy.
-        e.delegate(HotOp::insert(13, 9), &mut |_| HotOpResult { ok: false, old: 0 });
-        match e.read_u64(13) {
-            FrontReadU64::Hit(v) => assert_eq!(v, 5),
-            other => panic!("expected 5 cached, got {other:?}"),
-        }
+        e.delegate(HotOp::set(13, 0, &5u64.to_le_bytes()), &mut |_| true);
+        // A failed delete (the backing found nothing to remove) must not
+        // clobber the copy.
+        assert!(!e.delegate(HotOp::del(13), &mut |_| false));
+        let mut out = Vec::new();
+        assert!(matches!(e.read(13, &mut out), FrontRead::Hit));
+        assert_eq!(out, 5u64.to_le_bytes());
     }
 
     #[test]
@@ -1591,17 +1482,20 @@ mod tests {
                 let e = Arc::clone(&e);
                 let backing = Arc::clone(&backing);
                 std::thread::spawn(move || {
+                    let mut out = Vec::new();
                     for i in 0..500u64 {
                         let val = t * 1_000_000 + i + 1;
-                        e.delegate(HotOp::insert(99, val), &mut |op| {
+                        e.delegate(HotOp::set(99, val, &val.to_le_bytes()), &mut |op| {
                             // The "backing": last writer wins, serialized
                             // by the combiner.
                             backing.store(op.val_u64, Ordering::Relaxed);
-                            HotOpResult { ok: true, old: 0 }
+                            true
                         });
                         // The cached copy must be *some* delegated value,
                         // never torn or stale beyond the backing.
-                        if let FrontReadU64::Hit(v) = e.read_u64(99) {
+                        out.clear();
+                        if let FrontRead::Hit = e.read(99, &mut out) {
+                            let v = u64::from_le_bytes(out[..].try_into().expect("8 bytes"));
                             assert!(v % 1_000_000 <= 500, "torn value {v}");
                         }
                     }
@@ -1612,8 +1506,9 @@ mod tests {
             t.join().unwrap();
         }
         // Quiescent: the cache must equal the backing exactly.
-        match e.read_u64(99) {
-            FrontReadU64::Hit(v) => assert_eq!(v, backing.load(Ordering::Relaxed)),
+        let mut out = Vec::new();
+        match e.read(99, &mut out) {
+            FrontRead::Hit => assert_eq!(out, backing.load(Ordering::Relaxed).to_le_bytes()),
             other => panic!("expected a settled cached value, got {other:?}"),
         }
         assert_eq!(e.stats().delegated, 2000);

@@ -39,6 +39,9 @@
 //!   scans), with the reference/generation/TTL metadata riding the spare
 //!   bits of the 64-bit handle word — the read path pays one relaxed
 //!   bit-set and zero extra cache lines.
+//! * [`hotkey::HotKeyEngine`] fronts the blob map's hottest keys with
+//!   seqlock'd payload copies and flat-combines their writes; `k = 0`
+//!   ([`HotKeyConfig::with_k`], [`BlobMap::new`]) runs without one.
 //!
 //! Pairs with `ascylib_harness::dist::KeyDist` to benchmark any structure
 //! under uniform, Zipfian, or hotspot traffic (`fig10_sharding` in the bench

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use ascylib::api::{ConcurrentMap, ReplaceMap};
 
-use crate::hotkey::{FrontReadU64, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot, HotOp, HotOpKind, HotOpResult};
 use crate::router::ShardRouter;
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 
@@ -27,10 +26,6 @@ pub struct ShardedMap<M> {
     shards: Box<[M]>,
     stats: Box<[ShardStats]>,
     router: ShardRouter,
-    /// The optional hot-key engine (see [`crate::hotkey`]). `None` — the
-    /// default — keeps every path exactly as it was before the engine
-    /// existed; [`Self::with_hotkeys`] opts in.
-    hot: Option<Box<HotKeyEngine>>,
 }
 
 impl<M: ConcurrentMap> ShardedMap<M> {
@@ -46,52 +41,6 @@ impl<M: ConcurrentMap> ShardedMap<M> {
             shards: (0..shards).map(&mut make).collect(),
             stats: (0..shards).map(|_| ShardStats::default()).collect(),
             router,
-            hot: None,
-        }
-    }
-
-    /// Like [`new`](Self::new), additionally attaching a hot-key engine
-    /// (detection + front cache + flat-combining delegation, see
-    /// [`crate::hotkey`]). `cfg.k == 0` — or building without the `hotkey`
-    /// cargo feature — yields a plain map, so callers can thread an
-    /// environment knob straight through.
-    pub fn with_hotkeys(shards: usize, cfg: HotKeyConfig, make: impl FnMut(usize) -> M) -> Self {
-        let mut map = Self::new(shards, make);
-        map.hot = HotKeyEngine::new(shards, cfg);
-        map
-    }
-
-    /// The attached hot-key engine, if any.
-    pub fn hotkey_engine(&self) -> Option<&HotKeyEngine> {
-        self.hot.as_deref()
-    }
-
-    /// Hot-key engine counters, when an engine is attached.
-    pub fn hotkey_stats(&self) -> Option<HotKeyStatsSnapshot> {
-        self.hot.as_deref().map(HotKeyEngine::stats)
-    }
-
-    /// Current top-k hot keys (empty without an engine).
-    pub fn hot_keys(&self) -> Vec<(u64, u64)> {
-        self.hot.as_deref().map(HotKeyEngine::hot_keys).unwrap_or_default()
-    }
-
-    pub(crate) fn hot(&self) -> Option<&HotKeyEngine> {
-        self.hot.as_deref()
-    }
-
-    /// Applies a delegated op against the backing shard, *without* stats
-    /// (each delegating thread records its own outcome, so the combiner
-    /// applying a batch must not double-count).
-    fn apply_hot(&self, op: &HotOp) -> HotOpResult {
-        let shard = &self.shards[self.router.route(op.key)];
-        match op.kind {
-            HotOpKind::Insert => HotOpResult { ok: shard.insert(op.key, op.val_u64), old: 0 },
-            HotOpKind::Del => match shard.remove(op.key) {
-                Some(old) => HotOpResult { ok: true, old },
-                None => HotOpResult { ok: false, old: 0 },
-            },
-            HotOpKind::Set => unreachable!("ShardedMap never publishes blob ops"),
         }
     }
 
@@ -133,18 +82,11 @@ impl<M: ConcurrentMap> ShardedMap<M> {
         self.stats.iter().map(|s| s.snapshot()).collect()
     }
 
-    /// Traffic counters aggregated over all shards, plus the reads the
-    /// hot-key front cache answered without touching a shard (folded into
-    /// `searches`/`hits` here so a fronted search still counts; the
-    /// per-shard snapshots deliberately exclude them).
+    /// Traffic counters aggregated over all shards.
     pub fn total_stats(&self) -> ShardStatsSnapshot {
         let mut total = ShardStatsSnapshot::default();
         for s in &self.stats {
             total.merge(&s.snapshot());
-        }
-        if let Some(h) = self.hotkey_stats() {
-            total.searches = total.searches.saturating_add(h.front_hits + h.front_absent);
-            total.hits = total.hits.saturating_add(h.front_hits);
         }
         total
     }
@@ -166,23 +108,6 @@ impl ShardedMap<Arc<dyn ConcurrentMap>> {
 
 impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     fn search(&self, key: u64) -> Option<u64> {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            match hot.read_u64(key) {
-                // Front-served reads skip the shard-stats RMWs;
-                // `total_stats` folds the engine counters back in.
-                FrontReadU64::Hit(v) => return Some(v),
-                FrontReadU64::Absent => return None,
-                FrontReadU64::Pending(ticket) => {
-                    let (shard, stats) = self.shard_and_stats(key);
-                    let found = shard.search(key);
-                    stats.record_search(found.is_some());
-                    hot.fill_u64(&ticket, found);
-                    return found;
-                }
-                FrontReadU64::Miss => {}
-            }
-        }
         let (shard, stats) = self.shard_and_stats(key);
         let found = shard.search(key);
         stats.record_search(found.is_some());
@@ -190,21 +115,6 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 
     fn insert(&self, key: u64, value: u64) -> bool {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            if hot.fronted(key) {
-                let res = hot.delegate(HotOp::insert(key, value), &mut |op| self.apply_hot(op));
-                self.stats[self.router.route(key)].record_insert(res.ok);
-                return res.ok;
-            }
-            let (shard, stats) = self.shard_and_stats(key);
-            let ok = shard.insert(key, value);
-            stats.record_insert(ok);
-            // The key may have been promoted while we wrote: drop any
-            // cached copy so no reader sees a value older than this write.
-            hot.poison(key);
-            return ok;
-        }
         let (shard, stats) = self.shard_and_stats(key);
         let ok = shard.insert(key, value);
         stats.record_insert(ok);
@@ -212,19 +122,6 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            if hot.fronted(key) {
-                let res = hot.delegate(HotOp::del(key), &mut |op| self.apply_hot(op));
-                self.stats[self.router.route(key)].record_remove(res.ok);
-                return res.ok.then_some(res.old);
-            }
-            let (shard, stats) = self.shard_and_stats(key);
-            let removed = shard.remove(key);
-            stats.record_remove(removed.is_some());
-            hot.poison(key);
-            return removed;
-        }
         let (shard, stats) = self.shard_and_stats(key);
         let removed = shard.remove(key);
         stats.record_remove(removed.is_some());
@@ -242,18 +139,8 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 
     /// Routes to the owning shard's `contains` (no stats recorded: the
-    /// harness counts `search`, and `contains` is its wrapper). Cached
-    /// front-cache answers are honoured; a pending slot just falls through
-    /// (the backing is always current — writes land there first).
+    /// harness counts `search`, and `contains` is its wrapper).
     fn contains(&self, key: u64) -> bool {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            match hot.read_u64(key) {
-                FrontReadU64::Hit(_) => return true,
-                FrontReadU64::Absent => return false,
-                FrontReadU64::Pending(_) | FrontReadU64::Miss => {}
-            }
-        }
         self.shards[self.router.route(key)].contains(key)
     }
 }
@@ -262,20 +149,12 @@ impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
     /// Routes to the owning shard's `replace`. A swap is recorded as one
     /// insert attempt that did not create a key (so `inserts_ok −
     /// removes_ok` keeps tracking `size`); a miss records nothing, the
-    /// caller's follow-up `insert` is the attempt. With a hot-key engine
-    /// attached the swap takes the plain path and poisons the front slot
-    /// afterwards, exactly like a non-fronted `insert`.
+    /// caller's follow-up `insert` is the attempt.
     fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-        }
         let (shard, stats) = self.shard_and_stats(key);
         let old = shard.replace(key, value);
         if old.is_some() {
             stats.record_insert(false);
-        }
-        if let Some(hot) = &self.hot {
-            hot.poison(key);
         }
         old
     }
@@ -325,16 +204,12 @@ mod tests {
 
     #[test]
     fn replace_swaps_in_place_and_counts_as_a_non_creating_insert() {
-        let map = ShardedMap::with_hotkeys(4, HotKeyConfig::eager(8), |_| ClhtLb::with_capacity(16));
+        let map = ShardedMap::new(4, |_| ClhtLb::with_capacity(16));
         assert_eq!(map.replace(9, 90), None, "absent key: no-op");
         assert_eq!(map.size(), 0);
         assert!(map.insert(9, 90));
-        // Front the key and fill its slot, so a swap that skipped the
-        // poison would leave a stale copy to serve.
-        map.hotkey_engine().expect("engine attached").pin(9);
-        assert_eq!(map.search(9), Some(90));
         assert_eq!(map.replace(9, 91), Some(90));
-        assert_eq!(map.search(9), Some(91), "front copy outlived the swap");
+        assert_eq!(map.search(9), Some(91));
         let stats = map.total_stats();
         assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (2, 1, 0));
         assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);

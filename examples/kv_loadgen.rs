@@ -60,7 +60,7 @@ use ascylib_harness::{arg_value, bench_millis, env_or, KeyDist, OpMix};
 use ascylib_server::client::info_field;
 use ascylib_server::loadgen::{self, LoadGenConfig};
 use ascylib_server::{
-    BlobOrderedStore, Client, LoadMode, Server, ServerConfig, ServerHandle, ValueSize,
+    BlobStore, Client, LoadMode, Server, ServerConfig, ServerHandle, ValueSize,
 };
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
 
@@ -122,7 +122,7 @@ fn main() {
         };
         let server = Server::start(
             "127.0.0.1:0",
-            BlobOrderedStore::new(map),
+            BlobStore::ordered(map),
             ServerConfig::for_connections(conns),
         )
         .expect("bind ephemeral self-serve port");
@@ -218,7 +218,7 @@ fn main() {
              over {} requests",
             sl.p50_ns, sl.p99_ns, sl.p999_ns, sl.max_ns, sl.count
         ),
-        None => println!("kv_loadgen: no server-side latency (telemetry off or scrape failed)"),
+        None => println!("kv_loadgen: no server-side latency (scrape failed)"),
     }
     if let Some(server) = self_serve {
         // Scrape the hot-key section while the server is still up; the CI
