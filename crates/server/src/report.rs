@@ -302,9 +302,7 @@ static TABLE: &[Row] = &[
     info_only(Hotkeys, "hotkey_front_hit_rate", |s| real(s.hotkey?.front_hit_rate(), 4)),
     counter(Hotkeys, "hotkey_fills", ("ascy_hotkey_fills_total", "Front-cache slots filled from backing reads."), |s| int(s.hotkey?.fills)),
     counter(Hotkeys, "hotkey_poisons", ("ascy_hotkey_poisons_total", "Front-cache invalidations by bypassing writes."), |s| int(s.hotkey?.poisons)),
-    counter(Hotkeys, "hotkey_delegated", ("ascy_hotkey_delegated_total", "Hot writes routed through flat combining."), |s| int(s.hotkey?.delegated)).stats("hotkey_delegated"),
-    counter(Hotkeys, "hotkey_combined_batches", ("ascy_hotkey_combined_batches_total", "Flat-combining drain passes that applied at least one op."), |s| int(s.hotkey?.combined_batches)).stats("hotkey_batches"),
-    info_only(Hotkeys, "hotkey_avg_batch", |s| real(s.hotkey?.avg_batch(), 2)),
+    counter(Hotkeys, "hotkey_delegated", ("ascy_hotkey_delegated_total", "Writes to fronted keys applied write-through under the slot lock."), |s| int(s.hotkey?.delegated)).stats("hotkey_delegated"),
     info_only(Hotkeys, "hot_key_<rank>", |s| lines(hot_key_lines(&s.hot_keys))),
     counter(Memory, "ssmem_allocations", ("ascy_ssmem_allocations_total", "Epoch-allocator objects handed out."), |s| int(s.conc.ssmem.allocations)).stats("ssmem_allocations"),
     counter(Memory, "ssmem_frees", ("ascy_ssmem_frees_total", "Objects released into the epoch limbo lists."), |s| int(s.conc.ssmem.frees)).stats("ssmem_frees"),
@@ -790,7 +788,6 @@ pub(crate) mod tests {
             "ascy_hotkey_front_reads_total{result=\"pending\"}",
             "ascy_hotkey_fills_total ",
             "ascy_hotkey_delegated_total ",
-            "ascy_hotkey_combined_batches_total ",
         ] {
             assert!(metrics.contains(family), "METRICS is missing {family}");
         }
@@ -1247,12 +1244,19 @@ pub(crate) mod tests {
     fn names_and_order_match_the_hand_written_renderers() {
         equipped(|ctx| {
             let s = Scrape::gather(ctx);
-            // STATS is positional and gains nothing.
-            assert_eq!(stats_keys(&stats_line(&s)), words(GOLDEN_STATS));
+            // STATS gains nothing and loses one field: the flat
+            // combiner's pass count (writes to hot keys no longer batch).
+            let mut expected = words(GOLDEN_STATS);
+            expected.retain(|key| *key != "hotkey_batches");
+            assert_eq!(stats_keys(&stats_line(&s)), expected);
             for (section, golden) in GOLDEN_INFO {
                 let mut expected = words(golden);
-                // The two removals: switches that can no longer be off.
-                expected.retain(|key| !["telemetry", "cache_tier"].contains(key));
+                // The removals: two switches that can no longer be off,
+                // and the flat combiner's pass count and mean batch.
+                expected.retain(|key| {
+                    !["telemetry", "cache_tier", "hotkey_combined_batches", "hotkey_avg_batch"]
+                        .contains(key)
+                });
                 if section == "server" {
                     // The one reorder: `connections` now precedes
                     // `curr_connections`, as `conns`/`curr_conns` do on
@@ -1272,13 +1276,15 @@ pub(crate) mod tests {
                 assert_eq!(body.lines().next(), Some(format!("# {section}").as_str()));
                 assert_eq!(info_keys(&body), expected, "INFO {section}");
             }
-            // METRICS keeps every series and type, and gains the two
-            // counters that were on STATS only.
+            // METRICS keeps every series and type but the combiner's pass
+            // counter, and gains the two counters that were on STATS only.
             let body = metrics(&s);
             let mut series: BTreeSet<String> =
                 words(GOLDEN_SERIES).into_iter().map(String::from).collect();
             let mut types: BTreeSet<String> =
                 words(GOLDEN_TYPES).into_iter().map(String::from).collect();
+            series.remove("ascy_hotkey_combined_batches_total");
+            types.remove("ascy_hotkey_combined_batches_total=counter");
             for added in ["ascy_wakeups_total", "ascy_partial_writes_total"] {
                 series.insert(added.to_string());
                 types.insert(format!("{added}=counter"));

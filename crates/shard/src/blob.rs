@@ -126,9 +126,7 @@ use ascylib_ssmem as ssmem;
 use crossbeam_utils::CachePadded;
 
 use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock, WallClock};
-use crate::hotkey::{
-    FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot, HotOp, HotOpKind,
-};
+use crate::hotkey::{FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 use crate::map::ShardedMap;
 
 /// Bytes of blob header: the meta word (payload length + CLOCK reference
@@ -809,8 +807,8 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// [`crate::hotkey`]): hot values up to
     /// [`crate::hotkey::FRONT_VALUE_CAP`] bytes are served from seqlock'd
     /// copies without touching the epoch guard, index, or arena, and hot
-    /// writes delegate through a per-shard flat combiner. `cfg.k == 0`
-    /// yields a plain map.
+    /// writes apply write-through under the key's front-slot lock.
+    /// `cfg.k == 0` yields a plain map.
     pub fn with_hotkeys(shards: usize, cfg: HotKeyConfig, make: impl FnMut(usize) -> M) -> Self {
         let mut map = Self::new(shards, make);
         map.hot = HotKeyEngine::new(shards, cfg);
@@ -862,17 +860,6 @@ impl<M: ReplaceMap> BlobMap<M> {
             total.merge(&a.cache_stats());
         }
         total
-    }
-
-    /// Applies a delegated op against the backing (index + arena). Called
-    /// by whichever thread combines; must not touch the front cache (the
-    /// engine does that, version-guarded, around this call).
-    fn apply_hot(&self, op: &HotOp) -> bool {
-        match op.kind {
-            // The publisher already stored the blob; publish its handle.
-            HotOpKind::Set => self.publish(op.key, op.val_u64),
-            HotOpKind::Del => self.del_backing(op.key),
-        }
     }
 
     /// Number of shards.
@@ -987,10 +974,10 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// displaced blob is retired) and stamping the config's default TTL,
     /// if any. Returns `true` if the key was newly created (an expired
     /// corpse counts as absent), `false` if a live value was replaced.
-    /// Writes to a fronted key delegate through the flat combiner, which
-    /// refreshes the front-cache copy write-through after the backing
-    /// publish; TTL-stamped writes take the plain path and poison instead
-    /// (TTL'd values are never front-cached).
+    /// Writes to a fronted key publish under the key's front-slot lock and
+    /// refresh the front-cache copy before it releases
+    /// ([`HotKeyEngine::write_through`]); TTL-stamped writes take the plain
+    /// path and poison instead (TTL'd values are never front-cached).
     pub fn set(&self, key: u64, value: &[u8]) -> bool {
         self.set_with_ttl(key, value, self.default_ttl_ms)
     }
@@ -1015,10 +1002,10 @@ impl<M: ReplaceMap> BlobMap<M> {
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if expire_at == 0 && hot.fronted(key) {
-                // Store the blob up front (arena stores are uncontended);
-                // only the index publish + slot refresh is delegated.
+                // Store the blob before taking the slot lock (arena stores
+                // are uncontended); only the index publish runs under it.
                 let handle = arena.store(key, value, 0);
-                return hot.delegate(HotOp::set(key, handle, value), &mut |op| self.apply_hot(op));
+                return hot.write_through(key, Some(value), || self.publish(key, handle));
             }
             let created = self.set_backing_at(key, value, expire_at);
             // The key may have been promoted while we wrote (and TTL'd
@@ -1065,7 +1052,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if hot.fronted(key) {
-                return hot.delegate(HotOp::del(key), &mut |op| self.apply_hot(op));
+                return hot.write_through(key, None, || self.del_backing(key));
             }
             let removed = self.del_backing(key);
             hot.poison(key);
@@ -1358,112 +1345,93 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// fronted keys are answered from their front-cache copies and only
     /// the remainder takes the batched backing path (one epoch guard).
     pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
-        let Some(hot) = self.hot.as_deref() else {
-            self.multi_get_backing(keys, out);
-            return;
-        };
-        harvest_buffers(out);
-        out.clear();
-        out.resize(keys.len(), None);
-        // `(input position, key, fill lease)` of every key the front cache
-        // could not answer; they take the batched backing path below.
-        let mut rest: Vec<(usize, u64, Option<FillTicket>)> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            hot.record_access(key);
-            let mut value = pool_take();
-            match hot.read(key, &mut value) {
-                // As in `get`: front-served keys skip the shard-stats
-                // RMWs; `total_stats` folds the engine counters back in.
-                FrontRead::Hit => {
-                    out[i] = Some(value);
-                }
-                FrontRead::Absent => {
-                    pool_put(value);
-                }
-                FrontRead::Pending(ticket) => {
-                    pool_put(value);
-                    rest.push((i, key, Some(ticket)));
-                }
-                FrontRead::Miss => {
-                    pool_put(value);
-                    rest.push((i, key, None));
-                }
-            }
-        }
-        if rest.is_empty() {
-            return;
-        }
-        let mut dead: Vec<(u64, u64)> = Vec::new();
-        HANDLE_SCRATCH.with(|scratch| {
-            let mut handles = scratch.borrow_mut();
-            let _guard = ssmem::protect();
-            let rest_keys: Vec<u64> = rest.iter().map(|&(_, k, _)| k).collect();
-            self.map.multi_get_into(&rest_keys, &mut handles);
-            for (&(pos, key, ref ticket), handle) in rest.iter().zip(handles.iter()) {
-                let arena = self.arena_of(key);
-                let resolved = handle.and_then(|h| {
-                    // SAFETY: guard created before the batched fetch.
-                    if has_ttl(h) && unsafe { arena.is_expired(h) } {
-                        dead.push((key, h));
-                        return None;
-                    }
-                    let mut value = pool_take();
-                    // SAFETY: guard created before the batched fetch.
-                    unsafe { arena.read_into_marked(h, &mut value) };
-                    Some((value, has_ttl(h)))
-                });
-                match resolved {
-                    Some((value, ttl)) => {
-                        if let Some(ticket) = ticket {
-                            if !ttl {
-                                hot.fill(ticket, Some(&value));
-                            }
-                        }
-                        out[pos] = Some(value);
-                    }
-                    None => {
-                        if let Some(ticket) = ticket {
-                            hot.fill(ticket, None);
-                        }
-                    }
-                }
-            }
-        });
-        // Guard dropped (the closure ended): reclaim the corpses.
-        for (key, h) in dead {
-            self.expire_reclaim(key, h, Reclaim::Lazy);
-        }
-    }
-
-    /// The engine-less batched read path (also serves the engine path's
-    /// front-cache misses).
-    fn multi_get_backing(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
         // Harvest the previous batch's value buffers before clearing, so
         // repeated batches through one result buffer stop allocating per
         // hit once capacities have warmed up.
         harvest_buffers(out);
         out.clear();
+        let Some(hot) = self.hot.as_deref() else {
+            out.reserve(keys.len());
+            self.resolve_batch(keys, |_, found| out.push(found.map(|(value, _)| value)));
+            return;
+        };
+        out.resize(keys.len(), None);
+        // The keys the front cache could not answer, and per key its input
+        // position and fill lease; they take the batched backing path.
+        let mut rest_keys: Vec<u64> = Vec::new();
+        let mut rest: Vec<(usize, Option<FillTicket>)> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            hot.record_access(key);
+            let mut value = pool_take();
+            let ticket = match hot.read(key, &mut value) {
+                // As in `get`: front-served keys skip the shard-stats
+                // RMWs; `total_stats` folds the engine counters back in.
+                FrontRead::Hit => {
+                    out[i] = Some(value);
+                    continue;
+                }
+                FrontRead::Absent => {
+                    pool_put(value);
+                    continue;
+                }
+                FrontRead::Pending(ticket) => Some(ticket),
+                FrontRead::Miss => None,
+            };
+            pool_put(value);
+            rest_keys.push(key);
+            rest.push((i, ticket));
+        }
+        if rest.is_empty() {
+            return;
+        }
+        self.resolve_batch(&rest_keys, |j, found| {
+            let (pos, ticket) = &rest[j];
+            match found {
+                Some((value, ttl)) => {
+                    // TTL'd values are never installed (see `get`).
+                    if let (Some(ticket), false) = (ticket, ttl) {
+                        hot.fill(ticket, Some(&value));
+                    }
+                    out[*pos] = Some(value);
+                }
+                None => {
+                    if let Some(ticket) = ticket {
+                        hot.fill(ticket, None);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Resolves `keys` against the index under one epoch guard: `each(i,
+    /// found)` gets, in input order, a pooled copy of every live value and
+    /// whether it carries a TTL, or `None` for a missing or expired key.
+    /// Expired corpses are reclaimed once the guard is dropped.
+    fn resolve_batch(&self, keys: &[u64], mut each: impl FnMut(usize, Option<(Vec<u8>, bool)>)) {
         let mut dead: Vec<(u64, u64)> = Vec::new();
         HANDLE_SCRATCH.with(|scratch| {
             let mut handles = scratch.borrow_mut();
             let _guard = ssmem::protect();
             self.map.multi_get_into(keys, &mut handles);
-            out.reserve(handles.len());
-            for (&key, handle) in keys.iter().zip(handles.iter()) {
+            for (i, (&key, handle)) in keys.iter().zip(handles.iter()).enumerate() {
                 let arena = self.arena_of(key);
-                out.push(handle.and_then(|h| {
-                    // SAFETY: guard created before the batched fetch.
-                    if has_ttl(h) && unsafe { arena.is_expired(h) } {
-                        dead.push((key, h));
-                        return None;
-                    }
-                    let mut value = pool_take();
-                    // SAFETY: guard created before the batched fetch.
-                    unsafe { arena.read_into_marked(h, &mut value) };
-                    Some(value)
-                }));
+                each(
+                    i,
+                    handle.and_then(|h| {
+                        // SAFETY: guard created before the batched fetch.
+                        if has_ttl(h) && unsafe { arena.is_expired(h) } {
+                            dead.push((key, h));
+                            return None;
+                        }
+                        let mut value = pool_take();
+                        // SAFETY: guard created before the batched fetch.
+                        unsafe { arena.read_into_marked(h, &mut value) };
+                        Some((value, has_ttl(h)))
+                    }),
+                );
             }
         });
+        // Guard dropped (the closure ended): reclaim the corpses.
         for (key, h) in dead {
             self.expire_reclaim(key, h, Reclaim::Lazy);
         }

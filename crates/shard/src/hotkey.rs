@@ -1,4 +1,4 @@
-//! The hot-key engine: detection, front cache, and write delegation for
+//! The hot-key engine: detection, front cache, and write-through for
 //! skewed traffic.
 //!
 //! Sharding removes *cross-key* contention, but under Zipfian skew a
@@ -18,10 +18,12 @@
 //!    shard route on reads. A hit is a couple of shared (unbounced) cache
 //!    line reads and a short copy; the epoch guard, index probe, and
 //!    arena indirection of the backing path are all skipped.
-//! 3. **Delegation** — writes to a fronted key are published into a
-//!    per-shard flat-combining slot array; one combiner applies the batch
-//!    against the backing structure while the others spin on their slot,
-//!    collapsing N CAS storms on one key into a single owner pass.
+//! 3. **Write-through** — a write to a fronted key takes the key's slot
+//!    lock, applies to the backing and installs the new copy before it
+//!    releases ([`HotKeyEngine::write_through`]). The lock is held around
+//!    exactly the stores a sequential update would make, as in the
+//!    paper's lock-based structures; writes to different hot keys never
+//!    wait for each other.
 //!
 //! # Coherence contract
 //!
@@ -31,23 +33,25 @@
 //! * The backing structure is written *first*, always. The front cache is
 //!   strictly a cache of the backing — a reader that bypasses it (scans,
 //!   batched paths, `contains`) can never observe staleness.
-//! * Writers that see the key fronted delegate through the combiner; the
-//!   owner refreshes the slot *after* each backing apply, and per-key
-//!   installs are serialized by the per-slot writer lock, so slot order
-//!   matches backing order.
+//! * Every change to a slot is a seqlock write under the slot lock: `seq`
+//!   is odd while it runs, and readers that see it odd (or changed) fall
+//!   through to the backing.
+//! * Writers that see the key fronted write through: the seqlock write
+//!   opens *before* the backing apply and closes after the install, so no
+//!   reader can pair a new backing value with the old copy, and the lock
+//!   orders one key's writes.
 //! * A writer that raced a promotion (checked before the key was fronted,
 //!   applied to the backing, then found the key fronted) **poisons** the
-//!   slot: the cached copy is dropped and the slot's `version` bumps, so
-//!   any in-flight fill or delegated install that predates the write
-//!   fails its version check instead of installing a stale value.
+//!   slot: the cached copy is dropped by a seqlock write.
 //! * Reads of a fronted-but-empty (pending) slot fall through to the
-//!   backing and then try to install what they read, guarded by the same
-//!   version check (a lease, in memcache terms): the fill only lands if
-//!   no write invalidated the slot since before the backing read.
+//!   backing and then try to install what they read. The fill carries the
+//!   `seq` the probe validated (a lease, in memcache terms) and lands only
+//!   if `seq` is unchanged — i.e. no claim, release, poison, install or
+//!   other fill touched the slot since before the backing read.
 //!
 //! Values longer than [`FRONT_VALUE_CAP`] are never cached (their slot
-//! stays pending and reads pass through); delegation still batches their
-//! writes.
+//! stays pending and reads pass through); their writes still go through
+//! the slot lock.
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -58,7 +62,7 @@ use crossbeam_utils::CachePadded;
 use crate::router::ShardRouter;
 
 /// Largest payload a front-cache slot can hold, in bytes. Bigger values
-/// pass through to the backing on every read (their writes still combine).
+/// pass through to the backing on every read.
 pub const FRONT_VALUE_CAP: usize = 256;
 
 /// Hard ceiling on `k` (the front cache is a read-mostly *array*; past a
@@ -80,12 +84,6 @@ const LEN_ABSENT: u32 = u32::MAX - 1;
 // would drown everything past rank ~30 in its own noise floor.
 const SKETCH_ROWS: usize = 4;
 const SKETCH_COLS: usize = 1024;
-
-const COMBINE_SLOTS: usize = 4;
-const SLOT_EMPTY: u32 = 0;
-const SLOT_WRITING: u32 = 1;
-const SLOT_PUBLISHED: u32 = 2;
-const SLOT_DONE: u32 = 3;
 
 const STRIPES: usize = 8;
 
@@ -153,63 +151,6 @@ impl HotKeyConfig {
     }
 }
 
-/// The kind of write travelling through the combiner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotOpKind {
-    /// Overwrite: `val_u64` carries the pre-stored arena handle,
-    /// `ptr`/`len` the payload bytes (for the slot refresh).
-    Set,
-    /// Remove.
-    Del,
-}
-
-/// One write published into a combining slot. Plain data — the payload
-/// bytes behind `ptr` are owned by the publishing thread, which keeps
-/// them alive while it spins for completion.
-#[derive(Debug, Clone, Copy)]
-pub struct HotOp {
-    /// What to apply.
-    pub kind: HotOpKind,
-    /// The (hot) key.
-    pub key: u64,
-    /// Arena handle for `Set` (0 otherwise).
-    pub val_u64: u64,
-    /// Payload pointer for `Set` (as an address; 0 otherwise).
-    pub ptr: usize,
-    /// Payload length for `Set`.
-    pub len: usize,
-}
-
-impl HotOp {
-    /// A delete op.
-    pub fn del(key: u64) -> Self {
-        HotOp { kind: HotOpKind::Del, key, val_u64: 0, ptr: 0, len: 0 }
-    }
-
-    /// A blob overwrite op carrying the pre-stored handle and the payload
-    /// it points at (kept alive by the publisher until the op completes).
-    pub fn set(key: u64, handle: u64, value: &[u8]) -> Self {
-        HotOp {
-            kind: HotOpKind::Set,
-            key,
-            val_u64: handle,
-            ptr: value.as_ptr() as usize,
-            len: value.len(),
-        }
-    }
-
-    /// The payload bytes of a `Set` op.
-    ///
-    /// # Safety
-    ///
-    /// Only valid while the publishing thread is still waiting on the op
-    /// (it owns the buffer) — i.e. from inside the combiner's apply pass.
-    unsafe fn payload(&self) -> &[u8] {
-        // SAFETY: forwarded caller contract.
-        unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-    }
-}
-
 /// Outcome of a front-cache read probe.
 #[derive(Debug)]
 pub enum FrontRead {
@@ -224,14 +165,15 @@ pub enum FrontRead {
     Miss,
 }
 
-/// A fill lease handed out by a pending front-cache probe: the install
-/// only lands if no write invalidated the slot after the lease was taken
-/// (and therefore possibly after the caller's backing read).
+/// A fill lease handed out by a pending front-cache probe: the `seq` the
+/// probe validated. The install only lands if the slot's `seq` is still
+/// that value — no seqlock write touched the slot after the lease was
+/// taken (and therefore possibly after the caller's backing read).
 #[derive(Debug, Clone, Copy)]
 pub struct FillTicket {
     slot: usize,
     key: u64,
-    version: u64,
+    seq: u64,
 }
 
 /// Point-in-time engine counters.
@@ -262,24 +204,17 @@ pub struct HotKeyStatsSnapshot {
     pub fills: u64,
     /// Slots invalidated by a racing plain write.
     pub poisons: u64,
-    /// Writes that travelled through the flat combiner.
+    /// Writes to a fronted key applied write-through under its slot lock.
     pub delegated: u64,
-    /// Combiner owner passes (each applies ≥ 1 delegated write).
+    /// Always equal to `delegated` (every write is its own pass). Kept
+    /// only because `benchmark/src/run.rs` reads it for its
+    /// `hotkey.avg_batch` rung.
     pub combined_batches: u64,
     /// Keys currently fronted (gauge — not merged).
     pub fronted: u64,
 }
 
 impl HotKeyStatsSnapshot {
-    /// Mean delegated writes applied per combiner pass.
-    pub fn avg_batch(&self) -> f64 {
-        if self.combined_batches == 0 {
-            0.0
-        } else {
-            self.delegated as f64 / self.combined_batches as f64
-        }
-    }
-
     /// Front-cache hit rate over reads that probed a fronted key.
     pub fn front_hit_rate(&self) -> f64 {
         let served = self.front_hits + self.front_absent;
@@ -420,17 +355,15 @@ struct TopEntry {
 
 struct FrontSlot {
     /// Seqlock sequence: even = stable, odd = writer in progress. All
-    /// transitions happen under `lock`.
+    /// transitions happen under `lock`. Also the fill lease: every claim,
+    /// release, poison and install moves it, so a fill captured before
+    /// one of them cannot land.
     seq: AtomicU64,
-    /// Fill lease: bumped by every poison, claim, release, and delegated
-    /// install. A fill (or delegated install) captured before a bump must
-    /// not land.
-    version: AtomicU64,
     /// The fronted key (0 = empty; the structures reserve key 0).
     key: AtomicU64,
     /// Cached payload length, or [`LEN_PENDING`] / [`LEN_ABSENT`].
     len: AtomicU32,
-    /// Slot writer lock (combiner installs, fills, poisons, claims).
+    /// Slot writer lock (write-through, fills, poisons, claims).
     lock: AtomicU32,
     /// Payload bytes, word-packed (torn reads are rejected by `seq`).
     words: [AtomicU64; FRONT_WORDS],
@@ -440,7 +373,6 @@ impl Default for FrontSlot {
     fn default() -> Self {
         FrontSlot {
             seq: AtomicU64::new(0),
-            version: AtomicU64::new(0),
             key: AtomicU64::new(0),
             len: AtomicU32::new(LEN_PENDING),
             lock: AtomicU32::new(0),
@@ -477,9 +409,28 @@ impl FrontSlot {
     /// Rewrites the slot contents under the seqlock write protocol.
     /// Caller holds `lock`.
     fn write(&self, key: u64, state: SlotState) {
+        let s = self.begin_write();
+        self.store(key, state);
+        self.end_write(s);
+    }
+
+    /// Opens a seqlock write (`seq` odd, so readers of the slot fall
+    /// through to the backing) and returns the `seq` it started from.
+    /// Caller holds `lock`.
+    fn begin_write(&self) -> u64 {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s + 1, Ordering::Relaxed);
         fence(Ordering::Release);
+        s
+    }
+
+    /// Closes the seqlock write [`begin_write`](Self::begin_write) opened.
+    fn end_write(&self, s: u64) {
+        self.seq.store(s + 2, Ordering::Release);
+    }
+
+    /// Stores the slot contents; only inside an open seqlock write.
+    fn store(&self, key: u64, state: SlotState) {
         self.key.store(key, Ordering::Relaxed);
         match state {
             SlotState::Pending => self.len.store(LEN_PENDING, Ordering::Relaxed),
@@ -494,7 +445,6 @@ impl FrontSlot {
                 self.len.store(bytes.len() as u32, Ordering::Relaxed);
             }
         }
-        self.seq.store(s + 2, Ordering::Release);
     }
 }
 
@@ -502,70 +452,6 @@ enum SlotState<'a> {
     Pending,
     Absent,
     Value(&'a [u8]),
-}
-
-// ---------------------------------------------------------------------------
-// Flat-combining slots.
-
-struct CombineSlot {
-    state: AtomicU32,
-    kind: AtomicU32,
-    key: AtomicU64,
-    val: AtomicU64,
-    ptr: AtomicU64,
-    len: AtomicU64,
-    res_ok: AtomicU32,
-}
-
-impl Default for CombineSlot {
-    fn default() -> Self {
-        CombineSlot {
-            state: AtomicU32::new(SLOT_EMPTY),
-            kind: AtomicU32::new(0),
-            key: AtomicU64::new(0),
-            val: AtomicU64::new(0),
-            ptr: AtomicU64::new(0),
-            len: AtomicU64::new(0),
-            res_ok: AtomicU32::new(0),
-        }
-    }
-}
-
-impl CombineSlot {
-    /// Reads the published op. Caller observed `SLOT_PUBLISHED` with
-    /// `Acquire`, so the Relaxed field reads are ordered after the
-    /// publisher's writes.
-    fn op(&self) -> HotOp {
-        let kind = match self.kind.load(Ordering::Relaxed) {
-            0 => HotOpKind::Set,
-            _ => HotOpKind::Del,
-        };
-        HotOp {
-            kind,
-            key: self.key.load(Ordering::Relaxed),
-            val_u64: self.val.load(Ordering::Relaxed),
-            ptr: self.ptr.load(Ordering::Relaxed) as usize,
-            len: self.len.load(Ordering::Relaxed) as usize,
-        }
-    }
-
-    fn put_op(&self, op: &HotOp) {
-        let kind = match op.kind {
-            HotOpKind::Set => 0,
-            HotOpKind::Del => 1,
-        };
-        self.kind.store(kind, Ordering::Relaxed);
-        self.key.store(op.key, Ordering::Relaxed);
-        self.val.store(op.val_u64, Ordering::Relaxed);
-        self.ptr.store(op.ptr as u64, Ordering::Relaxed);
-        self.len.store(op.len as u64, Ordering::Relaxed);
-    }
-}
-
-#[derive(Default)]
-struct Combiner {
-    lock: AtomicU32,
-    slots: [CombineSlot; COMBINE_SLOTS],
 }
 
 // ---------------------------------------------------------------------------
@@ -581,7 +467,6 @@ struct EngineCounters {
     fills: AtomicU64,
     poisons: AtomicU64,
     delegated: Striped,
-    combined_batches: AtomicU64,
 }
 
 impl Default for EngineCounters {
@@ -596,7 +481,6 @@ impl Default for EngineCounters {
             fills: AtomicU64::new(0),
             poisons: AtomicU64::new(0),
             delegated: Striped::default(),
-            combined_batches: AtomicU64::new(0),
         }
     }
 }
@@ -628,7 +512,6 @@ pub struct HotKeyEngine {
     /// this as a zero-cost "is the front even populated" early-out: a
     /// stale zero only costs one backing read, never staleness.
     live: CachePadded<AtomicU64>,
-    combiners: Box<[CachePadded<Combiner>]>,
     c: EngineCounters,
 }
 
@@ -659,7 +542,6 @@ impl HotKeyEngine {
             filter: (0..slot_count).map(|_| AtomicU64::new(0)).collect(),
             slot_shift: 64 - slot_count.trailing_zeros(),
             live: CachePadded::new(AtomicU64::new(0)),
-            combiners: (0..shards).map(|_| CachePadded::new(Combiner::default())).collect(),
             c: EngineCounters::default(),
         }))
     }
@@ -798,11 +680,16 @@ impl HotKeyEngine {
                 return;
             }
         }
+        self.take_slot(idx, key);
+    }
+
+    /// Points slot `idx` at `key`, pending, whatever it held before.
+    fn take_slot(&self, idx: usize, key: u64) {
+        let slot = &self.slots[idx];
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) == 0 {
             self.live.fetch_add(1, Ordering::Relaxed);
         }
-        slot.version.fetch_add(1, Ordering::Relaxed);
         slot.write(key, SlotState::Pending);
         self.filter[idx].store(key, Ordering::Relaxed);
         slot.release();
@@ -817,7 +704,6 @@ impl HotKeyEngine {
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) == key {
             self.live.fetch_sub(1, Ordering::Relaxed);
-            slot.version.fetch_add(1, Ordering::Relaxed);
             slot.write(0, SlotState::Pending);
             self.filter[idx].store(0, Ordering::Relaxed);
         }
@@ -851,17 +737,8 @@ impl HotKeyEngine {
         drop(topk);
         // Pinning overrides the hysteresis: evict whatever holds the slot.
         let idx = self.slot_idx(key);
-        let slot = &self.slots[idx];
-        let cur = slot.key.load(Ordering::Relaxed);
-        if cur != key {
-            slot.acquire();
-            if slot.key.load(Ordering::Relaxed) == 0 {
-                self.live.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.version.fetch_add(1, Ordering::Relaxed);
-            slot.write(key, SlotState::Pending);
-            self.filter[idx].store(key, Ordering::Relaxed);
-            slot.release();
+        if self.slots[idx].key.load(Ordering::Relaxed) != key {
+            self.take_slot(idx, key);
         }
     }
 
@@ -916,11 +793,10 @@ impl HotKeyEngine {
             }
             let len = slot.len.load(Ordering::Relaxed);
             let res = if len == LEN_PENDING {
-                // Capture the fill lease *before* the caller reads the
-                // backing: any write completing after that read bumps
-                // `version` and voids the lease.
-                let version = slot.version.load(Ordering::Acquire);
-                FrontRead::Pending(FillTicket { slot: idx, key, version })
+                // The lease is the `seq` validated below, taken *before*
+                // the caller reads the backing: any slot write after that
+                // read moves `seq` and voids it.
+                FrontRead::Pending(FillTicket { slot: idx, key, seq: s1 })
             } else if len == LEN_ABSENT {
                 FrontRead::Absent
             } else {
@@ -968,7 +844,7 @@ impl HotKeyEngine {
         if !slot.try_acquire() {
             return;
         }
-        if slot.version.load(Ordering::Relaxed) == ticket.version
+        if slot.seq.load(Ordering::Relaxed) == ticket.seq
             && slot.key.load(Ordering::Relaxed) == ticket.key
         {
             match value {
@@ -982,13 +858,14 @@ impl HotKeyEngine {
 
     // -- front cache: write side -------------------------------------------
 
-    /// `true` if writes to `key` must delegate through the combiner.
+    /// `true` if writes to `key` must go through
+    /// [`write_through`](Self::write_through).
     #[inline]
     pub fn fronted(&self, key: u64) -> bool {
         key != 0 && self.slot_of(key).key.load(Ordering::Acquire) == key
     }
 
-    /// Post-apply hook for plain (non-delegated) writers: if the key
+    /// Post-apply hook for plain (not write-through) writers: if the key
     /// turns out to be fronted (a promotion raced this write), drop the
     /// cached copy and void outstanding fill leases, so no reader can be
     /// served a value older than this completed write. The cache tier's
@@ -1006,187 +883,60 @@ impl HotKeyEngine {
         }
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) == key {
-            slot.version.fetch_add(1, Ordering::Relaxed);
             slot.write(key, SlotState::Pending);
             self.c.poisons.fetch_add(1, Ordering::Relaxed);
         }
         slot.release();
     }
 
-    // -- delegation --------------------------------------------------------
-
-    /// Runs `op` through the key's shard combiner: one thread applies a
-    /// batch of published ops against the backing (via `apply`) and
-    /// refreshes the front cache after each, while the others spin on
-    /// their slot. `apply` must perform the op against the backing and
-    /// return its outcome (`Set` created, `Del` found); it is called by
-    /// whichever thread ends up combining, possibly for *other* threads'
-    /// ops of either [`HotOpKind`].
-    pub fn delegate(&self, op: HotOp, apply: &mut dyn FnMut(&HotOp) -> bool) -> bool {
+    /// Applies a write to fronted `key` and refreshes its copy
+    /// write-through, all under the key's slot lock: `apply` performs the
+    /// write against the backing and returns its outcome (set: created,
+    /// delete: found), `value` is what it wrote (`None` = a delete). The
+    /// seqlock write opens *before* `apply` and closes after the install,
+    /// so readers of the key fall through to the backing until the copy
+    /// equals it. Installs `Value`, or `Pending` for a value over
+    /// [`FRONT_VALUE_CAP`], or `Absent` after a successful delete; a failed
+    /// delete mutated nothing and leaves the copy alone. If the slot no
+    /// longer fronts `key`, `apply` still runs under the lock and the slot
+    /// is untouched: a later claim of the key waits for the lock, so its
+    /// fill lease postdates the write.
+    ///
+    /// `apply` runs holding the slot lock and must not call back into the
+    /// engine: `poison`, `pin`, `record_access` (which may claim a slot)
+    /// and `write_through` itself would spin on a lock it holds.
+    pub fn write_through(
+        &self,
+        key: u64,
+        value: Option<&[u8]>,
+        apply: impl FnOnce() -> bool,
+    ) -> bool {
         self.c.delegated.add(1);
-        let combiner = &self.combiners[self.router.route(op.key)];
-        let mut spins = 0u32;
-        loop {
-            if combiner
-                .lock
-                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                let res = self.apply_one(&op, apply);
-                self.drain(combiner, apply);
-                combiner.lock.store(0, Ordering::Release);
-                self.c.combined_batches.fetch_add(1, Ordering::Relaxed);
-                return res;
-            }
-            if let Some(idx) = self.try_publish(combiner, &op) {
-                return self.await_slot(combiner, idx, &op, apply);
-            }
-            spins += 1;
-            if spins % 64 == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Applies one op to the backing and write-through refreshes the
-    /// front slot. The version snapshot taken *before* the backing apply
-    /// orders the install against racing plain-writer poisons: if one
-    /// lands in between, this install is downgraded to a fresh poison —
-    /// merely skipping would leave the poison's version live, and a fill
-    /// lease taken against it could install a backing read that predates
-    /// this delegated write.
-    fn apply_one(&self, op: &HotOp, apply: &mut dyn FnMut(&HotOp) -> bool) -> bool {
-        let slot = self.slot_of(op.key);
-        let fronted = slot.key.load(Ordering::Relaxed) == op.key;
-        let version = slot.version.load(Ordering::Acquire);
-        let ok = apply(op);
-        if !fronted {
+        let slot = self.slot_of(key);
+        slot.acquire();
+        if slot.key.load(Ordering::Relaxed) != key {
+            let ok = apply();
+            slot.release();
             return ok;
         }
-        let state = match op.kind {
-            HotOpKind::Set => {
-                if op.len > FRONT_VALUE_CAP {
-                    Some(SlotState::Pending)
-                } else {
-                    // SAFETY: the publisher owns the payload and is still
-                    // spinning on this op (or it is our own stack slice).
-                    Some(SlotState::Value(unsafe { op.payload() }))
-                }
-            }
-            HotOpKind::Del if ok => Some(SlotState::Absent),
-            // A failed delete mutated nothing; the cached copy (if any) is
-            // still the latest completed write.
-            HotOpKind::Del => None,
-        };
-        if let Some(state) = state {
-            slot.acquire();
-            if slot.key.load(Ordering::Relaxed) == op.key {
-                slot.version.fetch_add(1, Ordering::Relaxed);
-                if slot.version.load(Ordering::Relaxed) == version.wrapping_add(1) {
-                    slot.write(op.key, state);
-                } else {
-                    // A plain-writer poison landed between our snapshot
-                    // and the backing apply. A reader may hold a fill
-                    // lease minted against *its* version with a backing
-                    // value read before our op landed; the bump above
-                    // voided that lease, and the slot stays uncached
-                    // until a post-apply lease refills it.
-                    slot.write(op.key, SlotState::Pending);
-                    self.c.poisons.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            slot.release();
+        let s = slot.begin_write();
+        let ok = apply();
+        match value {
+            Some(v) if v.len() <= FRONT_VALUE_CAP => slot.store(key, SlotState::Value(v)),
+            Some(_) => slot.store(key, SlotState::Pending),
+            None if ok => slot.store(key, SlotState::Absent),
+            None => {}
         }
+        slot.end_write(s);
+        slot.release();
         ok
-    }
-
-    fn drain(&self, combiner: &Combiner, apply: &mut dyn FnMut(&HotOp) -> bool) {
-        // Two passes: the second catches ops published while the first
-        // was busy (stragglers beyond that reclaim their op themselves).
-        for _ in 0..2 {
-            for slot in &combiner.slots {
-                if slot.state.load(Ordering::Acquire) == SLOT_PUBLISHED {
-                    let op = slot.op();
-                    let ok = self.apply_one(&op, apply);
-                    slot.res_ok.store(ok as u32, Ordering::Relaxed);
-                    slot.state.store(SLOT_DONE, Ordering::Release);
-                }
-            }
-        }
-    }
-
-    fn try_publish(&self, combiner: &Combiner, op: &HotOp) -> Option<usize> {
-        for (i, slot) in combiner.slots.iter().enumerate() {
-            if slot.state.load(Ordering::Relaxed) == SLOT_EMPTY
-                && slot
-                    .state
-                    .compare_exchange(SLOT_EMPTY, SLOT_WRITING, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                slot.put_op(op);
-                slot.state.store(SLOT_PUBLISHED, Ordering::Release);
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Spins for a published op's completion; periodically tries to take
-    /// the combiner lock so a published-after-drain op is never stranded
-    /// (its publisher combines it itself).
-    fn await_slot(
-        &self,
-        combiner: &Combiner,
-        idx: usize,
-        op: &HotOp,
-        apply: &mut dyn FnMut(&HotOp) -> bool,
-    ) -> bool {
-        let slot = &combiner.slots[idx];
-        let mut rounds = 0u32;
-        loop {
-            for _ in 0..64 {
-                if slot.state.load(Ordering::Acquire) == SLOT_DONE {
-                    let ok = slot.res_ok.load(Ordering::Relaxed) != 0;
-                    slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    return ok;
-                }
-                std::hint::spin_loop();
-            }
-            if combiner
-                .lock
-                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // We hold the lock, so no combiner is processing our slot:
-                // it is either still published (reclaim and self-combine)
-                // or already done.
-                let res = if slot.state.load(Ordering::Acquire) == SLOT_PUBLISHED {
-                    slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    self.apply_one(op, apply)
-                } else {
-                    debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_DONE);
-                    let ok = slot.res_ok.load(Ordering::Relaxed) != 0;
-                    slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    ok
-                };
-                self.drain(combiner, apply);
-                combiner.lock.store(0, Ordering::Release);
-                self.c.combined_batches.fetch_add(1, Ordering::Relaxed);
-                return res;
-            }
-            rounds += 1;
-            if rounds % 16 == 0 {
-                std::thread::yield_now();
-            }
-        }
     }
 
     // -- stats -------------------------------------------------------------
 
     /// A point-in-time copy of the engine counters.
     pub fn stats(&self) -> HotKeyStatsSnapshot {
+        let delegated = self.c.delegated.sum();
         HotKeyStatsSnapshot {
             sampled: self.c.sampled.load(Ordering::Relaxed),
             promotions: self.c.promotions.load(Ordering::Relaxed),
@@ -1196,8 +946,8 @@ impl HotKeyEngine {
             front_pending: self.c.front_pending.sum(),
             fills: self.c.fills.load(Ordering::Relaxed),
             poisons: self.c.poisons.load(Ordering::Relaxed),
-            delegated: self.c.delegated.sum(),
-            combined_batches: self.c.combined_batches.load(Ordering::Relaxed),
+            delegated,
+            combined_batches: delegated,
             fronted: self.slots.iter().filter(|s| s.key.load(Ordering::Relaxed) != 0).count()
                 as u64,
         }
@@ -1321,37 +1071,29 @@ mod tests {
     }
 
     #[test]
-    fn delegated_install_repoisons_after_a_racing_plain_poison() {
+    fn a_write_through_hides_the_old_copy_until_it_installs() {
         let e = eager(4);
         e.pin(17);
         let mut out = Vec::new();
         let FrontRead::Pending(t) = e.read(17, &mut out) else { panic!("pending") };
         e.fill(&t, Some(b"old"));
-        let mut lease = None;
-        // Reproduce the window between the combiner's version snapshot
-        // and its write-through install: a plain writer completes against
-        // the backing and poisons, then a reader takes a fill lease whose
-        // backing read predates the delegated write.
-        e.delegate(HotOp::set(17, 0, b"new"), &mut |_| {
-            e.poison(17);
-            let mut buf = Vec::new();
-            let FrontRead::Pending(t) = e.read(17, &mut buf) else {
-                panic!("poisoned slot must read pending");
-            };
-            lease = Some(t);
+        // Probe from inside the backing write, after the backing holds
+        // `new`: a reader that saw `new` there must not be served `old`
+        // by its next front read.
+        let mut probe = Vec::new();
+        let mut during = None;
+        e.write_through(17, Some(b"new"), || {
+            during = Some(e.read(17, &mut probe));
             true
         });
-        // The install saw the version mismatch and must have voided the
-        // lease (re-poison), not skipped silently — otherwise the lease
-        // installs a value older than the completed delegated write.
-        e.fill(&lease.expect("lease taken during the window"), Some(b"stale"));
-        out.clear();
+        let during = during.expect("apply ran");
         assert!(
-            matches!(e.read(17, &mut out), FrontRead::Pending(_)),
-            "a lease minted inside the delegation window must not install"
+            !matches!(during, FrontRead::Hit),
+            "front served {probe:?} while the backing write was in flight: {during:?}"
         );
-        assert_eq!(e.stats().fills, 1, "only the setup fill may land");
-        assert_eq!(e.stats().poisons, 2, "plain poison + install re-poison");
+        out.clear();
+        assert!(matches!(e.read(17, &mut out), FrontRead::Hit));
+        assert_eq!(out, b"new");
     }
 
     #[test]
@@ -1359,39 +1101,36 @@ mod tests {
         let e = eager(4);
         e.pin(11);
         assert!(e.fronted(11));
-        let created = e.delegate(HotOp::set(11, 0xDEAD, b"fresh"), &mut |op| {
-            assert_eq!(op.key, 11);
-            true
-        });
+        let created = e.write_through(11, Some(b"fresh"), || true);
         assert!(created);
         let mut out = Vec::new();
         assert!(matches!(e.read(11, &mut out), FrontRead::Hit));
         assert_eq!(out, b"fresh");
-        // A delegated delete caches the absence.
-        assert!(e.delegate(HotOp::del(11), &mut |_| true));
+        // A write-through delete caches the absence.
+        assert!(e.write_through(11, None, || true));
         out.clear();
         assert!(matches!(e.read(11, &mut out), FrontRead::Absent));
         let s = e.stats();
         assert_eq!(s.delegated, 2);
-        assert!(s.combined_batches >= 2);
-        assert!((s.avg_batch() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(s.combined_batches, s.delegated);
     }
 
     #[test]
     fn delegated_u64_insert_and_remove_round_trip() {
         let e = eager(4);
         e.pin(21);
-        let mut handle = 0;
-        let created = e.delegate(HotOp::set(21, 0xBEEF, &777u64.to_le_bytes()), &mut |op| {
-            handle = op.val_u64;
+        let caller = std::thread::current().id();
+        let mut applied_on = None;
+        let created = e.write_through(21, Some(&777u64.to_le_bytes()), || {
+            applied_on = Some(std::thread::current().id());
             true
         });
         assert!(created);
-        assert_eq!(handle, 0xBEEF, "the apply sees the publisher's handle");
+        assert_eq!(applied_on, Some(caller), "the apply runs once, on the writer's thread");
         let mut out = Vec::new();
         assert!(matches!(e.read(21, &mut out), FrontRead::Hit));
-        assert_eq!(out, 777u64.to_le_bytes(), "a delegated write refreshes the slot");
-        assert!(e.delegate(HotOp::del(21), &mut |_| true));
+        assert_eq!(out, 777u64.to_le_bytes(), "a write-through refreshes the slot");
+        assert!(e.write_through(21, None, || true));
         out.clear();
         assert!(matches!(e.read(21, &mut out), FrontRead::Absent), "a delete caches absence");
     }
@@ -1400,10 +1139,10 @@ mod tests {
     fn failed_mutations_leave_the_cached_copy_alone() {
         let e = eager(4);
         e.pin(13);
-        e.delegate(HotOp::set(13, 0, &5u64.to_le_bytes()), &mut |_| true);
+        e.write_through(13, Some(&5u64.to_le_bytes()), || true);
         // A failed delete (the backing found nothing to remove) must not
         // clobber the copy.
-        assert!(!e.delegate(HotOp::del(13), &mut |_| false));
+        assert!(!e.write_through(13, None, || false));
         let mut out = Vec::new();
         assert!(matches!(e.read(13, &mut out), FrontRead::Hit));
         assert_eq!(out, 5u64.to_le_bytes());
@@ -1456,7 +1195,7 @@ mod tests {
     fn hit_rate_and_batch_stats_are_sane_on_empty() {
         let s = HotKeyStatsSnapshot::default();
         assert_eq!(s.front_hit_rate(), 0.0);
-        assert_eq!(s.avg_batch(), 0.0);
+        assert_eq!(s.combined_batches, s.delegated);
     }
 
     #[test]
@@ -1485,13 +1224,13 @@ mod tests {
                     let mut out = Vec::new();
                     for i in 0..500u64 {
                         let val = t * 1_000_000 + i + 1;
-                        e.delegate(HotOp::set(99, val, &val.to_le_bytes()), &mut |op| {
+                        e.write_through(99, Some(&val.to_le_bytes()), || {
                             // The "backing": last writer wins, serialized
-                            // by the combiner.
-                            backing.store(op.val_u64, Ordering::Relaxed);
+                            // by the slot lock.
+                            backing.store(val, Ordering::Relaxed);
                             true
                         });
-                        // The cached copy must be *some* delegated value,
+                        // The cached copy must be *some* written value,
                         // never torn or stale beyond the backing.
                         out.clear();
                         if let FrontRead::Hit = e.read(99, &mut out) {

@@ -40,7 +40,8 @@
 //!   bits of the 64-bit handle word — the read path pays one relaxed
 //!   bit-set and zero extra cache lines.
 //! * [`hotkey::HotKeyEngine`] fronts the blob map's hottest keys with
-//!   seqlock'd payload copies and flat-combines their writes; `k = 0`
+//!   seqlock'd payload copies and writes them through under a per-key
+//!   slot lock; `k = 0`
 //!   ([`HotKeyConfig::with_k`], [`BlobMap::new`]) runs without one.
 //!
 //! Pairs with `ascylib_harness::dist::KeyDist` to benchmark any structure

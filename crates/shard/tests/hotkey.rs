@@ -2,14 +2,16 @@
 //!
 //! The engine's contract (see `shard/src/hotkey.rs`): a front-cache read
 //! never returns a value older than the last completed write to that key,
-//! and delegated writes keep linearizable per-key outcomes. These tests
-//! attack the contract directly:
+//! and writes applied write-through under the slot lock keep
+//! linearizable per-key outcomes. These tests attack the contract
+//! directly:
 //!
 //! * **canary churn** — N writers overwrite one pinned hot key with
 //!   self-describing payloads (writer id + per-writer sequence header,
 //!   derived fill byte) while M readers assert every observed value is
 //!   untorn and that each writer's sequence numbers never run backwards
-//!   (a regression would mean a stale copy resurfaced);
+//!   (a regression would mean a stale copy resurfaced — e.g. a reader
+//!   that saw a new value in the backing, then the old copy in the front);
 //! * **completed-watermark** — a single writer publishes a watermark
 //!   *after* each write returns; readers grab the watermark before each
 //!   lookup and the observed value must be at least that fresh — the
@@ -128,7 +130,7 @@ fn canary_churn_over_blob_map_yields_untorn_monotonic_values() {
     let mut front = Vec::new();
     assert!(map.get(HOT_KEY, &mut front));
     let stats = map.hotkey_stats().expect("engine attached");
-    assert!(stats.delegated > 0, "hot writes must have delegated: {stats:?}");
+    assert!(stats.delegated > 0, "hot writes must have gone write-through: {stats:?}");
     assert!(stats.front_hits > 0, "hot reads must have hit the front cache: {stats:?}");
 }
 

@@ -99,8 +99,8 @@ fn never_absent_over_the_skip_list() {
 
 #[test]
 fn never_absent_over_the_skip_list_with_hot_keys() {
-    // k = 4 of 16 keys: fronted keys delegate their sets through the
-    // combiner, the rest take the plain path and poison.
+    // k = 4 of 16 keys: fronted keys publish their sets under the front
+    // slot lock (write-through), the rest take the plain path and poison.
     never_absent(BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| {
         FraserOptSkipList::new()
     }));
