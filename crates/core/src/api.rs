@@ -23,6 +23,11 @@ pub const KEY_MAX: u64 = u64::MAX - 1;
 /// `insert` and `replace`.
 pub const VALUE_MAX: u64 = u64::MAX - 1;
 
+/// Most lanes a native [`ConcurrentMap::search_lanes`] interleaves at once.
+/// Callers may pass any number (implementations chunk); callers that build
+/// their lane list on the stack chunk by this.
+pub const MAX_LANES: usize = 16;
+
 /// The common interface of every concurrent search data structure in
 /// ASCYLIB-RS (a set of `u64 → u64` elements, as in the original ASCYLIB,
 /// which uses 64-bit keys and values).
@@ -67,6 +72,27 @@ pub trait ConcurrentMap: Send + Sync {
     /// [`Self::search`]).
     fn contains(&self, key: u64) -> bool {
         self.search(key).is_some()
+    }
+
+    /// A batch of searches, each lane on its own instance: `out[i]` is
+    /// what `lanes[i].0.search(lanes[i].1)` answers, and each lane
+    /// linearizes on its own exactly as that call would (the batch is not
+    /// atomic). The default runs the searches one after another; a
+    /// structure whose search is a chain of dependent loads may interleave
+    /// the chains so their cache misses overlap
+    /// ([`crate::skiplist::FraserOptSkipList`] does).
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `lanes` differ in length.
+    fn search_lanes(lanes: &[(&Self, u64)], out: &mut [Option<u64>])
+    where
+        Self: Sized,
+    {
+        assert_eq!(lanes.len(), out.len(), "one answer slot per lane");
+        for (&(map, key), answer) in lanes.iter().zip(out) {
+            *answer = map.search(key);
+        }
     }
 }
 

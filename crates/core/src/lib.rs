@@ -74,6 +74,7 @@ pub mod hashtable;
 pub mod list;
 pub mod marked;
 pub mod ordered;
+mod prefetch;
 pub mod registry;
 pub mod skiplist;
 pub mod stats;
@@ -82,3 +83,4 @@ pub mod testing;
 
 pub use api::{ConcurrentMap, KEY_MAX, KEY_MIN};
 pub use ordered::OrderedMap;
+pub use prefetch::prefetch;

@@ -10,7 +10,10 @@
 //! [`FraserOptSkipList`] is the paper's `fraser-opt` (§5, Figure 5): ASCY1
 //! and ASCY2 applied (based on the wait-free-contains technique of Herlihy,
 //! Lev and Shavit). Searches traverse without a single store or restart;
-//! update parses defer clean-up to the modification phase.
+//! update parses defer clean-up to the modification phase. A batch of
+//! searches ([`ConcurrentMap::search_lanes`]) runs those traversals
+//! interleaved, one node per lane per round with the next node prefetched,
+//! so the batch's cache misses overlap instead of queueing.
 //!
 //! Memory reclamation: a removed tower is retired only after the remover's
 //! clean-up pass has unlinked it from every level. Concurrent inserters
@@ -22,9 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ascylib_ssmem as ssmem;
 
-use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap};
+use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap, MAX_LANES};
 use crate::marked::{tag, MarkedPtr};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::prefetch;
 use crate::skiplist::{
     alloc_node, assert_node_bytes, free_node, link, random_level, retire_node, Tower, MAX_LEVEL,
 };
@@ -205,6 +209,49 @@ impl<const OPT: bool> Fraser<OPT> {
         let node = self.locate(key)?;
         // SAFETY: guard protects the located node.
         live_value(unsafe { (*node).value.load(Ordering::Acquire) })
+    }
+
+    /// The interleaved form of [`Self::search_op`] behind
+    /// [`FraserOptSkipList::search_lanes`]: up to [`MAX_LANES`] [`Self::locate`]
+    /// traversals, possibly in different lists, advance one node per round
+    /// each, and every lane prefetches the node it compares next, so one
+    /// lane's cache miss overlaps the others'. Within a lane the loads are
+    /// `locate`'s, in its order; no stores, no retries.
+    fn search_interleaved<'a>(lanes: impl Iterator<Item = (&'a Self, u64)>, out: &mut [Option<u64>])
+    where
+        Self: 'a,
+    {
+        let _guard = ssmem::protect();
+        let mut state = [Lane::IDLE; MAX_LANES];
+        // Bit `i` is set while lane `i` is still traversing.
+        let mut running = 0u32;
+        for (i, (list, key)) in lanes.enumerate() {
+            // SAFETY: the head sentinel is live for the list's lifetime.
+            let curr = unsafe { link(list.head, MAX_LEVEL - 1).load(Ordering::Acquire).0 };
+            prefetch(curr);
+            state[i] = Lane {
+                key,
+                pred: list.head,
+                curr,
+                level: MAX_LEVEL - 1,
+                traversed: 0,
+            };
+            running |= 1 << i;
+        }
+        while running != 0 {
+            let mut round = running;
+            while round != 0 {
+                let i = round.trailing_zeros() as usize;
+                round &= round - 1;
+                // SAFETY: the guard above predates every lane's first load.
+                if let Some(found) = unsafe { state[i].step() } {
+                    out[i] = found;
+                    running &= !(1 << i);
+                    stats::record_traversal(state[i].traversed);
+                    stats::record_operation();
+                }
+            }
+        }
     }
 
     fn search_op(&self, key: u64) -> Option<u64> {
@@ -457,6 +504,69 @@ impl<const OPT: bool> Fraser<OPT> {
     }
 }
 
+/// One lane of [`Fraser::search_interleaved`]: a [`Fraser::locate`]
+/// traversal stopped between two node loads.
+#[derive(Clone, Copy)]
+struct Lane {
+    key: u64,
+    /// The last node passed, whose key is below `key`.
+    pred: *mut Node,
+    /// The node to compare next, prefetched when the lane reached it.
+    curr: *mut Node,
+    level: usize,
+    traversed: u64,
+}
+
+impl Lane {
+    const IDLE: Lane = Lane {
+        key: 0,
+        pred: std::ptr::null_mut(),
+        curr: std::ptr::null_mut(),
+        level: 0,
+        traversed: 0,
+    };
+
+    /// Compares `curr` and moves one node: right past a smaller key, or
+    /// down from `pred` to the first level whose link leads somewhere new
+    /// (a link back to `curr` has nothing left to compare). `Some` is the
+    /// lane's answer, read as [`Fraser::traverse`] reads it.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds an SSMEM guard taken before the lane's first load.
+    unsafe fn step(&mut self) -> Option<Option<u64>> {
+        // SAFETY: the guard protects every node the lane reached.
+        unsafe {
+            let key = (*self.curr).key;
+            if key < self.key {
+                self.pred = self.curr;
+                self.curr = link(self.curr, self.level).load(Ordering::Acquire).0;
+                self.traversed += 1;
+                prefetch(self.curr);
+                return None;
+            }
+            if key == self.key {
+                let live = link(self.curr, 0).load(Ordering::Acquire).1 == tag::CLEAN;
+                return Some(if live {
+                    live_value((*self.curr).value.load(Ordering::Acquire))
+                } else {
+                    None
+                });
+            }
+            while self.level > 0 {
+                self.level -= 1;
+                let next = link(self.pred, self.level).load(Ordering::Acquire).0;
+                if next != self.curr {
+                    self.curr = next;
+                    prefetch(next);
+                    return None;
+                }
+            }
+            Some(None)
+        }
+    }
+}
+
 impl ChainNode for Node {
     fn chain_key(&self) -> u64 {
         self.key
@@ -616,6 +726,18 @@ impl ConcurrentMap for FraserOptSkipList {
         debug_check_key(key);
         self.inner.search_op(key)
     }
+    /// Native: the lanes' wait-free traversals run interleaved, up to
+    /// [`MAX_LANES`] at a time, with the next node of each prefetched.
+    fn search_lanes(lanes: &[(&Self, u64)], out: &mut [Option<u64>]) {
+        assert_eq!(lanes.len(), out.len(), "one answer slot per lane");
+        for (lanes, out) in lanes.chunks(MAX_LANES).zip(out.chunks_mut(MAX_LANES)) {
+            let lanes = lanes.iter().map(|&(list, key)| {
+                debug_check_key(key);
+                (&list.inner, key)
+            });
+            Fraser::search_interleaved(lanes, out);
+        }
+    }
     fn insert(&self, key: u64, value: u64) -> bool {
         debug_check_key(key);
         debug_check_value(value);
@@ -700,6 +822,9 @@ mod tests {
             assert_eq!(sl.traverse(5), None);
         }
         assert_eq!(sl.search_op(5), None);
+        let mut lanes = [Some(0)];
+        Fraser::search_interleaved([(&sl, 5)].into_iter(), &mut lanes);
+        assert_eq!(lanes, [None], "an interleaved lane yielded the tombstone");
         assert_eq!(sl.replace_op(5, 51), None);
         let mut seen = Vec::new();
         sl.walk(1, &mut |k, v| {
@@ -713,6 +838,47 @@ mod tests {
     fn a_tombstoned_value_reads_as_absent_on_every_path() {
         tombstone_reads_as_absent::<false>();
         tombstone_reads_as_absent::<true>();
+    }
+
+    /// A node whose tower a `remove` has marked but not yet unlinked: the
+    /// interleaved lanes pass it exactly as `locate` does — absent at its
+    /// own key, a stepping stone on the way to the keys beyond it.
+    #[test]
+    fn interleaved_lanes_agree_with_search_over_a_marked_node() {
+        let sl = Fraser::<true>::new();
+        for key in 1..=64 {
+            assert!(sl.insert_op(key, key * 3));
+        }
+        let marked = {
+            let _guard = ssmem::protect();
+            // The tallest tower among the keys, so upper levels are marked too.
+            let tallest = (1..=64)
+                .map(|key| sl.locate(key).expect("present"))
+                // SAFETY: the guard protects the located nodes.
+                .max_by_key(|&node| unsafe { (*node).toplevel })
+                .expect("non-empty");
+            // SAFETY: as above; only the mark bits change.
+            unsafe {
+                for level in (0..(*tallest).toplevel).rev() {
+                    let succ = link(tallest, level).load(Ordering::Acquire).0;
+                    link(tallest, level).store(succ, tag::MARK, Ordering::Release);
+                }
+                (*tallest).key
+            }
+        };
+        assert_eq!(sl.search_op(marked), None);
+        let keys: Vec<u64> = [marked, marked - 1, marked + 1, 64, 65, marked]
+            .into_iter()
+            .chain((0..10).map(|i| 1 + (i * 29) % 70))
+            .collect();
+        for width in 1..=keys.len() {
+            let keys = &keys[..width];
+            let expected: Vec<Option<u64>> = keys.iter().map(|&k| sl.search_op(k)).collect();
+            let mut got = vec![Some(u64::MAX); width];
+            Fraser::search_interleaved(keys.iter().map(|&k| (&sl, k)), &mut got);
+            assert_eq!(got, expected, "lanes {keys:?}");
+        }
+        assert_eq!(sl.size(), 63, "exactly one node reads as removed");
     }
 
     /// Address and recorded height of the node behind every key in `keys`.

@@ -8,10 +8,12 @@
 //! says how to continue:
 //!
 //! * **Reading** — drain the socket into the incremental [`RequestParser`]
-//!   until it would block;
+//!   until a read comes back shorter than the chunk (the socket is empty:
+//!   the connection re-arms for readability without a read that would only
+//!   say `EAGAIN`) or would block;
 //! * **Executing** — run every complete frame that arrived (in
 //!   pipeline-sized batches), appending replies to one write buffer in
-//!   request order;
+//!   request order; consecutive `GET`s of a batch run as one batched lookup;
 //! * **Writing** — flush the write buffer; a partial write narrows the
 //!   connection's registration to *writability* and, crucially, stops
 //!   reading — a peer
@@ -25,9 +27,14 @@
 //! starve the worker's other connections ([`Advance::Yield`]).
 //!
 //! `MGET` dispatches through the store's batched lookup into a per-
-//! connection result buffer (the shard layer visits each shard once per
-//! frame and no per-batch result vector is allocated); `GET` copies the
-//! value out into a reused buffer. Malformed frames — oversized values
+//! connection result buffer (no per-batch result vector is allocated), and
+//! so does every *run* of two or more consecutive in-range `GET` frames in
+//! a pipelined batch: the shard layer interleaves the run's skip-list
+//! searches across shards and prefetches its blobs, so their cache misses
+//! overlap. Any other frame ends a run and executes after it, so replies
+//! keep request order and a `GET` reads every write pipelined before it. A
+//! lone `GET` copies the value out into a reused buffer through the store's
+//! point lookup. Malformed frames — oversized values
 //! included — consume exactly one error reply and the connection keeps
 //! serving (the parser resynchronizes past the offending input). The scrape
 //! verbs (`STATS`, `INFO`, `SLOWLOG`, `METRICS`) are one call each into
@@ -80,8 +87,10 @@ pub(crate) struct ConnCtx<'a> {
 pub(crate) struct ConnBufs {
     /// `GET` value destination.
     value: Vec<u8>,
-    /// `MGET` result destination.
+    /// `MGET` and `GET`-run result destination.
     batch: Vec<Option<Vec<u8>>>,
+    /// Keys of the `GET` run being collected.
+    run: Vec<u64>,
 }
 
 /// Why a connection closed.
@@ -206,6 +215,11 @@ impl Connection {
     pub(crate) fn advance(&mut self, ctx: &ConnCtx<'_>, chunk: &mut [u8]) -> Advance {
         self.last_active = Instant::now();
         let mut budget = ADVANCE_BUDGET;
+        // A read shorter than the chunk emptied the socket: once its frames
+        // are answered, go back to the poller rather than pay one more
+        // `read` to hear `EAGAIN`. Registrations are level-triggered, so
+        // bytes that arrive meanwhile (or an EOF) report readable at once.
+        let mut drained = false;
         loop {
             // Monitor subscribers: move queued trace frames into the write
             // buffer so they flush with everything else below. A large
@@ -265,13 +279,17 @@ impl Connection {
             if self.eof {
                 return self.close(ConnExit::Eof);
             }
-            // Reading: pull whatever the socket has.
             self.state = State::Reading;
+            if drained {
+                return Advance::Arm(Interest::READABLE);
+            }
+            // Reading: pull whatever the socket has.
             match self.stream.read(chunk) {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
                     WorkerStats::bump(&ctx.stats.bytes_in, n as u64);
                     self.parser.feed(&chunk[..n]);
+                    drained = n < chunk.len();
                 }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Advance::Arm(Interest::READABLE);
@@ -322,70 +340,36 @@ impl Connection {
     /// Executes up to one pipeline batch of parsed frames, appending replies
     /// to `wbuf`. Returns how many frames (including malformed ones) were
     /// consumed.
+    ///
+    /// Consecutive in-range `GET`s are collected into a *run* and looked up
+    /// together ([`Self::execute_run`]). Any other frame — a write, a
+    /// malformed frame, an out-of-range key, `QUIT` — ends the run, which
+    /// executes first: replies stay in request order and a `GET` after a
+    /// `SET` of its key reads that write.
     fn execute_batch(&mut self, ctx: &ConnCtx<'_>) -> usize {
-        let mut consumed = 0;
         // Recording strategy: clock reads are the dominant telemetry cost
         // (~25 ns each even via TSC on virtualized hosts), so service time
-        // is *sampled*. Timed with a start/done reading pair: the first
-        // slot of every batch, every `SAMPLE_EVERY`-th slot after it, and
-        // every multi-key/scan/admin request. Point ops (GET/SET/DEL) in
-        // the remaining slots only bump the exact per-family counters.
-        // Unpipelined traffic (one-frame batches) is therefore always
-        // fully timed, and slow-op detection is exact for the heavyweight
-        // verbs that can plausibly be slow. The parse phase rides on the
+        // is *sampled*. Timed: the first slot of every batch, every
+        // `SAMPLE_EVERY`-th slot after it, and every multi-key/scan/admin
+        // request. Point ops (GET/SET/DEL) in the remaining slots only bump
+        // the exact per-family counters. Unpipelined traffic (one-frame
+        // batches) is therefore always fully timed, and slow-op detection
+        // is exact for the heavyweight verbs that can plausibly be slow. A
+        // frame is timed with its own start/done reading pair, a GET run
+        // with one pair for the whole run. The parse phase rides on the
         // first slot (batch start -> its start reading); its service time
         // doubles as the execute-phase sample.
         let batch_start = clock::now();
+        let mut consumed = 0;
         let mut slot = 0usize;
         while consumed < ctx.max_pipeline {
-            match self.parser.next() {
-                Some(Ok(req)) => {
-                    consumed += 1;
-                    let family = family_of(&req);
-                    let heavy = !matches!(family, Family::Get | Family::Set | Family::Del);
-                    let flow = if heavy || slot % SAMPLE_EVERY == 0 {
-                        let start = clock::now();
-                        if slot == 0 {
-                            ctx.tel.record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
-                        }
-                        let flow = execute(&req, ctx, &mut self.bufs, &mut self.wbuf);
-                        let done = clock::now();
-                        let total = clock::delta_ns(start, done);
-                        ctx.tel.record_request(family, total);
-                        if slot == 0 {
-                            ctx.tel.record_phase(Phase::Execute, total);
-                        }
-                        if total >= ctx.slow_ns {
-                            let (key, bytes) = slow_fields(&req);
-                            ctx.tel.record_slow(SlowOp {
-                                family,
-                                key,
-                                bytes,
-                                duration_ns: total,
-                                unix_ms: unix_ms_now(),
-                                worker: ctx.worker,
-                                shard: ctx.store.shard_of(key) as u32,
-                            });
-                        }
-                        // The MONITOR stream rides the sampled timing
-                        // path (it needs the service clock); with no
-                        // subscribers this is one relaxed load.
-                        if ctx.monitor.active() {
-                            let (key, bytes) = slow_fields(&req);
-                            ctx.monitor.publish(&MonitorEvent {
-                                unix_ms: unix_ms_now(),
-                                family,
-                                key,
-                                bytes,
-                                service_ns: total,
-                                worker: ctx.worker,
-                            });
-                        }
-                        flow
-                    } else {
-                        ctx.tel.count_request(family);
-                        execute(&req, ctx, &mut self.bufs, &mut self.wbuf)
-                    };
+            let Some(parsed) = self.parser.next() else { break };
+            consumed += 1;
+            match parsed {
+                Ok(Request::Get(key)) if key_ok(key) => self.bufs.run.push(key),
+                Ok(req) => {
+                    slot = self.execute_run(ctx, batch_start, slot);
+                    let flow = self.execute_frame(&req, ctx, batch_start, slot);
                     slot += 1;
                     match flow {
                         Flow::Quit => {
@@ -396,18 +380,137 @@ impl Connection {
                         Flow::Continue => {}
                     }
                 }
-                Some(Err(e)) => {
-                    consumed += 1;
+                Err(e) => {
+                    slot = self.execute_run(ctx, batch_start, slot);
                     // Malformed frames consume a slot but are not timed or
                     // counted (no store work was done).
                     slot += 1;
                     WorkerStats::bump(&ctx.stats.errors, 1);
                     wire::error(&mut self.wbuf, &e.to_string());
                 }
-                None => break,
             }
         }
+        self.execute_run(ctx, batch_start, slot);
         consumed
+    }
+
+    /// Executes one frame at batch position `slot`: timed when the slot is
+    /// sampled or the verb is heavy, otherwise only counted.
+    fn execute_frame(
+        &mut self,
+        req: &Request,
+        ctx: &ConnCtx<'_>,
+        batch_start: u64,
+        slot: usize,
+    ) -> Flow {
+        let family = family_of(req);
+        let heavy = !matches!(family, Family::Get | Family::Set | Family::Del);
+        if !heavy && slot % SAMPLE_EVERY != 0 {
+            ctx.tel.count_request(family);
+            return execute(req, ctx, &mut self.bufs, &mut self.wbuf);
+        }
+        let start = clock::now();
+        if slot == 0 {
+            ctx.tel
+                .record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
+        }
+        let flow = execute(req, ctx, &mut self.bufs, &mut self.wbuf);
+        let total = clock::delta_ns(start, clock::now());
+        if slot == 0 {
+            ctx.tel.record_phase(Phase::Execute, total);
+        }
+        record_timed(ctx, family, || slow_fields(req), total);
+        flow
+    }
+
+    /// Answers the collected `GET` run, which starts at batch position
+    /// `slot`, and returns the position after it. A run of one is an
+    /// ordinary frame. A longer run is one batched lookup
+    /// ([`KvStore::multi_get`]) under one clock pair: replies go out in
+    /// order, every counter moves as the run's frames would have moved it
+    /// one by one, and each sampled position records the run's time per
+    /// key.
+    fn execute_run(&mut self, ctx: &ConnCtx<'_>, batch_start: u64, slot: usize) -> usize {
+        let n = self.bufs.run.len();
+        if n <= 1 {
+            if let Some(key) = self.bufs.run.pop() {
+                self.execute_frame(&Request::Get(key), ctx, batch_start, slot);
+            }
+            return slot + n;
+        }
+        let start = clock::now();
+        if slot == 0 {
+            ctx.tel
+                .record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
+        }
+        ctx.store.multi_get(&self.bufs.run, &mut self.bufs.batch);
+        let mut found = 0u64;
+        for item in &self.bufs.batch {
+            match item {
+                Some(v) => {
+                    found += 1;
+                    wire::bulk(&mut self.wbuf, v);
+                }
+                None => wire::null(&mut self.wbuf),
+            }
+        }
+        let missed = n as u64 - found;
+        let stats = ctx.stats;
+        WorkerStats::bump(&stats.frames, n as u64);
+        WorkerStats::bump(&stats.ops, n as u64);
+        if found > 0 {
+            WorkerStats::bump(&stats.hits, found);
+        }
+        if missed > 0 {
+            WorkerStats::bump(&stats.misses, missed);
+        }
+        ctx.tel.record_lookups(Family::Get, found, missed);
+        let per_key = clock::delta_ns(start, clock::now()) / n as u64;
+        if slot == 0 {
+            ctx.tel.record_phase(Phase::Execute, per_key);
+        }
+        for (i, &key) in self.bufs.run.iter().enumerate() {
+            if (slot + i) % SAMPLE_EVERY == 0 {
+                record_timed(ctx, Family::Get, || (key, 0), per_key);
+            } else {
+                ctx.tel.count_request(Family::Get);
+            }
+        }
+        self.bufs.run.clear();
+        slot + n
+    }
+}
+
+/// Records one timed request: its service-time sample, a slow-log entry
+/// once it reaches the threshold, and a `MONITOR` event while anyone
+/// subscribes. `fields` gives the entry's (key, payload bytes), computed
+/// only when an entry or event is made.
+fn record_timed(ctx: &ConnCtx<'_>, family: Family, fields: impl Fn() -> (u64, u64), ns: u64) {
+    ctx.tel.record_request(family, ns);
+    if ns >= ctx.slow_ns {
+        let (key, bytes) = fields();
+        ctx.tel.record_slow(SlowOp {
+            family,
+            key,
+            bytes,
+            duration_ns: ns,
+            unix_ms: unix_ms_now(),
+            worker: ctx.worker,
+            shard: ctx.store.shard_of(key) as u32,
+        });
+    }
+    // The MONITOR stream rides the sampled timing path (it needs the
+    // service clock); with no subscribers this is one relaxed load.
+    if ctx.monitor.active() {
+        let (key, bytes) = fields();
+        ctx.monitor.publish(&MonitorEvent {
+            unix_ms: unix_ms_now(),
+            family,
+            key,
+            bytes,
+            service_ns: ns,
+            worker: ctx.worker,
+        });
     }
 }
 

@@ -15,8 +15,9 @@
 //! The store holds an `Arc` to the blob map, so the process that started
 //! the server keeps a handle for direct inspection (the loopback tests
 //! compare final server state against a sequential model through that
-//! handle). `MGET` goes through the shard layer's batched `multi_get_into`
-//! (each shard visited once, no per-batch result allocation).
+//! handle). `MGET`, and every run of consecutive pipelined `GET`s, goes
+//! through the shard layer's batched `multi_get_into` (one interleaved
+//! lookup across shards, no per-batch allocation).
 
 use std::sync::Arc;
 
@@ -40,8 +41,8 @@ pub trait KvStore: Send + Sync + 'static {
     /// Remove (`DEL`); `true` if the key was present.
     fn del(&self, key: u64) -> bool;
 
-    /// Batched lookup (`MGET`): clears `out` and refills it with per-key
-    /// answers in input order.
+    /// Batched lookup (`MGET`, and a run of pipelined `GET`s): clears `out`
+    /// and refills it with per-key answers in input order.
     fn multi_get(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>);
 
     /// Batched upsert (`MSET`), outcomes in input order.

@@ -155,6 +155,78 @@ fn idle_connections_are_evicted_but_active_ones_survive() {
     assert_eq!(stats.errors, 0);
 }
 
+/// Polls `server.stats().bytes_in` until the server has read `n` bytes.
+fn await_bytes_in(server: &ServerHandle, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().bytes_in < n {
+        assert!(Instant::now() < deadline, "server never read {n} bytes");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A read shorter than the chunk sends the connection back to the poller
+/// without a read that would only say `EAGAIN`. The rest of a frame split
+/// over two writes — the second sent only once the server has read the
+/// first — arrives as a fresh readiness event and is served.
+#[test]
+fn a_frame_split_across_two_delayed_writes_is_served() {
+    let server = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("set read timeout");
+    stream.write_all(b"SET 3 5\r\nhel").expect("first half");
+    await_bytes_in(&server, 12);
+    stream.write_all(b"lo\r\nGET 3\r\n").expect("second half");
+    let mut reply = [0u8; 15];
+    stream.read_exact(&mut reply).expect("both frames answered");
+    assert_eq!(&reply, b":1\r\n$5\r\nhello\r\n");
+    drop(stream);
+    assert_eq!(server.join().errors, 0);
+}
+
+/// An EOF that arrives after a short read has sent the connection back to
+/// the poller still reports readable, reads as EOF and closes.
+#[test]
+fn eof_right_after_a_short_read_still_closes() {
+    let server = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("set read timeout");
+    ping(&mut stream);
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("the server closes instead of hanging");
+    assert!(rest.is_empty(), "unexpected bytes {rest:?}");
+    let stats = server.join();
+    assert_eq!((stats.connections, stats.frames, stats.errors), (1, 1, 0));
+}
+
+/// A burst several times the 16 KiB read chunk is read in full chunks and
+/// then one short one, and every frame in it is answered.
+#[test]
+fn a_burst_larger_than_the_read_chunk_is_served_in_full() {
+    const PINGS: usize = 3_000;
+    let server = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("set read timeout");
+    let value = vec![b'v'; 40_000];
+    let mut burst = b"PING\r\n".repeat(PINGS);
+    burst.extend_from_slice(format!("SET 1 {}\r\n", value.len()).as_bytes());
+    burst.extend_from_slice(&value);
+    burst.extend_from_slice(b"\r\nGET 1\r\n");
+    assert!(burst.len() > 3 * 16 * 1024);
+    stream.write_all(&burst).expect("write the burst");
+    let mut expected = b"+PONG\r\n".repeat(PINGS);
+    expected.extend_from_slice(format!(":1\r\n${}\r\n", value.len()).as_bytes());
+    expected.extend_from_slice(&value);
+    expected.extend_from_slice(b"\r\n");
+    let mut reply = vec![0u8; expected.len()];
+    stream.read_exact(&mut reply).expect("every frame answered");
+    assert!(reply == expected, "replies differ from the burst's frames");
+    drop(stream);
+    let stats = server.join();
+    assert_eq!(stats.frames, PINGS as u64 + 2);
+    assert_eq!(stats.bytes_in, burst.len() as u64);
+}
+
 /// The event-loop counters tell a coherent story end to end: accepted
 /// splits into retired-plus-live at every instant, wakeups accumulate,
 /// and the gauge drains to zero on shutdown.

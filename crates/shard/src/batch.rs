@@ -1,12 +1,19 @@
-//! Batched operations: group keys by shard, then dispatch shard by shard.
+//! Batched operations: reads as lanes in input order, writes grouped by
+//! shard.
 //!
 //! A serving front-end rarely asks for one key at a time; it accumulates a
-//! request batch and wants all answers. Dispatching a batch key-by-key
-//! ping-pongs between shards (a router computation plus a cold structure
-//! per key). Grouping first means each shard is visited once with all of its
-//! keys — the shard's top-level cache lines (bucket array, list head, lock
-//! words) are touched while still warm, and the per-visit routing cost is
-//! amortized over the group.
+//! request batch and wants all answers.
+//!
+//! * **Reads** are memory-latency bound: a skip-list search is a chain of
+//!   dependent cache misses. `multi_get` hands the whole batch, in input
+//!   order, to the backing's [`ConcurrentMap::search_lanes`] — each key a
+//!   lane on the shard it routes to — so a backing that interleaves its
+//!   traversals overlaps the misses of every key, across shards. Stats are
+//!   one `record_searches` per shard touched.
+//! * **Writes** group first: each shard is visited once with all of its
+//!   keys, so the shard's top-level cache lines (bucket array, list head,
+//!   lock words) are touched while still warm, and the per-visit routing
+//!   cost is amortized over the group.
 //!
 //! Batched operations are **not** atomic across keys: each key's operation
 //! linearizes individually in its shard (the same guarantee a loop of
@@ -15,21 +22,30 @@
 //!
 //! # Duplicate keys in one batch
 //!
-//! A batch may name the same key more than once. The grouping pass is a
-//! *stable* counting sort: within a shard, items keep their input order, and
-//! duplicates of a key always land in the same shard. Per-duplicate results
-//! therefore match a sequential loop of single-key calls exactly:
+//! A batch may name the same key more than once. The write grouping pass is
+//! a *stable* counting sort: within a shard, items keep their input order,
+//! and duplicates of a key always land in the same shard. Per-duplicate
+//! results therefore match a sequential loop of single-key calls exactly:
 //!
 //! * `multi_insert` — the **first** occurrence (in input order) inserts and
 //!   reports `true`; later occurrences report `false` and do not overwrite.
 //! * `multi_remove` — the first occurrence removes and reports the value;
 //!   later occurrences report `None`.
-//! * `multi_get` — every occurrence is answered (all see the same shard
-//!   state unless a concurrent writer intervenes between the two lookups).
+//! * `multi_get` — every occurrence is its own lane and is answered (all
+//!   see the same shard state unless a concurrent writer intervenes).
 
-use ascylib::api::ConcurrentMap;
+use std::cell::RefCell;
+
+use ascylib::api::{ConcurrentMap, MAX_LANES};
 
 use crate::map::ShardedMap;
+
+thread_local! {
+    /// `(searches, hits)` per shard for the batch `multi_get_into` is
+    /// answering, so it records one stats RMW per shard touched without
+    /// allocating per batch.
+    static SEARCH_TALLY: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A reusable per-shard grouping of `(input position, payload)` pairs.
 ///
@@ -70,10 +86,10 @@ fn group_by_shard<M: ConcurrentMap, T: Copy>(
 }
 
 impl<M: ConcurrentMap> ShardedMap<M> {
-    /// The shared group → dispatch → scatter loop behind every `multi_*`
-    /// operation: visit each shard once with its slice of the batch, apply
-    /// `op` per item, scatter results back to input positions, and record
-    /// one `(attempts, successes)` stats batch per shard.
+    /// The group → dispatch → scatter loop behind the batched writes: visit
+    /// each shard once with its slice of the batch, apply `op` per item,
+    /// scatter results back to input positions, and record one
+    /// `(attempts, successes)` stats batch per shard.
     fn dispatch<T: Copy, R: Clone + Default>(
         &self,
         items: &[T],
@@ -82,30 +98,11 @@ impl<M: ConcurrentMap> ShardedMap<M> {
         succeeded: impl Fn(&R) -> bool,
         record: impl Fn(&crate::stats::ShardStats, u64, u64),
     ) -> Vec<R> {
-        let mut results = Vec::new();
-        self.dispatch_into(items, key_of, op, succeeded, record, &mut results);
-        results
-    }
-
-    /// Buffer-reusing core of [`dispatch`](Self::dispatch): clears `results`
-    /// and refills it in input order, so a caller looping over batches (the
-    /// server's `MGET` hot path) pays for the result allocation once, not
-    /// once per batch.
-    fn dispatch_into<T: Copy, R: Clone + Default>(
-        &self,
-        items: &[T],
-        key_of: impl Fn(&T) -> u64,
-        op: impl Fn(&M, T) -> R,
-        succeeded: impl Fn(&R) -> bool,
-        record: impl Fn(&crate::stats::ShardStats, u64, u64),
-        results: &mut Vec<R>,
-    ) {
-        results.clear();
         if items.is_empty() {
-            return;
+            return Vec::new();
         }
         let grouped = group_by_shard(self, items, key_of);
-        results.resize(items.len(), R::default());
+        let mut results = vec![R::default(); items.len()];
         for s in 0..self.shard_count() {
             let shard = self.shard(s);
             let slice = &grouped.slots[grouped.bounds[s]..grouped.bounds[s + 1]];
@@ -119,9 +116,10 @@ impl<M: ConcurrentMap> ShardedMap<M> {
             }
             record(self.stats_of(s), slice.len() as u64, ok);
         }
+        results
     }
 
-    /// Looks up every key, visiting each shard once; results are in input
+    /// Looks up every key as one batch of lanes; results are in input
     /// order (`result[i]` answers `keys[i]`), duplicates included.
     pub fn multi_get(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = Vec::new();
@@ -129,19 +127,37 @@ impl<M: ConcurrentMap> ShardedMap<M> {
         out
     }
 
-    /// Buffer-reusing variant of [`multi_get`](Self::multi_get) (mirroring
-    /// `scan_into`): clears `out` and refills it with the per-key answers in
-    /// input order. A front-end answering a stream of `MGET` batches reuses
-    /// one buffer instead of allocating a fresh result vector per frame.
+    /// Buffer-reusing variant of [`multi_get`](Self::multi_get): clears
+    /// `out` and refills it with the per-key answers in input order. Keys
+    /// become lanes of [`ConcurrentMap::search_lanes`] in input order,
+    /// [`MAX_LANES`] at a time, each on the shard it routes to; nothing is
+    /// allocated once `out` and this thread's tally have grown to size.
     pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        self.dispatch_into(
-            keys,
-            |&k| k,
-            |shard, k| shard.search(k),
-            Option::is_some,
-            |stats, n, ok| stats.record_searches(n, ok),
-            out,
-        );
+        out.clear();
+        out.resize(keys.len(), None);
+        SEARCH_TALLY.with(|tally| {
+            let mut tally = tally.borrow_mut();
+            tally.clear();
+            tally.resize(self.shard_count(), (0, 0));
+            for (keys, answers) in keys.chunks(MAX_LANES).zip(out.chunks_mut(MAX_LANES)) {
+                let mut shards = [0usize; MAX_LANES];
+                let mut lanes = [(self.shard(0), 0u64); MAX_LANES];
+                for (i, &key) in keys.iter().enumerate() {
+                    shards[i] = self.shard_of(key);
+                    lanes[i] = (self.shard(shards[i]), key);
+                }
+                M::search_lanes(&lanes[..keys.len()], answers);
+                for (&s, answer) in shards.iter().zip(answers.iter()) {
+                    tally[s].0 += 1;
+                    tally[s].1 += u64::from(answer.is_some());
+                }
+            }
+            for (s, &(searches, hits)) in tally.iter().enumerate() {
+                if searches > 0 {
+                    self.stats_of(s).record_searches(searches, hits);
+                }
+            }
+        });
     }
 
     /// Inserts every `(key, value)` pair, visiting each shard once;

@@ -122,6 +122,7 @@ use std::sync::{Arc, Mutex};
 
 use ascylib::api::{ConcurrentMap, ReplaceMap};
 use ascylib::ordered::OrderedMap;
+use ascylib::prefetch;
 use ascylib_ssmem as ssmem;
 use crossbeam_utils::CachePadded;
 
@@ -215,6 +216,23 @@ unsafe fn expire_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
 unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
     // SAFETY: forwarded caller contract; word 2 sits inside the header.
     unsafe { &*(ptr.add(16) as *const AtomicU64) }
+}
+
+/// Prefetches the line holding a blob's last payload byte (the header line
+/// holds its first ones).
+///
+/// # Safety
+///
+/// As [`ValueArena::read_into`]: the blob's length word is read.
+#[inline]
+unsafe fn prefetch_payload_end(handle: u64) {
+    let ptr = blob_addr(handle);
+    // SAFETY: forwarded caller contract; `HEADER + len - 1` is the blob's
+    // last payload byte, or inside its header when the payload is empty.
+    unsafe {
+        let len = (meta_cell(ptr).load(Ordering::Relaxed) & META_LEN_MASK) as usize;
+        prefetch(ptr.add(HEADER + len - 1));
+    }
 }
 
 /// The allocation layout backing a blob of `len` payload bytes. Must be a
@@ -692,10 +710,21 @@ impl Drop for ValueArena {
     }
 }
 
+/// The keys of a batch the front cache left to the backing.
+struct Rest {
+    keys: Vec<u64>,
+    /// Per key of `keys`: its input position and fill lease.
+    slots: Vec<(usize, Option<FillTicket>)>,
+}
+
 thread_local! {
-    /// Scratch handle buffer for `multi_get`, so the server's MGET hot path
-    /// performs no per-batch allocation for the handle pass.
+    /// Scratch handle buffer for `multi_get`, so the server's batched reads
+    /// (`MGET`, pipelined `GET` runs) perform no per-batch allocation for
+    /// the handle pass.
     static HANDLE_SCRATCH: RefCell<Vec<Option<u64>>> = const { RefCell::new(Vec::new()) };
+    /// Scratch for `multi_get_into` with a hot-key engine.
+    static REST_SCRATCH: RefCell<Rest> =
+        const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
     /// Recycled per-value buffers: `multi_get_into` harvests the previous
     /// batch's `Vec<u8>`s from the caller's result buffer before clearing
     /// it, so a steady stream of batches reuses value capacity instead of
@@ -1356,50 +1385,54 @@ impl<M: ReplaceMap> BlobMap<M> {
             return;
         };
         out.resize(keys.len(), None);
-        // The keys the front cache could not answer, and per key its input
-        // position and fill lease; they take the batched backing path.
-        let mut rest_keys: Vec<u64> = Vec::new();
-        let mut rest: Vec<(usize, Option<FillTicket>)> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            hot.record_access(key);
-            let mut value = pool_take();
-            let ticket = match hot.read(key, &mut value) {
-                // As in `get`: front-served keys skip the shard-stats
-                // RMWs; `total_stats` folds the engine counters back in.
-                FrontRead::Hit => {
-                    out[i] = Some(value);
-                    continue;
-                }
-                FrontRead::Absent => {
-                    pool_put(value);
-                    continue;
-                }
-                FrontRead::Pending(ticket) => Some(ticket),
-                FrontRead::Miss => None,
-            };
-            pool_put(value);
-            rest_keys.push(key);
-            rest.push((i, ticket));
-        }
-        if rest.is_empty() {
-            return;
-        }
-        self.resolve_batch(&rest_keys, |j, found| {
-            let (pos, ticket) = &rest[j];
-            match found {
-                Some((value, ttl)) => {
-                    // TTL'd values are never installed (see `get`).
-                    if let (Some(ticket), false) = (ticket, ttl) {
-                        hot.fill(ticket, Some(&value));
+        REST_SCRATCH.with(|scratch| {
+            // The keys the front cache could not answer take the batched
+            // backing path.
+            let rest = &mut *scratch.borrow_mut();
+            rest.keys.clear();
+            rest.slots.clear();
+            for (i, &key) in keys.iter().enumerate() {
+                hot.record_access(key);
+                let mut value = pool_take();
+                let ticket = match hot.read(key, &mut value) {
+                    // As in `get`: front-served keys skip the shard-stats
+                    // RMWs; `total_stats` folds the engine counters back in.
+                    FrontRead::Hit => {
+                        out[i] = Some(value);
+                        continue;
                     }
-                    out[*pos] = Some(value);
-                }
-                None => {
-                    if let Some(ticket) = ticket {
-                        hot.fill(ticket, None);
+                    FrontRead::Absent => {
+                        pool_put(value);
+                        continue;
                     }
-                }
+                    FrontRead::Pending(ticket) => Some(ticket),
+                    FrontRead::Miss => None,
+                };
+                pool_put(value);
+                rest.keys.push(key);
+                rest.slots.push((i, ticket));
             }
+            if rest.keys.is_empty() {
+                return;
+            }
+            let slots = &rest.slots;
+            self.resolve_batch(&rest.keys, |j, found| {
+                let (pos, ticket) = &slots[j];
+                match found {
+                    Some((value, ttl)) => {
+                        // TTL'd values are never installed (see `get`).
+                        if let (Some(ticket), false) = (ticket, ttl) {
+                            hot.fill(ticket, Some(&value));
+                        }
+                        out[*pos] = Some(value);
+                    }
+                    None => {
+                        if let Some(ticket) = ticket {
+                            hot.fill(ticket, None);
+                        }
+                    }
+                }
+            });
         });
     }
 
@@ -1407,12 +1440,24 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// found)` gets, in input order, a pooled copy of every live value and
     /// whether it carries a TTL, or `None` for a missing or expired key.
     /// Expired corpses are reclaimed once the guard is dropped.
+    ///
+    /// Before the first copy, every found blob's header line and then its
+    /// last payload line are prefetched (the second address needs the
+    /// length from the first), so the batch's blob misses overlap as its
+    /// index searches did.
     fn resolve_batch(&self, keys: &[u64], mut each: impl FnMut(usize, Option<(Vec<u8>, bool)>)) {
         let mut dead: Vec<(u64, u64)> = Vec::new();
         HANDLE_SCRATCH.with(|scratch| {
             let mut handles = scratch.borrow_mut();
             let _guard = ssmem::protect();
             self.map.multi_get_into(keys, &mut handles);
+            for &handle in handles.iter().flatten() {
+                prefetch(blob_addr(handle));
+            }
+            for &handle in handles.iter().flatten() {
+                // SAFETY: guard created before the batched fetch.
+                unsafe { prefetch_payload_end(handle) };
+            }
             for (i, (&key, handle)) in keys.iter().zip(handles.iter()).enumerate() {
                 let arena = self.arena_of(key);
                 each(

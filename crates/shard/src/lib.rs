@@ -18,10 +18,10 @@
 //! * [`stats::ShardStats`] gives each shard a cache-line-padded block of
 //!   traffic counters, so observing a hot shard does not create the false
 //!   sharing the layer exists to remove.
-//! * The batched API ([`ShardedMap::multi_get`],
-//!   [`ShardedMap::multi_insert`], [`ShardedMap::multi_remove`]) groups a
-//!   request batch by shard before dispatch and returns results in input
-//!   order.
+//! * The batched API returns results in input order:
+//!   [`ShardedMap::multi_get`] runs a batch's searches as one interleaved
+//!   lookup across shards, [`ShardedMap::multi_insert`] and
+//!   [`ShardedMap::multi_remove`] group the batch by shard before dispatch.
 //! * Sharded deployments of *ordered* backings (lists, skip lists, BSTs)
 //!   additionally expose the [`ascylib::ordered::OrderedMap`] range-scan
 //!   surface: `range_search`/`scan` scatter to every shard and gather the

@@ -14,10 +14,13 @@ use crate::stats::{ShardStats, ShardStatsSnapshot};
 /// backing structure's linearizability: two operations on the same key
 /// always contend inside the same linearizable shard, and operations on
 /// different keys were independent to begin with. There is deliberately *no*
-/// cross-shard coordination — no global lock, no shared counter on the
-/// operation path — which is exactly what lets shards scale independently
+/// cross-shard coordination — no global lock, no counter shared across
+/// shards — which is exactly what lets shards scale independently
 /// (aggregate views like [`ConcurrentMap::size`] compose per-shard answers
-/// and are as non-linearizable as the underlying `size` already was).
+/// and are as non-linearizable as the underlying `size` already was). The
+/// one shared write an operation does make is its shard's own padded stats
+/// block ([`ShardStats`]): relaxed fetch-adds per single-key operation, one
+/// per shard touched for a batch.
 ///
 /// `ShardedMap` itself implements [`ConcurrentMap`], so it drops into the
 /// harness, the registry-driven benchmarks, and anywhere else a single
