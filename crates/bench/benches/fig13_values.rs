@@ -59,10 +59,12 @@ fn run_config(shards: usize, conns: usize, size: usize) -> loadgen::LoadGenResul
         ..LoadGenConfig::default()
     };
     let result = loadgen::run(server.addr(), &cfg).expect("loadgen run");
-    // The arena must have churned: overwrites/deletes retire blobs.
+    // Overwrite/delete churn must leave one live blob per key: every
+    // displaced blob was retired.
     let arena = map.total_arena_stats();
-    assert!(
-        arena.blobs_retired > 0,
+    assert_eq!(
+        arena.live_blobs(),
+        map.len() as u64,
         "update traffic must retire displaced blobs ({arena:?})"
     );
     server.join();

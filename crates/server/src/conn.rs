@@ -48,6 +48,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use polling::Interest;
 
+use ascylib_shard::BatchValues;
 use ascylib_telemetry::{clock, Family, Phase, SlowOp, WorkerTelemetry};
 
 use crate::monitor::{MonitorEvent, MonitorHub, MonitorSink, MONITOR_DRAIN_BACKLOG};
@@ -88,7 +89,7 @@ pub(crate) struct ConnBufs {
     /// `GET` value destination.
     value: Vec<u8>,
     /// `MGET` and `GET`-run result destination.
-    batch: Vec<Option<Vec<u8>>>,
+    batch: BatchValues,
     /// Keys of the `GET` run being collected.
     run: Vec<u64>,
 }
@@ -444,27 +445,8 @@ impl Connection {
                 .record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
         }
         ctx.store.multi_get(&self.bufs.run, &mut self.bufs.batch);
-        let mut found = 0u64;
-        for item in &self.bufs.batch {
-            match item {
-                Some(v) => {
-                    found += 1;
-                    wire::bulk(&mut self.wbuf, v);
-                }
-                None => wire::null(&mut self.wbuf),
-            }
-        }
-        let missed = n as u64 - found;
-        let stats = ctx.stats;
-        WorkerStats::bump(&stats.frames, n as u64);
-        WorkerStats::bump(&stats.ops, n as u64);
-        if found > 0 {
-            WorkerStats::bump(&stats.hits, found);
-        }
-        if missed > 0 {
-            WorkerStats::bump(&stats.misses, missed);
-        }
-        ctx.tel.record_lookups(Family::Get, found, missed);
+        WorkerStats::bump(&ctx.stats.frames, n as u64);
+        reply_batch(ctx, Family::Get, &self.bufs.batch, &mut self.wbuf);
         let per_key = clock::delta_ns(start, clock::now()) / n as u64;
         if slot == 0 {
             ctx.tel.record_phase(Phase::Execute, per_key);
@@ -565,6 +547,49 @@ fn key_ok(key: u64) -> bool {
     (KEY_RANGE.0..=KEY_RANGE.1).contains(&key)
 }
 
+/// `false` if a key the request names is out of range: the frame is then
+/// answered with one error and nothing of it executes (a batch verb runs
+/// entirely or not at all).
+fn keys_ok(req: &Request) -> bool {
+    match req {
+        Request::Get(k)
+        | Request::Del(k)
+        | Request::Set(k, _)
+        | Request::SetEx(k, ..)
+        | Request::Expire(k, _)
+        | Request::Ttl(k)
+        | Request::Persist(k) => key_ok(*k),
+        Request::MGet(keys) => keys.iter().all(|&k| key_ok(k)),
+        Request::MSet(entries) => entries.iter().all(|&(k, _)| key_ok(k)),
+        _ => true,
+    }
+}
+
+/// Writes a batched read's replies in key order — a bulk value per hit, a
+/// null per miss — and counts its ops, hits and misses under `family`.
+fn reply_batch(ctx: &ConnCtx<'_>, family: Family, batch: &BatchValues, out: &mut Vec<u8>) {
+    let mut found = 0u64;
+    for value in batch.iter() {
+        match value {
+            Some(v) => {
+                found += 1;
+                wire::bulk(out, v);
+            }
+            None => wire::null(out),
+        }
+    }
+    let missed = batch.len() as u64 - found;
+    let stats = ctx.stats;
+    WorkerStats::bump(&stats.ops, batch.len() as u64);
+    if found > 0 {
+        WorkerStats::bump(&stats.hits, found);
+    }
+    if missed > 0 {
+        WorkerStats::bump(&stats.misses, missed);
+    }
+    ctx.tel.record_lookups(family, found, missed);
+}
+
 const KEY_RANGE_MSG: &str = "key out of usable range [1, 2^64-2]";
 
 /// Executes one well-formed frame against the store, appending its reply.
@@ -576,13 +601,13 @@ pub(crate) fn execute(
 ) -> Flow {
     let stats = ctx.stats;
     WorkerStats::bump(&stats.frames, 1);
+    if !keys_ok(req) {
+        WorkerStats::bump(&stats.errors, 1);
+        wire::error(out, KEY_RANGE_MSG);
+        return Flow::Continue;
+    }
     match req {
         Request::Get(k) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             if ctx.store.get(*k, &mut bufs.value) {
                 WorkerStats::bump(&stats.hits, 1);
@@ -595,38 +620,18 @@ pub(crate) fn execute(
             }
         }
         Request::Set(k, v) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.set(*k, v) as u64);
         }
         Request::SetEx(k, v, secs) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.set_ex(*k, v, secs.saturating_mul(1000)) as u64);
         }
         Request::Expire(k, secs) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.expire(*k, secs.saturating_mul(1000)) as u64);
         }
         Request::Ttl(k) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             match ctx.store.ttl_ms(*k) {
                 // Whole seconds on the wire, rounded up so a value with
@@ -637,20 +642,10 @@ pub(crate) fn execute(
             }
         }
         Request::Persist(k) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             wire::int(out, ctx.store.persist(*k) as u64);
         }
         Request::Del(k) => {
-            if !key_ok(*k) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, 1);
             let removed = ctx.store.del(*k);
             // DEL reuses the lookup cells as found / not-found (it is not a
@@ -659,34 +654,11 @@ pub(crate) fn execute(
             wire::int(out, removed as u64);
         }
         Request::MGet(keys) => {
-            // Validate the whole frame before executing any of it: a batch
-            // either runs entirely or answers one error.
-            if !keys.iter().all(|&k| key_ok(k)) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
-            WorkerStats::bump(&stats.ops, keys.len() as u64);
             ctx.store.multi_get(keys, &mut bufs.batch);
-            let found = bufs.batch.iter().filter(|v| v.is_some()).count() as u64;
-            let missed = bufs.batch.len() as u64 - found;
-            WorkerStats::bump(&stats.hits, found);
-            WorkerStats::bump(&stats.misses, missed);
-            ctx.tel.record_lookups(Family::MGet, found, missed);
-            wire::array_header(out, bufs.batch.len());
-            for item in &bufs.batch {
-                match item {
-                    Some(v) => wire::bulk(out, v),
-                    None => wire::null(out),
-                }
-            }
+            wire::array_header(out, keys.len());
+            reply_batch(ctx, Family::MGet, &bufs.batch, out);
         }
         Request::MSet(entries) => {
-            if !entries.iter().all(|&(k, _)| key_ok(k)) {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, KEY_RANGE_MSG);
-                return Flow::Continue;
-            }
             WorkerStats::bump(&stats.ops, entries.len() as u64);
             let outcomes = ctx.store.multi_set(entries);
             wire::array_header(out, outcomes.len());

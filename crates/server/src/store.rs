@@ -17,13 +17,14 @@
 //! compare final server state against a sequential model through that
 //! handle). `MGET`, and every run of consecutive pipelined `GET`s, goes
 //! through the shard layer's batched `multi_get_into` (one interleaved
-//! lookup across shards, no per-batch allocation).
+//! lookup across shards, every value copied into one [`BatchValues`]
+//! buffer, no per-batch allocation).
 
 use std::sync::Arc;
 
 use ascylib::api::{ReplaceMap, KEY_MAX, KEY_MIN};
 use ascylib::ordered::OrderedMap;
-use ascylib_shard::{BlobMap, CacheStatsSnapshot, HotKeyStatsSnapshot};
+use ascylib_shard::{BatchValues, BlobMap, CacheStatsSnapshot, HotKeyStatsSnapshot};
 
 /// The serving-side keyspace interface: what a wire frame can do to the
 /// data. All methods are `&self` and thread-safe; worker threads share one
@@ -41,9 +42,9 @@ pub trait KvStore: Send + Sync + 'static {
     /// Remove (`DEL`); `true` if the key was present.
     fn del(&self, key: u64) -> bool;
 
-    /// Batched lookup (`MGET`, and a run of pipelined `GET`s): clears `out`
-    /// and refills it with per-key answers in input order.
-    fn multi_get(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>);
+    /// Batched lookup (`MGET`, and a run of pipelined `GET`s): refills
+    /// `out` with per-key answers in input order.
+    fn multi_get(&self, keys: &[u64], out: &mut BatchValues);
 
     /// Batched upsert (`MSET`), outcomes in input order.
     fn multi_set(&self, entries: &[(u64, Vec<u8>)]) -> Vec<bool>;
@@ -167,7 +168,7 @@ impl<M: ReplaceMap + 'static> KvStore for BlobStore<M> {
         self.map.del(key)
     }
 
-    fn multi_get(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
+    fn multi_get(&self, keys: &[u64], out: &mut BatchValues) {
         self.map.multi_get_into(keys, out)
     }
 
@@ -259,10 +260,10 @@ mod tests {
             store.multi_set(&[(2, b"twenty".to_vec()), (1, b"again".to_vec())]),
             vec![true, false]
         );
-        let mut batch = Vec::new();
+        let mut batch = BatchValues::default();
         store.multi_get(&[1, 2, 3], &mut batch);
         assert_eq!(
-            batch,
+            batch.to_vec(),
             vec![Some(b"again".to_vec()), Some(b"twenty".to_vec()), None]
         );
         assert!(store.del(2));

@@ -1,38 +1,18 @@
-//! Batched operations: reads as lanes in input order, writes grouped by
-//! shard.
+//! Batched reads: a batch's searches as lanes, answers in input order.
 //!
 //! A serving front-end rarely asks for one key at a time; it accumulates a
-//! request batch and wants all answers.
+//! request batch and wants all answers. Reads are memory-latency bound: a
+//! skip-list search is a chain of dependent cache misses. `multi_get` hands
+//! the whole batch, in input order, to the backing's
+//! [`ConcurrentMap::search_lanes`] — each key a lane on the shard it routes
+//! to — so a backing that interleaves its traversals overlaps the misses of
+//! every key, across shards. Stats are one `record_searches` per shard
+//! touched.
 //!
-//! * **Reads** are memory-latency bound: a skip-list search is a chain of
-//!   dependent cache misses. `multi_get` hands the whole batch, in input
-//!   order, to the backing's [`ConcurrentMap::search_lanes`] — each key a
-//!   lane on the shard it routes to — so a backing that interleaves its
-//!   traversals overlaps the misses of every key, across shards. Stats are
-//!   one `record_searches` per shard touched.
-//! * **Writes** group first: each shard is visited once with all of its
-//!   keys, so the shard's top-level cache lines (bucket array, list head,
-//!   lock words) are touched while still warm, and the per-visit routing
-//!   cost is amortized over the group.
-//!
-//! Batched operations are **not** atomic across keys: each key's operation
-//! linearizes individually in its shard (the same guarantee a loop of
-//! single-key calls gives, minus the cache misses). Results are returned in
-//! the caller's input order regardless of the dispatch order.
-//!
-//! # Duplicate keys in one batch
-//!
-//! A batch may name the same key more than once. The write grouping pass is
-//! a *stable* counting sort: within a shard, items keep their input order,
-//! and duplicates of a key always land in the same shard. Per-duplicate
-//! results therefore match a sequential loop of single-key calls exactly:
-//!
-//! * `multi_insert` — the **first** occurrence (in input order) inserts and
-//!   reports `true`; later occurrences report `false` and do not overwrite.
-//! * `multi_remove` — the first occurrence removes and reports the value;
-//!   later occurrences report `None`.
-//! * `multi_get` — every occurrence is its own lane and is answered (all
-//!   see the same shard state unless a concurrent writer intervenes).
+//! A batch is **not** atomic across keys: each search linearizes
+//! individually in its shard (the same guarantee a loop of `search` calls
+//! gives, minus the cache misses). A key named more than once is its own
+//! lane each time and is answered each time.
 
 use std::cell::RefCell;
 
@@ -47,78 +27,7 @@ thread_local! {
     static SEARCH_TALLY: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A reusable per-shard grouping of `(input position, payload)` pairs.
-///
-/// Grouping is a counting sort by shard index: one routing pass to count,
-/// one pass to place. Both passes are O(batch); no per-shard `Vec`s are
-/// allocated.
-struct Grouped<T> {
-    /// `(original index, payload)` sorted by shard.
-    slots: Vec<(usize, T)>,
-    /// `bounds[s]..bounds[s + 1]` is shard `s`'s slice of `slots`.
-    bounds: Vec<usize>,
-}
-
-fn group_by_shard<M: ConcurrentMap, T: Copy>(
-    map: &ShardedMap<M>,
-    items: &[T],
-    key_of: impl Fn(&T) -> u64,
-) -> Grouped<T> {
-    let shards = map.shard_count();
-    let mut counts = vec![0usize; shards + 1];
-    for item in items {
-        counts[map.shard_of(key_of(item)) + 1] += 1;
-    }
-    for s in 0..shards {
-        counts[s + 1] += counts[s];
-    }
-    let bounds = counts.clone();
-    // Place each item at its shard's cursor; every slot is written exactly
-    // once, so the placeholder (item 0) never survives.
-    let mut slots: Vec<(usize, T)> = vec![(0, items[0]); items.len()];
-    let mut cursors = counts;
-    for (i, item) in items.iter().enumerate() {
-        let s = map.shard_of(key_of(item));
-        slots[cursors[s]] = (i, *item);
-        cursors[s] += 1;
-    }
-    Grouped { slots, bounds }
-}
-
 impl<M: ConcurrentMap> ShardedMap<M> {
-    /// The group → dispatch → scatter loop behind the batched writes: visit
-    /// each shard once with its slice of the batch, apply `op` per item,
-    /// scatter results back to input positions, and record one
-    /// `(attempts, successes)` stats batch per shard.
-    fn dispatch<T: Copy, R: Clone + Default>(
-        &self,
-        items: &[T],
-        key_of: impl Fn(&T) -> u64,
-        op: impl Fn(&M, T) -> R,
-        succeeded: impl Fn(&R) -> bool,
-        record: impl Fn(&crate::stats::ShardStats, u64, u64),
-    ) -> Vec<R> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let grouped = group_by_shard(self, items, key_of);
-        let mut results = vec![R::default(); items.len()];
-        for s in 0..self.shard_count() {
-            let shard = self.shard(s);
-            let slice = &grouped.slots[grouped.bounds[s]..grouped.bounds[s + 1]];
-            let mut ok = 0u64;
-            for &(pos, item) in slice {
-                let outcome = op(shard, item);
-                if succeeded(&outcome) {
-                    ok += 1;
-                }
-                results[pos] = outcome;
-            }
-            record(self.stats_of(s), slice.len() as u64, ok);
-        }
-        results
-    }
-
     /// Looks up every key as one batch of lanes; results are in input
     /// order (`result[i]` answers `keys[i]`), duplicates included.
     pub fn multi_get(&self, keys: &[u64]) -> Vec<Option<u64>> {
@@ -158,32 +67,6 @@ impl<M: ConcurrentMap> ShardedMap<M> {
                 }
             }
         });
-    }
-
-    /// Inserts every `(key, value)` pair, visiting each shard once;
-    /// `result[i]` tells whether `entries[i]` was newly inserted. A duplicate
-    /// key inside one batch inserts once (the first occurrence in input
-    /// order within its shard wins, matching a loop of single inserts).
-    pub fn multi_insert(&self, entries: &[(u64, u64)]) -> Vec<bool> {
-        self.dispatch(
-            entries,
-            |&(k, _)| k,
-            |shard, (k, v)| shard.insert(k, v),
-            |&ok| ok,
-            |stats, n, ok| stats.record_inserts(n, ok),
-        )
-    }
-
-    /// Removes every key, visiting each shard once; `result[i]` is the value
-    /// removed for `keys[i]` (a duplicate key removes once).
-    pub fn multi_remove(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.dispatch(
-            keys,
-            |&k| k,
-            |shard, k| shard.remove(k),
-            Option::is_some,
-            |stats, n, ok| stats.record_removes(n, ok),
-        )
     }
 }
 
@@ -235,66 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_insert_reports_per_entry_outcomes() {
-        let map = sharded();
-        map.insert(5, 50);
-        let outcomes = map.multi_insert(&[(4, 40), (5, 51), (6, 60), (4, 41)]);
-        assert_eq!(outcomes, vec![true, false, true, false]);
-        assert_eq!(map.search(4), Some(40), "first duplicate in input order wins");
-        assert_eq!(map.search(5), Some(50));
-    }
-
-    #[test]
-    fn multi_remove_matches_singular_semantics() {
-        let map = sharded();
-        for k in 1..=20u64 {
-            map.insert(k, k + 100);
-        }
-        let removed = map.multi_remove(&[3, 3, 21, 7]);
-        assert_eq!(removed, vec![Some(103), None, None, Some(107)]);
-        assert_eq!(map.size(), 18);
-    }
-
-    #[test]
     fn empty_batches_are_noops() {
         let map = sharded();
         assert!(map.multi_get(&[]).is_empty());
-        assert!(map.multi_insert(&[]).is_empty());
-        assert!(map.multi_remove(&[]).is_empty());
         assert_eq!(map.total_stats().operations(), 0);
-    }
-
-    #[test]
-    fn duplicate_keys_in_one_insert_batch_follow_input_order() {
-        // All duplicates of a key route to one shard, and grouping is a
-        // stable counting sort, so the first occurrence in *input* order
-        // wins — even when the duplicates are interleaved with other shards'
-        // keys and the batch is dispatched shard by shard.
-        let map = sharded();
-        let entries: Vec<(u64, u64)> =
-            vec![(9, 1), (3, 1), (9, 2), (14, 1), (9, 3), (3, 2), (27, 1), (9, 4)];
-        let outcomes = map.multi_insert(&entries);
-        assert_eq!(outcomes, vec![true, true, false, true, false, false, true, false]);
-        assert_eq!(map.search(9), Some(1), "first occurrence's value survives");
-        assert_eq!(map.search(3), Some(1));
-        assert_eq!(map.size(), 4);
-        // A sequential loop agrees exactly.
-        let singular = sharded();
-        let loop_outcomes: Vec<bool> =
-            entries.iter().map(|&(k, v)| singular.insert(k, v)).collect();
-        assert_eq!(outcomes, loop_outcomes);
-    }
-
-    #[test]
-    fn duplicate_keys_in_one_remove_batch_remove_once() {
-        let map = sharded();
-        for k in [5u64, 6, 7] {
-            map.insert(k, k * 10);
-        }
-        let removed = map.multi_remove(&[6, 5, 6, 6, 8, 5]);
-        assert_eq!(removed, vec![Some(60), Some(50), None, None, None, None]);
-        assert_eq!(map.size(), 1);
-        assert_eq!(map.search(7), Some(70));
     }
 
     #[test]
@@ -306,21 +133,20 @@ mod tests {
 
     #[test]
     fn single_shard_batches_degenerate_to_the_backing_structure() {
-        // shard_count = 1: the counting sort has one bucket; everything
-        // must still dispatch, scatter back in input order, and count stats.
+        // shard_count = 1: every lane runs on the one shard; answers must
+        // still come back in input order, and stats must count every key.
         let map = ShardedMap::new(1, |_| ClhtLb::with_capacity(64));
         let keys: Vec<u64> = (1..=32u64).rev().collect();
-        let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k + 1000)).collect();
-        assert!(map.multi_insert(&entries).iter().all(|&ok| ok));
+        for &k in &keys[..16] {
+            assert!(map.insert(k, k + 1000));
+        }
         let got = map.multi_get(&keys);
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(got[i], Some(k + 1000), "input order preserved for key {k}");
+            let expect = (i < 16).then_some(k + 1000);
+            assert_eq!(got[i], expect, "input order preserved for key {k}");
         }
-        let removed = map.multi_remove(&keys);
-        assert!(removed.iter().all(Option::is_some));
-        assert!(map.is_empty());
-        assert_eq!(map.total_stats().inserts_ok, 32);
-        assert_eq!(map.total_stats().removes_ok, 32);
+        assert_eq!(map.total_stats().searches, 32);
+        assert_eq!(map.total_stats().hits, 16);
     }
 
     #[test]
@@ -328,21 +154,22 @@ mod tests {
         // Enough dense keys to hit all 6 shards in a single batch; per-shard
         // stats must account for every key exactly once.
         let map = sharded();
-        let entries: Vec<(u64, u64)> = (1..=60u64).map(|k| (k, k)).collect();
-        map.multi_insert(&entries);
+        let keys: Vec<u64> = (1..=60u64).collect();
+        map.multi_get(&keys);
         let per_shard = map.shard_stats();
-        assert_eq!(per_shard.iter().map(|s| s.inserts).sum::<u64>(), 60);
+        assert_eq!(per_shard.iter().map(|s| s.searches).sum::<u64>(), 60);
         assert!(
-            per_shard.iter().all(|s| s.inserts > 0),
+            per_shard.iter().all(|s| s.searches > 0),
             "dense batch must touch every shard: {per_shard:?}"
         );
-        assert_eq!(map.size(), 60);
     }
 
     #[test]
     fn batches_update_shard_stats() {
         let map = sharded();
-        map.multi_insert(&[(1, 1), (2, 2), (3, 3)]);
+        for k in 1..=3u64 {
+            map.insert(k, k);
+        }
         map.multi_get(&[1, 2, 3, 4]);
         let total = map.total_stats();
         assert_eq!(total.inserts, 3);
@@ -353,20 +180,14 @@ mod tests {
 
     #[test]
     fn batched_and_singular_agree_on_list_shards() {
-        let batched = ShardedMap::new(4, |_| HarrisList::new());
-        let singular = ShardedMap::new(4, |_| HarrisList::new());
-        let entries: Vec<(u64, u64)> = (1..=64u64).map(|k| (k * 3 % 97 + 1, k)).collect();
-        let b = batched.multi_insert(&entries);
-        let s: Vec<bool> = entries.iter().map(|&(k, v)| singular.insert(k, v)).collect();
-        assert_eq!(b, s);
+        let map = ShardedMap::new(4, |_| HarrisList::new());
+        for k in 1..=64u64 {
+            map.insert(k * 3 % 97 + 1, k);
+        }
         let keys: Vec<u64> = (1..=100u64).collect();
         assert_eq!(
-            batched.multi_get(&keys),
-            keys.iter().map(|&k| singular.search(k)).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            batched.multi_remove(&keys),
-            keys.iter().map(|&k| singular.remove(k)).collect::<Vec<_>>()
+            map.multi_get(&keys),
+            keys.iter().map(|&k| map.search(k)).collect::<Vec<_>>()
         );
     }
 }

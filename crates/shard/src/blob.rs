@@ -6,11 +6,12 @@
 //! payloads. Instead of rewriting 18 structures, this module stores payloads
 //! *outside* the structures and indexes them with 64-bit **handles**:
 //!
-//! * [`ValueArena`] owns the payload memory. Each blob is a header-prefixed
-//!   allocation from `ascylib-ssmem` (`alloc_raw`/`retire_raw`), so blob
-//!   lifetime rides the same epoch machinery that protects the structures'
-//!   own nodes: a blob retired by a `DEL`/overwrite is not reused until
-//!   every thread that could still be copying it has left its operation.
+//! * a per-shard payload arena (private to this module) owns the payload
+//!   memory. Each blob is a header-prefixed allocation from `ascylib-ssmem`
+//!   (`alloc_raw`/`retire_raw`), so blob lifetime rides the same epoch
+//!   machinery that protects the structures' own nodes: a blob retired by a
+//!   `DEL`/overwrite is not reused until every thread that could still be
+//!   copying it has left its operation.
 //! * [`BlobMap`] is the safe facade: `set` writes the blob, publishes its
 //!   handle through the sharded map, and retires the displaced blob;
 //!   `get`/`multi_get`/`scan` fetch handles and copy payloads out **under
@@ -59,14 +60,18 @@
 //!
 //! # Budget enforcement
 //!
-//! With a [`CacheConfig`] budget, every `set` **reserves** its payload
-//! bytes against the shard's share via a CAS loop before allocating; a
-//! reservation that would overflow the budget runs CLOCK eviction (clear
+//! Every `set` **reserves** its payload bytes on the shard's live-byte
+//! gauge before allocating, and every retire releases them, so the gauge is
+//! the one count of live payload bytes: [`BlobMap::total_arena_stats`] and
+//! [`BlobMap::cache_stats`] both read it, and it equals the stored payloads
+//! whenever no `set` is between its reservation and its store. With a
+//! [`CacheConfig`] budget the reservation is a CAS loop against the shard's
+//! share; one that would overflow the budget runs CLOCK eviction (clear
 //! reference bits, evict the first unreferenced victim) until it fits. The
-//! per-shard `live_bytes` gauge therefore never exceeds the budget at any
-//! externally observable instant — except `forced` admissions, counted
-//! separately, when nothing is evictable (e.g. one value larger than a
-//! shard's whole share).
+//! per-shard gauge therefore never exceeds the budget at any externally
+//! observable instant — except `forced` admissions, counted separately,
+//! when nothing is evictable (e.g. one value larger than a shard's whole
+//! share).
 //!
 //! # Expiry
 //!
@@ -90,14 +95,16 @@
 //! **overwrite** (`set` on a present key) swaps the handle in place with
 //! [`ReplaceMap::replace`], so a reader of a key that is never deleted
 //! never misses. Two windows remain in which a present key can read as
-//! absent, both unlink-then-republish on the index:
+//! absent, both unlink-then-republish on the index, and both end in
+//! `republish` (insert the unlinked handle back, or retire it if a fresher
+//! write took the key):
 //!
-//! * `expire` on a value stored without a deadline retags its handle
-//!   (`retag_with_ttl`), because readers consult the expiry word only when
+//! * `retag_with_ttl`: `expire` on a value stored without a deadline
+//!   retags its handle, because readers consult the expiry word only when
 //!   the handle carries the TTL flag;
-//! * the evictor and the expiry reclaim (`evict_one`, `expire_reclaim`)
-//!   unlink the key they chose and, when the handle they get is not the
-//!   one they chose (an overwrite raced them), put it back.
+//! * `reclaim`: the evictor and the expiry reclaim unlink the key they
+//!   chose and, when the handle they get is not the one they chose (an
+//!   overwrite raced them), put it back.
 //!
 //! Closing them takes a compare-and-replace on the index, not `replace`.
 //! Readers never see a mix of old and new payload bytes — payloads are
@@ -107,13 +114,14 @@
 //!
 //! # Teardown
 //!
-//! Hash backings cannot enumerate their keys, so each arena keeps a
+//! Hash backings cannot enumerate their keys, so each shard's arena keeps a
 //! write-path-only ledger of live handles: a dense vector under one mutex
 //! per *shard*, touched only by `set`/`del` and the eviction/sweep
-//! machinery — reads stay asynchronized. There is no hash index beside it;
-//! each blob's header says where its entry sits. Dropping the map frees
-//! every live blob through the ledger; blobs already retired are owned by
-//! the epoch machinery and freed by its collector.
+//! machinery — reads stay asynchronized. Its length is the shard's live
+//! blob count. There is no hash index beside it; each blob's header says
+//! where its entry sits. Dropping the map frees every live blob through the
+//! ledger; blobs already retired are owned by the epoch machinery and freed
+//! by its collector.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
@@ -126,7 +134,7 @@ use ascylib::prefetch;
 use ascylib_ssmem as ssmem;
 use crossbeam_utils::CachePadded;
 
-use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock, WallClock};
+use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock};
 use crate::hotkey::{FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 use crate::map::ShardedMap;
 
@@ -178,6 +186,11 @@ const SWEEP_BATCH: usize = 8;
 /// Consecutive fruitless eviction attempts before a reservation is forced
 /// through over budget (progress guarantee; see `CacheStatsSnapshot::forced`).
 const EVICT_FORCE_ATTEMPTS: u32 = 128;
+
+/// Payload capacity a [`BatchValues`] keeps from one batch to the next: a
+/// larger buffer is shrunk to this before it is refilled, so one batch of
+/// large values does not pin its memory for every batch after it.
+const BATCH_KEEP_BYTES: usize = 64 * 1024;
 
 /// The blob address a (possibly tagged) handle points at.
 #[inline]
@@ -245,18 +258,10 @@ fn blob_layout(len: usize) -> Layout {
     Layout::from_size_align(size, ALIGN).expect("valid blob layout")
 }
 
-/// Traffic counters of one arena (monotone, `Relaxed`: independent event
+/// Cache-tier counters of one arena (monotone, `Relaxed`: independent event
 /// counts with no ordering obligations, as everywhere else in this crate).
-#[derive(Debug, Default)]
-struct ArenaCounters {
-    blobs_stored: AtomicU64,
-    blobs_retired: AtomicU64,
-    bytes_stored: AtomicU64,
-    bytes_retired: AtomicU64,
-}
-
-/// Cache-tier counters of one arena (same `Relaxed` convention; `live_now`
-/// is the budget-reservation gauge, written by `reserve`/`retire`).
+/// `live_now` is the live payload-byte gauge: `reserve` adds to it before
+/// every store, `retire` subtracts.
 #[derive(Debug, Default)]
 struct CacheCounters {
     live_now: AtomicU64,
@@ -269,37 +274,23 @@ struct CacheCounters {
     generation: AtomicU64,
 }
 
-/// A point-in-time copy of one arena's counters (or a sum over arenas).
+/// What the arenas hold right now (one arena's, or a sum over arenas).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStatsSnapshot {
-    /// Blobs written through [`ValueArena::store`].
-    pub blobs_stored: u64,
-    /// Blobs retired (displaced by an overwrite, deleted, evicted, or
-    /// expired).
-    pub blobs_retired: u64,
-    /// Payload bytes written (headers and size-class padding excluded).
-    pub bytes_stored: u64,
-    /// Payload bytes retired.
-    pub bytes_retired: u64,
+    blobs: u64,
+    bytes: u64,
 }
 
 impl ArenaStatsSnapshot {
-    /// Blobs currently live (stored minus retired).
+    /// Blobs currently live: the ledgers' length.
     pub fn live_blobs(&self) -> u64 {
-        self.blobs_stored.saturating_sub(self.blobs_retired)
+        self.blobs
     }
 
-    /// Payload bytes currently live.
+    /// Payload bytes currently live: the live-byte gauge (module docs,
+    /// "Budget enforcement").
     pub fn live_bytes(&self) -> u64 {
-        self.bytes_stored.saturating_sub(self.bytes_retired)
-    }
-
-    /// Adds another snapshot (aggregation across shards).
-    pub fn merge(&mut self, other: &ArenaStatsSnapshot) {
-        self.blobs_stored = self.blobs_stored.saturating_add(other.blobs_stored);
-        self.blobs_retired = self.blobs_retired.saturating_add(other.blobs_retired);
-        self.bytes_stored = self.bytes_stored.saturating_add(other.bytes_stored);
-        self.bytes_retired = self.bytes_retired.saturating_add(other.bytes_retired);
+        self.bytes
     }
 }
 
@@ -370,27 +361,27 @@ impl Ledger {
     }
 }
 
-/// A payload arena: header-prefixed `[u8]` blobs in ssmem-managed memory,
-/// addressed by opaque 64-bit handles that fit wherever a `u64` value goes.
+/// One shard's payload arena: header-prefixed `[u8]` blobs in
+/// ssmem-managed memory, addressed by opaque 64-bit handles that fit
+/// wherever a `u64` value goes.
 ///
 /// The arena does not synchronize readers itself — it inherits ssmem's
-/// epoch protocol. The safety rules (enforced by [`BlobMap`], stated here
-/// for direct users):
+/// epoch protocol, whose rules [`BlobMap`] keeps:
 ///
-/// * a handle may be [`read`](Self::read_into) only under an
+/// * a handle is [`read`](Self::read_into) only under an
 ///   [`ssmem::protect`] guard created *before* the handle was fetched from
-///   whatever shared index published it;
-/// * a handle must be [`retire`](Self::retire)d at most once, and only
-///   after it has been unlinked from every shared index.
+///   the index;
+/// * a handle is [`retire`](Self::retire)d exactly once, after it has been
+///   unlinked from the index, and every [`store`](Self::store) follows a
+///   reservation of its bytes.
 ///
 /// Budget *policy* (reservation loops, eviction) lives in [`BlobMap`]; the
 /// arena only carries the mechanism (the ledger, the gauges, the clock).
 #[derive(Debug)]
-pub struct ValueArena {
+struct ValueArena {
     /// Live handles + CLOCK state, maintained by the write path only, so
     /// teardown can free payloads without key enumeration from the backing.
     ledger: Mutex<Ledger>,
-    stats: CachePadded<ArenaCounters>,
     cache: CachePadded<CacheCounters>,
     /// This shard's payload-byte budget (`None` = unbounded).
     budget: Option<u64>,
@@ -398,25 +389,11 @@ pub struct ValueArena {
     clock: Arc<dyn MsClock>,
 }
 
-impl Default for ValueArena {
-    fn default() -> Self {
-        Self::with_policy(None, Arc::new(WallClock))
-    }
-}
-
 impl ValueArena {
-    /// A fresh, empty, unbounded arena on the wall clock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An arena with a byte budget and a clock (the [`BlobMap`]
-    /// constructors split a store budget over shards and pass each share
-    /// here).
-    fn with_policy(budget: Option<u64>, clock: Arc<dyn MsClock>) -> Self {
+    /// An empty arena with a byte budget (`None` = unbounded) and a clock.
+    fn new(budget: Option<u64>, clock: Arc<dyn MsClock>) -> Self {
         ValueArena {
             ledger: Mutex::new(Ledger::default()),
-            stats: CachePadded::default(),
             cache: CachePadded::default(),
             budget,
             clock,
@@ -431,9 +408,9 @@ impl ValueArena {
     /// Copies `value` into a fresh header-prefixed blob and returns its
     /// tagged handle. The payload is immutable from here on (readers rely
     /// on it); `expire_at_ms` (0 = none) sets the expiry word and the
-    /// handle's TTL flag. Byte-budget accounting is the caller's job (see
+    /// handle's TTL flag. The caller has reserved `value.len()` bytes (see
     /// [`BlobMap`]'s reservation path).
-    pub fn store(&self, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
+    fn store(&self, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
         let layout = blob_layout(value.len());
         let ptr = ssmem::alloc_raw(layout);
         debug_assert_eq!(
@@ -460,19 +437,7 @@ impl ValueArena {
         }
         // SAFETY: `ptr` was allocated above and is in no ledger yet.
         unsafe { self.ledger.lock().expect("arena ledger poisoned").insert(key, handle) };
-        self.stats.blobs_stored.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_stored.fetch_add(value.len() as u64, Ordering::Relaxed);
         handle
-    }
-
-    /// Payload length of a live (or protected) blob.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`read_into`](Self::read_into).
-    pub unsafe fn len_of(&self, handle: u64) -> usize {
-        // SAFETY: forwarded caller contract; the meta word is word 0.
-        (unsafe { meta_cell(blob_addr(handle)).load(Ordering::Relaxed) } & META_LEN_MASK) as usize
     }
 
     /// Appends the blob's payload bytes to `out`.
@@ -484,7 +449,7 @@ impl ValueArena {
     /// unlinked handle outright), and the handle must have been produced
     /// by [`store`](Self::store) on this or any other arena sharing the
     /// ssmem runtime.
-    pub unsafe fn read_into(&self, handle: u64, out: &mut Vec<u8>) {
+    unsafe fn read_into(&self, handle: u64, out: &mut Vec<u8>) {
         let ptr = blob_addr(handle);
         // SAFETY: the guard (caller contract) keeps the blob from being
         // reclaimed; payloads are immutable after publish, so the length
@@ -520,9 +485,15 @@ impl ValueArena {
         unsafe { expire_cell(blob_addr(handle)).load(Ordering::Relaxed) }
     }
 
-    /// `true` if the blob's deadline has passed on this arena's clock.
-    /// Same safety contract as [`read_into`](Self::read_into).
+    /// `true` if the value carries a deadline that has passed on this
+    /// arena's clock — the one liveness test of every read. A handle
+    /// without the TTL flag answers from the handle word alone, loading
+    /// nothing. Same safety contract as [`read_into`](Self::read_into).
+    #[inline]
     unsafe fn is_expired(&self, handle: u64) -> bool {
+        if !has_ttl(handle) {
+            return false;
+        }
         // SAFETY: forwarded caller contract.
         let exp = unsafe { self.expire_of(handle) };
         exp != 0 && self.now_ms() >= exp
@@ -614,68 +585,66 @@ impl ValueArena {
     /// Collects up to `max` expired `(key, handle)` entries from the sweep
     /// cursor (the caller reclaims them after this lock is released).
     fn collect_expired(&self, max: usize, out: &mut Vec<(u64, u64)>) {
-        let now = self.now_ms();
         let mut ledger = self.ledger.lock().expect("arena ledger poisoned");
         let n = ledger.entries.len();
-        if n == 0 {
-            return;
-        }
         for _ in 0..max.min(n) {
             let i = ledger.sweep % n;
             ledger.sweep = (i + 1) % n;
-            let (key, handle) = ledger.entries[i];
-            if !has_ttl(handle) {
-                continue;
-            }
+            let entry = ledger.entries[i];
             // SAFETY: in-ledger entry under the ledger lock (see
             // `clock_victim`).
-            let exp = unsafe { expire_cell(blob_addr(handle)).load(Ordering::Relaxed) };
-            if exp != 0 && now >= exp {
-                out.push((key, handle));
+            if unsafe { self.is_expired(entry.1) } {
+                out.push(entry);
             }
         }
     }
 
     /// Retires a blob: its memory returns to the ssmem pool once every
-    /// operation concurrent with this call has finished.
+    /// operation concurrent with this call has finished, and its bytes
+    /// leave the live gauge.
     ///
     /// # Safety
     ///
     /// `handle` must come from [`store`](Self::store) on this arena, must
     /// already be unlinked from every shared index, and must not be retired
     /// twice.
-    pub unsafe fn retire(&self, handle: u64) {
+    unsafe fn retire(&self, handle: u64) {
         let ptr = blob_addr(handle);
         // SAFETY: the handle is unlinked (caller contract), so this thread
         // owns the right to read its header and retire it.
-        let len = (unsafe { meta_cell(ptr).load(Ordering::Relaxed) } & META_LEN_MASK) as usize;
+        let len = unsafe { meta_cell(ptr).load(Ordering::Relaxed) } & META_LEN_MASK;
         // SAFETY: stored here and not yet retired (caller contract), so the
         // blob is allocated and in this ledger.
         unsafe { self.ledger.lock().expect("arena ledger poisoned").remove(handle) };
-        self.stats.blobs_retired.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_retired.fetch_add(len as u64, Ordering::Relaxed);
-        // Saturating release of the reservation: direct arena users that
-        // never reserved must not wrap the gauge.
-        let _ = self.cache.live_now.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(len as u64))
-        });
+        let live = self.cache.live_now.fetch_sub(len, Ordering::Relaxed);
+        debug_assert!(live >= len, "live-byte gauge underflow (a store without a reservation)");
         if has_ttl(handle) {
-            let _ = self.cache.ttl_live.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
+            let ttl = self.cache.ttl_live.fetch_sub(1, Ordering::Relaxed);
+            debug_assert!(ttl > 0, "TTL gauge underflow");
         }
         // SAFETY: unlinked and never retired before (caller contract);
         // layout is the same pure function of `len` used at allocation.
-        unsafe { ssmem::retire_raw(ptr, blob_layout(len)) };
+        unsafe { ssmem::retire_raw(ptr, blob_layout(len as usize)) };
     }
 
-    /// A copy of the arena's counters.
-    pub fn stats(&self) -> ArenaStatsSnapshot {
+    /// Retires a handle this thread unlinked and reports whether its value
+    /// was live — an expired corpse answers `false`. Same contract as
+    /// [`retire`](Self::retire).
+    unsafe fn retire_was_live(&self, handle: u64) -> bool {
+        // SAFETY: forwarded caller contract; the blob is read before it is
+        // retired.
+        unsafe {
+            let live = !self.is_expired(handle);
+            self.retire(handle);
+            live
+        }
+    }
+
+    /// What this arena holds right now.
+    fn stats(&self) -> ArenaStatsSnapshot {
         ArenaStatsSnapshot {
-            blobs_stored: self.stats.blobs_stored.load(Ordering::Relaxed),
-            blobs_retired: self.stats.blobs_retired.load(Ordering::Relaxed),
-            bytes_stored: self.stats.bytes_stored.load(Ordering::Relaxed),
-            bytes_retired: self.stats.bytes_retired.load(Ordering::Relaxed),
+            blobs: self.ledger.lock().expect("arena ledger poisoned").entries.len() as u64,
+            bytes: self.cache.live_now.load(Ordering::Relaxed),
         }
     }
 
@@ -710,6 +679,51 @@ impl Drop for ValueArena {
     }
 }
 
+/// Where one value sits in a [`BatchValues`] buffer: `start..end`.
+type Span = (usize, usize);
+
+/// One batched read's answers in input order, with every found value's
+/// bytes in one buffer: a batch costs two vectors however many values it
+/// finds, and [`BlobMap::multi_get_into`] refills them in place.
+#[derive(Debug, Default)]
+pub struct BatchValues {
+    /// Every found value's payload, in the order the values were copied.
+    bytes: Vec<u8>,
+    /// Per key, in input order: where its value sits in `bytes`, or `None`
+    /// if the key was missing.
+    spans: Vec<Option<Span>>,
+}
+
+impl BatchValues {
+    /// Number of keys answered.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// `true` if the batch answered no key.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Every key's value in input order (`None` = missing).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Option<&[u8]>> + '_ {
+        self.spans.iter().map(|span| span.map(|(start, end)| &self.bytes[start..end]))
+    }
+
+    /// Owned copies of every answer, one vector per found value.
+    pub fn to_vec(&self) -> Vec<Option<Vec<u8>>> {
+        self.iter().map(|value| value.map(<[u8]>::to_vec)).collect()
+    }
+
+    /// Empties the batch for a refill, keeping at most
+    /// [`BATCH_KEEP_BYTES`] of payload capacity.
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.bytes.clear();
+        self.bytes.shrink_to(BATCH_KEEP_BYTES);
+    }
+}
+
 /// The keys of a batch the front cache left to the backing.
 struct Rest {
     keys: Vec<u64>,
@@ -725,80 +739,39 @@ thread_local! {
     /// Scratch for `multi_get_into` with a hot-key engine.
     static REST_SCRATCH: RefCell<Rest> =
         const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
-    /// Recycled per-value buffers: `multi_get_into` harvests the previous
-    /// batch's `Vec<u8>`s from the caller's result buffer before clearing
-    /// it, so a steady stream of batches reuses value capacity instead of
-    /// allocating one vector per hit per frame.
-    static VALUE_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Most recycled value buffers kept per thread (matches the largest batch
-/// the serving tier dispatches at once).
-const VALUE_POOL_CAP: usize = 1024;
-
-/// Pooled buffers are shrunk to at most this capacity on return, so a
-/// burst of maximum-size values cannot pin `VALUE_POOL_CAP × 64 KiB` of
-/// heap per thread forever — the pool's worst case is bounded at
-/// `VALUE_POOL_CAP × POOLED_VALUE_CAP_BYTES` (4 MiB). Values at or under
-/// this size still recycle their full capacity.
-const POOLED_VALUE_CAP_BYTES: usize = 4096;
-
-/// Takes a recycled value buffer (empty) or a fresh one.
-fn pool_take() -> Vec<u8> {
-    VALUE_POOL.with(|pool| pool.borrow_mut().pop()).unwrap_or_default()
-}
-
-/// Returns an unneeded buffer to the pool for the next hit to reuse,
-/// shrinking oversized ones so the pool's footprint stays bounded.
-fn pool_put(mut value: Vec<u8>) {
-    VALUE_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < VALUE_POOL_CAP {
-            value.clear();
-            if value.capacity() > POOLED_VALUE_CAP_BYTES {
-                value.shrink_to(POOLED_VALUE_CAP_BYTES);
-            }
-            pool.push(value);
-        }
-    });
-}
-
-/// Harvests the previous batch's value buffers out of a result vector into
-/// the pool (capacity reuse across a stream of batches; oversized buffers
-/// are shrunk, as in [`pool_put`]).
-fn harvest_buffers(out: &mut [Option<Vec<u8>>]) {
-    VALUE_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        for slot in out.iter_mut() {
-            if pool.len() >= VALUE_POOL_CAP {
-                break;
-            }
-            if let Some(mut value) = slot.take() {
-                value.clear();
-                if value.capacity() > POOLED_VALUE_CAP_BYTES {
-                    value.shrink_to(POOLED_VALUE_CAP_BYTES);
-                }
-                pool.push(value);
-            }
-        }
-    });
-}
-
-/// How an expired value reached its reclaim (drives the counter split).
-#[derive(Clone, Copy)]
+/// Why a value is reclaimed; picks the counter the reclaim bumps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Reclaim {
-    /// A read found the corpse.
+    /// A read found it expired.
     Lazy,
-    /// The piggybacked write/scan sweep found it.
+    /// The piggybacked write/scan sweep found it expired.
     Swept,
+    /// CLOCK chose it to make room under the budget.
+    Evicted,
+}
+
+/// The front cache's one fill rule, for [`BlobMap::get`] and
+/// [`BlobMap::multi_get_into`]: `found` is the backing read's value and
+/// whether it carries a TTL. A value without one is installed and a miss
+/// caches absence; a TTL'd value is never installed — dropping the lease
+/// leaves the slot pending, and every read keeps consulting the
+/// (expiry-checking) backing.
+fn fill_front(hot: &HotKeyEngine, ticket: &FillTicket, found: Option<(&[u8], bool)>) {
+    match found {
+        Some((_, true)) => {}
+        Some((value, false)) => hot.fill(ticket, Some(value)),
+        None => hot.fill(ticket, None),
+    }
 }
 
 /// Variable-length byte values over a [`ShardedMap`] of any backing: the
-/// map stores arena handles, the per-shard [`ValueArena`]s store payloads,
-/// and every read copies out under an epoch guard. With a [`CacheConfig`],
-/// the map is a **bounded cache**: byte budgets enforced by CLOCK eviction
-/// on the SET path, TTLs expired lazily on read plus an incremental sweep
-/// (see the module docs).
+/// map stores arena handles, per-shard arenas store payloads, and every
+/// read copies out under an epoch guard. With a [`CacheConfig`], the map
+/// is a **bounded cache**: byte budgets enforced by CLOCK eviction on the
+/// SET path, TTLs expired lazily on read plus an incremental sweep (see
+/// the module docs).
 ///
 /// `get`/`multi_get`/`scan` have **copy-out** semantics (the caller's
 /// buffer is cleared and refilled), `set` **overwrites** (unlike the raw
@@ -824,12 +797,7 @@ impl<M: ReplaceMap> BlobMap<M> {
     ///
     /// If `shards` is zero.
     pub fn new(shards: usize, make: impl FnMut(usize) -> M) -> Self {
-        BlobMap {
-            map: ShardedMap::new(shards, make),
-            arenas: (0..shards).map(|_| ValueArena::new()).collect(),
-            hot: None,
-            default_ttl_ms: None,
-        }
+        Self::with_config(shards, HotKeyConfig::with_k(0), CacheConfig::unbounded(), make)
     }
 
     /// Like [`new`](Self::new), attaching a hot-key engine (see
@@ -839,9 +807,7 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// writes apply write-through under the key's front-slot lock.
     /// `cfg.k == 0` yields a plain map.
     pub fn with_hotkeys(shards: usize, cfg: HotKeyConfig, make: impl FnMut(usize) -> M) -> Self {
-        let mut map = Self::new(shards, make);
-        map.hot = HotKeyEngine::new(shards, cfg);
-        map
+        Self::with_config(shards, cfg, CacheConfig::unbounded(), make)
     }
 
     /// The full constructor: hot-key engine plus cache-tier policy. The
@@ -857,9 +823,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         let per_shard = cache.budget_bytes.map(|b| (b / shards as u64).max(1));
         BlobMap {
             map: ShardedMap::new(shards, make),
-            arenas: (0..shards)
-                .map(|_| ValueArena::with_policy(per_shard, cache.clock.clone()))
-                .collect(),
+            arenas: (0..shards).map(|_| ValueArena::new(per_shard, cache.clock.clone())).collect(),
             hot: HotKeyEngine::new(shards, hot),
             default_ttl_ms: cache.default_ttl_ms,
         }
@@ -937,47 +901,48 @@ impl<M: ReplaceMap> BlobMap<M> {
                 FrontRead::Hit => return true,
                 FrontRead::Absent => return false,
                 FrontRead::Pending(ticket) => {
-                    let found = self.get_backing_ex(key, out);
-                    match found {
-                        // TTL'd values are never installed: dropping the
-                        // lease leaves the slot pending, and every read
-                        // keeps consulting the (expiry-checking) backing.
-                        Some(true) => {}
-                        Some(false) => hot.fill(&ticket, Some(out.as_slice())),
-                        None => hot.fill(&ticket, None),
-                    }
+                    let found = self.get_backing(key, out);
+                    fill_front(hot, &ticket, found.map(|ttl| (out.as_slice(), ttl)));
                     return found.is_some();
                 }
                 FrontRead::Miss => {}
             }
         }
-        self.get_backing_ex(key, out).is_some()
+        self.get_backing(key, out).is_some()
     }
 
-    /// The engine-less read path: epoch guard, index search, expiry check,
-    /// arena copy. `Some(carries_ttl)` on a live hit; `None` on a miss
-    /// (reclaiming the corpse when the miss was an expired value).
-    fn get_backing_ex(&self, key: u64, out: &mut Vec<u8>) -> Option<bool> {
-        out.clear();
+    /// The engine-less read: [`lookup`](Self::lookup) and the arena copy
+    /// into `out` (empty on entry). `Some(carries_ttl)` on a live hit.
+    fn get_backing(&self, key: u64, out: &mut Vec<u8>) -> Option<bool> {
+        self.lookup(key, |arena, handle| {
+            // SAFETY: `lookup` runs this under the guard that protected
+            // the fetch.
+            unsafe { arena.read_into_marked(handle, out) };
+            has_ttl(handle)
+        })
+    }
+
+    /// The one guarded lookup of every single-key read and expiry verb:
+    /// takes the epoch guard, searches the index, and hands a live handle
+    /// to `live`, which runs under that guard and may dereference it. An
+    /// expired handle answers `None` like a missing key and is reclaimed
+    /// once the guard has dropped.
+    #[inline]
+    fn lookup<R>(&self, key: u64, live: impl FnOnce(&ValueArena, u64) -> R) -> Option<R> {
         let arena = self.arena_of(key);
         let dead = {
             // Guard before the handle fetch: a concurrent DEL/overwrite
             // retires the blob, and this guard is what keeps it readable
-            // until we're done copying.
+            // until `live` is done with it.
             let _guard = ssmem::protect();
-            match self.map.search(key) {
-                None => return None,
-                // SAFETY: guard created before the fetch (above).
-                Some(handle) if has_ttl(handle) && unsafe { arena.is_expired(handle) } => handle,
-                Some(handle) => {
-                    // SAFETY: guard created before the fetch (above).
-                    unsafe { arena.read_into_marked(handle, out) };
-                    return Some(has_ttl(handle));
-                }
+            let handle = self.map.search(key)?;
+            // SAFETY: guard created before the fetch (above).
+            if !unsafe { arena.is_expired(handle) } {
+                return Some(live(arena, handle));
             }
+            handle
         };
-        // Guard dropped: unlink and retire the corpse.
-        self.expire_reclaim(key, dead, Reclaim::Lazy);
+        self.reclaim(key, dead, Reclaim::Lazy);
         None
     }
 
@@ -987,16 +952,10 @@ impl<M: ReplaceMap> BlobMap<M> {
         self.get(key, &mut out).then_some(out)
     }
 
-    /// `true` if the key is present and alive (expired-but-unreclaimed
-    /// values answer `false`; this read-only probe does not reclaim them).
+    /// `true` if the key is present and alive. Like a read, it reclaims an
+    /// expired value it finds.
     pub fn contains(&self, key: u64) -> bool {
-        let arena = self.arena_of(key);
-        let _guard = ssmem::protect();
-        match self.map.search(key) {
-            // SAFETY: guard created before the fetch.
-            Some(handle) => !(has_ttl(handle) && unsafe { arena.is_expired(handle) }),
-            None => false,
-        }
+        self.lookup(key, |_, _| ()).is_some()
     }
 
     /// Stores `value` under `key`, overwriting any previous value (the
@@ -1028,27 +987,10 @@ impl<M: ReplaceMap> BlobMap<M> {
             Some(t) => arena.now_ms().saturating_add(t).max(1),
             None => 0,
         };
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            if expire_at == 0 && hot.fronted(key) {
-                // Store the blob before taking the slot lock (arena stores
-                // are uncontended); only the index publish runs under it.
-                let handle = arena.store(key, value, 0);
-                return hot.write_through(key, Some(value), || self.publish(key, handle));
-            }
-            let created = self.set_backing_at(key, value, expire_at);
-            // The key may have been promoted while we wrote (and TTL'd
-            // values are never front-cached): drop any cached copy so no
-            // reader sees a value older than this write.
-            hot.poison(key);
-            return created;
-        }
-        self.set_backing_at(key, value, expire_at)
-    }
-
-    fn set_backing_at(&self, key: u64, value: &[u8], expire_at_ms: u64) -> bool {
-        let handle = self.arena_of(key).store(key, value, expire_at_ms);
-        self.publish(key, handle)
+        // Store the blob before any front-slot lock is taken (arena stores
+        // are uncontended); only the index publish runs under it.
+        let handle = arena.store(key, value, expire_at);
+        self.write(key, Some(value), expire_at, || self.publish(key, handle))
     }
 
     /// Makes `handle` the value of `key`: swaps it over a present handle in
@@ -1057,16 +999,11 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// the key was created — overwriting an expired corpse is a create, not
     /// a replace.
     fn publish(&self, key: u64, handle: u64) -> bool {
-        let arena = self.arena_of(key);
         loop {
             if let Some(old) = self.map.replace(key, handle) {
                 // SAFETY: `replace` returned `old` to this thread alone, so
                 // it is unlinked, readable, and retired exactly once.
-                unsafe {
-                    let was_dead = has_ttl(old) && arena.is_expired(old);
-                    arena.retire(old);
-                    return was_dead;
-                }
+                return !unsafe { self.arena_of(key).retire_was_live(old) };
             }
             if self.map.insert(key, handle) {
                 return true;
@@ -1078,32 +1015,56 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// retired either way — removing an expired corpse reports `false`).
     /// Same fronted-key handling as [`set`](Self::set).
     pub fn del(&self, key: u64) -> bool {
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            if hot.fronted(key) {
-                return hot.write_through(key, None, || self.del_backing(key));
-            }
-            let removed = self.del_backing(key);
-            hot.poison(key);
-            return removed;
-        }
-        self.del_backing(key)
+        self.write(key, None, 0, || self.del_backing(key))
     }
 
     fn del_backing(&self, key: u64) -> bool {
-        match self.map.remove(key) {
-            Some(handle) => {
-                let arena = self.arena_of(key);
-                // SAFETY: unlinked by the remove, returned only to us.
-                let was_dead = unsafe { has_ttl(handle) && arena.is_expired(handle) };
-                // SAFETY: as above; retired exactly once.
-                unsafe { arena.retire(handle) };
-                if was_dead {
-                    arena.cache.expired_lazy.fetch_add(1, Ordering::Relaxed);
-                }
-                !was_dead
-            }
-            None => false,
+        let Some(handle) = self.map.remove(key) else {
+            return false;
+        };
+        let arena = self.arena_of(key);
+        // SAFETY: unlinked by the remove, returned only to us.
+        let live = unsafe { arena.retire_was_live(handle) };
+        if !live {
+            arena.cache.expired_lazy.fetch_add(1, Ordering::Relaxed);
+        }
+        live
+    }
+
+    /// The one write routing of [`set`](Self::set) and [`del`](Self::del):
+    /// `apply` performs the write on the index, `value` is what it writes
+    /// (`None`: a delete) and `expire_at` its deadline (0 = none). A write
+    /// of a fronted key without a deadline applies under the key's
+    /// front-slot lock and refreshes its copy
+    /// ([`HotKeyEngine::write_through`]); any other write applies, then
+    /// poisons the key — it may have been promoted meanwhile, and TTL'd
+    /// values are never front-cached — so no reader sees a front copy older
+    /// than this write.
+    fn write(
+        &self,
+        key: u64,
+        value: Option<&[u8]>,
+        expire_at: u64,
+        apply: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some(hot) = &self.hot else {
+            return apply();
+        };
+        hot.record_access(key);
+        if expire_at == 0 && hot.fronted(key) {
+            return hot.write_through(key, value, apply);
+        }
+        let applied = apply();
+        hot.poison(key);
+        applied
+    }
+
+    /// Drops `key`'s front-cache copy, if an engine is attached. Called
+    /// *before* a handle is retired, so a front copy never outlives the
+    /// value it mirrors.
+    fn poison(&self, key: u64) {
+        if let Some(hot) = &self.hot {
+            hot.poison(key);
         }
     }
 
@@ -1115,139 +1076,75 @@ impl<M: ReplaceMap> BlobMap<M> {
     /// Racing a concurrent overwrite of the same key resolves in an
     /// arbitrary order (module docs).
     pub fn expire(&self, key: u64, ttl_ms: u64) -> bool {
-        let arena = self.arena_of(key);
-        let deadline = arena.now_ms().saturating_add(ttl_ms).max(1);
-        enum After {
-            Done,
-            Dead(u64),
-            Retag(u64),
-        }
-        let after = {
-            let _guard = ssmem::protect();
-            match self.map.search(key) {
-                None => return false,
-                Some(h) if has_ttl(h) => {
-                    // SAFETY: guard created before the fetch.
-                    if unsafe { arena.is_expired(h) } {
-                        After::Dead(h)
-                    } else {
-                        // SAFETY: as above; the expiry word is atomic.
-                        unsafe { arena.set_expire(h, deadline) };
-                        After::Done
-                    }
-                }
-                Some(h) => After::Retag(h),
+        let deadline = self.arena_of(key).now_ms().saturating_add(ttl_ms).max(1);
+        let retag = self.lookup(key, |arena, h| {
+            if !has_ttl(h) {
+                return Some(h);
             }
-        };
-        match after {
-            After::Done => true,
-            After::Dead(h) => {
-                self.expire_reclaim(key, h, Reclaim::Lazy);
-                false
-            }
-            After::Retag(h) => self.retag_with_ttl(key, h, deadline),
+            // SAFETY: under `lookup`'s guard; the expiry word is atomic.
+            unsafe { arena.set_expire(h, deadline) };
+            None
+        });
+        match retag {
+            None => false,
+            Some(None) => true,
+            Some(Some(h)) => self.retag_with_ttl(key, h, deadline),
         }
     }
 
     /// Republishes a deadline-free value with the TTL flag set (readers
-    /// only consult the expiry word when the handle carries the flag).
-    /// Between the remove and the insert a reader of the key misses (the
-    /// first of the two windows in the module docs).
+    /// only consult the expiry word when the handle carries the flag): the
+    /// unlinked blob gets its deadline, its ledger entry the new handle,
+    /// and any front copy from its deadline-free life is poisoned before it
+    /// goes back. An overwrite that raced in goes back untouched. Between
+    /// the remove and [`republish`](Self::republish) a reader of the key
+    /// misses (the first of the two windows in the module docs).
     fn retag_with_ttl(&self, key: u64, h: u64, deadline: u64) -> bool {
-        let arena = self.arena_of(key);
-        match self.map.remove(key) {
-            Some(got) if got == h => {
-                // We own the value now: stamp the deadline, retag the
-                // ledger entry, and republish with the TTL flag. Poison
-                // first — the front cache may hold a copy from the value's
-                // deadline-free life, which must not outlive the deadline.
-                // SAFETY: unlinked by our remove, returned only to us.
-                unsafe { arena.set_expire(got, deadline) };
-                let tagged = got | TAG_TTL;
-                // SAFETY: as above; `got` is stored and not retired.
-                unsafe { arena.retag(got, tagged) };
-                if let Some(hot) = &self.hot {
-                    hot.poison(key);
-                }
-                if !self.map.insert(key, tagged) {
-                    // A concurrent SET won the key; our value was current
-                    // until this EXPIRE raced the overwrite — retire it.
-                    if let Some(hot) = &self.hot {
-                        hot.poison(key);
-                    }
-                    // SAFETY: still unlinked and owned by us.
-                    unsafe { arena.retire(tagged) };
-                }
-                true
+        let Some(mut back) = self.map.remove(key) else {
+            return false;
+        };
+        if back == h {
+            let arena = self.arena_of(key);
+            back = h | TAG_TTL;
+            // SAFETY: unlinked by our remove and returned only to us, so
+            // stored and not retired.
+            unsafe {
+                arena.set_expire(h, deadline);
+                arena.retag(h, back);
             }
-            Some(other) => {
-                // Raced an overwrite: put the fresh value back untouched.
-                if !self.map.insert(key, other) {
-                    if let Some(hot) = &self.hot {
-                        hot.poison(key);
-                    }
-                    // SAFETY: unlinked by our remove; an even fresher
-                    // write now owns the key.
-                    unsafe { arena.retire(other) };
-                }
-                true
-            }
-            None => false,
+            self.poison(key);
         }
+        self.republish(key, back);
+        true
     }
 
     /// Clears the expiry deadline of a live key; `true` if the key was
     /// present and alive (with or without a deadline to clear).
     pub fn persist(&self, key: u64) -> bool {
-        let arena = self.arena_of(key);
-        let dead = {
-            let _guard = ssmem::protect();
-            match self.map.search(key) {
-                None => return false,
-                Some(h) if !has_ttl(h) => return true,
-                // SAFETY: guard created before the fetch.
-                Some(h) if unsafe { arena.is_expired(h) } => h,
-                Some(h) => {
-                    // The TTL flag stays in the handle (republishing is an
-                    // overwrite-shaped disruption); a zero expiry word
-                    // reads as "no deadline".
-                    // SAFETY: as above; the expiry word is atomic.
-                    unsafe { arena.set_expire(h, 0) };
-                    return true;
-                }
+        self.lookup(key, |arena, h| {
+            // The TTL flag stays in the handle (republishing is an
+            // overwrite-shaped disruption); a zero expiry word reads as
+            // "no deadline".
+            if has_ttl(h) {
+                // SAFETY: under `lookup`'s guard; the expiry word is atomic.
+                unsafe { arena.set_expire(h, 0) };
             }
-        };
-        self.expire_reclaim(key, dead, Reclaim::Lazy);
-        false
+        })
+        .is_some()
     }
 
     /// Remaining lifetime of `key`: `None` = missing (or expired),
     /// `Some(None)` = present with no deadline, `Some(Some(ms))` =
     /// milliseconds until expiry.
     pub fn ttl_ms(&self, key: u64) -> Option<Option<u64>> {
-        let arena = self.arena_of(key);
-        let dead = {
-            let _guard = ssmem::protect();
-            match self.map.search(key) {
-                None => return None,
-                Some(h) if !has_ttl(h) => return Some(None),
-                Some(h) => {
-                    // SAFETY: guard created before the fetch.
-                    let exp = unsafe { arena.expire_of(h) };
-                    if exp == 0 {
-                        return Some(None); // PERSISTed
-                    }
-                    let now = arena.now_ms();
-                    if now >= exp {
-                        h
-                    } else {
-                        return Some(Some(exp - now));
-                    }
-                }
-            }
-        };
-        self.expire_reclaim(key, dead, Reclaim::Lazy);
-        None
+        self.lookup(key, |arena, h| {
+            // SAFETY: under `lookup`'s guard.
+            let exp = if has_ttl(h) { unsafe { arena.expire_of(h) } } else { 0 };
+            // A PERSISTed value keeps the flag and a zero deadline. The
+            // value was alive when `lookup` read the clock, so at least
+            // 1 ms was left then.
+            (exp != 0).then(|| exp.saturating_sub(arena.now_ms()).max(1))
+        })
     }
 
     // -- cache-tier internals ----------------------------------------------
@@ -1260,60 +1157,18 @@ impl<M: ReplaceMap> BlobMap<M> {
     fn reserve(&self, shard: usize, len: u64) {
         let arena = &self.arenas[shard];
         let mut fruitless = 0u32;
-        loop {
-            if arena.try_reserve(len) {
+        while !arena.try_reserve(len) {
+            let victim = arena.clock_victim();
+            if victim.is_some_and(|(key, h)| self.reclaim(key, h, Reclaim::Evicted)) {
+                fruitless = 0;
+                continue;
+            }
+            fruitless += 1;
+            if fruitless >= EVICT_FORCE_ATTEMPTS {
+                arena.add_live(len);
+                arena.cache.forced.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            if self.evict_one(shard) {
-                fruitless = 0;
-            } else {
-                fruitless += 1;
-                if fruitless >= EVICT_FORCE_ATTEMPTS {
-                    arena.add_live(len);
-                    arena.cache.forced.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Evicts one CLOCK victim from `shard`; `true` if bytes were freed.
-    fn evict_one(&self, shard: usize) -> bool {
-        let arena = &self.arenas[shard];
-        let Some((key, handle)) = arena.clock_victim() else {
-            return false;
-        };
-        match self.map.remove(key) {
-            Some(got) if got == handle => {
-                // Poison before retire: a fronted copy must die before the
-                // backing value does (never-stale guarantee).
-                if let Some(hot) = &self.hot {
-                    hot.poison(key);
-                }
-                // SAFETY: unlinked by our remove, returned only to us.
-                unsafe { arena.retire(got) };
-                arena.cache.evictions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(other) => {
-                // The snapshot went stale (an overwrite raced us — the
-                // generation tag makes a recycled pointer unmistakable):
-                // republish the fresh value we just unlinked.
-                if self.map.insert(key, other) {
-                    false
-                } else {
-                    // An even fresher write claimed the key meanwhile; the
-                    // value we hold lost that race — evicting it is legal.
-                    if let Some(hot) = &self.hot {
-                        hot.poison(key);
-                    }
-                    // SAFETY: unlinked by our remove, owned by us.
-                    unsafe { arena.retire(other) };
-                    arena.cache.evictions.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-            }
-            None => false,
         }
     }
 
@@ -1331,60 +1186,83 @@ impl<M: ReplaceMap> BlobMap<M> {
         let mut expired: Vec<(u64, u64)> = Vec::with_capacity(SWEEP_BATCH);
         arena.collect_expired(SWEEP_BATCH, &mut expired);
         for (key, handle) in expired {
-            self.expire_reclaim(key, handle, Reclaim::Swept);
+            self.reclaim(key, handle, Reclaim::Swept);
         }
     }
 
-    /// Unlinks and retires an expired value, tolerating every race: only
-    /// the exact `(key → handle)` binding we observed is reclaimed; a
-    /// fresh value that raced in is republished untouched. Nothing here
-    /// dereferences the stale `handle` — the only blobs touched are the
-    /// ones `remove` handed us exclusively.
-    fn expire_reclaim(&self, key: u64, handle: u64, kind: Reclaim) {
+    /// Unlinks and retires the binding `key → handle` — an expired value or
+    /// a CLOCK victim, as `why` says — tolerating every race: only that
+    /// exact binding is reclaimed (and counted under `why`), and a fresher
+    /// value that raced in goes back through [`republish`](Self::republish).
+    /// Nothing here dereferences the stale `handle`; the only blobs touched
+    /// are the ones `remove` handed this thread. `true` if a blob was
+    /// retired.
+    fn reclaim(&self, key: u64, handle: u64, why: Reclaim) -> bool {
         let arena = self.arena_of(key);
-        match self.map.remove(key) {
+        let counted = match self.map.remove(key) {
             Some(got) if got == handle => {
-                // Poison before retire (never-stale; see `evict_one`).
-                if let Some(hot) = &self.hot {
-                    hot.poison(key);
-                }
+                // Poison before retire: a fronted copy must die before the
+                // backing value does (never-stale guarantee).
+                self.poison(key);
                 // SAFETY: unlinked by our remove, returned only to us.
                 unsafe { arena.retire(got) };
-                let counter = match kind {
-                    Reclaim::Lazy => &arena.cache.expired_lazy,
-                    Reclaim::Swept => &arena.cache.expired_swept,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
+                true
             }
-            Some(other) if !self.map.insert(key, other) => {
-                if let Some(hot) = &self.hot {
-                    hot.poison(key);
+            // The binding went stale (an overwrite raced us — the
+            // generation tag makes a recycled pointer unmistakable): put
+            // the fresh value back. If an even fresher write took the key
+            // meanwhile, `republish` retired the value that lost to it —
+            // still an eviction, but not an expiry.
+            Some(other) => {
+                if self.republish(key, other) {
+                    return false;
                 }
-                // SAFETY: unlinked by our remove, owned by us.
-                unsafe { arena.retire(other) };
+                why == Reclaim::Evicted
             }
-            Some(_) | None => {}
+            None => return false,
+        };
+        if counted {
+            let counter = match why {
+                Reclaim::Lazy => &arena.cache.expired_lazy,
+                Reclaim::Swept => &arena.cache.expired_swept,
+                Reclaim::Evicted => &arena.cache.evictions,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+        true
+    }
+
+    /// Puts `handle`, which this thread holds unlinked from `key`, back
+    /// into the index — or, when a fresher write took the key meanwhile,
+    /// poisons the key and retires `handle`. `true` if it went back. With
+    /// `publish`, the only place a handle is inserted into the index.
+    fn republish(&self, key: u64, handle: u64) -> bool {
+        if self.map.insert(key, handle) {
+            return true;
+        }
+        self.poison(key);
+        // SAFETY: unlinked by the caller's remove and not republished, so
+        // owned by this thread.
+        unsafe { self.arena_of(key).retire(handle) };
+        false
     }
 
     // -- batched ops -------------------------------------------------------
 
-    /// Batched lookup with copy-out: clears `out` and refills it with
-    /// per-key answers in input order. With a hot-key engine attached,
-    /// fronted keys are answered from their front-cache copies and only
-    /// the remainder takes the batched backing path (one epoch guard).
-    pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
-        // Harvest the previous batch's value buffers before clearing, so
-        // repeated batches through one result buffer stop allocating per
-        // hit once capacities have warmed up.
-        harvest_buffers(out);
+    /// Batched lookup with copy-out: refills `out` with per-key answers in
+    /// input order. With a hot-key engine attached, fronted keys are
+    /// answered from their front-cache copies and only the remainder takes
+    /// the batched backing path (one epoch guard).
+    pub fn multi_get_into(&self, keys: &[u64], out: &mut BatchValues) {
         out.clear();
         let Some(hot) = self.hot.as_deref() else {
-            out.reserve(keys.len());
-            self.resolve_batch(keys, |_, found| out.push(found.map(|(value, _)| value)));
+            out.spans.reserve(keys.len());
+            let spans = &mut out.spans;
+            self.resolve_batch(keys, &mut out.bytes, |_, found| {
+                spans.push(found.map(|(span, ..)| span));
+            });
             return;
         };
-        out.resize(keys.len(), None);
         REST_SCRATCH.with(|scratch| {
             // The keys the front cache could not answer take the batched
             // backing path.
@@ -1393,59 +1271,55 @@ impl<M: ReplaceMap> BlobMap<M> {
             rest.slots.clear();
             for (i, &key) in keys.iter().enumerate() {
                 hot.record_access(key);
-                let mut value = pool_take();
-                let ticket = match hot.read(key, &mut value) {
-                    // As in `get`: front-served keys skip the shard-stats
-                    // RMWs; `total_stats` folds the engine counters back in.
+                let start = out.bytes.len();
+                // As in `get`: front-served keys skip the shard-stats RMWs;
+                // `total_stats` folds the engine counters back in.
+                let ticket = match hot.read(key, &mut out.bytes) {
                     FrontRead::Hit => {
-                        out[i] = Some(value);
+                        out.spans.push(Some((start, out.bytes.len())));
                         continue;
                     }
                     FrontRead::Absent => {
-                        pool_put(value);
+                        out.spans.push(None);
                         continue;
                     }
                     FrontRead::Pending(ticket) => Some(ticket),
                     FrontRead::Miss => None,
                 };
-                pool_put(value);
+                out.spans.push(None);
                 rest.keys.push(key);
                 rest.slots.push((i, ticket));
             }
             if rest.keys.is_empty() {
                 return;
             }
-            let slots = &rest.slots;
-            self.resolve_batch(&rest.keys, |j, found| {
+            let (slots, spans) = (&rest.slots, &mut out.spans);
+            self.resolve_batch(&rest.keys, &mut out.bytes, |j, found| {
                 let (pos, ticket) = &slots[j];
-                match found {
-                    Some((value, ttl)) => {
-                        // TTL'd values are never installed (see `get`).
-                        if let (Some(ticket), false) = (ticket, ttl) {
-                            hot.fill(ticket, Some(&value));
-                        }
-                        out[*pos] = Some(value);
-                    }
-                    None => {
-                        if let Some(ticket) = ticket {
-                            hot.fill(ticket, None);
-                        }
-                    }
+                if let Some(ticket) = ticket {
+                    fill_front(hot, ticket, found.map(|(_, value, ttl)| (value, ttl)));
                 }
+                spans[*pos] = found.map(|(span, ..)| span);
             });
         });
     }
 
-    /// Resolves `keys` against the index under one epoch guard: `each(i,
-    /// found)` gets, in input order, a pooled copy of every live value and
-    /// whether it carries a TTL, or `None` for a missing or expired key.
-    /// Expired corpses are reclaimed once the guard is dropped.
+    /// Resolves `keys` against the index under one epoch guard, appending
+    /// every live value to `bytes`: `each(i, found)` gets, in input order,
+    /// the value's span in `bytes`, the value, and whether it carries a
+    /// TTL — or `None` for a missing or expired key. Expired corpses are
+    /// reclaimed once the guard is dropped.
     ///
     /// Before the first copy, every found blob's header line and then its
     /// last payload line are prefetched (the second address needs the
     /// length from the first), so the batch's blob misses overlap as its
     /// index searches did.
-    fn resolve_batch(&self, keys: &[u64], mut each: impl FnMut(usize, Option<(Vec<u8>, bool)>)) {
+    fn resolve_batch(
+        &self,
+        keys: &[u64],
+        bytes: &mut Vec<u8>,
+        mut each: impl FnMut(usize, Option<(Span, &[u8], bool)>),
+    ) {
         let mut dead: Vec<(u64, u64)> = Vec::new();
         HANDLE_SCRATCH.with(|scratch| {
             let mut handles = scratch.borrow_mut();
@@ -1458,35 +1332,35 @@ impl<M: ReplaceMap> BlobMap<M> {
                 // SAFETY: guard created before the batched fetch.
                 unsafe { prefetch_payload_end(handle) };
             }
-            for (i, (&key, handle)) in keys.iter().zip(handles.iter()).enumerate() {
+            for (i, (&key, &handle)) in keys.iter().zip(handles.iter()).enumerate() {
                 let arena = self.arena_of(key);
-                each(
-                    i,
-                    handle.and_then(|h| {
-                        // SAFETY: guard created before the batched fetch.
-                        if has_ttl(h) && unsafe { arena.is_expired(h) } {
-                            dead.push((key, h));
-                            return None;
-                        }
-                        let mut value = pool_take();
-                        // SAFETY: guard created before the batched fetch.
-                        unsafe { arena.read_into_marked(h, &mut value) };
-                        Some((value, has_ttl(h)))
-                    }),
-                );
+                let Some(h) = handle else {
+                    each(i, None);
+                    continue;
+                };
+                // SAFETY: guard created before the batched fetch.
+                if unsafe { arena.is_expired(h) } {
+                    dead.push((key, h));
+                    each(i, None);
+                    continue;
+                }
+                let start = bytes.len();
+                // SAFETY: guard created before the batched fetch.
+                unsafe { arena.read_into_marked(h, bytes) };
+                each(i, Some(((start, bytes.len()), &bytes[start..], has_ttl(h))));
             }
         });
         // Guard dropped (the closure ended): reclaim the corpses.
         for (key, h) in dead {
-            self.expire_reclaim(key, h, Reclaim::Lazy);
+            self.reclaim(key, h, Reclaim::Lazy);
         }
     }
 
     /// Allocating wrapper over [`multi_get_into`](Self::multi_get_into).
     pub fn multi_get(&self, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
-        let mut out = Vec::new();
+        let mut out = BatchValues::default();
         self.multi_get_into(keys, &mut out);
-        out
+        out.to_vec()
     }
 
     /// Batched overwrite in input order; `result[i]` tells whether
@@ -1497,16 +1371,13 @@ impl<M: ReplaceMap> BlobMap<M> {
         entries.iter().map(|(k, v)| self.set(*k, v.as_ref())).collect()
     }
 
-    /// Per-shard payload statistics.
-    pub fn arena_stats(&self) -> Vec<ArenaStatsSnapshot> {
-        self.arenas.iter().map(|a| a.stats()).collect()
-    }
-
-    /// Payload statistics aggregated over all shards.
+    /// Live blobs and payload bytes summed over all shards.
     pub fn total_arena_stats(&self) -> ArenaStatsSnapshot {
         let mut total = ArenaStatsSnapshot::default();
         for a in self.arenas.iter() {
-            total.merge(&a.stats());
+            let s = a.stats();
+            total.blobs += s.blobs;
+            total.bytes += s.bytes;
         }
         total
     }
@@ -1559,7 +1430,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             for (key, handle) in pairs {
                 let arena = self.arena_of(key);
                 // SAFETY: guard created before the scan fetched the handle.
-                if has_ttl(handle) && unsafe { arena.is_expired(handle) } {
+                if unsafe { arena.is_expired(handle) } {
                     dead.push((key, handle));
                     continue;
                 }
@@ -1575,7 +1446,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         }
         // Guard dropped: the scan doubles as a sweep pass.
         for (key, h) in dead {
-            self.expire_reclaim(key, h, Reclaim::Swept);
+            self.reclaim(key, h, Reclaim::Swept);
         }
         out
     }
@@ -1595,12 +1466,19 @@ impl<M: ReplaceMap> std::fmt::Debug for BlobMap<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FakeClock;
+    use crate::cache::{FakeClock, WallClock};
     use ascylib::hashtable::ClhtLb;
     use ascylib::skiplist::FraserOptSkipList;
 
     fn blob_map() -> BlobMap<FraserOptSkipList> {
         BlobMap::new(4, |_| FraserOptSkipList::new())
+    }
+
+    /// Stores into a bare arena the way `BlobMap::set` does: reserve, then
+    /// store.
+    fn reserve_and_store(arena: &ValueArena, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
+        assert!(arena.try_reserve(value.len() as u64));
+        arena.store(key, value, expire_at_ms)
     }
 
     /// A single-shard map on a hand-cranked clock (TTL-focused tests).
@@ -1673,8 +1551,7 @@ mod tests {
         assert_eq!(map.get_owned(5).unwrap(), b"second, longer value");
         assert_eq!(map.len(), 1);
         let stats = map.total_arena_stats();
-        assert_eq!(stats.blobs_stored, 2);
-        assert_eq!(stats.blobs_retired, 1);
+        assert_eq!(stats.live_blobs(), 1, "the overwrite retired the first blob");
         assert_eq!(stats.live_bytes(), b"second, longer value".len() as u64);
     }
 
@@ -1696,9 +1573,9 @@ mod tests {
                 Some(b"uno".to_vec())
             ]
         );
-        let mut out = Vec::new();
+        let mut out = BatchValues::default();
         map.multi_get_into(&[2], &mut out);
-        assert_eq!(out, vec![Some(b"two".to_vec())]);
+        assert_eq!(out.to_vec(), vec![Some(b"two".to_vec())]);
     }
 
     #[test]
@@ -1706,44 +1583,41 @@ mod tests {
         let map = blob_map();
         map.set(1, &[0xAA; 300]);
         map.set(2, &[0xBB; 50]);
-        let mut out = Vec::new();
+        let mut out = BatchValues::default();
         map.multi_get_into(&[1, 2, 3], &mut out);
-        let first_ptr = out[0].as_ref().unwrap().as_ptr();
-        assert_eq!(out[0].as_ref().unwrap(), &vec![0xAA; 300]);
-        // The next batch (same thread, same result buffer) reuses the
-        // harvested 300-byte buffer for a value that fits in it.
+        assert_eq!(out.to_vec(), vec![Some(vec![0xAA; 300]), Some(vec![0xBB; 50]), None]);
+        let first_ptr = out.bytes.as_ptr();
+        // The next batch (same result buffer) copies its values into the
+        // payload buffer the first batch grew.
         map.multi_get_into(&[2, 1], &mut out);
-        assert_eq!(out, vec![Some(vec![0xBB; 50]), Some(vec![0xAA; 300])]);
-        let reused = out
-            .iter()
-            .flatten()
-            .any(|v| std::ptr::eq(v.as_ptr(), first_ptr));
-        assert!(reused, "warmed value capacity must be recycled, not reallocated");
+        assert_eq!(out.to_vec(), vec![Some(vec![0xBB; 50]), Some(vec![0xAA; 300])]);
+        assert_eq!(out.len(), 2);
+        assert!(
+            std::ptr::eq(out.bytes.as_ptr(), first_ptr),
+            "warmed value capacity must be recycled, not reallocated"
+        );
     }
 
     #[test]
-    fn value_pool_shrinks_oversized_buffers_and_stays_capped() {
+    fn batch_values_shed_oversized_capacity() {
         let map = blob_map();
-        map.set(1, &vec![7u8; 64 * 1024]);
+        map.set(1, &vec![7u8; 4 * BATCH_KEEP_BYTES]);
         map.set(2, b"small");
-        let mut out = Vec::new();
-        // Each batch materializes the 64 KiB value; the next call harvests
-        // that buffer back into the pool, where it must be shrunk.
-        for _ in 0..4 {
-            map.multi_get_into(&[1, 2], &mut out);
-        }
-        map.multi_get_into(&[2], &mut out); // harvests the last big buffer
-        VALUE_POOL.with(|pool| {
-            let pool = pool.borrow();
-            assert!(pool.len() <= VALUE_POOL_CAP);
-            for v in pool.iter() {
-                assert!(
-                    v.capacity() <= POOLED_VALUE_CAP_BYTES,
-                    "pooled buffer kept {} bytes of capacity",
-                    v.capacity()
-                );
-            }
-        });
+        let mut out = BatchValues::default();
+        map.multi_get_into(&[1, 2], &mut out);
+        assert_eq!(out.iter().map(|v| v.map(<[u8]>::len)).collect::<Vec<_>>(), [
+            Some(4 * BATCH_KEEP_BYTES),
+            Some(5)
+        ]);
+        // The next batch holds only what it needs, not the big value's
+        // buffer.
+        map.multi_get_into(&[2], &mut out);
+        assert_eq!(out.to_vec(), vec![Some(b"small".to_vec())]);
+        assert!(
+            out.bytes.capacity() <= BATCH_KEEP_BYTES,
+            "batch kept {} bytes of capacity",
+            out.bytes.capacity()
+        );
     }
 
     #[test]
@@ -1825,9 +1699,10 @@ mod tests {
         // Every retire is a `swap_remove` that moves the last entry into the
         // hole and must rewrite that blob's position word.
         const BLOBS: u64 = 97;
-        let arena = ValueArena::with_policy(Some(1 << 20), Arc::new(WallClock));
-        let mut handles: Vec<(u64, u64)> =
-            (1..=BLOBS).map(|k| (k, arena.store(k, &k.to_le_bytes(), 0))).collect();
+        let arena = ValueArena::new(Some(1 << 20), Arc::new(WallClock));
+        let mut handles: Vec<(u64, u64)> = (1..=BLOBS)
+            .map(|k| (k, reserve_and_store(&arena, k, &k.to_le_bytes(), 0)))
+            .collect();
         // A fixed shuffle (multiplicative hash order), then retire two of
         // every three.
         handles.sort_by_key(|&(k, _)| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1869,16 +1744,16 @@ mod tests {
 
     #[test]
     fn handles_carry_tags_and_reads_mask_them() {
-        let arena = ValueArena::new();
-        let h1 = arena.store(1, b"alpha", 0);
-        let h2 = arena.store(2, b"beta", 1234);
+        let arena = ValueArena::new(None, Arc::new(WallClock));
+        let h1 = reserve_and_store(&arena, 1, b"alpha", 0);
+        let h2 = reserve_and_store(&arena, 2, b"beta", 1234);
         assert!(!has_ttl(h1));
         assert!(has_ttl(h2));
         assert_ne!(h1 & TAG_GEN_MASK, h2 & TAG_GEN_MASK, "generations differ");
+        assert_eq!(arena.stats().live_bytes(), 9);
         let mut out = Vec::new();
         // SAFETY: both handles are live and owned by this test.
         unsafe {
-            assert_eq!(arena.len_of(h1), 5);
             arena.read_into(h1, &mut out);
             assert_eq!(out, b"alpha");
             out.clear();
@@ -2101,5 +1976,70 @@ mod tests {
         assert_eq!(stats.front_hits, 0, "TTL'd value leaked into the front cache");
         clock.advance(100);
         assert!(clock_map.get_owned(7).is_none(), "front copy outlived the deadline");
+    }
+
+    // -- the unlink-then-republish branches, one interleaving each ----------
+
+    #[test]
+    fn reclaiming_a_replaced_handle_puts_the_overwrite_back_uncounted() {
+        for why in [Reclaim::Evicted, Reclaim::Lazy] {
+            let map = BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| {
+                FraserOptSkipList::new()
+            });
+            map.set(7, b"v1");
+            let stale = map.map.search(7).expect("stored");
+            assert!(!map.set(7, b"v2"), "overwrite");
+            // An evictor or expiry reclaim that chose (7, v1) before the
+            // overwrite unlinks v2 instead, and must put it back.
+            assert!(!map.reclaim(7, stale, why), "{why:?}: nothing was retired");
+            assert_eq!(map.get_owned(7).unwrap(), b"v2", "{why:?}");
+            assert_eq!(map.total_arena_stats().live_blobs(), 1, "{why:?}");
+            let c = map.cache_stats();
+            assert_eq!((c.evictions, c.expired_lazy, c.expired_swept), (0, 0, 0), "{why:?}");
+            // The current binding is reclaimed, and counted under `why`.
+            let fresh = map.map.search(7).expect("put back");
+            assert!(map.reclaim(7, fresh, why), "{why:?}");
+            assert_eq!(map.get_owned(7), None, "{why:?}: the front copy died with it");
+            assert_eq!(map.total_arena_stats(), ArenaStatsSnapshot::default(), "{why:?}");
+            let c = map.cache_stats();
+            assert_eq!(c.evictions + c.expired_lazy, 1, "{why:?}");
+            assert_eq!(c.evictions, u64::from(why == Reclaim::Evicted), "{why:?}");
+        }
+    }
+
+    #[test]
+    fn expire_retag_of_a_replaced_handle_puts_the_overwrite_back_untouched() {
+        let (map, clock) = clocked_map(CacheConfig::unbounded());
+        map.set(3, b"v1");
+        let stale = map.map.search(3).expect("stored");
+        assert!(!map.set(3, b"v2"), "overwrite");
+        // EXPIRE saw the deadline-free v1, then the overwrite landed before
+        // its remove.
+        assert!(map.retag_with_ttl(3, stale, clock.now_ms() + 100));
+        assert_eq!(map.get_owned(3).unwrap(), b"v2");
+        assert_eq!(map.ttl_ms(3), Some(None), "v2 keeps its own (absent) deadline");
+        assert_eq!(map.total_arena_stats().live_blobs(), 1);
+        let c = map.cache_stats();
+        assert_eq!((c.evictions, c.expired_lazy, c.ttl_live), (0, 0, 0));
+        // The handle it was given is retagged in place.
+        let current = map.map.search(3).expect("put back");
+        assert!(map.retag_with_ttl(3, current, clock.now_ms() + 100));
+        assert_eq!(map.ttl_ms(3), Some(Some(100)));
+        assert_eq!(map.cache_stats().ttl_live, 1);
+        assert_eq!(map.total_arena_stats().live_blobs(), 1);
+    }
+
+    #[test]
+    fn republish_retires_a_value_a_fresher_write_displaced() {
+        let map = BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| FraserOptSkipList::new());
+        map.set(5, b"old");
+        // This thread unlinks `old` (as a reclaim or retag would), and a
+        // fresh write creates the key before it can put `old` back.
+        let held = map.map.remove(5).expect("stored");
+        assert!(map.set(5, b"new"), "the key was absent");
+        assert!(!map.republish(5, held));
+        assert_eq!(map.get_owned(5).unwrap(), b"new");
+        let stats = map.total_arena_stats();
+        assert_eq!((stats.live_blobs(), stats.live_bytes()), (1, 3));
     }
 }

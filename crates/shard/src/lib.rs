@@ -18,10 +18,8 @@
 //! * [`stats::ShardStats`] gives each shard a cache-line-padded block of
 //!   traffic counters, so observing a hot shard does not create the false
 //!   sharing the layer exists to remove.
-//! * The batched API returns results in input order:
-//!   [`ShardedMap::multi_get`] runs a batch's searches as one interleaved
-//!   lookup across shards, [`ShardedMap::multi_insert`] and
-//!   [`ShardedMap::multi_remove`] group the batch by shard before dispatch.
+//! * [`ShardedMap::multi_get`] runs a batch's searches as one interleaved
+//!   lookup across shards and returns the answers in input order.
 //! * Sharded deployments of *ordered* backings (lists, skip lists, BSTs)
 //!   additionally expose the [`ascylib::ordered::OrderedMap`] range-scan
 //!   surface: `range_search`/`scan` scatter to every shard and gather the
@@ -30,8 +28,9 @@
 //!   structure).
 //! * [`blob::BlobMap`] layers **variable-length byte values** on top: the
 //!   sharded index stores 64-bit handles into per-shard ssmem-backed
-//!   [`blob::ValueArena`]s, readers copy payloads out under epoch guards,
-//!   and overwrites/deletes retire the displaced blob through the same
+//!   payload arenas, readers copy payloads out under epoch guards (a
+//!   batched read into one [`blob::BatchValues`] buffer), and
+//!   overwrites/deletes retire the displaced blob through the same
 //!   grace-period machinery that protects the structures' nodes.
 //! * [`cache::CacheConfig`] turns the blob map into a **bounded cache**:
 //!   per-shard byte budgets enforced by CLOCK eviction on the SET path,
@@ -70,7 +69,7 @@ mod range;
 pub mod router;
 pub mod stats;
 
-pub use blob::{ArenaStatsSnapshot, BlobMap, ValueArena};
+pub use blob::{ArenaStatsSnapshot, BatchValues, BlobMap};
 pub use cache::{CacheConfig, CacheStatsSnapshot, FakeClock, MsClock, WallClock};
 pub use hotkey::{HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 pub use map::ShardedMap;

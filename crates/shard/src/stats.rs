@@ -122,24 +122,6 @@ impl ShardStats {
         }
     }
 
-    /// Records a batch of `n` inserts of which `ok` succeeded.
-    #[inline]
-    pub fn record_inserts(&self, n: u64, ok: u64) {
-        self.inner.inserts.fetch_add(n, Ordering::Relaxed);
-        if ok > 0 {
-            self.inner.inserts_ok.fetch_add(ok, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a batch of `n` removes of which `ok` succeeded.
-    #[inline]
-    pub fn record_removes(&self, n: u64, ok: u64) {
-        self.inner.removes.fetch_add(n, Ordering::Relaxed);
-        if ok > 0 {
-            self.inner.removes_ok.fetch_add(ok, Ordering::Relaxed);
-        }
-    }
-
     /// Records one per-shard sub-scan that contributed `keys` keys.
     #[inline]
     pub fn record_scan(&self, keys: u64) {

@@ -1,13 +1,13 @@
 //! What one batched read asks the allocator for, counted from outside: a
-//! warmed 16-key `BlobMap::multi_get_into` whose values already sit in the
-//! thread's buffer pool allocates nothing — no handle list, no lane list,
+//! warmed 16-key `BlobMap::multi_get_into` into a `BatchValues` that held
+//! the previous batch allocates nothing — no handle list, no lane list,
 //! no list of the keys the front cache left over, no value buffer.
 //!
 //! A binary of its own with one `#[test]`: the ledger is process-wide.
 
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib::testing::CountingAlloc;
-use ascylib_shard::{BlobMap, HotKeyConfig};
+use ascylib_shard::{BatchValues, BlobMap, HotKeyConfig};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -29,7 +29,7 @@ fn quiet_engine() -> HotKeyConfig {
 
 fn assert_warm_batch_allocates_nothing(what: &str, map: &BlobMap<FraserOptSkipList>) {
     let keys: Vec<u64> = (1..=PRESENT).chain([PRESENT + 1, 1 << 40]).collect();
-    let mut out = Vec::new();
+    let mut out = BatchValues::default();
     for _ in 0..3 {
         map.multi_get_into(&keys, &mut out);
     }
@@ -39,7 +39,7 @@ fn assert_warm_batch_allocates_nothing(what: &str, map: &BlobMap<FraserOptSkipLi
     assert_eq!(requested, 0, "{what}: a warmed batch requested {requested} bytes");
     let expected: Vec<Option<Vec<u8>>> =
         keys.iter().map(|&key| (key <= PRESENT).then(|| value(key))).collect();
-    assert_eq!(out, expected, "{what}");
+    assert_eq!(out.to_vec(), expected, "{what}");
 }
 
 #[test]

@@ -19,9 +19,9 @@ use ascylib_shard::ShardedMap;
 /// Applies a mixed singular/batched operation sequence to the sharded map
 /// and the model, asserting agreement step by step.
 ///
-/// `ops` entries decode as: selector % 6 → 0 insert, 1 remove, 2 search,
-/// 3 multi_insert, 4 multi_remove, 5 multi_get; the batched forms consume a
-/// window of subsequent keys so batches overlap the singular traffic.
+/// `ops` entries decode as: selector % 4 → 0 insert, 1 remove, 2 search,
+/// 3 multi_get; the batch consumes a window of subsequent keys so it
+/// overlaps the singular traffic.
 fn check_against_model<M: ConcurrentMap>(
     map: ShardedMap<M>,
     ops: &[(u8, u64)],
@@ -30,7 +30,7 @@ fn check_against_model<M: ConcurrentMap>(
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, &(op, raw)) in ops.iter().enumerate() {
         let key = 1 + raw % key_space;
-        match op % 6 {
+        match op % 4 {
             0 => {
                 let expected = !model.contains_key(&key);
                 assert_eq!(map.insert(key, i as u64), expected, "insert({key}) step {i}");
@@ -41,25 +41,6 @@ fn check_against_model<M: ConcurrentMap>(
             }
             2 => {
                 assert_eq!(map.search(key), model.get(&key).copied(), "search({key}) step {i}");
-            }
-            3 => {
-                // Batch-insert a window of keys derived from this op.
-                let entries: Vec<(u64, u64)> =
-                    (0..1 + raw % 7).map(|j| (1 + (raw + j * 11) % key_space, i as u64 + j)).collect();
-                let outcomes = map.multi_insert(&entries);
-                for (j, &(k, v)) in entries.iter().enumerate() {
-                    let expected = !model.contains_key(&k);
-                    assert_eq!(outcomes[j], expected, "multi_insert[{j}]({k}) step {i}");
-                    model.entry(k).or_insert(v);
-                }
-            }
-            4 => {
-                let keys: Vec<u64> =
-                    (0..1 + raw % 7).map(|j| 1 + (raw + j * 13) % key_space).collect();
-                let outcomes = map.multi_remove(&keys);
-                for (j, &k) in keys.iter().enumerate() {
-                    assert_eq!(outcomes[j], model.remove(&k), "multi_remove[{j}]({k}) step {i}");
-                }
             }
             _ => {
                 let keys: Vec<u64> =

@@ -158,7 +158,7 @@ fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
     });
     let arena = map.total_arena_stats();
     assert_eq!(
-        arena.blobs_stored - arena.blobs_retired,
+        arena.live_blobs(),
         map.len() as u64,
         "a blob leaked or was retired twice: {arena:?}"
     );
