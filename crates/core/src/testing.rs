@@ -6,7 +6,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use crate::api::{ConcurrentMap, ReplaceMap, KEY_MAX, KEY_MIN, VALUE_MAX};
@@ -39,93 +39,83 @@ impl TestRng {
     }
 }
 
-/// Size classes of [`CountingAlloc`]: requested sizes up to 512 B in 8-byte
-/// steps (class `size.div_ceil(8)`), and a last class for everything larger.
-const ALLOC_CLASSES: usize = 66;
-
-/// A `#[global_allocator]` for layout tests: the system allocator plus a
-/// ledger, per size class, of the bytes requested and not yet freed.
+/// A `#[global_allocator]` for allocation tests: the system allocator plus
+/// a count of the bytes requested from it.
 ///
-/// The ledger counts the size a caller *states*, on both sides. Code that
-/// recomputes a layout to free with (the skip lists from a node's recorded
-/// height, the blob arena from a header's length) and gets it wrong leaves
-/// one class above its starting balance and another below it, where the
-/// system allocator would have taken the pointer and said nothing.
-///
-/// It is process-wide and counts every thread — what the runtime allocates
-/// on one side of a thread spawn and frees on the other has to be counted
-/// on both — so a test binary that installs it holds one `#[test]`.
+/// It is process-wide and counts every thread, so a test binary that
+/// installs it holds one `#[test]`. Small ssmem objects never reach it:
+/// they come from ssmem's arena, which [`assert_arena_balanced`] and
+/// [`arena_bytes_in_use`] read instead.
 #[derive(Debug)]
 pub struct CountingAlloc {
-    live: [AtomicI64; ALLOC_CLASSES],
     requested: AtomicU64,
 }
 
 impl CountingAlloc {
-    /// An empty ledger.
+    /// A zero count.
     #[allow(clippy::new_without_default)]
     pub const fn new() -> Self {
-        Self {
-            live: [const { AtomicI64::new(0) }; ALLOC_CLASSES],
-            requested: AtomicU64::new(0),
-        }
+        Self { requested: AtomicU64::new(0) }
     }
 
     /// Total bytes requested so far.
     pub fn requested(&self) -> u64 {
         self.requested.load(Ordering::Relaxed)
     }
-
-    /// Bytes requested minus bytes freed so far, per size class.
-    fn live(&self) -> [i64; ALLOC_CLASSES] {
-        std::array::from_fn(|class| self.live[class].load(Ordering::Relaxed))
-    }
-
-    /// Runs `round` once so process-wide state reaches its steady size (the
-    /// ssmem thread registry, lazily initialised statics), then again, and
-    /// requires the second run to leave every size class where it found it.
-    /// `round` must `join` the threads it spawns: a scope's own wait ends
-    /// when their closures return, before the thread-local destructors that
-    /// release the ssmem pools.
-    pub fn assert_balanced(&self, what: &str, round: impl Fn()) {
-        round();
-        let start = self.live();
-        round();
-        let end = self.live();
-        let moved: Vec<String> = (0..ALLOC_CLASSES)
-            .filter(|&class| start[class] != end[class])
-            .map(|class| format!("<= {} B: {:+} B", class * 8, end[class] - start[class]))
-            .collect();
-        assert!(moved.is_empty(), "{what}: size classes off balance after a round: {moved:?}");
-    }
-
-    /// Relaxed: the counters are compared only after the threads of a round
-    /// were joined.
-    fn record(&self, size: usize, sign: i64) {
-        let class = size.div_ceil(8).min(ALLOC_CLASSES - 1);
-        self.live[class].fetch_add(sign * size as i64, Ordering::Relaxed);
-        if sign > 0 {
-            self.requested.fetch_add(size as u64, Ordering::Relaxed);
-        }
-    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only atomics, so it neither allocates nor unwinds. `realloc` is
-// the provided one (allocate, copy, free), which keeps both sides of the
-// ledger in stated sizes.
+// is one atomic add, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.record(layout.size(), 1);
+        // Relaxed: read only after the threads of a test were joined.
+        self.requested.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.record(layout.size(), -1);
         // SAFETY: forwarded caller contract.
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Bytes of ssmem arena objects handed out and not free again, over every
+/// size class: live objects plus retired ones awaiting their grace period.
+pub fn arena_bytes_in_use() -> u64 {
+    ascylib_ssmem::census().iter().map(|class| class.in_use() * class.size as u64).sum()
+}
+
+/// Runs `round` once so process-wide state reaches its steady size, then
+/// again, and requires the second run to leave every ssmem size class with
+/// as many objects in use as it found.
+///
+/// The census counts the size a caller *states*, on both sides. Code that
+/// recomputes a layout to free with (the skip lists from a node's recorded
+/// height, the blob arena from a header's length) and gets it wrong leaves
+/// one class above its starting count and another below it, where the
+/// free would otherwise have gone through unnoticed. The census is
+/// process-wide, so a binary that calls this holds one `#[test]`, and
+/// `round` must `join` the threads it spawns: a scope's own wait ends
+/// when their closures return, before the thread-local destructors that
+/// hand the ssmem pools back.
+pub fn assert_arena_balanced(what: &str, round: impl Fn()) {
+    let in_use = || -> Vec<(usize, u64)> {
+        ascylib_ssmem::census().iter().map(|c| (c.size, c.in_use())).collect()
+    };
+    round();
+    let start = in_use();
+    round();
+    let end = in_use();
+    let moved: Vec<String> = start
+        .iter()
+        .zip(&end)
+        .filter(|(before, after)| before != after)
+        .map(|(&(size, before), &(_, after))| {
+            format!("{size} B: {:+} objects", after as i64 - before as i64)
+        })
+        .collect();
+    assert!(moved.is_empty(), "{what}: size classes off balance after a round: {moved:?}");
 }
 
 /// Basic single-threaded semantics: inserts, duplicate rejection, search,

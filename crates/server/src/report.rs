@@ -90,6 +90,8 @@ pub(crate) struct Scrape {
     hot_keys: Vec<(u64, u64)>,
     cache: CacheStatsSnapshot,
     conc: ConcurrencySnapshot,
+    /// `ascylib_ssmem::arena_bytes`: process-wide, not summed per worker.
+    arena_bytes: u64,
     monitor: MonitorStats,
     window: Option<WindowDelta>,
     tel: TelemetrySnapshot,
@@ -116,6 +118,7 @@ impl Scrape {
             hot_keys: ctx.store.hot_keys(),
             cache: ctx.store.cache_stats(),
             conc: ctx.hub.concurrency_totals(),
+            arena_bytes: ascylib_ssmem::arena_bytes(),
             monitor: ctx.monitor.stats(),
             window: ctx.hub.window(),
             requests: tel.data_requests(),
@@ -311,6 +314,7 @@ static TABLE: &[Row] = &[
     counter(Memory, "ssmem_gc_passes", ("ascy_ssmem_gc_passes_total", "Epoch-advance collection passes."), |s| int(s.conc.ssmem.gc_passes)),
     gauge(Memory, "ssmem_pending", ("ascy_ssmem_pending", "Objects waiting in limbo lists across workers."), |s| int(s.conc.ssmem.pending)).stats("ssmem_pending"),
     gauge(Memory, "ssmem_pooled", ("ascy_ssmem_pooled", "Reclaimed objects pooled for reuse across workers."), |s| int(s.conc.ssmem.pooled)).stats("ssmem_pooled"),
+    gauge(Memory, "ssmem_arena_bytes", ("ascy_ssmem_arena_bytes", "Bytes the epoch allocator carved from its huge-page chunks, process-wide."), |s| int(s.arena_bytes)),
     info_only(Cache, "cache_budget", |s| on_off(s.cache.budget_bytes > 0)),
     gauge(Cache, "cache_budget_bytes", ("ascy_cache_budget_bytes", "Configured payload-byte budget (0 = unbounded)."), |s| int(s.cache.budget_bytes)).stats("cache_budget_bytes"),
     gauge(Cache, "cache_live_bytes", ("ascy_cache_live_bytes", "Payload bytes currently reserved against the budget."), |s| int(s.cache.live_bytes)).stats("cache_live_bytes"),
@@ -1257,6 +1261,11 @@ pub(crate) mod tests {
                     !["telemetry", "cache_tier", "hotkey_combined_batches", "hotkey_avg_batch"]
                         .contains(key)
                 });
+                if section == "memory" {
+                    // The ssmem arena's gauge, added after the golden
+                    // capture.
+                    expected.push("ssmem_arena_bytes");
+                }
                 if section == "server" {
                     // The one reorder: `connections` now precedes
                     // `curr_connections`, as `conns`/`curr_conns` do on
@@ -1277,7 +1286,8 @@ pub(crate) mod tests {
                 assert_eq!(info_keys(&body), expected, "INFO {section}");
             }
             // METRICS keeps every series and type but the combiner's pass
-            // counter, and gains the two counters that were on STATS only.
+            // counter, and gains the two counters that were on STATS only
+            // and the ssmem arena's gauge.
             let body = metrics(&s);
             let mut series: BTreeSet<String> =
                 words(GOLDEN_SERIES).into_iter().map(String::from).collect();
@@ -1289,6 +1299,8 @@ pub(crate) mod tests {
                 series.insert(added.to_string());
                 types.insert(format!("{added}=counter"));
             }
+            series.insert("ascy_ssmem_arena_bytes".to_string());
+            types.insert("ascy_ssmem_arena_bytes=gauge".to_string());
             assert_eq!(metric_series(&body), series);
             assert_eq!(metric_types(&body), types);
         });

@@ -1,22 +1,19 @@
 //! What the blob arena asks the allocator for, counted from outside.
 //!
 //! A blob is freed with a layout recomputed from the payload length in its
-//! header. Through a counting `#[global_allocator]` a set / overwrite / del
-//! / drop cycle over every value length around both rounding granularities
-//! must leave each size class at its starting balance; a retire whose
-//! layout differs from the store's shows as one class above it and another
-//! below.
+//! header. Through ssmem's per-size-class census a set / overwrite / del /
+//! drop cycle over every value length around both rounding granularities
+//! must leave each size class with as many objects in use as before; a
+//! retire whose layout differs from the store's shows as one class above
+//! it and another below.
 //!
-//! A binary of its own with one `#[test]`: the ledger is process-wide, and
+//! A binary of its own with one `#[test]`: the census is process-wide, and
 //! `tests/blob.rs` runs its tests in parallel threads.
 
 use ascylib::skiplist::FraserOptSkipList;
-use ascylib::testing::CountingAlloc;
+use ascylib::testing::assert_arena_balanced;
 use ascylib_shard::BlobMap;
 use ascylib_ssmem as ssmem;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Longest value; header + payload crosses from 16-byte to 64-byte rounding
 /// at 232.
@@ -45,7 +42,8 @@ fn cycle() {
             }
             assert_eq!(map.get_owned(2), Some(value((7 + 13) % (MAX_LEN + 1), 2)));
             // Nothing else runs, so every grace period is over: collect all
-            // retired blobs into the pool, which the thread's exit frees.
+            // retired blobs into the pool, which the thread's exit hands
+            // back.
             while ssmem::thread_stats().pending > 0 {
                 ssmem::collect();
             }
@@ -60,5 +58,5 @@ fn cycle() {
 
 #[test]
 fn blobs_are_freed_with_the_layout_they_were_stored_with() {
-    ALLOC.assert_balanced("BlobMap set/overwrite/del/drop, values of 0..=300 bytes", cycle);
+    assert_arena_balanced("BlobMap set/overwrite/del/drop, values of 0..=300 bytes", cycle);
 }

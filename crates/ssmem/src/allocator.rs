@@ -1,11 +1,13 @@
 //! The per-thread SSMEM allocator: retire batches, timestamp snapshots,
-//! grace-period collection and a size-class reuse pool.
+//! grace-period collection and a reuse pool per layout (the small layouts'
+//! pools are the thread's side of the [arena](crate::arena)).
 
 use std::alloc::Layout;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::arena::{self, class_of};
 use crate::registry::{self, ThreadEntry};
 use crate::DEFAULT_GC_THRESHOLD;
 
@@ -35,75 +37,10 @@ fn orphan_sets() -> &'static Mutex<Vec<SealedSet>> {
     ORPHANS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Maximum number of reusable allocations kept per size class before excess
-/// memory is returned to the system allocator.
-const POOL_CAP_PER_CLASS: usize = 4096;
-
-/// Word-aligned layouts of up to this many bytes have a slot of their own
-/// in the reuse pool's flat table.
-const SMALL_MAX: usize = 512;
-
-/// The one alignment the flat table serves; a slot must hold a single
-/// layout, so it is matched exactly.
-const SMALL_ALIGN: usize = 8;
-
-/// The reuse pool: free lists of allocations past their grace period, one
-/// per layout.
-///
-/// Every node and blob the structures allocate is a few words at word
-/// alignment, and skip-list towers and blob size classes make a dozen such
-/// layouts live at once, so those are found by indexing a flat table with
-/// `size / 8` — no hashing on the allocate and recycle paths. Anything
-/// else (the copy-on-write list's arrays, over-aligned buckets) goes
-/// through the map.
-#[derive(Debug)]
-struct Pool {
-    small: Vec<Vec<*mut u8>>,
-    other: HashMap<(usize, usize), Vec<*mut u8>>,
-}
-
-impl Pool {
-    fn new() -> Self {
-        Self {
-            small: (0..=SMALL_MAX / SMALL_ALIGN).map(|_| Vec::new()).collect(),
-            other: HashMap::new(),
-        }
-    }
-
-    /// The flat-table slot holding exactly the layout `(size, align)`.
-    #[inline]
-    fn small_slot(size: usize, align: usize) -> Option<usize> {
-        (align == SMALL_ALIGN && size <= SMALL_MAX && size % SMALL_ALIGN == 0)
-            .then_some(size / SMALL_ALIGN)
-    }
-
-    /// The free list of this layout, created on first use.
-    #[inline]
-    fn list(&mut self, size: usize, align: usize) -> &mut Vec<*mut u8> {
-        match Self::small_slot(size, align) {
-            Some(slot) => &mut self.small[slot],
-            None => self.other.entry((size, align)).or_default(),
-        }
-    }
-
-    /// Number of pooled allocations.
-    fn len(&self) -> usize {
-        let small = self.small.iter().map(Vec::len).sum::<usize>();
-        small + self.other.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Every pooled allocation with its layout.
-    fn drain(&mut self) -> impl Iterator<Item = Retired> + '_ {
-        let small = self.small.iter_mut().enumerate().flat_map(|(slot, list)| {
-            let size = slot * SMALL_ALIGN;
-            list.drain(..).map(move |ptr| Retired { ptr, size, align: SMALL_ALIGN })
-        });
-        let other = self.other.iter_mut().flat_map(|(&(size, align), list)| {
-            list.drain(..).map(move |ptr| Retired { ptr, size, align })
-        });
-        small.chain(other)
-    }
-}
+/// Maximum number of reusable allocations kept per layout in a thread's
+/// pool. Past it, small objects go to the arena's process-wide free list
+/// and anything else back to the system allocator.
+pub(crate) const POOL_CAP_PER_CLASS: usize = 4096;
 
 /// Counters describing the activity of one thread's SSMEM allocator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,11 +49,11 @@ pub struct SsmemStats {
     pub allocations: u64,
     /// Objects retired (logically freed).
     pub frees: u64,
-    /// Retired objects whose grace period has expired (now reusable or
-    /// returned to the system).
+    /// Retired objects whose grace period has expired (now reusable, or
+    /// given back to the arena's free lists or the system allocator).
     pub reclaimed: u64,
-    /// Allocations served from the reuse pool instead of the system
-    /// allocator.
+    /// Allocations served from the reuse pool (refilled from the arena's
+    /// process-wide free list) instead of fresh memory.
     pub reused: u64,
     /// Garbage-collection passes attempted.
     pub gc_passes: u64,
@@ -159,7 +96,10 @@ pub struct SsmemAllocator {
     entry: Arc<ThreadEntry>,
     current: Vec<Retired>,
     sealed: VecDeque<SealedSet>,
-    pool: Pool,
+    /// Carves and pools the layouts the arena serves.
+    arena: arena::Local,
+    /// Pools every other layout.
+    other: HashMap<(usize, usize), Vec<*mut u8>>,
     threshold: usize,
     guard_depth: usize,
     stats: SsmemStats,
@@ -172,7 +112,8 @@ impl SsmemAllocator {
             entry: registry::register(),
             current: Vec::new(),
             sealed: VecDeque::new(),
-            pool: Pool::new(),
+            arena: arena::Local::new(),
+            other: HashMap::new(),
             threshold: DEFAULT_GC_THRESHOLD,
             guard_depth: 0,
             stats: SsmemStats::default(),
@@ -195,7 +136,7 @@ impl SsmemAllocator {
         let mut s = self.stats;
         s.pending = (self.current.len()
             + self.sealed.iter().map(|s| s.retired.len()).sum::<usize>()) as u64;
-        s.pooled = self.pool.len() as u64;
+        s.pooled = (self.arena.pooled() + self.other.values().map(Vec::len).sum::<usize>()) as u64;
         s.guard_depth = self.guard_depth as u64;
         s
     }
@@ -214,8 +155,12 @@ impl SsmemAllocator {
         debug_assert!(self.guard_depth > 0, "unbalanced ssmem guard");
         self.guard_depth -= 1;
         if self.guard_depth == 0 {
-            // Becomes even: "quiescent".
-            self.entry.ts.fetch_add(1, Ordering::SeqCst);
+            // Becomes even: "quiescent". This thread is the only writer of
+            // its timestamp, and leaving only has to order the operation's
+            // loads before the store: a collector whose load sees the new
+            // value (acquire) may reuse what those loads read.
+            let ts = self.entry.ts.load(Ordering::Relaxed);
+            self.entry.ts.store(ts + 1, Ordering::Release);
         }
     }
 
@@ -240,7 +185,17 @@ impl SsmemAllocator {
     /// Allocates `layout` bytes, reusing retired memory when possible.
     pub fn alloc_raw(&mut self, layout: Layout) -> *mut u8 {
         self.stats.allocations += 1;
-        if let Some(ptr) = self.pool.list(layout.size(), layout.align()).pop() {
+        if let Some(class) = class_of(layout.size(), layout.align()) {
+            return match self.arena.reuse(class) {
+                Some(ptr) => {
+                    self.stats.reused += 1;
+                    ptr
+                }
+                None => self.arena.carve(class),
+            };
+        }
+        let pooled = self.other.get_mut(&(layout.size(), layout.align())).and_then(Vec::pop);
+        if let Some(ptr) = pooled {
             self.stats.reused += 1;
             return ptr;
         }
@@ -265,6 +220,9 @@ impl SsmemAllocator {
 
     /// Retires raw memory of the given layout.
     pub fn retire_raw(&mut self, ptr: *mut u8, layout: Layout) {
+        if class_of(layout.size(), layout.align()).is_some() {
+            arena::debug_assert_carved(ptr);
+        }
         self.stats.frees += 1;
         self.current.push(Retired {
             ptr,
@@ -311,7 +269,7 @@ impl SsmemAllocator {
     }
 
     /// Collects orphan batches left behind by exited threads. Orphaned memory
-    /// is returned directly to the system allocator.
+    /// is given back for good (see [`release`]).
     fn collect_orphans(&mut self) -> usize {
         let Ok(mut orphans) = orphan_sets().try_lock() else {
             return 0;
@@ -324,9 +282,7 @@ impl SsmemAllocator {
                     // SAFETY: grace period expired for every thread
                     // (including the collector itself, since `skip` is None);
                     // the pointer owns its allocation per the retire contract.
-                    unsafe {
-                        dealloc_retired(r);
-                    }
+                    unsafe { release(r) };
                 }
                 false
             } else {
@@ -365,12 +321,15 @@ impl SsmemAllocator {
     }
 
     fn recycle(&mut self, r: Retired) {
-        let list = self.pool.list(r.size, r.align);
+        if let Some(class) = class_of(r.size, r.align) {
+            return self.arena.free(class, r.ptr);
+        }
+        let list = self.other.entry((r.size, r.align)).or_default();
         if list.len() < POOL_CAP_PER_CLASS {
             list.push(r.ptr);
         } else {
             // SAFETY: grace period expired; we own the allocation.
-            unsafe { dealloc_retired(&r) };
+            unsafe { dealloc_system(&r) };
         }
     }
 }
@@ -385,27 +344,50 @@ impl Drop for SsmemAllocator {
     fn drop(&mut self) {
         // Hand pending batches to the orphan list so surviving threads can
         // finish their grace periods; release the reuse pool immediately
-        // (those allocations already passed their grace period).
+        // (those allocations already passed their grace period). The
+        // arena's side goes to its free lists when `self.arena` drops.
         self.seal_current();
         if !self.sealed.is_empty() {
             if let Ok(mut orphans) = orphan_sets().lock() {
                 orphans.extend(self.sealed.drain(..));
             }
         }
-        for r in self.pool.drain() {
-            // SAFETY: pool entries are unreachable by any thread.
-            unsafe { dealloc_retired(&r) };
+        for ((size, align), list) in self.other.drain() {
+            for ptr in list {
+                // SAFETY: pool entries are unreachable by any thread.
+                unsafe { dealloc_system(&Retired { ptr, size, align }) };
+            }
         }
         self.entry.active.store(false, Ordering::Release);
     }
 }
 
-/// Returns one retired allocation to the system allocator.
+/// Gives one allocation back for good: a small object to the arena's
+/// process-wide free list of its class, anything else to the system
+/// allocator.
+///
+/// # Safety
+///
+/// The pointer must own a live allocation of exactly `size`/`align` that
+/// no thread can reach.
+unsafe fn release(r: &Retired) {
+    match class_of(r.size, r.align) {
+        Some(class) => {
+            arena::debug_assert_carved(r.ptr);
+            arena::give(class, std::iter::once(r.ptr));
+        }
+        // SAFETY: forwarded caller contract.
+        None => unsafe { dealloc_system(r) },
+    }
+}
+
+/// Returns one allocation outside the arena's layouts to the system
+/// allocator.
 ///
 /// # Safety
 ///
 /// The pointer must own a live allocation of exactly `size`/`align`.
-unsafe fn dealloc_retired(r: &Retired) {
+unsafe fn dealloc_system(r: &Retired) {
     let size = r.size.max(1);
     let layout = Layout::from_size_align(size, r.align.max(1)).expect("valid layout");
     // SAFETY: caller guarantees ownership and matching layout.
@@ -424,7 +406,7 @@ pub(crate) unsafe fn dealloc_now<T>(ptr: *mut T) {
         align: std::mem::align_of::<T>(),
     };
     // SAFETY: forwarded caller contract.
-    unsafe { dealloc_retired(&r) };
+    unsafe { release(&r) };
 }
 
 /// Immediately deallocates raw memory allocated through SSMEM.
@@ -439,7 +421,7 @@ pub(crate) unsafe fn dealloc_raw_now(ptr: *mut u8, layout: Layout) {
         align: layout.align(),
     };
     // SAFETY: forwarded caller contract.
-    unsafe { dealloc_retired(&r) };
+    unsafe { release(&r) };
 }
 
 #[cfg(test)]
@@ -500,15 +482,18 @@ mod tests {
         a.set_gc_threshold(1);
         assert_eq!(a.stats().pooled, 0);
         let p = a.alloc(5u64);
+        // The first allocation may have refilled the pool from the arena's
+        // process-wide free list.
+        let before = a.stats().pooled;
         a.retire(p);
         a.collect();
         let s = a.stats();
         // Either still pending (another test's guard) or sitting in the
         // pool; the two states partition the retired object.
-        assert_eq!(s.pooled + s.pending, 1, "{s:?}");
-        if s.pooled == 1 {
+        assert_eq!(s.pooled - before + s.pending, 1, "{s:?}");
+        if s.pooled > before {
             let q = a.alloc(6u64);
-            assert_eq!(a.stats().pooled, 0, "allocation drains the pool");
+            assert_eq!(a.stats().pooled, before, "allocation drains the pool");
             // SAFETY: q is exclusively owned.
             unsafe { dealloc_now(q) };
         }
@@ -517,35 +502,34 @@ mod tests {
     #[test]
     fn pool_keeps_every_layout_apart() {
         // Same size at another alignment, a size that is no multiple of the
-        // word, and sizes either side of the flat table's end: each must come
-        // back only for its own layout, whichever side of the pool holds it.
+        // word, and sizes either side of the arena's largest class: each
+        // must come back only for its own layout, whichever pool holds it.
         let layouts = [(16, 8), (16, 4), (16, 16), (12, 4), (24, 8), (512, 8), (520, 8), (64, 64)]
             .map(|(size, align)| Layout::from_size_align(size, align).unwrap());
+        let retired = |ptr: *mut u8, layout: Layout| Retired {
+            ptr,
+            size: layout.size(),
+            align: layout.align(),
+        };
         let mut a = SsmemAllocator::new();
         let ptrs = layouts.map(|layout| a.alloc_raw(layout));
+        let (pooled, reused) = (a.stats().pooled, a.stats().reused);
         for (&ptr, &layout) in ptrs.iter().zip(&layouts) {
-            a.recycle(Retired { ptr, size: layout.size(), align: layout.align() });
+            a.recycle(retired(ptr, layout));
         }
-        assert_eq!(a.stats().pooled, layouts.len() as u64);
-        let in_table = layouts
-            .iter()
-            .filter(|l| Pool::small_slot(l.size(), l.align()).is_some())
-            .count();
-        assert_eq!(in_table, 3, "(16, 8), (24, 8) and (512, 8)");
+        assert_eq!(a.stats().pooled, pooled + layouts.len() as u64);
+        let in_arena = layouts.iter().filter(|l| class_of(l.size(), l.align()).is_some()).count();
+        assert_eq!(in_arena, 3, "(16, 8), (24, 8) and (512, 8)");
+        for (round, (&ptr, &layout)) in ptrs.iter().zip(&layouts).enumerate() {
+            assert_eq!(a.alloc_raw(layout), ptr, "{layout:?}");
+            assert_eq!(a.stats().reused, reused + round as u64 + 1);
+            a.recycle(retired(ptr, layout));
+        }
         for (&ptr, &layout) in ptrs.iter().zip(&layouts) {
             assert_eq!(a.alloc_raw(layout), ptr, "{layout:?}");
-            assert_eq!(a.stats().reused, a.stats().allocations - layouts.len() as u64);
-            a.recycle(Retired { ptr, size: layout.size(), align: layout.align() });
-        }
-        let mut drained: Vec<_> = a.pool.drain().map(|r| (r.ptr, r.size, r.align)).collect();
-        let mut expected: Vec<_> =
-            ptrs.iter().zip(&layouts).map(|(&p, l)| (p, l.size(), l.align())).collect();
-        drained.sort();
-        expected.sort();
-        assert_eq!(drained, expected, "drain must report the layout each pointer was pooled under");
-        for (ptr, size, align) in drained {
-            // SAFETY: drained pool entries are owned allocations of that layout.
-            unsafe { dealloc_retired(&Retired { ptr, size, align }) };
+            // SAFETY: an owned allocation of that layout, reachable by no
+            // other thread.
+            unsafe { release(&retired(ptr, layout)) };
         }
     }
 

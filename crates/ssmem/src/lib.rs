@@ -23,6 +23,33 @@
 //!   thread's state; the only shared write per operation is the owner
 //!   thread's own (cache-line-padded) timestamp.
 //!
+//! # Where memory comes from
+//!
+//! Like the paper's SSMEM, objects are carved out of large chunks instead
+//! of being requested from the system allocator one by one. Every layout
+//! of at most 512 bytes that is a multiple of 8 bytes at alignment 8 —
+//! every skip-list node, every blob with up to 488 payload bytes — comes
+//! from a slab arena:
+//!
+//! * **Chunks** of 2 MiB, 2 MiB-aligned, advised `MADV_HUGEPAGE` on Linux
+//!   so one TLB entry covers a whole chunk (other targets get the same
+//!   chunks on ordinary pages; a refused `madvise` is ignored). A thread
+//!   takes 64 KiB **segments** from the current shared chunk and
+//!   bump-allocates inside them with no per-object header, so a blob
+//!   stored right before its index node sits next to it.
+//! * **Freed objects** wait in their thread's pool; pool-cap overflow (in
+//!   batches), the pool of an exiting thread, orphaned batches and
+//!   [`dealloc_immediate`] / [`dealloc_raw_immediate`] go to a
+//!   process-wide free list per size class, which a thread with an empty
+//!   pool drains before it carves new memory.
+//! * Arena memory is **never returned to the system** and an object never
+//!   changes size class. [`census`] counts objects carved and free per
+//!   class; [`arena_bytes`] is the bytes of segments carved so far.
+//!
+//! Other layouts (large blobs, cache-line-aligned hash buckets, zero-size
+//! layouts) take the system allocator and a per-layout pool that releases
+//! its overflow back to it.
+//!
 //! # Usage model
 //!
 //! Every thread that touches a concurrent structure implicitly owns a
@@ -53,9 +80,11 @@
 #![warn(missing_debug_implementations)]
 
 mod allocator;
+mod arena;
 mod registry;
 
 pub use allocator::{SsmemAllocator, SsmemStats};
+pub use arena::{arena_bytes, census, ClassCensus};
 pub use registry::registered_threads;
 
 use std::cell::RefCell;
@@ -109,7 +138,8 @@ pub fn protect() -> Guard {
 ///
 /// The allocation is served from the thread's reuse pool when a previously
 /// retired object of the same layout has passed its grace period, otherwise
-/// from the global allocator.
+/// from fresh arena memory (see [Where memory comes from](crate#where-memory-comes-from))
+/// or, for layouts the arena does not serve, the global allocator.
 ///
 /// # Panics
 ///
