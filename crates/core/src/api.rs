@@ -103,6 +103,8 @@ pub trait ConcurrentMap: Send + Sync {
 /// in which a concurrent `search` of a key that is never deleted misses.
 /// `replace` is one value-word update on the element the parse phase
 /// found (ASCY4: a successful update writes what a sequential one would).
+/// `compare_replace` is the same update made conditional on the value it
+/// finds, for callers that must not overwrite a value they did not see.
 ///
 /// # Value range
 ///
@@ -111,12 +113,22 @@ pub trait ReplaceMap: ConcurrentMap {
     /// Atomically swaps the value of a present key and returns the old
     /// value. An absent key is left absent and answers `None`.
     fn replace(&self, key: u64, value: u64) -> Option<u64>;
+
+    /// Atomically swaps the value of `key` to `value` if it is `expected`.
+    /// A mismatch answers `Err(Some(current))` and an absent key
+    /// `Err(None)`; neither writes anything. `expected` must be at most
+    /// [`VALUE_MAX`] too.
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>>;
 }
 
 /// Shared handles delegate, like the [`ConcurrentMap`] impl below.
 impl<M: ReplaceMap + ?Sized> ReplaceMap for std::sync::Arc<M> {
     fn replace(&self, key: u64, value: u64) -> Option<u64> {
         (**self).replace(key, value)
+    }
+
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        (**self).compare_replace(key, expected, value)
     }
 }
 

@@ -151,10 +151,10 @@ impl ClhtLb {
         bucket.lock.store(0, Ordering::Release);
     }
 
-    /// The shared shape of `remove` and `replace`: fail read-only when `key`
-    /// is absent (ASCY3); otherwise lock the bucket, find the key's slot
-    /// again and apply `update` to it — one in-place store — returning
-    /// what it returns.
+    /// The shared shape of `remove`, `replace` and `compare_replace`: fail
+    /// read-only when `key` is absent (ASCY3); otherwise lock the bucket,
+    /// find the key's slot again and apply `update` to it — at most one
+    /// in-place store, which `update` records — returning what it returns.
     fn update_in_place(
         &self,
         key: u64,
@@ -175,7 +175,6 @@ impl ClhtLb {
                 for i in 0..ENTRIES_PER_BUCKET {
                     if b.keys[i].load(Ordering::Acquire) == key {
                         result = Some(update(b, i));
-                        stats::record_store();
                         break 'chain;
                     }
                 }
@@ -264,6 +263,7 @@ impl ConcurrentMap for ClhtLb {
             let val = b.vals[i].load(Ordering::Acquire);
             // In-place removal: clearing the key frees the slot.
             b.keys[i].store(0, Ordering::Release);
+            stats::record_store();
             val
         })
     }
@@ -298,8 +298,29 @@ impl ReplaceMap for ClhtLb {
         self.update_in_place(key, |b, i| {
             let old = b.vals[i].load(Ordering::Acquire);
             b.vals[i].store(value, Ordering::Release);
+            stats::record_store();
             old
         })
+    }
+
+    /// The compare and the store both run under the bucket lock, which
+    /// every writer of the slot holds.
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        debug_check_key(key);
+        debug_check_value(expected);
+        debug_check_value(value);
+        let current = self.update_in_place(key, |b, i| {
+            let old = b.vals[i].load(Ordering::Acquire);
+            if old == expected {
+                b.vals[i].store(value, Ordering::Release);
+                stats::record_store();
+            }
+            old
+        });
+        match current {
+            Some(old) if old == expected => Ok(()),
+            other => Err(other),
+        }
     }
 }
 

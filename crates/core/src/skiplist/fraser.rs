@@ -73,6 +73,21 @@ unsafe impl Tower for Node {
 // A 32-byte header with `next0` at offset 24: `24 + 8·h` bytes per node.
 const _: () = assert_node_bytes::<Node>(24);
 
+/// Prefetches the node `pred`'s link one level below `level` points at (a
+/// hint: the pointer is not followed, so `Relaxed` suffices).
+///
+/// # Safety
+///
+/// `pred` is protected by the caller's SSMEM guard and its tower reaches
+/// `level`.
+#[inline]
+unsafe fn prefetch_down(pred: *mut Node, level: usize) {
+    if level > 0 {
+        // SAFETY: forwarded caller contract; level - 1 < level < toplevel.
+        prefetch(unsafe { link(pred, level - 1).load(Ordering::Relaxed).0 });
+    }
+}
+
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
     alloc_node(Node {
         key,
@@ -175,6 +190,10 @@ impl<const OPT: bool> Fraser<OPT> {
     /// `key` if its level-0 pointer is unmarked at this instant. No stores,
     /// no retries.
     ///
+    /// Every `pred` it lands on above level 0 prefetches the node its
+    /// down-link points at: when the right link overshoots, that node is
+    /// the next one compared, and its line is already on the way.
+    ///
     /// Caller must hold an SSMEM guard.
     fn locate(&self, key: u64) -> Option<*mut Node> {
         let mut traversed = 0u64;
@@ -184,9 +203,11 @@ impl<const OPT: bool> Fraser<OPT> {
             let mut result = None;
             for level in (0..MAX_LEVEL).rev() {
                 let mut curr = link(pred, level).load(Ordering::Acquire).0;
+                prefetch_down(pred, level);
                 while (*curr).key < key {
                     pred = curr;
                     curr = link(curr, level).load(Ordering::Acquire).0;
+                    prefetch_down(pred, level);
                     traversed += 1;
                 }
                 if (*curr).key == key {
@@ -297,6 +318,26 @@ impl<const OPT: bool> Fraser<OPT> {
             }
         }
         None
+    }
+
+    /// Conditional overwrite: the same read-only parse as
+    /// [`Self::replace_op`], then one CAS of `expected` to `value` on the
+    /// node's value word. A tombstone there (a `remove` got to it first)
+    /// answers as absent; a CAS landing after a concurrent `remove`'s mark
+    /// linearizes before the mark, as `replace_op`'s does.
+    fn compare_replace_op(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        let _guard = ssmem::protect();
+        stats::record_operation();
+        let node = self.locate(key).ok_or(None)?;
+        // SAFETY: guard protects the located node.
+        let swapped = unsafe { &(*node).value }.compare_exchange(
+            expected,
+            value,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        stats::record_atomic(swapped.is_ok());
+        swapped.map(drop).map_err(live_value)
     }
 
     fn insert_op(&self, key: u64, value: u64) -> bool {
@@ -684,6 +725,13 @@ impl ReplaceMap for FraserSkipList {
         debug_check_value(value);
         self.inner.replace_op(key, value)
     }
+
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        debug_check_key(key);
+        debug_check_value(expected);
+        debug_check_value(value);
+        self.inner.compare_replace_op(key, expected, value)
+    }
 }
 
 impl Default for FraserSkipList {
@@ -758,6 +806,13 @@ impl ReplaceMap for FraserOptSkipList {
         debug_check_value(value);
         self.inner.replace_op(key, value)
     }
+
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        debug_check_key(key);
+        debug_check_value(expected);
+        debug_check_value(value);
+        self.inner.compare_replace_op(key, expected, value)
+    }
 }
 
 impl Default for FraserOptSkipList {
@@ -826,6 +881,7 @@ mod tests {
         Fraser::search_interleaved([(&sl, 5)].into_iter(), &mut lanes);
         assert_eq!(lanes, [None], "an interleaved lane yielded the tombstone");
         assert_eq!(sl.replace_op(5, 51), None);
+        assert_eq!(sl.compare_replace_op(5, 50, 51), Err(None));
         let mut seen = Vec::new();
         sl.walk(1, &mut |k, v| {
             seen.push((k, v));

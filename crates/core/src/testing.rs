@@ -493,8 +493,20 @@ where
     assert_eq!(m.replace(5, 53), None, "replace of a removed key must fail");
     assert_eq!(m.size(), 0);
 
+    assert_eq!(m.compare_replace(6, 60, 61), Err(None), "absent key");
+    assert_eq!(m.search(6), None, "compare_replace of an absent key must not insert it");
+    assert!(m.insert(6, 60));
+    assert_eq!(m.compare_replace(6, 59, 61), Err(Some(60)), "a mismatch answers the current value");
+    assert_eq!(m.search(6), Some(60), "a mismatch must not write");
+    assert_eq!(m.compare_replace(6, 60, 61), Ok(()));
+    assert_eq!(m.search(6), Some(61));
+    assert_eq!(m.remove(6), Some(61));
+    assert_eq!(m.compare_replace(6, 61, 62), Err(None), "compare_replace of a removed key must fail");
+    assert_eq!(m.size(), 0);
+
     replace_never_hides_a_present_key(&ctor());
     replace_and_remove_take_each_value_once(&ctor());
+    compare_replace_counts_every_swap(&ctor());
 }
 
 /// One thread overwrites a key that is never removed while another searches
@@ -599,6 +611,46 @@ fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
         put.len(),
         taken.len()
     );
+}
+
+/// Two threads increment one key by compare-and-swap: `compare_replace`
+/// from the value they last saw to one more, taking the current value from
+/// a mismatch. Each `Ok` is exactly one increment, so the final value must
+/// equal their count; a swap lost or applied twice shows as a difference.
+fn compare_replace_counts_every_swap<M: ReplaceMap>(m: &M) {
+    const KEY: u64 = 7;
+    const ATTEMPTS: u64 = 50_000;
+    // Neighbours, so a one-bucket hash table has the key in a shared chain.
+    for k in 1..=12 {
+        assert!(m.insert(k, 0));
+    }
+    let start = Barrier::new(2);
+    let swaps: u64 = std::thread::scope(|s| {
+        let incrementers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let (mut swaps, mut seen) = (0, 0);
+                    for _ in 0..ATTEMPTS {
+                        match m.compare_replace(KEY, seen, seen + 1) {
+                            Ok(()) => {
+                                swaps += 1;
+                                seen += 1;
+                            }
+                            Err(current) => {
+                                seen = current.expect("a key never removed read as absent");
+                            }
+                        }
+                    }
+                    swaps
+                })
+            })
+            .collect();
+        incrementers.into_iter().map(|t| t.join().expect("incrementer panicked")).sum()
+    });
+    // Each failed attempt follows a distinct swap by the other thread.
+    assert!(swaps >= ATTEMPTS, "only {swaps} swaps in {} attempts", 2 * ATTEMPTS);
+    assert_eq!(m.search(KEY), Some(swaps));
 }
 
 /// The full battery used by every linearizable implementation.

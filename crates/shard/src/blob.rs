@@ -30,28 +30,39 @@
 //!              pointer re-stored gets a different tag, so an evictor's
 //!              stale snapshot never matches a fresh value)
 //! bit 47..3    the blob address (8-aligned)
-//! bit 0        TTL flag: set iff the value carries an expiry deadline,
-//!              so reads of never-expiring values skip the expiry check
-//!              without loading anything
+//! bit 0        TTL flag: set iff the blob has an expiry word, so reads of
+//!              never-expiring values skip the expiry check without
+//!              loading anything
 //! ```
 //!
-//! The blob header is three words, 24 bytes, and the payload follows it in
-//! the same allocation:
+//! The blob header is two words, 16 bytes — three, 24 bytes, for a value
+//! stored with a deadline — and the payload follows it in the same
+//! allocation:
 //!
 //! ```text
-//! word 0   meta: payload length (low 63 bits) | CLOCK reference bit (63)
-//! word 1   expire_at_ms (0 = no deadline); atomic, EXPIRE/PERSIST mutate it
-//! word 2   this blob's position in its shard's ledger; read and written
+//! word 0   meta: payload length (low 62 bits) | layout tag (62) |
+//!          CLOCK reference bit (63)
+//! word 1   this blob's position in its shard's ledger; read and written
 //!          only under the ledger mutex
+//! word 2   TTL'd blobs only: expire_at_ms (0 = none since PERSIST);
+//!          atomic, EXPIRE/PERSIST mutate it
 //! ```
 //!
-//! The allocation is header + payload rounded up at one of two
-//! granularities: to 16 bytes while the total is at most 256 bytes, to 64
-//! bytes above. Small values are where rounding costs most — at 64-byte
-//! steps a 64-byte value took 128 bytes, now 96 — and 16 bytes is what the
-//! system allocator rounds to anyway; large values keep the coarse step so
-//! the reuse pool sees few classes per kilobyte. Either way the size is a
-//! function of the payload length alone, which the header records.
+//! The payload therefore starts at `16 + 8·(handle & TAG_TTL)`: store,
+//! retire, teardown, the CLOCK and sweep walks and every read hold the
+//! handle already, so knowing where the payload starts loads nothing. The
+//! layout tag records the same fact in the blob, and debug builds check on
+//! every payload access that the two agree — a mismatch would copy bytes
+//! from 8 bytes off, silently.
+//!
+//! The allocation is header + payload rounded up to 8 bytes while the total
+//! is at most 512 bytes, and to 64 bytes above. Up to 512 bytes ssmem's
+//! slab arena carves every multiple of 8 with no per-object header, so a
+//! coarser step would only waste bytes: a 64-byte value takes 80 bytes (88
+//! with a deadline), a 256-byte one 272. Larger blobs come from the system
+//! allocator, and the coarse step keeps the reuse pool at few classes per
+//! kilobyte. Either way the size is a function of the payload length and
+//! the TTL flag alone, which the meta word and the handle record.
 //!
 //! The CLOCK reference bit lives in the header word the read path already
 //! loads for the length, so tracking a hit costs **one relaxed bit-set and
@@ -94,19 +105,15 @@
 //! Per-key operations keep the shard layer's linearizability. An
 //! **overwrite** (`set` on a present key) swaps the handle in place with
 //! [`ReplaceMap::replace`], so a reader of a key that is never deleted
-//! never misses. Two windows remain in which a present key can read as
-//! absent, both unlink-then-republish on the index, and both end in
-//! `republish` (insert the unlinked handle back, or retire it if a fresher
-//! write took the key):
-//!
-//! * `retag_with_ttl`: `expire` on a value stored without a deadline
-//!   retags its handle, because readers consult the expiry word only when
-//!   the handle carries the TTL flag;
-//! * `reclaim`: the evictor and the expiry reclaim unlink the key they
-//!   chose and, when the handle they get is not the one they chose (an
-//!   overwrite raced them), put it back.
-//!
-//! Closing them takes a compare-and-replace on the index, not `replace`.
+//! never misses. So does `expire` on a value stored without a deadline:
+//! such a blob has no expiry word, so `expire` stores a TTL'd copy and
+//! swaps it in with [`ReplaceMap::compare_replace`], looking again if an
+//! overwrite took the key first. One window remains in which a present key
+//! can read as absent: `reclaim` — the evictor and the expiry reclaim —
+//! unlinks the key it chose and, when the handle it gets is not the one it
+//! chose (an overwrite raced it), puts that handle back through
+//! `republish`. Closing it takes a conditional remove on the index
+//! (`remove_if`), not `remove`.
 //! Readers never see a mix of old and new payload bytes — payloads are
 //! immutable after publish (the expiry word is the one mutable, atomic
 //! field). `expire`/`persist` racing an overwrite of the same key resolve
@@ -138,12 +145,13 @@ use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock};
 use crate::hotkey::{FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 use crate::map::ShardedMap;
 
-/// Bytes of blob header: the meta word (payload length + CLOCK reference
-/// bit), the expiry word and the ledger-position word. The retire path
-/// reconstructs the allocation layout from the header alone.
-const HEADER: usize = 24;
+/// Bytes of every blob's header: the meta word (payload length, layout tag,
+/// CLOCK reference bit) and the ledger-position word. A TTL'd blob adds the
+/// expiry word after them (see [`payload_offset`]).
+const HEADER: usize = 16;
 
-/// Blob alignment (a header of three `u64` words).
+/// Blob alignment (header words are `u64`s), and the rounding step of
+/// allocations up to [`SMALL_BLOB_MAX`].
 const ALIGN: usize = 8;
 
 /// Allocation sizes above [`SMALL_BLOB_MAX`] are rounded up to this
@@ -152,15 +160,13 @@ const ALIGN: usize = 8;
 /// recycle each other's memory).
 const SIZE_CLASS: usize = 64;
 
-/// Allocation sizes up to [`SMALL_BLOB_MAX`] are rounded up to this finer
-/// granularity: it is the system allocator's own, so a finer one would save
-/// nothing, and it adds at most fifteen classes (32, 48, .. 256 bytes).
-const SMALL_SIZE_CLASS: usize = 16;
+/// Largest allocation (header included) rounded at [`ALIGN`]: the largest
+/// object ssmem's slab arena carves, where every multiple of 8 bytes is a
+/// class of its own with no per-object header.
+const SMALL_BLOB_MAX: usize = 512;
 
-/// Largest allocation (header included) rounded at [`SMALL_SIZE_CLASS`].
-const SMALL_BLOB_MAX: usize = 256;
-
-/// Handle bit 0: the value carries an expiry deadline.
+/// Handle bit 0: the blob has an expiry word (the value was stored with a
+/// deadline). Bit 0, so that `handle & TAG_TTL` counts the extra word.
 const TAG_TTL: u64 = 1;
 
 /// Handle bits 63..48: the arena generation tag.
@@ -172,8 +178,12 @@ const ADDR_MASK: u64 = !(TAG_GEN_MASK | 0x7);
 /// Meta-word bit 63: the CLOCK reference bit.
 const META_REF: u64 = 1 << 63;
 
-/// Meta-word bits 62..0: the payload length.
-const META_LEN_MASK: u64 = META_REF - 1;
+/// Meta-word bit 62: the layout tag — the blob has an expiry word. It
+/// repeats the handle's TTL flag so debug builds can check the two agree.
+const META_TTL: u64 = 1 << 62;
+
+/// Meta-word bits 61..0: the payload length.
+const META_LEN_MASK: u64 = META_TTL - 1;
 
 /// Every `SWEEP_EVERY`th `set` on a shard walks a slice of the ledger
 /// looking for expired values (skipped entirely while no value on the
@@ -215,20 +225,53 @@ unsafe fn meta_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
     unsafe { &*(ptr as *const AtomicU64) }
 }
 
-/// The expiry word of a blob. Same safety contract as [`meta_cell`].
-#[inline]
-unsafe fn expire_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
-    // SAFETY: forwarded caller contract; word 1 sits inside the header.
-    unsafe { &*(ptr.add(8) as *const AtomicU64) }
-}
-
 /// The ledger-position word of a blob. Same safety contract as
 /// [`meta_cell`]; the ledger mutex orders every access, so they are all
 /// `Relaxed`.
 #[inline]
 unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
-    // SAFETY: forwarded caller contract; word 2 sits inside the header.
-    unsafe { &*(ptr.add(16) as *const AtomicU64) }
+    // SAFETY: forwarded caller contract; word 1 sits inside the header.
+    unsafe { &*(ptr.add(8) as *const AtomicU64) }
+}
+
+/// The expiry word of a TTL'd blob (deadline-free blobs have none). Same
+/// safety contract as [`meta_cell`], for the handle's blob.
+#[inline]
+unsafe fn expire_cell<'a>(handle: u64) -> &'a AtomicU64 {
+    debug_assert!(has_ttl(handle), "a deadline-free blob has no expiry word");
+    // SAFETY: forwarded caller contract; the TTL flag says word 2 exists.
+    unsafe { &*(blob_addr(handle).add(HEADER) as *const AtomicU64) }
+}
+
+/// Bytes from a blob's start to its payload: the header, plus the expiry
+/// word when the handle carries the TTL flag.
+#[inline]
+fn payload_offset(handle: u64) -> usize {
+    HEADER + 8 * (handle & TAG_TTL) as usize
+}
+
+/// The payload of the blob behind `handle`, and the meta word its length
+/// came from: the one place a payload is found.
+///
+/// # Safety
+///
+/// As [`ValueArena::read_into`]: the blob is protected or owned, and the
+/// slice must not outlive that.
+#[inline]
+unsafe fn payload<'a>(handle: u64) -> (&'a [u8], u64) {
+    let ptr = blob_addr(handle);
+    // SAFETY: forwarded caller contract; the payload is immutable after
+    // publish, and `store` wrote `len` bytes of it at `payload_offset`.
+    unsafe {
+        let meta = meta_cell(ptr).load(Ordering::Relaxed);
+        debug_assert_eq!(
+            meta & META_TTL != 0,
+            has_ttl(handle),
+            "the handle's TTL flag and the blob's layout tag disagree"
+        );
+        let len = (meta & META_LEN_MASK) as usize;
+        (std::slice::from_raw_parts(ptr.add(payload_offset(handle)), len), meta)
+    }
 }
 
 /// Prefetches the line holding a blob's last payload byte (the header line
@@ -236,24 +279,36 @@ unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
 ///
 /// # Safety
 ///
-/// As [`ValueArena::read_into`]: the blob's length word is read.
+/// As [`payload`].
 #[inline]
 unsafe fn prefetch_payload_end(handle: u64) {
-    let ptr = blob_addr(handle);
-    // SAFETY: forwarded caller contract; `HEADER + len - 1` is the blob's
-    // last payload byte, or inside its header when the payload is empty.
-    unsafe {
-        let len = (meta_cell(ptr).load(Ordering::Relaxed) & META_LEN_MASK) as usize;
-        prefetch(ptr.add(HEADER + len - 1));
-    }
+    // SAFETY: forwarded caller contract.
+    let (bytes, _) = unsafe { payload(handle) };
+    // The last payload byte, or the header's last word when the payload is
+    // empty; a prefetch never faults, so the address needs no more care.
+    prefetch(bytes.as_ptr().wrapping_add(bytes.len()).wrapping_sub(1));
 }
 
-/// The allocation layout backing a blob of `len` payload bytes. Must be a
-/// pure function of `len`: `store` and `retire` both derive it, and the
-/// layouts have to match for the allocator.
-fn blob_layout(len: usize) -> Layout {
-    let exact = HEADER + len;
-    let class = if exact <= SMALL_BLOB_MAX { SMALL_SIZE_CLASS } else { SIZE_CLASS };
+/// The payload length of the blob behind `handle` and the layout it was
+/// allocated with.
+///
+/// # Safety
+///
+/// As [`payload`].
+#[inline]
+unsafe fn extent(handle: u64) -> (usize, Layout) {
+    // SAFETY: forwarded caller contract.
+    let len = unsafe { payload(handle) }.0.len();
+    (len, blob_layout(len, has_ttl(handle)))
+}
+
+/// The allocation layout backing a blob of `len` payload bytes, with an
+/// expiry word if `ttl`. Must be a pure function of the two: `store`,
+/// `retire` and teardown all derive it (the length from the meta word, the
+/// flag from the handle), and the layouts have to match for the allocator.
+fn blob_layout(len: usize, ttl: bool) -> Layout {
+    let exact = HEADER + 8 * usize::from(ttl) + len;
+    let class = if exact <= SMALL_BLOB_MAX { ALIGN } else { SIZE_CLASS };
     let size = exact.div_ceil(class) * class;
     Layout::from_size_align(size, ALIGN).expect("valid blob layout")
 }
@@ -296,9 +351,7 @@ impl ArenaStatsSnapshot {
 
 /// The write-path ledger: every live handle with its key, plus the
 /// persistent CLOCK hand and the TTL-sweep cursor. An entry is found from
-/// its blob: header word 2 holds the entry's position (so retagging a
-/// handle in place — `EXPIRE` on a previously deadline-free value — keeps
-/// the entry findable).
+/// its blob: header word 1 holds the entry's position.
 #[derive(Debug, Default)]
 struct Ledger {
     /// `(key, tagged handle)` of every live blob on this shard.
@@ -319,8 +372,8 @@ impl Ledger {
         // SAFETY: forwarded caller contract.
         let pos = unsafe { pos_cell(blob_addr(handle)).load(Ordering::Relaxed) } as usize;
         debug_assert_eq!(
-            self.entries.get(pos).map(|e| e.1 & ADDR_MASK),
-            Some(handle & ADDR_MASK),
+            self.entries.get(pos).map(|e| e.1),
+            Some(handle),
             "blob header and ledger disagree (handle retired twice?)"
         );
         pos
@@ -346,18 +399,6 @@ impl Ledger {
             // SAFETY: `moved` is in the ledger, so its blob is allocated.
             unsafe { pos_cell(blob_addr(moved)).store(pos as u64, Ordering::Relaxed) };
         }
-    }
-
-    /// Rewrites the stored handle of a live entry (same blob address).
-    ///
-    /// # Safety
-    ///
-    /// As [`position`](Self::position).
-    unsafe fn retag(&mut self, handle: u64, new_handle: u64) {
-        debug_assert_eq!(handle & ADDR_MASK, new_handle & ADDR_MASK);
-        // SAFETY: forwarded caller contract.
-        let pos = unsafe { self.position(handle) };
-        self.entries[pos].1 = new_handle;
     }
 }
 
@@ -407,33 +448,38 @@ impl ValueArena {
 
     /// Copies `value` into a fresh header-prefixed blob and returns its
     /// tagged handle. The payload is immutable from here on (readers rely
-    /// on it); `expire_at_ms` (0 = none) sets the expiry word and the
-    /// handle's TTL flag. The caller has reserved `value.len()` bytes (see
-    /// [`BlobMap`]'s reservation path).
+    /// on it); a nonzero `expire_at_ms` gives the blob an expiry word
+    /// holding it and the handle its TTL flag. The caller has reserved
+    /// `value.len()` bytes (see [`BlobMap`]'s reservation path).
     fn store(&self, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
-        let layout = blob_layout(value.len());
-        let ptr = ssmem::alloc_raw(layout);
+        let ttl = expire_at_ms != 0;
+        let ptr = ssmem::alloc_raw(blob_layout(value.len(), ttl));
         debug_assert_eq!(
             ptr as u64 & !ADDR_MASK,
             0,
             "blob pointers must fit the 48-bit/8-aligned tag layout"
         );
-        // SAFETY: `ptr` is a fresh (or recycled past its grace period)
-        // allocation of `layout`, which holds HEADER + value.len() bytes;
-        // nothing else references it until we publish the handle. The
-        // reference bit starts clear — only an actual read earns survival,
-        // so a churn stream of never-read inserts evicts itself instead of
-        // lapping the hand over (and past) the genuinely hot entries.
-        unsafe {
-            meta_cell(ptr).store(value.len() as u64, Ordering::Relaxed);
-            expire_cell(ptr).store(expire_at_ms, Ordering::Relaxed);
-            ptr.add(HEADER).copy_from_nonoverlapping(value.as_ptr(), value.len());
-        }
         let generation = self.cache.generation.fetch_add(1, Ordering::Relaxed);
         let mut handle = (ptr as u64) | ((generation << 48) & TAG_GEN_MASK);
-        if expire_at_ms != 0 {
+        let mut meta = value.len() as u64;
+        if ttl {
             handle |= TAG_TTL;
+            meta |= META_TTL;
             self.cache.ttl_live.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` is a fresh (or recycled past its grace period)
+        // allocation of `blob_layout(len, ttl)`, which holds the header, the
+        // expiry word if `ttl` and the payload; nothing else references it
+        // until we publish the handle. The reference bit starts clear —
+        // only an actual read earns survival, so a churn stream of
+        // never-read inserts evicts itself instead of lapping the hand over
+        // (and past) the genuinely hot entries.
+        unsafe {
+            meta_cell(ptr).store(meta, Ordering::Relaxed);
+            if ttl {
+                expire_cell(handle).store(expire_at_ms, Ordering::Relaxed);
+            }
+            ptr.add(payload_offset(handle)).copy_from_nonoverlapping(value.as_ptr(), value.len());
         }
         // SAFETY: `ptr` was allocated above and is in no ledger yet.
         unsafe { self.ledger.lock().expect("arena ledger poisoned").insert(key, handle) };
@@ -450,14 +496,10 @@ impl ValueArena {
     /// by [`store`](Self::store) on this or any other arena sharing the
     /// ssmem runtime.
     unsafe fn read_into(&self, handle: u64, out: &mut Vec<u8>) {
-        let ptr = blob_addr(handle);
         // SAFETY: the guard (caller contract) keeps the blob from being
         // reclaimed; payloads are immutable after publish, so the length
         // and payload reads race with nothing.
-        unsafe {
-            let len = (meta_cell(ptr).load(Ordering::Relaxed) & META_LEN_MASK) as usize;
-            out.extend_from_slice(std::slice::from_raw_parts(ptr.add(HEADER), len));
-        }
+        out.extend_from_slice(unsafe { payload(handle) }.0);
     }
 
     /// [`read_into`](Self::read_into) for point reads: additionally sets
@@ -465,24 +507,22 @@ impl ValueArena {
     /// the length load already pulled in, and only when a budget makes
     /// eviction live and the bit isn't already set. Same safety contract.
     unsafe fn read_into_marked(&self, handle: u64, out: &mut Vec<u8>) {
-        let ptr = blob_addr(handle);
         // SAFETY: as `read_into`; the bit-set is atomic and races only
         // with other bit ops on the same word.
         unsafe {
-            let meta = meta_cell(ptr).load(Ordering::Relaxed);
-            let len = (meta & META_LEN_MASK) as usize;
-            out.extend_from_slice(std::slice::from_raw_parts(ptr.add(HEADER), len));
+            let (bytes, meta) = payload(handle);
+            out.extend_from_slice(bytes);
             if self.budget.is_some() && meta & META_REF == 0 {
-                meta_cell(ptr).fetch_or(META_REF, Ordering::Relaxed);
+                meta_cell(blob_addr(handle)).fetch_or(META_REF, Ordering::Relaxed);
             }
         }
     }
 
-    /// The blob's expiry deadline (0 = none). Same safety contract as
-    /// [`read_into`](Self::read_into).
+    /// The deadline of a TTL'd blob (0 = none since PERSIST). Same safety
+    /// contract as [`read_into`](Self::read_into).
     unsafe fn expire_of(&self, handle: u64) -> u64 {
         // SAFETY: forwarded caller contract.
-        unsafe { expire_cell(blob_addr(handle)).load(Ordering::Relaxed) }
+        unsafe { expire_cell(handle).load(Ordering::Relaxed) }
     }
 
     /// `true` if the value carries a deadline that has passed on this
@@ -499,27 +539,12 @@ impl ValueArena {
         exp != 0 && self.now_ms() >= exp
     }
 
-    /// Rewrites the blob's expiry deadline (EXPIRE/PERSIST). Same safety
-    /// contract as [`read_into`](Self::read_into).
+    /// Rewrites a TTL'd blob's expiry deadline (EXPIRE/PERSIST). Same
+    /// safety contract as [`read_into`](Self::read_into).
     unsafe fn set_expire(&self, handle: u64, deadline_ms: u64) {
         // SAFETY: forwarded caller contract; the word is atomic, payloads
         // stay immutable.
-        unsafe { expire_cell(blob_addr(handle)).store(deadline_ms, Ordering::Relaxed) };
-    }
-
-    /// Rewrites a live ledger entry's handle in place (EXPIRE retagging a
-    /// deadline-free value) and keeps the TTL gauge coherent.
-    ///
-    /// # Safety
-    ///
-    /// `handle` must come from [`store`](Self::store) on this arena and
-    /// not have been retired.
-    unsafe fn retag(&self, handle: u64, new_handle: u64) {
-        if !has_ttl(handle) && has_ttl(new_handle) {
-            self.cache.ttl_live.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: stored here and not retired, so allocated and in the ledger.
-        unsafe { self.ledger.lock().expect("arena ledger poisoned").retag(handle, new_handle) };
+        unsafe { expire_cell(handle).store(deadline_ms, Ordering::Relaxed) };
     }
 
     /// Reserves `len` payload bytes against the gauge unconditionally
@@ -609,22 +634,24 @@ impl ValueArena {
     /// already be unlinked from every shared index, and must not be retired
     /// twice.
     unsafe fn retire(&self, handle: u64) {
-        let ptr = blob_addr(handle);
         // SAFETY: the handle is unlinked (caller contract), so this thread
         // owns the right to read its header and retire it.
-        let len = unsafe { meta_cell(ptr).load(Ordering::Relaxed) } & META_LEN_MASK;
+        let (len, layout) = unsafe { extent(handle) };
         // SAFETY: stored here and not yet retired (caller contract), so the
         // blob is allocated and in this ledger.
         unsafe { self.ledger.lock().expect("arena ledger poisoned").remove(handle) };
-        let live = self.cache.live_now.fetch_sub(len, Ordering::Relaxed);
-        debug_assert!(live >= len, "live-byte gauge underflow (a store without a reservation)");
+        let live = self.cache.live_now.fetch_sub(len as u64, Ordering::Relaxed);
+        debug_assert!(
+            live >= len as u64,
+            "live-byte gauge underflow (a store without a reservation)"
+        );
         if has_ttl(handle) {
             let ttl = self.cache.ttl_live.fetch_sub(1, Ordering::Relaxed);
             debug_assert!(ttl > 0, "TTL gauge underflow");
         }
         // SAFETY: unlinked and never retired before (caller contract);
-        // layout is the same pure function of `len` used at allocation.
-        unsafe { ssmem::retire_raw(ptr, blob_layout(len as usize)) };
+        // `extent` derived the layout the store allocated.
+        unsafe { ssmem::retire_raw(blob_addr(handle), layout) };
     }
 
     /// Retires a handle this thread unlinked and reports whether its value
@@ -669,11 +696,10 @@ impl Drop for ValueArena {
         // owned by the epoch collector).
         let ledger = std::mem::take(self.ledger.get_mut().expect("arena ledger poisoned"));
         for (_key, handle) in ledger.entries {
-            let ptr = blob_addr(handle);
             // SAFETY: live blob, unreachable by any thread after Drop began.
             unsafe {
-                let len = (meta_cell(ptr).load(Ordering::Relaxed) & META_LEN_MASK) as usize;
-                ssmem::dealloc_raw_immediate(ptr, blob_layout(len));
+                let (_, layout) = extent(handle);
+                ssmem::dealloc_raw_immediate(blob_addr(handle), layout);
             }
         }
     }
@@ -1031,9 +1057,10 @@ impl<M: ReplaceMap> BlobMap<M> {
         live
     }
 
-    /// The one write routing of [`set`](Self::set) and [`del`](Self::del):
-    /// `apply` performs the write on the index, `value` is what it writes
-    /// (`None`: a delete) and `expire_at` its deadline (0 = none). A write
+    /// The one write routing of [`set`](Self::set), [`del`](Self::del) and
+    /// [`expire`](Self::expire)'s swap: `apply` performs the write on the
+    /// index, `value` is what it writes (`None`: a delete; read only on the
+    /// write-through path) and `expire_at` its deadline (0 = none). A write
     /// of a fronted key without a deadline applies under the key's
     /// front-slot lock and refreshes its copy
     /// ([`HotKeyEngine::write_through`]); any other write applies, then
@@ -1072,59 +1099,79 @@ impl<M: ReplaceMap> BlobMap<M> {
 
     /// Sets the expiry deadline of a live key to `ttl_ms` from now;
     /// `true` if the key was present and alive. A `ttl_ms` of 0 expires
-    /// the value immediately (the next read or sweep reclaims it).
-    /// Racing a concurrent overwrite of the same key resolves in an
-    /// arbitrary order (module docs).
+    /// the value immediately (the next read or sweep reclaims it). A value
+    /// stored with a deadline gets the new one in place. One stored without
+    /// has no expiry word, so it is copied into a TTL'd blob that is
+    /// swapped in for it only while it is still the key's value; the key
+    /// never reads as absent meanwhile. Racing a concurrent overwrite of
+    /// the same key resolves in an arbitrary order (module docs).
     pub fn expire(&self, key: u64, ttl_ms: u64) -> bool {
         let deadline = self.arena_of(key).now_ms().saturating_add(ttl_ms).max(1);
-        let retag = self.lookup(key, |arena, h| {
-            if !has_ttl(h) {
-                return Some(h);
+        loop {
+            let copied = self.lookup(key, |arena, h| {
+                if has_ttl(h) {
+                    // SAFETY: under `lookup`'s guard; the expiry word is
+                    // atomic.
+                    unsafe { arena.set_expire(h, deadline) };
+                    return None;
+                }
+                // SAFETY: under `lookup`'s guard, which outlives the copy.
+                let (value, _) = unsafe { payload(h) };
+                // EXPIRE evicts nothing: the copy's bytes go on the gauge
+                // unconditionally, and leave it with whichever blob loses.
+                arena.add_live(value.len() as u64);
+                Some((h, arena.store(key, value, deadline)))
+            });
+            match copied {
+                None => return false,
+                Some(None) => return true,
+                Some(Some((h, copy))) => {
+                    if let Some(present) = self.swap_in_copy(key, h, copy, deadline) {
+                        return present;
+                    }
+                }
             }
-            // SAFETY: under `lookup`'s guard; the expiry word is atomic.
-            unsafe { arena.set_expire(h, deadline) };
-            None
-        });
-        match retag {
-            None => false,
-            Some(None) => true,
-            Some(Some(h)) => self.retag_with_ttl(key, h, deadline),
         }
     }
 
-    /// Republishes a deadline-free value with the TTL flag set (readers
-    /// only consult the expiry word when the handle carries the flag): the
-    /// unlinked blob gets its deadline, its ledger entry the new handle,
-    /// and any front copy from its deadline-free life is poisoned before it
-    /// goes back. An overwrite that raced in goes back untouched. Between
-    /// the remove and [`republish`](Self::republish) a reader of the key
-    /// misses (the first of the two windows in the module docs).
-    fn retag_with_ttl(&self, key: u64, h: u64, deadline: u64) -> bool {
-        let Some(mut back) = self.map.remove(key) else {
-            return false;
-        };
-        if back == h {
-            let arena = self.arena_of(key);
-            back = h | TAG_TTL;
-            // SAFETY: unlinked by our remove and returned only to us, so
-            // stored and not retired.
-            unsafe {
-                arena.set_expire(h, deadline);
-                arena.retag(h, back);
+    /// Publishes `copy`, the TTL'd re-store of the deadline-free `h`, in
+    /// place of `h` if `h` is still `key`'s value, and retires the blob that
+    /// lost. `Some(true)`: the copy went in. `Some(false)`: the key is gone.
+    /// `None`: another write replaced `h` first, and the caller looks
+    /// again. The swap goes through [`write`](Self::write) with the copy's
+    /// `deadline`, so it applies, then poisons — TTL'd values are never
+    /// front-cached, and a front copy from `h`'s deadline-free life dies
+    /// before `h` is retired.
+    fn swap_in_copy(&self, key: u64, h: u64, copy: u64, deadline: u64) -> Option<bool> {
+        let mut swapped = Err(None);
+        self.write(key, None, deadline, || {
+            swapped = self.map.compare_replace(key, h, copy);
+            swapped.is_ok()
+        });
+        let arena = self.arena_of(key);
+        match swapped {
+            Ok(()) => {
+                // SAFETY: the swap unlinked `h` and handed it to this
+                // thread alone.
+                unsafe { arena.retire(h) };
+                Some(true)
             }
-            self.poison(key);
+            Err(current) => {
+                // SAFETY: `copy` was never published, so no other thread
+                // can unlink or retire it.
+                unsafe { arena.retire(copy) };
+                current.is_none().then_some(false)
+            }
         }
-        self.republish(key, back);
-        true
     }
 
     /// Clears the expiry deadline of a live key; `true` if the key was
     /// present and alive (with or without a deadline to clear).
     pub fn persist(&self, key: u64) -> bool {
         self.lookup(key, |arena, h| {
-            // The TTL flag stays in the handle (republishing is an
-            // overwrite-shaped disruption); a zero expiry word reads as
-            // "no deadline".
+            // A TTL'd blob keeps its expiry word and the handle its flag (a
+            // re-store would buy back only 8 bytes); a zero expiry word
+            // reads as "no deadline".
             if has_ttl(h) {
                 // SAFETY: under `lookup`'s guard; the expiry word is atomic.
                 unsafe { arena.set_expire(h, 0) };
@@ -1491,24 +1538,43 @@ mod tests {
     }
 
     #[test]
-    fn blob_layout_rounds_small_blobs_to_16_and_large_ones_to_64() {
-        let table = [(0, 32), (8, 32), (9, 48), (64, 96), (232, 256), (233, 320), (256, 320)];
-        for (len, size) in table {
-            assert_eq!(blob_layout(len).size(), size, "payload of {len} bytes");
+    fn blob_layout_rounds_to_8_in_the_arena_and_to_64_above() {
+        // (payload, deadline-free size, TTL'd size)
+        let table = [
+            (0, 16, 24),
+            (1, 24, 32),
+            (64, 80, 88),
+            (256, 272, 280),
+            (488, 504, 512),
+            (489, 512, 576),
+            (496, 512, 576),
+            (497, 576, 576),
+            (553, 576, 640),
+            (4096, 4160, 4160),
+        ];
+        for (len, plain, ttl) in table {
+            assert_eq!(blob_layout(len, false).size(), plain, "payload of {len} bytes");
+            assert_eq!(blob_layout(len, true).size(), ttl, "TTL'd payload of {len} bytes");
         }
-        let mut classes = std::collections::BTreeSet::new();
-        let mut previous = 0;
-        for len in 0..=4096 {
-            let layout = blob_layout(len);
-            assert_eq!(layout.align(), ALIGN);
-            assert!(layout.size() >= HEADER + len, "a {len}-byte payload does not fit");
-            assert!(layout.size() < HEADER + len + SIZE_CLASS, "payload {len} over-rounded");
-            assert!(layout.size() >= previous, "not monotone at {len}");
-            previous = layout.size();
-            classes.insert(layout.size());
+        for ttl in [false, true] {
+            let header = HEADER + 8 * usize::from(ttl);
+            let mut classes = std::collections::BTreeSet::new();
+            let mut previous = 0;
+            for len in 0..=4096 {
+                let layout = blob_layout(len, ttl);
+                let exact = header + len;
+                assert_eq!(layout.align(), ALIGN);
+                assert!(layout.size() >= exact, "a {len}-byte payload does not fit");
+                let step = if exact <= SMALL_BLOB_MAX { ALIGN } else { SIZE_CLASS };
+                assert!(layout.size() < exact + step, "payload {len} over-rounded");
+                assert!(layout.size() >= previous, "not monotone at {len}");
+                previous = layout.size();
+                classes.insert(layout.size());
+            }
+            // One class per 8 bytes up to 512, then one per 64: bounded.
+            let fine = (SMALL_BLOB_MAX - header) / ALIGN + 1;
+            assert_eq!(classes.len(), fine + (4160 - SMALL_BLOB_MAX) / SIZE_CLASS, "ttl {ttl}");
         }
-        // 15 fine classes up to 256 bytes, then one per 64: bounded.
-        assert_eq!(classes.len(), 15 + (4160 - 256) / 64);
     }
 
     #[test]
@@ -1719,13 +1785,14 @@ mod tests {
         let mut expected = survivors.clone();
         expected.sort_unstable();
         assert_eq!(visited, expected);
-        // And a retag finds its entry through the moved position words.
-        let (key, handle) = survivors[0];
-        // SAFETY: a survivor: stored here, not retired.
-        unsafe { arena.retag(handle, handle | TAG_TTL) };
+        // And every survivor's position word leads to its own entry.
         let ledger = arena.ledger.lock().unwrap();
-        assert!(ledger.entries.contains(&(key, handle | TAG_TTL)));
         assert_eq!(ledger.entries.len(), survivors.len());
+        for &(key, handle) in &survivors {
+            // SAFETY: a survivor: stored here, not retired.
+            let pos = unsafe { ledger.position(handle) };
+            assert_eq!(ledger.entries[pos], (key, handle));
+        }
     }
 
     #[test]
@@ -1822,11 +1889,14 @@ mod tests {
     #[test]
     fn expire_persist_and_ttl_cover_both_handle_shapes() {
         let (map, clock) = clocked_map(CacheConfig::unbounded());
-        // Retag path: the value was stored without a deadline.
+        // Re-store path: the value was stored without a deadline.
         map.set(1, b"v");
         assert_eq!(map.ttl_ms(1), Some(None));
         assert!(map.expire(1, 100));
         assert_eq!(map.ttl_ms(1), Some(Some(100)));
+        assert_eq!(map.get_owned(1).unwrap(), b"v", "the copy carries the payload");
+        let (blobs, c) = (map.total_arena_stats(), map.cache_stats());
+        assert_eq!((blobs.live_blobs(), blobs.live_bytes(), c.ttl_live), (1, 1, 1));
         clock.advance(60);
         assert_eq!(map.ttl_ms(1), Some(Some(40)));
         // Fast path: the handle already carries the TTL flag.
@@ -1978,7 +2048,7 @@ mod tests {
         assert!(clock_map.get_owned(7).is_none(), "front copy outlived the deadline");
     }
 
-    // -- the unlink-then-republish branches, one interleaving each ----------
+    // -- the lost-race branches, one interleaving each ----------------------
 
     #[test]
     fn reclaiming_a_replaced_handle_puts_the_overwrite_back_uncounted() {
@@ -2008,32 +2078,42 @@ mod tests {
     }
 
     #[test]
-    fn expire_retag_of_a_replaced_handle_puts_the_overwrite_back_untouched() {
+    fn expire_copy_of_a_replaced_handle_is_freed_and_the_overwrite_left_untouched() {
         let (map, clock) = clocked_map(CacheConfig::unbounded());
+        let deadline = clock.now_ms() + 100;
+        let arena = &map.arenas[0];
         map.set(3, b"v1");
         let stale = map.map.search(3).expect("stored");
+        // EXPIRE copied the deadline-free v1, then an overwrite landed
+        // before its swap.
+        let copy = reserve_and_store(arena, 3, b"v1", deadline);
         assert!(!map.set(3, b"v2"), "overwrite");
-        // EXPIRE saw the deadline-free v1, then the overwrite landed before
-        // its remove.
-        assert!(map.retag_with_ttl(3, stale, clock.now_ms() + 100));
+        assert_eq!(map.swap_in_copy(3, stale, copy, deadline), None, "look again");
         assert_eq!(map.get_owned(3).unwrap(), b"v2");
         assert_eq!(map.ttl_ms(3), Some(None), "v2 keeps its own (absent) deadline");
-        assert_eq!(map.total_arena_stats().live_blobs(), 1);
-        let c = map.cache_stats();
-        assert_eq!((c.evictions, c.expired_lazy, c.ttl_live), (0, 0, 0));
-        // The handle it was given is retagged in place.
-        let current = map.map.search(3).expect("put back");
-        assert!(map.retag_with_ttl(3, current, clock.now_ms() + 100));
+        let (blobs, c) = (map.total_arena_stats(), map.cache_stats());
+        assert_eq!((blobs.live_blobs(), blobs.live_bytes(), c.ttl_live), (1, 2, 0));
+        // The current value is swapped for its copy.
+        let current = map.map.search(3).expect("untouched");
+        let copy = reserve_and_store(arena, 3, b"v2", deadline);
+        assert_eq!(map.swap_in_copy(3, current, copy, deadline), Some(true));
         assert_eq!(map.ttl_ms(3), Some(Some(100)));
-        assert_eq!(map.cache_stats().ttl_live, 1);
-        assert_eq!(map.total_arena_stats().live_blobs(), 1);
+        let (blobs, c) = (map.total_arena_stats(), map.cache_stats());
+        assert_eq!((blobs.live_blobs(), blobs.live_bytes(), c.ttl_live), (1, 2, 1));
+        // A key deleted before the swap stays deleted.
+        assert!(map.del(3));
+        let copy = reserve_and_store(arena, 3, b"v2", deadline);
+        assert_eq!(map.swap_in_copy(3, current, copy, deadline), Some(false));
+        assert_eq!(map.get_owned(3), None);
+        assert_eq!(map.total_arena_stats(), ArenaStatsSnapshot::default());
+        assert_eq!(map.cache_stats().ttl_live, 0);
     }
 
     #[test]
     fn republish_retires_a_value_a_fresher_write_displaced() {
         let map = BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| FraserOptSkipList::new());
         map.set(5, b"old");
-        // This thread unlinks `old` (as a reclaim or retag would), and a
+        // This thread unlinks `old` (as a reclaim would), and a
         // fresh write creates the key before it can put `old` back.
         let held = map.map.remove(5).expect("stored");
         assert!(map.set(5, b"new"), "the key was absent");

@@ -161,6 +161,17 @@ impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
         }
         old
     }
+
+    /// Routes to the owning shard's `compare_replace`; a swap is recorded
+    /// as `replace` records one, a failure records nothing.
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        let (shard, stats) = self.shard_and_stats(key);
+        let swapped = shard.compare_replace(key, expected, value);
+        if swapped.is_ok() {
+            stats.record_insert(false);
+        }
+        swapped
+    }
 }
 
 impl<M: ConcurrentMap> std::fmt::Debug for ShardedMap<M> {
@@ -213,8 +224,12 @@ mod tests {
         assert!(map.insert(9, 90));
         assert_eq!(map.replace(9, 91), Some(90));
         assert_eq!(map.search(9), Some(91));
+        assert_eq!(map.compare_replace(9, 90, 92), Err(Some(91)), "mismatch: no-op");
+        assert_eq!(map.compare_replace(8, 0, 92), Err(None), "absent key: no-op");
+        assert_eq!(map.compare_replace(9, 91, 92), Ok(()));
+        assert_eq!(map.search(9), Some(92));
         let stats = map.total_stats();
-        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (2, 1, 0));
+        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (3, 1, 0));
         assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
     }
 

@@ -1,8 +1,10 @@
 //! What the blob arena asks the allocator for, counted from outside.
 //!
 //! A blob is freed with a layout recomputed from the payload length in its
-//! header. Through ssmem's per-size-class census a set / overwrite / del /
-//! drop cycle over every value length around both rounding granularities
+//! header and the TTL flag in its handle. Through ssmem's per-size-class
+//! census a cycle of set, set with a deadline, EXPIRE of a deadline-free
+//! value (a re-store into a blob with an expiry word), PERSIST, overwrite,
+//! del and drop over every value length around the 512-byte arena limit
 //! must leave each size class with as many objects in use as before; a
 //! retire whose layout differs from the store's shows as one class above
 //! it and another below.
@@ -15,12 +17,22 @@ use ascylib::testing::assert_arena_balanced;
 use ascylib_shard::BlobMap;
 use ascylib_ssmem as ssmem;
 
-/// Longest value; header + payload crosses from 16-byte to 64-byte rounding
-/// at 232.
-const MAX_LEN: usize = 300;
+/// Longest value; header + payload crosses from 8-byte rounding in the
+/// arena to 64-byte rounding on the system allocator at 497 bytes (489
+/// with a deadline).
+const MAX_LEN: usize = 600;
+
+/// A deadline no run reaches.
+const HOUR_MS: u64 = 3_600_000;
 
 fn value(len: usize, fill: u8) -> Vec<u8> {
     vec![fill; len]
+}
+
+/// Another length, so a displaced blob and its replacement sit in
+/// different classes.
+fn other_len(len: usize) -> usize {
+    (len * 7 + 13) % (MAX_LEN + 1)
 }
 
 fn cycle() {
@@ -31,16 +43,30 @@ fn cycle() {
             for len in 0..=MAX_LEN {
                 assert!(map.set(len as u64 + 1, &value(len, 1)), "first set creates");
             }
-            // Overwrite each key with a value of another length, so the
-            // displaced blob and its replacement sit in different classes.
+            // Odd lengths: EXPIRE re-stores the deadline-free value with an
+            // expiry word. Even lengths: an overwrite with a deadline.
             for len in 0..=MAX_LEN {
-                let new_len = (len * 7 + 13) % (MAX_LEN + 1);
-                assert!(!map.set(len as u64 + 1, &value(new_len, 2)), "second set overwrites");
+                let key = len as u64 + 1;
+                if len % 2 == 1 {
+                    assert!(map.expire(key, HOUR_MS));
+                    assert_eq!(map.get_owned(key), Some(value(len, 1)), "EXPIRE kept the value");
+                } else {
+                    assert!(!map.set_ex(key, &value(other_len(len), 2), HOUR_MS));
+                }
+            }
+            // PERSIST keeps the expiry word; a later deadline-free
+            // overwrite drops it.
+            for len in (0..=MAX_LEN).step_by(3) {
+                assert!(map.persist(len as u64 + 1));
+            }
+            for len in (1..=MAX_LEN).step_by(4) {
+                assert!(!map.set(len as u64 + 1, &value(other_len(len), 3)), "overwrite");
             }
             for len in (0..=MAX_LEN).step_by(2) {
                 assert!(map.del(len as u64 + 1));
             }
-            assert_eq!(map.get_owned(2), Some(value((7 + 13) % (MAX_LEN + 1), 2)));
+            assert_eq!(map.get_owned(2), Some(value(other_len(1), 3)));
+            assert_eq!(map.get_owned(4), Some(value(3, 1)));
             // Nothing else runs, so every grace period is over: collect all
             // retired blobs into the pool, which the thread's exit hands
             // back.
@@ -58,5 +84,8 @@ fn cycle() {
 
 #[test]
 fn blobs_are_freed_with_the_layout_they_were_stored_with() {
-    assert_arena_balanced("BlobMap set/overwrite/del/drop, values of 0..=300 bytes", cycle);
+    assert_arena_balanced(
+        "BlobMap set/set_ex/expire/persist/overwrite/del/drop, values of 0..=600 bytes",
+        cycle,
+    );
 }

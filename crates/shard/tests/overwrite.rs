@@ -1,11 +1,12 @@
 //! The SET path's two concurrent contracts, over both backings the blob
 //! layer is built on and with the hot-key engine on and off:
 //!
-//! * **never absent** — a key that is overwritten but never deleted is
-//!   found by every `get` (an overwrite is one in-place swap on the index,
-//!   not a remove followed by an insert);
+//! * **never absent** — a key that is overwritten, given a deadline or
+//!   persisted but never deleted is found by every `get` (an overwrite, and
+//!   `expire`'s swap-in of a TTL'd copy, are one in-place swap on the
+//!   index, not a remove followed by an insert);
 //! * **exactly once** — whatever races on a key (`set`, `del`, `expire`'s
-//!   retag, budget eviction), every stored blob is retired once, and the
+//!   re-store, budget eviction), every stored blob is retired once, and the
 //!   arena's counters, its byte gauge and its ledger agree with the index
 //!   at quiescence.
 
@@ -27,7 +28,25 @@ fn payload(key: u64, seq: u64) -> Vec<u8> {
     out
 }
 
-fn never_absent<M: ReplaceMap>(map: BlobMap<M>) {
+/// The writers' step in [`never_absent`]: an overwrite that must not
+/// report a create.
+fn overwrite<M: ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
+    assert!(
+        !map.set(key, &payload(key, seq)),
+        "overwrite of key {key}, never deleted, reported a create"
+    );
+}
+
+/// The writers' step in the EXPIRE/PERSIST battery: a deadline-free
+/// overwrite, so the `expire` after it has to re-store the value with an
+/// expiry word, then a deadline an hour out (never reached) and `persist`.
+fn expire_and_persist<M: ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
+    overwrite(map, key, seq);
+    assert!(map.expire(key, 3_600_000), "EXPIRE of key {key}, never deleted, found it absent");
+    assert!(map.persist(key), "PERSIST of key {key}, never deleted, found it absent");
+}
+
+fn never_absent<M: ReplaceMap>(map: BlobMap<M>, write: fn(&BlobMap<M>, u64, u64)) {
     const KEYS: u64 = 16;
     const WRITERS: u64 = 2;
     const READERS: usize = 2;
@@ -66,11 +85,7 @@ fn never_absent<M: ReplaceMap>(map: BlobMap<M>) {
                     // Both writers walk the same keys, so overwrites also
                     // race each other.
                     for seq in 1..=SETS_PER_WRITER {
-                        let key = 1 + (seq + w) % KEYS;
-                        assert!(
-                            !map.set(key, &payload(key, seq)),
-                            "overwrite of key {key}, never deleted, reported a create"
-                        );
+                        write(map, 1 + (seq + w) % KEYS, seq);
                     }
                 })
             })
@@ -94,28 +109,48 @@ fn never_absent<M: ReplaceMap>(map: BlobMap<M>) {
 
 #[test]
 fn never_absent_over_the_skip_list() {
-    never_absent(BlobMap::new(2, |_| FraserOptSkipList::new()));
+    never_absent(BlobMap::new(2, |_| FraserOptSkipList::new()), overwrite);
 }
 
 #[test]
 fn never_absent_over_the_skip_list_with_hot_keys() {
     // k = 4 of 16 keys: fronted keys publish their sets under the front
     // slot lock (write-through), the rest take the plain path and poison.
-    never_absent(BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| {
-        FraserOptSkipList::new()
-    }));
+    never_absent(
+        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| FraserOptSkipList::new()),
+        overwrite,
+    );
 }
 
 #[test]
 fn never_absent_over_clht() {
-    never_absent(BlobMap::new(2, |_| ClhtLb::with_capacity(8)));
+    never_absent(BlobMap::new(2, |_| ClhtLb::with_capacity(8)), overwrite);
 }
 
 #[test]
 fn never_absent_over_clht_with_hot_keys() {
-    never_absent(BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| {
-        ClhtLb::with_capacity(8)
-    }));
+    never_absent(
+        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| ClhtLb::with_capacity(8)),
+        overwrite,
+    );
+}
+
+#[test]
+fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
+    // Fronted keys' overwrites go write-through; `expire` swaps a TTL'd
+    // copy in and poisons, so the key falls back to the backing.
+    never_absent(
+        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| FraserOptSkipList::new()),
+        expire_and_persist,
+    );
+}
+
+#[test]
+fn expire_and_persist_never_hide_a_key_over_clht_with_hot_keys() {
+    never_absent(
+        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| ClhtLb::with_capacity(8)),
+        expire_and_persist,
+    );
 }
 
 fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
@@ -150,7 +185,7 @@ fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
         s.spawn(|| {
             start.wait();
             // An hour: the deadline never passes, but a value stored without
-            // one is unlinked, retagged in the ledger and republished.
+            // one is copied into a TTL'd blob that is swapped in for it.
             for seq in 1..=OPS {
                 map.expire(1 + seq % KEYS, 3_600_000);
             }
@@ -168,9 +203,9 @@ fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
         .sum();
     assert_eq!(map.cache_stats().live_bytes, live_payload);
     assert_eq!(arena.live_bytes(), live_payload);
-    // In a debug build every retire and retag above checked the ledger
-    // position word it followed; the drop frees the survivors through the
-    // ledger.
+    // In a debug build every retire above checked the ledger position word
+    // it followed and every payload access the blob's layout tag; the drop
+    // frees the survivors through the ledger.
     drop(map);
 }
 

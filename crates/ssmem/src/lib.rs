@@ -28,7 +28,8 @@
 //! Like the paper's SSMEM, objects are carved out of large chunks instead
 //! of being requested from the system allocator one by one. Every layout
 //! of at most 512 bytes that is a multiple of 8 bytes at alignment 8 —
-//! every skip-list node, every blob with up to 488 payload bytes — comes
+//! every skip-list node, every blob with up to 496 payload bytes (488 with
+//! an expiry deadline) — comes
 //! from a slab arena:
 //!
 //! * **Chunks** of 2 MiB, 2 MiB-aligned, advised `MADV_HUGEPAGE` on Linux
