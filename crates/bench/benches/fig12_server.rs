@@ -5,8 +5,8 @@
 //! *in-process*: the caller and the structure share an address space, and an
 //! operation costs a traversal. A serving deployment pays two more taxes —
 //! the wire codec and the round trip — so this bench replays the paper's
-//! 10%-update workload three ways on the same sharded CLHT (1, 2, and 4
-//! shards):
+//! 10%-update workload three ways on the same sharded `fraser-opt` skip
+//! list (1, 2, and 4 shards):
 //!
 //! 1. **in-process** — the harness drives the `ShardedMap` directly
 //!    (upper bound: zero serving overhead);
@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use ascylib::hashtable::ClhtLb;
+use ascylib::skiplist::FraserOptSkipList;
 use ascylib_harness::report::{f2, to_json, write_json, Table};
 use ascylib_harness::{bench_millis, run_benchmark, KeyDist, OpMix, WorkloadBuilder};
 use ascylib_server::loadgen::{self, LoadGenConfig};
@@ -43,12 +43,10 @@ fn connections() -> usize {
     (ascylib_harness::max_threads()).clamp(1, 4)
 }
 
-/// In-process baseline: the harness drives a sharded CLHT of raw `u64`
+/// In-process baseline: the harness drives a sharded skip list of raw `u64`
 /// values directly (upper bound: zero serving overhead, no blob layer).
 fn run_in_process(shards: usize, threads: usize) -> ascylib_harness::BenchmarkResult {
-    let map = Arc::new(ShardedMap::new(shards, move |_| {
-        ClhtLb::with_capacity((INITIAL_SIZE * 2 / shards).max(64))
-    }));
+    let map = Arc::new(ShardedMap::new(shards, |_| FraserOptSkipList::new()));
     let w = WorkloadBuilder::new()
         .initial_size(INITIAL_SIZE)
         .update_percent(UPDATE_PCT)
@@ -58,13 +56,11 @@ fn run_in_process(shards: usize, threads: usize) -> ascylib_harness::BenchmarkRe
     run_benchmark(map, w)
 }
 
-/// Over-loopback: start a server over a blob-valued sharded CLHT on an
+/// Over-loopback: start a server over a blob-valued sharded skip list on an
 /// ephemeral port, prefill over the wire, drive it with the closed-loop
 /// load generator.
 fn run_loopback(shards: usize, conns: usize, depth: usize) -> loadgen::LoadGenResult {
-    let map = Arc::new(BlobMap::new(shards, move |_| {
-        ClhtLb::with_capacity((INITIAL_SIZE * 2 / shards).max(64))
-    }));
+    let map = Arc::new(BlobMap::new(shards, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
         BlobStore::new(map),

@@ -41,7 +41,7 @@ fn run_config(shards: usize, conns: usize, size: usize) -> loadgen::LoadGenResul
     let map = Arc::new(BlobMap::new(shards, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobStore::ordered(Arc::clone(&map)),
+        BlobStore::new(Arc::clone(&map)),
         ServerConfig::for_connections(conns),
     )
     .expect("bind ephemeral port");

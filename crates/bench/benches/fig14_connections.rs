@@ -64,7 +64,7 @@ fn run_config(conns: usize, rate: f64) -> loadgen::LoadGenResult {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobStore::ordered(map),
+        BlobStore::new(map),
         ServerConfig::for_connections(conns),
     )
     .expect("bind ephemeral port");

@@ -104,7 +104,8 @@ pub trait ConcurrentMap: Send + Sync {
 /// `replace` is one value-word update on the element the parse phase
 /// found (ASCY4: a successful update writes what a sequential one would).
 /// `compare_replace` is the same update made conditional on the value it
-/// finds, for callers that must not overwrite a value they did not see.
+/// finds, for callers that must not overwrite a value they did not see, and
+/// `remove_if` is `remove` under the same condition.
 ///
 /// # Value range
 ///
@@ -119,6 +120,12 @@ pub trait ReplaceMap: ConcurrentMap {
     /// `Err(None)`; neither writes anything. `expected` must be at most
     /// [`VALUE_MAX`] too.
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>>;
+
+    /// Atomically removes `key` if its value is `expected`. Errors as
+    /// [`compare_replace`](Self::compare_replace)'s: a mismatch answers
+    /// `Err(Some(current))` and an absent key `Err(None)`, and neither
+    /// removes anything.
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>>;
 }
 
 /// Shared handles delegate, like the [`ConcurrentMap`] impl below.
@@ -129,6 +136,10 @@ impl<M: ReplaceMap + ?Sized> ReplaceMap for std::sync::Arc<M> {
 
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         (**self).compare_replace(key, expected, value)
+    }
+
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>> {
+        (**self).remove_if(key, expected)
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use ascylib_ssmem as ssmem;
 
-use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap};
+use crate::api::{debug_check_key, debug_check_value, ConcurrentMap};
 use crate::stats;
 
 /// Number of key/value pairs per cache-line bucket.
@@ -116,10 +116,10 @@ impl ClhtLb {
                         if again == val {
                             return Some(val);
                         }
-                        // The value moved under a matching key: an in-place
-                        // `replace` (or a reuse of the slot for this key).
-                        // The key may well still be here, so look at the
-                        // slot again instead of reporting a miss.
+                        // The value moved under a matching key: the slot
+                        // was freed and reused for this key. The key may
+                        // well still be here, so look at the slot again
+                        // instead of reporting a miss.
                         val = again;
                     }
                 }
@@ -149,41 +149,6 @@ impl ClhtLb {
 
     fn unlock_bucket(bucket: &Bucket) {
         bucket.lock.store(0, Ordering::Release);
-    }
-
-    /// The shared shape of `remove`, `replace` and `compare_replace`: fail
-    /// read-only when `key` is absent (ASCY3); otherwise lock the bucket,
-    /// find the key's slot again and apply `update` to it — at most one
-    /// in-place store, which `update` records — returning what it returns.
-    fn update_in_place(
-        &self,
-        key: u64,
-        update: impl FnOnce(&Bucket, usize) -> u64,
-    ) -> Option<u64> {
-        let bucket = self.bucket(key);
-        if Self::chain_search(bucket, key).is_none() {
-            stats::record_operation();
-            return None;
-        }
-        Self::lock_bucket(bucket);
-        let mut curr: *const Bucket = bucket;
-        let mut result = None;
-        // SAFETY: chain is append-only; the lock serializes modifications.
-        unsafe {
-            'chain: while !curr.is_null() {
-                let b = &*curr;
-                for i in 0..ENTRIES_PER_BUCKET {
-                    if b.keys[i].load(Ordering::Acquire) == key {
-                        result = Some(update(b, i));
-                        break 'chain;
-                    }
-                }
-                curr = b.next.load(Ordering::Acquire);
-            }
-        }
-        Self::unlock_bucket(bucket);
-        stats::record_operation();
-        result
     }
 }
 
@@ -259,13 +224,34 @@ impl ConcurrentMap for ClhtLb {
 
     fn remove(&self, key: u64) -> Option<u64> {
         debug_check_key(key);
-        self.update_in_place(key, |b, i| {
-            let val = b.vals[i].load(Ordering::Acquire);
-            // In-place removal: clearing the key frees the slot.
-            b.keys[i].store(0, Ordering::Release);
-            stats::record_store();
-            val
-        })
+        let bucket = self.bucket(key);
+        // ASCY3: an absent key fails read-only.
+        if Self::chain_search(bucket, key).is_none() {
+            stats::record_operation();
+            return None;
+        }
+        Self::lock_bucket(bucket);
+        let mut curr: *const Bucket = bucket;
+        let mut removed = None;
+        // SAFETY: chain is append-only; the lock serializes modifications.
+        unsafe {
+            'chain: while !curr.is_null() {
+                let b = &*curr;
+                for i in 0..ENTRIES_PER_BUCKET {
+                    if b.keys[i].load(Ordering::Acquire) == key {
+                        removed = Some(b.vals[i].load(Ordering::Acquire));
+                        // In-place removal: clearing the key frees the slot.
+                        b.keys[i].store(0, Ordering::Release);
+                        stats::record_store();
+                        break 'chain;
+                    }
+                }
+                curr = b.next.load(Ordering::Acquire);
+            }
+        }
+        Self::unlock_bucket(bucket);
+        stats::record_operation();
+        removed
     }
 
     fn size(&self) -> usize {
@@ -286,41 +272,6 @@ impl ConcurrentMap for ClhtLb {
             }
         }
         count
-    }
-}
-
-impl ReplaceMap for ClhtLb {
-    /// In-place overwrite under the bucket lock: one store to the value
-    /// word of the slot holding `key`.
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        debug_check_key(key);
-        debug_check_value(value);
-        self.update_in_place(key, |b, i| {
-            let old = b.vals[i].load(Ordering::Acquire);
-            b.vals[i].store(value, Ordering::Release);
-            stats::record_store();
-            old
-        })
-    }
-
-    /// The compare and the store both run under the bucket lock, which
-    /// every writer of the slot holds.
-    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
-        debug_check_key(key);
-        debug_check_value(expected);
-        debug_check_value(value);
-        let current = self.update_in_place(key, |b, i| {
-            let old = b.vals[i].load(Ordering::Acquire);
-            if old == expected {
-                b.vals[i].store(value, Ordering::Release);
-                stats::record_store();
-            }
-            old
-        });
-        match current {
-            Some(old) if old == expected => Ok(()),
-            other => Err(other),
-        }
     }
 }
 

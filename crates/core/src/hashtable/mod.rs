@@ -175,13 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn clht_lb_replace_suite() {
-        testing::replace_suite(|| ClhtLb::with_capacity(64));
-        // One bucket: the replaced key sits in a shared overflow chain.
-        testing::replace_suite(|| ClhtLb::with_capacity(1));
-    }
-
-    #[test]
     fn clht_lf_full_suite() {
         testing::full_suite(|| ClhtLf::with_capacity(64));
     }

@@ -15,6 +15,12 @@
 //! interleaved, one node per lane per round with the next node prefetched,
 //! so the batch's cache misses overlap instead of queueing.
 //!
+//! Removal linearizes on the node's value word: `remove` and `remove_if`
+//! swap the tombstone in, and the thread whose swap lands owns the node. It
+//! then marks the tower (logical deletion for the traversals) and unlinks
+//! it; an `insert` that meets a tombstoned node still unmarked helps mark it
+//! and retries, so a removed key is never reported present.
+//!
 //! Memory reclamation: a removed tower is retired only after the remover's
 //! clean-up pass has unlinked it from every level. Concurrent inserters
 //! validate that the successor they are about to link to is not marked and
@@ -34,10 +40,10 @@ use crate::skiplist::{
 };
 use crate::stats;
 
-/// Value word of a removed node. `remove` swaps it in after winning the
-/// level-0 mark, so whichever of a racing `remove` and `replace` reaches
-/// the word first takes the old value and the other sees the loss. It is
-/// [`crate::api::VALUE_MAX`]` + 1`, which callers may not store.
+/// Value word of a removed node. Swapping it in is the removal's
+/// linearization point, so whichever of a racing `remove` and `replace`
+/// reaches the word first takes the old value and the other sees the loss.
+/// It is [`crate::api::VALUE_MAX`]` + 1`, which callers may not store.
 const TOMB: u64 = u64::MAX;
 
 /// Maps the tombstone to "absent"; every read of a value word goes
@@ -95,6 +101,35 @@ fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
         toplevel,
         next0: MarkedPtr::null(),
     })
+}
+
+/// Marks every level of `node`'s tower, top-down, ending with level 0 —
+/// the mark traversals treat as deletion. Levels already marked are left
+/// alone, so the remover and any helping `insert` can race on it.
+///
+/// # Safety
+///
+/// `node` is protected by the caller's SSMEM guard and its value word holds
+/// [`TOMB`].
+unsafe fn mark_tower(node: *mut Node) {
+    // SAFETY: forwarded caller contract; only the mark bits change.
+    unsafe {
+        for level in (0..(*node).toplevel).rev() {
+            loop {
+                let (succ, m) = link(node, level).load(Ordering::Acquire);
+                if m != tag::CLEAN {
+                    break;
+                }
+                let ok = link(node, level)
+                    .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok();
+                stats::record_atomic(ok);
+                if ok {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// Shared implementation; `OPT` selects the ASCY-compliant search/parse.
@@ -297,10 +332,6 @@ impl<const OPT: bool> Fraser<OPT> {
     /// In-place overwrite: a read-only parse finds the node, then a CAS
     /// loop on its value word swaps the value. The word is the only thing
     /// written, and a tombstone there means a `remove` got to it first.
-    ///
-    /// If the CAS lands after a concurrent `remove` marked the node, the
-    /// `remove` returns the new value, so the replace linearizes just
-    /// before that mark, where its parse saw the node unmarked.
     fn replace_op(&self, key: u64, value: u64) -> Option<u64> {
         let _guard = ssmem::protect();
         stats::record_operation();
@@ -323,8 +354,7 @@ impl<const OPT: bool> Fraser<OPT> {
     /// Conditional overwrite: the same read-only parse as
     /// [`Self::replace_op`], then one CAS of `expected` to `value` on the
     /// node's value word. A tombstone there (a `remove` got to it first)
-    /// answers as absent; a CAS landing after a concurrent `remove`'s mark
-    /// linearizes before the mark, as `replace_op`'s does.
+    /// answers as absent.
     fn compare_replace_op(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         let _guard = ssmem::protect();
         stats::record_operation();
@@ -357,8 +387,16 @@ impl<const OPT: bool> Fraser<OPT> {
                     }
                 }
                 if self.find(key, &mut preds, &mut succs) {
-                    stats::record_operation();
-                    return false;
+                    let found = succs[0];
+                    if (*found).value.load(Ordering::Acquire) != TOMB {
+                        stats::record_operation();
+                        return false;
+                    }
+                    // Removed but not yet marked: help mark it, so the next
+                    // `find` unlinks it, and try again.
+                    mark_tower(found);
+                    stats::record_restart();
+                    continue;
                 }
                 let node = new_node(key, value, toplevel);
                 // Relaxed: the node is private until the level-0 CAS below
@@ -461,69 +499,51 @@ impl<const OPT: bool> Fraser<OPT> {
         succs[level] = succ;
     }
 
-    fn remove_op(&self, key: u64) -> Option<u64> {
+    /// `remove` (`expected` is `None`) and `remove_if`: the parse finds
+    /// the node, then a CAS loop on its value word swaps the tombstone in —
+    /// the linearization point. The thread whose swap lands owns the node:
+    /// it marks the tower, unlinks it everywhere and retires it. A mismatch
+    /// answers `Err(Some(current))`, an absent or already tombstoned key
+    /// `Err(None)`.
+    fn remove_op(&self, key: u64, expected: Option<u64>) -> Result<u64, Option<u64>> {
         let _guard = ssmem::protect();
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
         // SAFETY: guard protects all traversed nodes; the victim is retired
         // only after the clean-up pass has unlinked it from every level.
         unsafe {
-            if OPT {
-                // ASCY3: read-only parse for unsuccessful removals.
-                if self.traverse(key).is_none() {
-                    stats::record_operation();
-                    return None;
-                }
-            }
-            if !self.find(key, &mut preds, &mut succs) {
+            let victim = if OPT {
+                // ASCY3: a read-only parse, which decides unsuccessful
+                // removals on its own.
+                self.locate(key)
+            } else {
+                self.find(key, &mut preds, &mut succs).then_some(succs[0])
+            };
+            let Some(victim) = victim else {
                 stats::record_operation();
-                return None;
-            }
-            let victim = succs[0];
-            let toplevel = (*victim).toplevel;
-            // Mark the upper levels (top-down).
-            for level in (1..toplevel).rev() {
-                loop {
-                    let (succ, m) = link(victim, level).load(Ordering::Acquire);
-                    if m != tag::CLEAN {
-                        break;
-                    }
-                    let ok = link(victim, level)
-                        .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok();
-                    stats::record_atomic(ok);
-                    if ok {
-                        break;
-                    }
-                }
-            }
-            // Mark level 0: whoever succeeds owns the removal.
+                return Err(None);
+            };
+            let word = &(*victim).value;
+            let mut old = word.load(Ordering::Acquire);
             loop {
-                let (succ, m) = link(victim, 0).load(Ordering::Acquire);
-                if m != tag::CLEAN {
-                    // Someone else removed it first.
+                if old == TOMB || expected.is_some_and(|e| e != old) {
                     stats::record_operation();
-                    return None;
+                    return Err(live_value(old));
                 }
-                let ok = link(victim, 0)
-                    .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok();
-                stats::record_atomic(ok);
-                if ok {
-                    break;
+                let swapped =
+                    word.compare_exchange_weak(old, TOMB, Ordering::AcqRel, Ordering::Acquire);
+                stats::record_atomic(swapped.is_ok());
+                match swapped {
+                    Ok(_) => break,
+                    Err(seen) => old = seen,
                 }
-                stats::record_restart();
             }
-            // Take the value and leave the tombstone in one step, so a
-            // racing `replace` either swapped before this (we return its
-            // value) or sees the tombstone and fails.
-            let value = (*victim).value.swap(TOMB, Ordering::AcqRel);
-            stats::record_atomic(true);
-            // Physically unlink it everywhere, then retire it.
+            // Mark the tower, unlink it everywhere, then retire it.
+            mark_tower(victim);
             let _ = self.find(key, &mut preds, &mut succs);
             retire_node(victim);
             stats::record_operation();
-            Some(value)
+            Ok(old)
         }
     }
 
@@ -535,7 +555,7 @@ impl<const OPT: bool> Fraser<OPT> {
             let mut curr = link(self.head, 0).load(Ordering::Acquire).0;
             while curr != self.tail {
                 let (next, m) = link(curr, 0).load(Ordering::Acquire);
-                if m == tag::CLEAN {
+                if m == tag::CLEAN && (*curr).value.load(Ordering::Acquire) != TOMB {
                     count += 1;
                 }
                 curr = next;
@@ -712,7 +732,7 @@ impl ConcurrentMap for FraserSkipList {
     }
     fn remove(&self, key: u64) -> Option<u64> {
         debug_check_key(key);
-        self.inner.remove_op(key)
+        self.inner.remove_op(key, None).ok()
     }
     fn size(&self) -> usize {
         self.inner.size()
@@ -731,6 +751,12 @@ impl ReplaceMap for FraserSkipList {
         debug_check_value(expected);
         debug_check_value(value);
         self.inner.compare_replace_op(key, expected, value)
+    }
+
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>> {
+        debug_check_key(key);
+        debug_check_value(expected);
+        self.inner.remove_op(key, Some(expected)).map(drop)
     }
 }
 
@@ -793,7 +819,7 @@ impl ConcurrentMap for FraserOptSkipList {
     }
     fn remove(&self, key: u64) -> Option<u64> {
         debug_check_key(key);
-        self.inner.remove_op(key)
+        self.inner.remove_op(key, None).ok()
     }
     fn size(&self) -> usize {
         self.inner.size()
@@ -812,6 +838,12 @@ impl ReplaceMap for FraserOptSkipList {
         debug_check_value(expected);
         debug_check_value(value);
         self.inner.compare_replace_op(key, expected, value)
+    }
+
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>> {
+        debug_check_key(key);
+        debug_check_value(expected);
+        self.inner.remove_op(key, Some(expected)).map(drop)
     }
 }
 
@@ -862,21 +894,24 @@ mod tests {
         }
     }
 
-    /// The interleaving the tombstone exists for: a reader passes the mark
-    /// check, a `remove` marks the node and swaps the tombstone in, the
-    /// reader loads the value. Staged by planting the tombstone in an
-    /// unmarked node; no path may hand it out.
+    /// A removal between its linearization point and its first mark: the
+    /// value word holds the tombstone, the tower is unmarked. Staged by
+    /// planting the tombstone; no path may hand it out, and an `insert` of
+    /// the key must help mark the node and succeed.
     fn tombstone_reads_as_absent<const OPT: bool>() {
         let sl = Fraser::<OPT>::new();
         assert!(sl.insert_op(5, 50));
-        {
+        assert!(sl.insert_op(6, 60));
+        let node = {
             let _guard = ssmem::protect();
             let node = sl.locate(5).expect("just inserted");
             // SAFETY: the guard protects the located node.
             unsafe { (*node).value.store(TOMB, Ordering::Release) };
             assert_eq!(sl.traverse(5), None);
-        }
+            node
+        };
         assert_eq!(sl.search_op(5), None);
+        assert_eq!(sl.size(), 1);
         let mut lanes = [Some(0)];
         Fraser::search_interleaved([(&sl, 5)].into_iter(), &mut lanes);
         assert_eq!(lanes, [None], "an interleaved lane yielded the tombstone");
@@ -887,7 +922,18 @@ mod tests {
             seen.push((k, v));
             true
         });
-        assert_eq!(seen, Vec::new(), "a scan yielded the tombstone");
+        assert_eq!(seen, vec![(6, 60)], "a scan yielded the tombstone");
+        assert_eq!(sl.remove_op(5, Some(50)), Err(None));
+        assert!(sl.insert_op(5, 52), "an insert must help the removal, not see the key");
+        assert_eq!(sl.search_op(5), Some(52));
+        // SAFETY: the insert marked the planted node and its `find` unlinked
+        // it from every level; the test owns the removal, so it retires the
+        // node as the remover would.
+        unsafe {
+            assert_ne!(link(node, 0).load(Ordering::Acquire).1, tag::CLEAN);
+            retire_node(node);
+        }
+        assert_eq!(sl.size(), 2);
     }
 
     #[test]
@@ -968,7 +1014,7 @@ mod tests {
         let first: std::collections::HashMap<usize, usize> =
             towers(&sl, 1..=KEYS).into_iter().collect();
         for key in 1..=KEYS {
-            assert_eq!(sl.remove_op(key), Some(key));
+            assert_eq!(sl.remove_op(key, None), Ok(key));
         }
         // Guards held by tests running beside this one can delay a pass.
         for _ in 0..2_000 {

@@ -504,6 +504,29 @@ where
     assert_eq!(m.compare_replace(6, 61, 62), Err(None), "compare_replace of a removed key must fail");
     assert_eq!(m.size(), 0);
 
+    assert_eq!(m.remove_if(8, 80), Err(None), "absent key");
+    assert!(m.insert(8, 80));
+    assert_eq!(
+        m.remove_if(8, 79),
+        Err(Some(80)),
+        "a mismatch answers the current value"
+    );
+    assert_eq!(m.search(8), Some(80), "a mismatch must not remove");
+    assert_eq!(m.remove_if(8, 80), Ok(()));
+    assert_eq!(m.search(8), None);
+    assert_eq!(
+        m.remove_if(8, 80),
+        Err(None),
+        "remove_if of a removed key must fail"
+    );
+    assert!(
+        m.insert(8, 81),
+        "a key removed by remove_if can be inserted again"
+    );
+    assert_eq!(m.search(8), Some(81));
+    assert_eq!(m.remove(8), Some(81));
+    assert_eq!(m.size(), 0);
+
     replace_never_hides_a_present_key(&ctor());
     replace_and_remove_take_each_value_once(&ctor());
     compare_replace_counts_every_swap(&ctor());
@@ -547,15 +570,16 @@ fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
     assert_eq!(m.search(KEY), Some(WRITES));
 }
 
-/// An insert/remove cycler and a replacer race on a few keys. Every value
-/// that went in (by `insert` or `replace`) must come out exactly once (from
-/// `remove`, from `replace`, or by being there at the end), and no search
+/// An insert/remove cycler, a replacer and a conditional remover race on a
+/// few keys. Every value that went in (by `insert` or `replace`) must come
+/// out exactly once (from `remove`, from `replace`, from a `remove_if` of
+/// the value its search saw, or by being there at the end), and no search
 /// may return the reserved value.
 fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
     const ROUNDS: u64 = 50_000;
     const KEYS: u64 = 3;
     let done = AtomicBool::new(false);
-    let start = Barrier::new(3);
+    let start = Barrier::new(4);
     let (mut put, mut taken) = std::thread::scope(|s| {
         let cycler = s.spawn(|| {
             let (mut put, mut taken) = (Vec::new(), Vec::new());
@@ -580,6 +604,19 @@ fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
             }
             (put, taken)
         });
+        let conditional = s.spawn(|| {
+            let mut taken = Vec::new();
+            start.wait();
+            for i in 0..ROUNDS {
+                let key = 1 + i % KEYS;
+                if let Some(seen) = m.search(key) {
+                    if m.remove_if(key, seen).is_ok() {
+                        taken.push(seen);
+                    }
+                }
+            }
+            taken
+        });
         s.spawn(|| {
             start.wait();
             let mut key = 1;
@@ -591,12 +628,13 @@ fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
                 key = 1 + key % KEYS;
             }
         });
-        let (cycled, replaced) = (cycler.join(), replacer.join());
+        let (cycled, replaced, removed) = (cycler.join(), replacer.join(), conditional.join());
         done.store(true, Ordering::Relaxed);
         let (mut put, mut taken) = cycled.expect("cycler panicked");
         let (put_b, taken_b) = replaced.expect("replacer panicked");
         put.extend(put_b);
         taken.extend(taken_b);
+        taken.extend(removed.expect("conditional remover panicked"));
         (put, taken)
     });
     for key in 1..=KEYS {

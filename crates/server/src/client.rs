@@ -433,7 +433,7 @@ mod tests {
 
     fn ordered_server() -> crate::server::ServerHandle {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-        Server::start("127.0.0.1:0", BlobStore::ordered(map), ServerConfig::default())
+        Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default())
             .expect("bind ephemeral")
     }
 

@@ -666,19 +666,14 @@ pub(crate) fn execute(
                 wire::int(out, created as u64);
             }
         }
-        Request::Scan(from, n) => match ctx.store.scan(*from, *n) {
-            Some(pairs) => {
-                WorkerStats::bump(&stats.ops, 1);
-                wire::array_header(out, pairs.len());
-                for (k, v) in pairs {
-                    wire::pair(out, k, &v);
-                }
+        Request::Scan(from, n) => {
+            WorkerStats::bump(&stats.ops, 1);
+            let pairs = ctx.store.scan(*from, *n);
+            wire::array_header(out, pairs.len());
+            for (k, v) in pairs {
+                wire::pair(out, k, &v);
             }
-            None => {
-                WorkerStats::bump(&stats.errors, 1);
-                wire::error(out, "scans unsupported by this store (unordered backing)");
-            }
-        },
+        }
         Request::Ping => wire::simple(out, "PONG"),
         Request::Stats => report::answer_stats(ctx, out),
         Request::Info(section) => report::answer_info(ctx, section.as_deref(), out),
@@ -705,7 +700,7 @@ mod tests {
     use crate::protocol::SlowlogCmd;
     use crate::report::tests::{run_ctx, with_store};
     use crate::store::BlobStore;
-    use ascylib::hashtable::ClhtLb;
+    use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
     use std::net::TcpListener;
     use std::time::Duration;
@@ -805,7 +800,7 @@ mod tests {
     fn slowlog_threshold_zero_captures_everything() {
         // Four shards, and a key that does not route to the first: the
         // entry must carry the store's own routing, not a default.
-        let map = Arc::new(BlobMap::new(4, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
         let shard = map.shard_of(9) as u32;
         assert_ne!(shard, 0, "pick a key off shard 0");
         with_store(&BlobStore::new(map), |ctx| {

@@ -18,8 +18,8 @@
 //!   the repository root.
 //! * [`store`] — the byte-valued [`KvStore`] keyspace interface and its
 //!   adapter over [`ascylib_shard::BlobMap`] (per-shard ssmem value
-//!   arenas, epoch-guarded copy-out reads): [`BlobStore::new`] for any
-//!   backing, [`BlobStore::ordered`] adding cross-shard merged scans.
+//!   arenas, epoch-guarded copy-out reads, cross-shard merged scans):
+//!   [`BlobStore::new`] over an ordered backing.
 //! * `conn` (internal) — a nonblocking per-connection **state machine**
 //!   (Reading → Executing → Writing → Closing) with request **pipelining**
 //!   and write backpressure: every complete frame that arrived is executed
@@ -73,7 +73,7 @@
 //!
 //! let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
 //! let server =
-//!     Server::start("127.0.0.1:0", BlobStore::ordered(map), ServerConfig::default())?;
+//!     Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default())?;
 //! let mut client = Client::connect(server.addr())?;
 //! client.set(7, b"seven hundred")?;
 //! assert_eq!(client.get(7)?, Some(b"seven hundred".to_vec()));

@@ -1277,7 +1277,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(map),
+            BlobStore::new(map),
             ServerConfig::for_connections(3),
         )
         .unwrap();
@@ -1307,7 +1307,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(Arc::clone(&map)),
+            BlobStore::new(Arc::clone(&map)),
             ServerConfig::for_connections(2),
         )
         .unwrap();
@@ -1356,7 +1356,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(Arc::clone(&map)),
+            BlobStore::new(Arc::clone(&map)),
             ServerConfig::for_connections(4),
         )
         .unwrap();
@@ -1399,7 +1399,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(map),
+            BlobStore::new(map),
             ServerConfig::for_connections(2),
         )
         .unwrap();
@@ -1429,7 +1429,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(Arc::clone(&map)),
+            BlobStore::new(Arc::clone(&map)),
             ServerConfig::for_connections(1),
         )
         .unwrap();
@@ -1446,7 +1446,7 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(map),
+            BlobStore::new(map),
             ServerConfig::for_connections(2),
         )
         .unwrap();
@@ -1467,32 +1467,6 @@ mod tests {
             "every scanned pair carries its 32-byte payload"
         );
         assert_eq!(r.errors, 0);
-        server.join();
-    }
-
-    #[test]
-    fn unsupported_scans_surface_as_error_replies_not_failures() {
-        use crate::store::BlobStore;
-        use ascylib::hashtable::ClhtLb;
-        let map = Arc::new(BlobMap::new(2, |_| ClhtLb::with_capacity(256)));
-        let server = Server::start(
-            "127.0.0.1:0",
-            BlobStore::new(map),
-            ServerConfig::for_connections(1),
-        )
-        .unwrap();
-        let cfg = LoadGenConfig {
-            connections: 1,
-            duration_ms: 40,
-            mix: OpMix::ycsb_e(),
-            key_range: 128,
-            pipeline_depth: 4,
-            ..LoadGenConfig::default()
-        };
-        let r = run(server.addr(), &cfg).unwrap();
-        assert!(r.errors > 0, "hash shards reject SCAN in-band");
-        assert_eq!(r.scans, 0);
-        assert!(r.total_ops > 0, "the run continues past error replies");
         server.join();
     }
 }

@@ -581,7 +581,7 @@ pub(crate) mod tests {
     use crate::monitor::MonitorHub;
     use crate::protocol::Request;
     use crate::store::{BlobStore, KvStore};
-    use ascylib::hashtable::ClhtLb;
+    use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
     use ascylib_telemetry::WorkerTelemetry;
     use std::collections::BTreeSet;
@@ -686,7 +686,7 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn run_ctx(test: impl FnOnce(&ConnCtx<'_>)) {
-        let map = Arc::new(BlobMap::new(1, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(1, |_| FraserOptSkipList::new()));
         with_store(&BlobStore::new(map), test);
     }
 
@@ -737,7 +737,7 @@ pub(crate) mod tests {
     fn hotkey_surfaces_render_and_validate() {
         use ascylib_shard::HotKeyConfig;
         let map = Arc::new(BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| {
-            ClhtLb::with_capacity(64)
+            FraserOptSkipList::new()
         }));
         let store = BlobStore::new(Arc::clone(&map));
         let stats = WorkerStats::default();
@@ -818,7 +818,7 @@ pub(crate) mod tests {
             .with_budget(16 * 1024)
             .with_clock(clock.clone());
         let map = Arc::new(BlobMap::with_config(1, HotKeyConfig::default(), cfg, |_| {
-            ClhtLb::with_capacity(1024)
+            FraserOptSkipList::new()
         }));
         let store = BlobStore::new(Arc::clone(&map));
         let stats = WorkerStats::default();
@@ -907,7 +907,7 @@ pub(crate) mod tests {
 
     }
 
-    /// The plainest store served — hash backing, no engine, no budget — is
+    /// The plainest store served — no engine, no budget — is
     /// still a cache tier: the expiry verbs run and `INFO cache` reports
     /// live bytes against a budget that is off.
     #[test]
@@ -1025,7 +1025,7 @@ pub(crate) mod tests {
         use ascylib_shard::{CacheConfig, HotKeyConfig};
         let cfg = CacheConfig::unbounded().with_budget(16 * 1024);
         let map = Arc::new(BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| {
-            ClhtLb::with_capacity(1024)
+            FraserOptSkipList::new()
         }));
         with_store(&BlobStore::new(map), |ctx| {
             let mut bufs = ConnBufs::default();

@@ -700,13 +700,13 @@ impl Drop for ServerHandle {
 mod tests {
     use super::*;
     use crate::store::BlobStore;
-    use ascylib::hashtable::ClhtLb;
+    use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
     fn tiny_server(workers: usize) -> ServerHandle {
-        let map = Arc::new(BlobMap::new(2, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         Server::start(
             "127.0.0.1:0",
             BlobStore::new(map),
@@ -834,7 +834,7 @@ mod tests {
     fn a_wake_that_outlives_its_subscriber_is_dropped_or_a_spurious_advance() {
         // One worker, driven by hand: the test thread plays the acceptor and
         // the publisher on "another worker".
-        let map = Arc::new(BlobMap::new(2, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let config = ServerConfig { workers: 1, idle_timeout: None, ..ServerConfig::default() };
         let shared = Shared::new(Arc::new(BlobStore::new(map)), config).unwrap();
         let totals = || shared.totals();

@@ -5,12 +5,9 @@
 //! Values are variable-length byte strings stored in
 //! [`ascylib_shard::BlobMap`] (per-shard ssmem arenas, epoch-guarded
 //! copy-out reads); the sharded index itself moves only 64-bit handles.
-//! One adapter covers the library: [`BlobStore`] over any [`ReplaceMap`]
-//! backing (CLHT-LB, the Fraser skip lists). Built with
-//! [`BlobStore::ordered`] over a backing that is ordered as well (the
-//! Fraser skip lists) it answers `SCAN` with payload copy-out via the shard
-//! layer's k-way-merged scans; built with [`BlobStore::new`] it answers
-//! `SCAN` with an error — a hash backing has no key order to scan in.
+//! One adapter covers the library: [`BlobStore`] over any ordered
+//! [`ReplaceMap`] backing (the Fraser skip lists). It answers `SCAN` with
+//! payload copy-out via the shard layer's k-way-merged scans.
 //!
 //! The store holds an `Arc` to the blob map, so the process that started
 //! the server keeps a handle for direct inspection (the loopback tests
@@ -50,9 +47,8 @@ pub trait KvStore: Send + Sync + 'static {
     fn multi_set(&self, entries: &[(u64, Vec<u8>)]) -> Vec<bool>;
 
     /// Ordered scan (`SCAN`): up to `n` `(key, value)` pairs with key
-    /// `>= from` in ascending key order, or `None` if the backing is
-    /// unordered (the server answers with an error frame).
-    fn scan(&self, from: u64, n: usize) -> Option<Vec<(u64, Vec<u8>)>>;
+    /// `>= from` in ascending key order.
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, Vec<u8>)>;
 
     /// Element count (`STATS`; same non-linearizable caveat as
     /// [`ascylib::api::ConcurrentMap::size`]).
@@ -109,22 +105,15 @@ pub trait KvStore: Send + Sync + 'static {
 /// `u64::MAX` for sentinels).
 pub const KEY_RANGE: (u64, u64) = (KEY_MIN, KEY_MAX);
 
-/// [`BlobMap::scan_bounded`], which exists only for ordered backings:
-/// `(map, from, n, max_payload_bytes)`.
-type ScanFn<M> = fn(&BlobMap<M>, u64, usize, usize) -> Vec<(u64, Vec<u8>)>;
-
-/// [`KvStore`] over a [`BlobMap`] of any point-operation backing; `SCAN`
-/// is served when the store was built with [`ordered`](Self::ordered).
-pub struct BlobStore<M> {
+/// [`KvStore`] over a [`BlobMap`].
+pub struct BlobStore<M: OrderedMap + ReplaceMap> {
     map: Arc<BlobMap<M>>,
-    scan: Option<ScanFn<M>>,
 }
 
-impl<M: ReplaceMap + 'static> BlobStore<M> {
-    /// Wraps a shared blob map (the caller keeps its handle); `SCAN` is
-    /// answered with an error.
+impl<M: OrderedMap + ReplaceMap + 'static> BlobStore<M> {
+    /// Wraps a shared blob map (the caller keeps its handle).
     pub fn new(map: Arc<BlobMap<M>>) -> Self {
-        Self { map, scan: None }
+        Self { map }
     }
 
     /// The underlying map handle.
@@ -133,29 +122,21 @@ impl<M: ReplaceMap + 'static> BlobStore<M> {
     }
 }
 
-impl<M: OrderedMap + ReplaceMap + 'static> BlobStore<M> {
-    /// Wraps a shared blob map over an ordered backing, adding `SCAN`
-    /// through the shard layer's merged range scans with payload copy-out.
-    pub fn ordered(map: Arc<BlobMap<M>>) -> Self {
-        Self { map, scan: Some(BlobMap::scan_bounded) }
-    }
-}
-
 /// Kept for `benchmark/`, which this repository's PRs may not edit and
-/// which calls `BlobOrderedStore::new(map)`: the name of
-/// [`BlobStore::ordered`] as it was when ordered backings had an adapter of
-/// their own. ROADMAP item 1(e) deletes it.
+/// which calls `BlobOrderedStore::new(map)`: the name of [`BlobStore::new`]
+/// as it was when ordered backings had an adapter of their own. ROADMAP
+/// item 1(e) deletes it.
 pub enum BlobOrderedStore {}
 
 impl BlobOrderedStore {
-    /// [`BlobStore::ordered`].
+    /// [`BlobStore::new`].
     #[allow(clippy::new_ret_no_self)]
     pub fn new<M: OrderedMap + ReplaceMap + 'static>(map: Arc<BlobMap<M>>) -> BlobStore<M> {
-        BlobStore::ordered(map)
+        BlobStore::new(map)
     }
 }
 
-impl<M: ReplaceMap + 'static> KvStore for BlobStore<M> {
+impl<M: OrderedMap + ReplaceMap + 'static> KvStore for BlobStore<M> {
     fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
         self.map.get(key, out)
     }
@@ -176,19 +157,17 @@ impl<M: ReplaceMap + 'static> KvStore for BlobStore<M> {
         self.map.multi_set(entries)
     }
 
-    fn scan(&self, from: u64, n: usize) -> Option<Vec<(u64, Vec<u8>)>> {
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, Vec<u8>)> {
         // Bound the reply's materialized payload, the outbound analogue of
         // the request-side batch cap: a keyspace of maximum-size values
         // must not let one SCAN frame collect hundreds of megabytes.
         // Truncation is transparent to paging clients (resume from the
         // last returned key + 1, same as the count cap).
-        let scan = self.scan?;
-        Some(scan(
-            &self.map,
+        self.map.scan_bounded(
             from.clamp(KEY_MIN, KEY_MAX),
             n,
             crate::protocol::MAX_SCAN_REPLY_PAYLOAD,
-        ))
+        )
     }
 
     fn size(&self) -> usize {
@@ -244,12 +223,11 @@ impl<M: ReplaceMap + 'static> KvStore for BlobStore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ascylib::hashtable::ClhtLb;
     use ascylib::skiplist::FraserOptSkipList;
 
     #[test]
     fn blob_store_serves_point_and_batched_ops() {
-        let map = Arc::new(BlobMap::new(4, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
         let store = BlobStore::new(Arc::clone(&map));
         assert!(store.set(1, b"ten"));
         assert!(!store.set(1, b"ten, revised"), "SET is an upsert");
@@ -271,7 +249,6 @@ mod tests {
         assert_eq!(store.size(), 1);
         assert_eq!(store.shard_count(), 4);
         assert_eq!(store.value_bytes(), b"again".len() as u64);
-        assert!(store.scan(1, 8).is_none(), "hash shards have no order to scan");
         // Shard attribution agrees with the map's own routing.
         assert_eq!(store.shard_of(1), map.shard_of(1));
         assert!(store.shard_of(1) < store.shard_count());
@@ -284,7 +261,7 @@ mod tests {
 
     #[test]
     fn expiry_verbs_round_trip_through_the_trait() {
-        let map = Arc::new(BlobMap::new(2, |_| ClhtLb::with_capacity(64)));
+        let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let store = BlobStore::new(Arc::clone(&map));
         assert!(store.set_ex(1, b"lease", 60_000));
         match store.ttl_ms(1) {
@@ -306,11 +283,11 @@ mod tests {
     #[test]
     fn ordered_store_scans_across_shards_in_key_order() {
         let map = Arc::new(BlobMap::new(3, |_| FraserOptSkipList::new()));
-        let store = BlobStore::ordered(Arc::clone(&map));
+        let store = BlobStore::new(Arc::clone(&map));
         for k in (2..=40u64).step_by(2) {
             assert!(store.set(k, format!("v{k}").as_bytes()));
         }
-        let got = store.scan(7, 3).expect("ordered backing supports scans");
+        let got = store.scan(7, 3);
         assert_eq!(
             got,
             vec![
@@ -321,9 +298,9 @@ mod tests {
         );
         // `from = 0` is clamped into the usable key range instead of
         // tripping the structures' sentinel assertions.
-        let from_start = store.scan(0, 2).unwrap();
+        let from_start = store.scan(0, 2);
         assert_eq!(from_start, vec![(2, b"v2".to_vec()), (4, b"v4".to_vec())]);
-        assert_eq!(store.scan(41, 10).unwrap(), vec![]);
+        assert_eq!(store.scan(41, 10), vec![]);
     }
 
     #[test]
@@ -333,28 +310,28 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let store: Arc<dyn KvStore> = Arc::new(BlobOrderedStore::new(Arc::clone(&map)));
         assert!(store.set(3, b"three"));
-        assert_eq!(store.scan(1, 8), Some(vec![(3, b"three".to_vec())]));
+        assert_eq!(store.scan(1, 8), vec![(3, b"three".to_vec())]);
     }
 
     #[test]
     fn scan_replies_are_bounded_by_the_payload_budget() {
         use crate::protocol::{MAX_SCAN_REPLY_PAYLOAD, MAX_VALUE};
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-        let store = BlobStore::ordered(Arc::clone(&map));
+        let store = BlobStore::new(Arc::clone(&map));
         // 70 maximum-size values = ~4.4 MiB stored; one SCAN frame must
         // stop at the 4 MiB reply budget instead of materializing it all.
         let value = vec![0x5Au8; MAX_VALUE];
         for k in 1..=70u64 {
             store.set(k, &value);
         }
-        let got = store.scan(1, 4096).unwrap();
+        let got = store.scan(1, 4096);
         let full_values = MAX_SCAN_REPLY_PAYLOAD / MAX_VALUE;
         assert_eq!(got.len(), full_values, "soft cap: stop once the budget is reached");
         let payload: usize = got.iter().map(|(_, v)| v.len()).sum();
         assert!(payload <= MAX_SCAN_REPLY_PAYLOAD + MAX_VALUE);
         // Paging from the last key + 1 reaches the rest.
         let last = got.last().unwrap().0;
-        let rest = store.scan(last + 1, 4096).unwrap();
+        let rest = store.scan(last + 1, 4096);
         assert_eq!(got.len() + rest.len(), 70);
     }
 }

@@ -13,7 +13,7 @@ use ascylib_shard::BlobMap;
 
 fn start(config: ServerConfig) -> ServerHandle {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
-    Server::start("127.0.0.1:0", BlobStore::ordered(map), config).expect("bind ephemeral port")
+    Server::start("127.0.0.1:0", BlobStore::new(map), config).expect("bind ephemeral port")
 }
 
 /// Sends one `PING` on a raw stream and reads back `+PONG\r\n`.

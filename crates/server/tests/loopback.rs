@@ -58,7 +58,7 @@ fn concurrent_pipelined_clients_match_the_sequential_model() {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobStore::ordered(Arc::clone(&map)),
+        BlobStore::new(Arc::clone(&map)),
         ServerConfig::for_connections(CLIENTS + 1),
     )
     .expect("bind");
@@ -205,7 +205,7 @@ fn binary_and_max_size_values_round_trip_every_verb() {
     let map = Arc::new(BlobMap::new(3, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobStore::ordered(Arc::clone(&map)),
+        BlobStore::new(Arc::clone(&map)),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -274,12 +274,8 @@ fn binary_and_max_size_values_round_trip_every_verb() {
 fn malformed_frame_mid_pipeline_resynchronizes() {
     use std::io::{Read, Write};
     let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-    let server = Server::start(
-        "127.0.0.1:0",
-        BlobStore::ordered(map),
-        ServerConfig::default(),
-    )
-    .expect("bind");
+    let server =
+        Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default()).expect("bind");
     let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
     s.write_all(b"SET 1 2\r\nXY\r\nGARBAGE \x01\x02\r\nGET 1\r\nSCAN 1 4\r\nQUIT\r\n")
         .unwrap();
@@ -299,12 +295,8 @@ fn malformed_frame_mid_pipeline_resynchronizes() {
 #[test]
 fn stats_frame_reports_store_and_server_counters() {
     let map = Arc::new(BlobMap::new(3, |_| FraserOptSkipList::new()));
-    let server = Server::start(
-        "127.0.0.1:0",
-        BlobStore::ordered(map),
-        ServerConfig::default(),
-    )
-    .expect("bind");
+    let server =
+        Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default()).expect("bind");
     let mut c = Client::connect(server.addr()).unwrap();
     for k in 1..=10u64 {
         assert!(c.set(k, &[7u8; 100]).unwrap());
@@ -344,7 +336,7 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
-        BlobStore::ordered(map),
+        BlobStore::new(map),
         ServerConfig {
             // A zero threshold turns the slow-op log into a full recent-op
             // log, so the deliberate slow op below is captured regardless

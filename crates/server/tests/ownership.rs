@@ -16,7 +16,7 @@ use ascylib_shard::BlobMap;
 
 fn start(config: ServerConfig) -> ServerHandle {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
-    Server::start("127.0.0.1:0", BlobStore::ordered(map), config).expect("bind ephemeral port")
+    Server::start("127.0.0.1:0", BlobStore::new(map), config).expect("bind ephemeral port")
 }
 
 /// Polls `done` (a counter converging on another thread) for up to 5 s.

@@ -18,7 +18,7 @@ const KEY_RANGE_ERR: &[u8] = b"-ERR key out of usable range [1, 2^64-2]\r\n";
 fn start(config: ServerConfig) -> ServerHandle {
     let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
     let server =
-        Server::start("127.0.0.1:0", BlobStore::ordered(map), config).expect("bind ephemeral port");
+        Server::start("127.0.0.1:0", BlobStore::new(map), config).expect("bind ephemeral port");
     let mut c = Client::connect(server.addr()).expect("connect");
     assert!(c.set(7, b"v1").expect("SET 7"));
     assert!(c.set(8, b"w").expect("SET 8"));

@@ -35,20 +35,18 @@
 //!              loading anything
 //! ```
 //!
-//! The blob header is two words, 16 bytes — three, 24 bytes, for a value
+//! The blob header is one word, 8 bytes — two, 16 bytes, for a value
 //! stored with a deadline — and the payload follows it in the same
 //! allocation:
 //!
 //! ```text
-//! word 0   meta: payload length (low 62 bits) | layout tag (62) |
-//!          CLOCK reference bit (63)
-//! word 1   this blob's position in its shard's ledger; read and written
-//!          only under the ledger mutex
-//! word 2   TTL'd blobs only: expire_at_ms (0 = none since PERSIST);
+//! word 0   meta: payload length (low 61 bits) | retired (61, debug
+//!          builds only) | layout tag (62) | CLOCK reference bit (63)
+//! word 1   TTL'd blobs only: expire_at_ms (0 = none since PERSIST);
 //!          atomic, EXPIRE/PERSIST mutate it
 //! ```
 //!
-//! The payload therefore starts at `16 + 8·(handle & TAG_TTL)`: store,
+//! The payload therefore starts at `8 + 8·(handle & TAG_TTL)`: store,
 //! retire, teardown, the CLOCK and sweep walks and every read hold the
 //! handle already, so knowing where the payload starts loads nothing. The
 //! layout tag records the same fact in the blob, and debug builds check on
@@ -58,8 +56,8 @@
 //! The allocation is header + payload rounded up to 8 bytes while the total
 //! is at most 512 bytes, and to 64 bytes above. Up to 512 bytes ssmem's
 //! slab arena carves every multiple of 8 with no per-object header, so a
-//! coarser step would only waste bytes: a 64-byte value takes 80 bytes (88
-//! with a deadline), a 256-byte one 272. Larger blobs come from the system
+//! coarser step would only waste bytes: a 64-byte value takes 72 bytes (80
+//! with a deadline), a 256-byte one 264. Larger blobs come from the system
 //! allocator, and the coarse step keeps the reuse pool at few classes per
 //! kilobyte. Either way the size is a function of the payload length and
 //! the TTL flag alone, which the meta word and the handle record.
@@ -77,20 +75,24 @@
 //! [`BlobMap::cache_stats`] both read it, and it equals the stored payloads
 //! whenever no `set` is between its reservation and its store. With a
 //! [`CacheConfig`] budget the reservation is a CAS loop against the shard's
-//! share; one that would overflow the budget runs CLOCK eviction (clear
-//! reference bits, evict the first unreferenced victim) until it fits. The
-//! per-shard gauge therefore never exceeds the budget at any externally
-//! observable instant — except `forced` admissions, counted separately,
-//! when nothing is evictable (e.g. one value larger than a shard's whole
-//! share).
+//! share; one that would overflow the budget runs CLOCK eviction until it
+//! fits: a hand walks the shard's index in key order, clearing reference
+//! bits, and evicts the first unreferenced value it meets. A run of
+//! ascending inserts lands just ahead of the hand, so while it lasts CLOCK
+//! evicts those newcomers oldest first, and the keys behind the hand wait
+//! for the lap after it. The per-shard gauge therefore never exceeds the
+//! budget at any externally observable instant — except `forced`
+//! admissions, counted separately, when nothing is evictable (e.g. one
+//! value larger than a shard's whole share).
 //!
 //! # Expiry
 //!
 //! Expiry is **lazy**: a read that finds a dead value answers "missing",
 //! then unlinks and retires the corpse after its epoch guard drops. An
 //! incremental sweep piggybacks on the write path (every
-//! `SWEEP_EVERY`th `set` per shard walks a few ledger entries — no new
-//! threads) and on `scan`, which reclaims any corpse it walks over.
+//! `SWEEP_EVERY`th `set` per shard walks a few index entries from a cursor
+//! — no new threads) and on `scan`, which reclaims any corpse it walks
+//! over.
 //!
 //! # Hot-key cooperation
 //!
@@ -108,34 +110,24 @@
 //! never misses. So does `expire` on a value stored without a deadline:
 //! such a blob has no expiry word, so `expire` stores a TTL'd copy and
 //! swaps it in with [`ReplaceMap::compare_replace`], looking again if an
-//! overwrite took the key first. One window remains in which a present key
-//! can read as absent: `reclaim` — the evictor and the expiry reclaim —
-//! unlinks the key it chose and, when the handle it gets is not the one it
-//! chose (an overwrite raced it), puts that handle back through
-//! `republish`. Closing it takes a conditional remove on the index
-//! (`remove_if`), not `remove`.
-//! Readers never see a mix of old and new payload bytes — payloads are
-//! immutable after publish (the expiry word is the one mutable, atomic
-//! field). `expire`/`persist` racing an overwrite of the same key resolve
-//! in an arbitrary order.
+//! overwrite took the key first. Readers never see a mix of old and new
+//! payload bytes — payloads are immutable after publish (the expiry word
+//! is the one mutable, atomic field). `expire`/`persist` racing an
+//! overwrite of the same key resolve in an arbitrary order.
 //!
 //! # Teardown
 //!
-//! Hash backings cannot enumerate their keys, so each shard's arena keeps a
-//! write-path-only ledger of live handles: a dense vector under one mutex
-//! per *shard*, touched only by `set`/`del` and the eviction/sweep
-//! machinery — reads stay asynchronized. Its length is the shard's live
-//! blob count. There is no hash index beside it; each blob's header says
-//! where its entry sits. Dropping the map frees every live blob through the
-//! ledger; blobs already retired are owned by the epoch machinery and freed
-//! by its collector.
+//! The index is the one record of which values are live: every live blob
+//! is the value of exactly one key. Dropping the map walks each shard's
+//! index and frees the blob behind every key; blobs already retired are
+//! owned by the epoch machinery and freed by its collector.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use ascylib::api::{ConcurrentMap, ReplaceMap};
+use ascylib::api::{ConcurrentMap, ReplaceMap, KEY_MAX, KEY_MIN};
 use ascylib::ordered::OrderedMap;
 use ascylib::prefetch;
 use ascylib_ssmem as ssmem;
@@ -146,9 +138,9 @@ use crate::hotkey::{FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeySta
 use crate::map::ShardedMap;
 
 /// Bytes of every blob's header: the meta word (payload length, layout tag,
-/// CLOCK reference bit) and the ledger-position word. A TTL'd blob adds the
-/// expiry word after them (see [`payload_offset`]).
-const HEADER: usize = 16;
+/// CLOCK reference bit). A TTL'd blob adds the expiry word after it (see
+/// [`payload_offset`]).
+const HEADER: usize = 8;
 
 /// Blob alignment (header words are `u64`s), and the rounding step of
 /// allocations up to [`SMALL_BLOB_MAX`].
@@ -182,16 +174,29 @@ const META_REF: u64 = 1 << 63;
 /// repeats the handle's TTL flag so debug builds can check the two agree.
 const META_TTL: u64 = 1 << 62;
 
-/// Meta-word bits 61..0: the payload length.
-const META_LEN_MASK: u64 = META_TTL - 1;
+/// Meta-word bit 61: the blob was retired. Set and checked in debug builds
+/// only, where it catches a handle retired twice.
+const META_RETIRED: u64 = 1 << 61;
 
-/// Every `SWEEP_EVERY`th `set` on a shard walks a slice of the ledger
-/// looking for expired values (skipped entirely while no value on the
-/// shard carries a deadline).
+/// Meta-word bits 60..0: the payload length.
+const META_LEN_MASK: u64 = META_RETIRED - 1;
+
+/// Every `SWEEP_EVERY`th `set` on a shard walks a slice of the shard's
+/// index looking for expired values (skipped entirely while no value on
+/// the shard carries a deadline).
 const SWEEP_EVERY: u64 = 64;
 
-/// Ledger entries examined per sweep step.
+/// Index entries examined per sweep step.
 const SWEEP_BATCH: usize = 8;
+
+/// Entries the first fetch of an index walk asks for; each further fetch
+/// asks for twice as many, up to [`WALK_CHUNK_MAX`]. CLOCK usually stops
+/// within a few entries of its hand, so a short first fetch keeps it from
+/// touching nodes it will not examine.
+const WALK_CHUNK_MIN: usize = 4;
+
+/// Most entries one fetch of an index walk asks for.
+const WALK_CHUNK_MAX: usize = 64;
 
 /// Consecutive fruitless eviction attempts before a reservation is forced
 /// through over budget (progress guarantee; see `CacheStatsSnapshot::forced`).
@@ -225,21 +230,12 @@ unsafe fn meta_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
     unsafe { &*(ptr as *const AtomicU64) }
 }
 
-/// The ledger-position word of a blob. Same safety contract as
-/// [`meta_cell`]; the ledger mutex orders every access, so they are all
-/// `Relaxed`.
-#[inline]
-unsafe fn pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
-    // SAFETY: forwarded caller contract; word 1 sits inside the header.
-    unsafe { &*(ptr.add(8) as *const AtomicU64) }
-}
-
 /// The expiry word of a TTL'd blob (deadline-free blobs have none). Same
 /// safety contract as [`meta_cell`], for the handle's blob.
 #[inline]
 unsafe fn expire_cell<'a>(handle: u64) -> &'a AtomicU64 {
     debug_assert!(has_ttl(handle), "a deadline-free blob has no expiry word");
-    // SAFETY: forwarded caller contract; the TTL flag says word 2 exists.
+    // SAFETY: forwarded caller contract; the TTL flag says word 1 exists.
     unsafe { &*(blob_addr(handle).add(HEADER) as *const AtomicU64) }
 }
 
@@ -314,12 +310,19 @@ fn blob_layout(len: usize, ttl: bool) -> Layout {
 }
 
 /// Cache-tier counters of one arena (monotone, `Relaxed`: independent event
-/// counts with no ordering obligations, as everywhere else in this crate).
+/// counts with no ordering obligations, as everywhere else in this crate),
+/// and the cursors of its index walks.
 /// `live_now` is the live payload-byte gauge: `reserve` adds to it before
-/// every store, `retire` subtracts.
+/// every store, `retire` subtracts. `live_blobs` counts the blobs stored
+/// and not yet retired the same way.
 #[derive(Debug, Default)]
 struct CacheCounters {
     live_now: AtomicU64,
+    live_blobs: AtomicU64,
+    /// CLOCK hand: the key the next victim walk starts from.
+    hand: AtomicU64,
+    /// TTL-sweep cursor: the key the next sweep step starts from.
+    sweep: AtomicU64,
     evictions: AtomicU64,
     expired_lazy: AtomicU64,
     expired_swept: AtomicU64,
@@ -337,7 +340,7 @@ pub struct ArenaStatsSnapshot {
 }
 
 impl ArenaStatsSnapshot {
-    /// Blobs currently live: the ledgers' length.
+    /// Blobs currently live: the live-blob gauge.
     pub fn live_blobs(&self) -> u64 {
         self.blobs
     }
@@ -346,59 +349,6 @@ impl ArenaStatsSnapshot {
     /// "Budget enforcement").
     pub fn live_bytes(&self) -> u64 {
         self.bytes
-    }
-}
-
-/// The write-path ledger: every live handle with its key, plus the
-/// persistent CLOCK hand and the TTL-sweep cursor. An entry is found from
-/// its blob: header word 1 holds the entry's position.
-#[derive(Debug, Default)]
-struct Ledger {
-    /// `(key, tagged handle)` of every live blob on this shard.
-    entries: Vec<(u64, u64)>,
-    /// CLOCK hand: where the next victim scan resumes.
-    hand: usize,
-    /// TTL-sweep cursor: where the next sweep step resumes.
-    sweep: usize,
-}
-
-impl Ledger {
-    /// The position of `handle`'s entry, from its blob header.
-    ///
-    /// # Safety
-    ///
-    /// `handle`'s blob must be allocated and in this ledger.
-    unsafe fn position(&self, handle: u64) -> usize {
-        // SAFETY: forwarded caller contract.
-        let pos = unsafe { pos_cell(blob_addr(handle)).load(Ordering::Relaxed) } as usize;
-        debug_assert_eq!(
-            self.entries.get(pos).map(|e| e.1),
-            Some(handle),
-            "blob header and ledger disagree (handle retired twice?)"
-        );
-        pos
-    }
-
-    /// # Safety
-    ///
-    /// `handle`'s blob must be allocated and not in any ledger.
-    unsafe fn insert(&mut self, key: u64, handle: u64) {
-        // SAFETY: forwarded caller contract.
-        unsafe { pos_cell(blob_addr(handle)).store(self.entries.len() as u64, Ordering::Relaxed) };
-        self.entries.push((key, handle));
-    }
-
-    /// # Safety
-    ///
-    /// As [`position`](Self::position).
-    unsafe fn remove(&mut self, handle: u64) {
-        // SAFETY: forwarded caller contract.
-        let pos = unsafe { self.position(handle) };
-        self.entries.swap_remove(pos);
-        if let Some(&(_, moved)) = self.entries.get(pos) {
-            // SAFETY: `moved` is in the ledger, so its blob is allocated.
-            unsafe { pos_cell(blob_addr(moved)).store(pos as u64, Ordering::Relaxed) };
-        }
     }
 }
 
@@ -416,13 +366,11 @@ impl Ledger {
 ///   unlinked from the index, and every [`store`](Self::store) follows a
 ///   reservation of its bytes.
 ///
-/// Budget *policy* (reservation loops, eviction) lives in [`BlobMap`]; the
-/// arena only carries the mechanism (the ledger, the gauges, the clock).
+/// Budget *policy* (reservation loops, eviction, the walks over the index)
+/// lives in [`BlobMap`]; the arena only carries the mechanism (the gauges,
+/// the walk cursors, the clock).
 #[derive(Debug)]
 struct ValueArena {
-    /// Live handles + CLOCK state, maintained by the write path only, so
-    /// teardown can free payloads without key enumeration from the backing.
-    ledger: Mutex<Ledger>,
     cache: CachePadded<CacheCounters>,
     /// This shard's payload-byte budget (`None` = unbounded).
     budget: Option<u64>,
@@ -434,7 +382,6 @@ impl ValueArena {
     /// An empty arena with a byte budget (`None` = unbounded) and a clock.
     fn new(budget: Option<u64>, clock: Arc<dyn MsClock>) -> Self {
         ValueArena {
-            ledger: Mutex::new(Ledger::default()),
             cache: CachePadded::default(),
             budget,
             clock,
@@ -451,7 +398,7 @@ impl ValueArena {
     /// on it); a nonzero `expire_at_ms` gives the blob an expiry word
     /// holding it and the handle its TTL flag. The caller has reserved
     /// `value.len()` bytes (see [`BlobMap`]'s reservation path).
-    fn store(&self, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
+    fn store(&self, value: &[u8], expire_at_ms: u64) -> u64 {
         let ttl = expire_at_ms != 0;
         let ptr = ssmem::alloc_raw(blob_layout(value.len(), ttl));
         debug_assert_eq!(
@@ -481,8 +428,7 @@ impl ValueArena {
             }
             ptr.add(payload_offset(handle)).copy_from_nonoverlapping(value.as_ptr(), value.len());
         }
-        // SAFETY: `ptr` was allocated above and is in no ledger yet.
-        unsafe { self.ledger.lock().expect("arena ledger poisoned").insert(key, handle) };
+        self.cache.live_blobs.fetch_add(1, Ordering::Relaxed);
         handle
     }
 
@@ -578,52 +524,6 @@ impl ValueArena {
         }
     }
 
-    /// CLOCK victim selection: advance the hand, clear reference bits on
-    /// referenced entries, return the first unreferenced `(key, handle)`
-    /// (forcing one after two full laps so concurrent re-referencing
-    /// cannot starve the evictor). `None` if the ledger is empty.
-    fn clock_victim(&self) -> Option<(u64, u64)> {
-        let mut ledger = self.ledger.lock().expect("arena ledger poisoned");
-        let n = ledger.entries.len();
-        if n == 0 {
-            return None;
-        }
-        for _ in 0..2 * n {
-            let i = ledger.hand % n;
-            ledger.hand = (i + 1) % n;
-            let (key, handle) = ledger.entries[i];
-            // SAFETY: the entry is in the ledger, and `retire` removes an
-            // entry (under this lock) strictly before freeing its blob, so
-            // the header is readable while we hold the lock.
-            let meta = unsafe { meta_cell(blob_addr(handle)) };
-            if meta.load(Ordering::Relaxed) & META_REF != 0 {
-                meta.fetch_and(!META_REF, Ordering::Relaxed);
-                continue;
-            }
-            return Some((key, handle));
-        }
-        let i = ledger.hand % n;
-        ledger.hand = (i + 1) % n;
-        Some(ledger.entries[i])
-    }
-
-    /// Collects up to `max` expired `(key, handle)` entries from the sweep
-    /// cursor (the caller reclaims them after this lock is released).
-    fn collect_expired(&self, max: usize, out: &mut Vec<(u64, u64)>) {
-        let mut ledger = self.ledger.lock().expect("arena ledger poisoned");
-        let n = ledger.entries.len();
-        for _ in 0..max.min(n) {
-            let i = ledger.sweep % n;
-            ledger.sweep = (i + 1) % n;
-            let entry = ledger.entries[i];
-            // SAFETY: in-ledger entry under the ledger lock (see
-            // `clock_victim`).
-            if unsafe { self.is_expired(entry.1) } {
-                out.push(entry);
-            }
-        }
-    }
-
     /// Retires a blob: its memory returns to the ssmem pool once every
     /// operation concurrent with this call has finished, and its bytes
     /// leave the live gauge.
@@ -637,9 +537,15 @@ impl ValueArena {
         // SAFETY: the handle is unlinked (caller contract), so this thread
         // owns the right to read its header and retire it.
         let (len, layout) = unsafe { extent(handle) };
-        // SAFETY: stored here and not yet retired (caller contract), so the
-        // blob is allocated and in this ledger.
-        unsafe { self.ledger.lock().expect("arena ledger poisoned").remove(handle) };
+        if cfg!(debug_assertions) {
+            // SAFETY: as above; the bit-set races only with reference-bit
+            // ops on the same word.
+            let meta =
+                unsafe { meta_cell(blob_addr(handle)) }.fetch_or(META_RETIRED, Ordering::Relaxed);
+            debug_assert_eq!(meta & META_RETIRED, 0, "blob retired twice");
+        }
+        let blobs = self.cache.live_blobs.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(blobs > 0, "live-blob gauge underflow");
         let live = self.cache.live_now.fetch_sub(len as u64, Ordering::Relaxed);
         debug_assert!(
             live >= len as u64,
@@ -670,7 +576,7 @@ impl ValueArena {
     /// What this arena holds right now.
     fn stats(&self) -> ArenaStatsSnapshot {
         ArenaStatsSnapshot {
-            blobs: self.ledger.lock().expect("arena ledger poisoned").entries.len() as u64,
+            blobs: self.cache.live_blobs.load(Ordering::Relaxed),
             bytes: self.cache.live_now.load(Ordering::Relaxed),
         }
     }
@@ -685,22 +591,6 @@ impl ValueArena {
             expired_swept: self.cache.expired_swept.load(Ordering::Relaxed),
             forced: self.cache.forced.load(Ordering::Relaxed),
             ttl_live: self.cache.ttl_live.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for ValueArena {
-    fn drop(&mut self) {
-        // `&mut self`: no concurrent operations; every handle still in the
-        // ledger is live (retired ones were removed at retire time and are
-        // owned by the epoch collector).
-        let ledger = std::mem::take(self.ledger.get_mut().expect("arena ledger poisoned"));
-        for (_key, handle) in ledger.entries {
-            // SAFETY: live blob, unreachable by any thread after Drop began.
-            unsafe {
-                let (_, layout) = extent(handle);
-                ssmem::dealloc_raw_immediate(blob_addr(handle), layout);
-            }
         }
     }
 }
@@ -765,6 +655,9 @@ thread_local! {
     /// Scratch for `multi_get_into` with a hot-key engine.
     static REST_SCRATCH: RefCell<Rest> =
         const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
+    /// Scratch `(key, handle)` buffer for the CLOCK and sweep walks, so an
+    /// eviction allocates nothing.
+    static WALK_SCRATCH: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Why a value is reclaimed; picks the counter the reclaim bumps.
@@ -792,18 +685,19 @@ fn fill_front(hot: &HotKeyEngine, ticket: &FillTicket, found: Option<(&[u8], boo
     }
 }
 
-/// Variable-length byte values over a [`ShardedMap`] of any backing: the
-/// map stores arena handles, per-shard arenas store payloads, and every
-/// read copies out under an epoch guard. With a [`CacheConfig`], the map
-/// is a **bounded cache**: byte budgets enforced by CLOCK eviction on the
-/// SET path, TTLs expired lazily on read plus an incremental sweep (see
-/// the module docs).
+/// Variable-length byte values over a [`ShardedMap`] of an ordered
+/// backing: the map stores arena handles, per-shard arenas store payloads,
+/// and every read copies out under an epoch guard. With a [`CacheConfig`],
+/// the map is a **bounded cache**: byte budgets enforced by CLOCK eviction
+/// on the SET path, TTLs expired lazily on read plus an incremental sweep
+/// (see the module docs).
 ///
 /// `get`/`multi_get`/`scan` have **copy-out** semantics (the caller's
-/// buffer is cleared and refilled), `set` **overwrites** (unlike the raw
-/// structures' insert-if-absent — the displaced blob is retired), and
-/// range scans are available when the backing is ordered.
-pub struct BlobMap<M> {
+/// buffer is cleared and refilled), and `set` **overwrites** (unlike the
+/// raw structures' insert-if-absent — the displaced blob is retired). The
+/// backing is ordered so that range scans, CLOCK, the sweep and teardown
+/// can all walk its keys.
+pub struct BlobMap<M: OrderedMap + ReplaceMap> {
     map: ShardedMap<M>,
     arenas: Box<[ValueArena]>,
     /// The blob map's *own* hot-key engine: it caches **payload bytes**
@@ -815,7 +709,7 @@ pub struct BlobMap<M> {
     default_ttl_ms: Option<u64>,
 }
 
-impl<M: ReplaceMap> BlobMap<M> {
+impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// Builds a blob map over `shards` instances of the backing; `make(i)`
     /// constructs the `i`-th shard. No hot-key engine, inert cache tier.
     ///
@@ -1015,7 +909,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         };
         // Store the blob before any front-slot lock is taken (arena stores
         // are uncontended); only the index publish runs under it.
-        let handle = arena.store(key, value, expire_at);
+        let handle = arena.store(value, expire_at);
         self.write(key, Some(value), expire_at, || self.publish(key, handle))
     }
 
@@ -1120,7 +1014,7 @@ impl<M: ReplaceMap> BlobMap<M> {
                 // EXPIRE evicts nothing: the copy's bytes go on the gauge
                 // unconditionally, and leave it with whichever blob loses.
                 arena.add_live(value.len() as u64);
-                Some((h, arena.store(key, value, deadline)))
+                Some((h, arena.store(value, deadline)))
             });
             match copied {
                 None => return false,
@@ -1205,7 +1099,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         let arena = &self.arenas[shard];
         let mut fruitless = 0u32;
         while !arena.try_reserve(len) {
-            let victim = arena.clock_victim();
+            let victim = self.clock_victim(shard);
             if victim.is_some_and(|(key, h)| self.reclaim(key, h, Reclaim::Evicted)) {
                 fruitless = 0;
                 continue;
@@ -1220,7 +1114,7 @@ impl<M: ReplaceMap> BlobMap<M> {
     }
 
     /// The piggybacked TTL sweep: every [`SWEEP_EVERY`]th `set` on a shard
-    /// walks [`SWEEP_BATCH`] ledger entries from the sweep cursor and
+    /// walks [`SWEEP_BATCH`] index entries from the sweep cursor and
     /// reclaims the expired ones. Free when no value carries a deadline.
     fn maybe_sweep(&self, shard: usize) {
         let arena = &self.arenas[shard];
@@ -1230,68 +1124,123 @@ impl<M: ReplaceMap> BlobMap<M> {
         if arena.cache.sweep_tick.fetch_add(1, Ordering::Relaxed) % SWEEP_EVERY != 0 {
             return;
         }
-        let mut expired: Vec<(u64, u64)> = Vec::with_capacity(SWEEP_BATCH);
-        arena.collect_expired(SWEEP_BATCH, &mut expired);
+        // At most one lap, so no value is collected twice.
+        let batch = SWEEP_BATCH.min(arena.cache.live_blobs.load(Ordering::Relaxed) as usize);
+        let mut expired: Vec<(u64, u64)> = Vec::with_capacity(batch);
+        self.walk_scratch(shard, &arena.cache.sweep, batch, |key, handle| {
+            // SAFETY: the walk's guard predates the fetch of `handle`.
+            if unsafe { arena.is_expired(handle) } {
+                expired.push((key, handle));
+            }
+            true
+        });
         for (key, handle) in expired {
             self.reclaim(key, handle, Reclaim::Swept);
         }
     }
 
-    /// Unlinks and retires the binding `key → handle` — an expired value or
-    /// a CLOCK victim, as `why` says — tolerating every race: only that
-    /// exact binding is reclaimed (and counted under `why`), and a fresher
-    /// value that raced in goes back through [`republish`](Self::republish).
-    /// Nothing here dereferences the stale `handle`; the only blobs touched
-    /// are the ones `remove` handed this thread. `true` if a blob was
-    /// retired.
-    fn reclaim(&self, key: u64, handle: u64, why: Reclaim) -> bool {
-        let arena = self.arena_of(key);
-        let counted = match self.map.remove(key) {
-            Some(got) if got == handle => {
-                // Poison before retire: a fronted copy must die before the
-                // backing value does (never-stale guarantee).
-                self.poison(key);
-                // SAFETY: unlinked by our remove, returned only to us.
-                unsafe { arena.retire(got) };
-                true
+    /// CLOCK victim selection on `shard`: walks the index from the hand,
+    /// clears the reference bits it finds set, and returns the first
+    /// unreferenced `(key, handle)` — forcing the next one after two laps'
+    /// worth of entries, so concurrent re-referencing cannot starve the
+    /// evictor. `None` if the shard holds nothing.
+    fn clock_victim(&self, shard: usize) -> Option<(u64, u64)> {
+        let arena = &self.arenas[shard];
+        let laps = 2 * arena.cache.live_blobs.load(Ordering::Relaxed) as usize;
+        let (mut seen, mut victim) = (0, None);
+        self.walk_scratch(shard, &arena.cache.hand, laps + 1, |key, handle| {
+            // SAFETY: the walk's guard predates the fetch of `handle`.
+            let meta = unsafe { meta_cell(blob_addr(handle)) };
+            seen += 1;
+            if seen <= laps && meta.load(Ordering::Relaxed) & META_REF != 0 {
+                meta.fetch_and(!META_REF, Ordering::Relaxed);
+                return true;
             }
-            // The binding went stale (an overwrite raced us — the
-            // generation tag makes a recycled pointer unmistakable): put
-            // the fresh value back. If an even fresher write took the key
-            // meanwhile, `republish` retired the value that lost to it —
-            // still an eviction, but not an expiry.
-            Some(other) => {
-                if self.republish(key, other) {
-                    return false;
-                }
-                why == Reclaim::Evicted
-            }
-            None => return false,
-        };
-        if counted {
-            let counter = match why {
-                Reclaim::Lazy => &arena.cache.expired_lazy,
-                Reclaim::Swept => &arena.cache.expired_swept,
-                Reclaim::Evicted => &arena.cache.evictions,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-        true
+            victim = Some((key, handle));
+            false
+        });
+        victim
     }
 
-    /// Puts `handle`, which this thread holds unlinked from `key`, back
-    /// into the index — or, when a fresher write took the key meanwhile,
-    /// poisons the key and retires `handle`. `true` if it went back. With
-    /// `publish`, the only place a handle is inserted into the index.
-    fn republish(&self, key: u64, handle: u64) -> bool {
-        if self.map.insert(key, handle) {
-            return true;
+    /// [`walk`](Self::walk) with this thread's scratch buffer.
+    fn walk_scratch(
+        &self,
+        shard: usize,
+        cursor: &AtomicU64,
+        limit: usize,
+        visit: impl FnMut(u64, u64) -> bool,
+    ) {
+        WALK_SCRATCH
+            .with(|scratch| self.walk(shard, cursor, limit, &mut scratch.borrow_mut(), visit));
+    }
+
+    /// The one walk over a shard's index, behind CLOCK, the TTL sweep and
+    /// teardown: hands `visit` the `(key, handle)` pairs in key order from
+    /// `cursor`, wrapping to [`KEY_MIN`] at the end of the list, until
+    /// `visit` returns `false`, `limit` pairs have been visited or the
+    /// shard turns out empty; then leaves `cursor` just past the last pair
+    /// visited. One epoch guard, taken before the first fetch, covers the
+    /// walk (the contract [`scan_bounded`](Self::scan_bounded) keeps), so
+    /// `visit` may dereference every handle it is given. `buf` is scratch.
+    fn walk(
+        &self,
+        shard: usize,
+        cursor: &AtomicU64,
+        limit: usize,
+        buf: &mut Vec<(u64, u64)>,
+        mut visit: impl FnMut(u64, u64) -> bool,
+    ) {
+        let index = self.map.shard(shard);
+        let mut from = cursor.load(Ordering::Relaxed).clamp(KEY_MIN, KEY_MAX);
+        let (mut left, mut chunk) = (limit, WALK_CHUNK_MIN);
+        let _guard = ssmem::protect();
+        'walk: while left > 0 {
+            let want = chunk.min(left);
+            buf.clear();
+            let got = index.scan_into(from, want, buf);
+            if got == 0 && from == KEY_MIN {
+                break;
+            }
+            for &(key, handle) in buf.iter() {
+                left -= 1;
+                from = if key < KEY_MAX { key + 1 } else { KEY_MIN };
+                if !visit(key, handle) {
+                    break 'walk;
+                }
+            }
+            if got < want {
+                // The end of the list: the lap goes on from the start.
+                from = KEY_MIN;
+            }
+            chunk = (2 * chunk).min(WALK_CHUNK_MAX);
         }
+        cursor.store(from, Ordering::Relaxed);
+    }
+
+    /// Removes and retires the binding `key → handle` — an expired value or
+    /// a CLOCK victim, as `why` says — if `key` still holds `handle`, and
+    /// counts it under `why`. When an overwrite got there first (the
+    /// generation tag makes a recycled pointer unmistakable), the
+    /// conditional remove fails and the fresher value stays. Nothing here
+    /// dereferences the stale `handle` unless the remove handed it to this
+    /// thread. `true` if a blob was retired.
+    fn reclaim(&self, key: u64, handle: u64, why: Reclaim) -> bool {
+        if self.map.remove_if(key, handle).is_err() {
+            return false;
+        }
+        let arena = self.arena_of(key);
+        // Poison before retire: a fronted copy must die before the backing
+        // value does (never-stale guarantee).
         self.poison(key);
-        // SAFETY: unlinked by the caller's remove and not republished, so
-        // owned by this thread.
-        unsafe { self.arena_of(key).retire(handle) };
-        false
+        // SAFETY: unlinked by our remove, returned only to us.
+        unsafe { arena.retire(handle) };
+        let counter = match why {
+            Reclaim::Lazy => &arena.cache.expired_lazy,
+            Reclaim::Swept => &arena.cache.expired_swept,
+            Reclaim::Evicted => &arena.cache.evictions,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     // -- batched ops -------------------------------------------------------
@@ -1441,9 +1390,7 @@ impl<M: ReplaceMap> BlobMap<M> {
         }
         total
     }
-}
 
-impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// Up to `n` `(key, value)` pairs with key `>= from` in ascending key
     /// order, values copied out. Inherits the non-snapshot scan semantics
     /// of [`OrderedMap`] (each pair was present at some point during the
@@ -1499,7 +1446,38 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     }
 }
 
-impl<M: ReplaceMap> std::fmt::Debug for BlobMap<M> {
+impl<M: OrderedMap + ReplaceMap> Drop for BlobMap<M> {
+    fn drop(&mut self) {
+        // `&mut self`: no concurrent operations, so every value in the index
+        // is a live blob no thread can reach any more; retired ones are
+        // owned by the epoch collector.
+        let mut buf = Vec::new();
+        for (shard, arena) in self.arenas.iter().enumerate() {
+            let (start, mut last, mut freed) = (AtomicU64::new(KEY_MIN), 0, 0);
+            self.walk(shard, &start, usize::MAX, &mut buf, |key, handle| {
+                // The walk wrapped: every key was visited.
+                if key <= last {
+                    return false;
+                }
+                last = key;
+                freed += 1;
+                // SAFETY: a live blob, unreachable by any other thread.
+                unsafe {
+                    let (_, layout) = extent(handle);
+                    ssmem::dealloc_raw_immediate(blob_addr(handle), layout);
+                }
+                true
+            });
+            debug_assert_eq!(
+                freed,
+                arena.cache.live_blobs.load(Ordering::Relaxed),
+                "a live blob is not the value of any key"
+            );
+        }
+    }
+}
+
+impl<M: OrderedMap + ReplaceMap> std::fmt::Debug for BlobMap<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlobMap")
             .field("shards", &self.shard_count())
@@ -1514,7 +1492,6 @@ impl<M: ReplaceMap> std::fmt::Debug for BlobMap<M> {
 mod tests {
     use super::*;
     use crate::cache::{FakeClock, WallClock};
-    use ascylib::hashtable::ClhtLb;
     use ascylib::skiplist::FraserOptSkipList;
 
     fn blob_map() -> BlobMap<FraserOptSkipList> {
@@ -1523,9 +1500,9 @@ mod tests {
 
     /// Stores into a bare arena the way `BlobMap::set` does: reserve, then
     /// store.
-    fn reserve_and_store(arena: &ValueArena, key: u64, value: &[u8], expire_at_ms: u64) -> u64 {
+    fn reserve_and_store(arena: &ValueArena, value: &[u8], expire_at_ms: u64) -> u64 {
         assert!(arena.try_reserve(value.len() as u64));
-        arena.store(key, value, expire_at_ms)
+        arena.store(value, expire_at_ms)
     }
 
     /// A single-shard map on a hand-cranked clock (TTL-focused tests).
@@ -1541,15 +1518,16 @@ mod tests {
     fn blob_layout_rounds_to_8_in_the_arena_and_to_64_above() {
         // (payload, deadline-free size, TTL'd size)
         let table = [
-            (0, 16, 24),
-            (1, 24, 32),
-            (64, 80, 88),
-            (256, 272, 280),
-            (488, 504, 512),
-            (489, 512, 576),
-            (496, 512, 576),
-            (497, 576, 576),
-            (553, 576, 640),
+            (0, 8, 16),
+            (1, 16, 24),
+            (64, 72, 80),
+            (256, 264, 272),
+            (488, 496, 504),
+            (496, 504, 512),
+            (497, 512, 576),
+            (504, 512, 576),
+            (505, 576, 576),
+            (561, 576, 640),
             (4096, 4160, 4160),
         ];
         for (len, plain, ttl) in table {
@@ -1728,83 +1706,44 @@ mod tests {
     }
 
     #[test]
-    fn drop_frees_live_blobs_through_the_ledger() {
-        // The hash backing cannot enumerate keys; the ledger must still
-        // account (and free) every live blob. Observable here as exact
-        // ledger bookkeeping; leaks would show up under ASan/valgrind runs.
-        let map = BlobMap::new(3, |_| ClhtLb::with_capacity(64));
-        for k in 1..=50u64 {
-            map.set(k, &vec![k as u8; (k % 17) as usize]);
+    fn clock_laps_every_live_key_once_across_the_wrap() {
+        const KEYS: u64 = 97;
+        let map = BlobMap::with_config(
+            1,
+            HotKeyConfig::default(),
+            CacheConfig::unbounded().with_budget(1 << 20),
+            |_| FraserOptSkipList::new(),
+        );
+        for k in 1..=KEYS {
+            map.set(k * 3, &k.to_le_bytes());
         }
-        for k in 1..=20u64 {
-            map.del(k);
-        }
-        for k in 10..=15u64 {
-            map.set(k + 100, b"replacement");
-        }
-        let stats = map.total_arena_stats();
-        assert_eq!(stats.live_blobs(), 36);
-        let ledger_total: usize = map
-            .arenas
-            .iter()
-            .map(|a| {
-                let ledger = a.ledger.lock().unwrap();
-                for (pos, &(_, handle)) in ledger.entries.iter().enumerate() {
-                    // SAFETY: in-ledger blobs are allocated.
-                    assert_eq!(unsafe { ledger.position(handle) }, pos);
-                }
-                ledger.entries.len()
-            })
-            .sum();
-        assert_eq!(ledger_total as u64, stats.live_blobs());
-        drop(map); // frees the 36 live blobs via the ledger
-    }
-
-    #[test]
-    fn ledger_positions_survive_retires_in_any_order() {
-        // Every retire is a `swap_remove` that moves the last entry into the
-        // hole and must rewrite that blob's position word.
-        const BLOBS: u64 = 97;
-        let arena = ValueArena::new(Some(1 << 20), Arc::new(WallClock));
-        let mut handles: Vec<(u64, u64)> = (1..=BLOBS)
-            .map(|k| (k, reserve_and_store(&arena, k, &k.to_le_bytes(), 0)))
-            .collect();
-        // A fixed shuffle (multiplicative hash order), then retire two of
-        // every three.
-        handles.sort_by_key(|&(k, _)| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let survivors = handles.split_off(2 * handles.len() / 3);
-        for (_, handle) in handles {
-            // SAFETY: stored above, never published, retired once.
-            unsafe { arena.retire(handle) };
-        }
-        // CLOCK must still reach every survivor: reference bits start clear,
-        // so each call returns the entry under the hand and advances it.
-        let mut visited: Vec<(u64, u64)> =
-            (0..survivors.len()).map(|_| arena.clock_victim().expect("non-empty")).collect();
+        // Reference bits start clear, so each call returns the entry under
+        // the hand and moves it on. Start mid-list, so the lap wraps.
+        map.arenas[0].cache.hand.store(48 * 3 + 1, Ordering::Relaxed);
+        let mut visited: Vec<u64> =
+            (0..KEYS).map(|_| map.clock_victim(0).expect("non-empty").0).collect();
+        assert_eq!(visited[0], 49 * 3, "the lap starts at the hand");
         visited.sort_unstable();
-        let mut expected = survivors.clone();
-        expected.sort_unstable();
-        assert_eq!(visited, expected);
-        // And every survivor's position word leads to its own entry.
-        let ledger = arena.ledger.lock().unwrap();
-        assert_eq!(ledger.entries.len(), survivors.len());
-        for &(key, handle) in &survivors {
-            // SAFETY: a survivor: stored here, not retired.
-            let pos = unsafe { ledger.position(handle) };
-            assert_eq!(ledger.entries[pos], (key, handle));
+        assert_eq!(visited, (1..=KEYS).map(|k| k * 3).collect::<Vec<_>>());
+        // With every bit set, the first lap clears them all and the two-lap
+        // rule still ends the walk with a victim.
+        for k in 1..=KEYS {
+            assert!(map.get_owned(k * 3).is_some());
         }
-    }
-
-    #[test]
-    fn works_over_hash_backings_too() {
-        let map = BlobMap::new(2, |_| ClhtLb::with_capacity(128));
-        for k in 1..=100u64 {
-            assert!(map.set(k, &k.to_le_bytes()));
+        assert!(map.clock_victim(0).is_some());
+        let marked = (1..=KEYS)
+            .filter(|k| {
+                let handle = map.map.search(k * 3).expect("present");
+                // SAFETY: nothing retires blobs while this test runs.
+                unsafe { meta_cell(blob_addr(handle)).load(Ordering::Relaxed) & META_REF != 0 }
+            })
+            .count();
+        assert_eq!(marked, 0, "a lap left reference bits set");
+        // An empty shard has no victim.
+        for k in 1..=KEYS {
+            assert!(map.del(k * 3));
         }
-        for k in 1..=100u64 {
-            assert_eq!(map.get_owned(k).unwrap(), k.to_le_bytes());
-        }
-        assert_eq!(map.len(), 100);
+        assert_eq!(map.clock_victim(0), None);
     }
 
     // -- cache tier --------------------------------------------------------
@@ -1812,8 +1751,8 @@ mod tests {
     #[test]
     fn handles_carry_tags_and_reads_mask_them() {
         let arena = ValueArena::new(None, Arc::new(WallClock));
-        let h1 = reserve_and_store(&arena, 1, b"alpha", 0);
-        let h2 = reserve_and_store(&arena, 2, b"beta", 1234);
+        let h1 = reserve_and_store(&arena, b"alpha", 0);
+        let h2 = reserve_and_store(&arena, b"beta", 1234);
         assert!(!has_ttl(h1));
         assert!(has_ttl(h2));
         assert_ne!(h1 & TAG_GEN_MASK, h2 & TAG_GEN_MASK, "generations differ");
@@ -1831,6 +1770,20 @@ mod tests {
             arena.retire(h2);
         }
         assert_eq!(arena.stats().live_blobs(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "blob retired twice")]
+    fn retiring_a_handle_twice_panics_in_debug_builds() {
+        let arena = ValueArena::new(None, Arc::new(WallClock));
+        let handle = reserve_and_store(&arena, b"once", 0);
+        // SAFETY: deliberately broken — the second retire is the bug the
+        // check exists for, caught before the blob is handed back twice.
+        unsafe {
+            arena.retire(handle);
+            arena.retire(handle);
+        }
     }
 
     #[test]
@@ -1979,7 +1932,7 @@ mod tests {
             map.set(k, &[k as u8; 256]);
         }
         // Keep re-referencing key 1 while churning enough inserts that
-        // CLOCK must lap the ledger repeatedly.
+        // CLOCK must lap the index repeatedly.
         for round in 0..64u64 {
             assert!(map.get_owned(1).is_some(), "hot key evicted at round {round}");
             map.set(100 + round, &[0u8; 256]);
@@ -2051,7 +2004,7 @@ mod tests {
     // -- the lost-race branches, one interleaving each ----------------------
 
     #[test]
-    fn reclaiming_a_replaced_handle_puts_the_overwrite_back_uncounted() {
+    fn reclaiming_a_replaced_handle_leaves_the_overwrite_in_place_uncounted() {
         for why in [Reclaim::Evicted, Reclaim::Lazy] {
             let map = BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| {
                 FraserOptSkipList::new()
@@ -2060,14 +2013,14 @@ mod tests {
             let stale = map.map.search(7).expect("stored");
             assert!(!map.set(7, b"v2"), "overwrite");
             // An evictor or expiry reclaim that chose (7, v1) before the
-            // overwrite unlinks v2 instead, and must put it back.
+            // overwrite removes nothing.
             assert!(!map.reclaim(7, stale, why), "{why:?}: nothing was retired");
             assert_eq!(map.get_owned(7).unwrap(), b"v2", "{why:?}");
             assert_eq!(map.total_arena_stats().live_blobs(), 1, "{why:?}");
             let c = map.cache_stats();
             assert_eq!((c.evictions, c.expired_lazy, c.expired_swept), (0, 0, 0), "{why:?}");
             // The current binding is reclaimed, and counted under `why`.
-            let fresh = map.map.search(7).expect("put back");
+            let fresh = map.map.search(7).expect("left in place");
             assert!(map.reclaim(7, fresh, why), "{why:?}");
             assert_eq!(map.get_owned(7), None, "{why:?}: the front copy died with it");
             assert_eq!(map.total_arena_stats(), ArenaStatsSnapshot::default(), "{why:?}");
@@ -2086,7 +2039,7 @@ mod tests {
         let stale = map.map.search(3).expect("stored");
         // EXPIRE copied the deadline-free v1, then an overwrite landed
         // before its swap.
-        let copy = reserve_and_store(arena, 3, b"v1", deadline);
+        let copy = reserve_and_store(arena, b"v1", deadline);
         assert!(!map.set(3, b"v2"), "overwrite");
         assert_eq!(map.swap_in_copy(3, stale, copy, deadline), None, "look again");
         assert_eq!(map.get_owned(3).unwrap(), b"v2");
@@ -2095,14 +2048,14 @@ mod tests {
         assert_eq!((blobs.live_blobs(), blobs.live_bytes(), c.ttl_live), (1, 2, 0));
         // The current value is swapped for its copy.
         let current = map.map.search(3).expect("untouched");
-        let copy = reserve_and_store(arena, 3, b"v2", deadline);
+        let copy = reserve_and_store(arena, b"v2", deadline);
         assert_eq!(map.swap_in_copy(3, current, copy, deadline), Some(true));
         assert_eq!(map.ttl_ms(3), Some(Some(100)));
         let (blobs, c) = (map.total_arena_stats(), map.cache_stats());
         assert_eq!((blobs.live_blobs(), blobs.live_bytes(), c.ttl_live), (1, 2, 1));
         // A key deleted before the swap stays deleted.
         assert!(map.del(3));
-        let copy = reserve_and_store(arena, 3, b"v2", deadline);
+        let copy = reserve_and_store(arena, b"v2", deadline);
         assert_eq!(map.swap_in_copy(3, current, copy, deadline), Some(false));
         assert_eq!(map.get_owned(3), None);
         assert_eq!(map.total_arena_stats(), ArenaStatsSnapshot::default());
@@ -2110,16 +2063,44 @@ mod tests {
     }
 
     #[test]
-    fn republish_retires_a_value_a_fresher_write_displaced() {
-        let map = BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| FraserOptSkipList::new());
-        map.set(5, b"old");
-        // This thread unlinks `old` (as a reclaim would), and a
-        // fresh write creates the key before it can put `old` back.
-        let held = map.map.remove(5).expect("stored");
-        assert!(map.set(5, b"new"), "the key was absent");
-        assert!(!map.republish(5, held));
-        assert_eq!(map.get_owned(5).unwrap(), b"new");
-        let stats = map.total_arena_stats();
-        assert_eq!((stats.live_blobs(), stats.live_bytes()), (1, 3));
+    fn reclaiming_a_stale_handle_never_hides_the_key() {
+        use std::sync::atomic::AtomicBool;
+        const KEY: u64 = 7;
+        const WRITES: u64 = 50_000;
+        let map = BlobMap::new(1, |_| FraserOptSkipList::new());
+        map.set(KEY, &0u64.to_le_bytes());
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    start.wait();
+                    // Relaxed: `done` publishes nothing, it only ends the loop.
+                    while !done.load(Ordering::Relaxed) {
+                        assert!(map.get(KEY, &mut out), "a key never deleted read as absent");
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                // An evictor that chose KEY's value, then lost it to an
+                // overwrite before its reclaim ran.
+                let stale = map.map.search(KEY).expect("stored");
+                while map.map.search(KEY) == Some(stale) {
+                    std::thread::yield_now();
+                }
+                while !done.load(Ordering::Relaxed) {
+                    map.reclaim(KEY, stale, Reclaim::Evicted);
+                }
+            });
+            start.wait();
+            for v in 1..=WRITES {
+                map.set(KEY, &v.to_le_bytes());
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(map.get_owned(KEY), Some(WRITES.to_le_bytes().to_vec()));
+        assert_eq!(map.cache_stats().evictions, 0, "a stale reclaim evicted a fresher value");
     }
 }

@@ -172,6 +172,14 @@ impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
         }
         swapped
     }
+
+    /// Routes to the owning shard's `remove_if`, recorded as a `remove`.
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>> {
+        let (shard, stats) = self.shard_and_stats(key);
+        let removed = shard.remove_if(key, expected);
+        stats.record_remove(removed.is_ok());
+        removed
+    }
 }
 
 impl<M: ConcurrentMap> std::fmt::Debug for ShardedMap<M> {
@@ -189,6 +197,7 @@ mod tests {
     use ascylib::hashtable::ClhtLb;
     use ascylib::list::HarrisList;
     use ascylib::registry;
+    use ascylib::skiplist::FraserOptSkipList;
 
     #[test]
     fn basic_semantics_route_through_shards() {
@@ -218,7 +227,7 @@ mod tests {
 
     #[test]
     fn replace_swaps_in_place_and_counts_as_a_non_creating_insert() {
-        let map = ShardedMap::new(4, |_| ClhtLb::with_capacity(16));
+        let map = ShardedMap::new(4, |_| FraserOptSkipList::new());
         assert_eq!(map.replace(9, 90), None, "absent key: no-op");
         assert_eq!(map.size(), 0);
         assert!(map.insert(9, 90));
@@ -231,6 +240,17 @@ mod tests {
         let stats = map.total_stats();
         assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (3, 1, 0));
         assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
+        // `remove_if` counts as a remove attempt, successful only on a match.
+        assert_eq!(map.remove_if(9, 91), Err(Some(92)));
+        assert_eq!(map.remove_if(9, 92), Ok(()));
+        let stats = map.total_stats();
+        assert_eq!((stats.removes, stats.removes_ok), (2, 1));
+        assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
+    }
+
+    #[test]
+    fn replace_suite_over_shards() {
+        ascylib::testing::replace_suite(|| ShardedMap::new(4, |_| FraserOptSkipList::new()));
     }
 
     #[test]

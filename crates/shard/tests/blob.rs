@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use ascylib::hashtable::ClhtLb;
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_shard::BlobMap;
 
@@ -136,7 +135,7 @@ fn readers_never_observe_torn_or_reused_blobs_under_churn() {
         }
     }
     let stats = map.total_arena_stats();
-    assert_eq!(stats.live_blobs(), live, "arena ledger agrees with the surviving keys");
+    assert_eq!(stats.live_blobs(), live, "the live-blob gauge agrees with the surviving keys");
     assert_eq!(map.len() as u64, live);
 }
 
@@ -146,7 +145,7 @@ fn readers_never_observe_torn_or_reused_blobs_under_churn() {
 #[test]
 fn arena_reuses_blob_memory_across_epochs_without_leak_growth() {
     let _quiet = EPOCH_CHURN.lock().unwrap_or_else(|e| e.into_inner());
-    let map = BlobMap::new(2, |_| ClhtLb::with_capacity(64));
+    let map = BlobMap::new(2, |_| FraserOptSkipList::new());
     ascylib_ssmem::set_gc_threshold(4);
     let mut rng = SmallRng::seed_from_u64(42);
     let mut payload = vec![0u8; 256];
@@ -186,13 +185,7 @@ fn arena_reuses_blob_memory_across_epochs_without_leak_growth() {
 /// Driver for the differential suites: applies a fuzz-chosen op sequence to
 /// a `BlobMap` and to a `HashMap<u64, Vec<u8>>` model; every observable
 /// result must agree.
-fn check_against_model<M, F>(make: F, ops: &[(u8, u64, Vec<u8>)], ordered: bool)
-where
-    M: ascylib::api::ReplaceMap,
-    F: Fn() -> BlobMap<M>,
-    BlobMap<M>: ScanIfOrdered,
-{
-    let map = make();
+fn check_against_model(map: BlobMap<FraserOptSkipList>, ops: &[(u8, u64, Vec<u8>)]) {
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut out = Vec::new();
     for (i, (op, raw_key, payload)) in ops.iter().enumerate() {
@@ -224,17 +217,15 @@ where
                 assert_eq!(got, want, "multi_get step {i}");
             }
             _ => {
-                if ordered {
-                    let got = map.scan_if_ordered(key, 8);
-                    let mut want: Vec<(u64, Vec<u8>)> = model
-                        .iter()
-                        .filter(|(&k, _)| k >= key)
-                        .map(|(&k, v)| (k, v.clone()))
-                        .collect();
-                    want.sort_by_key(|&(k, _)| k);
-                    want.truncate(8);
-                    assert_eq!(got, want, "scan step {i}");
-                }
+                let got = map.scan(key, 8);
+                let mut want: Vec<(u64, Vec<u8>)> = model
+                    .iter()
+                    .filter(|(&k, _)| k >= key)
+                    .map(|(&k, v)| (k, v.clone()))
+                    .collect();
+                want.sort_by_key(|&(k, _)| k);
+                want.truncate(8);
+                assert_eq!(got, want, "scan step {i}");
             }
         }
     }
@@ -248,28 +239,11 @@ where
     );
 }
 
-/// Lets the shared driver call `scan` only on ordered backings.
-trait ScanIfOrdered {
-    fn scan_if_ordered(&self, from: u64, n: usize) -> Vec<(u64, Vec<u8>)>;
-}
-
-impl ScanIfOrdered for BlobMap<FraserOptSkipList> {
-    fn scan_if_ordered(&self, from: u64, n: usize) -> Vec<(u64, Vec<u8>)> {
-        self.scan(from, n)
-    }
-}
-
-impl ScanIfOrdered for BlobMap<ClhtLb> {
-    fn scan_if_ordered(&self, _from: u64, _n: usize) -> Vec<(u64, Vec<u8>)> {
-        unreachable!("hash backings are never scanned by the driver")
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Ordered backing: the full surface (set/del/get/multi_get/scan)
-    /// against the sequential model, arbitrary binary payloads included.
+    /// The full surface (set/del/get/multi_get/scan) against the
+    /// sequential model, arbitrary binary payloads included.
     #[test]
     fn prop_blob_map_over_skiplist_matches_hashmap(
         ops in proptest::collection::vec(
@@ -277,17 +251,6 @@ proptest! {
             1..200,
         )
     ) {
-        check_against_model(|| BlobMap::new(3, |_| FraserOptSkipList::new()), &ops, true);
-    }
-
-    /// Hash backing: point and batched operations against the model.
-    #[test]
-    fn prop_blob_map_over_clht_matches_hashmap(
-        ops in proptest::collection::vec(
-            (any::<u8>(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..96)),
-            1..200,
-        )
-    ) {
-        check_against_model(|| BlobMap::new(3, |_| ClhtLb::with_capacity(64)), &ops, false);
+        check_against_model(BlobMap::new(3, |_| FraserOptSkipList::new()), &ops);
     }
 }

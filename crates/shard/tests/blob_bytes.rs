@@ -7,14 +7,18 @@
 //! del and drop over every value length around the 512-byte arena limit
 //! must leave each size class with as many objects in use as before; a
 //! retire whose layout differs from the store's shows as one class above
-//! it and another below.
+//! it and another below. A second workload runs CLOCK eviction under a
+//! small budget and the TTL sweep, both of which reclaim through the
+//! index's conditional remove, and drops the map with keys still live.
 //!
 //! A binary of its own with one `#[test]`: the census is process-wide, and
 //! `tests/blob.rs` runs its tests in parallel threads.
 
+use std::sync::Arc;
+
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib::testing::assert_arena_balanced;
-use ascylib_shard::BlobMap;
+use ascylib_shard::{BlobMap, CacheConfig, FakeClock, HotKeyConfig};
 use ascylib_ssmem as ssmem;
 
 /// Longest value; header + payload crosses from 8-byte rounding in the
@@ -67,17 +71,63 @@ fn cycle() {
             }
             assert_eq!(map.get_owned(2), Some(value(other_len(1), 3)));
             assert_eq!(map.get_owned(4), Some(value(3, 1)));
-            // Nothing else runs, so every grace period is over: collect all
-            // retired blobs into the pool, which the thread's exit hands
-            // back.
-            while ssmem::thread_stats().pending > 0 {
-                ssmem::collect();
-            }
+            // Collect all retired blobs into the pool, which the thread's
+            // exit hands back.
+            collect_all();
         });
         worker.join().expect("blob worker panicked");
     });
-    // The odd keys are still live: freed through the ledger on drop.
+    // The odd keys are still live: the drop frees them from its walk over
+    // the index.
     assert_eq!(map.len(), MAX_LEN / 2);
+    drop(map);
+    ssmem::collect();
+}
+
+/// Collects every blob this thread retired into its pool (nothing else
+/// runs, so every grace period is over).
+fn collect_all() {
+    while ssmem::thread_stats().pending > 0 {
+        ssmem::collect();
+    }
+}
+
+fn evict_sweep_and_drop() {
+    let clock = Arc::new(FakeClock::new());
+    let cfg = CacheConfig::unbounded()
+        .with_budget(8 * 1024)
+        .with_clock(clock.clone());
+    let map = BlobMap::with_config(2, HotKeyConfig::default(), cfg, |_| {
+        FraserOptSkipList::new()
+    });
+    std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            ssmem::set_gc_threshold(32);
+            // Ten times the budget, half of it with a deadline: CLOCK evicts.
+            for key in 1..=400u64 {
+                let len = (key as usize * 37) % (MAX_LEN + 1);
+                if key % 2 == 0 {
+                    map.set_ex(key, &value(len, 4), 50);
+                } else {
+                    map.set(key, &value(len, 5));
+                }
+            }
+            assert!(map.cache_stats().evictions > 0, "nothing was evicted");
+            // Past every deadline: empty values, which evict nothing, drive
+            // the piggybacked sweep over the corpses.
+            clock.advance(50);
+            for key in 1_000..5_000u64 {
+                map.set(key, b"");
+            }
+            assert!(
+                map.cache_stats().expired_swept > 0,
+                "the sweep reclaimed nothing"
+            );
+            collect_all();
+        });
+        worker.join().expect("eviction worker panicked");
+    });
+    assert!(map.len() > 4_000, "the drop must free live keys");
     drop(map);
     ssmem::collect();
 }
@@ -87,5 +137,9 @@ fn blobs_are_freed_with_the_layout_they_were_stored_with() {
     assert_arena_balanced(
         "BlobMap set/set_ex/expire/persist/overwrite/del/drop, values of 0..=600 bytes",
         cycle,
+    );
+    assert_arena_balanced(
+        "BlobMap CLOCK eviction and TTL sweep under an 8 KiB budget, then drop",
+        evict_sweep_and_drop,
     );
 }

@@ -22,7 +22,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ascylib::hashtable::ClhtLb;
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_harness::{KeyDist, KeySampler};
 use ascylib_shard::{BlobMap, CacheConfig, CacheStatsSnapshot, FakeClock, HotKeyConfig, MsClock};
@@ -37,11 +36,11 @@ fn purge(model: &mut Model, now: u64) {
     model.retain(|_, &mut (_, deadline)| deadline.map_or(true, |d| now < d));
 }
 
-fn clocked(shards: usize, cfg: CacheConfig) -> (BlobMap<ClhtLb>, Arc<FakeClock>) {
+fn clocked(shards: usize, cfg: CacheConfig) -> (BlobMap<FraserOptSkipList>, Arc<FakeClock>) {
     let clock = Arc::new(FakeClock::new());
     let cfg = cfg.with_clock(clock.clone());
     let map = BlobMap::with_config(shards, HotKeyConfig::default(), cfg, |_| {
-        ClhtLb::with_capacity(256)
+        FraserOptSkipList::new()
     });
     (map, clock)
 }
@@ -53,7 +52,7 @@ fn clocked(shards: usize, cfg: CacheConfig) -> (BlobMap<ClhtLb>, Arc<FakeClock>)
 /// lapse mid-sequence (including exactly at the boundary, since both the
 /// deadline arithmetic and the advances are whole milliseconds).
 fn check_ttl_against_model(
-    map: BlobMap<ClhtLb>,
+    map: BlobMap<FraserOptSkipList>,
     clock: &FakeClock,
     ops: &[(u8, u64, u64, u64)],
     key_space: u64,
@@ -198,9 +197,7 @@ proptest! {
 #[test]
 fn evicting_a_fronted_key_never_serves_the_retired_blob() {
     let cfg = CacheConfig::unbounded().with_budget(4 * 1024);
-    let map = BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| {
-        ClhtLb::with_capacity(1024)
-    });
+    let map = BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| FraserOptSkipList::new());
     assert!(map.set(1, b"pinned"));
     for _ in 0..64 {
         assert_eq!(map.get_owned(1).as_deref(), Some(&b"pinned"[..]));
@@ -209,12 +206,18 @@ fn evicting_a_fronted_key_never_serves_the_retired_blob() {
     assert!(h.front_hits > 0, "64 reads of one key must promote and front it: {h:?}");
 
     // Never-read churn fills the 4 KiB budget until CLOCK's hand reaches
-    // key 1 (its ref bit decays after one lap without reads).
-    let mut filler = 1000u64;
+    // key 1 (its ref bit decays after one lap without reads). The hand
+    // walks in key order and every eviction moves it past one filler, so
+    // the fillers are scattered over the key space: a run of ascending
+    // keys would keep one step ahead of the hand, which would never wrap.
+    let mut churned = 0u64;
     while map.contains(1) {
-        map.set(filler, &[0u8; 128]);
-        filler += 1;
-        assert!(filler < 1000 + 100_000, "churn never evicted the fronted key");
+        churned += 1;
+        map.set(
+            2 + churned.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000_007,
+            &[0u8; 128],
+        );
+        assert!(churned < 100_000, "churn never evicted the fronted key");
     }
     assert_eq!(map.get_owned(1), None, "front cache served an evicted value");
     let c = map.cache_stats();
@@ -234,9 +237,7 @@ fn evicting_a_fronted_key_never_serves_the_retired_blob() {
 fn a_lapsed_lease_on_a_fronted_key_reads_as_absent() {
     let clock = Arc::new(FakeClock::new());
     let cfg = CacheConfig::unbounded().with_clock(clock.clone());
-    let map = BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| {
-        ClhtLb::with_capacity(256)
-    });
+    let map = BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| FraserOptSkipList::new());
     assert!(map.set(1, b"hot"));
     for _ in 0..64 {
         assert_eq!(map.get_owned(1).as_deref(), Some(&b"hot"[..]));
@@ -271,7 +272,7 @@ fn concurrent_churn_under_budget_never_returns_torn_values() {
 
     let cfg = CacheConfig::unbounded().with_budget(32 * 1024);
     let map = Arc::new(BlobMap::with_config(2, HotKeyConfig::eager(8), cfg, |_| {
-        ClhtLb::with_capacity(4096)
+        FraserOptSkipList::new()
     }));
     let writers = 4;
     let mut handles = Vec::new();

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ascylib::hashtable::ClhtLb;
+use ascylib::skiplist::FraserOptSkipList;
 use ascylib_shard::hotkey::FRONT_VALUE_CAP;
 use ascylib_shard::{BlobMap, HotKeyConfig};
 
@@ -32,8 +32,8 @@ fn eager(k: usize) -> HotKeyConfig {
     HotKeyConfig::eager(k)
 }
 
-fn hot_blob_map(shards: usize) -> BlobMap<ClhtLb> {
-    let map = BlobMap::with_hotkeys(shards, eager(8), |_| ClhtLb::with_capacity(1024));
+fn hot_blob_map(shards: usize) -> BlobMap<FraserOptSkipList> {
+    let map = BlobMap::with_hotkeys(shards, eager(8), |_| FraserOptSkipList::new());
     if let Some(hot) = map.hotkey_engine() {
         hot.pin(HOT_KEY);
     }
@@ -230,8 +230,8 @@ mod differential {
     /// from `aux` (fill byte + length); every 5th set straddles the
     /// front-cache cap so the pass-through path is exercised too.
     fn check_blob(ops: &[(u8, u64, u64)]) {
-        let on = BlobMap::with_hotkeys(2, HotKeyConfig::eager(8), |_| ClhtLb::with_capacity(256));
-        let off = BlobMap::new(2, |_| ClhtLb::with_capacity(256));
+        let on = BlobMap::with_hotkeys(2, HotKeyConfig::eager(8), |_| FraserOptSkipList::new());
+        let off = BlobMap::new(2, |_| FraserOptSkipList::new());
         let mut out_on = Vec::new();
         let mut out_off = Vec::new();
         for (i, &(op, raw, aux)) in ops.iter().enumerate() {

@@ -1,5 +1,5 @@
-//! The SET path's two concurrent contracts, over both backings the blob
-//! layer is built on and with the hot-key engine on and off:
+//! The SET path's two concurrent contracts, with the hot-key engine on and
+//! off:
 //!
 //! * **never absent** — a key that is overwritten, given a deadline or
 //!   persisted but never deleted is found by every `get` (an overwrite, and
@@ -7,16 +7,16 @@
 //!   index, not a remove followed by an insert);
 //! * **exactly once** — whatever races on a key (`set`, `del`, `expire`'s
 //!   re-store, budget eviction), every stored blob is retired once, and the
-//!   arena's counters, its byte gauge and its ledger agree with the index
-//!   at quiescence.
+//!   arena's counters and its byte and blob gauges agree with the index at
+//!   quiescence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use ascylib::api::ReplaceMap;
-use ascylib::hashtable::ClhtLb;
 use ascylib::skiplist::FraserOptSkipList;
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
+
+type Map = BlobMap<FraserOptSkipList>;
 
 /// `[key | seq]` and a fill whose length varies with `seq`, so overwrites
 /// move between allocation size classes.
@@ -30,7 +30,7 @@ fn payload(key: u64, seq: u64) -> Vec<u8> {
 
 /// The writers' step in [`never_absent`]: an overwrite that must not
 /// report a create.
-fn overwrite<M: ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
+fn overwrite(map: &Map, key: u64, seq: u64) {
     assert!(
         !map.set(key, &payload(key, seq)),
         "overwrite of key {key}, never deleted, reported a create"
@@ -40,13 +40,13 @@ fn overwrite<M: ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
 /// The writers' step in the EXPIRE/PERSIST battery: a deadline-free
 /// overwrite, so the `expire` after it has to re-store the value with an
 /// expiry word, then a deadline an hour out (never reached) and `persist`.
-fn expire_and_persist<M: ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
+fn expire_and_persist(map: &Map, key: u64, seq: u64) {
     overwrite(map, key, seq);
     assert!(map.expire(key, 3_600_000), "EXPIRE of key {key}, never deleted, found it absent");
     assert!(map.persist(key), "PERSIST of key {key}, never deleted, found it absent");
 }
 
-fn never_absent<M: ReplaceMap>(map: BlobMap<M>, write: fn(&BlobMap<M>, u64, u64)) {
+fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
     const KEYS: u64 = 16;
     const WRITERS: u64 = 2;
     const READERS: usize = 2;
@@ -123,19 +123,6 @@ fn never_absent_over_the_skip_list_with_hot_keys() {
 }
 
 #[test]
-fn never_absent_over_clht() {
-    never_absent(BlobMap::new(2, |_| ClhtLb::with_capacity(8)), overwrite);
-}
-
-#[test]
-fn never_absent_over_clht_with_hot_keys() {
-    never_absent(
-        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| ClhtLb::with_capacity(8)),
-        overwrite,
-    );
-}
-
-#[test]
 fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
     // Fronted keys' overwrites go write-through; `expire` swaps a TTL'd
     // copy in and poisons, so the key falls back to the backing.
@@ -146,14 +133,7 @@ fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
 }
 
 #[test]
-fn expire_and_persist_never_hide_a_key_over_clht_with_hot_keys() {
-    never_absent(
-        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| ClhtLb::with_capacity(8)),
-        expire_and_persist,
-    );
-}
-
-fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
+fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
     const KEYS: u64 = 6;
     const OPS: u64 = 40_000;
     // Two shards of 1 KiB each against values of up to 216 bytes: almost
@@ -162,7 +142,7 @@ fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
         2,
         HotKeyConfig::eager(2),
         CacheConfig::unbounded().with_budget(2048),
-        make,
+        |_| FraserOptSkipList::new(),
     );
     let start = Barrier::new(4);
     std::thread::scope(|s| {
@@ -203,14 +183,8 @@ fn exactly_once<M: ReplaceMap>(make: impl Fn(usize) -> M) {
         .sum();
     assert_eq!(map.cache_stats().live_bytes, live_payload);
     assert_eq!(arena.live_bytes(), live_payload);
-    // In a debug build every retire above checked the ledger position word
-    // it followed and every payload access the blob's layout tag; the drop
-    // frees the survivors through the ledger.
+    // In a debug build every retire above checked that its blob was not
+    // retired before and every payload access the blob's layout tag; the
+    // drop frees the survivors through the index.
     drop(map);
-}
-
-#[test]
-fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
-    exactly_once(|_| FraserOptSkipList::new());
-    exactly_once(|_| ClhtLb::with_capacity(4));
 }

@@ -122,7 +122,7 @@ fn main() {
         };
         let server = Server::start(
             "127.0.0.1:0",
-            BlobStore::ordered(map),
+            BlobStore::new(map),
             ServerConfig::for_connections(conns),
         )
         .expect("bind ephemeral self-serve port");

@@ -91,7 +91,7 @@ fn start(
         slowlog_threshold: slowlog,
         ..ServerConfig::default()
     };
-    let server = Server::start(addr, BlobStore::ordered(map), config)
+    let server = Server::start(addr, BlobStore::new(map), config)
         .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
     println!(
         "kv_server: serving {shards}-shard blob-valued fraser-opt skip list on {} \

@@ -187,12 +187,12 @@ fn serving_tier_replays_a_harness_workload_over_loopback() {
     assert!(json.contains("\"dist\":\"zipf(0.99)\""), "{json}");
     assert!(json.contains(&format!("\"total_ops\":{}", in_process.total_ops)));
 
-    // Over loopback: same mix, same distribution, same sharding and the
-    // same CLHT backing — through sockets, frames, the closed-loop client,
-    // and the blob-value layer (built directly: the blob layer needs
-    // `ReplaceMap`, which the registry's `dyn ConcurrentMap` handles hide).
-    let per_shard = 1024 / 4;
-    let map = Arc::new(BlobMap::new(4, |_| ascylib::hashtable::ClhtLb::with_capacity(per_shard)));
+    // Over loopback: same mix, same distribution and the same sharding —
+    // through sockets, frames, the closed-loop client, and the blob-value
+    // layer, over the skip list it needs (built directly: the blob layer
+    // needs `ReplaceMap` and `OrderedMap`, which the registry's
+    // `dyn ConcurrentMap` handles hide).
+    let map = Arc::new(BlobMap::new(4, |_| ascylib::skiplist::FraserOptSkipList::new()));
     let server = Server::start(
         "127.0.0.1:0",
         BlobStore::new(Arc::clone(&map)),
@@ -316,7 +316,7 @@ proptest! {
 
     #[test]
     fn prop_clht_lb_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(ascylib::hashtable::ClhtLb::with_capacity(32), &ops, Some(ReplaceMap::replace));
+        check_against_model(ascylib::hashtable::ClhtLb::with_capacity(32), &ops, None);
     }
 
     #[test]
@@ -337,7 +337,7 @@ proptest! {
     #[test]
     fn prop_sharded_clht_lb_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
         let map = ShardedMap::new(4, |_| ascylib::hashtable::ClhtLb::with_capacity(16));
-        check_against_model(map, &ops, Some(ReplaceMap::replace));
+        check_against_model(map, &ops, None);
     }
 
     #[test]
