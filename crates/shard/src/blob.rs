@@ -77,13 +77,17 @@
 //! [`CacheConfig`] budget the reservation is a CAS loop against the shard's
 //! share; one that would overflow the budget runs CLOCK eviction until it
 //! fits: a hand walks the shard's index in key order, clearing reference
-//! bits, and evicts the first unreferenced value it meets. A run of
-//! ascending inserts lands just ahead of the hand, so while it lasts CLOCK
-//! evicts those newcomers oldest first, and the keys behind the hand wait
-//! for the lap after it. The per-shard gauge therefore never exceeds the
-//! budget at any externally observable instant — except `forced`
-//! admissions, counted separately, when nothing is evictable (e.g. one
-//! value larger than a shard's whole share).
+//! bits, and evicts the first unreferenced value it meets. The per-shard
+//! gauge therefore never exceeds the budget at any externally observable
+//! instant — except `forced` admissions, counted separately, when nothing
+//! is evictable (e.g. one value larger than a shard's whole share).
+//!
+//! A value starts unreferenced, so an unread newcomer is evicted when the
+//! hand first reaches it. A run of ascending inserts lands just ahead of
+//! the hand, which would then evict only those newcomers and never wrap;
+//! so a lap chooses at most twice as many victims as the shard holds (as
+//! many as a lap can meet when newcomers spread evenly over the keys), and
+//! a hand that has chosen more wraps early to the keys behind it.
 //!
 //! # Expiry
 //!
@@ -189,14 +193,10 @@ const SWEEP_EVERY: u64 = 64;
 /// Index entries examined per sweep step.
 const SWEEP_BATCH: usize = 8;
 
-/// Entries the first fetch of an index walk asks for; each further fetch
-/// asks for twice as many, up to [`WALK_CHUNK_MAX`]. CLOCK usually stops
-/// within a few entries of its hand, so a short first fetch keeps it from
-/// touching nodes it will not examine.
-const WALK_CHUNK_MIN: usize = 4;
-
-/// Most entries one fetch of an index walk asks for.
-const WALK_CHUNK_MAX: usize = 64;
+/// Entries one fetch of an index walk asks for: a sweep step in one fetch.
+/// CLOCK stops sooner (about 1.4 entries per victim on the benchmark's
+/// `embed_write`), but only one `set` in ten evicts there.
+const WALK_CHUNK: usize = SWEEP_BATCH;
 
 /// Consecutive fruitless eviction attempts before a reservation is forced
 /// through over budget (progress guarantee; see `CacheStatsSnapshot::forced`).
@@ -321,6 +321,8 @@ struct CacheCounters {
     live_blobs: AtomicU64,
     /// CLOCK hand: the key the next victim walk starts from.
     hand: AtomicU64,
+    /// Victims the hand has chosen since it last wrapped.
+    lap_victims: AtomicU64,
     /// TTL-sweep cursor: the key the next sweep step starts from.
     sweep: AtomicU64,
     evictions: AtomicU64,
@@ -655,8 +657,8 @@ thread_local! {
     /// Scratch for `multi_get_into` with a hot-key engine.
     static REST_SCRATCH: RefCell<Rest> =
         const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
-    /// Scratch `(key, handle)` buffer for the CLOCK and sweep walks, so an
-    /// eviction allocates nothing.
+    /// Scratch `(key, handle)` buffer for the index walks, so an eviction
+    /// allocates nothing.
     static WALK_SCRATCH: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -1127,7 +1129,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         // At most one lap, so no value is collected twice.
         let batch = SWEEP_BATCH.min(arena.cache.live_blobs.load(Ordering::Relaxed) as usize);
         let mut expired: Vec<(u64, u64)> = Vec::with_capacity(batch);
-        self.walk_scratch(shard, &arena.cache.sweep, batch, |key, handle| {
+        self.walk(shard, &arena.cache.sweep, batch, |key, handle| {
             // SAFETY: the walk's guard predates the fetch of `handle`.
             if unsafe { arena.is_expired(handle) } {
                 expired.push((key, handle));
@@ -1143,12 +1145,17 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// clears the reference bits it finds set, and returns the first
     /// unreferenced `(key, handle)` — forcing the next one after two laps'
     /// worth of entries, so concurrent re-referencing cannot starve the
-    /// evictor. `None` if the shard holds nothing.
+    /// evictor. `None` if the shard holds nothing. A hand whose lap has
+    /// chosen two victims per value held wraps early (module docs).
     fn clock_victim(&self, shard: usize) -> Option<(u64, u64)> {
-        let arena = &self.arenas[shard];
-        let laps = 2 * arena.cache.live_blobs.load(Ordering::Relaxed) as usize;
+        let c = &self.arenas[shard].cache;
+        let laps = 2 * c.live_blobs.load(Ordering::Relaxed) as usize;
+        if c.lap_victims.load(Ordering::Relaxed) >= laps as u64 {
+            c.hand.store(KEY_MIN, Ordering::Relaxed);
+            c.lap_victims.store(0, Ordering::Relaxed);
+        }
         let (mut seen, mut victim) = (0, None);
-        self.walk_scratch(shard, &arena.cache.hand, laps + 1, |key, handle| {
+        let wrapped = self.walk(shard, &c.hand, laps + 1, |key, handle| {
             // SAFETY: the walk's guard predates the fetch of `handle`.
             let meta = unsafe { meta_cell(blob_addr(handle)) };
             seen += 1;
@@ -1159,19 +1166,13 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             victim = Some((key, handle));
             false
         });
+        if wrapped {
+            c.lap_victims.store(0, Ordering::Relaxed);
+        }
+        if victim.is_some() {
+            c.lap_victims.fetch_add(1, Ordering::Relaxed);
+        }
         victim
-    }
-
-    /// [`walk`](Self::walk) with this thread's scratch buffer.
-    fn walk_scratch(
-        &self,
-        shard: usize,
-        cursor: &AtomicU64,
-        limit: usize,
-        visit: impl FnMut(u64, u64) -> bool,
-    ) {
-        WALK_SCRATCH
-            .with(|scratch| self.walk(shard, cursor, limit, &mut scratch.borrow_mut(), visit));
     }
 
     /// The one walk over a shard's index, behind CLOCK, the TTL sweep and
@@ -1179,42 +1180,47 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// `cursor`, wrapping to [`KEY_MIN`] at the end of the list, until
     /// `visit` returns `false`, `limit` pairs have been visited or the
     /// shard turns out empty; then leaves `cursor` just past the last pair
-    /// visited. One epoch guard, taken before the first fetch, covers the
-    /// walk (the contract [`scan_bounded`](Self::scan_bounded) keeps), so
-    /// `visit` may dereference every handle it is given. `buf` is scratch.
+    /// visited, and answers whether the walk passed the end of the list.
+    /// One epoch guard, taken before the first fetch, covers the walk (the
+    /// contract [`scan_bounded`](Self::scan_bounded) keeps), so `visit` may
+    /// dereference every handle it is given; it must not start another
+    /// walk.
     fn walk(
         &self,
         shard: usize,
         cursor: &AtomicU64,
         limit: usize,
-        buf: &mut Vec<(u64, u64)>,
         mut visit: impl FnMut(u64, u64) -> bool,
-    ) {
+    ) -> bool {
         let index = self.map.shard(shard);
         let mut from = cursor.load(Ordering::Relaxed).clamp(KEY_MIN, KEY_MAX);
-        let (mut left, mut chunk) = (limit, WALK_CHUNK_MIN);
+        let (mut left, mut wrapped) = (limit, false);
         let _guard = ssmem::protect();
-        'walk: while left > 0 {
-            let want = chunk.min(left);
-            buf.clear();
-            let got = index.scan_into(from, want, buf);
-            if got == 0 && from == KEY_MIN {
-                break;
-            }
-            for &(key, handle) in buf.iter() {
-                left -= 1;
-                from = if key < KEY_MAX { key + 1 } else { KEY_MIN };
-                if !visit(key, handle) {
-                    break 'walk;
+        WALK_SCRATCH.with(|scratch| {
+            let buf = &mut *scratch.borrow_mut();
+            while left > 0 {
+                let want = WALK_CHUNK.min(left);
+                buf.clear();
+                let got = index.scan_into(from, want, buf);
+                if got == 0 && from == KEY_MIN {
+                    return;
+                }
+                for &(key, handle) in buf.iter() {
+                    left -= 1;
+                    from = if key < KEY_MAX { key + 1 } else { KEY_MIN };
+                    wrapped |= from == KEY_MIN;
+                    if !visit(key, handle) {
+                        return;
+                    }
+                }
+                if got < want {
+                    // The end of the list: the lap goes on from the start.
+                    (from, wrapped) = (KEY_MIN, true);
                 }
             }
-            if got < want {
-                // The end of the list: the lap goes on from the start.
-                from = KEY_MIN;
-            }
-            chunk = (2 * chunk).min(WALK_CHUNK_MAX);
-        }
+        });
         cursor.store(from, Ordering::Relaxed);
+        wrapped
     }
 
     /// Removes and retires the binding `key → handle` — an expired value or
@@ -1451,10 +1457,9 @@ impl<M: OrderedMap + ReplaceMap> Drop for BlobMap<M> {
         // `&mut self`: no concurrent operations, so every value in the index
         // is a live blob no thread can reach any more; retired ones are
         // owned by the epoch collector.
-        let mut buf = Vec::new();
         for (shard, arena) in self.arenas.iter().enumerate() {
             let (start, mut last, mut freed) = (AtomicU64::new(KEY_MIN), 0, 0);
-            self.walk(shard, &start, usize::MAX, &mut buf, |key, handle| {
+            self.walk(shard, &start, usize::MAX, |key, handle| {
                 // The walk wrapped: every key was visited.
                 if key <= last {
                     return false;

@@ -206,18 +206,12 @@ fn evicting_a_fronted_key_never_serves_the_retired_blob() {
     assert!(h.front_hits > 0, "64 reads of one key must promote and front it: {h:?}");
 
     // Never-read churn fills the 4 KiB budget until CLOCK's hand reaches
-    // key 1 (its ref bit decays after one lap without reads). The hand
-    // walks in key order and every eviction moves it past one filler, so
-    // the fillers are scattered over the key space: a run of ascending
-    // keys would keep one step ahead of the hand, which would never wrap.
-    let mut churned = 0u64;
+    // key 1 (its ref bit decays after one lap without reads).
+    let mut filler = 1000u64;
     while map.contains(1) {
-        churned += 1;
-        map.set(
-            2 + churned.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000_007,
-            &[0u8; 128],
-        );
-        assert!(churned < 100_000, "churn never evicted the fronted key");
+        map.set(filler, &[0u8; 128]);
+        filler += 1;
+        assert!(filler < 1000 + 100_000, "churn never evicted the fronted key");
     }
     assert_eq!(map.get_owned(1), None, "front cache served an evicted value");
     let c = map.cache_stats();
