@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
+//! Ablation benches for the paper's ASCY patterns and memory reclamation:
 //!
 //! * ASCY1: `harris` vs `harris-opt` (cleanup in searches or not).
 //! * ASCY2: `fraser` vs `fraser-opt`.

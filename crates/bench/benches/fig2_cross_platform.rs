@@ -8,7 +8,7 @@
 //!
 //! The measured numbers come from the host machine; the projected columns
 //! use the coherence model of `ascylib_harness::model` to estimate the
-//! shape on the paper's six platforms (DESIGN.md §4).
+//! shape on the paper's six platforms.
 
 use ascylib::api::StructureKind;
 use ascylib_bench::{algorithms, display_name, run_entry, workload};

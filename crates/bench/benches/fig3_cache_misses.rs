@@ -3,9 +3,9 @@
 //! Paper workload: 4096-element list, 10% updates, 20 threads. The paper
 //! uses hardware cache-miss counters; we report the cache-line-transfer
 //! estimate derived from the instrumented shared stores / CAS / lock
-//! acquisitions (DESIGN.md §4), which reproduces the ranking: async lowest,
-//! lazy/pugh low, harris/michael middle, copy and coupling highest — and the
-//! inverse correlation with scalability.
+//! acquisitions (`ascylib_harness::model`), which reproduces the ranking:
+//! async lowest, lazy/pugh low, harris/michael middle, copy and coupling
+//! highest — and the inverse correlation with scalability.
 
 use ascylib::api::StructureKind;
 use ascylib_bench::{algorithms, display_name, run_entry, workload};

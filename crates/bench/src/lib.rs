@@ -1,10 +1,11 @@
 //! Shared support code for the figure-reproduction benchmarks.
 //!
 //! Each `benches/fig*.rs` binary reproduces one table or figure of the ASCY
-//! paper (see DESIGN.md §3 for the experiment index). They all follow the
-//! same pattern: pick the algorithms and workload parameters the paper used,
-//! run them through [`ascylib_harness::run_benchmark`], and print the same
-//! rows/series the paper reports (plus a CSV copy under `target/ascylib/`).
+//! paper (the README's *Running the figure benchmarks* shows how to run
+//! them). They all follow the same pattern: pick the algorithms and
+//! workload parameters the paper used, run them through
+//! [`ascylib_harness::run_benchmark`], and print the same rows/series the
+//! paper reports (plus a CSV copy under `target/ascylib/`).
 
 use std::sync::Arc;
 

@@ -10,8 +10,8 @@
 //! | [`BstTk`] | lb | The paper's BST-Ticket: external tree with versioned ticket locks, one lock per insert, two per remove. |
 //!
 //! The remaining trees evaluated by the paper (`bronson`, `drachsler`,
-//! `howley`) are not reproduced; DESIGN.md and EXPERIMENTS.md list this as a
-//! known gap and Figure 7's bench sweeps the implemented subset.
+//! `howley`) are not reproduced; the README's *Known gaps* lists this, and
+//! Figure 7's bench sweeps the implemented subset.
 //!
 //! All trees are *external* (data in leaves) except the internal sequential
 //! baseline; keys are routed with the rule `key < node.key → left`.

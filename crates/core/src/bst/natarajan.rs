@@ -14,7 +14,7 @@
 //! This implementation keeps the flag/tag edge protocol but tracks the
 //! concrete grandparent instead of Natarajan's ancestor/successor pair: when
 //! the grandparent edge changes under a cleanup, the operation simply
-//! re-seeks (see DESIGN.md).
+//! re-seeks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

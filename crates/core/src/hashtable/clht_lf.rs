@@ -21,7 +21,7 @@
 //! whole table with helping; this implementation instead links overflow
 //! buckets (like CLHT-LB) and resolves the rare duplicate-insert races that
 //! chaining introduces with a deterministic "earliest slot wins"
-//! post-validation, documented in `DESIGN.md`.
+//! post-validation (`resolve_duplicates`).
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 

@@ -25,7 +25,7 @@
 //! clean-up pass has unlinked it from every level. Concurrent inserters
 //! validate that the successor they are about to link to is not marked and
 //! repair the link if it became marked, which keeps retired towers
-//! unreachable (see DESIGN.md for the discussion of this protocol).
+//! unreachable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -20,8 +20,8 @@
 //!   [`ascylib::OrderedMap`] ([`run_benchmark_ordered`]), which also
 //!   reports scan throughput and keys-returned distributions.
 //! * [`model`] — the energy model and the platform profiles used to project
-//!   measured coherence traffic onto the paper's six machines (see DESIGN.md
-//!   §4 for the substitution rationale).
+//!   measured coherence traffic onto the paper's six machines (its module
+//!   docs give the substitution rationale).
 //! * [`report`] — plain-text table and CSV emitters used by the `fig*`
 //!   benchmark binaries.
 
@@ -38,10 +38,22 @@ pub use model::{EnergyModel, PlatformProfile};
 pub use runner::{run_benchmark, run_benchmark_ordered, BenchmarkResult, LatencyStats, OpKind};
 pub use workload::{OpMix, Operation, Workload, WorkloadBuilder};
 
-/// Reads an environment variable used to scale benchmark durations/threads,
-/// falling back to the given default.
+/// Reads an unsigned integer knob from the environment, falling back to
+/// `default` when the variable is unset.
+///
+/// # Panics
+///
+/// If the variable is set to something that does not parse as a `u64`
+/// (`ASCYLIB_BENCH_MILLIS=50ms`): a typo must not silently run the default.
 pub fn env_or(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    parse_env_or(name, std::env::var(name).ok(), default)
+}
+
+fn parse_env_or(name: &str, value: Option<String>, default: u64) -> u64 {
+    match value {
+        Some(v) => v.parse().unwrap_or_else(|_| panic!("bad {name} value {v:?}")),
+        None => default,
+    }
 }
 
 /// Looks up a command-line flag's value: `--flag value` or `--flag=value`.
@@ -110,6 +122,14 @@ mod tests {
     #[test]
     fn env_or_falls_back_to_default() {
         assert_eq!(env_or("ASCYLIB_DOES_NOT_EXIST", 42), 42);
+        assert_eq!(parse_env_or("ASCYLIB_BENCH_MILLIS", None, 300), 300);
+        assert_eq!(parse_env_or("ASCYLIB_BENCH_MILLIS", Some("50".into()), 300), 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad ASCYLIB_BENCH_MILLIS value \"50ms\"")]
+    fn env_or_rejects_a_malformed_value() {
+        parse_env_or("ASCYLIB_BENCH_MILLIS", Some("50ms".into()), 300);
     }
 
     #[test]

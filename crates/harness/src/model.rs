@@ -1,9 +1,9 @@
 //! Energy model and platform profiles.
 //!
 //! The paper measures power with on-board sensors and cache misses with
-//! hardware counters on six machines we do not have. DESIGN.md §4 documents
-//! the substitution: the structures report their shared-memory behaviour
-//! through [`ascylib::stats`], and this module converts those counts into
+//! hardware counters on six machines we do not have. In their place, the
+//! structures report their shared-memory behaviour through
+//! [`ascylib::stats`], and this module converts those counts into
 //!
 //! * a **relative power estimate** (`P = P_static + c_acc·access_rate +
 //!   c_xfer·transfer_rate`), reported as a ratio to the asynchronized

@@ -1,10 +1,10 @@
-//! Plain-text table, CSV, and JSON emitters for the figure benchmarks.
+//! Plain-text table and CSV emitters for the figure benchmarks.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use crate::runner::{BenchmarkResult, LatencyStats};
+use crate::runner::LatencyStats;
 
 /// A simple column-aligned table printer.
 #[derive(Debug, Clone)]
@@ -172,140 +172,6 @@ pub fn mbps(bytes: u64, elapsed: std::time::Duration) -> f64 {
     bytes as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6
 }
 
-/// Renders one labelled payload-bandwidth line (read and written sides),
-/// printed by the serving benches next to their latency panels.
-pub fn bandwidth_line(
-    label: &str,
-    bytes_read: u64,
-    bytes_written: u64,
-    elapsed: std::time::Duration,
-) -> String {
-    format!(
-        "{label}: read {:.2} MB/s ({bytes_read} B), wrote {:.2} MB/s ({bytes_written} B)\n",
-        mbps(bytes_read, elapsed),
-        mbps(bytes_written, elapsed),
-    )
-}
-
-/// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A JSON number: finite floats print as-is, non-finite ones (which JSON
-/// cannot represent) degrade to `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_latency(s: &LatencyStats) -> String {
-    let s = &clamp_at_max(s);
-    format!(
-        concat!(
-            "{{\"p1\":{},\"p25\":{},\"p50\":{},\"p75\":{},\"p99\":{},",
-            "\"p999\":{},\"p9999\":{},\"max\":{},\"mean\":{},\"samples\":{}}}"
-        ),
-        s.p1,
-        s.p25,
-        s.p50,
-        s.p75,
-        s.p99,
-        s.p999,
-        s.p9999,
-        s.max,
-        json_num(s.mean),
-        s.samples
-    )
-}
-
-/// Serializes a [`BenchmarkResult`] as one machine-readable JSON object.
-///
-/// Field names are **stable**: downstream tooling records bench
-/// trajectories as `BENCH_*.json` files (see [`write_json`]) and compares
-/// across commits, so renaming a key is a breaking change. Everything the
-/// text emitters print is here: the workload (`initial_size`, `threads`,
-/// `duration_ms`, `dist`, the full `mix`), the counts, the derived rates,
-/// and all five latency/length distributions.
-pub fn to_json(r: &BenchmarkResult) -> String {
-    let w = &r.workload;
-    format!(
-        concat!(
-            "{{",
-            "\"workload\":{{",
-            "\"initial_size\":{},\"threads\":{},\"duration_ms\":{},\"dist\":\"{}\",",
-            "\"mix\":{{\"read\":{},\"insert\":{},\"remove\":{},\"scan\":{},\"scan_len\":{}}}",
-            "}},",
-            "\"total_ops\":{},\"throughput\":{},\"mops\":{},",
-            "\"successful_inserts\":{},\"successful_removes\":{},\"unsuccessful_updates\":{},",
-            "\"scans\":{},\"scan_keys_returned\":{},\"scan_throughput\":{},\"keys_per_scan\":{},",
-            "\"transfers_per_op\":{},\"atomics_per_successful_update\":{},",
-            "\"final_size\":{},\"elapsed_ms\":{},",
-            "\"latency\":{{",
-            "\"search\":{},\"successful_update\":{},\"unsuccessful_update\":{},\"scan\":{},",
-            "\"scan_length\":{}",
-            "}}",
-            "}}"
-        ),
-        w.initial_size,
-        w.threads,
-        w.duration_ms,
-        escape_json(&w.dist.to_string()),
-        w.mix.read,
-        w.mix.insert,
-        w.mix.remove,
-        w.mix.scan,
-        w.mix.scan_len,
-        r.total_ops,
-        json_num(r.throughput),
-        json_num(r.mops),
-        r.successful_inserts,
-        r.successful_removes,
-        r.unsuccessful_updates,
-        r.scans,
-        r.scan_keys_returned,
-        json_num(r.scan_throughput()),
-        json_num(r.keys_per_scan()),
-        json_num(r.transfers_per_op()),
-        json_num(r.atomics_per_successful_update()),
-        r.final_size,
-        json_num(r.elapsed.as_secs_f64() * 1e3),
-        json_latency(&r.search_latency),
-        json_latency(&r.successful_update_latency),
-        json_latency(&r.unsuccessful_update_latency),
-        json_latency(&r.scan_latency),
-        json_latency(&r.scan_length),
-    )
-}
-
-/// Writes a JSON document under `target/ascylib/BENCH_<name>.json` (the
-/// bench-trajectory convention: one file per figure/config, overwritten per
-/// run).
-pub fn write_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/ascylib");
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let mut file = fs::File::create(&path)?;
-    writeln!(file, "{json}")?;
-    Ok(path)
-}
-
 /// Formats a floating point value with two decimals.
 pub fn f2(value: f64) -> String {
     format!("{value:.2}")
@@ -384,10 +250,6 @@ mod tests {
         let line = distribution_line("lat", "ns", &mangled);
         assert!(line.contains("p99=5000"), "p99 must clamp at max: {line}");
         assert!(!line.contains("8192"), "bucket bound leaked past max: {line}");
-        let json = json_latency(&mangled);
-        assert!(json.contains("\"p999\":5000"), "{json}");
-        assert!(json.contains("\"p9999\":5000"), "{json}");
-        assert!(json.contains("\"max\":5000"), "{json}");
         // Consistent stats pass through untouched.
         let clean = LatencyStats::from_samples(vec![1, 2, 3, 4, 100]);
         assert_eq!(clamp_at_max(&clean), clean);
@@ -415,114 +277,6 @@ mod tests {
         assert_eq!(mbps(0, Duration::from_secs(1)), 0.0);
         // Zero elapsed degrades gracefully instead of dividing by zero.
         assert!(mbps(100, Duration::ZERO).is_finite());
-        let line = bandwidth_line("payload", 3_000_000, 1_500_000, Duration::from_secs(1));
-        assert!(line.contains("payload:"), "{line}");
-        assert!(line.contains("read 3.00 MB/s"), "{line}");
-        assert!(line.contains("wrote 1.50 MB/s"), "{line}");
-        assert!(line.contains("3000000 B"), "{line}");
-    }
-
-    /// Minimal JSON well-formedness scanner for the emitter tests: checks
-    /// string escaping and brace/bracket balance without a full parser.
-    fn assert_wellformed_json(s: &str) {
-        let mut depth: i64 = 0;
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_string {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_string = false;
-                } else {
-                    assert!((c as u32) >= 0x20, "raw control char inside JSON string: {c:?}");
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    depth -= 1;
-                    assert!(depth >= 0, "unbalanced close in {s}");
-                }
-                _ => {}
-            }
-        }
-        assert!(!in_string, "unterminated string in {s}");
-        assert_eq!(depth, 0, "unbalanced braces in {s}");
-    }
-
-    fn sample_result() -> crate::runner::BenchmarkResult {
-        use crate::workload::{OpMix, WorkloadBuilder};
-        use ascylib::hashtable::ClhtLb;
-        use std::sync::Arc;
-        let w = WorkloadBuilder::new()
-            .initial_size(64)
-            .op_mix(OpMix::update(20))
-            .threads(1)
-            .duration_ms(10)
-            .zipfian(0.99)
-            .build();
-        crate::runner::run_benchmark(Arc::new(ClhtLb::with_capacity(128)), w)
-    }
-
-    #[test]
-    fn to_json_has_the_stable_field_names_and_parses() {
-        let r = sample_result();
-        let json = to_json(&r);
-        assert_wellformed_json(&json);
-        for key in [
-            "\"workload\":", "\"initial_size\":", "\"threads\":", "\"duration_ms\":",
-            "\"dist\":", "\"mix\":", "\"read\":", "\"insert\":", "\"remove\":", "\"scan\":",
-            "\"scan_len\":", "\"total_ops\":", "\"throughput\":", "\"mops\":",
-            "\"successful_inserts\":", "\"successful_removes\":", "\"unsuccessful_updates\":",
-            "\"scans\":", "\"scan_keys_returned\":", "\"scan_throughput\":",
-            "\"keys_per_scan\":", "\"transfers_per_op\":", "\"atomics_per_successful_update\":",
-            "\"final_size\":", "\"elapsed_ms\":", "\"latency\":", "\"search\":",
-            "\"successful_update\":", "\"unsuccessful_update\":", "\"scan_length\":",
-            "\"p1\":", "\"p25\":", "\"p50\":", "\"p75\":", "\"p99\":", "\"mean\":",
-            "\"samples\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The dist display string round-trips inside the JSON.
-        assert!(json.contains("\"dist\":\"zipf(0.99)\""), "{json}");
-        // Concrete values survive: total_ops appears verbatim.
-        assert!(json.contains(&format!("\"total_ops\":{}", r.total_ops)));
-        assert!(json.contains(&format!("\"final_size\":{}", r.final_size)));
-    }
-
-    #[test]
-    fn escape_json_handles_quotes_backslashes_and_controls() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("a\\b"), "a\\\\b");
-        assert_eq!(escape_json("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(escape_json("uniform"), "uniform");
-        // A hostile label embedded in a JSON string stays well-formed.
-        let hostile = format!("{{\"label\":\"{}\"}}", escape_json("x\"},{\"y\n"));
-        assert_wellformed_json(&hostile);
-    }
-
-    #[test]
-    fn json_numbers_degrade_nonfinite_to_null() {
-        assert_eq!(json_num(1.5), "1.5");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn bench_json_is_written_under_the_trajectory_name() {
-        let r = sample_result();
-        let path = write_json("unit_test_result", &to_json(&r)).unwrap();
-        assert!(path.ends_with("BENCH_unit_test_result.json"), "{path:?}");
-        let contents = std::fs::read_to_string(path).unwrap();
-        assert_wellformed_json(contents.trim());
-        assert!(contents.contains("\"total_ops\""));
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! not from when the socket finally accepted it. If the server stalls for
 //! 100 ms, the operations scheduled during the stall each record their full
 //! queueing delay, exactly as a real user would have experienced it. This
-//! is the discipline that makes tail percentiles (p999/p9999) honest, and
-//! it is how the connection-sweep figure is measured.
+//! is the discipline that makes tail percentiles (p999/p9999) honest.
 //!
 //! Alongside operation throughput and latency percentiles, the result
 //! reports **payload bandwidth**: bytes of values written (`SET` payloads
@@ -272,8 +271,8 @@ pub struct LoadGenConfig {
     pub seed: u64,
     /// Emit a one-line status to stderr this often while the run is in
     /// flight (ops so far, current ops/s, errors, and latency quantiles
-    /// over the interval just ended). `None` (the default) runs silently —
-    /// the long multi-minute sweeps are the audience, not tests.
+    /// over the interval just ended). `None` (the default) runs silently;
+    /// `kv_loadgen --progress` sets it for long runs.
     pub progress: Option<Duration>,
 }
 
@@ -1353,17 +1352,25 @@ mod tests {
 
     #[test]
     fn open_loop_run_measures_from_intended_send_times() {
+        // A few connections, and enough that most sit idle between
+        // arrivals (256 × 2 descriptors fits the default limit of 1024).
+        for connections in [3, 256] {
+            open_loop_run_at(connections);
+        }
+    }
+
+    fn open_loop_run_at(connections: usize) {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let server = Server::start(
             "127.0.0.1:0",
             BlobStore::new(Arc::clone(&map)),
-            ServerConfig::for_connections(4),
+            ServerConfig::for_connections(connections),
         )
         .unwrap();
         prefill(server.addr(), 256, 512, ValueSize::Fixed(64), 7).unwrap();
 
         let cfg = LoadGenConfig {
-            connections: 3,
+            connections,
             duration_ms: 150,
             mode: LoadMode::Open { rate: 3000.0, arrival: Arrival::Poisson },
             mix: OpMix::update(10),

@@ -423,3 +423,49 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     c.quit().expect("quit");
     server.join();
 }
+
+/// Closed-loop bursts of the paper's 10%-update mix over shards × pipeline
+/// depth at 8 B values, and at 4 KiB values pipelined: every row serves
+/// error-free traffic, and once the server is joined the arenas hold one
+/// live blob per key, so every value an overwrite or delete displaced was
+/// retired.
+#[test]
+fn closed_loop_bursts_are_error_free_and_retire_every_displaced_blob() {
+    use ascylib_harness::{KeyDist, OpMix};
+    use ascylib_server::loadgen::{self, LoadGenConfig, ValueSize};
+
+    const KEYS: u64 = 2048;
+    let rows = [(1, 1, 8), (1, 16, 8), (4, 1, 8), (4, 16, 8), (1, 16, 4096), (4, 16, 4096)];
+    for (shards, depth, size) in rows {
+        let map = Arc::new(BlobMap::new(shards, |_| FraserOptSkipList::new()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            BlobStore::new(Arc::clone(&map)),
+            ServerConfig::for_connections(CLIENTS),
+        )
+        .expect("bind");
+        let value_size = ValueSize::Fixed(size);
+        loadgen::prefill(server.addr(), KEYS, KEYS * 2, value_size, 0xF1613).expect("prefill");
+        let cfg = LoadGenConfig {
+            connections: CLIENTS,
+            duration_ms: 60,
+            mix: OpMix::update(10),
+            dist: KeyDist::Uniform,
+            key_range: KEYS * 2,
+            value_size,
+            pipeline_depth: depth,
+            ..LoadGenConfig::default()
+        };
+        let r = loadgen::run(server.addr(), &cfg).expect("loadgen");
+        let row = format!("{shards} shards, depth {depth}, {size} B values");
+        assert_eq!(r.errors, 0, "{row}: well-formed traffic must not error");
+        assert!(r.total_ops > 0, "{row}: the burst must serve traffic");
+        server.join();
+        let arena = map.total_arena_stats();
+        assert_eq!(
+            arena.live_blobs(),
+            map.len() as u64,
+            "{row}: update traffic must retire displaced blobs ({arena:?})"
+        );
+    }
+}

@@ -163,8 +163,7 @@ fn harness_runs_ycsb_e_over_a_sharded_ordered_map() {
 /// (OpMix preset + key distribution) drives a sharded map in-process via
 /// the harness and over loopback TCP via the wire tier's load generator —
 /// the loopback side now moving real byte payloads through the blob layer;
-/// both must serve traffic, and the in-process result must serialize
-/// through the stable JSON emitter.
+/// both must serve traffic.
 #[test]
 fn serving_tier_replays_a_harness_workload_over_loopback() {
     use ascylib_server::loadgen::{self, LoadGenConfig};
@@ -183,9 +182,6 @@ fn serving_tier_replays_a_harness_workload_over_loopback() {
     let in_process =
         run_benchmark(Arc::new(ShardedMap::from_registry(&entry, 4, 1024)), w);
     assert!(in_process.total_ops > 0);
-    let json = ascylib_harness::report::to_json(&in_process);
-    assert!(json.contains("\"dist\":\"zipf(0.99)\""), "{json}");
-    assert!(json.contains(&format!("\"total_ops\":{}", in_process.total_ops)));
 
     // Over loopback: same mix, same distribution and the same sharding —
     // through sockets, frames, the closed-loop client, and the blob-value
