@@ -517,6 +517,26 @@ mod tests {
         assert_eq!(replies[5], Reply::Null);
         c.quit().unwrap();
         server.join();
+
+        // Under a default TTL a plain SET takes the default deadline, while
+        // `EX 0` stores none.
+        use ascylib_shard::{CacheConfig, HotKeyConfig};
+        let cfg = CacheConfig::unbounded().with_ttl_ms(60_000);
+        let map = Arc::new(BlobMap::with_config(2, HotKeyConfig::default(), cfg, |_| {
+            FraserOptSkipList::new()
+        }));
+        let server = Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default())
+            .expect("bind ephemeral");
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert!(c.set(1, b"default").unwrap());
+        match c.ttl(1).unwrap() {
+            Some(Some(secs)) => assert!((1..=60).contains(&secs), "default 60 s lease: {secs}"),
+            other => panic!("a plain SET must take the default TTL, got {other:?}"),
+        }
+        assert!(c.set_ex(2, b"forever", 0).unwrap());
+        assert_eq!(c.ttl(2).unwrap(), Some(None), "EX 0 stores no deadline");
+        c.quit().unwrap();
+        server.join();
     }
 
     #[test]

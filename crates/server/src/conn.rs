@@ -53,8 +53,9 @@ use ascylib_telemetry::{clock, Family, Phase, SlowOp, WorkerTelemetry};
 
 use crate::monitor::{MonitorEvent, MonitorHub, MonitorSink, MONITOR_DRAIN_BACKLOG};
 use crate::protocol::{wire, Request, RequestParser};
-use crate::report::{self, TelemetryHub};
-use crate::stats::{ServerStatsSnapshot, WorkerStats};
+use crate::report;
+use crate::server::Shared;
+use crate::stats::WorkerStats;
 use crate::store::{KvStore, KEY_RANGE};
 
 /// Everything a worker needs to serve one connection.
@@ -64,14 +65,13 @@ pub(crate) struct ConnCtx<'a> {
     /// Most frames executed per batch (backpressure: a client that floods
     /// frames faster than they execute is drained in chunks this large).
     pub max_pipeline: usize,
-    /// This worker's padded counters.
+    /// This worker's serving counters.
     pub stats: &'a WorkerStats,
-    /// Aggregated counters across all workers (for `STATS` frames).
-    pub totals: &'a dyn Fn() -> ServerStatsSnapshot,
     /// This worker's telemetry block (hot-path recording).
     pub tel: &'a WorkerTelemetry,
-    /// Whole-server telemetry (`INFO` / `SLOWLOG` / `METRICS`).
-    pub hub: &'a dyn TelemetryHub,
+    /// The whole server, read by the scrape verbs (`STATS` / `INFO` /
+    /// `SLOWLOG` / `METRICS`).
+    pub shared: &'a Shared,
     /// Requests at or above this service time (execute phase, ns) are
     /// captured in the slow-op ring.
     pub slow_ns: u64,
@@ -352,14 +352,14 @@ impl Connection {
         // (~25 ns each even via TSC on virtualized hosts), so service time
         // is *sampled*. Timed: the first slot of every batch, every
         // `SAMPLE_EVERY`-th slot after it, and every multi-key/scan/admin
-        // request. Point ops (GET/SET/DEL) in the remaining slots only bump
-        // the exact per-family counters. Unpipelined traffic (one-frame
-        // batches) is therefore always fully timed, and slow-op detection
-        // is exact for the heavyweight verbs that can plausibly be slow. A
-        // frame is timed with its own start/done reading pair, a GET run
-        // with one pair for the whole run. The parse phase rides on the
-        // first slot (batch start -> its start reading); its service time
-        // doubles as the execute-phase sample.
+        // request. Every frame bumps its exact per-family counter when it
+        // is dispatched, before it runs, so a scrape counts itself.
+        // Unpipelined traffic (one-frame batches) is always fully timed,
+        // and slow-op detection is exact for the heavyweight verbs that
+        // can plausibly be slow. A frame is timed with its own start/done
+        // reading pair, a GET run with one pair for the whole run. The
+        // parse phase rides on the first slot (batch start -> its start
+        // reading); its service time doubles as the execute-phase sample.
         let batch_start = clock::now();
         let mut consumed = 0;
         let mut slot = 0usize;
@@ -395,8 +395,8 @@ impl Connection {
         consumed
     }
 
-    /// Executes one frame at batch position `slot`: timed when the slot is
-    /// sampled or the verb is heavy, otherwise only counted.
+    /// Executes one frame at batch position `slot`: counted first, and
+    /// timed when the slot is sampled or the verb is heavy.
     fn execute_frame(
         &mut self,
         req: &Request,
@@ -405,9 +405,9 @@ impl Connection {
         slot: usize,
     ) -> Flow {
         let family = family_of(req);
+        ctx.tel.count_request(family);
         let heavy = !matches!(family, Family::Get | Family::Set | Family::Del);
         if !heavy && slot % SAMPLE_EVERY != 0 {
-            ctx.tel.count_request(family);
             return execute(req, ctx, &mut self.bufs, &mut self.wbuf);
         }
         let start = clock::now();
@@ -444,8 +444,10 @@ impl Connection {
             ctx.tel
                 .record_phase(Phase::Parse, clock::delta_ns(batch_start, start));
         }
+        for _ in 0..n {
+            ctx.tel.count_request(Family::Get);
+        }
         ctx.store.multi_get(&self.bufs.run, &mut self.bufs.batch);
-        WorkerStats::bump(&ctx.stats.frames, n as u64);
         reply_batch(ctx, Family::Get, &self.bufs.batch, &mut self.wbuf);
         let per_key = clock::delta_ns(start, clock::now()) / n as u64;
         if slot == 0 {
@@ -454,8 +456,6 @@ impl Connection {
         for (i, &key) in self.bufs.run.iter().enumerate() {
             if (slot + i) % SAMPLE_EVERY == 0 {
                 record_timed(ctx, Family::Get, || (key, 0), per_key);
-            } else {
-                ctx.tel.count_request(Family::Get);
             }
         }
         self.bufs.run.clear();
@@ -463,10 +463,10 @@ impl Connection {
     }
 }
 
-/// Records one timed request: its service-time sample, a slow-log entry
-/// once it reaches the threshold, and a `MONITOR` event while anyone
-/// subscribes. `fields` gives the entry's (key, payload bytes), computed
-/// only when an entry or event is made.
+/// Records one timed request, already counted: its service-time sample, a
+/// slow-log entry once it reaches the threshold, and a `MONITOR` event
+/// while anyone subscribes. `fields` gives the entry's (key, payload
+/// bytes), computed only when an entry or event is made.
 fn record_timed(ctx: &ConnCtx<'_>, family: Family, fields: impl Fn() -> (u64, u64), ns: u64) {
     ctx.tel.record_request(family, ns);
     if ns >= ctx.slow_ns {
@@ -578,16 +578,8 @@ fn reply_batch(ctx: &ConnCtx<'_>, family: Family, batch: &BatchValues, out: &mut
             None => wire::null(out),
         }
     }
-    let missed = batch.len() as u64 - found;
-    let stats = ctx.stats;
-    WorkerStats::bump(&stats.ops, batch.len() as u64);
-    if found > 0 {
-        WorkerStats::bump(&stats.hits, found);
-    }
-    if missed > 0 {
-        WorkerStats::bump(&stats.misses, missed);
-    }
-    ctx.tel.record_lookups(family, found, missed);
+    WorkerStats::bump(&ctx.stats.ops, batch.len() as u64);
+    ctx.tel.record_lookups(family, found, batch.len() as u64 - found);
 }
 
 const KEY_RANGE_MSG: &str = "key out of usable range [1, 2^64-2]";
@@ -600,7 +592,6 @@ pub(crate) fn execute(
     out: &mut Vec<u8>,
 ) -> Flow {
     let stats = ctx.stats;
-    WorkerStats::bump(&stats.frames, 1);
     if !keys_ok(req) {
         WorkerStats::bump(&stats.errors, 1);
         wire::error(out, KEY_RANGE_MSG);
@@ -610,11 +601,9 @@ pub(crate) fn execute(
         Request::Get(k) => {
             WorkerStats::bump(&stats.ops, 1);
             if ctx.store.get(*k, &mut bufs.value) {
-                WorkerStats::bump(&stats.hits, 1);
                 ctx.tel.record_lookups(Family::Get, 1, 0);
                 wire::bulk(out, &bufs.value);
             } else {
-                WorkerStats::bump(&stats.misses, 1);
                 ctx.tel.record_lookups(Family::Get, 0, 1);
                 wire::null(out);
             }
@@ -721,9 +710,9 @@ mod tests {
             assert_eq!(conn.state, State::Reading);
             peer.write_all(b"PING\r\n").unwrap();
             // Loopback delivery is asynchronous; retry the advance until the
-            // frame has been executed (visible in this worker's counters).
+            // frame has been executed (visible in the server's counters).
             let deadline = Instant::now() + Duration::from_secs(5);
-            while ctx.stats.frames.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+            while ctx.shared.totals().server.frames == 0 {
                 match conn.advance(ctx, &mut chunk) {
                     Advance::Arm(i) => assert!(i.is_readable()),
                     Advance::Yield => {}
@@ -803,20 +792,20 @@ mod tests {
         let map = Arc::new(BlobMap::new(4, |_| FraserOptSkipList::new()));
         let shard = map.shard_of(9) as u32;
         assert_ne!(shard, 0, "pick a key off shard 0");
-        with_store(&BlobStore::new(map), |ctx| {
+        with_store(BlobStore::new(map), |ctx| {
             let ctx = ConnCtx { slow_ns: 0, ..*ctx };
             let (mut conn, mut peer) = pair();
             peer.write_all(b"SET 9 3\r\nxyz\r\n").unwrap();
             let mut chunk = [0u8; 4096];
             let deadline = Instant::now() + Duration::from_secs(5);
-            while ctx.hub.slow_len() == 0 {
+            while ctx.shared.slow_len() == 0 {
                 if let Advance::Close(exit) = conn.advance(&ctx, &mut chunk) {
                     panic!("unexpected close: {exit:?}");
                 }
                 assert!(Instant::now() < deadline, "slow op not captured before deadline");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            let ops = ctx.hub.slow_ops();
+            let ops = ctx.shared.slow_ops();
             assert_eq!(ops[0].family, Family::Set);
             assert_eq!(ops[0].key, 9);
             assert_eq!(ops[0].bytes, 3);
@@ -828,8 +817,8 @@ mod tests {
             let body = String::from_utf8_lossy(&body);
             assert!(body.contains("family=set key=9 bytes=3"));
             assert!(body.contains(&format!("worker=0 shard={shard}")), "{body}");
-            ctx.hub.slow_reset();
-            assert_eq!(ctx.hub.slow_len(), 0);
+            ctx.shared.slow_reset();
+            assert_eq!(ctx.shared.slow_len(), 0);
         });
     }
 

@@ -101,5 +101,5 @@ pub use loadgen::{LoadGenConfig, LoadGenResult, LoadMode, ServerLatency, ValueSi
 pub use monitor::MonitorStats;
 pub use protocol::{ParseError, Reply, Request, SlowlogCmd};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use stats::{ConcurrencySnapshot, ConcurrencyStats, ServerStatsSnapshot};
+pub use stats::{ConcurrencySnapshot, ServerStatsSnapshot};
 pub use store::{BlobOrderedStore, BlobStore, KvStore};

@@ -27,38 +27,12 @@ use ascylib_telemetry::{
 use crate::conn::ConnCtx;
 use crate::monitor::MonitorStats;
 use crate::protocol::{wire, SlowlogCmd, MAX_VALUE};
+use crate::server::Totals;
 use crate::stats::{ConcurrencySnapshot, ServerStatsSnapshot, WorkerStats};
 
-/// Cross-worker telemetry aggregation, implemented by the server's shared
-/// state (and by test fixtures). The hot path records into this worker's
-/// own `WorkerTelemetry`; the scrape verbs read the whole server through
-/// this trait.
-pub(crate) trait TelemetryHub {
-    /// Merged telemetry across every worker block.
-    fn telemetry_totals(&self) -> TelemetrySnapshot;
-    /// Slow-op entries across every worker, newest first.
-    fn slow_ops(&self) -> Vec<SlowOp>;
-    /// Clears every worker's slow-op ring.
-    fn slow_reset(&self);
-    /// Total entries currently held across every ring.
-    fn slow_len(&self) -> u64;
-    /// Worker thread count.
-    fn workers(&self) -> usize;
-    /// Milliseconds since the server started.
-    fn uptime_ms(&self) -> u64;
-    /// Summed structure-level concurrency counters across every worker
-    /// block: coherence events (stores, CAS, restarts) plus ssmem
-    /// allocator state.
-    fn concurrency_totals(&self) -> ConcurrencySnapshot;
-    /// Rotates the telemetry sample ring if an interval elapsed and
-    /// returns the delta over the default window. `None` until at least
-    /// two samples exist (the window is still warming up).
-    fn window(&self) -> Option<WindowDelta>;
-}
-
 /// Indices of the cumulative counters carried in every window sample
-/// (`WindowSample::counters`); the hub's sampler and the rate rows of
-/// [`TABLE`] must agree on these.
+/// (`WindowSample::counters`); the sampler (`Shared::window`) and the rate
+/// rows of [`TABLE`] must agree on these.
 pub(crate) const WIN_OPS: usize = 0;
 /// Bytes read from sockets.
 pub(crate) const WIN_BYTES_IN: usize = 1;
@@ -100,15 +74,21 @@ pub(crate) struct Scrape {
 }
 
 impl Scrape {
+    /// Reads the whole server once, the scraping worker's own pending
+    /// structure counters folded in first.
     pub(crate) fn gather(ctx: &ConnCtx<'_>) -> Scrape {
+        let shared = ctx.shared;
+        shared.fold(ctx.worker as usize);
+        let totals = shared.totals();
+        let window = shared.window(&totals);
+        let Totals { server, tel, conc } = totals;
         let (store_ops, store_hits) = ctx.store.ops_and_hits();
-        let tel = ctx.hub.telemetry_totals();
         Scrape {
-            workers: ctx.hub.workers() as u64,
-            uptime_ms: ctx.hub.uptime_ms(),
+            workers: shared.config.workers as u64,
+            uptime_ms: shared.uptime_ms(),
             slow_ns: ctx.slow_ns,
-            slow_len: ctx.hub.slow_len(),
-            totals: (ctx.totals)(),
+            slow_len: shared.slow_len(),
+            totals: server,
             keys: ctx.store.size() as u64,
             shards: ctx.store.shard_count() as u64,
             value_bytes: ctx.store.value_bytes(),
@@ -117,10 +97,10 @@ impl Scrape {
             hotkey: ctx.store.hotkey_stats(),
             hot_keys: ctx.store.hot_keys(),
             cache: ctx.store.cache_stats(),
-            conc: ctx.hub.concurrency_totals(),
+            conc,
             arena_bytes: ascylib_ssmem::arena_bytes(),
             monitor: ctx.monitor.stats(),
-            window: ctx.hub.window(),
+            window,
             requests: tel.data_requests(),
             tel,
         }
@@ -565,12 +545,12 @@ pub(crate) fn answer_metrics(ctx: &ConnCtx<'_>, out: &mut Vec<u8>) {
 /// Answers a `SLOWLOG GET|RESET|LEN` frame.
 pub(crate) fn answer_slowlog(ctx: &ConnCtx<'_>, cmd: &SlowlogCmd, out: &mut Vec<u8>) {
     match cmd {
-        SlowlogCmd::Get => bulk_capped(out, &render_slowlog(&ctx.hub.slow_ops())),
+        SlowlogCmd::Get => bulk_capped(out, &render_slowlog(&ctx.shared.slow_ops())),
         SlowlogCmd::Reset => {
-            ctx.hub.slow_reset();
+            ctx.shared.slow_reset();
             wire::simple(out, "OK");
         }
-        SlowlogCmd::Len => wire::int(out, ctx.hub.slow_len()),
+        SlowlogCmd::Len => wire::int(out, ctx.shared.slow_len()),
     }
 }
 
@@ -578,116 +558,22 @@ pub(crate) fn answer_slowlog(ctx: &ConnCtx<'_>, cmd: &SlowlogCmd, out: &mut Vec<
 pub(crate) mod tests {
     use super::*;
     use crate::conn::{execute, ConnBufs};
-    use crate::monitor::MonitorHub;
     use crate::protocol::Request;
+    use crate::server::Shared;
     use crate::store::{BlobStore, KvStore};
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
-    use ascylib_telemetry::WorkerTelemetry;
     use std::collections::BTreeSet;
     use std::sync::Arc;
-    use std::time::Instant;
-
-    /// Single-worker hub over one telemetry block, standing in for the
-    /// server's `Shared`. The test thread doubles as the worker: the
-    /// concurrency fold that a real worker performs after each connection
-    /// pass happens here at query time, and the window clock is a fake
-    /// that advances one millisecond per call so two consecutive scrapes
-    /// always produce a measurable window.
-    struct TestHub<'a> {
-        tel: &'a WorkerTelemetry,
-        stats: &'a WorkerStats,
-        conc: crate::stats::ConcurrencyStats,
-        ring: ascylib_telemetry::WindowRing,
-        ticks: std::sync::atomic::AtomicU64,
-        started: Instant,
-    }
-
-    impl<'a> TestHub<'a> {
-        fn new(tel: &'a WorkerTelemetry, stats: &'a WorkerStats) -> TestHub<'a> {
-            TestHub {
-                tel,
-                stats,
-                conc: crate::stats::ConcurrencyStats::default(),
-                ring: ascylib_telemetry::WindowRing::new(1, 8),
-                ticks: std::sync::atomic::AtomicU64::new(0),
-                started: Instant::now(),
-            }
-        }
-    }
-
-    impl TelemetryHub for TestHub<'_> {
-        fn telemetry_totals(&self) -> TelemetrySnapshot {
-            self.tel.snapshot()
-        }
-        fn slow_ops(&self) -> Vec<SlowOp> {
-            let mut ops = self.tel.slow_ops();
-            ops.reverse();
-            ops
-        }
-        fn slow_reset(&self) {
-            self.tel.slow_reset();
-        }
-        fn slow_len(&self) -> u64 {
-            self.tel.slow_len() as u64
-        }
-        fn workers(&self) -> usize {
-            1
-        }
-        fn uptime_ms(&self) -> u64 {
-            self.started.elapsed().as_millis() as u64
-        }
-        fn concurrency_totals(&self) -> ConcurrencySnapshot {
-            self.conc.fold_ops(&ascylib::stats::drain_delta());
-            self.conc.set_ssmem(&ascylib_ssmem::thread_stats());
-            self.conc.snapshot()
-        }
-        fn window(&self) -> Option<WindowDelta> {
-            use std::sync::atomic::Ordering;
-            let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            let t = self.stats.snapshot();
-            let c = self.conc.snapshot();
-            self.ring.rotate(ascylib_telemetry::WindowSample {
-                unix_ms: tick,
-                mono_ns: tick * 1_000_000,
-                counters: vec![
-                    t.ops,
-                    t.bytes_in,
-                    t.bytes_out,
-                    t.errors,
-                    c.ops.atomic_failures,
-                    c.ops.restarts,
-                ],
-                hist: self.tel.snapshot().data_requests(),
-            });
-            self.ring.delta(ascylib_telemetry::window::DEFAULT_WINDOW_NS)
-        }
-    }
 
     /// Runs `test` as the one worker of a server over `store`.
-    pub(crate) fn with_store(store: &dyn KvStore, test: impl FnOnce(&ConnCtx<'_>)) {
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
-        test(&ctx);
+    pub(crate) fn with_store(store: impl KvStore, test: impl FnOnce(&ConnCtx<'_>)) {
+        test(&Shared::for_tests(Arc::new(store)).ctx(0));
     }
 
     pub(crate) fn run_ctx(test: impl FnOnce(&ConnCtx<'_>)) {
         let map = Arc::new(BlobMap::new(1, |_| FraserOptSkipList::new()));
-        with_store(&BlobStore::new(map), test);
+        with_store(BlobStore::new(map), test);
     }
 
     fn render_info(ctx: &ConnCtx<'_>, section: Option<&str>) -> Result<String, &'static str> {
@@ -708,11 +594,9 @@ pub(crate) mod tests {
             execute(&Request::Get(6), ctx, &mut bufs, &mut out);
             execute(&Request::Del(5), ctx, &mut bufs, &mut out);
             execute(&Request::Del(5), ctx, &mut bufs, &mut out);
-            let load = |c: &std::sync::atomic::AtomicU64| {
-                c.load(std::sync::atomic::Ordering::Relaxed)
-            };
-            assert_eq!(load(&ctx.stats.hits), 1);
-            assert_eq!(load(&ctx.stats.misses), 1);
+            let server = ctx.shared.totals().server;
+            assert_eq!(server.hits, 1);
+            assert_eq!(server.misses, 1);
 
             let info = render_info(ctx, None).unwrap();
             for header in ["# server", "# commands", "# latency", "# memory", "# concurrency"] {
@@ -739,23 +623,9 @@ pub(crate) mod tests {
         let map = Arc::new(BlobMap::with_hotkeys(1, HotKeyConfig::eager(8), |_| {
             FraserOptSkipList::new()
         }));
-        let store = BlobStore::new(Arc::clone(&map));
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store: &store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
+        let store = Arc::new(BlobStore::new(Arc::clone(&map)));
+        let shared = Shared::for_tests(store.clone());
+        let ctx = shared.ctx(0);
         let mut bufs = ConnBufs::default();
         let mut out = Vec::new();
         execute(&Request::Set(7, b"hot".to_vec()), &ctx, &mut bufs, &mut out);
@@ -820,23 +690,9 @@ pub(crate) mod tests {
         let map = Arc::new(BlobMap::with_config(1, HotKeyConfig::default(), cfg, |_| {
             FraserOptSkipList::new()
         }));
-        let store = BlobStore::new(Arc::clone(&map));
-        let stats = WorkerStats::default();
-        let tel = WorkerTelemetry::new();
-        let hub = TestHub::new(&tel, &stats);
-        let monitor = MonitorHub::default();
-        let totals = || ServerStatsSnapshot::default();
-        let ctx = ConnCtx {
-            store: &store,
-            max_pipeline: 4,
-            stats: &stats,
-            totals: &totals,
-            tel: &tel,
-            hub: &hub,
-            slow_ns: u64::MAX,
-            worker: 0,
-            monitor: &monitor,
-        };
+        let store = Arc::new(BlobStore::new(Arc::clone(&map)));
+        let shared = Shared::for_tests(store.clone());
+        let ctx = shared.ctx(0);
         let mut bufs = ConnBufs::default();
         let mut out = Vec::new();
 
@@ -979,7 +835,7 @@ pub(crate) mod tests {
             assert!(first.contains("coherence_atomic_ops:"), "{first}");
             assert!(first.contains("monitor_subscribers:0"), "{first}");
             // The structures really moved the coherence counters.
-            let conc = ctx.hub.concurrency_totals();
+            let conc = ctx.shared.totals().conc;
             assert!(
                 conc.ops.operations > 0,
                 "served sets/gets must fold into the concurrency block: {conc:?}"
@@ -1027,7 +883,7 @@ pub(crate) mod tests {
         let map = Arc::new(BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| {
             FraserOptSkipList::new()
         }));
-        with_store(&BlobStore::new(map), |ctx| {
+        with_store(BlobStore::new(map), |ctx| {
             let mut bufs = ConnBufs::default();
             let mut out = Vec::new();
             execute(&Request::Set(7, b"hot".to_vec()), ctx, &mut bufs, &mut out);

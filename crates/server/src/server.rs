@@ -42,8 +42,10 @@
 //! them. [`ServerHandle::join`] (or dropping the handle) blocks until every
 //! thread has exited.
 //!
-//! Counters live in cache-line-padded blocks, one per worker
-//! ([`crate::stats::WorkerStats`]) plus a trailing one for the acceptor.
+//! Counters live in one cache-line-padded block per worker — serving
+//! counters, telemetry and structure-level concurrency counters — plus the
+//! acceptor's own serving counters (`stats.rs`). Every block has one
+//! writer; a reading of the whole server walks the blocks once.
 
 use std::collections::VecDeque;
 use std::io;
@@ -57,15 +59,16 @@ use std::time::{Duration, Instant};
 use ascylib_telemetry::window::{
     DEFAULT_WINDOW_CAPACITY, DEFAULT_WINDOW_INTERVAL_NS, DEFAULT_WINDOW_NS,
 };
-use ascylib_telemetry::{SlowOp, TelemetrySnapshot, WindowDelta, WindowRing, WindowSample, WorkerTelemetry};
+use ascylib_telemetry::{
+    Family, SlowOp, TelemetrySnapshot, WindowDelta, WindowRing, WindowSample, WorkerTelemetry,
+};
 use crossbeam_utils::CachePadded;
 use polling::{Events, Interest, Poller};
 
 use crate::conn::{unix_ms_now, Advance, ConnCtx, Connection};
 use crate::monitor::{MonitorHub, MonitorStats};
 use crate::report::{
-    TelemetryHub, WIN_BYTES_IN, WIN_BYTES_OUT, WIN_CAS_FAILS, WIN_COUNTERS, WIN_ERRORS, WIN_OPS,
-    WIN_RESTARTS,
+    WIN_BYTES_IN, WIN_BYTES_OUT, WIN_CAS_FAILS, WIN_COUNTERS, WIN_ERRORS, WIN_OPS, WIN_RESTARTS,
 };
 use crate::stats::{ConcurrencySnapshot, ConcurrencyStats, ServerStatsSnapshot, WorkerStats};
 use crate::store::KvStore;
@@ -160,24 +163,38 @@ impl Port {
     }
 }
 
+/// Everything one worker counts, in one cache-padded block only that
+/// worker writes.
+#[derive(Default)]
+struct WorkerBlock {
+    stats: WorkerStats,
+    tel: WorkerTelemetry,
+    /// The worker's drained [`ascylib::stats::OpCounters`] deltas and its
+    /// allocator view, refreshed after every connection pass and before
+    /// every scrape it answers.
+    conc: ConcurrencyStats,
+}
+
+/// One reading of the whole server, summed over every block.
+pub(crate) struct Totals {
+    pub server: ServerStatsSnapshot,
+    pub tel: TelemetrySnapshot,
+    pub conc: ConcurrencySnapshot,
+}
+
 /// Shared state between the acceptor, the workers, and the handle.
-struct Shared {
+pub(crate) struct Shared {
     store: Arc<dyn KvStore>,
     shutdown: AtomicBool,
     /// The acceptor's poller: the listener, and `notify` for shutdown.
     acceptor: Poller,
     /// One per worker.
     ports: Box<[Port]>,
-    /// `workers` blocks for the workers plus one trailing block owned by
-    /// the acceptor (accepts, and connections it had to turn away).
-    stats: Box<[CachePadded<WorkerStats>]>,
-    /// One telemetry block per worker (the acceptor executes no frames, so
-    /// it needs none).
-    tel: Box<[CachePadded<WorkerTelemetry>]>,
-    /// One structure-level concurrency block per worker: each worker
-    /// drains its thread-local [`ascylib::stats::OpCounters`] delta and
-    /// refreshes its allocator view here after every connection pass.
-    conc: Box<[CachePadded<ConcurrencyStats>]>,
+    /// One per worker.
+    blocks: Box<[CachePadded<WorkerBlock>]>,
+    /// The acceptor's counters: accepts, and connections it had to turn
+    /// away.
+    acceptor_stats: CachePadded<WorkerStats>,
     /// Cumulative-sample ring behind the windowed rates and quantiles.
     /// Rotation is reader-driven: scrapes elect one sampler, the serving
     /// hot path never touches it.
@@ -185,7 +202,7 @@ struct Shared {
     /// The `MONITOR` broadcast hub.
     monitor: MonitorHub,
     started: Instant,
-    config: ServerConfig,
+    pub(crate) config: ServerConfig,
 }
 
 impl Shared {
@@ -204,9 +221,8 @@ impl Shared {
                     })
                 })
                 .collect::<io::Result<_>>()?,
-            stats: (0..workers + 1).map(|_| CachePadded::new(WorkerStats::default())).collect(),
-            tel: (0..workers).map(|_| CachePadded::new(WorkerTelemetry::new())).collect(),
-            conc: (0..workers).map(|_| CachePadded::new(ConcurrencyStats::default())).collect(),
+            blocks: (0..workers).map(|_| CachePadded::default()).collect(),
+            acceptor_stats: CachePadded::default(),
             window: WindowRing::new(DEFAULT_WINDOW_INTERVAL_NS, DEFAULT_WINDOW_CAPACITY),
             monitor: MonitorHub::default(),
             started: Instant::now(),
@@ -214,102 +230,119 @@ impl Shared {
         })
     }
 
-    fn totals(&self) -> ServerStatsSnapshot {
-        let mut total = ServerStatsSnapshot::default();
-        for s in self.stats.iter() {
-            total.merge_counters(&s.snapshot());
+    /// A one-worker server that is never started, for serving frames from
+    /// a test thread: pipeline depth 4, no slow-op capture, and a window
+    /// ring that rotates on every scrape.
+    #[cfg(test)]
+    pub(crate) fn for_tests(store: Arc<dyn KvStore>) -> Shared {
+        let config = ServerConfig {
+            workers: 1,
+            max_pipeline: 4,
+            idle_timeout: None,
+            slowlog_threshold: Duration::MAX,
+        };
+        Shared {
+            window: WindowRing::new(1, DEFAULT_WINDOW_CAPACITY),
+            ..Shared::new(store, config).expect("pollers for a test server")
         }
+    }
+
+    /// Sums every block once. The acceptor's block adds its accepts;
+    /// `frames`, `hits` and `misses` come from the telemetry families, and
+    /// the connection gauge from the counters.
+    pub(crate) fn totals(&self) -> Totals {
+        let mut t = Totals {
+            server: self.acceptor_stats.snapshot(),
+            tel: TelemetrySnapshot::default(),
+            conc: ConcurrencySnapshot::default(),
+        };
+        for b in self.blocks.iter() {
+            t.server.merge_counters(&b.stats.snapshot());
+            t.tel.merge(&b.tel.snapshot());
+            t.conc.merge(&b.conc.snapshot());
+        }
+        t.server.frames = Family::ALL.iter().map(|f| t.tel.family(*f).ops).sum();
+        (t.server.hits, t.server.misses) = t.tel.read_outcomes();
         // Gauge contract (see `stats.rs`): the merge leaves the gauge at
         // zero and the aggregator fills it in. Every accepted connection is
         // counted closed exactly once, later: open = accepted − closed.
-        total.curr_connections = total.accepted.saturating_sub(total.connections);
-        total
+        t.server.curr_connections = t.server.accepted.saturating_sub(t.server.connections);
+        t
+    }
+
+    /// Folds worker `index`'s pending structure-counter delta into its
+    /// block and refreshes its allocator view. Only that worker's thread
+    /// may call this: the delta is drained from the calling thread.
+    pub(crate) fn fold(&self, index: usize) {
+        let conc = &self.blocks[index].conc;
+        conc.fold_ops(&ascylib::stats::drain_delta());
+        conc.set_ssmem(&ascylib_ssmem::thread_stats());
     }
 
     /// Everything worker `index` needs to serve a connection.
-    fn ctx<'a>(
-        &'a self,
-        index: usize,
-        totals: &'a dyn Fn() -> ServerStatsSnapshot,
-    ) -> ConnCtx<'a> {
+    pub(crate) fn ctx(&self, index: usize) -> ConnCtx<'_> {
+        let block = &self.blocks[index];
         ConnCtx {
             store: &*self.store,
             max_pipeline: self.config.max_pipeline,
-            stats: &self.stats[index],
-            totals,
-            tel: &self.tel[index],
-            hub: self,
+            stats: &block.stats,
+            tel: &block.tel,
+            shared: self,
             slow_ns: self.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
             worker: index as u32,
             monitor: &self.monitor,
         }
     }
 
-}
-
-impl TelemetryHub for Shared {
-    fn telemetry_totals(&self) -> TelemetrySnapshot {
-        let mut total = TelemetrySnapshot::default();
-        for t in self.tel.iter() {
-            total.merge(&t.snapshot());
-        }
-        total
-    }
-
-    fn slow_ops(&self) -> Vec<SlowOp> {
-        let mut ops: Vec<SlowOp> = self.tel.iter().flat_map(|t| t.slow_ops()).collect();
-        // Newest first across workers (each ring is oldest-first locally).
+    /// Slow-op entries across every worker, newest first.
+    pub(crate) fn slow_ops(&self) -> Vec<SlowOp> {
+        // Each ring is oldest-first; the stable sort keeps a worker's
+        // entries of one millisecond newest-first.
+        let mut ops: Vec<SlowOp> =
+            self.blocks.iter().flat_map(|b| b.tel.slow_ops().into_iter().rev()).collect();
         ops.sort_by_key(|op| std::cmp::Reverse(op.unix_ms));
         ops
     }
 
-    fn slow_reset(&self) {
-        for t in self.tel.iter() {
-            t.slow_reset();
+    /// Clears every worker's slow-op ring.
+    pub(crate) fn slow_reset(&self) {
+        for b in self.blocks.iter() {
+            b.tel.slow_reset();
         }
     }
 
-    fn slow_len(&self) -> u64 {
-        self.tel.iter().map(|t| t.slow_len() as u64).sum()
+    /// Entries currently held across every slow-op ring.
+    pub(crate) fn slow_len(&self) -> u64 {
+        self.blocks.iter().map(|b| b.tel.slow_len() as u64).sum()
     }
 
-    fn workers(&self) -> usize {
-        self.config.workers
-    }
-
-    fn uptime_ms(&self) -> u64 {
+    /// Milliseconds since the server started.
+    pub(crate) fn uptime_ms(&self) -> u64 {
         self.started.elapsed().as_millis().min(u64::MAX as u128) as u64
     }
 
-    fn concurrency_totals(&self) -> ConcurrencySnapshot {
-        let mut total = ConcurrencySnapshot::default();
-        for c in self.conc.iter() {
-            total.merge(&c.snapshot());
-        }
-        total
-    }
-
-    fn window(&self) -> Option<WindowDelta> {
+    /// Offers `t` to the window ring if an interval elapsed, and returns
+    /// the delta over the default window: `None` until the ring holds two
+    /// samples (the window is still warming up).
+    pub(crate) fn window(&self, t: &Totals) -> Option<WindowDelta> {
         // Reader-driven rotation: a scrape landing past the interval takes
         // a whole-server cumulative sample (`rotate` elects exactly one
         // contender under concurrent scrapes). The monotonic clock is the
         // server's uptime — `Instant`-based, so it needs no calibration.
         let mono_ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if self.window.due(mono_ns) {
-            let totals = self.totals();
-            let conc = self.concurrency_totals();
             let mut counters = vec![0u64; WIN_COUNTERS];
-            counters[WIN_OPS] = totals.ops;
-            counters[WIN_BYTES_IN] = totals.bytes_in;
-            counters[WIN_BYTES_OUT] = totals.bytes_out;
-            counters[WIN_ERRORS] = totals.errors;
-            counters[WIN_CAS_FAILS] = conc.ops.atomic_failures;
-            counters[WIN_RESTARTS] = conc.ops.restarts;
+            counters[WIN_OPS] = t.server.ops;
+            counters[WIN_BYTES_IN] = t.server.bytes_in;
+            counters[WIN_BYTES_OUT] = t.server.bytes_out;
+            counters[WIN_ERRORS] = t.server.errors;
+            counters[WIN_CAS_FAILS] = t.conc.ops.atomic_failures;
+            counters[WIN_RESTARTS] = t.conc.ops.restarts;
             self.window.rotate(WindowSample {
                 unix_ms: unix_ms_now(),
                 mono_ns,
                 counters,
-                hist: self.telemetry_totals().data_requests(),
+                hist: t.tel.data_requests(),
             });
         }
         self.window.delta(DEFAULT_WINDOW_NS)
@@ -360,8 +393,7 @@ impl Server {
 }
 
 fn acceptor_loop(listener: TcpListener, shared: &Shared) {
-    // The trailing stats block belongs to the acceptor.
-    let stats = &shared.stats[shared.config.workers];
+    let stats = &shared.acceptor_stats;
     let mut events = Events::new();
     let mut hands: Vec<Vec<Mail>> = shared.ports.iter().map(|_| Vec::new()).collect();
     let mut next = 0;
@@ -521,12 +553,8 @@ impl<'a> Worker<'a> {
         if let Some(sample) = conn.take_pending_monitor() {
             conn.attach_monitor(ctx.monitor.subscribe(token, sample));
         }
-        // Per-pass drain: fold the structure-level counter deltas this
-        // pass generated (the store work ran on this thread) into the
-        // worker's padded block, and refresh the allocator absolutes.
-        let conc = &self.shared.conc[self.index];
-        conc.fold_ops(&ascylib::stats::drain_delta());
-        conc.set_ssmem(&ascylib_ssmem::thread_stats());
+        // Per-pass drain: the store work of this pass ran on this thread.
+        self.shared.fold(self.index);
         match outcome {
             Advance::Arm(interest) if interest == entry.interest => {}
             Advance::Arm(interest) => {
@@ -606,8 +634,7 @@ impl<'a> Worker<'a> {
 }
 
 fn worker_loop(index: usize, shared: &Shared) {
-    let totals = || shared.totals();
-    let ctx = shared.ctx(index, &totals);
+    let ctx = shared.ctx(index);
     let (mut worker, mut events) = (Worker::new(index, shared), Events::new());
     while !shared.shutdown.load(Ordering::Acquire) {
         if worker.turn(&ctx, &mut events).is_err() {
@@ -634,7 +661,7 @@ impl ServerHandle {
 
     /// Aggregated per-worker counters (plus the current-connection gauge).
     pub fn stats(&self) -> ServerStatsSnapshot {
-        self.shared.totals()
+        self.shared.totals().server
     }
 
     /// Elements currently in the served store.
@@ -645,18 +672,18 @@ impl ServerHandle {
     /// Merged server-side telemetry (per-family/per-phase histograms and
     /// hit/miss counters) across every worker.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        self.shared.telemetry_totals()
+        self.shared.totals().tel
     }
 
     /// Slow-op entries across every worker, newest first.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
-        TelemetryHub::slow_ops(&*self.shared)
+        self.shared.slow_ops()
     }
 
     /// Summed structure-level concurrency counters (coherence events plus
     /// ssmem allocator state) across every worker block.
     pub fn concurrency(&self) -> ConcurrencySnapshot {
-        self.shared.concurrency_totals()
+        self.shared.totals().conc
     }
 
     /// `MONITOR` broadcast counters: live subscribers, events published,
@@ -679,7 +706,7 @@ impl ServerHandle {
     /// returns the final (race-free: all threads joined) counters.
     pub fn join(mut self) -> ServerStatsSnapshot {
         self.join_inner();
-        self.shared.totals()
+        self.shared.totals().server
     }
 
     fn join_inner(&mut self) {
@@ -837,15 +864,14 @@ mod tests {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let config = ServerConfig { workers: 1, idle_timeout: None, ..ServerConfig::default() };
         let shared = Shared::new(Arc::new(BlobStore::new(map)), config).unwrap();
-        let totals = || shared.totals();
-        let ctx = shared.ctx(0, &totals);
+        let ctx = shared.ctx(0);
         let mut worker = Worker::new(0, &shared);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let deal = || {
             let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             peer.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
             let conn = Connection::new(listener.accept().unwrap().0).unwrap();
-            WorkerStats::bump(&shared.stats[1].accepted, 1);
+            WorkerStats::bump(&shared.acceptor_stats.accepted, 1);
             (peer, Mail::Conn(Box::new(conn)))
         };
         // A sticky notify first, so a turn with nothing ready still returns.
@@ -899,7 +925,7 @@ mod tests {
         };
         assert_eq!(&buf[..n], b"+PONG\r\n");
         worker.shut(&ctx);
-        assert_eq!(shared.totals().connections, 2);
-        assert_eq!(shared.totals().curr_connections, 0);
+        assert_eq!(shared.totals().server.connections, 2);
+        assert_eq!(shared.totals().server.curr_connections, 0);
     }
 }

@@ -1,26 +1,36 @@
 //! Per-worker serving counters.
 //!
-//! Each worker thread owns one cache-line-padded [`WorkerStats`] block, so
-//! hot-path counting never bounces a line between workers (the same
-//! observability-without-false-sharing discipline as
-//! `ascylib_shard::stats`). The acceptor owns one extra block for what
-//! only it counts (accepts, and connections it had to turn away at
-//! shutdown). Aggregation walks the blocks only when a snapshot is requested
-//! (`STATS` frames, [`crate::server::ServerHandle`]).
+//! Each worker thread owns one cache-line-padded block in the server
+//! (`WorkerBlock` in `server.rs`): its serving counters, its telemetry and
+//! its structure-level concurrency counters, so hot-path counting never
+//! bounces a line between workers (the same
+//! observability-without-false-sharing discipline as `ascylib_shard::stats`).
+//! The acceptor owns one more serving-counter block for what only it counts
+//! (accepts, and connections it had to turn away at shutdown). Every block
+//! has exactly one writer, so no count here takes a `lock`-prefixed RMW.
+//! Aggregation walks the blocks only when a snapshot is requested (`STATS`
+//! frames, [`crate::server::ServerHandle`]).
+//!
+//! Frames and read outcomes are counted once, by the worker's telemetry
+//! families: the aggregator fills [`ServerStatsSnapshot::frames`],
+//! [`hits`](ServerStatsSnapshot::hits) and
+//! [`misses`](ServerStatsSnapshot::misses) from them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ascylib::stats::OpCounters;
 use ascylib_ssmem::SsmemStats;
 
-/// Counters one worker thread maintains while serving its connections.
+/// Counters one thread maintains while serving its connections (or, for
+/// the acceptor's block, while accepting them).
 ///
-/// All counters are monotone and updated with `Relaxed` ordering: each block
-/// is written by exactly one worker, and snapshots are statistical (exactly
+/// **Single writer:** each block is written by exactly one thread, so
+/// [`bump`](Self::bump) is a plain load + store, with no `lock` prefix. All
+/// counters are monotone and `Relaxed`: snapshots are statistical (exactly
 /// like the structure-level `ascylib::stats` counters, they carry no
 /// happens-before obligations).
 #[derive(Debug, Default)]
-pub struct WorkerStats {
+pub(crate) struct WorkerStats {
     /// Connections fully served (accepted, drained, closed).
     pub connections: AtomicU64,
     /// Connections accepted (acceptor block only).
@@ -33,14 +43,8 @@ pub struct WorkerStats {
     /// Reply flushes that hit `WouldBlock` mid-buffer and had to wait for
     /// writability.
     pub partial_writes: AtomicU64,
-    /// Well-formed request frames executed.
-    pub frames: AtomicU64,
     /// Keyspace operations performed (an `MGET` of 10 keys counts 10).
     pub ops: AtomicU64,
-    /// Per-key read lookups that found a value (`GET`/`MGET`; one per key).
-    pub hits: AtomicU64,
-    /// Per-key read lookups that missed.
-    pub misses: AtomicU64,
     /// Error frames sent (malformed requests, key-range violations,
     /// unsupported scans).
     pub errors: AtomicU64,
@@ -51,13 +55,15 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// Adds `n` to a counter of a block only the calling thread writes.
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> ServerStatsSnapshot {
+    /// A point-in-time copy of the counters; `frames`, `hits`, `misses`
+    /// and the `curr_connections` gauge are left for the aggregator.
+    pub(crate) fn snapshot(&self) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
             curr_connections: 0,
@@ -65,13 +71,11 @@ impl WorkerStats {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             wakeups: self.wakeups.load(Ordering::Relaxed),
             partial_writes: self.partial_writes.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
             ops: self.ops.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            ..ServerStatsSnapshot::default()
         }
     }
 }
@@ -89,6 +93,8 @@ impl WorkerStats {
 /// gauge afterwards (see
 /// `Shared::totals` in `server.rs`). Any future gauge field must follow the
 /// same contract: excluded from the merge, set once by the aggregator.
+/// (`frames`, `hits` and `misses` are counters, but no worker block holds
+/// them: the aggregator derives them from the telemetry families.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Connections fully served.
@@ -104,13 +110,14 @@ pub struct ServerStatsSnapshot {
     pub wakeups: u64,
     /// Reply flushes that blocked mid-buffer and waited for writability.
     pub partial_writes: u64,
-    /// Well-formed request frames executed.
+    /// Well-formed request frames executed: the requests the telemetry
+    /// families counted, each when it was dispatched.
     pub frames: u64,
     /// Keyspace operations performed.
     pub ops: u64,
-    /// Per-key read lookups that found a value.
+    /// Per-key read lookups that found a value (`GET` and `MGET` families).
     pub hits: u64,
-    /// Per-key read lookups that missed.
+    /// Per-key read lookups that missed (`GET` and `MGET` families).
     pub misses: u64,
     /// Error frames sent.
     pub errors: u64,
@@ -149,14 +156,14 @@ impl ServerStatsSnapshot {
 /// cells only the owning thread can read — which is exactly right for the
 /// bench harness, and exactly wrong for a live server that wants
 /// `INFO concurrency`. Each worker bridges the gap by draining its
-/// thread-local delta after every connection pass
-/// ([`ascylib::stats::drain_delta`]) and folding it into its own
+/// thread-local delta after every connection pass and before every scrape
+/// it answers ([`ascylib::stats::drain_delta`]) and folding it into its own
 /// cache-padded block here; the ssmem fields are refreshed as absolutes
-/// from [`ascylib_ssmem::thread_stats`] at the same point. Single-writer
-/// discipline: folds are plain load+store pairs (no `lock` prefix), and
-/// readers aggregate statistically, like every other counter block.
+/// from [`ascylib_ssmem::thread_stats`] at the same point. Single writer,
+/// like [`WorkerStats`]: folds are [`WorkerStats::bump`]s, and readers
+/// aggregate statistically, like every other counter block.
 #[derive(Debug, Default)]
-pub struct ConcurrencyStats {
+pub(crate) struct ConcurrencyStats {
     shared_stores: AtomicU64,
     atomic_ops: AtomicU64,
     atomic_failures: AtomicU64,
@@ -176,34 +183,23 @@ pub struct ConcurrencyStats {
 }
 
 impl ConcurrencyStats {
-    #[inline]
-    fn add(counter: &AtomicU64, n: u64) {
-        if n != 0 {
-            // Single-writer: plain load + store, no RMW.
-            counter.store(
-                counter.load(Ordering::Relaxed).saturating_add(n),
-                Ordering::Relaxed,
-            );
-        }
-    }
-
     /// Folds one drained [`OpCounters`] delta into the block. Call only
     /// from the owning worker thread.
-    pub fn fold_ops(&self, d: &OpCounters) {
-        Self::add(&self.shared_stores, d.shared_stores);
-        Self::add(&self.atomic_ops, d.atomic_ops);
-        Self::add(&self.atomic_failures, d.atomic_failures);
-        Self::add(&self.lock_acquisitions, d.lock_acquisitions);
-        Self::add(&self.restarts, d.restarts);
-        Self::add(&self.nodes_traversed, d.nodes_traversed);
-        Self::add(&self.waits, d.waits);
-        Self::add(&self.operations, d.operations);
+    pub(crate) fn fold_ops(&self, d: &OpCounters) {
+        WorkerStats::bump(&self.shared_stores, d.shared_stores);
+        WorkerStats::bump(&self.atomic_ops, d.atomic_ops);
+        WorkerStats::bump(&self.atomic_failures, d.atomic_failures);
+        WorkerStats::bump(&self.lock_acquisitions, d.lock_acquisitions);
+        WorkerStats::bump(&self.restarts, d.restarts);
+        WorkerStats::bump(&self.nodes_traversed, d.nodes_traversed);
+        WorkerStats::bump(&self.waits, d.waits);
+        WorkerStats::bump(&self.operations, d.operations);
     }
 
     /// Publishes the owning thread's current allocator stats (absolutes —
     /// `thread_stats()` is already cumulative for the counter fields and
     /// point-in-time for `pending`/`pooled`/`guard_depth`).
-    pub fn set_ssmem(&self, s: &SsmemStats) {
+    pub(crate) fn set_ssmem(&self, s: &SsmemStats) {
         self.ssmem_allocations.store(s.allocations, Ordering::Relaxed);
         self.ssmem_frees.store(s.frees, Ordering::Relaxed);
         self.ssmem_reclaimed.store(s.reclaimed, Ordering::Relaxed);
@@ -215,7 +211,7 @@ impl ConcurrencyStats {
     }
 
     /// A point-in-time copy of the block.
-    pub fn snapshot(&self) -> ConcurrencySnapshot {
+    pub(crate) fn snapshot(&self) -> ConcurrencySnapshot {
         ConcurrencySnapshot {
             ops: OpCounters {
                 shared_stores: self.shared_stores.load(Ordering::Relaxed),
@@ -272,25 +268,17 @@ mod tests {
     #[test]
     fn snapshots_capture_and_merge() {
         let a = WorkerStats::default();
-        WorkerStats::bump(&a.frames, 3);
         WorkerStats::bump(&a.ops, 7);
         WorkerStats::bump(&a.bytes_in, 100);
         WorkerStats::bump(&a.partial_writes, 2);
-        WorkerStats::bump(&a.hits, 5);
-        WorkerStats::bump(&a.misses, 2);
         let b = WorkerStats::default();
-        WorkerStats::bump(&b.frames, 2);
         WorkerStats::bump(&b.errors, 1);
         WorkerStats::bump(&b.accepted, 4);
         WorkerStats::bump(&b.timeouts, 1);
         WorkerStats::bump(&b.wakeups, 9);
-        WorkerStats::bump(&b.hits, 1);
         let mut total = a.snapshot();
         total.merge_counters(&b.snapshot());
-        assert_eq!(total.frames, 5);
         assert_eq!(total.ops, 7);
-        assert_eq!(total.hits, 6);
-        assert_eq!(total.misses, 2);
         assert_eq!(total.errors, 1);
         assert_eq!(total.bytes_in, 100);
         assert_eq!(total.connections, 0);

@@ -325,6 +325,48 @@ fn stats_frame_reports_store_and_server_counters() {
     server.join();
 }
 
+/// Each request fact is counted once: `STATS` `frames`, `hits` and
+/// `misses` are the per-family counts, a scrape counting itself, and one
+/// `INFO` body's `frames` is the sum of its `cmd_<f>_ops` lines.
+#[test]
+fn frames_hits_and_misses_are_the_per_family_counts() {
+    use ascylib_server::Family;
+    use std::io::{Read, Write};
+    let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
+    let server =
+        Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default()).expect("bind");
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A GET run of three (two hits, one miss), an MGET of two keys (one
+    // hit), an out-of-range GET, a malformed line and a PING.
+    let batch = b"SET 1 2\r\nXY\r\nGET 1\r\nGET 1\r\nGET 2\r\nMGET 1 2\r\nGET 0\r\nbogus\r\nPING\r\n";
+    s.write_all(batch).unwrap();
+    let expected: &[u8] = b":1\r\n$2\r\nXY\r\n$2\r\nXY\r\n_\r\n*2\r\n$2\r\nXY\r\n_\r\n\
+        -ERR key out of usable range [1, 2^64-2]\r\n-ERR unknown verb\r\n+PONG\r\n";
+    let mut reply = vec![0u8; expected.len()];
+    s.read_exact(&mut reply).unwrap();
+    assert_eq!(reply, expected, "got {:?}", String::from_utf8_lossy(&reply));
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.stats().unwrap();
+    let field = |name: &str| -> u64 {
+        stats
+            .split(' ')
+            .find_map(|tok| tok.strip_prefix(&format!("{name}=")))
+            .unwrap_or_else(|| panic!("missing {name} in {stats}"))
+            .parse()
+            .unwrap()
+    };
+    let counts = (field("frames"), field("hits"), field("misses"));
+    assert_eq!(counts, (8, 3, 2), "seven frames before the STATS frame, plus itself");
+
+    let info = c.info(Some("commands")).unwrap();
+    let get = |key: &str| info_field(&info, key).unwrap_or_else(|| panic!("{key}:\n{info}"));
+    let sum: u64 = Family::ALL.iter().map(|f| get(&format!("cmd_{}_ops", f.name()))).sum();
+    assert_eq!(get("frames"), sum, "{info}");
+    c.quit().unwrap();
+    server.join();
+}
+
 /// End-to-end telemetry: a real loadgen run, then every observability
 /// surface — `INFO`, `SLOWLOG`, `METRICS`, and the loadgen's own scrape —
 /// checked against the client-side view of the same traffic.

@@ -177,14 +177,6 @@ pub struct FillTicket {
 }
 
 /// Point-in-time engine counters.
-///
-/// # Counters vs. gauges
-///
-/// Every field except `fronted` is a monotone **counter**;
-/// [`merge_counters`](Self::merge_counters) sums those and deliberately
-/// leaves the `fronted` **gauge** untouched (same contract as the server's
-/// `ServerStatsSnapshot`: gauges are set once by whoever owns the live
-/// view, never summed across snapshots).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotKeyStatsSnapshot {
     /// Operations that passed the 1-in-N sampler into the sketch.
@@ -210,7 +202,7 @@ pub struct HotKeyStatsSnapshot {
     /// only because `benchmark/src/run.rs` reads it for its
     /// `hotkey.avg_batch` rung.
     pub combined_batches: u64,
-    /// Keys currently fronted (gauge — not merged).
+    /// Keys currently fronted (a gauge).
     pub fronted: u64,
 }
 
@@ -224,22 +216,6 @@ impl HotKeyStatsSnapshot {
         } else {
             served as f64 / total as f64
         }
-    }
-
-    /// Adds the **counter** fields of another snapshot into this one
-    /// (saturating); the `fronted` gauge is deliberately not merged — the
-    /// aggregator overwrites it from the live table.
-    pub fn merge_counters(&mut self, other: &HotKeyStatsSnapshot) {
-        self.sampled = self.sampled.saturating_add(other.sampled);
-        self.promotions = self.promotions.saturating_add(other.promotions);
-        self.demotions = self.demotions.saturating_add(other.demotions);
-        self.front_hits = self.front_hits.saturating_add(other.front_hits);
-        self.front_absent = self.front_absent.saturating_add(other.front_absent);
-        self.front_pending = self.front_pending.saturating_add(other.front_pending);
-        self.fills = self.fills.saturating_add(other.fills);
-        self.poisons = self.poisons.saturating_add(other.poisons);
-        self.delegated = self.delegated.saturating_add(other.delegated);
-        self.combined_batches = self.combined_batches.saturating_add(other.combined_batches);
     }
 }
 
@@ -1167,28 +1143,6 @@ mod tests {
         assert!(!e.fronted(77), "decayed key must be demoted");
         assert!(e.stats().demotions >= 1);
         assert!(e.hot_keys().iter().all(|&(k, _)| k != 77));
-    }
-
-    #[test]
-    fn merge_counters_sums_counters_but_not_the_gauge() {
-        let mut a = HotKeyStatsSnapshot {
-            front_hits: 5,
-            delegated: 2,
-            fronted: 3,
-            ..Default::default()
-        };
-        let b = HotKeyStatsSnapshot {
-            front_hits: 7,
-            delegated: 1,
-            fronted: 4,
-            sampled: u64::MAX,
-            ..Default::default()
-        };
-        a.merge_counters(&b);
-        assert_eq!(a.front_hits, 12);
-        assert_eq!(a.delegated, 3);
-        assert_eq!(a.sampled, u64::MAX, "saturating add");
-        assert_eq!(a.fronted, 3, "gauge must not be summed by the merge");
     }
 
     #[test]

@@ -174,6 +174,11 @@ struct FamilyCell {
 /// never contends across threads; readers aggregate with
 /// [`snapshot`](Self::snapshot) + [`TelemetrySnapshot::merge`].
 ///
+/// **Recording:** every request is counted once, when it is dispatched
+/// ([`count_request`](Self::count_request)); a request the embedder times
+/// adds only its histogram sample afterwards
+/// ([`record_request`](Self::record_request)).
+///
 /// **Single-writer contract:** exactly one thread (the owning worker) may
 /// call the recording methods (`record_*`, `count_request`) on a block; the recording paths use
 /// plain load + store pairs ([`Histogram::record_unsync`]) to keep `lock`
@@ -195,20 +200,20 @@ impl WorkerTelemetry {
         Self::default()
     }
 
-    /// Records one *timed* request of `family` taking `ns` nanoseconds:
-    /// bumps the exact request counter and adds a histogram sample.
+    /// Adds one service-time sample of `ns` nanoseconds for a request of
+    /// `family` that [`count_request`](Self::count_request) already
+    /// counted: the histogram moves, the exact counter does not.
     /// Single-writer (see the type docs).
     #[inline]
     pub fn record_request(&self, family: Family, ns: u64) {
-        let cell = &self.families[family.index()];
-        cell.ops.store(cell.ops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        cell.hist.record_unsync(ns);
+        self.families[family.index()].hist.record_unsync(ns);
     }
 
-    /// Counts one *untimed* request of `family`: the exact counter moves,
-    /// the histogram does not. Lets an embedder sample service-time
-    /// measurement (clock reads are the dominant recording cost) without
-    /// losing exact per-family request accounting. Single-writer.
+    /// Counts one request of `family`, timed or not. The embedder counts
+    /// every request when it dispatches it, so a request that reads the
+    /// counters sees itself counted, and samples service time separately
+    /// ([`record_request`](Self::record_request)) for the subset it times
+    /// (clock reads are the dominant recording cost). Single-writer.
     #[inline]
     pub fn count_request(&self, family: Family) {
         let cell = &self.families[family.index()];
@@ -380,10 +385,15 @@ mod tests {
     #[test]
     fn worker_telemetry_records_and_snapshots() {
         let tel = WorkerTelemetry::new();
-        tel.record_request(Family::Get, 1_000);
-        tel.record_request(Family::Get, 2_000);
-        tel.record_request(Family::Set, 5_000);
-        tel.record_request(Family::Other, 9_000_000);
+        for (family, ns) in [
+            (Family::Get, 1_000),
+            (Family::Get, 2_000),
+            (Family::Set, 5_000),
+            (Family::Other, 9_000_000),
+        ] {
+            tel.count_request(family);
+            tel.record_request(family, ns);
+        }
         tel.record_phase(Phase::Parse, 100);
         tel.record_phase(Phase::Execute, 900);
         tel.record_lookups(Family::Get, 1, 1);
@@ -407,8 +417,10 @@ mod tests {
     fn snapshots_merge_across_workers() {
         let a = WorkerTelemetry::new();
         let b = WorkerTelemetry::new();
+        a.count_request(Family::Scan);
         a.record_request(Family::Scan, 10_000);
         a.record_lookups(Family::Del, 2, 0);
+        b.count_request(Family::Scan);
         b.record_request(Family::Scan, 20_000);
         b.record_lookups(Family::Del, 0, 5);
 
