@@ -115,10 +115,22 @@ impl JavaHashTable {
         unsafe { &*self.current.load(Ordering::Acquire) }
     }
 
-    #[inline]
-    fn stripe(&self, key: u64) -> &TicketLock {
-        let idx = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20) as usize & (STRIPES - 1);
-        &self.locks[idx]
+    /// Locks the stripe covering `key`'s bucket and returns it with the
+    /// array the bucket belongs to. The stripe is a function of the bucket
+    /// index, so two keys sharing a chain always share a lock. A resize
+    /// (which holds every stripe) may swap the array between the index and
+    /// the lock; then the index may be stale, and the lookup is repeated.
+    fn lock_bucket(&self, key: u64) -> (&TicketLock, &Array) {
+        loop {
+            let arr = self.array();
+            let lock = &self.locks[arr.index(key) & (STRIPES - 1)];
+            lock.lock();
+            stats::record_lock();
+            if std::ptr::eq(arr, self.array()) {
+                return (lock, arr);
+            }
+            lock.unlock();
+        }
     }
 
     /// Searches a chain. Caller must hold an SSMEM guard.
@@ -208,10 +220,7 @@ impl ConcurrentMap for JavaHashTable {
                 return false;
             }
         }
-        self.stripe(key).lock();
-        stats::record_lock();
-        // Re-read the array under the lock: a resize may have swapped it.
-        let arr = self.array();
+        let (lock, arr) = self.lock_bucket(key);
         let slot = &arr.slots[arr.index(key)];
         let result = if Self::chain_search(slot, key).is_some() {
             false
@@ -224,7 +233,7 @@ impl ConcurrentMap for JavaHashTable {
             true
         };
         let need_resize = result && self.count.load(Ordering::Relaxed) > arr.slots.len();
-        self.stripe(key).unlock();
+        lock.unlock();
         if need_resize {
             self.resize();
         }
@@ -242,9 +251,7 @@ impl ConcurrentMap for JavaHashTable {
                 return None;
             }
         }
-        self.stripe(key).lock();
-        stats::record_lock();
-        let arr = self.array();
+        let (lock, arr) = self.lock_bucket(key);
         let slot = &arr.slots[arr.index(key)];
         // SAFETY: chain mutation happens only under the stripe lock; the
         // victim is retired after being unlinked.
@@ -268,7 +275,7 @@ impl ConcurrentMap for JavaHashTable {
             }
             found
         };
-        self.stripe(key).unlock();
+        lock.unlock();
         stats::record_operation();
         result
     }

@@ -26,9 +26,12 @@
 //! and top 16 bits of the word are free — `debug_assert`ed at store time):
 //!
 //! ```text
-//! bit 63..48   per-arena generation tag (defeats handle ABA: a recycled
-//!              pointer re-stored gets a different tag, so an evictor's
-//!              stale snapshot never matches a fresh value)
+//! bit 63..48   per-thread generation tag (defeats handle ABA: the storing
+//!              thread's own counter tags each handle, so a pointer one
+//!              thread stores again gets a different tag; as threads'
+//!              sequences start far apart, a pointer recycled through
+//!              another thread's pool matches an evictor's stale
+//!              snapshot only by a 16-bit coincidence)
 //! bit 47..3    the blob address (8-aligned)
 //! bit 0        TTL flag: set iff the blob has an expiry word, so reads of
 //!              never-expiring values skip the expiry check without
@@ -69,18 +72,39 @@
 //!
 //! # Budget enforcement
 //!
-//! Every `set` **reserves** its payload bytes on the shard's live-byte
-//! gauge before allocating, and every retire releases them, so the gauge is
-//! the one count of live payload bytes: [`BlobMap::total_arena_stats`] and
+//! Every `set` **reserves** its payload bytes before allocating, and every
+//! retire releases them. While at most 8 threads write, none writes a line
+//! another thread writes to do so: each thread keeps a **byte credit** in
+//! its own stripe of the arena (see [`crate::stats`]; further threads share
+//! the overflow stripe's).
+//!
+//! * Without a budget there is nothing to share. A reservation takes from
+//!   the stripe's credit and a retire gives back to it, so a credit runs
+//!   below zero; live bytes are minus the credits' sum.
+//! * With a [`CacheConfig`] budget, the shard's shared gauge `live_now`
+//!   counts every byte **reserved**: live bytes plus every stripe's credit.
+//!   A reservation takes from its own stripe's credit first. Only when that
+//!   runs short does it CAS on the gauge against the shard's share, taking
+//!   the value plus a refill of half the cap if both fit. A retire puts the
+//!   bytes back into its own stripe's credit; above the cap, all but half
+//!   of it goes back to the gauge. The cap is `min(8 KiB, share / 256)`, so
+//!   the 9 stripes (8 owned, one overflow) strand at most 9/256 of a
+//!   share, and a share under 512 bytes keeps no credit: every
+//!   reservation is the exact CAS.
+//!
+//! Either way live bytes are `live_now − Σ credit`, the one count of live
+//! payload bytes: [`BlobMap::total_arena_stats`] and
 //! [`BlobMap::cache_stats`] both read it, and it equals the stored payloads
-//! whenever no `set` is between its reservation and its store. With a
-//! [`CacheConfig`] budget the reservation is a CAS loop against the shard's
-//! share; one that would overflow the budget runs CLOCK eviction until it
+//! whenever no `set` is between its reservation and its store. A
+//! reservation that would overflow the budget runs CLOCK eviction until it
 //! fits: a hand walks the shard's index in key order, clearing reference
-//! bits, and evicts the first unreferenced value it meets. The per-shard
-//! gauge therefore never exceeds the budget at any externally observable
-//! instant — except `forced` admissions, counted separately, when nothing
-//! is evictable (e.g. one value larger than a shard's whole share).
+//! bits, and evicts the first unreferenced value it meets; the victim's
+//! bytes land in the evicting thread's credit, which the retried
+//! reservation then takes. The gauge, credits included, therefore never
+//! exceeds the share, and live bytes never exceed the budget at any
+//! externally observable instant — except `forced` admissions, counted
+//! separately, when nothing is evictable (e.g. one value larger than a
+//! shard's whole share).
 //!
 //! A value starts unreferenced, so an unread newcomer is evicted when the
 //! hand first reaches it. A run of ascending inserts lands just ahead of
@@ -127,7 +151,7 @@
 //! owned by the epoch machinery and freed by its collector.
 
 use std::alloc::Layout;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -140,6 +164,7 @@ use crossbeam_utils::CachePadded;
 use crate::cache::{CacheConfig, CacheStatsSnapshot, MsClock};
 use crate::hotkey::{FillTicket, FrontRead, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 use crate::map::ShardedMap;
+use crate::stats::Striped;
 
 /// Bytes of every blob's header: the meta word (payload length, layout tag,
 /// CLOCK reference bit). A TTL'd blob adds the expiry word after it (see
@@ -165,7 +190,7 @@ const SMALL_BLOB_MAX: usize = 512;
 /// deadline). Bit 0, so that `handle & TAG_TTL` counts the extra word.
 const TAG_TTL: u64 = 1;
 
-/// Handle bits 63..48: the arena generation tag.
+/// Handle bits 63..48: the generation tag of the thread that stored the blob.
 const TAG_GEN_MASK: u64 = 0xFFFF << 48;
 
 /// Clears every tag bit, leaving the 8-aligned blob address.
@@ -201,6 +226,15 @@ const WALK_CHUNK: usize = SWEEP_BATCH;
 /// Consecutive fruitless eviction attempts before a reservation is forced
 /// through over budget (progress guarantee; see `CacheStatsSnapshot::forced`).
 const EVICT_FORCE_ATTEMPTS: u32 = 128;
+
+/// Most payload bytes one stripe's credit holds (see [`ValueArena::release`]);
+/// a shard whose budget share is small holds less, see [`CREDIT_SHARE`].
+const CREDIT_CAP: u64 = 8 * 1024;
+
+/// A stripe's credit holds at most this fraction of the shard's budget
+/// share, so the 9 stripes together strand at most 9/256 of it, and a share
+/// under 512 bytes keeps no credit at all.
+const CREDIT_SHARE: u64 = 256;
 
 /// Payload capacity a [`BatchValues`] keeps from one batch to the next: a
 /// larger buffer is shrunk to this before it is refilled, so one batch of
@@ -309,29 +343,50 @@ fn blob_layout(len: usize, ttl: bool) -> Layout {
     Layout::from_size_align(size, ALIGN).expect("valid blob layout")
 }
 
-/// Cache-tier counters of one arena (monotone, `Relaxed`: independent event
-/// counts with no ordering obligations, as everywhere else in this crate),
-/// and the cursors of its index walks.
-/// `live_now` is the live payload-byte gauge: `reserve` adds to it before
-/// every store, `retire` subtracts. `live_blobs` counts the blobs stored
-/// and not yet retired the same way.
+/// The budget state of one arena every thread shares: the reservation
+/// gauge and the CLOCK hand (`Relaxed`, as everywhere else in this crate).
+/// `live_now` is written only under a byte budget, and only when a
+/// stripe's credit runs short or overflows (module docs, "Budget
+/// enforcement"); the hand only when a reservation evicts.
 #[derive(Debug, Default)]
 struct CacheCounters {
+    /// Bytes reserved against the budget: live payload bytes plus every
+    /// stripe's credit.
     live_now: AtomicU64,
-    live_blobs: AtomicU64,
     /// CLOCK hand: the key the next victim walk starts from.
     hand: AtomicU64,
     /// Victims the hand has chosen since it last wrapped.
     lap_victims: AtomicU64,
+}
+
+/// The TTL state of one arena, on a line of its own: every `set` reads
+/// `live` (the sweep is skipped while it is zero), and only values stored
+/// with a deadline write it.
+#[derive(Debug, Default)]
+struct TtlCounters {
+    /// Values with an expiry word, stored and not yet retired.
+    live: AtomicU64,
     /// TTL-sweep cursor: the key the next sweep step starts from.
     sweep: AtomicU64,
+    sweep_tick: AtomicU64,
+}
+
+/// One stripe's block of an arena's bookkeeping (see [`Striped`]): the
+/// counters a store, a retire or a reclaim writes. A blob one stripe
+/// stores another may retire, so a single stripe's gauges may wrap below
+/// zero; only their sums mean anything ([`ValueArena::stats`]).
+#[derive(Debug, Default)]
+struct ArenaStripe {
+    /// Blobs this stripe stored minus the blobs it retired.
+    blobs: AtomicU64,
+    /// Under a budget, bytes reserved on `live_now` that no blob holds yet
+    /// (never below zero). Without one, the bytes this stripe retired minus
+    /// the bytes it reserved.
+    credit: AtomicU64,
     evictions: AtomicU64,
     expired_lazy: AtomicU64,
     expired_swept: AtomicU64,
     forced: AtomicU64,
-    ttl_live: AtomicU64,
-    sweep_tick: AtomicU64,
-    generation: AtomicU64,
 }
 
 /// What the arenas hold right now (one arena's, or a sum over arenas).
@@ -342,13 +397,13 @@ pub struct ArenaStatsSnapshot {
 }
 
 impl ArenaStatsSnapshot {
-    /// Blobs currently live: the live-blob gauge.
+    /// Blobs currently live: the live-blob gauges summed.
     pub fn live_blobs(&self) -> u64 {
         self.blobs
     }
 
-    /// Payload bytes currently live: the live-byte gauge (module docs,
-    /// "Budget enforcement").
+    /// Payload bytes currently live: the reservation gauge minus the
+    /// stripes' credit (module docs, "Budget enforcement").
     pub fn live_bytes(&self) -> u64 {
         self.bytes
     }
@@ -370,14 +425,30 @@ impl ArenaStatsSnapshot {
 ///
 /// Budget *policy* (reservation loops, eviction, the walks over the index)
 /// lives in [`BlobMap`]; the arena only carries the mechanism (the gauges,
-/// the walk cursors, the clock).
+/// the credits, the walk cursors, the clock).
 #[derive(Debug)]
 struct ValueArena {
     cache: CachePadded<CacheCounters>,
+    ttl: CachePadded<TtlCounters>,
+    stripes: Striped<ArenaStripe>,
     /// This shard's payload-byte budget (`None` = unbounded).
     budget: Option<u64>,
+    /// Most bytes a stripe's credit holds: [`CREDIT_CAP`], or less for a
+    /// small budget share ([`CREDIT_SHARE`]). A refill tops a credit up by
+    /// half of it, and an overflowing release hands back all but half.
+    cap: u64,
     /// The clock expiry deadlines are measured against.
     clock: Arc<dyn MsClock>,
+}
+
+thread_local! {
+    /// The generation tag of the next handle this thread stores. Threads
+    /// start far apart (a golden-ratio stride over the 16 bits), so two
+    /// threads storing at the same pace do not hand out the same tags.
+    static GENERATION: Cell<u64> = Cell::new({
+        static THREADS: AtomicU64 = AtomicU64::new(0);
+        THREADS.fetch_add(1, Ordering::Relaxed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48
+    });
 }
 
 impl ValueArena {
@@ -385,7 +456,11 @@ impl ValueArena {
     fn new(budget: Option<u64>, clock: Arc<dyn MsClock>) -> Self {
         ValueArena {
             cache: CachePadded::default(),
+            ttl: CachePadded::default(),
+            stripes: Striped::default(),
             budget,
+            // Even, so that a refill is exactly half of it.
+            cap: budget.map_or(0, |b| (b / CREDIT_SHARE).min(CREDIT_CAP) & !1),
             clock,
         }
     }
@@ -408,13 +483,13 @@ impl ValueArena {
             0,
             "blob pointers must fit the 48-bit/8-aligned tag layout"
         );
-        let generation = self.cache.generation.fetch_add(1, Ordering::Relaxed);
+        let generation = GENERATION.with(|g| g.replace(g.get().wrapping_add(1)));
         let mut handle = (ptr as u64) | ((generation << 48) & TAG_GEN_MASK);
         let mut meta = value.len() as u64;
         if ttl {
             handle |= TAG_TTL;
             meta |= META_TTL;
-            self.cache.ttl_live.fetch_add(1, Ordering::Relaxed);
+            self.ttl.live.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `ptr` is a fresh (or recycled past its grace period)
         // allocation of `blob_layout(len, ttl)`, which holds the header, the
@@ -430,7 +505,7 @@ impl ValueArena {
             }
             ptr.add(payload_offset(handle)).copy_from_nonoverlapping(value.as_ptr(), value.len());
         }
-        self.cache.live_blobs.fetch_add(1, Ordering::Relaxed);
+        self.stripes.add(|s| &s.blobs, 1);
         handle
     }
 
@@ -495,40 +570,74 @@ impl ValueArena {
         unsafe { expire_cell(handle).store(deadline_ms, Ordering::Relaxed) };
     }
 
-    /// Reserves `len` payload bytes against the gauge unconditionally
-    /// (unbounded arenas, or a forced over-budget admission).
+    /// Reserves `len` payload bytes unconditionally (unbounded arenas, or
+    /// a forced over-budget admission).
     fn add_live(&self, len: u64) {
-        self.cache.live_now.fetch_add(len, Ordering::Relaxed);
+        if self.budget.is_some() {
+            self.cache.live_now.fetch_add(len, Ordering::Relaxed);
+        } else {
+            self.stripes.add(|s| &s.credit, len.wrapping_neg());
+        }
     }
 
     /// Tries to reserve `len` payload bytes under the budget; `false`
     /// means the caller must evict (or force) first. With no budget the
-    /// reservation always succeeds.
+    /// reservation always succeeds. The bytes come from the calling
+    /// stripe's credit when it holds them; only when it runs short does
+    /// this CAS on the shared gauge, taking `len` plus a refill of half the
+    /// cap if both fit (module docs, "Budget enforcement").
     fn try_reserve(&self, len: u64) -> bool {
         let Some(budget) = self.budget else {
             self.add_live(len);
             return true;
         };
+        if self.stripes.take(|s| &s.credit, len) {
+            return true;
+        }
         let mut cur = self.cache.live_now.load(Ordering::Relaxed);
         loop {
-            if cur.saturating_add(len) > budget {
+            let need = cur.saturating_add(len);
+            if need > budget {
                 return false;
             }
+            let refill = if need.saturating_add(self.cap / 2) <= budget { self.cap / 2 } else { 0 };
             match self.cache.live_now.compare_exchange_weak(
                 cur,
-                cur + len,
+                need + refill,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return true,
+                Ok(_) => {
+                    if refill > 0 {
+                        self.stripes.add(|s| &s.credit, refill);
+                    }
+                    return true;
+                }
                 Err(seen) => cur = seen,
             }
         }
     }
 
+    /// Releases `len` retired payload bytes into the calling stripe's
+    /// credit. Under a budget, a credit above the cap hands all but half
+    /// the cap back to the shared gauge, so the next stores find credit
+    /// and other threads find room.
+    fn release(&self, len: u64) {
+        let held = self.stripes.add(|s| &s.credit, len);
+        if self.budget.is_none() || held <= self.cap {
+            return;
+        }
+        let excess = held - self.cap / 2;
+        // On the shared overflow stripe a concurrent reservation may have
+        // taken some of it; the next release over the cap tries again.
+        if self.stripes.take(|s| &s.credit, excess) {
+            self.cache.live_now.fetch_sub(excess, Ordering::Relaxed);
+        }
+    }
+
     /// Retires a blob: its memory returns to the ssmem pool once every
     /// operation concurrent with this call has finished, and its bytes
-    /// leave the live gauge.
+    /// go back to the calling stripe's credit.
     ///
     /// # Safety
     ///
@@ -546,15 +655,10 @@ impl ValueArena {
                 unsafe { meta_cell(blob_addr(handle)) }.fetch_or(META_RETIRED, Ordering::Relaxed);
             debug_assert_eq!(meta & META_RETIRED, 0, "blob retired twice");
         }
-        let blobs = self.cache.live_blobs.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(blobs > 0, "live-blob gauge underflow");
-        let live = self.cache.live_now.fetch_sub(len as u64, Ordering::Relaxed);
-        debug_assert!(
-            live >= len as u64,
-            "live-byte gauge underflow (a store without a reservation)"
-        );
+        self.stripes.add(|s| &s.blobs, 1u64.wrapping_neg());
+        self.release(len as u64);
         if has_ttl(handle) {
-            let ttl = self.cache.ttl_live.fetch_sub(1, Ordering::Relaxed);
+            let ttl = self.ttl.live.fetch_sub(1, Ordering::Relaxed);
             debug_assert!(ttl > 0, "TTL gauge underflow");
         }
         // SAFETY: unlinked and never retired before (caller contract);
@@ -575,24 +679,48 @@ impl ValueArena {
         }
     }
 
-    /// What this arena holds right now.
+    /// What this arena holds right now: the stripes' blob gauges summed,
+    /// and the reservation gauge minus the stripes' credit. Exact whenever
+    /// no store or retire is in flight. A read racing them may be torn — a
+    /// retire counted on a stripe read before the store it undoes was
+    /// counted on one read after — and reads as zero rather than below it.
+    /// A sum below zero that a second read repeats is an underflow, which
+    /// debug builds report.
     fn stats(&self) -> ArenaStatsSnapshot {
-        ArenaStatsSnapshot {
-            blobs: self.cache.live_blobs.load(Ordering::Relaxed),
-            bytes: self.cache.live_now.load(Ordering::Relaxed),
+        let read = || {
+            let blobs = self.stripes.sum(|s| &s.blobs);
+            let credit = self.stripes.sum(|s| &s.credit);
+            (blobs as i64, self.cache.live_now.load(Ordering::Relaxed).wrapping_sub(credit) as i64)
+        };
+        let (blobs, bytes) = read();
+        if cfg!(debug_assertions) && (blobs < 0 || bytes < 0) {
+            let repeated = read() == (blobs, bytes);
+            debug_assert!(!repeated || blobs >= 0, "live-blob gauge underflow");
+            debug_assert!(
+                !repeated || bytes >= 0,
+                "live-byte gauge underflow (a store without a reservation)"
+            );
         }
+        ArenaStatsSnapshot { blobs: blobs.max(0) as u64, bytes: bytes.max(0) as u64 }
+    }
+
+    /// [`stats`](Self::stats)' blob count alone, as the walks size their
+    /// laps by it: eight loads, not seventeen.
+    fn live_blobs(&self) -> u64 {
+        (self.stripes.sum(|s| &s.blobs) as i64).max(0) as u64
     }
 
     /// A copy of the arena's cache-tier counters.
     fn cache_stats(&self) -> CacheStatsSnapshot {
+        let s = &self.stripes;
         CacheStatsSnapshot {
             budget_bytes: self.budget.unwrap_or(0),
-            live_bytes: self.cache.live_now.load(Ordering::Relaxed),
-            evictions: self.cache.evictions.load(Ordering::Relaxed),
-            expired_lazy: self.cache.expired_lazy.load(Ordering::Relaxed),
-            expired_swept: self.cache.expired_swept.load(Ordering::Relaxed),
-            forced: self.cache.forced.load(Ordering::Relaxed),
-            ttl_live: self.cache.ttl_live.load(Ordering::Relaxed),
+            live_bytes: self.stats().bytes,
+            evictions: s.sum(|s| &s.evictions),
+            expired_lazy: s.sum(|s| &s.expired_lazy),
+            expired_swept: s.sum(|s| &s.expired_swept),
+            forced: s.sum(|s| &s.forced),
+            ttl_live: self.ttl.live.load(Ordering::Relaxed),
         }
     }
 }
@@ -948,7 +1076,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         // SAFETY: unlinked by the remove, returned only to us.
         let live = unsafe { arena.retire_was_live(handle) };
         if !live {
-            arena.cache.expired_lazy.fetch_add(1, Ordering::Relaxed);
+            arena.stripes.add(|s| &s.expired_lazy, 1);
         }
         live
     }
@@ -1013,8 +1141,8 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
                 }
                 // SAFETY: under `lookup`'s guard, which outlives the copy.
                 let (value, _) = unsafe { payload(h) };
-                // EXPIRE evicts nothing: the copy's bytes go on the gauge
-                // unconditionally, and leave it with whichever blob loses.
+                // EXPIRE evicts nothing: the copy's bytes are reserved
+                // unconditionally, and released with whichever blob loses.
                 arena.add_live(value.len() as u64);
                 Some((h, arena.store(value, deadline)))
             });
@@ -1109,7 +1237,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             fruitless += 1;
             if fruitless >= EVICT_FORCE_ATTEMPTS {
                 arena.add_live(len);
-                arena.cache.forced.fetch_add(1, Ordering::Relaxed);
+                arena.stripes.add(|s| &s.forced, 1);
                 return;
             }
         }
@@ -1120,16 +1248,16 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// reclaims the expired ones. Free when no value carries a deadline.
     fn maybe_sweep(&self, shard: usize) {
         let arena = &self.arenas[shard];
-        if arena.cache.ttl_live.load(Ordering::Relaxed) == 0 {
+        if arena.ttl.live.load(Ordering::Relaxed) == 0 {
             return;
         }
-        if arena.cache.sweep_tick.fetch_add(1, Ordering::Relaxed) % SWEEP_EVERY != 0 {
+        if arena.ttl.sweep_tick.fetch_add(1, Ordering::Relaxed) % SWEEP_EVERY != 0 {
             return;
         }
         // At most one lap, so no value is collected twice.
-        let batch = SWEEP_BATCH.min(arena.cache.live_blobs.load(Ordering::Relaxed) as usize);
+        let batch = SWEEP_BATCH.min(arena.live_blobs() as usize);
         let mut expired: Vec<(u64, u64)> = Vec::with_capacity(batch);
-        self.walk(shard, &arena.cache.sweep, batch, |key, handle| {
+        self.walk(shard, &arena.ttl.sweep, batch, |key, handle| {
             // SAFETY: the walk's guard predates the fetch of `handle`.
             if unsafe { arena.is_expired(handle) } {
                 expired.push((key, handle));
@@ -1148,8 +1276,9 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// evictor. `None` if the shard holds nothing. A hand whose lap has
     /// chosen two victims per value held wraps early (module docs).
     fn clock_victim(&self, shard: usize) -> Option<(u64, u64)> {
-        let c = &self.arenas[shard].cache;
-        let laps = 2 * c.live_blobs.load(Ordering::Relaxed) as usize;
+        let arena = &self.arenas[shard];
+        let c = &arena.cache;
+        let laps = 2 * arena.live_blobs() as usize;
         if c.lap_victims.load(Ordering::Relaxed) >= laps as u64 {
             c.hand.store(KEY_MIN, Ordering::Relaxed);
             c.lap_victims.store(0, Ordering::Relaxed);
@@ -1226,7 +1355,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// Removes and retires the binding `key → handle` — an expired value or
     /// a CLOCK victim, as `why` says — if `key` still holds `handle`, and
     /// counts it under `why`. When an overwrite got there first (the
-    /// generation tag makes a recycled pointer unmistakable), the
+    /// generation tag tells a recycled pointer apart), the
     /// conditional remove fails and the fresher value stays. Nothing here
     /// dereferences the stale `handle` unless the remove handed it to this
     /// thread. `true` if a blob was retired.
@@ -1240,12 +1369,14 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         self.poison(key);
         // SAFETY: unlinked by our remove, returned only to us.
         unsafe { arena.retire(handle) };
-        let counter = match why {
-            Reclaim::Lazy => &arena.cache.expired_lazy,
-            Reclaim::Swept => &arena.cache.expired_swept,
-            Reclaim::Evicted => &arena.cache.evictions,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        arena.stripes.add(
+            |s| match why {
+                Reclaim::Lazy => &s.expired_lazy,
+                Reclaim::Swept => &s.expired_swept,
+                Reclaim::Evicted => &s.evictions,
+            },
+            1,
+        );
         true
     }
 
@@ -1458,26 +1589,31 @@ impl<M: OrderedMap + ReplaceMap> Drop for BlobMap<M> {
         // is a live blob no thread can reach any more; retired ones are
         // owned by the epoch collector.
         for (shard, arena) in self.arenas.iter().enumerate() {
-            let (start, mut last, mut freed) = (AtomicU64::new(KEY_MIN), 0, 0);
+            let (start, mut last) = (AtomicU64::new(KEY_MIN), 0);
+            let mut freed = ArenaStatsSnapshot::default();
             self.walk(shard, &start, usize::MAX, |key, handle| {
                 // The walk wrapped: every key was visited.
                 if key <= last {
                     return false;
                 }
                 last = key;
-                freed += 1;
                 // SAFETY: a live blob, unreachable by any other thread.
                 unsafe {
-                    let (_, layout) = extent(handle);
+                    let (len, layout) = extent(handle);
+                    freed.blobs += 1;
+                    freed.bytes += len as u64;
                     ssmem::dealloc_raw_immediate(blob_addr(handle), layout);
                 }
                 true
             });
-            debug_assert_eq!(
-                freed,
-                arena.cache.live_blobs.load(Ordering::Relaxed),
-                "a live blob is not the value of any key"
-            );
+            // No operation is in flight, so the gauges' sums are exact. A
+            // map dropped by a panic's unwinding is not checked: a second
+            // panic would abort before the first one is reported.
+            if cfg!(debug_assertions) && !std::thread::panicking() {
+                let live = arena.stats();
+                assert_eq!(freed.blobs, live.blobs, "a live blob is not the value of any key");
+                assert_eq!(freed.bytes, live.bytes, "the live-byte gauge drifted");
+            }
         }
     }
 }
@@ -1789,6 +1925,79 @@ mod tests {
             arena.retire(handle);
             arena.retire(handle);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "live-byte gauge underflow")]
+    fn retiring_bytes_never_reserved_panics_in_debug_builds() {
+        let arena = ValueArena::new(None, Arc::new(WallClock));
+        // Deliberately broken: a store without a reservation.
+        let handle = arena.store(b"unreserved", 0);
+        // SAFETY: owned by this test, retired once.
+        unsafe { arena.retire(handle) };
+        arena.stats();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "live-byte gauge underflow")]
+    fn a_budgeted_retire_of_bytes_never_reserved_panics_in_debug_builds() {
+        let arena = ValueArena::new(Some(1 << 20), Arc::new(WallClock));
+        let handle = arena.store(b"unreserved", 0);
+        // SAFETY: owned by this test, retired once.
+        unsafe { arena.retire(handle) };
+        arena.cache_stats();
+    }
+
+    #[test]
+    fn budgeted_reservations_touch_the_shared_gauge_only_when_credit_runs_short() {
+        let gauge = |a: &ValueArena| a.cache.live_now.load(Ordering::Relaxed);
+        // A 1 MiB share: the cap is 4 KiB (1/256 of it), a refill 2 KiB.
+        let arena = ValueArena::new(Some(1 << 20), Arc::new(WallClock));
+        assert_eq!(arena.cap, 4096);
+        let first = reserve_and_store(&arena, &[7; 100], 0);
+        assert_eq!(gauge(&arena), 100 + 2048, "a short credit takes the value plus a refill");
+        let handles: Vec<u64> = (0..20).map(|_| reserve_and_store(&arena, &[7; 100], 0)).collect();
+        assert_eq!(gauge(&arena), 2148, "twenty stores came out of the credit");
+        assert_eq!(arena.stats(), ArenaStatsSnapshot { blobs: 21, bytes: 2100 });
+        // SAFETY: every handle is owned by this test and retired once.
+        unsafe {
+            arena.retire(first);
+            for h in handles {
+                arena.retire(h);
+            }
+        }
+        assert_eq!(gauge(&arena), 2148, "the retired bytes went back into the credit");
+        assert_eq!(arena.stats(), ArenaStatsSnapshot::default());
+        // Releases past the cap hand all but half of it back.
+        let big = reserve_and_store(&arena, &[7; 8000], 0);
+        // SAFETY: as above.
+        unsafe { arena.retire(big) };
+        assert_eq!(gauge(&arena), 2048);
+        assert_eq!(arena.stats().live_bytes(), 0);
+        // A budget the credit would not fit in: reservations stay exact.
+        let full = ValueArena::new(Some(1 << 20), Arc::new(WallClock));
+        let mut held = Vec::new();
+        while full.try_reserve(1000) {
+            held.push(full.store(&[1; 1000], 0));
+        }
+        assert!(gauge(&full) <= 1 << 20);
+        assert_eq!(full.stats().live_bytes(), 1000 * held.len() as u64);
+        assert!(held.len() as u64 >= ((1 << 20) - 4096) / 1000, "credit stranded more than a cap");
+        // SAFETY: as above.
+        for h in held {
+            unsafe { full.retire(h) };
+        }
+        // A share under 512 bytes keeps no credit: the gauge is exact.
+        let tiny = ValueArena::new(Some(300), Arc::new(WallClock));
+        assert_eq!(tiny.cap, 0);
+        let h = reserve_and_store(&tiny, &[1; 200], 0);
+        assert_eq!(gauge(&tiny), 200);
+        assert!(!tiny.try_reserve(200), "the budget still binds");
+        // SAFETY: as above.
+        unsafe { tiny.retire(h) };
+        assert_eq!(gauge(&tiny), 0);
     }
 
     #[test]

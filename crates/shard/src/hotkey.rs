@@ -54,12 +54,13 @@
 //! the slot lock.
 
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
 
 use crate::router::ShardRouter;
+use crate::stats::Striped;
 
 /// Largest payload a front-cache slot can hold, in bytes. Bigger values
 /// pass through to the backing on every read.
@@ -84,8 +85,6 @@ const LEN_ABSENT: u32 = u32::MAX - 1;
 // would drown everything past rank ~30 in its own noise floor.
 const SKETCH_ROWS: usize = 4;
 const SKETCH_COLS: usize = 1024;
-
-const STRIPES: usize = 8;
 
 /// Tuning knobs for [`HotKeyEngine`]. `k = 0` disables the engine
 /// entirely ([`HotKeyEngine::new`] returns `None` and the blob map runs
@@ -219,41 +218,8 @@ impl HotKeyStatsSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Striped counters: hot-path stats must not themselves become the shared
-// cache line the engine exists to remove.
-
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
     static TICK: Cell<u32> = const { Cell::new(0) };
-}
-
-fn stripe_id() -> usize {
-    STRIPE.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-        s.set(v);
-        v
-    })
-}
-
-#[derive(Default)]
-struct Striped([CachePadded<AtomicU64>; STRIPES]);
-
-impl Striped {
-    #[inline]
-    fn add(&self, n: u64) {
-        self.0[stripe_id()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.0.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -437,12 +403,12 @@ struct EngineCounters {
     sampled: AtomicU64,
     promotions: AtomicU64,
     demotions: AtomicU64,
-    front_hits: Striped,
-    front_absent: Striped,
-    front_pending: Striped,
+    front_hits: Striped<AtomicU64>,
+    front_absent: Striped<AtomicU64>,
+    front_pending: Striped<AtomicU64>,
     fills: AtomicU64,
     poisons: AtomicU64,
-    delegated: Striped,
+    delegated: Striped<AtomicU64>,
 }
 
 impl Default for EngineCounters {
@@ -761,7 +727,7 @@ impl HotKeyEngine {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 & 1 != 0 {
                 // A writer is mid-update; the backing is always coherent.
-                self.c.front_pending.add(1);
+                self.c.front_pending.incr();
                 return FrontRead::Miss;
             }
             if slot.key.load(Ordering::Relaxed) != key {
@@ -789,9 +755,9 @@ impl HotKeyEngine {
             fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) == s1 {
                 match &res {
-                    FrontRead::Hit => self.c.front_hits.add(1),
-                    FrontRead::Absent => self.c.front_absent.add(1),
-                    FrontRead::Pending(_) => self.c.front_pending.add(1),
+                    FrontRead::Hit => self.c.front_hits.incr(),
+                    FrontRead::Absent => self.c.front_absent.incr(),
+                    FrontRead::Pending(_) => self.c.front_pending.incr(),
                     FrontRead::Miss => {}
                 }
                 return res;
@@ -800,7 +766,7 @@ impl HotKeyEngine {
             // and retry once, then let the backing answer.
             out.truncate(start);
         }
-        self.c.front_pending.add(1);
+        self.c.front_pending.incr();
         FrontRead::Miss
     }
 
@@ -887,7 +853,7 @@ impl HotKeyEngine {
         value: Option<&[u8]>,
         apply: impl FnOnce() -> bool,
     ) -> bool {
-        self.c.delegated.add(1);
+        self.c.delegated.incr();
         let slot = self.slot_of(key);
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) != key {
@@ -912,14 +878,14 @@ impl HotKeyEngine {
 
     /// A point-in-time copy of the engine counters.
     pub fn stats(&self) -> HotKeyStatsSnapshot {
-        let delegated = self.c.delegated.sum();
+        let delegated = self.c.delegated.total();
         HotKeyStatsSnapshot {
             sampled: self.c.sampled.load(Ordering::Relaxed),
             promotions: self.c.promotions.load(Ordering::Relaxed),
             demotions: self.c.demotions.load(Ordering::Relaxed),
-            front_hits: self.c.front_hits.sum(),
-            front_absent: self.c.front_absent.sum(),
-            front_pending: self.c.front_pending.sum(),
+            front_hits: self.c.front_hits.total(),
+            front_absent: self.c.front_absent.total(),
+            front_pending: self.c.front_pending.total(),
             fills: self.c.fills.load(Ordering::Relaxed),
             poisons: self.c.poisons.load(Ordering::Relaxed),
             delegated,

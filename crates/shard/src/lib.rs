@@ -15,9 +15,10 @@
 //!   shard; there is no cross-shard synchronization at all.
 //! * [`router::ShardRouter`] is the stateless hash router (Fibonacci
 //!   mixing + Lemire reduction, any shard count).
-//! * [`stats::ShardStats`] gives each shard a cache-line-padded block of
-//!   traffic counters, so observing a hot shard does not create the false
-//!   sharing the layer exists to remove.
+//! * [`stats::ShardStats`] gives each shard its traffic counters in
+//!   per-thread cache-padded stripes, summed when read, so observing a hot
+//!   shard adds no line that every thread writes; the blob arenas' gauges
+//!   and byte credits are striped the same way.
 //! * [`ShardedMap::multi_get`] runs a batch's searches as one interleaved
 //!   lookup across shards and returns the answers in input order.
 //! * Sharded deployments of *ordered* backings (lists, skip lists, BSTs)

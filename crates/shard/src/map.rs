@@ -17,10 +17,11 @@ use crate::stats::{ShardStats, ShardStatsSnapshot};
 /// cross-shard coordination — no global lock, no counter shared across
 /// shards — which is exactly what lets shards scale independently
 /// (aggregate views like [`ConcurrentMap::size`] compose per-shard answers
-/// and are as non-linearizable as the underlying `size` already was). The
-/// one shared write an operation does make is its shard's own padded stats
-/// block ([`ShardStats`]): relaxed fetch-adds per single-key operation, one
-/// per shard touched for a batch.
+/// and are as non-linearizable as the underlying `size` already was). Nor
+/// does the bookkeeping add a shared write: an operation counts itself in
+/// its shard's [`ShardStats`], on the calling thread's own stripe of
+/// counters (per single-key operation, or per shard touched for a batch),
+/// and a snapshot sums the stripes.
 ///
 /// `ShardedMap` itself implements [`ConcurrentMap`], so it drops into the
 /// harness, the registry-driven benchmarks, and anywhere else a single
