@@ -277,8 +277,8 @@ static TABLE: &[Row] = &[
     info_only(Hotkeys, "hotkey_engine", |s| on_off(s.hotkey.is_some())),
     gauge(Hotkeys, "hotkey_fronted", ("ascy_hotkey_fronted", "Hot keys currently holding a front-cache slot."), |s| int(s.hotkey?.fronted)).stats("hotkey_fronted"),
     counter(Hotkeys, "hotkey_sampled", ("ascy_hotkey_sampled_total", "Accesses fed to the hot-key sketch."), |s| int(s.hotkey?.sampled)),
-    counter(Hotkeys, "hotkey_promotions", ("ascy_hotkey_promotions_total", "Keys promoted into the top-k set."), |s| int(s.hotkey?.promotions)),
-    counter(Hotkeys, "hotkey_demotions", ("ascy_hotkey_demotions_total", "Keys demoted out of the top-k set."), |s| int(s.hotkey?.demotions)),
+    counter(Hotkeys, "hotkey_promotions", ("ascy_hotkey_promotions_total", "Keys admitted to a front-cache slot."), |s| int(s.hotkey?.promotions)),
+    counter(Hotkeys, "hotkey_demotions", ("ascy_hotkey_demotions_total", "Keys that lost their front-cache slot."), |s| int(s.hotkey?.demotions)),
     counter(Hotkeys, "hotkey_front_hits", FRONT_READS, |s| int(s.hotkey?.front_hits)).labels(&[("result", "hit")]).stats("hotkey_front_hits"),
     counter(Hotkeys, "hotkey_front_absent", FRONT_READS, |s| int(s.hotkey?.front_absent)).labels(&[("result", "absent")]).stats("hotkey_front_absent"),
     counter(Hotkeys, "hotkey_front_pending", FRONT_READS, |s| int(s.hotkey?.front_pending)).labels(&[("result", "pending")]),
@@ -371,10 +371,13 @@ fn family_tail_lines(tel: &TelemetrySnapshot) -> String {
     s
 }
 
-/// `# hotkeys`: the current top-k, hottest first.
+/// Fronted keys `INFO hotkeys` lists; a default front holds ~2 000.
+const HOT_KEY_LINES: usize = 16;
+
+/// `# hotkeys`: the [`HOT_KEY_LINES`] hottest fronted keys, hottest first.
 fn hot_key_lines(hot_keys: &[(u64, u64)]) -> String {
     let mut s = String::new();
-    for (rank, (key, est)) in hot_keys.iter().enumerate() {
+    for (rank, (key, est)) in hot_keys.iter().take(HOT_KEY_LINES).enumerate() {
         let _ = writeln!(s, "hot_key_{rank}:key={key} est={est}");
     }
     s

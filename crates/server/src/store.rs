@@ -73,8 +73,8 @@ pub trait KvStore: Send + Sync + 'static {
     /// `None` when the map runs without an engine (`k = 0`).
     fn hotkey_stats(&self) -> Option<HotKeyStatsSnapshot>;
 
-    /// Current top-k hot keys as `(key, frequency estimate)` pairs,
-    /// hottest first (`INFO hotkeys`); empty without an engine.
+    /// The fronted keys as `(key, frequency estimate)` pairs, hottest
+    /// first (`INFO hotkeys` lists the first 16); empty without an engine.
     fn hot_keys(&self) -> Vec<(u64, u64)>;
 
     /// Upsert with a relative expiry (`SET … EX`): the value expires

@@ -128,7 +128,11 @@
 //! cache (their fill leases are simply dropped), so a front hit can never
 //! outlive its deadline. Eviction and expiry of a fronted key poison its
 //! seqlock slot *before* the handle is retired — the engine's never-stale
-//! guarantee survives the cache tier.
+//! guarantee survives the cache tier. A front hit never touches the blob,
+//! so it marks its slot instead, and the CLOCK hand counts a marked slot
+//! as a reference and clears the mark
+//! ([`HotKeyEngine::take_referenced`]): a key read only through the front
+//! is not evicted while it is read.
 //!
 //! # Consistency
 //!
@@ -889,7 +893,8 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         self.hot.as_deref().map(HotKeyEngine::stats)
     }
 
-    /// Current top-k hot keys (empty without an engine).
+    /// The fronted keys with their estimates, hottest first (empty
+    /// without an engine; see [`HotKeyEngine::hot_keys`]).
     pub fn hot_keys(&self) -> Vec<(u64, u64)> {
         self.hot.as_deref().map(HotKeyEngine::hot_keys).unwrap_or_default()
     }
@@ -1270,10 +1275,10 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     }
 
     /// CLOCK victim selection on `shard`: walks the index from the hand,
-    /// clears the reference bits it finds set, and returns the first
-    /// unreferenced `(key, handle)` — forcing the next one after two laps'
-    /// worth of entries, so concurrent re-referencing cannot starve the
-    /// evictor. `None` if the shard holds nothing. A hand whose lap has
+    /// clears the reference bits (and front-slot marks) it finds set, and
+    /// returns the first unreferenced `(key, handle)` — forcing the next one
+    /// after two laps' worth of entries, so concurrent re-referencing cannot
+    /// starve the evictor. `None` if the shard holds nothing. A hand whose lap has
     /// chosen two victims per value held wraps early (module docs).
     fn clock_victim(&self, shard: usize) -> Option<(u64, u64)> {
         let arena = &self.arenas[shard];
@@ -1288,9 +1293,16 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             // SAFETY: the walk's guard predates the fetch of `handle`.
             let meta = unsafe { meta_cell(blob_addr(handle)) };
             seen += 1;
-            if seen <= laps && meta.load(Ordering::Relaxed) & META_REF != 0 {
-                meta.fetch_and(!META_REF, Ordering::Relaxed);
-                return true;
+            if seen <= laps {
+                // A front hit leaves the blob untouched and marks the slot.
+                let front = self.hot.as_deref().is_some_and(|hot| hot.take_referenced(key));
+                let referenced = meta.load(Ordering::Relaxed) & META_REF != 0;
+                if referenced {
+                    meta.fetch_and(!META_REF, Ordering::Relaxed);
+                }
+                if referenced || front {
+                    return true;
+                }
             }
             victim = Some((key, handle));
             false

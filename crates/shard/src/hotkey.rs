@@ -2,28 +2,49 @@
 //! skewed traffic.
 //!
 //! Sharding removes *cross-key* contention, but under Zipfian skew a
-//! handful of keys dominate the traffic and every core fights over the
-//! same few cache lines — the exact phenomenon the paper's cache-miss
-//! analysis attributes slowdowns to, and one no amount of sharding can
-//! dilute (the hot key always routes to the same shard). This module
-//! attacks *intra-key* contention in three parts:
+//! minority of keys carries most of the traffic, and every read of one of
+//! them walks the same index path and arena indirection. By ASCY1 a search
+//! should store nothing and touch as few lines as possible; a read of a
+//! fronted key touches one direct-mapped slot. This module has three parts:
 //!
-//! 1. **Detection** — a per-shard, cache-padded count-min sketch updated
-//!    on a 1-in-N sample of operations (the hot path pays one thread-local
-//!    tick per op and ~one sketch increment per sample) feeds a small
-//!    top-k table (k ≤ 64) with periodic decay, exposed via
-//!    [`HotKeyEngine::hot_keys`].
-//! 2. **Front cache** — the top-k entries get seqlock-versioned value
-//!    copies in a small read-mostly slot array consulted *before* the
-//!    shard route on reads. A hit is a couple of shared (unbounced) cache
-//!    line reads and a short copy; the epoch guard, index probe, and
-//!    arena indirection of the backing path are all skipped.
+//! 1. **Detection** — each operation ticks a per-thread countdown; when it
+//!    runs out (on average once every `sample_every` operations) the key
+//!    bumps a per-shard conservative-update count-min sketch. A key whose
+//!    estimate reaches `promote_min` is admitted on the spot, in O(1): it
+//!    takes its direct-mapped slot if the slot is empty or if the
+//!    occupant's estimate is less than half of its own. Every
+//!    `decay_every` samples a shard's sketch is halved and the slots whose
+//!    occupants' estimates fell below half of `promote_min` are released.
+//!    [`HotKeyEngine::hot_keys`] reads the slots and the sketch.
+//! 2. **Front cache** — fronted keys get seqlock-versioned value copies in
+//!    a slot array consulted *before* the shard route on reads. A hit is a
+//!    filter load, a slot's lines and a short copy; the epoch guard, index
+//!    walk, and arena indirection of the backing path are all skipped. A
+//!    hit also marks the slot referenced (one store per CLOCK lap), so the
+//!    cache tier does not evict a key that is read only through the front.
 //! 3. **Write-through** — a write to a fronted key takes the key's slot
 //!    lock, applies to the backing and installs the new copy before it
 //!    releases ([`HotKeyEngine::write_through`]). The lock is held around
 //!    exactly the stores a sequential update would make, as in the
 //!    paper's lock-based structures; writes to different hot keys never
 //!    wait for each other.
+//!
+//! # Sizing
+//!
+//! Skew that matters is wide, not deep: under zipf(0.99) over 200 000 keys
+//! the top 16 keys carry a quarter of the traffic, the top 1 000 carry 57 %,
+//! and the top 2 000 carry 62 %. A front covers the median read only once
+//! it covers more than half of the traffic, so [`MAX_K`] and the default
+//! `k` are 1 024, i.e. 4 096 slots of ~300 B each. The defaults detect
+//! that deep: with 1-in-16 sampling, promotion at 16 and a decay every
+//! 65 536 samples per shard, a key is fronted once it carries about one
+//! operation in 8 000 of its shard's traffic — over four shards, rank
+//! ~2 500 of that keyspace. Fewer shards front fewer keys: a shard's sketch
+//! is sized for its own traffic, which keeps the noise floor under the
+//! threshold at any shard count. Uniform traffic pays one
+//! thread-local decrement per operation and never promotes, so the slot
+//! array and its filter, which the first promotion allocates, are never
+//! allocated: a read pays one load of an unset cell.
 //!
 //! # Coherence contract
 //!
@@ -53,9 +74,10 @@
 //! stays pending and reads pass through); their writes still go through
 //! the slot lock.
 
+use std::alloc::Layout;
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use crossbeam_utils::CachePadded;
 
@@ -66,9 +88,12 @@ use crate::stats::Striped;
 /// pass through to the backing on every read.
 pub const FRONT_VALUE_CAP: usize = 256;
 
-/// Hard ceiling on `k` (the front cache is a read-mostly *array*; past a
-/// few dozen entries the probe itself would start missing in cache).
-pub const MAX_K: usize = 64;
+/// Hard ceiling on `k`, and its default: 4 096 slots, enough to front the
+/// ~2 000 keys that carry 60 % of a zipf(0.99) stream (module docs). The
+/// cost is memory — about 1.2 MiB of slots, allocated by the first
+/// promotion — not probe time, which is one filter load per read at any
+/// size.
+pub const MAX_K: usize = 1024;
 
 const FRONT_WORDS: usize = FRONT_VALUE_CAP / 8;
 
@@ -78,42 +103,53 @@ const LEN_PENDING: u32 = u32::MAX;
 /// `len` sentinel: the key is known absent (cached negative lookup).
 const LEN_ABSENT: u32 = u32::MAX - 1;
 
-// 4 rows x 1024 columns x 4 B = 16 KiB per shard. Column count bounds
-// detection depth: a key is only distinguishable from collision noise
-// when its sample rate exceeds ~1/SKETCH_COLS of the stream, so 1024
-// columns resolve the full MAX_K tail of a zipf(1.2) keyspace where 256
-// would drown everything past rank ~30 in its own noise floor.
+// 4 rows x 8192 columns x 1 B = 32 KiB per shard. The column count sets
+// the noise floor: a decay epoch's 65 536 samples spread over 8192
+// columns leave uniform keys' estimates near 10 (4096 columns: near 16,
+// the promotion threshold), so a key stands out of the noise only when
+// it carries more than ~1/8192 of its shard's samples. A cell saturates
+// at 255, far above the threshold: past it a key is simply hot, and the
+// next decay lets a hotter key displace a saturated one that shares its
+// slot. One-byte cells keep the sketch, which uniform traffic touches
+// too, within the memory the engine used before it was widened.
 const SKETCH_ROWS: usize = 4;
-const SKETCH_COLS: usize = 1024;
+const SKETCH_COLS: usize = 8192;
+
+/// Estimate a pinned key is raised to: the largest a cell holds, which no
+/// sampled key can displace. Each decay halves it like any other, so a pin
+/// lasts ~8 decays.
+const PINNED: u8 = u8::MAX;
 
 /// Tuning knobs for [`HotKeyEngine`]. `k = 0` disables the engine
 /// entirely ([`HotKeyEngine::new`] returns `None` and the blob map runs
 /// its plain paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotKeyConfig {
-    /// Maximum keys fronted at once (clamped to [`MAX_K`]; 0 disables).
+    /// Front width: the engine has `4 × k` direct-mapped slots, rounded up
+    /// to a power of two (`k` is clamped to [`MAX_K`]; 0 disables).
     pub k: usize,
-    /// Sample 1 op in this many for sketch updates (rounded up to a power
-    /// of two; 1 samples everything — useful in tests).
+    /// Sample on average 1 op in this many for sketch updates (1 samples
+    /// everything — useful in tests).
     pub sample_every: u32,
-    /// Halve sketch and top-k counts every this many *sampled* updates.
+    /// Halve a shard's sketch every this many samples routed to that
+    /// shard, releasing the slots whose keys have cooled.
     pub decay_every: u64,
-    /// Sketch estimate needed before a key is considered for promotion.
+    /// Sketch estimate at which a sampled key is admitted to the front
+    /// (estimates saturate at 255).
     pub promote_min: u32,
 }
 
 impl Default for HotKeyConfig {
-    /// 16 fronted keys, 1-in-128 sampling, decay every 4096 samples,
-    /// promote at an estimate of 16. The sampling rate keeps the
-    /// detection cost on *cold* traffic (4 sketch-line touches per
-    /// sample) well under 1% of a backing operation. The
-    /// conservative-update sketch keeps a key's estimate near its true
-    /// sampled count, so the promotion threshold separates skew from
-    /// noise directly: a key must actually account for ~16 of the 4096
-    /// samples in a decay epoch (≈ 0.4% of all traffic) to be fronted,
-    /// which evenly spread workloads never reach.
+    /// 1 024 (4 096 slots), 1-in-16 sampling, decay every 65 536 samples
+    /// per shard, promote at an estimate of 16 (module docs, *Sizing*).
+    /// The conservative-update sketch keeps a key's estimate near its true
+    /// sampled count, so the promotion threshold separates skew from noise
+    /// directly: a key must account for ~8 of the 65 536 samples its shard
+    /// takes in a decay epoch (twice that before a decay halves it) to be
+    /// fronted. A uniform stream's estimates settle near 10, under the
+    /// threshold.
     fn default() -> Self {
-        HotKeyConfig { k: 16, sample_every: 128, decay_every: 4096, promote_min: 16 }
+        HotKeyConfig { k: MAX_K, sample_every: 16, decay_every: 65_536, promote_min: 16 }
     }
 }
 
@@ -178,11 +214,11 @@ pub struct FillTicket {
 /// Point-in-time engine counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotKeyStatsSnapshot {
-    /// Operations that passed the 1-in-N sampler into the sketch.
+    /// Operations the sampler fed into the sketch.
     pub sampled: u64,
-    /// Keys promoted into the front table.
+    /// Keys admitted to a front slot.
     pub promotions: u64,
-    /// Keys demoted (decayed out or displaced).
+    /// Keys that lost their slot (decayed out or displaced).
     pub demotions: u64,
     /// Reads served a value copy from the front cache.
     pub front_hits: u64,
@@ -219,20 +255,40 @@ impl HotKeyStatsSnapshot {
 }
 
 thread_local! {
-    static TICK: Cell<u32> = const { Cell::new(0) };
+    /// Operations this thread has left before its next sample.
+    static COUNTDOWN: Cell<u32> = const { Cell::new(1) };
+    /// The generator of the gaps between this thread's samples.
+    static GAP_SEED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `n` all-zero `T`s taken from the allocator's zeroed memory. Nothing
+/// writes the zeros, so the pages of a large slice stay out of the
+/// resident set until something stores into them.
+///
+/// # Safety
+///
+/// The all-zero bit pattern must be a valid `T`.
+unsafe fn zeroed_slice<T>(n: usize) -> Box<[T]> {
+    let layout = Layout::array::<T>(n).expect("slice size overflows");
+    assert!(layout.size() > 0, "zeroed_slice of a zero-sized layout");
+    // SAFETY: the layout has a non-zero size (asserted above).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<T>();
+    if ptr.is_null() {
+        std::alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` holds `n` zeroed `T`s, valid by the caller's promise,
+    // in an allocation of exactly `Layout::array::<T>(n)` — the layout a
+    // `Box<[T]>` of length `n` frees with.
+    unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, n)) }
 }
 
 // ---------------------------------------------------------------------------
-// Detection: per-shard count-min sketch + top-k table with decay.
+// Detection: per-shard count-min sketch with decay.
 
 struct Sketch {
-    rows: [[AtomicU32; SKETCH_COLS]; SKETCH_ROWS],
-}
-
-impl Default for Sketch {
-    fn default() -> Self {
-        Sketch { rows: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU32::new(0))) }
-    }
+    /// Samples routed to this sketch; every `decay_every`th halves it.
+    samples: CachePadded<AtomicU64>,
+    rows: [[AtomicU8; SKETCH_COLS]; SKETCH_ROWS],
 }
 
 #[inline]
@@ -242,6 +298,21 @@ fn mix(key: u64) -> u64 {
 }
 
 impl Sketch {
+    /// The key's cell in each row.
+    fn cells(&self, key: u64) -> [&AtomicU8; SKETCH_ROWS] {
+        let h1 = mix(key);
+        let h2 = mix(key ^ 0xC2B2_AE3D_27D4_EB4F) | 1;
+        std::array::from_fn(|i| {
+            let idx = h1.wrapping_add(h2.wrapping_mul(i as u64)) % SKETCH_COLS as u64;
+            &self.rows[i][idx as usize]
+        })
+    }
+
+    /// The count-min estimate of `key`: the least of its cells.
+    fn estimate(&self, key: u64) -> u32 {
+        self.cells(key).iter().map(|c| u32::from(c.load(Ordering::Relaxed))).min().unwrap_or(0)
+    }
+
     /// Conservative-update increment: raises only the cells below
     /// `min + 1` (via `fetch_max`, so racing bumps stay monotone) and
     /// returns the new count-min estimate. Plain count-min inflates every
@@ -252,24 +323,24 @@ impl Sketch {
     /// rank and uniform background where plain count-min could not
     /// separate the two.
     fn bump(&self, key: u64) -> u32 {
-        let h1 = mix(key);
-        let h2 = mix(key ^ 0xC2B2_AE3D_27D4_EB4F) | 1;
-        let mut cells: [&AtomicU32; SKETCH_ROWS] = [&self.rows[0][0]; SKETCH_ROWS];
-        let mut est = u32::MAX;
-        for (i, row) in self.rows.iter().enumerate() {
-            let idx = (h1.wrapping_add(h2.wrapping_mul(i as u64)) % SKETCH_COLS as u64) as usize;
-            cells[i] = &row[idx];
-            est = est.min(cells[i].load(Ordering::Relaxed));
+        let cells = self.cells(key);
+        let seen = cells.map(|c| c.load(Ordering::Relaxed));
+        let est = seen.iter().copied().min().unwrap_or(0);
+        // A saturated estimate stays put until a decay halves it.
+        let Some(target) = est.checked_add(1) else { return u32::from(est) };
+        for (cell, seen) in cells.iter().zip(seen) {
+            if seen < target {
+                cell.fetch_max(target, Ordering::Relaxed);
+            }
         }
-        // Saturate well below u32::MAX so decay halving never wraps.
-        if est >= u32::MAX / 2 {
-            return est;
+        u32::from(target)
+    }
+
+    /// Raises every cell of `key` to at least `to`.
+    fn raise(&self, key: u64, to: u8) {
+        for cell in self.cells(key) {
+            cell.fetch_max(to, Ordering::Relaxed);
         }
-        let target = est + 1;
-        for cell in cells {
-            cell.fetch_max(target, Ordering::Relaxed);
-        }
-        target
     }
 
     /// Halves every cell. Racy against concurrent bumps (an increment can
@@ -286,12 +357,6 @@ impl Sketch {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TopEntry {
-    key: u64,
-    count: u32,
-}
-
 // ---------------------------------------------------------------------------
 // Front cache slots.
 
@@ -303,24 +368,16 @@ struct FrontSlot {
     seq: AtomicU64,
     /// The fronted key (0 = empty; the structures reserve key 0).
     key: AtomicU64,
-    /// Cached payload length, or [`LEN_PENDING`] / [`LEN_ABSENT`].
+    /// Cached payload length, or [`LEN_PENDING`] / [`LEN_ABSENT`]
+    /// (meaningless while `key` is 0).
     len: AtomicU32,
     /// Slot writer lock (write-through, fills, poisons, claims).
     lock: AtomicU32,
+    /// Set by a front hit when clear, cleared by the cache tier's CLOCK
+    /// hand ([`HotKeyEngine::take_referenced`]) and by a change of owner.
+    referenced: AtomicU32,
     /// Payload bytes, word-packed (torn reads are rejected by `seq`).
     words: [AtomicU64; FRONT_WORDS],
-}
-
-impl Default for FrontSlot {
-    fn default() -> Self {
-        FrontSlot {
-            seq: AtomicU64::new(0),
-            key: AtomicU64::new(0),
-            len: AtomicU32::new(LEN_PENDING),
-            lock: AtomicU32::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 impl FrontSlot {
@@ -400,7 +457,6 @@ enum SlotState<'a> {
 // The engine.
 
 struct EngineCounters {
-    sampled: AtomicU64,
     promotions: AtomicU64,
     demotions: AtomicU64,
     front_hits: Striped<AtomicU64>,
@@ -414,7 +470,6 @@ struct EngineCounters {
 impl Default for EngineCounters {
     fn default() -> Self {
         EngineCounters {
-            sampled: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
             front_hits: Striped::default(),
@@ -427,32 +482,47 @@ impl Default for EngineCounters {
     }
 }
 
-/// The three-part hot-key engine (see the module docs). One instance
-/// serves one [`BlobMap`](crate::BlobMap), which constructs it
-/// (`with_hotkeys`, `with_config`) and threads every operation through it.
-pub struct HotKeyEngine {
-    k: usize,
-    sample_mask: u32,
-    decay_every: u64,
-    promote_min: u32,
-    router: ShardRouter,
-    sketches: Box<[CachePadded<Sketch>]>,
-    samples: CachePadded<AtomicU64>,
-    topk: Mutex<Vec<TopEntry>>,
+/// The front slots and their filter.
+struct Front {
     slots: Box<[FrontSlot]>,
     /// Read-path filter mirroring each slot's owner key. A `FrontSlot`
     /// spans multiple cache lines, so cold-key probes into `slots` would
     /// miss L1; this dense array (8 B per slot) stays resident and
     /// rejects non-fronted keys with a single relaxed load. It is
-    /// updated under the slot lock wherever ownership changes; a stale
-    /// entry can only cause a benign miss or a wasted full probe — the
-    /// slot's own `key` stays authoritative inside the seqlock dance.
+    /// updated under the slot lock wherever ownership changes, after the
+    /// slot itself; a stale entry can only cause a benign miss or a wasted
+    /// full probe — the slot's own `key` stays authoritative inside the
+    /// seqlock dance.
     filter: Box<[AtomicU64]>,
+}
+
+impl Front {
+    fn new(slot_count: usize) -> Front {
+        // SAFETY: slots and filter entries are atomics throughout; all-zero
+        // is an empty slot (key 0) and an empty filter entry. Zeroed
+        // allocations leave the pages of slots no key ever takes untouched.
+        unsafe { Front { slots: zeroed_slice(slot_count), filter: zeroed_slice(slot_count) } }
+    }
+}
+
+/// The three-part hot-key engine (see the module docs). One instance
+/// serves one [`BlobMap`](crate::BlobMap), which constructs it
+/// (`with_hotkeys`, `with_config`) and threads every operation through it.
+pub struct HotKeyEngine {
+    k: usize,
+    sample_every: u32,
+    decay_every: u64,
+    promote_min: u32,
+    router: ShardRouter,
+    sketches: Box<[Sketch]>,
+    slot_count: usize,
     slot_shift: u32,
+    /// The slot array, allocated by the first promotion: until then a
+    /// front probe is one load of this cell, and an engine that never
+    /// promotes costs no memory for it.
+    front: OnceLock<Front>,
     /// Number of slots currently owning a key (`slot.key != 0`),
-    /// maintained under the slot locks. Readers use a relaxed load of
-    /// this as a zero-cost "is the front even populated" early-out: a
-    /// stale zero only costs one backing read, never staleness.
+    /// maintained under the slot locks: the `fronted` gauge.
     live: CachePadded<AtomicU64>,
     c: EngineCounters,
 }
@@ -466,29 +536,29 @@ impl HotKeyEngine {
             return None;
         }
         let k = cfg.k.min(MAX_K);
-        // 4x fan-out: top-k keys are direct-mapped, so slot collisions
-        // silently halve coverage of the hot mass; at 4k slots the
-        // expected number of colliding top-k keys stays in single digits
-        // even at MAX_K.
+        // 4x fan-out: keys are direct-mapped, and a slot shared by two hot
+        // keys fronts only one of them. With 4k slots, a key of rank r
+        // finds its slot held by a key more than twice as hot (which keeps
+        // it) with probability ~r / 8k, so the top k keep over 90 % of
+        // their slots.
         let slot_count = (k * 4).next_power_of_two().max(8);
         Some(Box::new(HotKeyEngine {
             k,
-            sample_mask: cfg.sample_every.next_power_of_two().max(1) - 1,
+            sample_every: cfg.sample_every.max(1),
             decay_every: cfg.decay_every.max(1),
             promote_min: cfg.promote_min.max(1),
             router: ShardRouter::new(shards),
-            sketches: (0..shards).map(|_| CachePadded::new(Sketch::default())).collect(),
-            samples: CachePadded::new(AtomicU64::new(0)),
-            topk: Mutex::new(Vec::with_capacity(k)),
-            slots: (0..slot_count).map(|_| FrontSlot::default()).collect(),
-            filter: (0..slot_count).map(|_| AtomicU64::new(0)).collect(),
+            // SAFETY: a sketch is atomics throughout; all-zero is empty.
+            sketches: unsafe { zeroed_slice(shards) },
+            slot_count,
             slot_shift: 64 - slot_count.trailing_zeros(),
+            front: OnceLock::new(),
             live: CachePadded::new(AtomicU64::new(0)),
             c: EngineCounters::default(),
         }))
     }
 
-    /// Maximum fronted keys this engine was configured for.
+    /// The `k` this engine was configured for (it has `4 × k` slots).
     pub fn k(&self) -> usize {
         self.k
     }
@@ -498,201 +568,150 @@ impl HotKeyEngine {
         (mix(key) >> self.slot_shift) as usize
     }
 
+    /// `key`'s slot and index if the filter names `key` (so it may own the
+    /// slot). A `None` is final for callers that have already written the
+    /// backing (module docs); a slot handed back is checked against its
+    /// own `key`.
     #[inline]
-    fn slot_of(&self, key: u64) -> &FrontSlot {
-        &self.slots[self.slot_idx(key)]
+    fn probe(&self, key: u64) -> Option<(&FrontSlot, usize)> {
+        let front = self.front.get()?;
+        let idx = self.slot_idx(key);
+        (key != 0 && front.filter[idx].load(Ordering::Relaxed) == key)
+            .then(|| (&front.slots[idx], idx))
+    }
+
+    fn sketch_of(&self, key: u64) -> &Sketch {
+        &self.sketches[self.router.route(key)]
     }
 
     // -- detection ---------------------------------------------------------
 
     /// Hot-path detection hook: call once per keyspace operation. Pays a
-    /// thread-local tick; 1-in-N calls feed the sketch and may promote.
-    /// The tick counter is shared by every engine the thread drives, so
-    /// the fire decision hashes it with a per-engine salt (the engine's
-    /// address — stable, it lives in a `Box`): two engines interleaved on
-    /// one thread each see a strided subsequence of the shared ticks, and
-    /// an unsalted `tick & mask` test would systematically miss (or
-    /// double-fire) on such strides instead of sampling 1-in-N.
+    /// thread-local decrement; when the countdown runs out, the key feeds
+    /// the sketch (and may be admitted) and the next gap is drawn uniformly
+    /// from `1..2N` for a mean of `N = sample_every`. The countdown is
+    /// shared by every engine the thread drives; random gaps keep a strided
+    /// interleaving of two engines from starving either.
     #[inline]
     pub fn record_access(&self, key: u64) {
         if key == 0 {
             return;
         }
-        let salt = self as *const Self as u64;
-        let fire = TICK.with(|t| {
-            let v = t.get().wrapping_add(1);
-            t.set(v);
-            (mix(u64::from(v) ^ salt) as u32) & self.sample_mask == 0
+        let left = COUNTDOWN.with(|c| {
+            let left = c.get() - 1;
+            c.set(left);
+            left
         });
-        if fire {
+        if left == 0 {
             self.sample(key);
         }
     }
 
     #[cold]
     fn sample(&self, key: u64) {
-        self.c.sampled.fetch_add(1, Ordering::Relaxed);
+        let seed = GAP_SEED.with(|g| {
+            let seed = g.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+            g.set(seed);
+            seed
+        });
+        let gap = 1 + (mix(seed) % (2 * u64::from(self.sample_every) - 1)) as u32;
+        COUNTDOWN.with(|c| c.set(gap));
         let shard = self.router.route(key);
-        let est = self.sketches[shard].bump(key);
-        let n = self.samples.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % self.decay_every == 0 {
-            self.decay();
+        let sketch = &self.sketches[shard];
+        let est = sketch.bump(key);
+        if (sketch.samples.fetch_add(1, Ordering::Relaxed) + 1) % self.decay_every == 0 {
+            self.decay(shard);
         }
         if est >= self.promote_min {
-            self.try_promote(key, est);
+            self.admit(key, est);
         }
     }
 
-    fn decay(&self) {
-        for s in self.sketches.iter() {
-            s.decay();
-        }
-        let Ok(mut topk) = self.topk.lock() else { return };
-        let mut evicted: Vec<u64> = Vec::new();
-        topk.retain_mut(|e| {
-            e.count /= 2;
-            if e.count == 0 {
-                evicted.push(e.key);
-                false
-            } else {
-                true
-            }
-        });
-        drop(topk);
-        for key in evicted {
-            self.release_slot(key);
-            self.c.demotions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn try_promote(&self, key: u64, est: u32) {
-        // Contended promotion attempts just skip: detection is statistical
-        // and another sample will come around.
-        let Ok(mut topk) = self.topk.try_lock() else { return };
-        if let Some(e) = topk.iter_mut().find(|e| e.key == key) {
-            e.count = e.count.max(est);
-            let est = e.count;
-            drop(topk);
-            // Re-claim in case the slot was stolen or never claimed.
-            self.claim_slot(key, est);
-            return;
-        }
-        if topk.len() < self.k {
-            topk.push(TopEntry { key, count: est });
-            drop(topk);
-            self.c.promotions.fetch_add(1, Ordering::Relaxed);
-            self.claim_slot(key, est);
-            return;
-        }
-        let (min_idx, min_count) = topk
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.count))
-            .min_by_key(|&(_, c)| c)
-            .expect("top-k is non-empty here");
-        if est > min_count.saturating_mul(2) {
-            let displaced = topk[min_idx].key;
-            topk[min_idx] = TopEntry { key, count: est };
-            drop(topk);
-            self.release_slot(displaced);
-            self.c.demotions.fetch_add(1, Ordering::Relaxed);
-            self.c.promotions.fetch_add(1, Ordering::Relaxed);
-            self.claim_slot(key, est);
-        }
-    }
-
-    /// Points the key's direct-mapped slot at it (state pending) unless a
-    /// clearly hotter key already owns the slot.
-    fn claim_slot(&self, key: u64, est: u32) {
+    /// O(1) admission of a key whose estimate reached the threshold: it
+    /// takes its slot if the slot is empty, or if the occupant's estimate
+    /// is less than half of its own (the margin keeps two keys of similar
+    /// heat from trading the slot back and forth).
+    fn admit(&self, key: u64, est: u32) {
+        let front = self.front.get_or_init(|| Front::new(self.slot_count));
         let idx = self.slot_idx(key);
-        let slot = &self.slots[idx];
-        let cur = slot.key.load(Ordering::Relaxed);
-        if cur == key {
+        let cur = front.filter[idx].load(Ordering::Relaxed);
+        if cur == key || (cur != 0 && est <= self.sketch_of(cur).estimate(cur).saturating_mul(2)) {
             return;
         }
-        if cur != 0 {
-            // Direct-mapped collision between two top-k keys: steal only
-            // with clear margin (hysteresis keeps the slot from flapping).
-            let cur_est = self
-                .topk
-                .lock()
-                .map(|t| t.iter().find(|e| e.key == cur).map_or(0, |e| e.count))
-                .unwrap_or(0);
-            if est <= cur_est.saturating_mul(2) {
-                return;
+        self.take_slot(front, idx, key);
+    }
+
+    /// Halves shard `shard`'s sketch, then releases the slots of its keys
+    /// whose estimate fell below half the promotion threshold.
+    fn decay(&self, shard: usize) {
+        self.sketches[shard].decay();
+        let Some(front) = self.front.get() else { return };
+        let floor = self.promote_min / 2;
+        for (idx, entry) in front.filter.iter().enumerate() {
+            let key = entry.load(Ordering::Relaxed);
+            if key != 0
+                && self.router.route(key) == shard
+                && self.sketches[shard].estimate(key) < floor
+            {
+                self.release_slot(front, idx, key);
             }
         }
-        self.take_slot(idx, key);
     }
 
     /// Points slot `idx` at `key`, pending, whatever it held before.
-    fn take_slot(&self, idx: usize, key: u64) {
-        let slot = &self.slots[idx];
+    fn take_slot(&self, front: &Front, idx: usize, key: u64) {
+        let slot = &front.slots[idx];
         slot.acquire();
-        if slot.key.load(Ordering::Relaxed) == 0 {
-            self.live.fetch_add(1, Ordering::Relaxed);
+        let prev = slot.key.load(Ordering::Relaxed);
+        if prev != key {
+            if prev == 0 {
+                self.live.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.c.demotions.fetch_add(1, Ordering::Relaxed);
+            }
+            self.c.promotions.fetch_add(1, Ordering::Relaxed);
+            slot.write(key, SlotState::Pending);
+            slot.referenced.store(0, Ordering::Relaxed);
+            front.filter[idx].store(key, Ordering::Relaxed);
         }
-        slot.write(key, SlotState::Pending);
-        self.filter[idx].store(key, Ordering::Relaxed);
         slot.release();
     }
 
-    fn release_slot(&self, key: u64) {
-        let idx = self.slot_idx(key);
-        let slot = &self.slots[idx];
-        if slot.key.load(Ordering::Relaxed) != key {
-            return;
-        }
+    /// Empties slot `idx` if it still fronts `key`.
+    fn release_slot(&self, front: &Front, idx: usize, key: u64) {
+        let slot = &front.slots[idx];
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) == key {
             self.live.fetch_sub(1, Ordering::Relaxed);
+            self.c.demotions.fetch_add(1, Ordering::Relaxed);
             slot.write(0, SlotState::Pending);
-            self.filter[idx].store(0, Ordering::Relaxed);
+            slot.referenced.store(0, Ordering::Relaxed);
+            front.filter[idx].store(0, Ordering::Relaxed);
         }
         slot.release();
     }
 
-    /// Forces `key` into the top-k table and claims its slot (evicting
-    /// the coldest entry if full). For tests and operational pinning.
+    /// Fronts `key` now, whatever holds its slot, and raises its estimate
+    /// far above any sampled count (decay halves it like any other, so a
+    /// pin lasts ~30 decays). For tests and operational pinning.
     pub fn pin(&self, key: u64) {
-        let mut topk = self.topk.lock().expect("top-k lock poisoned");
-        let count = u32::MAX / 4;
-        if let Some(e) = topk.iter_mut().find(|e| e.key == key) {
-            e.count = count;
-        } else {
-            if topk.len() >= self.k {
-                let (min_idx, _) = topk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (i, e.count))
-                    .min_by_key(|&(_, c)| c)
-                    .expect("top-k non-empty");
-                let displaced = topk.swap_remove(min_idx).key;
-                drop(topk);
-                self.release_slot(displaced);
-                self.c.demotions.fetch_add(1, Ordering::Relaxed);
-                topk = self.topk.lock().expect("top-k lock poisoned");
-            }
-            topk.push(TopEntry { key, count });
-            self.c.promotions.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(topk);
-        // Pinning overrides the hysteresis: evict whatever holds the slot.
-        let idx = self.slot_idx(key);
-        if self.slots[idx].key.load(Ordering::Relaxed) != key {
-            self.take_slot(idx, key);
-        }
+        self.sketch_of(key).raise(key, PINNED);
+        let front = self.front.get_or_init(|| Front::new(self.slot_count));
+        self.take_slot(front, self.slot_idx(key), key);
     }
 
-    /// The current top-k table: `(key, frequency estimate)` pairs, hottest
-    /// first. Estimates are sampled counts (multiply by the sampling rate
-    /// for an absolute figure) and decay over time.
+    /// The fronted keys with their sketch estimates, hottest first.
+    /// Estimates are sampled counts (multiply by the sampling rate for an
+    /// absolute figure) and decay over time.
     pub fn hot_keys(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self
-            .topk
-            .lock()
-            .map(|t| t.iter().map(|e| (e.key, e.count as u64)).collect())
-            .unwrap_or_default();
+        let Some(front) = self.front.get() else { return Vec::new() };
+        let mut v: Vec<(u64, u64)> = front
+            .filter
+            .iter()
+            .map(|entry| entry.load(Ordering::Relaxed))
+            .filter(|&key| key != 0)
+            .map(|key| (key, u64::from(self.sketch_of(key).estimate(key))))
+            .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -705,23 +724,14 @@ impl HotKeyEngine {
     /// [`FrontRead`] for the contract of each arm.
     #[inline]
     pub fn read(&self, key: u64, out: &mut Vec<u8>) -> FrontRead {
-        // Empty-front early-out: until detection promotes something, the
-        // whole probe is one relaxed load of a read-mostly line. (Reads
-        // that race a first promotion may still see zero and miss — one
-        // extra backing read, never a stale value.)
-        if key == 0 || self.live.load(Ordering::Relaxed) == 0 {
-            return FrontRead::Miss;
-        }
-        let idx = (mix(key) >> self.slot_shift) as usize;
-        // Cold-key fast path: a single relaxed load of the L1-resident
-        // filter rejects keys that are not fronted without touching the
-        // (much larger) slot array. Races with a concurrent claim/steal
-        // are benign — the backing store is always coherent, so a stale
-        // mismatch just means one more backing read.
-        if self.filter[idx].load(Ordering::Relaxed) != key {
-            return FrontRead::Miss;
-        }
-        let slot = &self.slots[idx];
+        // Until detection promotes something the whole probe is one load
+        // of the unset `front` cell. Then the cold-key fast path: a single
+        // relaxed load of the L1-resident filter rejects keys that are not
+        // fronted without touching the (much larger) slot array. Races
+        // with a concurrent claim/steal are benign — the backing store is
+        // always coherent, so a stale mismatch just means one more backing
+        // read.
+        let Some((slot, idx)) = self.probe(key) else { return FrontRead::Miss };
         let start = out.len();
         for _ in 0..2 {
             let s1 = slot.seq.load(Ordering::Acquire);
@@ -750,6 +760,10 @@ impl HotKeyEngine {
                     out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
                 }
                 out.truncate(start + len);
+                // One store per CLOCK lap, not one per read.
+                if slot.referenced.load(Ordering::Relaxed) == 0 {
+                    slot.referenced.store(1, Ordering::Relaxed);
+                }
                 FrontRead::Hit
             };
             fence(Ordering::Acquire);
@@ -780,7 +794,8 @@ impl HotKeyEngine {
                 return;
             }
         }
-        let slot = &self.slots[ticket.slot];
+        let Some(front) = self.front.get() else { return };
+        let slot = &front.slots[ticket.slot];
         // Opportunistic: a busy slot means a writer or another fill is
         // active; dropping this fill is always safe.
         if !slot.try_acquire() {
@@ -801,10 +816,13 @@ impl HotKeyEngine {
     // -- front cache: write side -------------------------------------------
 
     /// `true` if writes to `key` must go through
-    /// [`write_through`](Self::write_through).
+    /// [`write_through`](Self::write_through). Reads only the filter: the
+    /// slot's line is left for `write_through`'s lock to take exclusive in
+    /// one transfer, and a stale `true` costs only a plain apply under
+    /// that lock.
     #[inline]
     pub fn fronted(&self, key: u64) -> bool {
-        key != 0 && self.slot_of(key).key.load(Ordering::Acquire) == key
+        self.probe(key).is_some()
     }
 
     /// Post-apply hook for plain (not write-through) writers: if the key
@@ -813,22 +831,34 @@ impl HotKeyEngine {
     /// served a value older than this completed write. The cache tier's
     /// eviction and expiry paths call this too — always *before* the
     /// backing handle is retired, so a front copy never outlives (or
-    /// dangles past) the value it mirrors.
+    /// dangles past) the value it mirrors. A claim writes the slot before
+    /// the filter, and a reader needs the filter to name the key before
+    /// it can take a lease, so a filter that does not name the key here
+    /// means no lease predates this write.
     #[inline]
     pub fn poison(&self, key: u64) {
-        if key == 0 {
-            return;
-        }
-        let slot = self.slot_of(key);
-        if slot.key.load(Ordering::Relaxed) != key {
-            return;
-        }
+        let Some((slot, _)) = self.probe(key) else { return };
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) == key {
             slot.write(key, SlotState::Pending);
             self.c.poisons.fetch_add(1, Ordering::Relaxed);
         }
         slot.release();
+    }
+
+    /// CLOCK's view of front hits: `true` if `key` is fronted and was
+    /// served from the front since the last call, which clears the mark.
+    /// A front hit touches no blob, so the blob's own reference bit never
+    /// sees it; the cache tier consumes this mark the way it consumes that
+    /// bit, so a fronted key that is no longer read goes after one lap.
+    pub fn take_referenced(&self, key: u64) -> bool {
+        let Some((slot, _)) = self.probe(key) else { return false };
+        let referenced = &slot.referenced;
+        let marked = referenced.load(Ordering::Relaxed) != 0;
+        if marked {
+            referenced.store(0, Ordering::Relaxed);
+        }
+        marked
     }
 
     /// Applies a write to fronted `key` and refreshes its copy
@@ -853,16 +883,26 @@ impl HotKeyEngine {
         value: Option<&[u8]>,
         apply: impl FnOnce() -> bool,
     ) -> bool {
-        self.c.delegated.incr();
-        let slot = self.slot_of(key);
+        let Some(front) = self.front.get() else {
+            // Nothing was fronted when the caller checked; a promotion
+            // since is handled the plain writers' way.
+            let ok = apply();
+            self.poison(key);
+            return ok;
+        };
+        let slot = &front.slots[self.slot_idx(key)];
         slot.acquire();
         if slot.key.load(Ordering::Relaxed) != key {
             let ok = apply();
             slot.release();
             return ok;
         }
+        self.c.delegated.incr();
         let s = slot.begin_write();
         let ok = apply();
+        // The copy's stores drain from the store buffer after this returns;
+        // stored before `apply`, they would stall its first locked
+        // instruction instead.
         match value {
             Some(v) if v.len() <= FRONT_VALUE_CAP => slot.store(key, SlotState::Value(v)),
             Some(_) => slot.store(key, SlotState::Pending),
@@ -880,7 +920,7 @@ impl HotKeyEngine {
     pub fn stats(&self) -> HotKeyStatsSnapshot {
         let delegated = self.c.delegated.total();
         HotKeyStatsSnapshot {
-            sampled: self.c.sampled.load(Ordering::Relaxed),
+            sampled: self.sketches.iter().map(|s| s.samples.load(Ordering::Relaxed)).sum(),
             promotions: self.c.promotions.load(Ordering::Relaxed),
             demotions: self.c.demotions.load(Ordering::Relaxed),
             front_hits: self.c.front_hits.total(),
@@ -890,8 +930,7 @@ impl HotKeyEngine {
             poisons: self.c.poisons.load(Ordering::Relaxed),
             delegated,
             combined_batches: delegated,
-            fronted: self.slots.iter().filter(|s| s.key.load(Ordering::Relaxed) != 0).count()
-                as u64,
+            fronted: self.live.load(Ordering::Relaxed),
         }
     }
 }
@@ -900,7 +939,7 @@ impl std::fmt::Debug for HotKeyEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HotKeyEngine")
             .field("k", &self.k)
-            .field("slots", &self.slots.len())
+            .field("slots", &self.slot_count)
             .field("stats", &self.stats())
             .finish()
     }
@@ -934,11 +973,30 @@ mod tests {
     }
 
     #[test]
+    fn the_first_promotion_allocates_the_front() {
+        let e = HotKeyEngine::new(
+            2,
+            HotKeyConfig { k: 4, sample_every: 1, decay_every: 1 << 40, promote_min: 3 },
+        )
+        .unwrap();
+        for key in 1..=1000 {
+            e.record_access(key);
+            e.record_access(key);
+        }
+        let mut out = Vec::new();
+        assert!(matches!(e.read(5, &mut out), FrontRead::Miss));
+        e.poison(5);
+        assert!(e.front.get().is_none(), "keys below the threshold allocate no slots");
+        e.record_access(5);
+        assert!(e.front.get().is_some() && e.fronted(5), "a promotion allocates and fronts");
+    }
+
+    #[test]
     fn interleaved_engines_both_sample() {
         // Two engines driven alternately by one thread share the
-        // per-thread tick; the per-engine salt must keep both samplers
-        // firing (an unsalted `tick & mask` test strands whichever
-        // engine lands on the wrong residue of the shared stride).
+        // per-thread countdown; its random gaps must keep both samplers
+        // firing (a fixed gap of 2 strands whichever engine lands on the
+        // wrong residue of the shared stride).
         let cfg = HotKeyConfig { sample_every: 2, ..Default::default() };
         let a = HotKeyEngine::new(2, cfg).unwrap();
         let b = HotKeyEngine::new(2, cfg).unwrap();
@@ -1118,15 +1176,65 @@ mod tests {
         assert_eq!(s.combined_batches, s.delegated);
     }
 
+    /// A key that shares `key`'s direct-mapped slot.
+    fn slot_mate(e: &HotKeyEngine, key: u64) -> u64 {
+        (key + 1..).find(|&k| e.slot_idx(k) == e.slot_idx(key)).expect("some key shares the slot")
+    }
+
     #[test]
-    fn pin_evicts_the_coldest_when_full() {
+    fn pin_takes_its_slot_from_any_occupant() {
         let e = eager(2);
+        let mate = slot_mate(&e, 1);
         e.pin(1);
         e.pin(2);
-        e.pin(3);
+        e.pin(mate);
+        assert!(e.fronted(mate), "the latest pin owns the slot");
+        assert!(!e.fronted(1), "the pinned key it displaced lost its slot");
         let hot = e.hot_keys();
-        assert_eq!(hot.len(), 2);
-        assert!(hot.iter().any(|&(k, _)| k == 3), "latest pin wins: {hot:?}");
+        assert!(hot.iter().any(|&(k, _)| k == mate), "{hot:?}");
+        assert!(hot.iter().all(|&(k, _)| k != 1), "{hot:?}");
+        assert_eq!(e.stats().fronted, hot.len() as u64, "the gauge counts the fronted keys");
+    }
+
+    #[test]
+    fn admission_takes_a_slot_only_from_a_much_colder_occupant() {
+        let e = HotKeyEngine::new(
+            1,
+            HotKeyConfig { k: 4, sample_every: 1, decay_every: 1 << 40, promote_min: 2 },
+        )
+        .unwrap();
+        let (a, b) = (5, slot_mate(&e, 5));
+        for _ in 0..10 {
+            e.record_access(a);
+        }
+        assert!(e.fronted(a), "an estimate past the threshold takes an empty slot");
+        for _ in 0..20 {
+            e.record_access(b);
+        }
+        assert!(e.fronted(a), "twice the occupant's estimate is not enough to displace it");
+        e.record_access(b);
+        assert!(e.fronted(b), "more than twice the occupant's estimate takes the slot");
+        assert!(!e.fronted(a));
+        let s = e.stats();
+        assert_eq!((s.promotions, s.demotions, s.fronted), (2, 1, 1), "{s:?}");
+    }
+
+    #[test]
+    fn a_front_hit_marks_its_slot_until_clock_takes_the_mark() {
+        let e = eager(4);
+        assert!(!e.take_referenced(7), "an empty front marks nothing");
+        e.pin(7);
+        let mut out = Vec::new();
+        let FrontRead::Pending(t) = e.read(7, &mut out) else { panic!("pending") };
+        e.fill(&t, Some(b"v"));
+        assert!(!e.take_referenced(7), "a fill is not a front hit");
+        for _ in 0..3 {
+            out.clear();
+            assert!(matches!(e.read(7, &mut out), FrontRead::Hit));
+        }
+        assert!(e.take_referenced(7), "hits mark the slot");
+        assert!(!e.take_referenced(7), "taking the mark clears it");
+        assert!(!e.take_referenced(8), "an unfronted key is never marked");
     }
 
     #[test]

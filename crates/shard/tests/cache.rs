@@ -223,6 +223,44 @@ fn evicting_a_fronted_key_never_serves_the_retired_blob() {
     assert_eq!(map.get_owned(1).as_deref(), Some(&b"fresh"[..]));
 }
 
+/// The other side of the same contract: a front hit touches no blob, so it
+/// marks its front slot, and the CLOCK hand counts the mark as a reference.
+/// A budgeted key read only through the front, once between any two
+/// fillers, outlives two laps of churn.
+#[test]
+fn a_key_read_only_through_the_front_survives_two_laps_of_churn() {
+    let cfg = CacheConfig::unbounded().with_budget(4 * 1024);
+    let map = BlobMap::with_config(1, HotKeyConfig::eager(8), cfg, |_| FraserOptSkipList::new());
+    assert!(map.set(1, b"pinned"));
+    for _ in 0..64 {
+        assert_eq!(map.get_owned(1).as_deref(), Some(&b"pinned"[..]));
+    }
+    let mut hits = map.hotkey_stats().expect("engine is attached").front_hits;
+    assert!(hits > 0, "64 reads of one key must promote and front it");
+
+    // A lap chooses at most two victims per value the shard holds, so
+    // four evictions per value held span at least two laps.
+    let mut filler = 1000u64;
+    let mut held = 0;
+    while held == 0 || map.cache_stats().evictions < 4 * held {
+        map.set(filler, &[0u8; 128]);
+        filler += 1;
+        if map.cache_stats().evictions > 0 && held == 0 {
+            held = map.total_arena_stats().live_blobs();
+        }
+        assert_eq!(
+            map.get_owned(1).as_deref(),
+            Some(&b"pinned"[..]),
+            "evicted after {} evictions",
+            map.cache_stats().evictions
+        );
+        let now = map.hotkey_stats().expect("engine is attached").front_hits;
+        assert_eq!(now, hits + 1, "every read of the key is a front hit");
+        hits = now;
+        assert!(filler < 1000 + 100_000, "churn never evicted enough");
+    }
+}
+
 /// The expiry flavour of the same contract: arming a TTL on a fronted key
 /// poisons its slot (TTL'd values are never front-cached), and once the
 /// deadline lapses the key reads as absent everywhere — the front cache

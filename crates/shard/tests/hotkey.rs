@@ -18,13 +18,20 @@
 //!   "never older than the last completed write" clause verbatim;
 //! * **differential** (proptest) — the same operation sequence against an
 //!   engine-on and an engine-off `BlobMap` must be observably equivalent.
+//!
+//! Two more hold the default sizing to both sides of its claim: a
+//! zipf(0.99) stream is served mostly from the front, and a uniform one
+//! promotes nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ascylib::skiplist::FraserOptSkipList;
+use ascylib_harness::{KeyDist, KeySampler};
 use ascylib_shard::hotkey::FRONT_VALUE_CAP;
-use ascylib_shard::{BlobMap, HotKeyConfig};
+use ascylib_shard::{BlobMap, HotKeyConfig, HotKeyStatsSnapshot};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const HOT_KEY: u64 = 0xAB07; // arbitrary nonzero key
 
@@ -209,6 +216,68 @@ fn delegated_delete_caches_absence_until_the_next_write() {
     map.set(HOT_KEY, b"back");
     assert!(map.get(HOT_KEY, &mut out));
     assert_eq!(out, b"back");
+}
+
+/// Keys of the sizing tests, as in the benchmark's `embed_write`.
+const STREAM_KEYS: u64 = 200_000;
+
+/// Drives a seeded 50/50 GET/SET stream over `STREAM_KEYS` preloaded keys
+/// drawn from `dist` into a `BlobMap` of `shards` shards with the default
+/// engine: `warm` operations, then `ops` more. Returns the engine counters
+/// after both and the share of the second phase's GETs served by a front
+/// hit.
+fn drive_default_engine(
+    shards: usize,
+    dist: KeyDist,
+    warm: u64,
+    ops: u64,
+) -> (HotKeyStatsSnapshot, f64) {
+    let map =
+        BlobMap::with_hotkeys(shards, HotKeyConfig::default(), |_| FraserOptSkipList::new());
+    let value = [7u8; 64];
+    for key in 1..=STREAM_KEYS {
+        map.set(key, &value);
+    }
+    let sampler = KeySampler::new(dist, STREAM_KEYS);
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let mut out = Vec::new();
+    let mut run = |n: u64| {
+        let mut gets = 0u64;
+        for _ in 0..n {
+            let key = sampler.sample(&mut rng);
+            if rng.random::<bool>() {
+                assert!(map.get(key, &mut out), "key {key} was preloaded and never deleted");
+                gets += 1;
+            } else {
+                map.set(key, &value);
+            }
+        }
+        (gets, map.hotkey_stats().expect("engine attached"))
+    };
+    let (_, warmed) = run(warm);
+    let (gets, total) = run(ops);
+    (total, (total.front_hits - warmed.front_hits) as f64 / gets as f64)
+}
+
+/// The sizing claim: with the default engine (4 096 slots, 1-in-16
+/// sampling) over the four shards the server and the benchmark run, the
+/// front serves more than half the GETs of a zipf(0.99) stream, so the
+/// median GET is a front hit.
+#[test]
+fn a_zipf_stream_is_served_mostly_from_the_front() {
+    let zipf = KeyDist::Zipfian { theta: 0.99 };
+    let (stats, share) = drive_default_engine(4, zipf, 4_000_000, 2_000_000);
+    assert!(share >= 0.55, "front hits on {share:.3} of GETs after warm-up: {stats:?}");
+}
+
+/// The other side: keys drawn uniformly never reach the promotion
+/// threshold, so the front stays empty and every read takes the backing
+/// path. One shard takes all the samples, so the stream runs its sketch
+/// through six decays, past the point where the noise floor settles.
+#[test]
+fn a_uniform_stream_promotes_nothing() {
+    let (stats, share) = drive_default_engine(1, KeyDist::Uniform, 4_000_000, 2_000_000);
+    assert_eq!((stats.promotions, stats.fronted, share), (0, 0, 0.0), "{stats:?}");
 }
 
 mod differential {
