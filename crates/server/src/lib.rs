@@ -54,16 +54,17 @@
 //!   windowed p99) via a reader-rotated snapshot ring, and `MONITOR`
 //!   subscribes a connection to a bounded, drop-counting stream of
 //!   sampled per-request trace events with slow-consumer eviction.
-//! * [`loadgen`] — a multi-connection load generator in two modes:
-//!   **closed-loop** (each connection keeps a fixed number of requests in
-//!   flight) and **open-loop** ([`LoadMode::Open`]: Poisson or fixed-rate
+//! * [`loadgen`] — a multi-connection load generator with one engine (up
+//!   to four threads polling nonblocking connections) in two modes:
+//!   **closed-loop** (a connection sends `pipeline_depth` requests whenever
+//!   none is in flight) and **open-loop** ([`LoadMode::Open`]: Poisson
 //!   scheduled arrivals, latency measured from the *intended* send time so
 //!   queueing delay is charged to the server — no coordinated omission).
 //!   Reuses the harness's [`OpMix`](ascylib_harness::OpMix) /
 //!   [`KeyDist`](ascylib_harness::KeyDist) vocabulary plus a
-//!   [`ValueSize`] payload-size axis (fixed / uniform / bimodal), and
-//!   reports payload bandwidth (MB/s read and written) alongside latency
-//!   percentiles through p9999.
+//!   [`ValueSize`] payload-size axis (fixed / bimodal), and reports
+//!   payload bandwidth (MB/s read and written) alongside a latency
+//!   histogram per run.
 //!
 //! ```no_run
 //! use std::sync::Arc;

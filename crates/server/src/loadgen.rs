@@ -1,31 +1,42 @@
-//! Multi-connection load generators for the wire protocol, with payload
-//! generation, in two driving disciplines.
+//! A multi-connection load generator for the wire protocol, with payload
+//! generation, in two driving disciplines on one engine.
 //!
 //! Replays the harness's workload vocabulary — any
 //! [`OpMix`] (YCSB A–E presets included) under any
 //! [`KeyDist`] (uniform / Zipfian / hotspot) — over real sockets, with a
 //! **value-size axis**: every `SET` carries a payload drawn from a
-//! [`ValueSize`] distribution (fixed, uniform, or bimodal — the classic
-//! "mostly small values, a tail of big ones" production shape), generated
-//! with `Rng::fill_bytes`, so the measured traffic moves real bytes, not
-//! just 64-bit tokens.
+//! [`ValueSize`] distribution (fixed, or bimodal — the classic "mostly
+//! small values, a tail of big ones" production shape), generated with
+//! `Rng::fill_bytes`, so the measured traffic moves real bytes, not just
+//! 64-bit tokens.
 //!
-//! **Closed loop** ([`LoadMode::Closed`]): each connection keeps at most
-//! `pipeline_depth` requests in flight and issues the next batch only after
-//! the previous one is fully answered, so measured throughput is bounded by
-//! round trips (depth 1) or by server capacity (deep pipelines). A closed
-//! loop self-throttles: when the server slows down, the clients slow down
-//! with it — which also means its latency numbers silently *exclude* the
-//! queueing delay a real open population would have suffered (coordinated
-//! omission).
+//! Both disciplines run on one driver: up to four threads, each polling its
+//! share of the nonblocking connections. They differ only in when a
+//! connection encodes requests, and so in what a latency is measured from.
 //!
-//! **Open loop** ([`LoadMode::Open`]): requests arrive on a schedule —
-//! fixed-rate or Poisson — independent of how fast the server answers, and
-//! every operation's latency is measured from its **intended send time**,
-//! not from when the socket finally accepted it. If the server stalls for
+//! **Closed loop** ([`LoadMode::Closed`]): a connection encodes
+//! `pipeline_depth` requests whenever none of its requests is in flight,
+//! so measured throughput is bounded by round trips (depth 1) or by server
+//! capacity (deep pipelines). Each operation's latency runs from when its
+//! batch was sent, so the largest one is the worst batch round trip. A
+//! closed loop self-throttles: when the server slows down, the clients
+//! slow down with it — which also means its latency numbers silently
+//! *exclude* the queueing delay a real open population would have suffered
+//! (coordinated omission).
+//!
+//! **Open loop** ([`LoadMode::Open`]): requests arrive on a Poisson
+//! schedule independent of how fast the server answers, and every
+//! operation's latency is measured from its **intended send time**, not
+//! from when the socket finally accepted it. If the server stalls for
 //! 100 ms, the operations scheduled during the stall each record their full
 //! queueing delay, exactly as a real user would have experienced it. This
 //! is the discipline that makes tail percentiles (p999/p9999) honest.
+//!
+//! Every reply lands in its driver's one block: a [`Histogram`] of
+//! latencies beside plain op, error and payload counts, all written by that
+//! driver alone. The [`LoadGenResult`] merges the blocks after the run, and
+//! the [`progress`](LoadGenConfig::progress) printer reads the same blocks
+//! while it goes.
 //!
 //! Alongside operation throughput and latency percentiles, the result
 //! reports **payload bandwidth**: bytes of values written (`SET` payloads
@@ -39,7 +50,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
@@ -47,7 +58,7 @@ use polling::{Events, Interest, Poller};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use ascylib_harness::{KeyDist, KeySampler, LatencyStats, OpMix, Operation};
+use ascylib_harness::{KeyDist, KeySampler, OpMix, Operation};
 use ascylib_telemetry::{Histogram, HistogramSnapshot};
 
 use crate::client::{info_field, Client};
@@ -58,13 +69,6 @@ use crate::protocol::{encode_request, encode_set, Reply, ReplyParser, Request, M
 pub enum ValueSize {
     /// Every value is exactly this many bytes.
     Fixed(usize),
-    /// Uniform in `[min, max]` (inclusive).
-    Uniform {
-        /// Smallest value size.
-        min: usize,
-        /// Largest value size.
-        max: usize,
-    },
     /// `large_pct`% of values are `large` bytes, the rest `small` — the
     /// "metadata plus occasional media" shape of production KV traffic.
     Bimodal {
@@ -83,10 +87,6 @@ impl ValueSize {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let raw = match *self {
             ValueSize::Fixed(n) => n,
-            ValueSize::Uniform { min, max } => {
-                let (lo, hi) = (min.min(max), min.max(max));
-                rng.random_range(lo as u64..=hi as u64) as usize
-            }
             ValueSize::Bimodal { small, large, large_pct } => {
                 if rng.random_range(0..100u32) < large_pct.min(100) {
                     large
@@ -98,9 +98,9 @@ impl ValueSize {
         raw.min(MAX_VALUE)
     }
 
-    /// Parses a CLI/environment spec: `fixed:<n>`, `uniform:<min>,<max>`,
-    /// or `bimodal:<small>,<large>,<large_pct>` (a bare number means
-    /// `fixed`). Returns `None` on anything else.
+    /// Parses a CLI/environment spec: `fixed:<n>` or
+    /// `bimodal:<small>,<large>,<large_pct>` (a bare number means `fixed`).
+    /// Returns `None` on anything else.
     pub fn parse(spec: &str) -> Option<ValueSize> {
         if let Ok(n) = spec.parse::<usize>() {
             return Some(ValueSize::Fixed(n));
@@ -113,7 +113,6 @@ impl ValueSize {
             .ok()?;
         match (kind, parts.as_slice()) {
             ("fixed", [n]) => Some(ValueSize::Fixed(*n)),
-            ("uniform", [min, max]) => Some(ValueSize::Uniform { min: *min, max: *max }),
             ("bimodal", [small, large, pct]) if *pct <= 100 => Some(ValueSize::Bimodal {
                 small: *small,
                 large: *large,
@@ -143,7 +142,6 @@ impl ValueSize {
     pub fn max_size(&self) -> usize {
         let raw = match *self {
             ValueSize::Fixed(n) => n,
-            ValueSize::Uniform { min, max } => min.max(max),
             ValueSize::Bimodal { small, large, .. } => small.max(large),
         };
         raw.min(MAX_VALUE)
@@ -161,22 +159,11 @@ impl fmt::Display for ValueSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValueSize::Fixed(n) => write!(f, "fixed({n}B)"),
-            ValueSize::Uniform { min, max } => write!(f, "uniform({min}-{max}B)"),
             ValueSize::Bimodal { small, large, large_pct } => {
                 write!(f, "bimodal({small}B/{large}B@{large_pct}%)")
             }
         }
     }
-}
-
-/// Interarrival-time distribution for [`LoadMode::Open`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arrival {
-    /// Exactly `1/rate` between arrivals (a deterministic pacer).
-    Fixed,
-    /// Exponential interarrivals (a Poisson process — the memoryless
-    /// arrival pattern of independent users, and the default).
-    Poisson,
 }
 
 /// How the load generator drives the server.
@@ -185,34 +172,24 @@ pub enum LoadMode {
     /// Each connection waits for its batch to be answered before sending
     /// the next (self-throttling; subject to coordinated omission).
     Closed,
-    /// Requests are *scheduled* at `rate` operations per second across all
-    /// connections, regardless of how fast the server answers; latency is
-    /// measured from each operation's intended send time.
+    /// Requests arrive as a Poisson process at `rate` operations per second
+    /// across all connections, regardless of how fast the server answers;
+    /// latency is measured from each operation's intended send time.
     Open {
         /// Aggregate offered load, operations per second.
         rate: f64,
-        /// Interarrival shape.
-        arrival: Arrival,
     },
 }
 
 impl LoadMode {
-    /// Parses a CLI/environment spec: `closed`, `open:<rate>`,
-    /// `open:<rate>:poisson`, or `open:<rate>:fixed`. Returns `None` on
-    /// anything else (non-positive rates included).
+    /// Parses a CLI/environment spec: `closed` or `open:<rate>`. Returns
+    /// `None` on anything else (non-positive rates included).
     pub fn parse(spec: &str) -> Option<LoadMode> {
         if spec.eq_ignore_ascii_case("closed") {
             return Some(LoadMode::Closed);
         }
-        let rest = spec.strip_prefix("open:")?;
-        let (rate_str, arrival) = match rest.split_once(':') {
-            None => (rest, Arrival::Poisson),
-            Some((r, "poisson")) => (r, Arrival::Poisson),
-            Some((r, "fixed")) => (r, Arrival::Fixed),
-            Some(_) => return None,
-        };
-        let rate: f64 = rate_str.parse().ok()?;
-        (rate.is_finite() && rate > 0.0).then_some(LoadMode::Open { rate, arrival })
+        let rate: f64 = spec.strip_prefix("open:")?.parse().ok()?;
+        (rate.is_finite() && rate > 0.0).then_some(LoadMode::Open { rate })
     }
 
     /// Reads the `ASCYLIB_MODE` environment spec (see
@@ -235,12 +212,7 @@ impl fmt::Display for LoadMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LoadMode::Closed => write!(f, "closed"),
-            LoadMode::Open { rate, arrival: Arrival::Poisson } => {
-                write!(f, "open({rate:.0}/s poisson)")
-            }
-            LoadMode::Open { rate, arrival: Arrival::Fixed } => {
-                write!(f, "open({rate:.0}/s fixed)")
-            }
+            LoadMode::Open { rate } => write!(f, "open({rate:.0}/s poisson)"),
         }
     }
 }
@@ -263,9 +235,10 @@ pub struct LoadGenConfig {
     pub key_range: u64,
     /// Payload size distribution for `SET` values.
     pub value_size: ValueSize,
-    /// Frames kept in flight per connection in closed-loop mode
-    /// (1 = strict request/response). Open-loop mode ignores this: its
-    /// in-flight depth is whatever the arrival schedule demands.
+    /// Requests a closed-loop connection sends each time none of its
+    /// requests is in flight (1 = strict request/response). Open-loop mode
+    /// ignores this: its in-flight depth is whatever the arrival schedule
+    /// demands.
     pub pipeline_depth: usize,
     /// Base RNG seed (each connection derives its own stream).
     pub seed: u64,
@@ -295,49 +268,49 @@ impl Default for LoadGenConfig {
     }
 }
 
-/// Shared live-run counters behind [`LoadGenConfig::progress`]: each
-/// connection (closed loop) or driver (open loop) publishes its running
-/// totals into its own cache-padded slot — plain relaxed stores, no
-/// cross-thread contention on the hot path — and records latency samples
-/// into a lock-free [`Histogram`]. A detached printer thread sums the
-/// slots once per interval and prints one status line.
-struct ProgressBoard {
-    slots: Vec<CachePadded<ProgressSlot>>,
-    /// Latency samples: batch round trips (closed loop) or per-operation
-    /// intended-send-time latency (open loop).
-    hist: Histogram,
-    /// What `hist` holds, for the status line.
-    lat_label: &'static str,
-}
-
+/// One driver thread's books. The driver is their only writer (see
+/// [`add`]); the progress printer reads them while the run goes, and
+/// [`LoadGenResult::merge`] sums them after join.
 #[derive(Default)]
-struct ProgressSlot {
+struct DriverBlock {
+    /// Per-operation latency in nanoseconds, from the intended send time.
+    latency: Histogram,
+    /// Replies received, errors included.
     ops: AtomicU64,
+    /// `-ERR` replies.
     errors: AtomicU64,
+    /// Requests encoded.
+    scheduled: AtomicU64,
+    /// Requests still in flight when the drain window closed.
+    unanswered: AtomicU64,
+    gets: AtomicU64,
+    sets: AtomicU64,
+    dels: AtomicU64,
+    scans: AtomicU64,
+    hits: AtomicU64,
+    scan_keys: AtomicU64,
+    bytes_written: AtomicU64,
+    bytes_read: AtomicU64,
 }
 
-impl ProgressBoard {
-    fn new(slots: usize, lat_label: &'static str) -> Arc<Self> {
-        Arc::new(ProgressBoard {
-            slots: (0..slots.max(1)).map(|_| CachePadded::new(ProgressSlot::default())).collect(),
-            hist: Histogram::new(),
-            lat_label,
-        })
-    }
+/// Adds `n` to a count that only its driver writes: a plain load and
+/// store, no locked instruction.
+fn add(count: &AtomicU64, n: u64) {
+    count.store(count.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
 
-    /// Publishes one worker's running totals (monotone, so relaxed plain
-    /// stores are enough — the printer tolerates slightly stale slots).
-    fn publish(&self, slot: usize, out: &ConnOutput) {
-        let s = &self.slots[slot];
-        s.ops.store(out.ops, Ordering::Relaxed);
-        s.errors.store(out.errors, Ordering::Relaxed);
-    }
+/// One count summed over every driver's block.
+fn sum(blocks: &[CachePadded<DriverBlock>], count: fn(&DriverBlock) -> &AtomicU64) -> u64 {
+    blocks.iter().map(|b| count(b).load(Ordering::Relaxed)).sum()
+}
 
-    fn totals(&self) -> (u64, u64) {
-        self.slots.iter().fold((0, 0), |(ops, errs), s| {
-            (ops + s.ops.load(Ordering::Relaxed), errs + s.errors.load(Ordering::Relaxed))
-        })
+/// Every driver's latency histogram, merged.
+fn merged_latency(blocks: &[CachePadded<DriverBlock>]) -> HistogramSnapshot {
+    let mut all = HistogramSnapshot::empty();
+    for b in blocks {
+        all.merge(&b.latency.snapshot());
     }
+    all
 }
 
 /// The progress printer: wakes a few times per interval (so stop latency
@@ -345,41 +318,35 @@ impl ProgressBoard {
 /// rate over the interval, and latency quantiles of the samples recorded
 /// *during* the interval (cumulative-snapshot subtraction — the same
 /// windowing discipline the server's own telemetry uses).
-fn spawn_progress_printer(
-    board: Arc<ProgressBoard>,
-    every: Duration,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let start = Instant::now();
-        let mut last_at = start;
-        let mut last_ops = 0u64;
-        let mut last_hist = HistogramSnapshot::empty();
-        let nap = (every / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-        while !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(nap);
-            let now = Instant::now();
-            if now.duration_since(last_at) < every {
-                continue;
-            }
-            let (ops, errors) = board.totals();
-            let hist = board.hist.snapshot();
-            let win = hist.delta_since(&last_hist);
-            let rate = (ops - last_ops) as f64 / now.duration_since(last_at).as_secs_f64();
-            eprintln!(
-                "[loadgen +{:>6.1}s] ops={ops} ({rate:.0}/s) errors={errors} \
-                 {} p50={}us p99={}us ({} samples)",
-                now.duration_since(start).as_secs_f64(),
-                board.lat_label,
-                win.quantile(0.50) / 1_000,
-                win.quantile(0.99) / 1_000,
-                win.count(),
-            );
-            last_at = now;
-            last_ops = ops;
-            last_hist = hist;
+fn print_progress(blocks: &[CachePadded<DriverBlock>], every: Duration, stop: &AtomicBool) {
+    let start = Instant::now();
+    let mut last_at = start;
+    let mut last_ops = 0u64;
+    let mut last_hist = HistogramSnapshot::empty();
+    let nap = (every / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
+    while !stop.load(Ordering::Relaxed) {
+        std::thread::sleep(nap);
+        let now = Instant::now();
+        if now.duration_since(last_at) < every {
+            continue;
         }
-    })
+        let ops = sum(blocks, |b| &b.ops);
+        let hist = merged_latency(blocks);
+        let win = hist.delta_since(&last_hist);
+        let rate = (ops - last_ops) as f64 / now.duration_since(last_at).as_secs_f64();
+        eprintln!(
+            "[loadgen +{:>6.1}s] ops={ops} ({rate:.0}/s) errors={} \
+             latency p50={}us p99={}us ({} samples)",
+            now.duration_since(start).as_secs_f64(),
+            sum(blocks, |b| &b.errors),
+            win.quantile(0.50) / 1_000,
+            win.quantile(0.99) / 1_000,
+            win.count(),
+        );
+        last_at = now;
+        last_ops = ops;
+        last_hist = hist;
+    }
 }
 
 /// Aggregate outcome of one load-generation run.
@@ -387,11 +354,11 @@ fn spawn_progress_printer(
 pub struct LoadGenResult {
     /// Operations answered across all connections (scans count one each).
     pub total_ops: u64,
-    /// Operations scheduled (open loop; equals answered + unanswered).
-    /// Closed-loop runs report it equal to `total_ops`.
+    /// Operations sent (closed loop) or scheduled (open loop); equals
+    /// answered + unanswered.
     pub scheduled_ops: u64,
-    /// Operations scheduled and sent but never answered before the drain
-    /// window closed (open loop only; 0 in closed loop).
+    /// Operations sent but never answered before the drain window after
+    /// the deadline closed.
     pub unanswered: u64,
     /// Operations per second (answered / duration).
     pub throughput: f64,
@@ -415,13 +382,12 @@ pub struct LoadGenResult {
     pub payload_bytes_read: u64,
     /// `-ERR` replies received (the run continues past them).
     pub errors: u64,
-    /// Round-trip latency of one flushed batch (nanoseconds; closed loop
-    /// only — at depth 1 this is per-operation latency).
-    pub batch_rtt: LatencyStats,
-    /// Per-operation latency measured from the *intended* send time
-    /// (nanoseconds; open loop only — free of coordinated omission, so the
-    /// p999/p9999 tails are honest). Empty in closed-loop runs.
-    pub latency: LatencyStats,
+    /// Per-operation latency in nanoseconds, from each operation's intended
+    /// send time: when its batch was sent in closed loop (so `max()` is the
+    /// worst batch round trip, and at depth 1 this is plain request
+    /// latency), its scheduled arrival in open loop (free of coordinated
+    /// omission, so the p999/p9999 tails are honest).
+    pub latency: HistogramSnapshot,
     /// The server's own service-time view of the run, scraped from
     /// `INFO latency` after the load stops (`None` when the scrape fails
     /// or no data request was recorded).
@@ -449,13 +415,38 @@ impl LoadGenResult {
     pub fn read_mbps(&self) -> f64 {
         ascylib_harness::report::mbps(self.payload_bytes_read, self.elapsed)
     }
+
+    /// The drivers' blocks, summed into one result.
+    fn merge(blocks: &[CachePadded<DriverBlock>], elapsed: Duration) -> LoadGenResult {
+        let total_ops = sum(blocks, |b| &b.ops);
+        let throughput = total_ops as f64 / elapsed.as_secs_f64().max(1e-9);
+        LoadGenResult {
+            total_ops,
+            scheduled_ops: sum(blocks, |b| &b.scheduled),
+            unanswered: sum(blocks, |b| &b.unanswered),
+            throughput,
+            mops: throughput / 1e6,
+            gets: sum(blocks, |b| &b.gets),
+            sets: sum(blocks, |b| &b.sets),
+            dels: sum(blocks, |b| &b.dels),
+            scans: sum(blocks, |b| &b.scans),
+            hits: sum(blocks, |b| &b.hits),
+            scan_keys_returned: sum(blocks, |b| &b.scan_keys),
+            payload_bytes_written: sum(blocks, |b| &b.bytes_written),
+            payload_bytes_read: sum(blocks, |b| &b.bytes_read),
+            errors: sum(blocks, |b| &b.errors),
+            latency: merged_latency(blocks),
+            server_latency: None,
+            elapsed,
+        }
+    }
 }
 
 /// Server-side request latency scraped from `INFO latency` at the end of a
 /// run: what the *server* measured for the same traffic (parse → reply
 /// queued), free of client-side scheduling and socket noise. Comparing this
-/// against the client-observed [`LatencyStats`] separates server service
-/// time from everything the network and the load generator added.
+/// against the client-observed [`LoadGenResult::latency`] separates server
+/// service time from everything the network and the load generator added.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerLatency {
     /// Data requests the server served (GET/SET/DEL/MGET/MSET/SCAN
@@ -511,80 +502,33 @@ enum SlotKind {
     Scan,
 }
 
-/// One sampled operation, before encoding (shared between the closed and
-/// open engines so both drive byte-identical workloads).
-enum GenOp {
-    Get(u64),
-    Set(u64, usize),
-    Del(u64),
-    Scan(u64, usize),
-}
-
-fn sample_op(
-    rng: &mut SmallRng,
-    sampler: &KeySampler,
-    mix: &OpMix,
-    dice_range: u32,
-    value_size: ValueSize,
-) -> GenOp {
-    let key = sampler.sample(rng);
-    match mix.sample(rng.random_range(0..dice_range)) {
-        Operation::Read => GenOp::Get(key),
-        Operation::Insert => GenOp::Set(key, value_size.sample(rng)),
-        Operation::Remove => GenOp::Del(key),
-        Operation::Scan { len } => {
-            let want = rng.random_range(1..=len.min(MAX_SCAN) as u64);
-            GenOp::Scan(key, want as usize)
-        }
-    }
-}
-
-#[derive(Default)]
-struct ConnOutput {
-    ops: u64,
-    scheduled: u64,
-    unanswered: u64,
-    gets: u64,
-    sets: u64,
-    dels: u64,
-    scans: u64,
-    hits: u64,
-    scan_keys: u64,
-    bytes_written: u64,
-    bytes_read: u64,
-    errors: u64,
-    rtt_samples: Vec<u64>,
-    lat_samples: Vec<u64>,
-}
-
-/// Classifies one reply against the slot kind that requested it (shared by
-/// both engines so the tallies mean the same thing in either mode).
-fn tally_reply(kind: SlotKind, reply: &Reply, out: &mut ConnOutput) {
-    out.ops += 1;
+/// Classifies one reply against the slot kind that requested it.
+fn tally_reply(kind: SlotKind, reply: &Reply, books: &DriverBlock) {
+    add(&books.ops, 1);
     if let Reply::Error(_) = reply {
-        out.errors += 1;
+        add(&books.errors, 1);
         return;
     }
     match kind {
         SlotKind::Get => {
-            out.gets += 1;
+            add(&books.gets, 1);
             if let Reply::Bulk(v) = reply {
-                out.hits += 1;
-                out.bytes_read += v.len() as u64;
+                add(&books.hits, 1);
+                add(&books.bytes_read, v.len() as u64);
             }
         }
         SlotKind::Set(len) => {
-            out.sets += 1;
-            out.bytes_written += len as u64;
+            add(&books.sets, 1);
+            add(&books.bytes_written, len as u64);
         }
-        SlotKind::Del => out.dels += 1,
+        SlotKind::Del => add(&books.dels, 1),
         SlotKind::Scan => {
-            out.scans += 1;
+            add(&books.scans, 1);
             if let Reply::Array(elems) = reply {
-                out.scan_keys += elems.len() as u64;
+                add(&books.scan_keys, elems.len() as u64);
                 for e in elems {
                     if let Reply::Pair(_, v) = e {
-                        out.bytes_read += v.len() as u64;
+                        add(&books.bytes_read, v.len() as u64);
                     }
                 }
             }
@@ -592,175 +536,41 @@ fn tally_reply(kind: SlotKind, reply: &Reply, out: &mut ConnOutput) {
     }
 }
 
-fn merge_outputs(outputs: Vec<ConnOutput>, elapsed: Duration) -> LoadGenResult {
-    let mut result = LoadGenResult {
-        total_ops: 0,
-        scheduled_ops: 0,
-        unanswered: 0,
-        throughput: 0.0,
-        mops: 0.0,
-        gets: 0,
-        sets: 0,
-        dels: 0,
-        scans: 0,
-        hits: 0,
-        scan_keys_returned: 0,
-        payload_bytes_written: 0,
-        payload_bytes_read: 0,
-        errors: 0,
-        batch_rtt: LatencyStats::default(),
-        latency: LatencyStats::default(),
-        server_latency: None,
-        elapsed,
-    };
-    let mut rtt_samples = Vec::new();
-    let mut lat_samples = Vec::new();
-    for out in outputs {
-        result.total_ops = result.total_ops.saturating_add(out.ops);
-        result.scheduled_ops = result.scheduled_ops.saturating_add(out.scheduled);
-        result.unanswered = result.unanswered.saturating_add(out.unanswered);
-        result.gets = result.gets.saturating_add(out.gets);
-        result.sets = result.sets.saturating_add(out.sets);
-        result.dels = result.dels.saturating_add(out.dels);
-        result.scans = result.scans.saturating_add(out.scans);
-        result.hits = result.hits.saturating_add(out.hits);
-        result.scan_keys_returned = result.scan_keys_returned.saturating_add(out.scan_keys);
-        result.payload_bytes_written =
-            result.payload_bytes_written.saturating_add(out.bytes_written);
-        result.payload_bytes_read = result.payload_bytes_read.saturating_add(out.bytes_read);
-        result.errors = result.errors.saturating_add(out.errors);
-        rtt_samples.extend(out.rtt_samples);
-        lat_samples.extend(out.lat_samples);
-    }
-    if result.scheduled_ops == 0 {
-        result.scheduled_ops = result.total_ops; // closed loop: 1:1
-    }
-    result.throughput = result.total_ops as f64 / elapsed.as_secs_f64().max(1e-9);
-    result.mops = result.throughput / 1e6;
-    result.batch_rtt = LatencyStats::from_samples(rtt_samples);
-    result.latency = LatencyStats::from_samples(lat_samples);
-    result
-}
-
-/// Runs the configured load against `addr` and merges the per-connection
-/// tallies. Fails if any connection cannot be established or dies mid-run.
-/// With [`LoadGenConfig::progress`] set, a printer thread narrates the run
-/// on stderr once per interval.
+/// Runs the configured load against `addr` and merges the drivers' blocks.
+/// Fails if any connection cannot be established or, in closed loop, dies
+/// mid-run (closed by the peer, a transport error, or a reply that does not
+/// parse or match a request); an open-loop connection that dies leaves its
+/// in-flight operations unanswered. With [`LoadGenConfig::progress`] set, a
+/// printer thread narrates the run on stderr once per interval.
 pub fn run(addr: SocketAddr, cfg: &LoadGenConfig) -> io::Result<LoadGenResult> {
-    let board = cfg.progress.map(|_| {
-        let label = match cfg.mode {
-            LoadMode::Closed => "batch_rtt",
-            LoadMode::Open { .. } => "latency",
-        };
-        ProgressBoard::new(cfg.connections.max(1), label)
-    });
-    let printer = cfg.progress.map(|every| {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = spawn_progress_printer(
-            Arc::clone(board.as_ref().expect("board exists with progress")),
-            every,
-            Arc::clone(&stop),
-        );
-        (stop, handle)
-    });
-    let run_result = match cfg.mode {
-        LoadMode::Closed => run_closed(addr, cfg, board.as_deref()),
-        LoadMode::Open { rate, arrival } => run_open(addr, cfg, rate, arrival, board.as_deref()),
-    };
-    if let Some((stop, handle)) = printer {
+    let drivers = cfg.connections.clamp(1, 4);
+    let blocks: Vec<CachePadded<DriverBlock>> =
+        (0..drivers).map(|_| CachePadded::new(DriverBlock::default())).collect();
+    let barrier = Barrier::new(drivers);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (blocks, stop, barrier) = (&blocks, &stop, &barrier);
+        if let Some(every) = cfg.progress {
+            scope.spawn(move || print_progress(blocks, every, stop));
+        }
+        let handles: Vec<_> = blocks
+            .iter()
+            .enumerate()
+            .map(|(id, books)| scope.spawn(move || drive(addr, cfg, id, drivers, books, barrier)))
+            .collect();
+        // Join every driver before stopping the printer, so that a driver
+        // panic cannot leave the scope waiting on a printer that never stops.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
-    }
-    let mut result = run_result?;
+        joined.into_iter().try_for_each(|r| r.expect("loadgen driver thread panicked"))
+    })?;
+    let mut result = LoadGenResult::merge(&blocks, Duration::from_millis(cfg.duration_ms.max(1)));
     result.server_latency = scrape_server_latency(addr);
     Ok(result)
 }
 
-/// The closed loop: `connections` threads connect to `addr` and apply the
-/// mix in pipelined batches until the duration elapses.
-fn run_closed(
-    addr: SocketAddr,
-    cfg: &LoadGenConfig,
-    board: Option<&ProgressBoard>,
-) -> io::Result<LoadGenResult> {
-    let connections = cfg.connections.max(1);
-    let depth = cfg.pipeline_depth.max(1);
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(connections + 1));
-
-    let outputs = std::thread::scope(|scope| -> io::Result<Vec<ConnOutput>> {
-        let mut handles = Vec::with_capacity(connections);
-        for conn_id in 0..connections {
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            handles.push(scope.spawn(move || -> io::Result<ConnOutput> {
-                // Connect before the start barrier, but reach the barrier
-                // even on failure — the controller and every sibling wait at
-                // it, and a missing participant would deadlock the run.
-                let connected = Client::connect(addr);
-                barrier.wait();
-                let mut client = connected?;
-                let mut rng =
-                    SmallRng::seed_from_u64(cfg.seed ^ ((conn_id as u64 + 1) * 0x9E37_79B9));
-                let sampler = KeySampler::new(cfg.dist, cfg.key_range.max(1));
-                let mix = cfg.mix.validated();
-                let dice_range = mix.total();
-                let mut out = ConnOutput::default();
-                let mut kinds: Vec<SlotKind> = Vec::with_capacity(depth);
-                let mut value_buf = vec![0u8; cfg.value_size.max_size()];
-                while !stop.load(Ordering::Relaxed) {
-                    kinds.clear();
-                    let mut p = client.pipeline();
-                    for _ in 0..depth {
-                        match sample_op(&mut rng, &sampler, &mix, dice_range, cfg.value_size) {
-                            GenOp::Get(key) => {
-                                p.get(key);
-                                kinds.push(SlotKind::Get);
-                            }
-                            GenOp::Set(key, len) => {
-                                rng.fill_bytes(&mut value_buf[..len]);
-                                p.set(key, &value_buf[..len]);
-                                kinds.push(SlotKind::Set(len));
-                            }
-                            GenOp::Del(key) => {
-                                p.del(key);
-                                kinds.push(SlotKind::Del);
-                            }
-                            GenOp::Scan(key, want) => {
-                                p.scan(key, want);
-                                kinds.push(SlotKind::Scan);
-                            }
-                        }
-                    }
-                    let start = Instant::now();
-                    let replies = p.run()?;
-                    let rtt = start.elapsed().as_nanos() as u64;
-                    out.rtt_samples.push(rtt);
-                    for (kind, reply) in kinds.iter().zip(&replies) {
-                        tally_reply(*kind, reply, &mut out);
-                    }
-                    if let Some(b) = board {
-                        b.hist.record(rtt);
-                        b.publish(conn_id, &out);
-                    }
-                }
-                let _ = client.quit();
-                Ok(out)
-            }));
-        }
-        barrier.wait();
-        std::thread::sleep(Duration::from_millis(cfg.duration_ms.max(1)));
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen connection thread panicked"))
-            .collect()
-    })?;
-    Ok(merge_outputs(outputs, Duration::from_millis(cfg.duration_ms.max(1))))
-}
-
-/// Per-connection state inside an open-loop driver thread.
-struct OpenConn {
+/// One nonblocking connection inside a driver thread.
+struct Conn {
     stream: TcpStream,
     parser: ReplyParser,
     /// Encoded-but-unflushed request bytes; `wpos..` is the unsent tail.
@@ -768,8 +578,8 @@ struct OpenConn {
     wpos: usize,
     /// In-flight operations, in send order: (intended send time, kind).
     pending: VecDeque<(Instant, SlotKind)>,
-    /// The next scheduled arrival. Never pushed back by server slowness —
-    /// that is the whole point of the open loop.
+    /// Open loop: the next scheduled arrival. Never pushed back by server
+    /// slowness — that is the whole point of the open loop.
     next_send: Instant,
     /// What the poller reports this socket for; `None` once the connection
     /// closed and its socket was deregistered.
@@ -778,14 +588,66 @@ struct OpenConn {
     open: bool,
 }
 
-/// Stop encoding new requests for a connection while this many bytes are
-/// already queued on it; the schedule keeps its intended times, so the
-/// deferred operations still measure their full delay once sent.
+/// A driver's workload source: samples operations of the configured mix
+/// and encodes them, so both modes send byte-identical streams.
+struct OpGen {
+    sampler: KeySampler,
+    mix: OpMix,
+    dice_range: u32,
+    value_size: ValueSize,
+    value_buf: Vec<u8>,
+}
+
+impl OpGen {
+    fn new(cfg: &LoadGenConfig) -> OpGen {
+        let mix = cfg.mix.validated();
+        OpGen {
+            sampler: KeySampler::new(cfg.dist, cfg.key_range.max(1)),
+            dice_range: mix.total(),
+            mix,
+            value_size: cfg.value_size,
+            value_buf: vec![0u8; cfg.value_size.max_size()],
+        }
+    }
+
+    /// Samples one operation with `conn`'s RNG, encodes it onto `conn`, and
+    /// marks it in flight since `intended`.
+    fn encode(&mut self, conn: &mut Conn, intended: Instant, books: &DriverBlock) {
+        let key = self.sampler.sample(&mut conn.rng);
+        let kind = match self.mix.sample(conn.rng.random_range(0..self.dice_range)) {
+            Operation::Read => {
+                encode_request(&Request::Get(key), &mut conn.out);
+                SlotKind::Get
+            }
+            Operation::Insert => {
+                let len = self.value_size.sample(&mut conn.rng);
+                conn.rng.fill_bytes(&mut self.value_buf[..len]);
+                encode_set(&mut conn.out, key, &self.value_buf[..len]);
+                SlotKind::Set(len)
+            }
+            Operation::Remove => {
+                encode_request(&Request::Del(key), &mut conn.out);
+                SlotKind::Del
+            }
+            Operation::Scan { len } => {
+                let want = conn.rng.random_range(1..=len.min(MAX_SCAN) as u64) as usize;
+                encode_request(&Request::Scan(key, want), &mut conn.out);
+                SlotKind::Scan
+            }
+        };
+        conn.pending.push_back((intended, kind));
+        add(&books.scheduled, 1);
+    }
+}
+
+/// Stop encoding new requests for an open-loop connection while this many
+/// bytes are already queued on it; the schedule keeps its intended times,
+/// so the deferred operations still measure their full delay once sent.
 const OPEN_OUT_SOFT_CAP: usize = 1 << 20;
 
 /// How long after the measurement deadline the drain phase waits for
 /// in-flight replies before declaring them unanswered.
-const OPEN_DRAIN_WINDOW: Duration = Duration::from_millis(500);
+const DRAIN_WINDOW: Duration = Duration::from_millis(500);
 
 fn connect_retry(addr: SocketAddr) -> io::Result<TcpStream> {
     // Large sweeps can outrun the accept loop; brief retries absorb
@@ -803,22 +665,18 @@ fn connect_retry(addr: SocketAddr) -> io::Result<TcpStream> {
     Err(last.unwrap_or_else(|| io::Error::other("connect failed")))
 }
 
-fn interarrival(arrival: Arrival, mean_ns: f64, rng: &mut SmallRng) -> Duration {
-    let ns = match arrival {
-        Arrival::Fixed => mean_ns,
-        Arrival::Poisson => {
-            // u uniform in (0, 1]: the +1 keeps ln away from zero.
-            let u = (rng.random_range(0..(1u64 << 53)) as f64 + 1.0) / (1u64 << 53) as f64;
-            -u.ln() * mean_ns
-        }
-    };
-    Duration::from_nanos(ns.clamp(0.0, 60e9) as u64)
+/// One exponential interarrival gap (a Poisson process — the memoryless
+/// arrival pattern of independent users).
+fn interarrival(mean_ns: f64, rng: &mut SmallRng) -> Duration {
+    // u uniform in (0, 1]: the +1 keeps ln away from zero.
+    let u = (rng.random_range(0..(1u64 << 53)) as f64 + 1.0) / (1u64 << 53) as f64;
+    Duration::from_nanos((-u.ln() * mean_ns).clamp(0.0, 60e9) as u64)
 }
 
 /// Writes a connection's queued bytes until done or the socket pushes back.
 /// Transport errors close the connection (its in-flight ops end up
 /// unanswered).
-fn open_flush(conn: &mut OpenConn) {
+fn flush(conn: &mut Conn) {
     while conn.wpos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.wpos..]) {
             Ok(0) => {
@@ -838,15 +696,9 @@ fn open_flush(conn: &mut OpenConn) {
     conn.wpos = 0;
 }
 
-/// Reads everything available, pairing replies with pending slots and
-/// recording intended-time latency (into the progress histogram too, when
-/// a live status line was asked for).
-fn open_drain_replies(
-    conn: &mut OpenConn,
-    out: &mut ConnOutput,
-    chunk: &mut [u8],
-    hist: Option<&Histogram>,
-) {
+/// Reads what is available, pairing replies with pending slots and
+/// recording each one's latency from its intended send time.
+fn drain_replies(conn: &mut Conn, books: &DriverBlock, chunk: &mut [u8]) {
     loop {
         match conn.stream.read(chunk) {
             Ok(0) => {
@@ -866,11 +718,8 @@ fn open_drain_replies(
                                 return;
                             };
                             let lat = now.saturating_duration_since(intended).as_nanos() as u64;
-                            out.lat_samples.push(lat);
-                            if let Some(h) = hist {
-                                h.record(lat);
-                            }
-                            tally_reply(kind, &reply, out);
+                            books.latency.record_unsync(lat);
+                            tally_reply(kind, &reply, books);
                         }
                         Some(Err(_)) => {
                             conn.open = false;
@@ -894,7 +743,7 @@ fn open_drain_replies(
 /// always readability, plus writability while queued bytes remain. A
 /// connection that closed is deregistered — its socket stays open until the
 /// run ends and would report its EOF on every `wait`.
-fn open_sync_interest(poller: &Poller, conn: &mut OpenConn, token: u64) {
+fn sync_interest(poller: &Poller, conn: &mut Conn, token: u64) {
     let fd = conn.stream.as_raw_fd();
     if !conn.open {
         if conn.interest.take().is_some() {
@@ -909,188 +758,136 @@ fn open_sync_interest(poller: &Poller, conn: &mut OpenConn, token: u64) {
     }
 }
 
-/// The open loop: a few driver threads, each running a private poller over
-/// its share of nonblocking connections, encode requests on a fixed or
-/// Poisson schedule and measure every reply against its intended send time.
-fn run_open(
+/// One driver thread: connects every `drivers`-th connection from `id` on,
+/// sends on them by the mode's rule until the deadline, then drains what is
+/// in flight. All it counts goes into `books`.
+fn drive(
     addr: SocketAddr,
     cfg: &LoadGenConfig,
-    rate: f64,
-    arrival: Arrival,
-    board: Option<&ProgressBoard>,
-) -> io::Result<LoadGenResult> {
+    id: usize,
+    drivers: usize,
+    books: &DriverBlock,
+    barrier: &Barrier,
+) -> io::Result<()> {
     let connections = cfg.connections.max(1);
-    let drivers = connections.min(4);
-    // Each connection runs an independent arrival process at its share of
-    // the aggregate rate; superposed they offer `rate` ops/s.
-    let mean_ns = connections as f64 * 1e9 / rate.max(1e-3);
-    let duration = Duration::from_millis(cfg.duration_ms.max(1));
-    let barrier = Arc::new(Barrier::new(drivers));
-
-    let outputs = std::thread::scope(|scope| -> io::Result<Vec<ConnOutput>> {
-        let mut handles = Vec::with_capacity(drivers);
-        for driver in 0..drivers {
-            let barrier = Arc::clone(&barrier);
-            handles.push(scope.spawn(move || -> io::Result<ConnOutput> {
-                // Connect this driver's share up front; reach the barrier
-                // even on failure so siblings are not deadlocked.
-                let setup = (|| -> io::Result<(Poller, Vec<OpenConn>)> {
-                    let poller = Poller::new()?;
-                    let mut conns = Vec::new();
-                    for global_id in (driver..connections).step_by(drivers) {
-                        let stream = connect_retry(addr)?;
-                        stream.set_nonblocking(true)?;
-                        let _ = stream.set_nodelay(true);
-                        let token = conns.len() as u64;
-                        poller.register(stream.as_raw_fd(), token, Interest::READABLE)?;
-                        conns.push(OpenConn {
-                            stream,
-                            parser: ReplyParser::new(),
-                            out: Vec::with_capacity(4096),
-                            wpos: 0,
-                            pending: VecDeque::new(),
-                            next_send: Instant::now(), // re-based after the barrier
-                            interest: Some(Interest::READABLE),
-                            rng: SmallRng::seed_from_u64(
-                                cfg.seed ^ ((global_id as u64 + 1) * 0x9E37_79B9),
-                            ),
-                            open: true,
-                        });
-                    }
-                    Ok((poller, conns))
-                })();
-                barrier.wait();
-                let (poller, mut conns) = setup?;
-                let hist = board.map(|b| &b.hist);
-
-                let sampler = KeySampler::new(cfg.dist, cfg.key_range.max(1));
-                let mix = cfg.mix.validated();
-                let dice_range = mix.total();
-                let mut out = ConnOutput::default();
-                let mut value_buf = vec![0u8; cfg.value_size.max_size()];
-                let mut chunk = vec![0u8; 16 * 1024];
-                let mut events = Events::new();
-
-                let start = Instant::now();
-                let deadline = start + duration;
-                for conn in conns.iter_mut() {
-                    conn.next_send = start + interarrival(arrival, mean_ns, &mut conn.rng);
-                }
-
-                // Waits up to `timeout` and serves whatever became ready.
-                let mut serve_ready =
-                    |timeout: Duration, conns: &mut [OpenConn], out: &mut ConnOutput| {
-                        let _ = poller.wait(&mut events, Some(timeout));
-                        for ev in events.iter() {
-                            let conn = &mut conns[ev.token as usize];
-                            if ev.readable {
-                                open_drain_replies(conn, out, &mut chunk, hist);
-                            }
-                            if ev.writable && conn.open {
-                                open_flush(conn);
-                            }
-                            open_sync_interest(&poller, conn, ev.token);
-                        }
-                    };
-
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let mut min_next: Option<Instant> = None;
-                    for (i, conn) in conns.iter_mut().enumerate() {
-                        if !conn.open {
-                            continue;
-                        }
-                        // Encode every arrival whose scheduled time has
-                        // come. A stalled server defers the *sending*, never
-                        // the schedule — intended times are kept, so the
-                        // stall shows up in the measured latency.
-                        while conn.next_send <= now
-                            && conn.out.len() - conn.wpos < OPEN_OUT_SOFT_CAP
-                        {
-                            let intended = conn.next_send;
-                            let kind = match sample_op(
-                                &mut conn.rng,
-                                &sampler,
-                                &mix,
-                                dice_range,
-                                cfg.value_size,
-                            ) {
-                                GenOp::Get(key) => {
-                                    encode_request(&Request::Get(key), &mut conn.out);
-                                    SlotKind::Get
-                                }
-                                GenOp::Set(key, len) => {
-                                    conn.rng.fill_bytes(&mut value_buf[..len]);
-                                    encode_set(&mut conn.out, key, &value_buf[..len]);
-                                    SlotKind::Set(len)
-                                }
-                                GenOp::Del(key) => {
-                                    encode_request(&Request::Del(key), &mut conn.out);
-                                    SlotKind::Del
-                                }
-                                GenOp::Scan(key, want) => {
-                                    encode_request(&Request::Scan(key, want), &mut conn.out);
-                                    SlotKind::Scan
-                                }
-                            };
-                            conn.pending.push_back((intended, kind));
-                            out.scheduled += 1;
-                            conn.next_send += interarrival(arrival, mean_ns, &mut conn.rng);
-                        }
-                        open_flush(conn);
-                        open_sync_interest(&poller, conn, i as u64);
-                        if conn.open {
-                            min_next = Some(match min_next {
-                                Some(t) => t.min(conn.next_send),
-                                None => conn.next_send,
-                            });
-                        }
-                    }
-                    if conns.iter().all(|c| !c.open) {
-                        break;
-                    }
-                    let now = Instant::now();
-                    let until_send = min_next
-                        .map_or(Duration::from_millis(10), |t| t.saturating_duration_since(now));
-                    let timeout = until_send
-                        .min(deadline.saturating_duration_since(now))
-                        .min(Duration::from_millis(10));
-                    serve_ready(timeout, &mut conns, &mut out);
-                    if let Some(b) = board {
-                        b.publish(driver, &out);
-                    }
-                }
-
-                // Drain: no new arrivals; give in-flight replies a bounded
-                // window before declaring them unanswered.
-                let drain_deadline = Instant::now() + OPEN_DRAIN_WINDOW;
-                loop {
-                    let all_done = conns.iter().all(|c| {
-                        !c.open || (c.pending.is_empty() && c.wpos >= c.out.len())
-                    });
-                    if all_done || Instant::now() >= drain_deadline {
-                        break;
-                    }
-                    serve_ready(Duration::from_millis(20), &mut conns, &mut out);
-                }
-                for conn in &conns {
-                    out.unanswered += conn.pending.len() as u64;
-                }
-                if let Some(b) = board {
-                    b.publish(driver, &out);
-                }
-                Ok(out)
-            }));
+    // Connect this driver's share up front; reach the barrier even on
+    // failure so siblings are not deadlocked.
+    let setup = (|| -> io::Result<(Poller, Vec<Conn>)> {
+        let poller = Poller::new()?;
+        let mut conns = Vec::new();
+        for global_id in (id..connections).step_by(drivers) {
+            let stream = connect_retry(addr)?;
+            stream.set_nonblocking(true)?;
+            let _ = stream.set_nodelay(true);
+            poller.register(stream.as_raw_fd(), conns.len() as u64, Interest::READABLE)?;
+            conns.push(Conn {
+                stream,
+                parser: ReplyParser::new(),
+                out: Vec::with_capacity(4096),
+                wpos: 0,
+                pending: VecDeque::new(),
+                next_send: Instant::now(), // re-based after the barrier
+                interest: Some(Interest::READABLE),
+                rng: SmallRng::seed_from_u64(cfg.seed ^ ((global_id as u64 + 1) * 0x9E37_79B9)),
+                open: true,
+            });
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen driver thread panicked"))
-            .collect()
-    })?;
-    Ok(merge_outputs(outputs, duration))
+        Ok((poller, conns))
+    })();
+    barrier.wait();
+    let (poller, mut conns) = setup?;
+
+    let depth = cfg.pipeline_depth.max(1);
+    // Open loop: each connection runs an independent arrival process at its
+    // share of the aggregate rate; superposed they offer `rate` ops/s.
+    let open_mean_ns = match cfg.mode {
+        LoadMode::Closed => None,
+        LoadMode::Open { rate } => Some(connections as f64 * 1e9 / rate.max(1e-3)),
+    };
+    let mut gen = OpGen::new(cfg);
+    let mut chunk = vec![0u8; 16 * 1024];
+    let mut events = Events::new();
+
+    let start = Instant::now();
+    let deadline = start + Duration::from_millis(cfg.duration_ms.max(1));
+    if let Some(mean_ns) = open_mean_ns {
+        for conn in conns.iter_mut() {
+            conn.next_send = start + interarrival(mean_ns, &mut conn.rng);
+        }
+    }
+
+    // Waits up to `timeout` and serves whatever became ready.
+    let mut serve_ready = |timeout: Duration, conns: &mut [Conn]| {
+        let _ = poller.wait(&mut events, Some(timeout));
+        for ev in events.iter() {
+            let conn = &mut conns[ev.token as usize];
+            if ev.readable {
+                drain_replies(conn, books, &mut chunk);
+            }
+            if ev.writable && conn.open {
+                flush(conn);
+            }
+            sync_interest(&poller, conn, ev.token);
+        }
+    };
+
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        let mut wake = deadline.min(now + Duration::from_millis(10));
+        for (i, conn) in conns.iter_mut().enumerate() {
+            if !conn.open {
+                continue;
+            }
+            match open_mean_ns {
+                // Closed loop: the next batch once the last one is answered.
+                None => {
+                    if conn.pending.is_empty() {
+                        for _ in 0..depth {
+                            gen.encode(conn, now, books);
+                        }
+                    }
+                }
+                // Open loop: every arrival whose time has come. A stalled
+                // server defers the *sending*, never the schedule —
+                // intended times are kept, so the stall shows up in the
+                // measured latency.
+                Some(mean_ns) => {
+                    while conn.next_send <= now
+                        && conn.out.len() - conn.wpos < OPEN_OUT_SOFT_CAP
+                    {
+                        let intended = conn.next_send;
+                        gen.encode(conn, intended, books);
+                        conn.next_send += interarrival(mean_ns, &mut conn.rng);
+                    }
+                    wake = wake.min(conn.next_send);
+                }
+            }
+            flush(conn);
+            sync_interest(&poller, conn, i as u64);
+        }
+        if conns.iter().all(|c| !c.open) {
+            break;
+        }
+        serve_ready(wake.saturating_duration_since(Instant::now()), &mut conns);
+    }
+
+    // Drain: no new requests; give in-flight replies a bounded window
+    // before declaring them unanswered.
+    let drain_deadline = Instant::now() + DRAIN_WINDOW;
+    while Instant::now() < drain_deadline
+        && conns.iter().any(|c| c.open && !c.pending.is_empty())
+    {
+        serve_ready(Duration::from_millis(20), &mut conns);
+    }
+    add(&books.unanswered, conns.iter().map(|c| c.pending.len() as u64).sum());
+    // The driver never closes its own connections, so a closed one died.
+    if open_mean_ns.is_none() && conns.iter().any(|c| !c.open) {
+        return Err(io::Error::other("a closed-loop connection died mid-run"));
+    }
+    Ok(())
 }
 
 /// Prefills the keyspace over the wire: pipelined `MSET` batches upserting
@@ -1149,22 +946,13 @@ mod tests {
     use crate::store::BlobStore;
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
+    use std::sync::Arc;
 
     #[test]
     fn value_size_distributions_sample_within_bounds() {
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(ValueSize::Fixed(100).sample(&mut rng), 100);
         assert_eq!(ValueSize::Fixed(MAX_VALUE * 4).sample(&mut rng), MAX_VALUE, "clamped");
-        let u = ValueSize::Uniform { min: 10, max: 50 };
-        let mut seen_low = false;
-        let mut seen_high = false;
-        for _ in 0..2_000 {
-            let s = u.sample(&mut rng);
-            assert!((10..=50).contains(&s));
-            seen_low |= s < 20;
-            seen_high |= s > 40;
-        }
-        assert!(seen_low && seen_high, "uniform must cover its range");
         let b = ValueSize::Bimodal { small: 16, large: 256, large_pct: 10 };
         let mut larges = 0;
         for _ in 0..2_000 {
@@ -1182,15 +970,11 @@ mod tests {
         assert_eq!(ValueSize::parse("256"), Some(ValueSize::Fixed(256)));
         assert_eq!(ValueSize::parse("fixed:8"), Some(ValueSize::Fixed(8)));
         assert_eq!(
-            ValueSize::parse("uniform:16,4096"),
-            Some(ValueSize::Uniform { min: 16, max: 4096 })
-        );
-        assert_eq!(
             ValueSize::parse("bimodal:16,256,10"),
             Some(ValueSize::Bimodal { small: 16, large: 256, large_pct: 10 })
         );
         for bad in [
-            "", "fixed", "fixed:x", "uniform:1", "bimodal:1,2", "huge:9",
+            "", "fixed", "fixed:x", "uniform:1", "uniform:16,4096", "bimodal:1,2", "huge:9",
             // An impossible percentage is a config error, not a wrap/clamp.
             "bimodal:16,256,101", "bimodal:16,256,4294967306",
         ] {
@@ -1202,25 +986,15 @@ mod tests {
     fn load_mode_specs_parse() {
         assert_eq!(LoadMode::parse("closed"), Some(LoadMode::Closed));
         assert_eq!(LoadMode::parse("CLOSED"), Some(LoadMode::Closed));
-        assert_eq!(
-            LoadMode::parse("open:5000"),
-            Some(LoadMode::Open { rate: 5000.0, arrival: Arrival::Poisson })
-        );
-        assert_eq!(
-            LoadMode::parse("open:2500.5:fixed"),
-            Some(LoadMode::Open { rate: 2500.5, arrival: Arrival::Fixed })
-        );
-        assert_eq!(
-            LoadMode::parse("open:100:poisson"),
-            Some(LoadMode::Open { rate: 100.0, arrival: Arrival::Poisson })
-        );
+        assert_eq!(LoadMode::parse("open:5000"), Some(LoadMode::Open { rate: 5000.0 }));
+        assert_eq!(LoadMode::parse("open:2500.5"), Some(LoadMode::Open { rate: 2500.5 }));
         for bad in ["", "open", "open:", "open:x", "open:0", "open:-5", "open:inf",
-                    "open:100:weird", "closed:1"] {
+                    "open:100:weird", "open:100:poisson", "open:2500.5:fixed", "closed:1"] {
             assert_eq!(LoadMode::parse(bad), None, "{bad:?} must not parse");
         }
         assert_eq!(LoadMode::Closed.to_string(), "closed");
         assert_eq!(
-            LoadMode::Open { rate: 4000.0, arrival: Arrival::Poisson }.to_string(),
+            LoadMode::Open { rate: 4000.0 }.to_string(),
             "open(4000/s poisson)"
         );
     }
@@ -1231,44 +1005,35 @@ mod tests {
         let mean_ns = 1e6; // 1 ms
         let n = 20_000;
         let total: u64 = (0..n)
-            .map(|_| interarrival(Arrival::Poisson, mean_ns, &mut rng).as_nanos() as u64)
+            .map(|_| interarrival(mean_ns, &mut rng).as_nanos() as u64)
             .sum();
         let avg = total as f64 / n as f64;
         assert!(
             (avg - mean_ns).abs() < mean_ns * 0.05,
             "sample mean {avg} vs expected {mean_ns}"
         );
-        // Fixed arrivals are exactly the mean.
-        assert_eq!(
-            interarrival(Arrival::Fixed, mean_ns, &mut rng),
-            Duration::from_nanos(mean_ns as u64)
-        );
     }
 
     #[test]
-    fn progress_board_totals_and_printer_lifecycle() {
-        let board = ProgressBoard::new(2, "batch_rtt");
-        let mut a = ConnOutput { ops: 10, errors: 1, ..ConnOutput::default() };
-        board.publish(0, &a);
-        let b = ConnOutput { ops: 5, ..ConnOutput::default() };
-        board.publish(1, &b);
-        board.hist.record(1_000_000);
-        assert_eq!(board.totals(), (15, 1));
-        // Slots are overwritten, not accumulated: each worker owns one and
-        // publishes its own running total.
-        a.ops = 20;
-        board.publish(0, &a);
-        assert_eq!(board.totals(), (25, 1));
+    fn driver_blocks_feed_the_result_and_the_printer() {
+        let blocks: Vec<_> = (0..2).map(|_| CachePadded::new(DriverBlock::default())).collect();
+        add(&blocks[0].ops, 10);
+        add(&blocks[0].errors, 1);
+        add(&blocks[1].ops, 5);
+        // Each driver accumulates into its own block.
+        add(&blocks[0].ops, 10);
+        blocks[0].latency.record_unsync(1_000);
+        blocks[1].latency.record_unsync(1_000_000);
+        let r = LoadGenResult::merge(&blocks, Duration::from_secs(1));
+        assert_eq!((r.total_ops, r.errors, r.throughput), (25, 1, 25.0));
+        assert_eq!((r.latency.count(), r.latency.max()), (2, 1_000_000));
         // The printer fires at least once and stops promptly when asked.
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = spawn_progress_printer(
-            Arc::clone(&board),
-            Duration::from_millis(10),
-            Arc::clone(&stop),
-        );
-        std::thread::sleep(Duration::from_millis(40));
-        stop.store(true, Ordering::Relaxed);
-        handle.join().expect("printer thread exits cleanly");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| print_progress(&blocks, Duration::from_millis(10), &stop));
+            std::thread::sleep(Duration::from_millis(40));
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]
@@ -1292,12 +1057,12 @@ mod tests {
         assert!(r.total_ops > 0, "progress narration must not stall the run");
         assert_eq!(r.errors, 0);
         let open = LoadGenConfig {
-            mode: LoadMode::Open { rate: 2000.0, arrival: Arrival::Poisson },
+            mode: LoadMode::Open { rate: 2000.0 },
             ..closed
         };
         let r = run(server.addr(), &open).unwrap();
         assert!(r.scheduled_ops > 0);
-        assert!(r.latency.samples > 0);
+        assert!(r.latency.count() > 0);
         server.join();
     }
 
@@ -1335,8 +1100,8 @@ mod tests {
         assert!(r.hits > 0, "prefilled keyspace yields GET hits");
         assert!(r.hit_rate() > 0.0 && r.hit_rate() <= 1.0);
         assert!(r.throughput > 0.0);
-        assert!(r.batch_rtt.samples > 0);
-        assert!(r.batch_rtt.p50 > 0);
+        assert!(r.latency.count() > 0);
+        assert!(r.latency.quantile(0.5) > 0);
         // Payload movement in both directions, at plausible magnitudes.
         assert!(r.payload_bytes_written > 0, "SETs carried payloads");
         assert!(r.payload_bytes_read > 0, "GET hits returned payloads");
@@ -1372,7 +1137,7 @@ mod tests {
         let cfg = LoadGenConfig {
             connections,
             duration_ms: 150,
-            mode: LoadMode::Open { rate: 3000.0, arrival: Arrival::Poisson },
+            mode: LoadMode::Open { rate: 3000.0 },
             mix: OpMix::update(10),
             key_range: 512,
             ..LoadGenConfig::default()
@@ -1386,47 +1151,134 @@ mod tests {
         );
         assert!(r.total_ops > 0, "a loopback server answers most of the offered load");
         assert_eq!(r.errors, 0, "well-formed traffic must not error");
-        assert!(r.latency.samples > 0, "open loop records per-op latency");
-        assert!(r.latency.p50 > 0);
-        assert!(r.latency.p999 >= r.latency.p50, "tail at least the median");
-        assert_eq!(r.batch_rtt.samples, 0, "batch RTT is a closed-loop metric");
+        assert!(r.latency.count() > 0, "open loop records per-op latency");
+        assert!(r.latency.quantile(0.5) > 0);
+        assert!(r.latency.quantile(0.999) >= r.latency.quantile(0.5), "tail at least the median");
         // ~3000/s for 150 ms ≈ 450 scheduled ops; allow wide slack but
-        // catch a schedule that silently stops early.
+        // catch a schedule that silently stops early or runs away.
         assert!(
-            r.scheduled_ops >= 150,
-            "offered load too low: {} scheduled",
+            (150..=900).contains(&r.scheduled_ops),
+            "offered load off the rate: {} scheduled",
+            r.scheduled_ops
+        );
+        assert!(
+            r.unanswered <= r.scheduled_ops / 4,
+            "the drain leaves little behind on loopback: {} of {} unanswered",
+            r.unanswered,
             r.scheduled_ops
         );
         assert!(r.hits > 0, "prefilled keyspace yields GET hits");
         server.join();
     }
 
+    /// Reads once, waiting up to `wait`, and counts the whole request
+    /// frames that completed; `None` once the peer hung up.
+    fn read_frames(
+        conn: &mut TcpStream,
+        parser: &mut crate::protocol::RequestParser,
+        wait: Duration,
+    ) -> Option<usize> {
+        conn.set_read_timeout(Some(wait)).unwrap();
+        let mut buf = [0u8; 4096];
+        match conn.read(&mut buf) {
+            Ok(0) => None,
+            Ok(n) => {
+                parser.feed(&buf[..n]);
+                let mut frames = 0;
+                while let Some(req) = parser.next() {
+                    req.expect("the load generator sends well-formed requests");
+                    frames += 1;
+                }
+                Some(frames)
+            }
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Some(0)
+            }
+            Err(e) => panic!("scripted server read failed: {e}"),
+        }
+    }
+
     #[test]
-    fn open_loop_fixed_arrivals_approximate_the_offered_rate() {
-        let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-        let server = Server::start(
-            "127.0.0.1:0",
-            BlobStore::new(map),
-            ServerConfig::for_connections(2),
-        )
-        .unwrap();
+    fn a_closed_loop_connection_sends_its_next_batch_only_after_the_last_reply() {
+        const DEPTH: usize = 4;
+        const QUIET: Duration = Duration::from_millis(20);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A scripted server: it holds each batch's replies, checks that no
+        // further request arrives meanwhile, and answers one by one.
+        let script = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut parser = crate::protocol::RequestParser::new();
+            let (mut held, mut batches) = (0, 0u64);
+            'run: loop {
+                while held < DEPTH {
+                    match read_frames(&mut conn, &mut parser, Duration::from_secs(5)) {
+                        Some(n) => held += n,
+                        None => break 'run,
+                    }
+                }
+                assert_eq!(held, DEPTH, "more than pipeline_depth requests in flight");
+                assert_eq!(
+                    read_frames(&mut conn, &mut parser, QUIET),
+                    Some(0),
+                    "a request arrived while the whole batch was in flight"
+                );
+                let mut replies = Vec::new();
+                for _ in 1..DEPTH {
+                    crate::protocol::wire::null(&mut replies);
+                }
+                conn.write_all(&replies).unwrap();
+                assert_eq!(
+                    read_frames(&mut conn, &mut parser, QUIET),
+                    Some(0),
+                    "the next batch went out before the last reply"
+                );
+                replies.clear();
+                crate::protocol::wire::null(&mut replies);
+                conn.write_all(&replies).unwrap();
+                held = 0;
+                batches += 1;
+            }
+            assert_eq!(held, 0, "the load generator hung up with requests unanswered");
+            // The end-of-run `INFO latency` scrape: close it unanswered.
+            drop(listener.accept().unwrap());
+            batches
+        });
         let cfg = LoadGenConfig {
-            connections: 2,
-            duration_ms: 200,
-            mode: LoadMode::Open { rate: 2000.0, arrival: Arrival::Fixed },
-            key_range: 256,
+            connections: 1,
+            duration_ms: 150,
+            pipeline_depth: DEPTH,
             ..LoadGenConfig::default()
         };
-        let r = run(server.addr(), &cfg).unwrap();
-        // 2000/s over 200 ms = 400 expected arrivals; the pacer should land
-        // within a generous factor on a loopback.
-        assert!(
-            (200..=800).contains(&r.scheduled_ops),
-            "fixed pacer scheduled {} ops, expected about 400",
-            r.scheduled_ops
-        );
-        assert!(r.unanswered <= r.scheduled_ops / 4, "loopback drain leaves little behind");
-        server.join();
+        let r = run(addr, &cfg).unwrap();
+        let batches = script.join().expect("the scripted server's checks hold");
+        assert!(batches >= 2, "only {batches} batches in 150 ms");
+        assert_eq!(r.total_ops, batches * DEPTH as u64, "every held reply is counted");
+        assert_eq!((r.scheduled_ops, r.unanswered, r.errors), (r.total_ops, 0, 0));
+        // Latency runs from the batch's send time, so it includes the hold.
+        assert!(r.latency.quantile(0.01) >= QUIET.as_nanos() as u64, "{:?}", r.latency);
+        assert!(r.server_latency.is_none(), "the scrape was closed unanswered");
+    }
+
+    #[test]
+    fn a_closed_loop_connection_the_server_closes_fails_the_run() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A scripted server: it takes the first batch and hangs up unanswered.
+        let script = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut parser = crate::protocol::RequestParser::new();
+            while read_frames(&mut conn, &mut parser, Duration::from_secs(5)) == Some(0) {}
+        });
+        let cfg = LoadGenConfig {
+            connections: 1,
+            duration_ms: 150,
+            pipeline_depth: 4,
+            ..LoadGenConfig::default()
+        };
+        let err = run(addr, &cfg).expect_err("a connection that died mid-run fails the run");
+        assert!(err.to_string().contains("died mid-run"), "{err}");
+        script.join().unwrap();
     }
 
     #[test]

@@ -410,10 +410,10 @@ fn telemetry_surfaces_reflect_the_run_and_bound_the_client_view() {
     assert!(sl.count >= r.total_ops, "server counted at least the answered ops");
     assert!(sl.p50_ns > 0 && sl.p99_ns >= sl.p50_ns && sl.max_ns >= sl.p999_ns);
     assert!(
-        sl.p99_ns <= r.batch_rtt.max + r.batch_rtt.max / 8,
+        sl.p99_ns <= r.latency.max() + r.latency.max() / 8,
         "server p99 {}ns outside the client envelope (worst batch RTT {}ns)",
         sl.p99_ns,
-        r.batch_rtt.max,
+        r.latency.max(),
     );
 
     // A deliberately heavy operation: one MSET carrying ~1 MiB of payload.

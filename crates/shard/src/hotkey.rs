@@ -116,8 +116,10 @@ const SKETCH_ROWS: usize = 4;
 const SKETCH_COLS: usize = 8192;
 
 /// Estimate a pinned key is raised to: the largest a cell holds, which no
-/// sampled key can displace. Each decay halves it like any other, so a pin
-/// lasts ~8 decays.
+/// sampled key can displace. Each decay of the key's shard halves it like
+/// any other, and the first decay that leaves `255 >> n` below half of
+/// `promote_min` releases the slot: the 5th at the default `promote_min`
+/// of 16 (255 → 127 → 63 → 31 → 15 → 7), unless samples raise it again.
 const PINNED: u8 = u8::MAX;
 
 /// Tuning knobs for [`HotKeyEngine`]. `k = 0` disables the engine
@@ -692,8 +694,10 @@ impl HotKeyEngine {
     }
 
     /// Fronts `key` now, whatever holds its slot, and raises its estimate
-    /// far above any sampled count (decay halves it like any other, so a
-    /// pin lasts ~30 decays). For tests and operational pinning.
+    /// to the cell maximum, 255. Decay halves it like any other, so without
+    /// further samples the pin ends at the first decay of its shard that
+    /// leaves `255 >> n` below `promote_min / 2` — the 5th at the default
+    /// `promote_min` of 16. For tests and operational pinning.
     pub fn pin(&self, key: u64) {
         self.sketch_of(key).raise(key, PINNED);
         let front = self.front.get_or_init(|| Front::new(self.slot_count));
@@ -1167,6 +1171,20 @@ mod tests {
         assert!(!e.fronted(77), "decayed key must be demoted");
         assert!(e.stats().demotions >= 1);
         assert!(e.hot_keys().iter().all(|&(k, _)| k != 77));
+    }
+
+    #[test]
+    fn a_pin_is_released_at_its_shards_fifth_decay_by_default() {
+        let e = HotKeyEngine::new(4, HotKeyConfig::default()).unwrap();
+        let key = 42;
+        let shard = e.router.route(key);
+        e.pin(key);
+        for decay in 1..=4 {
+            e.decay(shard);
+            assert!(e.fronted(key), "released after decay {decay}, before the 5th");
+        }
+        e.decay(shard);
+        assert!(!e.fronted(key), "255 >> 5 = 7 is below promote_min / 2 = 8");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! $ cargo run --release --example kv_loadgen -- --self
 //! ```
 //!
-//! Flags: `--mode closed|open:<rate>[:poisson|:fixed]`, `--conns <n>`, and
+//! Flags: `--mode closed|open:<rate>`, `--conns <n>`, and
 //! `--dist uniform|zipf:<theta>|hotspot:<frac>:<prob>` override the
 //! corresponding environment knobs per run; `--budget <spec>` and
 //! `--ttl <spec>` (only meaningful with `--self`) bound the in-process
@@ -30,9 +30,10 @@
 //! * `ASCYLIB_ADDR` — server address (default `127.0.0.1:7878`; ignored
 //!   with `--self`);
 //! * `ASCYLIB_MODE` — driving discipline: `closed` (default) or
-//!   `open:<rate>` aggregate ops/s (`:poisson` arrivals unless `:fixed`);
-//!   open-loop runs report latency from each operation's *intended* send
-//!   time, so server stalls surface in the tail percentiles;
+//!   `open:<rate>` aggregate ops/s of Poisson arrivals. Latency runs from
+//!   each operation's *intended* send time: its batch's send time in closed
+//!   loop, its scheduled arrival in open loop, so server stalls surface in
+//!   the open loop's tail percentiles;
 //! * `ASCYLIB_CONNS` — concurrent connections (default 4; the event-driven
 //!   server no longer caps capacity at its worker count);
 //! * `ASCYLIB_BENCH_MILLIS` — burst duration (default 300);
@@ -43,9 +44,9 @@
 //! * `ASCYLIB_DIST` — key distribution: `uniform`, `zipf:<theta>`, or
 //!   `hotspot:<hot_fraction>:<hot_prob>` (default `zipf:0.99`, the YCSB
 //!   skew);
-//! * `ASCYLIB_VALUES` — value-size spec: `fixed:64`, `uniform:16,4096`, or
-//!   `bimodal:16,256,10` (default `bimodal:16,256,10` — mostly-small
-//!   values with a 256 B tail);
+//! * `ASCYLIB_VALUES` — value-size spec: `fixed:64` or `bimodal:16,256,10`
+//!   (default `bimodal:16,256,10` — mostly-small values with a 256 B
+//!   tail);
 //! * `ASCYLIB_PREFILL` — keys to MSET before the burst (default 4096;
 //!   0 skips);
 //! * `ASCYLIB_BUDGET` / `ASCYLIB_TTL` — cache-tier byte budget
@@ -90,7 +91,7 @@ fn main() {
         .unwrap_or(env_or("ASCYLIB_CONNS", 4) as usize);
     let mode = match arg_value("--mode") {
         Some(spec) => LoadMode::parse(&spec)
-            .unwrap_or_else(|| panic!("bad --mode spec {spec:?} (closed | open:<rate>[:poisson|:fixed])")),
+            .unwrap_or_else(|| panic!("bad --mode spec {spec:?} (closed | open:<rate>)")),
         None => LoadMode::from_env(),
     };
     let dist = match arg_value("--dist") {
@@ -185,31 +186,23 @@ fn main() {
         r.write_mbps(),
         r.payload_bytes_written
     );
-    match mode {
-        LoadMode::Closed => println!(
-            "kv_loadgen: batch rtt p1={} p50={} p99={} us (depth {} per round trip)",
-            r.batch_rtt.p1 / 1000,
-            r.batch_rtt.p50 / 1000,
-            r.batch_rtt.p99 / 1000,
-            cfg.pipeline_depth
-        ),
-        LoadMode::Open { .. } => {
-            println!(
-                "kv_loadgen: scheduled {} ops, answered {}, unanswered {}",
-                r.scheduled_ops, r.total_ops, r.unanswered
-            );
-            println!(
-                "kv_loadgen: CO-free latency p50={} p99={} p999={} max={} us \
-                 (from intended send times; p999 {})",
-                r.latency.p50 / 1000,
-                r.latency.p99 / 1000,
-                r.latency.p999 / 1000,
-                r.latency.max / 1000,
-                if r.latency.resolves(0.999) { "resolved" } else { "under-sampled" }
-            );
-        }
-    }
-    // Client-side RTT above includes the wire and the batching; the
+    println!(
+        "kv_loadgen: scheduled {} ops, answered {}, unanswered {}",
+        r.scheduled_ops, r.total_ops, r.unanswered
+    );
+    let from = match mode {
+        LoadMode::Closed => "batch send times",
+        LoadMode::Open { .. } => "intended send times, CO-free",
+    };
+    println!(
+        "kv_loadgen: latency p50={} p99={} p999={} max={} us (from {from}; p999 {})",
+        r.latency.quantile(0.50) / 1000,
+        r.latency.quantile(0.99) / 1000,
+        r.latency.quantile(0.999) / 1000,
+        r.latency.max() / 1000,
+        if r.latency.count() >= 1000 { "resolved" } else { "under-sampled" }
+    );
+    // Client-side latency above includes the wire and the batching; the
     // server-side view (scraped from INFO latency after the burst) is
     // per-request service time alone.
     match r.server_latency {

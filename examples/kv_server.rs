@@ -45,9 +45,9 @@
 //! threshold in microseconds, default 10000; serve mode only — the demo
 //! pins it to 0), `ASCYLIB_SERVE_MILLIS` (0 = forever),
 //! `ASCYLIB_BENCH_MILLIS` (demo burst length, default 300),
-//! `ASCYLIB_VALUES` (value-size spec: `fixed:64`, `uniform:16,4096`, or
-//! `bimodal:16,256,10`; demo default `bimodal:16,256,10`),
-//! `ASCYLIB_HOTKEYS` (hot-key engine front-cache size `k`, default 16;
+//! `ASCYLIB_VALUES` (value-size spec: `fixed:64` or `bimodal:16,256,10`;
+//! demo default `bimodal:16,256,10`),
+//! `ASCYLIB_HOTKEYS` (hot-key engine front-cache size `k`, default 1024;
 //! 0 disables the engine), `ASCYLIB_DIST` (demo key distribution:
 //! `uniform`, `zipf:<theta>`, or `hotspot:<frac>:<prob>`; default
 //! `zipf:0.99`), `ASCYLIB_BUDGET` (cache-tier byte budget: `64mb`,
@@ -106,7 +106,7 @@ fn start(
 fn print_result(label: &str, r: &LoadGenResult) {
     println!(
         "{label:>14}: {:.2} Mops/s  ({} ops: {} get / {} set / {} del / {} scan, \
-         hit rate {:.0}%, p50 rtt {:.1} us, p99 {:.1} us)",
+         hit rate {:.0}%, latency p50 {:.1} us, p99 {:.1} us)",
         r.mops,
         r.total_ops,
         r.gets,
@@ -114,8 +114,8 @@ fn print_result(label: &str, r: &LoadGenResult) {
         r.dels,
         r.scans,
         100.0 * r.hit_rate(),
-        r.batch_rtt.p50 as f64 / 1e3,
-        r.batch_rtt.p99 as f64 / 1e3,
+        r.latency.quantile(0.50) as f64 / 1e3,
+        r.latency.quantile(0.99) as f64 / 1e3,
     );
     println!(
         "{:>14}  payload: read {:.2} MB/s, wrote {:.2} MB/s",
