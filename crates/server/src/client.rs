@@ -574,8 +574,7 @@ mod tests {
         let mut sub = Client::connect(server.addr()).unwrap();
         sub.monitor(None).unwrap();
         let mut data = Client::connect(server.addr()).unwrap();
-        // The subscription activates just after the OK reply flushes, so
-        // drive traffic until a line comes through.
+        // Drive traffic until a line comes through.
         sub.set_timeout(Some(std::time::Duration::from_millis(50))).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let line = loop {

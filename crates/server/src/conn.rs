@@ -78,7 +78,7 @@ pub(crate) struct ConnCtx<'a> {
     /// This worker's index (slow-op and monitor-event attribution).
     pub worker: u32,
     /// The `MONITOR` broadcast hub: published on the sampled hot path,
-    /// subscribed at dispatch, counted at scrape time.
+    /// subscribed when a `MONITOR` frame executes, counted at scrape time.
     pub monitor: &'a MonitorHub,
 }
 
@@ -119,14 +119,6 @@ pub(crate) enum Advance {
     Close(ConnExit),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Reading,
-    Executing,
-    Writing,
-    Closing,
-}
-
 enum Flush {
     Done,
     Blocked,
@@ -153,19 +145,16 @@ pub(crate) struct Connection {
     wbuf: Vec<u8>,
     wpos: usize,
     bufs: ConnBufs,
-    state: State,
     /// Peer sent EOF; close once buffered frames are answered.
     eof: bool,
     /// Peer sent `QUIT`; close once `+BYE` is flushed.
     quit: bool,
-    /// Last time the connection made progress (idle-timeout input; the
-    /// timer wheel re-checks this lazily at each scheduled deadline).
+    /// Last time the connection made progress (what the worker's idle
+    /// sweep reads).
     pub(crate) last_active: Instant,
-    /// Set when a `MONITOR` frame executed: the worker (which knows this
-    /// connection's address, its own index and the slab slot) must
-    /// subscribe it to the hub. Carries
-    /// the optional sampling stride.
-    pending_monitor: Option<Option<u64>>,
+    /// The connection's `(worker, slab slot)` address, set when its worker
+    /// adopts it: the poller's token, and where a `MONITOR` wake is sent.
+    pub(crate) token: u64,
     /// The monitor mailbox once subscribed; drained into `wbuf` at the
     /// top of every `advance`.
     monitor: Option<Arc<MonitorSink>>,
@@ -184,30 +173,16 @@ impl Connection {
             wbuf: Vec::with_capacity(4096),
             wpos: 0,
             bufs: ConnBufs::default(),
-            state: State::Reading,
             eof: false,
             quit: false,
             last_active: Instant::now(),
-            pending_monitor: None,
+            token: 0,
             monitor: None,
         })
     }
 
     pub(crate) fn fd(&self) -> RawFd {
         self.stream.as_raw_fd()
-    }
-
-    /// Takes the sampling argument of a just-executed `MONITOR` frame, if
-    /// any. The worker calls this after `advance` and performs the actual
-    /// hub subscription — only it knows the address a wake must come back to.
-    pub(crate) fn take_pending_monitor(&mut self) -> Option<Option<u64>> {
-        self.pending_monitor.take()
-    }
-
-    /// Attaches the subscribed mailbox; queued trace frames reach this
-    /// connection's write buffer on its next `advance`.
-    pub(crate) fn attach_monitor(&mut self, sink: Arc<MonitorSink>) {
-        self.monitor = Some(sink);
     }
 
     /// Drives the state machine as far as the socket allows. Never panics on
@@ -246,7 +221,6 @@ impl Connection {
             // blocked the machine never reads — that is the backpressure
             // that stops a non-draining peer from growing `wbuf` forever.
             if self.wpos < self.wbuf.len() {
-                self.state = State::Writing;
                 let flush_start = clock::now();
                 let flushed = self.flush_pending(ctx);
                 ctx.tel.record_phase(Phase::Flush, clock::delta_ns(flush_start, clock::now()));
@@ -259,11 +233,11 @@ impl Connection {
                         WorkerStats::bump(&ctx.stats.partial_writes, 1);
                         return Advance::Arm(Interest::WRITABLE);
                     }
-                    Flush::Failed => return self.close(ConnExit::Error),
+                    Flush::Failed => return Advance::Close(ConnExit::Error),
                 }
             }
             if self.quit {
-                return self.close(ConnExit::Quit);
+                return Advance::Close(ConnExit::Quit);
             }
             if budget == 0 {
                 return Advance::Yield;
@@ -271,16 +245,14 @@ impl Connection {
             budget -= 1;
             // Executing: frames already parsed, one pipeline batch at a
             // time; replies accumulate in `wbuf` and flush next iteration.
-            self.state = State::Executing;
             if self.execute_batch(ctx) > 0 {
                 continue;
             }
             // Parser dry. A recorded EOF only closes here, after every
             // buffered frame was answered and flushed.
             if self.eof {
-                return self.close(ConnExit::Eof);
+                return Advance::Close(ConnExit::Eof);
             }
-            self.state = State::Reading;
             if drained {
                 return Advance::Arm(Interest::READABLE);
             }
@@ -296,7 +268,7 @@ impl Connection {
                     return Advance::Arm(Interest::READABLE);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.close(ConnExit::Error),
+                Err(_) => return Advance::Close(ConnExit::Error),
             }
         }
     }
@@ -310,12 +282,6 @@ impl Connection {
                 WorkerStats::bump(&stats.bytes_out, n as u64);
             }
         }
-        self.state = State::Closing;
-    }
-
-    fn close(&mut self, exit: ConnExit) -> Advance {
-        self.state = State::Closing;
-        Advance::Close(exit)
     }
 
     fn flush_pending(&mut self, ctx: &ConnCtx<'_>) -> Flush {
@@ -377,7 +343,9 @@ impl Connection {
                             self.quit = true;
                             break;
                         }
-                        Flow::Monitor(sample) => self.pending_monitor = Some(sample),
+                        Flow::Monitor(sample) => {
+                            self.monitor = Some(ctx.monitor.subscribe(self.token, sample));
+                        }
                         Flow::Continue => {}
                     }
                 }
@@ -485,7 +453,7 @@ fn record_timed(ctx: &ConnCtx<'_>, family: Family, fields: impl Fn() -> (u64, u6
     // service clock); with no subscribers this is one relaxed load.
     if ctx.monitor.active() {
         let (key, bytes) = fields();
-        ctx.monitor.publish(&MonitorEvent {
+        let wakes = ctx.monitor.publish(&MonitorEvent {
             unix_ms: unix_ms_now(),
             family,
             key,
@@ -493,6 +461,9 @@ fn record_timed(ctx: &ConnCtx<'_>, family: Family, fields: impl Fn() -> (u64, u6
             service_ns: ns,
             worker: ctx.worker,
         });
+        for token in wakes {
+            ctx.shared.wake(token);
+        }
     }
 }
 
@@ -538,8 +509,8 @@ fn slow_fields(req: &Request) -> (u64, u64) {
 pub(crate) enum Flow {
     Continue,
     Quit,
-    /// A `MONITOR` frame executed: the worker must subscribe this
-    /// connection to the hub (the sampling stride rides along).
+    /// A `MONITOR` frame executed: the connection subscribes itself to
+    /// the hub (the sampling stride rides along).
     Monitor(Option<u64>),
 }
 
@@ -669,8 +640,7 @@ pub(crate) fn execute(
         Request::Slowlog(cmd) => report::answer_slowlog(ctx, cmd, out),
         Request::Metrics => report::answer_metrics(ctx, out),
         Request::Monitor(sample) => {
-            // The hub subscription happens back in the worker loop, which
-            // knows this connection's address; from the peer's
+            // The connection subscribes once this returns; from the peer's
             // view the `+OK` marks the start of the stream.
             wire::simple(out, "OK");
             return Flow::Monitor(*sample);
@@ -688,6 +658,7 @@ mod tests {
     use super::*;
     use crate::protocol::SlowlogCmd;
     use crate::report::tests::{run_ctx, with_store};
+    use crate::server::tests::inbox_wakes;
     use crate::store::BlobStore;
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
@@ -707,7 +678,6 @@ mod tests {
             let (mut conn, mut peer) = pair();
             let mut chunk = [0u8; 4096];
             assert!(matches!(conn.advance(ctx, &mut chunk), Advance::Arm(i) if i.is_readable()));
-            assert_eq!(conn.state, State::Reading);
             peer.write_all(b"PING\r\n").unwrap();
             // Loopback delivery is asynchronous; retry the advance until the
             // frame has been executed (visible in the server's counters).
@@ -747,7 +717,6 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(conn.state, State::Closing);
             drop(conn);
             let mut reply = Vec::new();
             peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -825,24 +794,22 @@ mod tests {
     #[test]
     fn monitor_subscription_streams_trace_events_over_loopback() {
         run_ctx(|ctx| {
-            // Subscribe one connection: MONITOR answers +OK and surfaces
-            // the subscribe intent for the "worker" (this test) to act on.
+            // Subscribe one connection, adopted into slot 1 of worker 0:
+            // MONITOR answers +OK and subscribes it under that address.
             let (mut sub, mut sub_peer) = pair();
+            sub.token = 1;
             sub_peer.write_all(b"MONITOR\r\n").unwrap();
             let mut chunk = [0u8; 4096];
             let deadline = Instant::now() + Duration::from_secs(5);
-            let sample = loop {
+            while sub.monitor.is_none() {
                 if let Advance::Close(exit) = sub.advance(ctx, &mut chunk) {
                     panic!("unexpected close: {exit:?}");
                 }
-                if let Some(sample) = sub.take_pending_monitor() {
-                    break sample;
-                }
                 assert!(Instant::now() < deadline, "MONITOR frame not served");
                 std::thread::sleep(Duration::from_millis(1));
-            };
-            assert_eq!(sample, None, "bare MONITOR keeps every sampled event");
-            sub.attach_monitor(ctx.monitor.subscribe(1, sample));
+            }
+            let sink = sub.monitor.as_ref().expect("subscribed");
+            assert_eq!(sink.sample_n, 1, "bare MONITOR keeps every sampled event");
             assert!(ctx.monitor.active());
 
             // Traffic on a second connection publishes into the hub (the
@@ -856,8 +823,8 @@ mod tests {
                 assert!(Instant::now() < deadline, "no event published");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            // The publishing pass noted the subscriber's token for wake-up.
-            assert!(ctx.monitor.take_wakes().contains(&1), "publish queues a wake");
+            // The publishing pass mailed a wake to the subscriber's slot.
+            assert!(inbox_wakes(ctx.shared, 0).contains(&1), "publish sends a wake");
 
             // The subscriber's own advance drains the sink into its write
             // buffer; the peer sees +OK then the trace frame.
@@ -889,8 +856,8 @@ mod tests {
             let tiny = MonitorHub::with_limits(8, 1);
             let ctx = ConnCtx { monitor: &tiny, ..*ctx };
             let (mut conn, mut peer) = pair();
-            conn.attach_monitor(tiny.subscribe(1, None));
-            tiny.publish(&MonitorEvent {
+            conn.monitor = Some(tiny.subscribe(1, None));
+            let wakes = tiny.publish(&MonitorEvent {
                 unix_ms: 1,
                 family: Family::Get,
                 key: 1,
@@ -898,7 +865,7 @@ mod tests {
                 service_ns: 100,
                 worker: 0,
             });
-            assert!(tiny.take_wakes().contains(&1), "eviction crossing wakes the victim");
+            assert!(wakes.contains(&1), "eviction crossing wakes the victim");
             let mut chunk = [0u8; 4096];
             let deadline = Instant::now() + Duration::from_secs(5);
             loop {

@@ -33,9 +33,9 @@
 //! * [`server`] — the **event-driven** TCP tier: an acceptor deals
 //!   connections round-robin to a small pool of workers, each with its own
 //!   epoll/poll readiness loop (`vendor/polling`, persistent
-//!   registrations), connection slab and idle-deadline wheel, so a
-//!   connection is served from accept to close by one thread and no
-//!   request takes a lock; per-worker cache-padded stats, graceful
+//!   registrations), connection slab and idle sweep, so a connection is
+//!   served from accept to close by one thread and no request takes a
+//!   lock; per-worker cache-padded stats, graceful
 //!   `QUIT`/shutdown draining, and ephemeral port support for tests.
 //!   Thousands of concurrent connections per handful of worker threads.
 //! * [`client`] — a blocking client with typed per-verb calls over `&[u8]`
@@ -94,7 +94,6 @@ mod report;
 pub mod server;
 pub mod stats;
 pub mod store;
-mod timer;
 
 pub use ascylib_telemetry::{Family, Phase, SlowOp, TelemetrySnapshot};
 pub use client::{Client, Pipeline};

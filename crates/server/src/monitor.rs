@@ -7,11 +7,12 @@
 //! publisher is usually a different one: it cannot write into a
 //! subscriber's output buffer. So the hub never touches a subscriber's
 //! `Connection`: events land in a per-subscriber [`MonitorSink`] (a small
-//! mutex-guarded frame queue) and the publisher notes the subscriber's
-//! address — `(worker, slab index)` — in a wake list. After its connection
-//! pass the publishing worker routes each wake to the worker that owns the
-//! subscriber, and *that* worker drains the sink into the connection's
-//! write buffer.
+//! mutex-guarded frame queue) stamped with the subscriber's address —
+//! `(worker, slab index)`. [`MonitorHub::publish`] hands back the addresses
+//! of the sinks that need a wake; once the hub's locks are released the
+//! publisher mails each to the owning worker's inbox (its own worker's
+//! too), and *that* worker drains the sink into the connection's write
+//! buffer.
 //!
 //! # Flow control
 //!
@@ -91,9 +92,8 @@ impl MonitorEvent {
 struct SinkQueue {
     frames: VecDeque<Vec<u8>>,
     bytes: usize,
-    /// `true` while a wake for this sink is pending in the hub's wake
-    /// list (or the subscriber is known-awake); prevents one chatty
-    /// publisher from enqueueing the same token thousands of times.
+    /// `true` from the publish that asked for a wake until the subscriber
+    /// drains: one wake per drain, however chatty the publishers.
     woken: bool,
 }
 
@@ -103,10 +103,10 @@ struct SinkQueue {
 #[derive(Debug)]
 pub(crate) struct MonitorSink {
     /// Address of the subscribing connection — its worker and slab slot —
-    /// which is what the wake list carries back to the workers.
+    /// which is what [`MonitorHub::publish`] hands back for a wake.
     token: u64,
     /// Keep every `sample_n`-th eligible event (>= 1).
-    sample_n: u64,
+    pub(crate) sample_n: u64,
     /// Eligible events offered to this sink (sampling counter).
     seen: AtomicU64,
     /// Events dropped because the sink was full.
@@ -165,17 +165,13 @@ pub struct MonitorStats {
     pub dropped: u64,
 }
 
-/// The broadcast hub: the subscriber list, the wake list, and the global
-/// counters. One per server, owned by `Shared`.
+/// The broadcast hub: the subscriber list and the global counters. One per
+/// server, owned by `Shared`.
 #[derive(Debug)]
 pub(crate) struct MonitorHub {
     subs: Mutex<Vec<Arc<MonitorSink>>>,
     /// Cached `subs.len()` for the hot-path zero-subscriber check.
     active: AtomicUsize,
-    /// Addresses of sinks that went non-empty (or evicted) and need their
-    /// worker woken. Drained by whichever worker published last.
-    wakes: Mutex<Vec<u64>>,
-    has_wakes: AtomicBool,
     events: AtomicU64,
     dropped_total: AtomicU64,
     sink_bytes: usize,
@@ -195,8 +191,6 @@ impl MonitorHub {
         MonitorHub {
             subs: Mutex::new(Vec::new()),
             active: AtomicUsize::new(0),
-            wakes: Mutex::new(Vec::new()),
-            has_wakes: AtomicBool::new(false),
             events: AtomicU64::new(0),
             dropped_total: AtomicU64::new(0),
             sink_bytes,
@@ -237,15 +231,16 @@ impl MonitorHub {
     }
 
     /// Fans one event out to every live subscriber. Frames are rendered
-    /// once; full sinks count a drop instead of queueing. Sinks that went
-    /// non-empty are noted in the wake list for the caller's worker to
-    /// route (see [`take_wakes`](Self::take_wakes)).
-    pub(crate) fn publish(&self, ev: &MonitorEvent) {
+    /// once; full sinks count a drop instead of queueing. Returns the
+    /// addresses of the sinks that went non-empty (or crossed the eviction
+    /// threshold) and whose subscriber the caller must wake.
+    pub(crate) fn publish(&self, ev: &MonitorEvent) -> Vec<u64> {
+        let mut wakes = Vec::new();
         let mut subs = self.subs.lock().unwrap();
         Self::prune(&mut subs);
         self.active.store(subs.len(), Ordering::Release);
         if subs.is_empty() {
-            return;
+            return wakes;
         }
         self.events.fetch_add(1, Ordering::Relaxed);
         let mut frame: Option<Vec<u8>> = None;
@@ -272,24 +267,10 @@ impl MonitorHub {
             }
             if wake {
                 q.woken = true;
-                drop(q);
-                self.wakes.lock().unwrap().push(sink.token);
-                self.has_wakes.store(true, Ordering::Release);
+                wakes.push(sink.token);
             }
         }
-    }
-
-    /// Takes the pending wake addresses. Workers call this after every
-    /// connection pass, subscribers or not, so the empty case must not
-    /// write the flag's line: it is one load, and the swap happens only
-    /// when a publisher raised the flag.
-    pub(crate) fn take_wakes(&self) -> Vec<u64> {
-        if !self.has_wakes.load(Ordering::Acquire)
-            || !self.has_wakes.swap(false, Ordering::AcqRel)
-        {
-            return Vec::new();
-        }
-        std::mem::take(&mut *self.wakes.lock().unwrap())
+        wakes
     }
 
     /// Scrape-time aggregate (prunes dead sinks first so `subscribers` is
@@ -343,9 +324,7 @@ mod tests {
         let every = hub.subscribe(1, None);
         let third = hub.subscribe(2, Some(3));
         assert!(hub.active());
-        for k in 0..9 {
-            hub.publish(&ev(k));
-        }
+        let wakes: Vec<Vec<u64>> = (0..9).map(|k| hub.publish(&ev(k))).collect();
         let mut a = Vec::new();
         assert_eq!(every.drain_into(&mut a), 9);
         let mut b = Vec::new();
@@ -354,10 +333,10 @@ mod tests {
         assert_eq!(stats.subscribers, 2);
         assert_eq!(stats.events, 9);
         assert_eq!(stats.dropped, 0);
-        // Wakes were recorded for both sinks, deduplicated while queued.
-        let wakes = hub.take_wakes();
+        // Wakes were handed back for both sinks, deduplicated while queued.
+        let wakes = wakes.concat();
         assert!(wakes.contains(&1) && wakes.contains(&2));
-        assert!(hub.take_wakes().is_empty(), "wake list drains once");
+        assert_eq!(wakes.len(), 2, "one wake per sink until it drains");
     }
 
     #[test]
@@ -371,12 +350,12 @@ mod tests {
         hub.publish(&ev(2)); // dropped (2)
         assert_eq!(sink.dropped(), 2);
         assert!(!sink.evicted());
-        hub.publish(&ev(3)); // dropped (3) -> evict
+        let wakes = hub.publish(&ev(3)); // dropped (3) -> evict
         assert!(sink.evicted());
         assert_eq!(hub.stats().dropped, 3);
         assert_eq!(hub.stats().events, 4, "drops still count as published events");
-        // The eviction crossing queues a wake so the victim can close.
-        assert!(hub.take_wakes().contains(&7));
+        // The eviction crossing asks for a wake so the victim can close.
+        assert!(wakes.contains(&7));
         // The queued frame is still drainable; the dropped ones are gone.
         let mut out = Vec::new();
         assert_eq!(sink.drain_into(&mut out), 1);

@@ -5,10 +5,9 @@
 //! sockets, deals each to a worker and never touches it again. A worker
 //! owns everything its connections touch — its own [`Poller`] (epoll on
 //! Linux, poll(2) elsewhere — see `vendor/polling`), a slab of connections
-//! with a free list, an idle-deadline wheel (`timer.rs`) and a run queue —
-//! and drives each connection's state machine (`Connection::advance` in
-//! `conn.rs`) as far as the socket allows whenever its poller reports the
-//! socket ready.
+//! with a free list and a run queue — and drives each connection's state
+//! machine (`Connection::advance` in `conn.rs`) as far as the socket allows
+//! whenever its poller reports the socket ready.
 //!
 //! **The ownership rule:** a connection lives and dies on the thread it
 //! was dealt to. That thread registers the descriptor, reads, executes,
@@ -17,7 +16,8 @@
 //! by the only thread that could otherwise still use it. The one structure
 //! another thread writes is the worker's **inbox** (a mutex-guarded vector
 //! plus [`Poller::notify`]): new connections from the acceptor, `MONITOR`
-//! wakes from publishers on other workers. A request never goes near it.
+//! wakes from publishers on any worker, its own included. A request never
+//! goes near it.
 //!
 //! **Registrations persist.** A connection is registered once, for
 //! readability, and the kernel is told again only when what it waits for
@@ -31,10 +31,11 @@
 //! leave the live counts further apart. Nothing rebalances; what was given
 //! up is work-sharing between workers.
 //!
-//! **Idle eviction:** a worker files one deadline per connection in its
-//! wheel and lazily re-checks `last_active` when it comes due — active
-//! connections just reschedule, idle ones (no socket progress at all; a
-//! slow-loris trickle *is* progress) are closed and counted in `timeouts`.
+//! **Idle eviction:** once per sweep interval (an eighth of the timeout,
+//! clamped to 5–500 ms) a worker walks its own slab and closes every
+//! connection whose `last_active` is a whole timeout old — no socket
+//! progress at all; a slow-loris trickle *is* progress — counting each in
+//! `timeouts`. A recycled slot's tenant is judged by its own `last_active`.
 //!
 //! **Shutdown** ([`ServerHandle::shutdown`]) sets the flag and notifies
 //! every poller: the acceptor stops accepting, each worker closes its
@@ -65,14 +66,13 @@ use ascylib_telemetry::{
 use crossbeam_utils::CachePadded;
 use polling::{Events, Interest, Poller};
 
-use crate::conn::{unix_ms_now, Advance, ConnCtx, Connection};
+use crate::conn::{Advance, ConnCtx, Connection};
 use crate::monitor::{MonitorHub, MonitorStats};
 use crate::report::{
     WIN_BYTES_IN, WIN_BYTES_OUT, WIN_CAS_FAILS, WIN_COUNTERS, WIN_ERRORS, WIN_OPS, WIN_RESTARTS,
 };
 use crate::stats::{ConcurrencySnapshot, ConcurrencyStats, ServerStatsSnapshot, WorkerStats};
 use crate::store::KvStore;
-use crate::timer::TimerWheel;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone, Copy)]
@@ -84,8 +84,9 @@ pub struct ServerConfig {
     /// Most frames executed per pipelining batch.
     pub max_pipeline: usize,
     /// Close connections with no socket progress for this long (`None`
-    /// disables eviction). Enforced lazily at timer-wheel granularity
-    /// (about an eighth of the timeout), so eviction can run a tick late.
+    /// disables eviction). Enforced by a sweep of each worker's slab every
+    /// eighth of the timeout (clamped to 5–500 ms), so eviction can run one
+    /// sweep interval late.
     pub idle_timeout: Option<Duration>,
     /// Requests with service time (execute phase) at or above this are
     /// captured in the per-worker slow-op rings.
@@ -121,20 +122,21 @@ const LISTENER_TOKEN: u64 = 0;
 const ACCEPT_BURST: usize = 64;
 
 /// `(worker, slab index)`: a connection's readiness token and `MONITOR`
-/// wake address. `(epoch, slab index)`: an idle deadline in a worker's wheel.
-fn pack(hi: u32, lo: u32) -> u64 {
-    ((hi as u64) << 32) | lo as u64
+/// wake address.
+fn pack(worker: u32, idx: u32) -> u64 {
+    ((worker as u64) << 32) | idx as u64
 }
 
-fn unpack(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, packed as u32)
+fn unpack(token: u64) -> (u32, u32) {
+    ((token >> 32) as u32, token as u32)
 }
 
 /// What another thread can hand a worker.
 enum Mail {
     /// A connection the acceptor dealt to this worker.
     Conn(Box<Connection>),
-    /// A `MONITOR` wake from another worker for the subscriber in this slot.
+    /// A `MONITOR` wake for the subscriber in this slot, from whichever
+    /// worker published.
     Wake(u32),
 }
 
@@ -294,6 +296,13 @@ impl Shared {
         }
     }
 
+    /// Wakes the `MONITOR` subscriber at `token` on the worker that owns
+    /// it. Refused only by a worker that is shutting down.
+    pub(crate) fn wake(&self, token: u64) {
+        let (worker, idx) = unpack(token);
+        self.ports[worker as usize].send([Mail::Wake(idx)]);
+    }
+
     /// Slow-op entries across every worker, newest first.
     pub(crate) fn slow_ops(&self) -> Vec<SlowOp> {
         // Each ring is oldest-first; the stable sort keeps a worker's
@@ -339,7 +348,6 @@ impl Shared {
             counters[WIN_CAS_FAILS] = t.conc.ops.atomic_failures;
             counters[WIN_RESTARTS] = t.conc.ops.restarts;
             self.window.rotate(WindowSample {
-                unix_ms: unix_ms_now(),
                 mono_ns,
                 counters,
                 hist: t.tel.data_requests(),
@@ -431,10 +439,6 @@ struct Entry {
     interest: Interest,
     /// The slot is on the run queue.
     queued: bool,
-    /// Connections closed in this slot so far. A deadline carries the epoch
-    /// it was filed under, so one left by an earlier tenant neither evicts
-    /// the next nor files it twice. No other thread reads it.
-    epoch: u32,
 }
 
 /// A worker thread's private state: everything its connections touch.
@@ -447,16 +451,17 @@ struct Worker<'a> {
     /// Slots with work that needs no readiness event: connections that
     /// yielded ([`Advance::Yield`]) and woken `MONITOR` subscribers.
     run: VecDeque<u32>,
-    /// Idle deadlines and the timeout they enforce (`None`: no eviction).
-    wheel: Option<(TimerWheel, Duration)>,
+    /// The idle timeout and the interval of the sweep that enforces it
+    /// (`None`: no eviction).
+    idle: Option<(Duration, Duration)>,
+    next_sweep: Instant,
     chunk: Vec<u8>,
 }
 
 impl<'a> Worker<'a> {
     fn new(index: usize, shared: &'a Shared) -> Worker<'a> {
-        let wheel = shared.config.idle_timeout.map(|idle| {
-            let gran = (idle / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
-            (TimerWheel::new(idle, gran, Instant::now()), idle)
+        let idle = shared.config.idle_timeout.map(|idle| {
+            (idle, (idle / 8).clamp(Duration::from_millis(5), Duration::from_millis(500)))
         });
         Worker {
             index,
@@ -465,18 +470,16 @@ impl<'a> Worker<'a> {
             slab: Vec::new(),
             free: Vec::new(),
             run: VecDeque::new(),
-            wheel,
+            idle,
+            next_sweep: Instant::now(),
             chunk: vec![0u8; 16 * 1024],
         }
     }
 
-    /// Readiness first, then the inbox, the run queue and due deadlines.
+    /// A due idle sweep, then readiness, the inbox and the run queue.
     fn turn(&mut self, ctx: &ConnCtx<'_>, events: &mut Events) -> io::Result<()> {
-        let timeout = if self.run.is_empty() {
-            self.wheel.as_ref().map(|(wheel, _)| wheel.granularity())
-        } else {
-            Some(Duration::ZERO)
-        };
+        let until_sweep = self.evict_idle(ctx);
+        let timeout = if self.run.is_empty() { until_sweep } else { Some(Duration::ZERO) };
         self.port.poller.wait(events, timeout)?;
         for ev in events.iter() {
             WorkerStats::bump(&ctx.stats.wakeups, 1);
@@ -500,27 +503,18 @@ impl<'a> Worker<'a> {
                 self.advance(ctx, idx);
             }
         }
-        self.evict_idle(ctx);
         Ok(())
     }
 
-    /// Gives a dealt connection a slot, a registration and an idle deadline.
-    fn adopt(&mut self, ctx: &ConnCtx<'_>, conn: Box<Connection>) {
+    /// Gives a dealt connection a slot, a registration and its token.
+    fn adopt(&mut self, ctx: &ConnCtx<'_>, mut conn: Box<Connection>) {
         let idx = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Entry {
-                conn: None,
-                interest: Interest::READABLE,
-                queued: false,
-                epoch: 0,
-            });
+            self.slab.push(Entry { conn: None, interest: Interest::READABLE, queued: false });
             (self.slab.len() - 1) as u32
         });
-        let token = pack(self.index as u32, idx);
-        let registered = self.port.poller.register(conn.fd(), token, Interest::READABLE);
+        conn.token = pack(self.index as u32, idx);
+        let registered = self.port.poller.register(conn.fd(), conn.token, Interest::READABLE);
         let entry = &mut self.slab[idx as usize];
-        if let Some((wheel, idle)) = self.wheel.as_mut() {
-            wheel.schedule(pack(entry.epoch, idx), conn.last_active + *idle);
-        }
         entry.interest = Interest::READABLE;
         entry.conn = Some(conn);
         if registered.is_err() {
@@ -546,36 +540,19 @@ impl<'a> Worker<'a> {
     fn advance(&mut self, ctx: &ConnCtx<'_>, idx: u32) {
         let entry = &mut self.slab[idx as usize];
         let Some(conn) = entry.conn.as_mut() else { return };
-        let token = pack(self.index as u32, idx);
         let outcome = conn.advance(ctx, &mut self.chunk);
-        // A MONITOR frame executed this pass: subscribe here, where the
-        // address a publisher's wake must come back to is known.
-        if let Some(sample) = conn.take_pending_monitor() {
-            conn.attach_monitor(ctx.monitor.subscribe(token, sample));
-        }
         // Per-pass drain: the store work of this pass ran on this thread.
         self.shared.fold(self.index);
         match outcome {
             Advance::Arm(interest) if interest == entry.interest => {}
             Advance::Arm(interest) => {
                 entry.interest = interest;
-                if self.port.poller.modify(conn.fd(), token, interest).is_err() {
+                if self.port.poller.modify(conn.fd(), conn.token, interest).is_err() {
                     self.close(ctx, idx);
                 }
             }
             Advance::Yield => self.enqueue(idx),
             Advance::Close(_exit) => self.close(ctx, idx),
-        }
-        // Wake the subscribers whose sinks went non-empty under this pass's
-        // publishes, each on the worker that owns it.
-        for wake in ctx.monitor.take_wakes() {
-            let (worker, idx) = unpack(wake);
-            if worker as usize == self.index {
-                self.enqueue(idx);
-            } else {
-                // Refused only by a worker that is shutting down.
-                self.shared.ports[worker as usize].send([Mail::Wake(idx)]);
-            }
         }
     }
 
@@ -585,34 +562,28 @@ impl<'a> Worker<'a> {
         let Some(conn) = entry.conn.take() else { return };
         let _ = self.port.poller.deregister(conn.fd());
         drop(conn);
-        entry.epoch = entry.epoch.wrapping_add(1);
         entry.queued = false;
         self.free.push(idx);
         WorkerStats::bump(&ctx.stats.connections, 1);
     }
 
-    /// Deadlines that came due: evict a connection that really made no
-    /// progress for the whole timeout, otherwise file it again from its
-    /// actual last activity (the lazy re-check that keeps activity O(1)).
-    fn evict_idle(&mut self, ctx: &ConnCtx<'_>) {
-        let Some((wheel, idle)) = self.wheel.as_mut() else { return };
-        let (now, idle) = (Instant::now(), *idle);
-        let mut expired = Vec::new();
-        wheel.advance(now, &mut expired);
-        for filed in expired {
-            let (epoch, idx) = unpack(filed);
-            let entry = &self.slab[idx as usize];
-            let Some(conn) = entry.conn.as_ref().filter(|_| entry.epoch == epoch) else {
-                continue; // filed for a connection that has closed since
-            };
-            let deadline = conn.last_active + idle;
-            if now >= deadline {
-                self.close(ctx, idx);
-                WorkerStats::bump(&ctx.stats.timeouts, 1);
-            } else if let Some((wheel, _)) = self.wheel.as_mut() {
-                wheel.schedule(filed, deadline);
+    /// Once a sweep is due, closes every connection that made no progress
+    /// for the whole idle timeout. Returns the time left until the next
+    /// sweep, the longest the poller may sleep (`None`: no eviction).
+    fn evict_idle(&mut self, ctx: &ConnCtx<'_>) -> Option<Duration> {
+        let (idle, every) = self.idle?;
+        let now = Instant::now();
+        if now >= self.next_sweep {
+            self.next_sweep = now + every;
+            for idx in 0..self.slab.len() as u32 {
+                let conn = self.slab[idx as usize].conn.as_ref();
+                if conn.is_some_and(|conn| conn.last_active + idle <= now) {
+                    self.close(ctx, idx);
+                    WorkerStats::bump(&ctx.stats.timeouts, 1);
+                }
             }
         }
+        Some(self.next_sweep.duration_since(now))
     }
 
     /// The final sweep: refuse further mail, flush what was already computed
@@ -724,13 +695,24 @@ impl Drop for ServerHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::BlobStore;
     use ascylib::skiplist::FraserOptSkipList;
     use ascylib_shard::BlobMap;
     use std::io::{Read, Write};
     use std::net::TcpStream;
+
+    /// Takes the mail waiting in worker `index`'s inbox: the slots of its
+    /// `MONITOR` wakes (a test server never adopts dealt connections).
+    pub(crate) fn inbox_wakes(shared: &Shared, index: usize) -> Vec<u32> {
+        let mail = shared.ports[index].inbox.lock().expect("inbox poisoned").replace(Vec::new());
+        let wake = |mail| match mail {
+            Mail::Wake(idx) => Some(idx),
+            Mail::Conn(_) => None,
+        };
+        mail.into_iter().flatten().filter_map(wake).collect()
+    }
 
     fn tiny_server(workers: usize) -> ServerHandle {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
@@ -815,8 +797,7 @@ mod tests {
         );
 
         // Traffic on a second connection; keep sending until a trace frame
-        // reaches the subscriber (the subscription activates just after the
-        // +OK flush, so the first few events can legitimately miss it).
+        // reaches the subscriber.
         let mut data = TcpStream::connect(server.addr()).unwrap();
         data.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sub.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
@@ -860,7 +841,7 @@ mod tests {
     #[test]
     fn a_wake_that_outlives_its_subscriber_is_dropped_or_a_spurious_advance() {
         // One worker, driven by hand: the test thread plays the acceptor and
-        // the publisher on "another worker".
+        // a publisher on "another worker".
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
         let config = ServerConfig { workers: 1, idle_timeout: None, ..ServerConfig::default() };
         let shared = Shared::new(Arc::new(BlobStore::new(map)), config).unwrap();
@@ -889,9 +870,9 @@ mod tests {
         }
         assert_eq!(shared.monitor.stats().subscribers, 1, "in slot 0 of worker 0");
 
-        // A publisher on another worker queues a frame and notes the wake;
-        // the subscriber hangs up before anyone routes it.
-        shared.monitor.publish(&crate::monitor::MonitorEvent {
+        // A publisher on another worker queues a frame and is handed the
+        // wake; the subscriber hangs up before the publisher mails it.
+        let wakes = shared.monitor.publish(&crate::monitor::MonitorEvent {
             unix_ms: 0,
             family: ascylib_telemetry::Family::Set,
             key: 7,
@@ -899,13 +880,16 @@ mod tests {
             service_ns: 1,
             worker: 1,
         });
+        assert_eq!(wakes, [pack(0, 0)]);
         drop(sub);
         while worker.slab[0].conn.is_some() {
             turn(&mut worker);
         }
-        // The closing pass routed the wake to a vacant slot: dropped.
-        assert!(shared.monitor.take_wakes().is_empty(), "the wake was routed");
-        assert!(worker.run.is_empty());
+        // The late wake reaches a vacant slot: dropped.
+        assert!(shared.ports[0].send([Mail::Wake(0)]));
+        turn(&mut worker);
+        assert!(worker.slab[0].conn.is_none(), "nothing adopted meanwhile");
+        assert!(worker.run.is_empty(), "the wake was dropped");
 
         // A new tenant in the same slot, then the late wake: one advance
         // that finds nothing to do, and not a byte for the tenant's peer.

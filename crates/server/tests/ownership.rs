@@ -1,8 +1,8 @@
 //! What worker-owned connections promise from the outside: a connection is
 //! served by one worker for its whole life, connections are dealt evenly,
-//! a `MONITOR` wake crosses workers, recycled slots do not inherit their
-//! previous tenants' idle deadlines, and shutdown closes everything it
-//! accepted.
+//! a `MONITOR` wake reaches an idle subscriber on another worker and on the
+//! publisher's own, a recycled slot's new tenant is judged idle by its own
+//! activity alone, and shutdown closes everything it accepted.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
@@ -28,8 +28,8 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Subscribes a fresh connection to every trace event and waits until the
-/// hub has it (the subscription lands just after the `+OK` is flushed).
+/// Subscribes a fresh connection to every trace event and checks that the
+/// hub has it (the subscription is in place before the `+OK` is sent).
 fn subscribe(server: &ServerHandle) -> Client {
     let mut sub = Client::connect(server.addr()).expect("subscriber connect");
     sub.monitor(None).expect("MONITOR");
@@ -109,6 +109,24 @@ fn a_publish_on_one_worker_wakes_a_silent_subscriber_on_another() {
 }
 
 #[test]
+fn a_publish_wakes_a_silent_subscriber_on_the_same_worker() {
+    let server = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    // Both connections are the one worker's. The subscriber never sends
+    // another byte, so only the wake its worker mails itself can make it
+    // look at the subscriber again.
+    let mut sub = subscribe(&server);
+    sub.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut data = Client::connect(server.addr()).expect("data connect");
+    data.set(1, b"v").expect("set");
+    let line = sub.monitor_next().expect("a trace frame within 5 s");
+    assert!(line.contains("family=set"), "{line}");
+    assert_eq!(field(&line, "worker"), 0);
+    drop(data);
+    drop(sub);
+    server.join();
+}
+
+#[test]
 fn recycled_slots_do_not_inherit_idle_deadlines() {
     const CHURN: u64 = 300;
     const IDLERS: u64 = 3;
@@ -117,8 +135,8 @@ fn recycled_slots_do_not_inherit_idle_deadlines() {
         idle_timeout: Some(Duration::from_millis(200)),
         ..ServerConfig::default()
     });
-    // Back to back: every slot in both slabs is reused many times over, and
-    // each closed tenant leaves a deadline behind in a wheel.
+    // Back to back: every slot in both slabs is reused many times over, by
+    // tenants that each arrived and left with their own `last_active`.
     for _ in 0..CHURN {
         drop(TcpStream::connect(server.addr()).expect("churn connect"));
     }
@@ -129,8 +147,8 @@ fn recycled_slots_do_not_inherit_idle_deadlines() {
     let mut idlers: Vec<TcpStream> = (0..IDLERS)
         .map(|_| TcpStream::connect(server.addr()).expect("idler connect"))
         .collect();
-    // The leftover deadlines come due while the talker occupies one of the
-    // recycled slots; it talks well inside the timeout and must live.
+    // The idle sweeps run while the talker occupies one of the recycled
+    // slots; it talks well inside the timeout and must live.
     let until = Instant::now() + Duration::from_secs(1);
     while Instant::now() < until {
         talker.ping().expect("the talker was evicted");

@@ -3,8 +3,8 @@
 //! Each worker owns one [`SlowLog`] behind a mutex: entries are pushed only
 //! when a request's service time crosses the configured threshold, so the
 //! lock is off the hot path entirely — the common case never touches it.
-//! When the ring is full the oldest entry is evicted (and counted), so the
-//! log always holds the most recent slow operations.
+//! When the ring is full the oldest entry is evicted, so the log always
+//! holds the most recent slow operations.
 
 use std::collections::VecDeque;
 
@@ -44,9 +44,6 @@ pub struct SlowOp {
 pub struct SlowLog {
     buf: VecDeque<SlowOp>,
     cap: usize,
-    /// Entries evicted because the ring was full (so `LEN` can be honest
-    /// about truncation).
-    dropped: u64,
 }
 
 impl Default for SlowLog {
@@ -59,14 +56,13 @@ impl SlowLog {
     /// An empty ring holding at most `cap` entries (minimum 1).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        SlowLog { buf: VecDeque::with_capacity(cap), cap, dropped: 0 }
+        SlowLog { buf: VecDeque::with_capacity(cap), cap }
     }
 
     /// Appends an entry, evicting the oldest when full.
     pub fn push(&mut self, op: SlowOp) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(op);
     }
@@ -81,20 +77,14 @@ impl SlowLog {
         self.buf.is_empty()
     }
 
-    /// Entries evicted to make room since the last [`reset`](Self::reset).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Copies the entries out, oldest first.
     pub fn entries(&self) -> Vec<SlowOp> {
         self.buf.iter().copied().collect()
     }
 
-    /// Clears the ring and the dropped counter.
+    /// Clears the ring.
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.dropped = 0;
     }
 }
 
@@ -121,11 +111,9 @@ mod tests {
             log.push(op(k, k * 100));
         }
         assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
         let keys: Vec<u64> = log.entries().iter().map(|e| e.key).collect();
         assert_eq!(keys, vec![3, 4, 5], "oldest evicted first");
         log.reset();
         assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
     }
 }

@@ -5,8 +5,7 @@
 //! counters only grow, so `INFO`/`METRICS` can tell an operator what the
 //! server has done since boot but not what it is doing *now*. This module
 //! adds the missing time axis without touching the hot path: readers (the
-//! scrape handlers, a loadgen progress printer) periodically capture a
-//! [`WindowSample`] — a cumulative counter vector plus a cumulative
+//! scrape handlers) periodically capture a [`WindowSample`] — a cumulative counter vector plus a cumulative
 //! [`HistogramSnapshot`] stamped with a monotonic clock — and push it into
 //! a [`WindowRing`]. A windowed view is then the saturating difference
 //! between the newest sample and the oldest sample inside the window
@@ -47,9 +46,6 @@ pub const DEFAULT_WINDOW_NS: u64 = 10_000_000_000;
 /// meaningful.
 #[derive(Debug, Clone)]
 pub struct WindowSample {
-    /// Wall-clock milliseconds since the Unix epoch when the sample was
-    /// taken (display only — never used for arithmetic).
-    pub unix_ms: u64,
     /// Monotonic nanoseconds from any fixed origin. Differences between
     /// samples define elapsed time; the origin itself is irrelevant.
     pub mono_ns: u64,
@@ -130,11 +126,6 @@ impl WindowRing {
         }
     }
 
-    /// The minimum spacing between accepted samples.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
     /// Whether a sample taken at `mono_ns` would currently be accepted.
     /// Cheap (one atomic load) — callers use it to skip building a sample
     /// at all when rotation is not due.
@@ -162,10 +153,10 @@ impl WindowRing {
         true
     }
 
-    /// Stores a sample unconditionally (no interval election). For
-    /// embedders that drive rotation from their own fixed cadence, like
-    /// the loadgen progress printer.
-    pub fn force_rotate(&self, sample: WindowSample) {
+    /// Stores a sample unconditionally (no interval election), so a test
+    /// can lay out a ring sample by sample.
+    #[cfg(test)]
+    fn force_rotate(&self, sample: WindowSample) {
         self.last_rotate_ns.store(sample.mono_ns, Ordering::Release);
         self.push(sample);
     }
@@ -233,7 +224,7 @@ mod tests {
     const S: u64 = 1_000_000_000;
 
     fn sample(mono_ns: u64, ops: u64, hist: HistogramSnapshot) -> WindowSample {
-        WindowSample { unix_ms: 0, mono_ns, counters: vec![ops], hist }
+        WindowSample { mono_ns, counters: vec![ops], hist }
     }
 
     #[test]
@@ -350,7 +341,6 @@ mod tests {
         let hist = Arc::new(Histogram::new());
         let ring = Arc::new(WindowRing::new(0, 64)); // accept every sample
         let snap = |t: u64, ops: &AtomicU64, hist: &Histogram| WindowSample {
-            unix_ms: 0,
             mono_ns: t,
             counters: vec![ops.load(Ordering::Relaxed)],
             hist: hist.snapshot(),
