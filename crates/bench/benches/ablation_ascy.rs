@@ -1,7 +1,9 @@
 //! Ablation benches for the paper's ASCY patterns and memory reclamation:
 //!
 //! * ASCY1: `harris` vs `harris-opt` (cleanup in searches or not).
-//! * ASCY2: `fraser` vs `fraser-opt`.
+//! * ASCY2: `fraser` vs `fraser-opt`, at 1 024 keys: far below
+//!   `fraser-opt`'s hint-table floor, so the pair compares the paper's two
+//!   unhinted lists.
 //! * Memory reclamation: `urcu` (wait-for-readers) vs `urcu-ssmem`.
 //! * SSMEM garbage threshold sweep on CLHT-LB.
 

@@ -3,6 +3,11 @@
 //! Reports throughput vs threads, power relative to async, mean update
 //! latency, and the update-latency distribution, comparing `fraser` against
 //! the ASCY1–2 re-engineered `fraser-opt` (plus `pugh` and `herlihy`).
+//!
+//! At 1 024 elements `fraser-opt` stays far below its hint-table floor
+//! (~32 k keys), so this is the paper's unhinted list: no table is
+//! allocated and every operation walks (`crates/core/tests/hint.rs` pins
+//! that).
 
 use ascylib::api::StructureKind;
 use ascylib_bench::{algorithms, display_name, run_entry, workload};

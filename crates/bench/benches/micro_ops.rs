@@ -1,5 +1,10 @@
 //! Criterion micro-benchmarks: single-threaded cost of search / insert /
 //! remove on a representative subset of the algorithms.
+//!
+//! `fraser-opt` runs at three sizes: 1 k keys (below its hint-table floor,
+//! the paper's list), 16 k and 256 k. Built once with the floor forced to 0
+//! and once to `isize::MAX` (`FLOOR` in `crates/core/src/skiplist/hint.rs`),
+//! the three rows are the sweep the floor was chosen from.
 
 use std::time::Duration;
 
@@ -52,6 +57,8 @@ fn micro(c: &mut Criterion) {
     bench_map(c, "hash/clht-lf", &ClhtLf::with_capacity(2048), 1024);
     bench_map(c, "skiplist/herlihy", &HerlihySkipList::new(), 1024);
     bench_map(c, "skiplist/fraser-opt", &FraserOptSkipList::new(), 1024);
+    bench_map(c, "skiplist/fraser-opt-16k", &FraserOptSkipList::new(), 16 << 10);
+    bench_map(c, "skiplist/fraser-opt-256k", &FraserOptSkipList::new(), 256 << 10);
     bench_map(c, "bst/natarajan", &NatarajanBst::new(), 1024);
     bench_map(c, "bst/bst-tk", &BstTk::new(), 1024);
 }

@@ -26,6 +26,65 @@
 //! validate that the successor they are about to link to is not marked and
 //! repair the link if it became marked, which keeps retired towers
 //! unreachable.
+//!
+//! # The hint table (`fraser-opt` only)
+//!
+//! A walk to a key is a chain of dependent cache misses, ~18 at a million
+//! keys. Past an approximate count of keys ([`super::hint`]'s floor), a
+//! `fraser-opt` list keeps a lossy hash table from key to node in front of
+//! it: 64-byte buckets of eight `node pointer | fingerprint` slots. Every
+//! point operation — `search`, `replace`, `compare_replace`, the victim
+//! lookup of `remove`/`remove_if`, `insert`'s read-only parse and each lane
+//! of `search_lanes` — probes it first: on a fingerprint match it checks
+//! the node's key and reads (or CASes) its value word, and a missing hint,
+//! a foreign key or a tombstone falls back to the walk. A hinted point
+//! operation is then a bucket line, a node line and what the value points
+//! to. The list stays the one record of what is live: range scans, and the
+//! CLOCK, TTL and teardown walks of the tiers above, never look at the
+//! table.
+//!
+//! Fills. A walk that finds a node fills its hint only into an **empty**
+//! slot, so a steady-state search stores nothing (ASCY1) and keys that do
+//! not fit never thrash their bucket; an insert fills after it has linked
+//! its node, and may overwrite a slot.
+//!
+//! Why a read through a hint is linearizable. A node is hinted only after
+//! it was linked, and removal linearizes on the CAS of [`TOMB`] into the
+//! value word. A value word read through a hint that is not the tombstone
+//! is therefore a value the key held at that instant; a hinted operation
+//! that reads the tombstone walks instead, since the key may live on in a
+//! newer node. A hinted `replace`, `compare_replace` or `remove` that reads
+//! a live value and then loses its CAS to the tombstone answers "absent"
+//! as the walk path always has: the removal took effect inside its
+//! interval.
+//!
+//! Publication. A hint must not outlive its node's grace period.
+//! - The remover clears every slot that hints its node, with a CAS, after
+//!   its tombstone CAS and before `retire_node`.
+//! - A filler re-reads the value word after publishing, and withdraws a
+//!   hint that meets the tombstone, inside the guard under which it reached
+//!   the node.
+//! - Those four accesses, and the loads of the table pointer, are
+//!   `SeqCst`: in their single total order, either the remover's clearing
+//!   load comes after the publish and clears the hint, or it comes before,
+//!   and then so does the tombstone, which the filler's re-read sees.
+//! - The withdraw alone leaves a window: a reader whose guard began after
+//!   the node's retire snapshot can load the hint between the publish and
+//!   the withdraw. ssmem closes it by reusing a retired batch only after a
+//!   **second** grace period, counted from when the first is observed. The
+//!   filler's guard predates the unlink, so the first grace period ends
+//!   after the withdraw; a reader that loaded the hint is then inside its
+//!   guard at the second snapshot, or done with the node.
+//! - A grow swaps an empty table in with a CAS, copies the old table's
+//!   hints into it and retires the old one. A filler may still publish
+//!   into the old table after the swap, and a remover that loads the new
+//!   table does not clear it there. Only threads whose guards predate the
+//!   swap can read the old table, and the node's retire snapshot comes
+//!   after it, so such a reader is inside its guard at that snapshot — the
+//!   first grace period waits for it. The copier is one of those readers,
+//!   and a filler: it copies only a node whose value word it reads live
+//!   (so its guard predates the node's unlink), then re-reads and
+//!   withdraws like any other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,6 +94,7 @@ use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap, 
 use crate::marked::{tag, MarkedPtr};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
 use crate::prefetch;
+use crate::skiplist::hint::{Hints, Table, SAMPLE_LEVEL};
 use crate::skiplist::{
     alloc_node, assert_node_bytes, free_node, link, random_level, retire_node, Tower, MAX_LEVEL,
 };
@@ -132,10 +192,13 @@ unsafe fn mark_tower(node: *mut Node) {
     }
 }
 
-/// Shared implementation; `OPT` selects the ASCY-compliant search/parse.
+/// Shared implementation; `OPT` selects the ASCY-compliant search/parse
+/// and the hint table in front of it.
 struct Fraser<const OPT: bool> {
     head: *mut Node,
     tail: *mut Node,
+    /// Key → node hints; never allocated when `!OPT`.
+    hints: Hints,
 }
 
 // SAFETY: shared node state is atomic; towers are retired only after the
@@ -157,7 +220,11 @@ impl<const OPT: bool> Fraser<OPT> {
                 link(head, level).store(tail, tag::CLEAN, Ordering::Relaxed);
             }
         }
-        Self { head, tail }
+        Self {
+            head,
+            tail,
+            hints: Hints::new(),
+        }
     }
 
     /// Fraser's `search` helper: records predecessors/successors at every
@@ -257,37 +324,114 @@ impl<const OPT: bool> Fraser<OPT> {
         }
     }
 
-    /// The value `key` maps to, via [`Self::locate`]. A node removed
+    /// The node hinted for `key` and its live value. `None` — the caller
+    /// walks — when the list has no table, the bucket has no hint under
+    /// `key`'s fingerprint, the hinted node holds another key, or its value
+    /// word holds the tombstone (the key may live on in a newer node).
+    ///
+    /// Caller must hold an SSMEM guard.
+    #[inline]
+    fn hinted(&self, key: u64) -> Option<(*mut Node, u64)> {
+        if !OPT {
+            return None;
+        }
+        let node: *mut Node = self.hints.table()?.probe(key)?;
+        // SAFETY: a hinted node was linked before it was hinted, and is
+        // reused only two grace periods after its remover cleared the hint
+        // (or its filler withdrew it); the guard holds those back.
+        let value = unsafe {
+            if (*node).key != key {
+                return None;
+            }
+            live_value((*node).value.load(Ordering::Acquire))?
+        };
+        stats::record_hint_hit();
+        Some((node, value))
+    }
+
+    /// Publishes `node`, which a walk or an insert found linked, as `key`'s
+    /// hint, then re-reads its value word and withdraws the hint if the
+    /// node has been removed meanwhile. A read passes `overwrite = false`
+    /// and fills only an empty slot; an insert may take an occupied one.
+    ///
+    /// Caller must hold an SSMEM guard, taken before it reached `node`.
+    fn fill(&self, key: u64, node: *mut Node, overwrite: bool) {
+        if !OPT {
+            return;
+        }
+        if let Some(table) = self.hints.table() {
+            fill_into(table, key, node, overwrite);
+        }
+    }
+
+    /// The node holding `key` and its value word as loaded (possibly the
+    /// tombstone): through the hint if there is one, else by
+    /// [`Self::locate`], whose find is then hinted.
+    ///
+    /// Caller must hold an SSMEM guard.
+    fn lookup(&self, key: u64) -> Option<(*mut Node, u64)> {
+        if let Some(hit) = self.hinted(key) {
+            return Some(hit);
+        }
+        let node = self.locate(key)?;
+        self.fill(key, node, false);
+        // SAFETY: guard protects the located node.
+        Some((node, unsafe { (*node).value.load(Ordering::Acquire) }))
+    }
+
+    /// The value `key` maps to, via [`Self::lookup`]. A node removed
     /// between the mark check and the value load reads as absent.
     ///
     /// Caller must hold an SSMEM guard.
     fn traverse(&self, key: u64) -> Option<u64> {
-        let node = self.locate(key)?;
-        // SAFETY: guard protects the located node.
-        live_value(unsafe { (*node).value.load(Ordering::Acquire) })
+        live_value(self.lookup(key)?.1)
     }
 
     /// The interleaved form of [`Self::search_op`] behind
-    /// [`FraserOptSkipList::search_lanes`]: up to [`MAX_LANES`] [`Self::locate`]
-    /// traversals, possibly in different lists, advance one node per round
-    /// each, and every lane prefetches the node it compares next, so one
-    /// lane's cache miss overlaps the others'. Within a lane the loads are
-    /// `locate`'s, in its order; no stores, no retries.
+    /// [`FraserOptSkipList::search_lanes`], for up to [`MAX_LANES`] keys,
+    /// possibly in different lists. Every lane's hint bucket is prefetched,
+    /// then every hinted node, then each lane reads its hint as
+    /// [`Self::hinted`] does. The lanes without one walk: their
+    /// [`Self::locate`] traversals advance one node per round each, and
+    /// every lane prefetches the node it compares next, so one lane's cache
+    /// miss overlaps the others'. Within a lane the loads are `locate`'s, in
+    /// its order; no retries, and no stores but the fill of a found node.
     fn search_interleaved<'a>(lanes: impl Iterator<Item = (&'a Self, u64)>, out: &mut [Option<u64>])
     where
         Self: 'a,
     {
         let _guard = ssmem::protect();
+        let mut lists: [Option<&Self>; MAX_LANES] = [None; MAX_LANES];
+        let mut keys = [0u64; MAX_LANES];
+        let mut width = 0;
+        for (i, (list, key)) in lanes.enumerate() {
+            if let Some(table) = list.hints.table() {
+                table.prefetch(key);
+            }
+            (lists[i], keys[i], width) = (Some(list), key, i + 1);
+        }
+        let lists = &lists[..width];
+        for (list, &key) in lists.iter().flatten().zip(&keys) {
+            if let Some(node) = list.hints.table().and_then(|t| t.probe::<Node>(key)) {
+                prefetch(node);
+            }
+        }
         let mut state = [Lane::IDLE; MAX_LANES];
         // Bit `i` is set while lane `i` is still traversing.
         let mut running = 0u32;
-        for (i, (list, key)) in lanes.enumerate() {
+        for (i, list) in lists.iter().flatten().enumerate() {
+            if let Some((_, value)) = list.hinted(keys[i]) {
+                out[i] = Some(value);
+                stats::record_operation();
+                continue;
+            }
+            let head = list.head;
             // SAFETY: the head sentinel is live for the list's lifetime.
-            let curr = unsafe { link(list.head, MAX_LEVEL - 1).load(Ordering::Acquire).0 };
+            let curr = unsafe { link(head, MAX_LEVEL - 1).load(Ordering::Acquire).0 };
             prefetch(curr);
             state[i] = Lane {
-                key,
-                pred: list.head,
+                key: keys[i],
+                pred: head,
                 curr,
                 level: MAX_LEVEL - 1,
                 traversed: 0,
@@ -301,7 +445,11 @@ impl<const OPT: bool> Fraser<OPT> {
                 round &= round - 1;
                 // SAFETY: the guard above predates every lane's first load.
                 if let Some(found) = unsafe { state[i].step() } {
-                    out[i] = found;
+                    out[i] = found.and_then(|node| {
+                        lists[i].expect("a running lane has a list").fill(keys[i], node, false);
+                        // SAFETY: as above.
+                        live_value(unsafe { (*node).value.load(Ordering::Acquire) })
+                    });
                     running &= !(1 << i);
                     stats::record_traversal(state[i].traversed);
                     stats::record_operation();
@@ -329,16 +477,16 @@ impl<const OPT: bool> Fraser<OPT> {
         }
     }
 
-    /// In-place overwrite: a read-only parse finds the node, then a CAS
-    /// loop on its value word swaps the value. The word is the only thing
-    /// written, and a tombstone there means a `remove` got to it first.
+    /// In-place overwrite: the hint or a read-only parse finds the node,
+    /// then a CAS loop on its value word swaps the value. The word is the
+    /// only thing written, and a tombstone there means a `remove` got to it
+    /// first.
     fn replace_op(&self, key: u64, value: u64) -> Option<u64> {
         let _guard = ssmem::protect();
         stats::record_operation();
-        let node = self.locate(key)?;
+        let (node, mut old) = self.lookup(key)?;
         // SAFETY: guard protects the located node.
         let word = unsafe { &(*node).value };
-        let mut old = word.load(Ordering::Acquire);
         while old != TOMB {
             let swapped =
                 word.compare_exchange_weak(old, value, Ordering::AcqRel, Ordering::Acquire);
@@ -358,7 +506,7 @@ impl<const OPT: bool> Fraser<OPT> {
     fn compare_replace_op(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         let _guard = ssmem::protect();
         stats::record_operation();
-        let node = self.locate(key).ok_or(None)?;
+        let (node, _) = self.lookup(key).ok_or(None)?;
         // SAFETY: guard protects the located node.
         let swapped = unsafe { &(*node).value }.compare_exchange(
             expected,
@@ -380,7 +528,8 @@ impl<const OPT: bool> Fraser<OPT> {
         unsafe {
             loop {
                 if OPT {
-                    // ASCY3: a read-only parse decides unsuccessful inserts.
+                    // ASCY3: the hint or a read-only parse decides
+                    // unsuccessful inserts.
                     if self.traverse(key).is_some() {
                         stats::record_operation();
                         return false;
@@ -422,12 +571,11 @@ impl<const OPT: bool> Fraser<OPT> {
                     continue;
                 }
                 // Link the upper levels.
-                for level in 1..toplevel {
+                'levels: for level in 1..toplevel {
                     loop {
                         // Stop if our node got logically deleted meanwhile.
                         if link(node, 0).load(Ordering::Acquire).1 != tag::CLEAN {
-                            stats::record_operation();
-                            return true;
+                            break 'levels;
                         }
                         let succ = link(node, level).load(Ordering::Acquire).0;
                         // Do not link to a marked successor (it is about to be
@@ -454,6 +602,13 @@ impl<const OPT: bool> Fraser<OPT> {
                         }
                         stats::record_restart();
                         self.refresh_level(key, level, node, &mut preds, &mut succs);
+                    }
+                }
+                if OPT {
+                    self.fill(key, node, true);
+                    // Its remover uncounts it whether or not it got this far.
+                    if toplevel >= SAMPLE_LEVEL {
+                        self.hints.tall_linked(refill);
                     }
                 }
                 stats::record_operation();
@@ -499,10 +654,11 @@ impl<const OPT: bool> Fraser<OPT> {
         succs[level] = succ;
     }
 
-    /// `remove` (`expected` is `None`) and `remove_if`: the parse finds
-    /// the node, then a CAS loop on its value word swaps the tombstone in —
-    /// the linearization point. The thread whose swap lands owns the node:
-    /// it marks the tower, unlinks it everywhere and retires it. A mismatch
+    /// `remove` (`expected` is `None`) and `remove_if`: the hint or the
+    /// parse finds the node, then a CAS loop on its value word swaps the
+    /// tombstone in — the linearization point. The thread whose swap lands
+    /// owns the node: it clears the node's hint, marks the tower, unlinks
+    /// it everywhere and retires it. A mismatch
     /// answers `Err(Some(current))`, an absent or already tombstoned key
     /// `Err(None)`.
     fn remove_op(&self, key: u64, expected: Option<u64>) -> Result<u64, Option<u64>> {
@@ -513,34 +669,42 @@ impl<const OPT: bool> Fraser<OPT> {
         // only after the clean-up pass has unlinked it from every level.
         unsafe {
             let victim = if OPT {
-                // ASCY3: a read-only parse, which decides unsuccessful
-                // removals on its own.
-                self.locate(key)
+                // ASCY3: the hint or a read-only parse, which decides
+                // unsuccessful removals on its own.
+                self.lookup(key)
             } else {
-                self.find(key, &mut preds, &mut succs).then_some(succs[0])
+                self.find(key, &mut preds, &mut succs)
+                    .then(|| (succs[0], (*succs[0]).value.load(Ordering::Acquire)))
             };
-            let Some(victim) = victim else {
+            let Some((victim, mut old)) = victim else {
                 stats::record_operation();
                 return Err(None);
             };
             let word = &(*victim).value;
-            let mut old = word.load(Ordering::Acquire);
             loop {
                 if old == TOMB || expected.is_some_and(|e| e != old) {
                     stats::record_operation();
                     return Err(live_value(old));
                 }
+                // `SeqCst`: a filler that re-reads the word after publishing
+                // a hint sees the tombstone, or `clear` below sees the hint.
                 let swapped =
-                    word.compare_exchange_weak(old, TOMB, Ordering::AcqRel, Ordering::Acquire);
+                    word.compare_exchange_weak(old, TOMB, Ordering::SeqCst, Ordering::Acquire);
                 stats::record_atomic(swapped.is_ok());
                 match swapped {
                     Ok(_) => break,
                     Err(seen) => old = seen,
                 }
             }
+            if let Some(table) = self.hints.table() {
+                table.clear(key, victim);
+            }
             // Mark the tower, unlink it everywhere, then retire it.
             mark_tower(victim);
             let _ = self.find(key, &mut preds, &mut succs);
+            if OPT && (*victim).toplevel >= SAMPLE_LEVEL {
+                self.hints.tall_removed();
+            }
             retire_node(victim);
             stats::record_operation();
             Ok(old)
@@ -562,6 +726,34 @@ impl<const OPT: bool> Fraser<OPT> {
             }
         }
         count
+    }
+}
+
+/// Copies the hints of `old`, a table just swapped out, into `new`. The
+/// copier is a filler like any other: it publishes only a node whose value
+/// word it read live, so its guard predates the node's unlink, and
+/// [`fill_into`] re-reads and withdraws.
+///
+/// The caller's guard predates the swap.
+fn refill(old: &Table, new: &Table) {
+    old.for_each_node(|node: *mut Node| {
+        // SAFETY: the guard protects a node hinted in a table it can read.
+        let (key, value) = unsafe { ((*node).key, (*node).value.load(Ordering::Acquire)) };
+        if value != TOMB {
+            fill_into(new, key, node, false);
+        }
+    });
+}
+
+/// [`Fraser::fill`] into `table`, loaded by the caller.
+fn fill_into(table: &Table, key: u64, node: *mut Node, overwrite: bool) {
+    let Some(slot) = table.publish(key, node, overwrite) else {
+        return;
+    };
+    // SAFETY: the caller's guard protects `node`. `SeqCst`, against the
+    // remover's tombstone CAS and its clearing load.
+    if unsafe { (*node).value.load(Ordering::SeqCst) } == TOMB {
+        table.withdraw(key, node, slot);
     }
 }
 
@@ -590,12 +782,12 @@ impl Lane {
     /// Compares `curr` and moves one node: right past a smaller key, or
     /// down from `pred` to the first level whose link leads somewhere new
     /// (a link back to `curr` has nothing left to compare). `Some` is the
-    /// lane's answer, read as [`Fraser::traverse`] reads it.
+    /// lane's answer, the node [`Fraser::locate`] would return.
     ///
     /// # Safety
     ///
     /// The caller holds an SSMEM guard taken before the lane's first load.
-    unsafe fn step(&mut self) -> Option<Option<u64>> {
+    unsafe fn step(&mut self) -> Option<Option<*mut Node>> {
         // SAFETY: the guard protects every node the lane reached.
         unsafe {
             let key = (*self.curr).key;
@@ -608,11 +800,7 @@ impl Lane {
             }
             if key == self.key {
                 let live = link(self.curr, 0).load(Ordering::Acquire).1 == tag::CLEAN;
-                return Some(if live {
-                    live_value((*self.curr).value.load(Ordering::Acquire))
-                } else {
-                    None
-                });
+                return Some(live.then_some(self.curr));
             }
             while self.level > 0 {
                 self.level -= 1;
@@ -792,6 +980,12 @@ impl FraserOptSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
         Self { inner: Fraser::new() }
+    }
+
+    /// Bytes of the list's hint table, 0 below its floor. For memory tests.
+    #[doc(hidden)]
+    pub fn hint_table_bytes(&self) -> usize {
+        self.inner.hints.bytes()
     }
 }
 
@@ -1044,6 +1238,107 @@ mod tests {
         for key in 1..=KEYS {
             assert_eq!(sl.search_op(key), Some(key + 1));
         }
+    }
+
+    /// A `fraser-opt` list past its hint floor, on filler keys from 2^40.
+    fn grown() -> Fraser<true> {
+        let sl = Fraser::<true>::new();
+        let mut filler = 1 << 40;
+        while sl.hints.table().is_none() {
+            assert!(sl.insert_op(filler, 1));
+            filler += 1;
+        }
+        sl
+    }
+
+    /// Slots of the current table that hint `node` under `key`.
+    fn hints_of(sl: &Fraser<true>, key: u64, node: *mut Node) -> usize {
+        let _guard = ssmem::protect();
+        sl.hints.table().expect("grown").hints_of(key, node)
+    }
+
+    /// Window (i): a reader found the node before its removal and publishes
+    /// the hint after the remover's clear. Its re-read of the value word
+    /// sees the tombstone, and it must withdraw the hint.
+    #[test]
+    fn a_filler_that_publishes_after_the_clear_withdraws() {
+        let sl = grown();
+        assert!(sl.insert_op(5, 50));
+        let _reader = ssmem::protect();
+        let node = sl.locate(5).expect("just inserted");
+        sl.hints.table().expect("grown").clear(5, node);
+        assert_eq!(hints_of(&sl, 5, node), 0);
+        assert_eq!(sl.remove_op(5, None), Ok(50));
+        sl.fill(5, node, false);
+        assert_eq!(hints_of(&sl, 5, node), 0, "a hint to a removed node outlived its filler");
+        assert_eq!(sl.search_op(5), None);
+    }
+
+    /// Window (ii): the hint was filled before the tombstone; the remover
+    /// must clear it before it retires the node.
+    #[test]
+    fn a_remover_clears_the_hint_filled_before_its_tombstone() {
+        let sl = grown();
+        assert!(sl.insert_op(5, 50));
+        let node = {
+            let _guard = ssmem::protect();
+            sl.locate(5).expect("just inserted")
+        };
+        assert_eq!(hints_of(&sl, 5, node), 1, "the insert hints its node");
+        assert_eq!(sl.search_op(5), Some(50));
+        assert_eq!(sl.remove_op(5, None), Ok(50));
+        assert_eq!(hints_of(&sl, 5, node), 0, "a hint to a retired node stayed behind");
+        assert_eq!(sl.search_op(5), None);
+        assert!(sl.insert_op(5, 51));
+        assert_eq!(sl.search_op(5), Some(51));
+    }
+
+    /// Window (iii): a grow swaps a new table in between a filler's load of
+    /// the table and its publish. The remover clears in the new table, so
+    /// the hint stays behind in the old one; only guards older than the
+    /// swap can read that table, and it is not given back while one of
+    /// them is held.
+    #[test]
+    fn a_grow_between_a_fillers_load_and_its_publish_strands_the_hint_in_the_old_table() {
+        let sl = grown();
+        assert!(sl.insert_op(5, 50));
+        let (entered, inside) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // A reader of the old table, inside its guard across the swap
+            // until released (or until this thread panics and drops `release`).
+            s.spawn(move || {
+                let _old_reader = ssmem::protect();
+                entered.send(()).unwrap();
+                let _ = released.recv();
+            });
+            inside.recv().unwrap();
+            let _filler = ssmem::protect();
+            let node = sl.locate(5).expect("just inserted");
+            let old = sl.hints.table().expect("grown");
+            old.clear(5, node);
+            sl.hints.force_grow(refill);
+            let pending = ssmem::thread_stats().pending;
+            fill_into(old, 5, node, false);
+            assert_eq!(old.hints_of(5, node), 1, "the node was live at the re-read");
+            assert_eq!(sl.remove_op(5, None), Ok(50));
+            let new = sl.hints.table().expect("grown");
+            assert!(!std::ptr::eq(old, new));
+            assert_eq!(new.hints_of(5, node), 0);
+            assert_eq!(old.hints_of(5, node), 1, "stranded in the old table");
+            assert_eq!(sl.search_op(5), None);
+            assert_eq!(sl.replace_op(5, 51), None);
+            for _ in 0..20 {
+                ssmem::collect();
+            }
+            assert!(
+                ssmem::thread_stats().pending >= pending,
+                "the old table was given back while a guard older than the swap was held"
+            );
+            drop(release);
+        });
+        assert!(sl.insert_op(5, 52));
+        assert_eq!(sl.search_op(5), Some(52));
     }
 
     #[test]

@@ -24,9 +24,15 @@
 //! | h | 2^-h | 24 + 8·h B | 32 + 8·h B |
 //! | mean (2 links) | | 40 B | 48 B |
 //! | [`MAX_LEVEL`] (sentinels) | | 216 B | 224 B |
+//! | `fraser-opt`'s hint table, past its floor | | + 5–10 B per key | |
 //!
 //! The lock-free and sequential header is `key | value | toplevel | next0`
 //! (32 B); the lock-based one adds the two flags and the lock before `next0`.
+//! Past an approximate count of 32 768 keys, [`FraserOptSkipList`] adds a
+//! lossy hint table (see the `fraser` module): 8-byte slots, 5/8 of one per
+//! key of the count rounded up to a power of two, so 5 to 10 B per key
+//! (5.2 B at 250 000 keys in one list), plus one 64-byte header line.
+//!
 //! Nodes are word-aligned, not line-aligned: 15 of 16 are at most 56 B
 //! (64 B lock-based) and lie on one or two cache lines, where a node with
 //! all [`MAX_LEVEL`] links spread its key and its upper links over four. An
@@ -36,6 +42,7 @@
 // clippy's iterator-with-enumerate rewrite obscures that symmetry.
 #[allow(clippy::needless_range_loop)]
 mod fraser;
+mod hint;
 #[allow(clippy::needless_range_loop)]
 mod optimistic;
 #[allow(clippy::needless_range_loop)]
@@ -44,6 +51,13 @@ mod seq;
 pub use fraser::{FraserOptSkipList, FraserSkipList};
 pub use optimistic::{HerlihySkipList, PughSkipList};
 pub use seq::AsyncSkipList;
+
+/// Hint tables of [`FraserOptSkipList`]s allocated and not yet given back,
+/// process-wide. For memory tests.
+#[doc(hidden)]
+pub fn hint_tables_live() -> usize {
+    hint::live_tables()
+}
 
 use std::alloc::Layout;
 use std::cell::Cell;
@@ -240,6 +254,15 @@ mod tests {
     fn fraser_skiplists_replace_suite() {
         testing::replace_suite(FraserSkipList::new);
         testing::replace_suite(FraserOptSkipList::new);
+    }
+
+    #[test]
+    fn hinted_fraser_opt_suites() {
+        // The suites build lists below the hint floor; these run them over
+        // a list past it.
+        testing::full_suite(testing::HintedFraserOpt::new);
+        testing::replace_suite(testing::HintedFraserOpt::new);
+        testing::ordered_model_check(testing::HintedFraserOpt::new, 1_500);
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct OpCounters {
     pub waits: u64,
     /// Completed operations (search + insert + remove).
     pub operations: u64,
+    /// Point operations answered through a lossy hint table (`fraser-opt`
+    /// past its floor) instead of a traversal.
+    pub hint_hits: u64,
 }
 
 impl OpCounters {
@@ -48,6 +51,7 @@ impl OpCounters {
         nodes_traversed: 0,
         waits: 0,
         operations: 0,
+        hint_hits: 0,
     };
 
     /// Estimated cache-line transfers caused by this thread.
@@ -101,6 +105,7 @@ impl OpCounters {
         self.nodes_traversed = self.nodes_traversed.saturating_add(other.nodes_traversed);
         self.waits = self.waits.saturating_add(other.waits);
         self.operations = self.operations.saturating_add(other.operations);
+        self.hint_hits = self.hint_hits.saturating_add(other.hint_hits);
     }
 
     /// Field-wise saturating subtraction: the events in `self` that are
@@ -118,6 +123,7 @@ impl OpCounters {
             nodes_traversed: self.nodes_traversed.saturating_sub(earlier.nodes_traversed),
             waits: self.waits.saturating_sub(earlier.waits),
             operations: self.operations.saturating_sub(earlier.operations),
+            hint_hits: self.hint_hits.saturating_sub(earlier.hint_hits),
         }
     }
 }
@@ -131,6 +137,7 @@ thread_local! {
     static NODES_TRAVERSED: Cell<u64> = const { Cell::new(0) };
     static WAITS: Cell<u64> = const { Cell::new(0) };
     static OPERATIONS: Cell<u64> = const { Cell::new(0) };
+    static HINT_HITS: Cell<u64> = const { Cell::new(0) };
     /// Baseline for [`drain_delta`]: everything already handed out by a
     /// previous drain on this thread.
     static DRAINED: Cell<OpCounters> = const { Cell::new(OpCounters::ZERO) };
@@ -199,6 +206,12 @@ pub fn record_operation() {
     bump(&OPERATIONS, 1);
 }
 
+/// Records a point operation answered through a hint table.
+#[inline]
+pub fn record_hint_hit() {
+    bump(&HINT_HITS, 1);
+}
+
 /// Returns the calling thread's counters.
 pub fn snapshot() -> OpCounters {
     OpCounters {
@@ -210,6 +223,7 @@ pub fn snapshot() -> OpCounters {
         nodes_traversed: NODES_TRAVERSED.with(Cell::get),
         waits: WAITS.with(Cell::get),
         operations: OPERATIONS.with(Cell::get),
+        hint_hits: HINT_HITS.with(Cell::get),
     }
 }
 
@@ -245,6 +259,7 @@ pub fn reset() {
     NODES_TRAVERSED.with(|c| c.set(0));
     WAITS.with(|c| c.set(0));
     OPERATIONS.with(|c| c.set(0));
+    HINT_HITS.with(|c| c.set(0));
 }
 
 #[cfg(test)]
@@ -296,6 +311,19 @@ mod tests {
         record_store();
         assert_eq!(drain_delta().shared_stores, 1);
         reset();
+    }
+
+    #[test]
+    fn hint_hits_count_apart_from_traffic() {
+        reset();
+        record_hint_hit();
+        record_hint_hit();
+        let s = snapshot();
+        assert_eq!(s.hint_hits, 2);
+        assert_eq!(s.cache_line_transfers(), 0, "a hint hit is a read");
+        assert_eq!(drain_delta().hint_hits, 2);
+        reset();
+        assert_eq!(snapshot().hint_hits, 0);
     }
 
     #[test]

@@ -703,3 +703,89 @@ where
     partitioned_concurrency(ctor, threads, 64);
     balance_stress(ctor, threads, 3_000, 96);
 }
+
+/// Keys from here up fill the lists [`HintedFraserOpt::new`] builds; the
+/// batteries in this module use far smaller keys.
+pub const HINT_FILLERS_FROM: u64 = 1 << 40;
+
+/// A [`FraserOptSkipList`](crate::skiplist::FraserOptSkipList) grown past
+/// its hint-table floor with filler keys from [`HINT_FILLERS_FROM`] up,
+/// seen through the keys below them: `size` and the scans leave the
+/// fillers out. The batteries here build their lists far below the floor,
+/// so over a plain list they never reach the hint path; over this one every
+/// point operation probes a table whose buckets the fillers crowd.
+pub struct HintedFraserOpt {
+    list: crate::skiplist::FraserOptSkipList,
+    fillers: usize,
+}
+
+impl HintedFraserOpt {
+    /// A list with a hint table and no key below [`HINT_FILLERS_FROM`].
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        let list = crate::skiplist::FraserOptSkipList::new();
+        let mut fillers = 0;
+        while list.hint_table_bytes() == 0 {
+            for _ in 0..1_024 {
+                assert!(list.insert(HINT_FILLERS_FROM + fillers as u64, 1));
+                fillers += 1;
+            }
+        }
+        Self { list, fillers }
+    }
+
+    /// Drops the entries of fillers from the end of `out`, from `from` on.
+    fn without_fillers(out: &mut Vec<(u64, u64)>, from: usize) -> usize {
+        let kept = out[from..].partition_point(|&(key, _)| key < HINT_FILLERS_FROM);
+        out.truncate(from + kept);
+        kept
+    }
+}
+
+impl ConcurrentMap for HintedFraserOpt {
+    fn search(&self, key: u64) -> Option<u64> {
+        self.list.search(key)
+    }
+    fn search_lanes(lanes: &[(&Self, u64)], out: &mut [Option<u64>]) {
+        let lanes: Vec<_> = lanes.iter().map(|&(m, key)| (&m.list, key)).collect();
+        crate::skiplist::FraserOptSkipList::search_lanes(&lanes, out);
+    }
+    fn insert(&self, key: u64, value: u64) -> bool {
+        assert!(key < HINT_FILLERS_FROM, "key {key} is a filler's");
+        self.list.insert(key, value)
+    }
+    fn remove(&self, key: u64) -> Option<u64> {
+        self.list.remove(key)
+    }
+    fn size(&self) -> usize {
+        self.list.size() - self.fillers
+    }
+}
+
+impl ReplaceMap for HintedFraserOpt {
+    fn replace(&self, key: u64, value: u64) -> Option<u64> {
+        self.list.replace(key, value)
+    }
+    fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
+        self.list.compare_replace(key, expected, value)
+    }
+    fn remove_if(&self, key: u64, expected: u64) -> Result<(), Option<u64>> {
+        self.list.remove_if(key, expected)
+    }
+}
+
+impl OrderedMap for HintedFraserOpt {
+    fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
+        self.list.range_search(lo, hi.min(HINT_FILLERS_FROM - 1), out)
+    }
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
+        let mut out = self.list.scan(from, n);
+        Self::without_fillers(&mut out, 0);
+        out
+    }
+    fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
+        let start = out.len();
+        self.list.scan_into(from, n, out);
+        Self::without_fillers(out, start)
+    }
+}

@@ -222,6 +222,8 @@ impl ConcurrencyStats {
                 nodes_traversed: self.nodes_traversed.load(Ordering::Relaxed),
                 waits: self.waits.load(Ordering::Relaxed),
                 operations: self.operations.load(Ordering::Relaxed),
+                // Not folded: no scrape surface renders hint hits.
+                hint_hits: 0,
             },
             ssmem: SsmemStats {
                 allocations: self.ssmem_allocations.load(Ordering::Relaxed),

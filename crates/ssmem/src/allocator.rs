@@ -11,12 +11,19 @@ use crate::arena::{self, class_of};
 use crate::registry::{self, ThreadEntry};
 use crate::DEFAULT_GC_THRESHOLD;
 
-/// A single retired allocation awaiting its grace period.
+/// Gives an allocation with a caller-chosen owner back for good, in place
+/// of pooling it (see [`crate::retire_with`]).
+type Release = unsafe fn(*mut u8, Layout);
+
+/// A single retired allocation awaiting its grace periods.
 #[derive(Debug)]
 struct Retired {
     ptr: *mut u8,
     size: usize,
     align: usize,
+    /// Set for memory that is never pooled: called once both grace
+    /// periods have passed.
+    release: Option<Release>,
 }
 
 // SAFETY: a `Retired` is just an owned pointer to memory that no thread is
@@ -24,12 +31,15 @@ struct Retired {
 // between threads (for orphan hand-off) is sound.
 unsafe impl Send for Retired {}
 
-/// A batch of retired allocations together with the timestamp snapshot taken
-/// when the batch was sealed.
+/// A batch of retired allocations together with the timestamp snapshot its
+/// current grace period is measured from: the one taken when the batch was
+/// sealed, then the one taken when that first grace period was observed.
 #[derive(Debug)]
 struct SealedSet {
     retired: Vec<Retired>,
     snapshot: Vec<(Arc<ThreadEntry>, u64)>,
+    /// `snapshot` is the second one: once it is safe, the batch is reused.
+    second: bool,
 }
 
 fn orphan_sets() -> &'static Mutex<Vec<SealedSet>> {
@@ -223,12 +233,28 @@ impl SsmemAllocator {
         if class_of(layout.size(), layout.align()).is_some() {
             arena::debug_assert_carved(ptr);
         }
-        self.stats.frees += 1;
-        self.current.push(Retired {
+        self.push_retired(Retired {
             ptr,
             size: layout.size(),
             align: layout.align(),
+            release: None,
         });
+    }
+
+    /// Retires memory that is handed to `release` after its grace periods
+    /// instead of being pooled (see [`crate::retire_with`]).
+    pub fn retire_with(&mut self, ptr: *mut u8, layout: Layout, release: unsafe fn(*mut u8, Layout)) {
+        self.push_retired(Retired {
+            ptr,
+            size: layout.size(),
+            align: layout.align(),
+            release: Some(release),
+        });
+    }
+
+    fn push_retired(&mut self, retired: Retired) {
+        self.stats.frees += 1;
+        self.current.push(retired);
         if self.current.len() >= self.threshold {
             self.seal_current();
             self.try_collect();
@@ -241,7 +267,11 @@ impl SsmemAllocator {
         }
         let retired = std::mem::take(&mut self.current);
         let snapshot = registry::snapshot();
-        self.sealed.push_back(SealedSet { retired, snapshot });
+        self.sealed.push_back(SealedSet {
+            retired,
+            snapshot,
+            second: false,
+        });
     }
 
     /// Attempts a collection pass; returns the number of objects reclaimed.
@@ -253,8 +283,8 @@ impl SsmemAllocator {
     fn try_collect(&mut self) -> usize {
         self.stats.gc_passes += 1;
         let mut reclaimed = 0;
-        while let Some(front) = self.sealed.front() {
-            if !Self::set_is_safe(front, Some(&self.entry)) {
+        while let Some(front) = self.sealed.front_mut() {
+            if !Self::ripe(front, Some(&self.entry)) {
                 break;
             }
             let set = self.sealed.pop_front().expect("front exists");
@@ -275,8 +305,8 @@ impl SsmemAllocator {
             return 0;
         };
         let mut reclaimed = 0;
-        orphans.retain(|set| {
-            if Self::set_is_safe(set, None) {
+        orphans.retain_mut(|set| {
+            if Self::ripe(set, None) {
                 reclaimed += set.retired.len();
                 for r in &set.retired {
                     // SAFETY: grace period expired for every thread
@@ -292,9 +322,32 @@ impl SsmemAllocator {
         reclaimed
     }
 
-    /// Is it safe to reclaim this batch? `skip` identifies the collecting
-    /// thread itself when the batch was retired by that same thread (a thread
-    /// never dereferences objects it has already retired).
+    /// Has this batch passed both of its grace periods? When the first one
+    /// is observed the batch takes its second snapshot, and it is ripe once
+    /// that snapshot is safe too (possibly at once, if every other thread
+    /// is quiescent). Two are needed because a reader may *reach* a retired
+    /// object after the first snapshot was taken: a thread that was inside
+    /// an operation when the object was unlinked can re-publish a pointer to
+    /// it before it notices and withdraws it, and a reader that started
+    /// after the first snapshot can load that pointer in between. The
+    /// publisher's operation predates the unlink, so the first grace period
+    /// ends after the withdraw; such a reader is then still inside its
+    /// operation at the second snapshot, or done with the object.
+    fn ripe(set: &mut SealedSet, skip: Option<&Arc<ThreadEntry>>) -> bool {
+        if !Self::set_is_safe(set, skip) {
+            return false;
+        }
+        if set.second {
+            return true;
+        }
+        set.snapshot = registry::snapshot();
+        set.second = true;
+        Self::set_is_safe(set, skip)
+    }
+
+    /// Is the batch's current grace period over? `skip` identifies the
+    /// collecting thread itself when the batch was retired by that same
+    /// thread (a thread never dereferences objects it has already retired).
     fn set_is_safe(set: &SealedSet, skip: Option<&Arc<ThreadEntry>>) -> bool {
         for (entry, ts_at_seal) in &set.snapshot {
             if let Some(me) = skip {
@@ -321,6 +374,10 @@ impl SsmemAllocator {
     }
 
     fn recycle(&mut self, r: Retired) {
+        if r.release.is_some() {
+            // SAFETY: both grace periods expired; we own the allocation.
+            return unsafe { release(&r) };
+        }
         if let Some(class) = class_of(r.size, r.align) {
             return self.arena.free(class, r.ptr);
         }
@@ -355,22 +412,27 @@ impl Drop for SsmemAllocator {
         for ((size, align), list) in self.other.drain() {
             for ptr in list {
                 // SAFETY: pool entries are unreachable by any thread.
-                unsafe { dealloc_system(&Retired { ptr, size, align }) };
+                unsafe { dealloc_system(&Retired { ptr, size, align, release: None }) };
             }
         }
         self.entry.active.store(false, Ordering::Release);
     }
 }
 
-/// Gives one allocation back for good: a small object to the arena's
-/// process-wide free list of its class, anything else to the system
-/// allocator.
+/// Gives one allocation back for good: one retired with its own release
+/// function to that function, a small object to the arena's process-wide
+/// free list of its class, anything else to the system allocator.
 ///
 /// # Safety
 ///
 /// The pointer must own a live allocation of exactly `size`/`align` that
 /// no thread can reach.
 unsafe fn release(r: &Retired) {
+    if let Some(release) = r.release {
+        let layout = Layout::from_size_align(r.size, r.align).expect("valid layout");
+        // SAFETY: forwarded caller contract; `retire_with` took the layout.
+        return unsafe { release(r.ptr, layout) };
+    }
     match class_of(r.size, r.align) {
         Some(class) => {
             arena::debug_assert_carved(r.ptr);
@@ -404,6 +466,7 @@ pub(crate) unsafe fn dealloc_now<T>(ptr: *mut T) {
         ptr: ptr as *mut u8,
         size: std::mem::size_of::<T>(),
         align: std::mem::align_of::<T>(),
+        release: None,
     };
     // SAFETY: forwarded caller contract.
     unsafe { release(&r) };
@@ -419,6 +482,7 @@ pub(crate) unsafe fn dealloc_raw_now(ptr: *mut u8, layout: Layout) {
         ptr,
         size: layout.size(),
         align: layout.align(),
+        release: None,
     };
     // SAFETY: forwarded caller contract.
     unsafe { release(&r) };
@@ -510,6 +574,7 @@ mod tests {
             ptr,
             size: layout.size(),
             align: layout.align(),
+            release: None,
         };
         let mut a = SsmemAllocator::new();
         let ptrs = layouts.map(|layout| a.alloc_raw(layout));

@@ -12,9 +12,20 @@
 //!   no other thread can still hold a reference to it.
 //! * The decision is based on **per-thread timestamps** that threads bump
 //!   when they enter and leave data-structure operations (RCU/QSBR-style).
-//!   A retired batch records a snapshot of all timestamps; it can be
-//!   reclaimed once every other thread was either quiescent at the snapshot
+//!   A retired batch records a snapshot of all timestamps; its grace period
+//!   is over once every other thread was either quiescent at the snapshot
 //!   or has advanced its timestamp since.
+//! * A batch is reused only after **two** grace periods: when a pass sees
+//!   the first one over, the batch takes a second snapshot and waits for
+//!   that one too. One grace period protects every reader that reached the
+//!   object through the structure before it was unlinked. The second
+//!   protects readers that reached it through a pointer a slower operation
+//!   re-published after the unlink and withdrew again inside its guard —
+//!   the window of `fraser-opt`'s lossy hint table (see
+//!   `ascylib::skiplist`). The publisher was inside its operation at the
+//!   first snapshot, so its withdraw precedes the end of the first grace
+//!   period, and a reader that loaded the pointer before the withdraw is
+//!   still inside its own operation at the second snapshot, or finished.
 //! * The amount of garbage accumulated before a collection is attempted is
 //!   configurable ([`set_gc_threshold`]), mirroring the
 //!   `SSMEM_GC_FREE_SET_SIZE` knob the paper tunes per platform (512 on most
@@ -49,7 +60,8 @@
 //!
 //! Other layouts (large blobs, cache-line-aligned hash buckets, zero-size
 //! layouts) take the system allocator and a per-layout pool that releases
-//! its overflow back to it.
+//! its overflow back to it. Memory retired with [`retire_with`] is never
+//! pooled: its own release function gets it back after the grace periods.
 //!
 //! # Usage model
 //!
@@ -198,6 +210,21 @@ pub fn alloc_raw(layout: std::alloc::Layout) -> *mut u8 {
 #[inline]
 pub unsafe fn retire_raw(ptr: *mut u8, layout: std::alloc::Layout) {
     THREAD_ALLOCATOR.with(|a| a.borrow_mut().retire_raw(ptr, layout))
+}
+
+/// Retires memory the caller allocated itself (say, a large table from the
+/// system allocator): once its grace periods have passed, some thread calls
+/// `release(ptr, layout)` on it, exactly once. Nothing is pooled, so memory
+/// given back this way leaves the process's footprint when `release` frees
+/// it.
+///
+/// # Safety
+///
+/// The [`retire`] contract for `ptr`, which must not be retired twice;
+/// `release` must accept `ptr` with `layout` from any thread.
+#[inline]
+pub unsafe fn retire_with(ptr: *mut u8, layout: std::alloc::Layout, release: unsafe fn(*mut u8, std::alloc::Layout)) {
+    THREAD_ALLOCATOR.with(|a| a.borrow_mut().retire_with(ptr, layout, release))
 }
 
 /// Immediately deallocates raw memory obtained from [`alloc_raw`].
@@ -381,6 +408,110 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(drained, "reclamation should resume after the guard is dropped");
+    }
+
+    #[test]
+    fn a_guard_taken_after_the_retire_snapshot_holds_back_reuse() {
+        // C is inside an operation when A retires an object and seals it, so
+        // the first grace period waits for C. B enters an operation after
+        // the seal and before C leaves: it might have reached the object
+        // through a pointer C re-published and is about to withdraw. Once C
+        // leaves, the first grace period is over, and the object must still
+        // not be reissued until B leaves too.
+        let steps = Arc::new(std::sync::Barrier::new(3));
+        let spawn = |role: fn(&std::sync::Barrier)| {
+            let steps = Arc::clone(&steps);
+            std::thread::spawn(move || role(&steps))
+        };
+        let c = spawn(|steps| {
+            let guard = protect();
+            steps.wait(); // 1: C is inside.
+            steps.wait(); // 2: A has retired and sealed.
+            steps.wait(); // 3: B is inside.
+            drop(guard);
+            steps.wait(); // 4: C has left.
+            steps.wait();
+            steps.wait();
+        });
+        let b = spawn(|steps| {
+            let _ = thread_stats(); // register while quiescent
+            steps.wait();
+            steps.wait();
+            let guard = protect();
+            steps.wait();
+            steps.wait();
+            steps.wait(); // 5: A has watched its batch held back.
+            drop(guard);
+            steps.wait(); // 6: B has left.
+        });
+        // A walks every step before it asserts, so a failure cannot leave B
+        // and C waiting inside their guards.
+        let a = std::thread::spawn({
+            let steps = Arc::clone(&steps);
+            move || {
+                set_gc_threshold(DEFAULT_GC_THRESHOLD);
+                steps.wait();
+                let object = alloc(7u64);
+                // SAFETY: never shared with another thread.
+                unsafe { retire(object) };
+                collect();
+                let held_while_c = thread_stats().pending;
+                steps.wait();
+                steps.wait();
+                steps.wait();
+                let mut held_while_b = u64::MAX;
+                for _ in 0..50 {
+                    collect();
+                    held_while_b = held_while_b.min(thread_stats().pending);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                steps.wait();
+                steps.wait();
+                // Guards held by tests running beside this one can delay a
+                // pass.
+                for _ in 0..2_000 {
+                    collect();
+                    if thread_stats().pending == 0 {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                let left_after_b = thread_stats().pending;
+                let reissued = alloc(9u64) == object;
+                (held_while_c, held_while_b, left_after_b, reissued)
+            }
+        });
+        let (held_while_c, held_while_b, left_after_b, reissued) = a.join().unwrap();
+        for role in [b, c] {
+            role.join().unwrap();
+        }
+        assert_eq!(held_while_c, 1, "reclaimed while C is inside");
+        assert_eq!(held_while_b, 1, "reissued while B, inside since after the retire snapshot, may hold it");
+        assert_eq!(left_after_b, 0, "never reclaimed after B left");
+        assert!(reissued, "the pool reissues the reclaimed object first");
+    }
+
+    #[test]
+    fn retire_with_hands_memory_to_its_release_function() {
+        static RELEASED: AtomicU64 = AtomicU64::new(0);
+        unsafe fn count_and_free(ptr: *mut u8, layout: std::alloc::Layout) {
+            RELEASED.fetch_add(layout.size() as u64, Ordering::SeqCst);
+            // SAFETY: allocated below with this layout.
+            unsafe { std::alloc::dealloc(ptr, layout) };
+        }
+        let layout = std::alloc::Layout::from_size_align(1 << 16, 64).unwrap();
+        // SAFETY: a non-zero layout.
+        let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+        // SAFETY: never shared; freed by `count_and_free` only.
+        unsafe { retire_with(ptr, layout, count_and_free) };
+        for _ in 0..2_000 {
+            collect();
+            if RELEASED.load(Ordering::SeqCst) != 0 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(RELEASED.load(Ordering::SeqCst), 1 << 16, "released once, whole");
     }
 
     #[test]
