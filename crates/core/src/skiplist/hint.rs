@@ -28,13 +28,15 @@ const WAYS: usize = 8;
 
 /// The approximate key count past which a list allocates its table.
 ///
-/// `cargo bench --bench micro_ops` at 1 k, 16 k and 256 k keys, built with
-/// this floor at 0 and at `isize::MAX` (numbers in CHANGES.md): a hinted
-/// hit costs 25–50 ns at every size, against 57–138 ns for the walk that
-/// bench's ascending keys keep in cache (random keys walk ~18 misses at a
-/// million); a miss pays the bucket on top of its walk, up to 1.9× at
-/// 256 k. So no size makes the table a loss for hits, and the floor is set
-/// by what it must leave alone: the paper's 1 024-key lists (Figure 5, the
+/// `cargo bench --bench micro_ops` at 1 k, 16 k and 256 k keys, loaded and
+/// searched in a fixed random order, built with this floor at 0 and at
+/// `isize::MAX`, four rounds each (numbers in CHANGES.md): a hit costs
+/// 36–59, 134–153 and 192–774 ns with the table against 101–134, 200–284
+/// and 1 139–1 444 ns for the walk (at 5/8 slot per key a third of the keys
+/// still walk); a miss pays the bucket on top of its walk, +15–30 % at 1 k
+/// and within the noise at 256 k, where the walk's own misses dominate. So
+/// no size makes the table a loss for hits, and the floor is set by what
+/// it must leave alone: the paper's 1 024-key lists (Figure 5, the
 /// ASCY ablation) stay the unhinted `fraser-opt`, with a margin the
 /// sampled count never crosses, and shards of a few ten thousand keys
 /// (`embed_write`'s ~25 000) spend no memory on a table.

@@ -285,7 +285,7 @@ static TABLE: &[Row] = &[
     info_only(Hotkeys, "hotkey_front_hit_rate", |s| real(s.hotkey?.front_hit_rate(), 4)),
     counter(Hotkeys, "hotkey_fills", ("ascy_hotkey_fills_total", "Front-cache slots filled from backing reads."), |s| int(s.hotkey?.fills)),
     counter(Hotkeys, "hotkey_poisons", ("ascy_hotkey_poisons_total", "Front-cache invalidations by bypassing writes."), |s| int(s.hotkey?.poisons)),
-    counter(Hotkeys, "hotkey_delegated", ("ascy_hotkey_delegated_total", "Writes to fronted keys applied write-through under the slot lock."), |s| int(s.hotkey?.delegated)).stats("hotkey_delegated"),
+    counter(Hotkeys, "hotkey_delegated", ("ascy_hotkey_delegated_total", "Writes to fronted keys applied write-through under the slot word."), |s| int(s.hotkey?.delegated)).stats("hotkey_delegated"),
     info_only(Hotkeys, "hot_key_<rank>", |s| lines(hot_key_lines(&s.hot_keys))),
     counter(Memory, "ssmem_allocations", ("ascy_ssmem_allocations_total", "Epoch-allocator objects handed out."), |s| int(s.conc.ssmem.allocations)).stats("ssmem_allocations"),
     counter(Memory, "ssmem_frees", ("ascy_ssmem_frees_total", "Objects released into the epoch limbo lists."), |s| int(s.conc.ssmem.frees)).stats("ssmem_frees"),

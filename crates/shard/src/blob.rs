@@ -124,13 +124,17 @@
 //!
 //! # Hot-key cooperation
 //!
-//! Values carrying a TTL are **never** installed in the hot-key front
-//! cache (their fill leases are simply dropped), so a front hit can never
-//! outlive its deadline. Eviction and expiry of a fronted key poison its
-//! seqlock slot *before* the handle is retired — the engine's never-stale
-//! guarantee survives the cache tier. A front hit never touches the blob,
-//! so it marks its slot instead, and the CLOCK hand counts a marked slot
-//! as a reference and clears the mark
+//! The front cache's coherence protocol lives in [`crate::hotkey`] alone;
+//! this map only routes through it. Every write — `set`, `del`,
+//! `expire`'s swap, and the removes of eviction and expiry — goes through
+//! [`HotKeyEngine::write`] with what it writes and whether that carries a
+//! deadline, and retires the displaced blob only after it returns, when
+//! the engine has already replaced or dropped the key's front copy under
+//! the slot's versioned word (a lock like BST-TK's). A read the front
+//! left pending hands its backing result and the value's TTL flag to
+//! [`HotKeyEngine::fill`], which decides what may be installed. A front
+//! hit never touches the blob, so it marks its slot instead, and the
+//! CLOCK hand counts a marked slot as a reference and clears the mark
 //! ([`HotKeyEngine::take_referenced`]): a key read only through the front
 //! is not evicted while it is read.
 //!
@@ -805,20 +809,6 @@ enum Reclaim {
     Evicted,
 }
 
-/// The front cache's one fill rule, for [`BlobMap::get`] and
-/// [`BlobMap::multi_get_into`]: `found` is the backing read's value and
-/// whether it carries a TTL. A value without one is installed and a miss
-/// caches absence; a TTL'd value is never installed — dropping the lease
-/// leaves the slot pending, and every read keeps consulting the
-/// (expiry-checking) backing.
-fn fill_front(hot: &HotKeyEngine, ticket: &FillTicket, found: Option<(&[u8], bool)>) {
-    match found {
-        Some((_, true)) => {}
-        Some((value, false)) => hot.fill(ticket, Some(value)),
-        None => hot.fill(ticket, None),
-    }
-}
-
 /// Variable-length byte values over a [`ShardedMap`] of an ordered
 /// backing: the map stores arena handles, per-shard arenas store payloads,
 /// and every read copies out under an epoch guard. With a [`CacheConfig`],
@@ -858,7 +848,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// [`crate::hotkey`]): hot values up to
     /// [`crate::hotkey::FRONT_VALUE_CAP`] bytes are served from seqlock'd
     /// copies without touching the epoch guard, index, or arena, and hot
-    /// writes apply write-through under the key's front-slot lock.
+    /// writes apply write-through under the key's front-slot word.
     /// `cfg.k == 0` yields a plain map.
     pub fn with_hotkeys(shards: usize, cfg: HotKeyConfig, make: impl FnMut(usize) -> M) -> Self {
         Self::with_config(shards, cfg, CacheConfig::unbounded(), make)
@@ -957,7 +947,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
                 FrontRead::Absent => return false,
                 FrontRead::Pending(ticket) => {
                     let found = self.get_backing(key, out);
-                    fill_front(hot, &ticket, found.map(|ttl| (out.as_slice(), ttl)));
+                    hot.fill(&ticket, found.map(|ttl| (out.as_slice(), ttl)));
                     return found.is_some();
                 }
                 FrontRead::Miss => {}
@@ -1017,10 +1007,10 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// displaced blob is retired) and stamping the config's default TTL,
     /// if any. Returns `true` if the key was newly created (an expired
     /// corpse counts as absent), `false` if a live value was replaced.
-    /// Writes to a fronted key publish under the key's front-slot lock and
-    /// refresh the front-cache copy before it releases
-    /// ([`HotKeyEngine::write_through`]); TTL-stamped writes take the plain
-    /// path and poison instead (TTL'd values are never front-cached).
+    /// Writes to a fronted key publish under the key's front-slot word and
+    /// refresh the front-cache copy before it is freed
+    /// ([`HotKeyEngine::write`]); a TTL-stamped value is never
+    /// front-cached.
     pub fn set(&self, key: u64, value: &[u8]) -> bool {
         self.set_with_ttl(key, value, self.default_ttl_ms)
     }
@@ -1042,7 +1032,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             Some(t) => arena.now_ms().saturating_add(t).max(1),
             None => 0,
         };
-        // Store the blob before any front-slot lock is taken (arena stores
+        // Store the blob before any front-slot word is taken (arena stores
         // are uncontended); only the index publish runs under it.
         let handle = arena.store(value, expire_at);
         self.write(key, Some(value), expire_at, || self.publish(key, handle))
@@ -1088,14 +1078,9 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
 
     /// The one write routing of [`set`](Self::set), [`del`](Self::del) and
     /// [`expire`](Self::expire)'s swap: `apply` performs the write on the
-    /// index, `value` is what it writes (`None`: a delete; read only on the
-    /// write-through path) and `expire_at` its deadline (0 = none). A write
-    /// of a fronted key without a deadline applies under the key's
-    /// front-slot lock and refreshes its copy
-    /// ([`HotKeyEngine::write_through`]); any other write applies, then
-    /// poisons the key — it may have been promoted meanwhile, and TTL'd
-    /// values are never front-cached — so no reader sees a front copy older
-    /// than this write.
+    /// index, `value` is what it writes (`None`: a delete) and `expire_at`
+    /// its deadline (0 = none). The access is sampled, and the write goes
+    /// through the engine's one entry point ([`HotKeyEngine::write`]).
     fn write(
         &self,
         key: u64,
@@ -1107,21 +1092,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             return apply();
         };
         hot.record_access(key);
-        if expire_at == 0 && hot.fronted(key) {
-            return hot.write_through(key, value, apply);
-        }
-        let applied = apply();
-        hot.poison(key);
-        applied
-    }
-
-    /// Drops `key`'s front-cache copy, if an engine is attached. Called
-    /// *before* a handle is retired, so a front copy never outlives the
-    /// value it mirrors.
-    fn poison(&self, key: u64) {
-        if let Some(hot) = &self.hot {
-            hot.poison(key);
-        }
+        hot.write(key, value, expire_at != 0, apply)
     }
 
     // -- expiry verbs ------------------------------------------------------
@@ -1168,9 +1139,8 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// lost. `Some(true)`: the copy went in. `Some(false)`: the key is gone.
     /// `None`: another write replaced `h` first, and the caller looks
     /// again. The swap goes through [`write`](Self::write) with the copy's
-    /// `deadline`, so it applies, then poisons — TTL'd values are never
-    /// front-cached, and a front copy from `h`'s deadline-free life dies
-    /// before `h` is retired.
+    /// `deadline`, so a front copy from `h`'s deadline-free life is gone
+    /// before `h` is retired, and the TTL'd copy is never front-cached.
     fn swap_in_copy(&self, key: u64, h: u64, copy: u64, deadline: u64) -> Option<bool> {
         let mut swapped = Err(None);
         self.write(key, None, deadline, || {
@@ -1372,13 +1342,16 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// dereferences the stale `handle` unless the remove handed it to this
     /// thread. `true` if a blob was retired.
     fn reclaim(&self, key: u64, handle: u64, why: Reclaim) -> bool {
-        if self.map.remove_if(key, handle).is_err() {
+        // Not sampled: the cache tier's removes are not accesses.
+        let remove = || self.map.remove_if(key, handle).is_ok();
+        let removed = match &self.hot {
+            Some(hot) => hot.write(key, None, false, remove),
+            None => remove(),
+        };
+        if !removed {
             return false;
         }
         let arena = self.arena_of(key);
-        // Poison before retire: a fronted copy must die before the backing
-        // value does (never-stale guarantee).
-        self.poison(key);
         // SAFETY: unlinked by our remove, returned only to us.
         unsafe { arena.retire(handle) };
         arena.stripes.add(
@@ -1442,7 +1415,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             self.resolve_batch(&rest.keys, &mut out.bytes, |j, found| {
                 let (pos, ticket) = &slots[j];
                 if let Some(ticket) = ticket {
-                    fill_front(hot, ticket, found.map(|(_, value, ttl)| (value, ttl)));
+                    hot.fill(ticket, found.map(|(_, value, ttl)| (value, ttl)));
                 }
                 spans[*pos] = found.map(|(span, ..)| span);
             });

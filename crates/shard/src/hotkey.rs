@@ -23,8 +23,8 @@
 //!    hit also marks the slot referenced (one store per CLOCK lap), so the
 //!    cache tier does not evict a key that is read only through the front.
 //! 3. **Write-through** — a write to a fronted key takes the key's slot
-//!    lock, applies to the backing and installs the new copy before it
-//!    releases ([`HotKeyEngine::write_through`]). The lock is held around
+//!    word, applies to the backing and installs the new copy before it
+//!    frees the word ([`HotKeyEngine::write`]). The word is held around
 //!    exactly the stores a sequential update would make, as in the
 //!    paper's lock-based structures; writes to different hot keys never
 //!    wait for each other.
@@ -49,30 +49,41 @@
 //! # Coherence contract
 //!
 //! A front-cache read **never returns a value older than the last
-//! completed write** to that key. The protocol that guarantees it:
+//! completed write** to that key. Each slot synchronizes on one word,
+//! `seq`, a versioned lock like BST-TK's (`ascylib_sync::versioned`, §6.2
+//! of the paper), which folds "lock, validate, update, bump the version"
+//! into one CAS. Even means free and stable, odd means held: a writer
+//! takes the slot with a CAS from an even `s` to `s + 1` and frees it by
+//! storing `s + 2`, so every take moves the version, whether or not it
+//! writes anything. The protocol, all of it in this module:
 //!
 //! * The backing structure is written *first*, always. The front cache is
 //!   strictly a cache of the backing — a reader that bypasses it (scans,
 //!   batched paths, `contains`) can never observe staleness.
-//! * Every change to a slot is a seqlock write under the slot lock: `seq`
-//!   is odd while it runs, and readers that see it odd (or changed) fall
-//!   through to the backing.
-//! * Writers that see the key fronted write through: the seqlock write
-//!   opens *before* the backing apply and closes after the install, so no
-//!   reader can pair a new backing value with the old copy, and the lock
-//!   orders one key's writes.
-//! * A writer that raced a promotion (checked before the key was fronted,
-//!   applied to the backing, then found the key fronted) **poisons** the
-//!   slot: the cached copy is dropped by a seqlock write.
+//! * Readers are a seqlock's: they copy between two loads of `seq` and
+//!   fall through to the backing if it was odd or moved.
+//! * [`HotKeyEngine::write`] is the one write entry point. If the filter
+//!   names the key, the write takes the slot word *before* its backing
+//!   write and frees it after installing the new copy — a value, an
+//!   absence, or pending for a TTL'd or oversize value — so no reader can
+//!   pair a new backing value with the old copy, and the word orders one
+//!   key's writes. Otherwise it applies, then **poisons**: if a promotion
+//!   raced the write, the cached copy is dropped under the word.
+//! * A delete — `del`, and the cache tier's eviction and expiry — has
+//!   changed the copy when `write` returns, and its caller retires the
+//!   displaced blob only then, so a copy never outlives what it mirrors.
 //! * Reads of a fronted-but-empty (pending) slot fall through to the
-//!   backing and then try to install what they read. The fill carries the
-//!   `seq` the probe validated (a lease, in memcache terms) and lands only
-//!   if `seq` is unchanged — i.e. no claim, release, poison, install or
-//!   other fill touched the slot since before the backing read.
+//!   backing and then offer what they read to [`HotKeyEngine::fill`]. The
+//!   fill carries the even `seq` the probe validated (a lease, in memcache
+//!   terms) and lands only if its CAS from that `seq` succeeds: checking
+//!   the lease and taking the slot are one operation, and any take since
+//!   the probe — claim, release, poison, write, another fill — voids it.
+//! * The fill also decides that a value with a deadline is never
+//!   installed, so a front hit cannot outlive a TTL.
 //!
 //! Values longer than [`FRONT_VALUE_CAP`] are never cached (their slot
-//! stays pending and reads pass through); their writes still go through
-//! the slot lock.
+//! stays pending and reads pass through); their writes still take the
+//! slot word.
 
 use std::alloc::Layout;
 use std::cell::Cell;
@@ -202,10 +213,10 @@ pub enum FrontRead {
     Miss,
 }
 
-/// A fill lease handed out by a pending front-cache probe: the `seq` the
-/// probe validated. The install only lands if the slot's `seq` is still
-/// that value — no seqlock write touched the slot after the lease was
-/// taken (and therefore possibly after the caller's backing read).
+/// A fill lease handed out by a pending front-cache probe: the even `seq`
+/// the probe validated. The install takes the slot with a CAS from that
+/// version, so it lands only if no writer took the slot after the lease
+/// was taken (and therefore possibly after the caller's backing read).
 #[derive(Debug, Clone, Copy)]
 pub struct FillTicket {
     slot: usize,
@@ -233,7 +244,8 @@ pub struct HotKeyStatsSnapshot {
     pub fills: u64,
     /// Slots invalidated by a racing plain write.
     pub poisons: u64,
-    /// Writes to a fronted key applied write-through under its slot lock.
+    /// Writes to a fronted key applied write-through under its slot word
+    /// (a delete by the cache tier's eviction or expiry included).
     pub delegated: u64,
     /// Always equal to `delegated` (every write is its own pass). Kept
     /// only because `benchmark/src/run.rs` reads it for its
@@ -363,18 +375,15 @@ impl Sketch {
 // Front cache slots.
 
 struct FrontSlot {
-    /// Seqlock sequence: even = stable, odd = writer in progress. All
-    /// transitions happen under `lock`. Also the fill lease: every claim,
-    /// release, poison and install moves it, so a fill captured before
-    /// one of them cannot land.
+    /// The slot's one synchronization word, a versioned lock: even = free
+    /// and stable, odd = held by a writer (module docs). Every take moves
+    /// it, so it is also the seqlock readers validate and the fill lease.
     seq: AtomicU64,
     /// The fronted key (0 = empty; the structures reserve key 0).
     key: AtomicU64,
     /// Cached payload length, or [`LEN_PENDING`] / [`LEN_ABSENT`]
     /// (meaningless while `key` is 0).
     len: AtomicU32,
-    /// Slot writer lock (write-through, fills, poisons, claims).
-    lock: AtomicU32,
     /// Set by a front hit when clear, cleared by the cache tier's CLOCK
     /// hand ([`HotKeyEngine::take_referenced`]) and by a change of owner.
     referenced: AtomicU32,
@@ -383,13 +392,32 @@ struct FrontSlot {
 }
 
 impl FrontSlot {
-    fn acquire(&self) {
+    /// Takes the slot at version `s` (even): one CAS to `s + 1`, which
+    /// fails if any writer took the slot since `s` was read. Its acquire
+    /// pairs with [`free`](Self::free)'s release, so the taker sees the
+    /// slot as its last holder left it. The release fence keeps the slot
+    /// stores that follow from being seen before the odd word, so a reader
+    /// that sees one of them fails its validation. Spurious failure only
+    /// drops a fill or spins once more.
+    #[inline]
+    fn take_at(&self, s: u64) -> bool {
+        let taken =
+            self.seq.compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed).is_ok();
+        if taken {
+            fence(Ordering::Release);
+        }
+        taken
+    }
+
+    /// Takes the slot at whatever version it is free at, and returns that
+    /// version for [`free`](Self::free).
+    fn take(&self) -> u64 {
         let mut spins = 0u32;
-        while self
-            .lock
-            .compare_exchange_weak(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+        loop {
+            let s = self.seq.load(Ordering::Relaxed);
+            if s & 1 == 0 && self.take_at(s) {
+                return s;
+            }
             spins += 1;
             if spins % 1024 == 0 {
                 std::thread::yield_now();
@@ -399,38 +427,13 @@ impl FrontSlot {
         }
     }
 
-    fn try_acquire(&self) -> bool {
-        self.lock.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed).is_ok()
-    }
-
-    fn release(&self) {
-        self.lock.store(0, Ordering::Release);
-    }
-
-    /// Rewrites the slot contents under the seqlock write protocol.
-    /// Caller holds `lock`.
-    fn write(&self, key: u64, state: SlotState) {
-        let s = self.begin_write();
-        self.store(key, state);
-        self.end_write(s);
-    }
-
-    /// Opens a seqlock write (`seq` odd, so readers of the slot fall
-    /// through to the backing) and returns the `seq` it started from.
-    /// Caller holds `lock`.
-    fn begin_write(&self) -> u64 {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        s
-    }
-
-    /// Closes the seqlock write [`begin_write`](Self::begin_write) opened.
-    fn end_write(&self, s: u64) {
+    /// Frees a slot taken at version `s`, publishing what was stored.
+    #[inline]
+    fn free(&self, s: u64) {
         self.seq.store(s + 2, Ordering::Release);
     }
 
-    /// Stores the slot contents; only inside an open seqlock write.
+    /// Stores the slot contents; only while the slot is taken.
     fn store(&self, key: u64, state: SlotState) {
         self.key.store(key, Ordering::Relaxed);
         match state {
@@ -491,7 +494,7 @@ struct Front {
     /// spans multiple cache lines, so cold-key probes into `slots` would
     /// miss L1; this dense array (8 B per slot) stays resident and
     /// rejects non-fronted keys with a single relaxed load. It is
-    /// updated under the slot lock wherever ownership changes, after the
+    /// updated under the slot word wherever ownership changes, after the
     /// slot itself; a stale entry can only cause a benign miss or a wasted
     /// full probe — the slot's own `key` stays authoritative inside the
     /// seqlock dance.
@@ -524,7 +527,7 @@ pub struct HotKeyEngine {
     /// promotes costs no memory for it.
     front: OnceLock<Front>,
     /// Number of slots currently owning a key (`slot.key != 0`),
-    /// maintained under the slot locks: the `fronted` gauge.
+    /// maintained under the slot words: the `fronted` gauge.
     live: CachePadded<AtomicU64>,
     c: EngineCounters,
 }
@@ -663,7 +666,7 @@ impl HotKeyEngine {
     /// Points slot `idx` at `key`, pending, whatever it held before.
     fn take_slot(&self, front: &Front, idx: usize, key: u64) {
         let slot = &front.slots[idx];
-        slot.acquire();
+        let s = slot.take();
         let prev = slot.key.load(Ordering::Relaxed);
         if prev != key {
             if prev == 0 {
@@ -672,25 +675,25 @@ impl HotKeyEngine {
                 self.c.demotions.fetch_add(1, Ordering::Relaxed);
             }
             self.c.promotions.fetch_add(1, Ordering::Relaxed);
-            slot.write(key, SlotState::Pending);
+            slot.store(key, SlotState::Pending);
             slot.referenced.store(0, Ordering::Relaxed);
             front.filter[idx].store(key, Ordering::Relaxed);
         }
-        slot.release();
+        slot.free(s);
     }
 
     /// Empties slot `idx` if it still fronts `key`.
     fn release_slot(&self, front: &Front, idx: usize, key: u64) {
         let slot = &front.slots[idx];
-        slot.acquire();
+        let s = slot.take();
         if slot.key.load(Ordering::Relaxed) == key {
             self.live.fetch_sub(1, Ordering::Relaxed);
             self.c.demotions.fetch_add(1, Ordering::Relaxed);
-            slot.write(0, SlotState::Pending);
+            slot.store(0, SlotState::Pending);
             slot.referenced.store(0, Ordering::Relaxed);
             front.filter[idx].store(0, Ordering::Relaxed);
         }
-        slot.release();
+        slot.free(s);
     }
 
     /// Fronts `key` now, whatever holds its slot, and raises its estimate
@@ -750,8 +753,8 @@ impl HotKeyEngine {
             let len = slot.len.load(Ordering::Relaxed);
             let res = if len == LEN_PENDING {
                 // The lease is the `seq` validated below, taken *before*
-                // the caller reads the backing: any slot write after that
-                // read moves `seq` and voids it.
+                // the caller reads the backing: any take of the slot after
+                // that read moves `seq` and voids it.
                 FrontRead::Pending(FillTicket { slot: idx, key, seq: s1 })
             } else if len == LEN_ABSENT {
                 FrontRead::Absent
@@ -788,66 +791,102 @@ impl HotKeyEngine {
         FrontRead::Miss
     }
 
-    /// Offers a backing read's result to a pending slot. The install only
-    /// lands if the lease is still valid — i.e. no write invalidated the
-    /// slot since before the caller's backing read. `None` caches absence;
-    /// oversize values are dropped (the slot stays pending).
-    pub fn fill(&self, ticket: &FillTicket, value: Option<&[u8]>) {
-        if let Some(v) = value {
-            if v.len() > FRONT_VALUE_CAP {
-                return;
-            }
-        }
+    /// Offers a backing read's result to a pending slot: `found` is the
+    /// value read and whether it carries a deadline, `None` a miss. A miss
+    /// caches absence and a value without a deadline is installed; a value
+    /// with one is never installed, nor is one over [`FRONT_VALUE_CAP`]
+    /// (the slot stays pending and reads keep consulting the
+    /// expiry-checking backing). The install lands only if the slot is
+    /// still at the lease's version: one CAS both checks the lease and
+    /// takes the slot, so a fill that lost to any writer since the probe,
+    /// or finds the slot busy, is dropped, which is always safe.
+    pub fn fill(&self, ticket: &FillTicket, found: Option<(&[u8], bool)>) {
+        let state = match found {
+            Some((v, false)) if v.len() <= FRONT_VALUE_CAP => SlotState::Value(v),
+            Some(_) => return,
+            None => SlotState::Absent,
+        };
         let Some(front) = self.front.get() else { return };
         let slot = &front.slots[ticket.slot];
-        // Opportunistic: a busy slot means a writer or another fill is
-        // active; dropping this fill is always safe.
-        if !slot.try_acquire() {
-            return;
-        }
-        if slot.seq.load(Ordering::Relaxed) == ticket.seq
-            && slot.key.load(Ordering::Relaxed) == ticket.key
-        {
-            match value {
-                Some(v) => slot.write(ticket.key, SlotState::Value(v)),
-                None => slot.write(ticket.key, SlotState::Absent),
-            }
+        if slot.take_at(ticket.seq) {
+            // Unchanged since the probe validated it at this version.
+            debug_assert_eq!(slot.key.load(Ordering::Relaxed), ticket.key);
+            slot.store(ticket.key, state);
             self.c.fills.fetch_add(1, Ordering::Relaxed);
+            slot.free(ticket.seq);
         }
-        slot.release();
     }
 
     // -- front cache: write side -------------------------------------------
 
-    /// `true` if writes to `key` must go through
-    /// [`write_through`](Self::write_through). Reads only the filter: the
-    /// slot's line is left for `write_through`'s lock to take exclusive in
-    /// one transfer, and a stale `true` costs only a plain apply under
-    /// that lock.
-    #[inline]
-    pub fn fronted(&self, key: u64) -> bool {
-        self.probe(key).is_some()
+    /// The engine's one write entry point: `apply` performs a write of
+    /// `key` against the backing and returns its outcome (set: created,
+    /// delete: found), `value` is what it wrote (`None` = a delete) and
+    /// `expires` whether that value carries a deadline.
+    ///
+    /// If the filter names the key, the write goes under its slot word:
+    /// taken *before* `apply`, freed after the copy is installed — the
+    /// value, or `Absent` after a successful delete, or `Pending` for a
+    /// TTL'd or oversize value — so readers of the key fall through to the
+    /// backing until the copy equals it. A failed delete mutated nothing
+    /// and leaves the copy alone. If the slot no longer fronts `key`,
+    /// `apply` still runs under the word and the slot is untouched: a later
+    /// claim of the key waits for the word, so its fill lease postdates
+    /// the write. Otherwise the write applies, then poisons (module docs).
+    /// Either way no copy older than the write is left when this returns,
+    /// so the caller may retire what `apply` displaced.
+    ///
+    /// `apply` may run holding the slot word and must not call back into
+    /// the engine: `pin`, `record_access` (which may claim a slot) and
+    /// `write` itself would spin on a word it holds.
+    pub fn write(
+        &self,
+        key: u64,
+        value: Option<&[u8]>,
+        expires: bool,
+        apply: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some((slot, _)) = self.probe(key) else {
+            let ok = apply();
+            self.poison(key);
+            return ok;
+        };
+        let s = slot.take();
+        let owned = slot.key.load(Ordering::Relaxed) == key;
+        let ok = apply();
+        // The copy's stores drain from the store buffer after this returns;
+        // stored before `apply`, they would stall its first locked
+        // instruction instead.
+        if owned {
+            self.c.delegated.incr();
+            match value {
+                None if !ok => {}
+                None if !expires => slot.store(key, SlotState::Absent),
+                Some(v) if !expires && v.len() <= FRONT_VALUE_CAP => {
+                    slot.store(key, SlotState::Value(v))
+                }
+                _ => slot.store(key, SlotState::Pending),
+            }
+        }
+        slot.free(s);
+        ok
     }
 
-    /// Post-apply hook for plain (not write-through) writers: if the key
-    /// turns out to be fronted (a promotion raced this write), drop the
-    /// cached copy and void outstanding fill leases, so no reader can be
-    /// served a value older than this completed write. The cache tier's
-    /// eviction and expiry paths call this too — always *before* the
-    /// backing handle is retired, so a front copy never outlives (or
-    /// dangles past) the value it mirrors. A claim writes the slot before
-    /// the filter, and a reader needs the filter to name the key before
-    /// it can take a lease, so a filter that does not name the key here
-    /// means no lease predates this write.
-    #[inline]
-    pub fn poison(&self, key: u64) {
+    /// The plain writer's post-apply step: if the key turns out to be
+    /// fronted (a promotion raced this write), drop the cached copy, and
+    /// with it every outstanding fill lease, so no reader can be served a
+    /// value older than this completed write. A claim writes the slot
+    /// before the filter, and a reader needs the filter to name the key
+    /// before it can take a lease, so a filter that does not name the key
+    /// here means no lease predates this write.
+    fn poison(&self, key: u64) {
         let Some((slot, _)) = self.probe(key) else { return };
-        slot.acquire();
+        let s = slot.take();
         if slot.key.load(Ordering::Relaxed) == key {
-            slot.write(key, SlotState::Pending);
+            slot.store(key, SlotState::Pending);
             self.c.poisons.fetch_add(1, Ordering::Relaxed);
         }
-        slot.release();
+        slot.free(s);
     }
 
     /// CLOCK's view of front hits: `true` if `key` is fronted and was
@@ -863,59 +902,6 @@ impl HotKeyEngine {
             referenced.store(0, Ordering::Relaxed);
         }
         marked
-    }
-
-    /// Applies a write to fronted `key` and refreshes its copy
-    /// write-through, all under the key's slot lock: `apply` performs the
-    /// write against the backing and returns its outcome (set: created,
-    /// delete: found), `value` is what it wrote (`None` = a delete). The
-    /// seqlock write opens *before* `apply` and closes after the install,
-    /// so readers of the key fall through to the backing until the copy
-    /// equals it. Installs `Value`, or `Pending` for a value over
-    /// [`FRONT_VALUE_CAP`], or `Absent` after a successful delete; a failed
-    /// delete mutated nothing and leaves the copy alone. If the slot no
-    /// longer fronts `key`, `apply` still runs under the lock and the slot
-    /// is untouched: a later claim of the key waits for the lock, so its
-    /// fill lease postdates the write.
-    ///
-    /// `apply` runs holding the slot lock and must not call back into the
-    /// engine: `poison`, `pin`, `record_access` (which may claim a slot)
-    /// and `write_through` itself would spin on a lock it holds.
-    pub fn write_through(
-        &self,
-        key: u64,
-        value: Option<&[u8]>,
-        apply: impl FnOnce() -> bool,
-    ) -> bool {
-        let Some(front) = self.front.get() else {
-            // Nothing was fronted when the caller checked; a promotion
-            // since is handled the plain writers' way.
-            let ok = apply();
-            self.poison(key);
-            return ok;
-        };
-        let slot = &front.slots[self.slot_idx(key)];
-        slot.acquire();
-        if slot.key.load(Ordering::Relaxed) != key {
-            let ok = apply();
-            slot.release();
-            return ok;
-        }
-        self.c.delegated.incr();
-        let s = slot.begin_write();
-        let ok = apply();
-        // The copy's stores drain from the store buffer after this returns;
-        // stored before `apply`, they would stall its first locked
-        // instruction instead.
-        match value {
-            Some(v) if v.len() <= FRONT_VALUE_CAP => slot.store(key, SlotState::Value(v)),
-            Some(_) => slot.store(key, SlotState::Pending),
-            None if ok => slot.store(key, SlotState::Absent),
-            None => {}
-        }
-        slot.end_write(s);
-        slot.release();
-        ok
     }
 
     // -- stats -------------------------------------------------------------
@@ -952,6 +938,10 @@ impl std::fmt::Debug for HotKeyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fronted(e: &HotKeyEngine, key: u64) -> bool {
+        e.probe(key).is_some()
+    }
 
     fn eager(k: usize) -> Box<HotKeyEngine> {
         HotKeyEngine::new(4, HotKeyConfig::eager(k)).expect("k > 0 builds an engine")
@@ -992,7 +982,7 @@ mod tests {
         e.poison(5);
         assert!(e.front.get().is_none(), "keys below the threshold allocate no slots");
         e.record_access(5);
-        assert!(e.front.get().is_some() && e.fronted(5), "a promotion allocates and fronts");
+        assert!(e.front.get().is_some() && fronted(&e, 5), "a promotion allocates and fronts");
     }
 
     #[test]
@@ -1020,7 +1010,7 @@ mod tests {
         let FrontRead::Pending(t) = e.read(7, &mut out) else {
             panic!("freshly pinned slot starts pending");
         };
-        e.fill(&t, Some(b"payload"));
+        e.fill(&t, Some((b"payload", false)));
         match e.read(7, &mut out) {
             FrontRead::Hit => assert_eq!(out, b"payload"),
             other => panic!("expected a hit, got {other:?}"),
@@ -1048,7 +1038,7 @@ mod tests {
         e.pin(3);
         let mut out = Vec::new();
         let FrontRead::Pending(t) = e.read(3, &mut out) else { panic!("pending") };
-        e.fill(&t, Some(&vec![0u8; FRONT_VALUE_CAP + 1]));
+        e.fill(&t, Some((&vec![0u8; FRONT_VALUE_CAP + 1], false)));
         assert!(
             matches!(e.read(3, &mut out), FrontRead::Pending(_)),
             "an oversize fill must be dropped"
@@ -1065,7 +1055,7 @@ mod tests {
         // A plain writer applied to the backing and then noticed the slot:
         // the lease taken before its write must die with the poison.
         e.poison(5);
-        e.fill(&t, Some(b"stale"));
+        e.fill(&t, Some((b"stale", false)));
         assert!(
             matches!(e.read(5, &mut out), FrontRead::Pending(_)),
             "a fill whose lease predates a poison must not land"
@@ -1075,18 +1065,67 @@ mod tests {
     }
 
     #[test]
+    fn a_take_that_writes_nothing_still_voids_a_fill_lease() {
+        let e = eager(4);
+        e.pin(5);
+        let slot = &e.front.get().expect("pinned").slots[e.slot_idx(5)];
+        let mut out = Vec::new();
+        let FrontRead::Pending(t) = e.read(5, &mut out) else { panic!("pending") };
+        let s = slot.take();
+        slot.free(s);
+        e.fill(&t, Some((b"stale", false)));
+        assert!(
+            matches!(e.read(5, &mut out), FrontRead::Pending(_)),
+            "a fill whose lease predates a take must not land"
+        );
+        // The same through the write entry point: a failed delete stores
+        // nothing in the slot, but its take still voids the lease.
+        let FrontRead::Pending(t) = e.read(5, &mut out) else { panic!("pending") };
+        assert!(!e.write(5, None, false, || false));
+        e.fill(&t, Some((b"stale", false)));
+        assert!(matches!(e.read(5, &mut out), FrontRead::Pending(_)));
+        assert_eq!(e.stats().fills, 0);
+    }
+
+    #[test]
+    fn a_ttl_write_to_a_fronted_key_leaves_no_stale_copy() {
+        let e = eager(4);
+        e.pin(19);
+        let mut out = Vec::new();
+        let FrontRead::Pending(t) = e.read(19, &mut out) else { panic!("pending") };
+        e.fill(&t, Some((b"old", false)));
+        let mut probe = Vec::new();
+        let mut during = None;
+        assert!(e.write(19, Some(b"new"), true, || {
+            during = Some(e.read(19, &mut probe));
+            true
+        }));
+        let during = during.expect("apply ran");
+        assert!(matches!(during, FrontRead::Miss), "read during a TTL'd write: {during:?}");
+        assert!(
+            matches!(e.read(19, &mut out), FrontRead::Pending(_)),
+            "a TTL'd value is never installed, and the old copy is gone"
+        );
+        // Nor does a fill install it later.
+        let FrontRead::Pending(t) = e.read(19, &mut out) else { panic!("pending") };
+        e.fill(&t, Some((b"new", true)));
+        assert!(matches!(e.read(19, &mut out), FrontRead::Pending(_)));
+        assert_eq!(e.stats().fills, 1);
+    }
+
+    #[test]
     fn a_write_through_hides_the_old_copy_until_it_installs() {
         let e = eager(4);
         e.pin(17);
         let mut out = Vec::new();
         let FrontRead::Pending(t) = e.read(17, &mut out) else { panic!("pending") };
-        e.fill(&t, Some(b"old"));
+        e.fill(&t, Some((b"old", false)));
         // Probe from inside the backing write, after the backing holds
         // `new`: a reader that saw `new` there must not be served `old`
         // by its next front read.
         let mut probe = Vec::new();
         let mut during = None;
-        e.write_through(17, Some(b"new"), || {
+        e.write(17, Some(b"new"), false, || {
             during = Some(e.read(17, &mut probe));
             true
         });
@@ -1104,14 +1143,14 @@ mod tests {
     fn delegated_writes_refresh_the_slot_write_through() {
         let e = eager(4);
         e.pin(11);
-        assert!(e.fronted(11));
-        let created = e.write_through(11, Some(b"fresh"), || true);
+        assert!(fronted(&e, 11));
+        let created = e.write(11, Some(b"fresh"), false, || true);
         assert!(created);
         let mut out = Vec::new();
         assert!(matches!(e.read(11, &mut out), FrontRead::Hit));
         assert_eq!(out, b"fresh");
         // A write-through delete caches the absence.
-        assert!(e.write_through(11, None, || true));
+        assert!(e.write(11, None, false, || true));
         out.clear();
         assert!(matches!(e.read(11, &mut out), FrontRead::Absent));
         let s = e.stats();
@@ -1125,7 +1164,7 @@ mod tests {
         e.pin(21);
         let caller = std::thread::current().id();
         let mut applied_on = None;
-        let created = e.write_through(21, Some(&777u64.to_le_bytes()), || {
+        let created = e.write(21, Some(&777u64.to_le_bytes()), false, || {
             applied_on = Some(std::thread::current().id());
             true
         });
@@ -1134,7 +1173,7 @@ mod tests {
         let mut out = Vec::new();
         assert!(matches!(e.read(21, &mut out), FrontRead::Hit));
         assert_eq!(out, 777u64.to_le_bytes(), "a write-through refreshes the slot");
-        assert!(e.write_through(21, None, || true));
+        assert!(e.write(21, None, false, || true));
         out.clear();
         assert!(matches!(e.read(21, &mut out), FrontRead::Absent), "a delete caches absence");
     }
@@ -1143,10 +1182,10 @@ mod tests {
     fn failed_mutations_leave_the_cached_copy_alone() {
         let e = eager(4);
         e.pin(13);
-        e.write_through(13, Some(&5u64.to_le_bytes()), || true);
+        e.write(13, Some(&5u64.to_le_bytes()), false, || true);
         // A failed delete (the backing found nothing to remove) must not
         // clobber the copy.
-        assert!(!e.write_through(13, None, || false));
+        assert!(!e.write(13, None, false, || false));
         let mut out = Vec::new();
         assert!(matches!(e.read(13, &mut out), FrontRead::Hit));
         assert_eq!(out, 5u64.to_le_bytes());
@@ -1162,13 +1201,13 @@ mod tests {
         for _ in 0..8 {
             e.record_access(77);
         }
-        assert!(e.fronted(77), "hot key promoted and fronted");
+        assert!(fronted(&e, 77), "hot key promoted and fronted");
         // Cold traffic floods the sampler; repeated decays halve 77's
         // count to zero and the slot must come back.
         for i in 0..4096u64 {
             e.record_access(1000 + i);
         }
-        assert!(!e.fronted(77), "decayed key must be demoted");
+        assert!(!fronted(&e, 77), "decayed key must be demoted");
         assert!(e.stats().demotions >= 1);
         assert!(e.hot_keys().iter().all(|&(k, _)| k != 77));
     }
@@ -1181,10 +1220,10 @@ mod tests {
         e.pin(key);
         for decay in 1..=4 {
             e.decay(shard);
-            assert!(e.fronted(key), "released after decay {decay}, before the 5th");
+            assert!(fronted(&e, key), "released after decay {decay}, before the 5th");
         }
         e.decay(shard);
-        assert!(!e.fronted(key), "255 >> 5 = 7 is below promote_min / 2 = 8");
+        assert!(!fronted(&e, key), "255 >> 5 = 7 is below promote_min / 2 = 8");
     }
 
     #[test]
@@ -1206,8 +1245,8 @@ mod tests {
         e.pin(1);
         e.pin(2);
         e.pin(mate);
-        assert!(e.fronted(mate), "the latest pin owns the slot");
-        assert!(!e.fronted(1), "the pinned key it displaced lost its slot");
+        assert!(fronted(&e, mate), "the latest pin owns the slot");
+        assert!(!fronted(&e, 1), "the pinned key it displaced lost its slot");
         let hot = e.hot_keys();
         assert!(hot.iter().any(|&(k, _)| k == mate), "{hot:?}");
         assert!(hot.iter().all(|&(k, _)| k != 1), "{hot:?}");
@@ -1225,14 +1264,14 @@ mod tests {
         for _ in 0..10 {
             e.record_access(a);
         }
-        assert!(e.fronted(a), "an estimate past the threshold takes an empty slot");
+        assert!(fronted(&e, a), "an estimate past the threshold takes an empty slot");
         for _ in 0..20 {
             e.record_access(b);
         }
-        assert!(e.fronted(a), "twice the occupant's estimate is not enough to displace it");
+        assert!(fronted(&e, a), "twice the occupant's estimate is not enough to displace it");
         e.record_access(b);
-        assert!(e.fronted(b), "more than twice the occupant's estimate takes the slot");
-        assert!(!e.fronted(a));
+        assert!(fronted(&e, b), "more than twice the occupant's estimate takes the slot");
+        assert!(!fronted(&e, a));
         let s = e.stats();
         assert_eq!((s.promotions, s.demotions, s.fronted), (2, 1, 1), "{s:?}");
     }
@@ -1244,7 +1283,7 @@ mod tests {
         e.pin(7);
         let mut out = Vec::new();
         let FrontRead::Pending(t) = e.read(7, &mut out) else { panic!("pending") };
-        e.fill(&t, Some(b"v"));
+        e.fill(&t, Some((b"v", false)));
         assert!(!e.take_referenced(7), "a fill is not a front hit");
         for _ in 0..3 {
             out.clear();
@@ -1270,9 +1309,9 @@ mod tests {
                     let mut out = Vec::new();
                     for i in 0..500u64 {
                         let val = t * 1_000_000 + i + 1;
-                        e.write_through(99, Some(&val.to_le_bytes()), || {
+                        e.write(99, Some(&val.to_le_bytes()), false, || {
                             // The "backing": last writer wins, serialized
-                            // by the slot lock.
+                            // by the slot word.
                             backing.store(val, Ordering::Relaxed);
                             true
                         });

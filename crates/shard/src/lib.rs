@@ -40,8 +40,10 @@
 //!   bits of the 64-bit handle word — the read path pays one relaxed
 //!   bit-set and zero extra cache lines.
 //! * [`hotkey::HotKeyEngine`] fronts the blob map's hottest keys with
-//!   seqlock'd payload copies and writes them through under a per-key
-//!   slot lock; `k = 0`
+//!   payload copies, each slot guarded by one versioned word (BST-TK's
+//!   versioned lock: one CAS takes the slot, opens its seqlock write and
+//!   checks a fill lease), and writes them through under that word. The
+//!   front's coherence rules live in the engine alone; `k = 0`
 //!   ([`HotKeyConfig::with_k`], [`BlobMap::new`]) runs without one.
 //!
 //! Pairs with `ascylib_harness::dist::KeyDist` to benchmark any structure

@@ -7,8 +7,8 @@
 //! never exceeds the budget, and an evicted key may vanish but must never
 //! read back stale). Deterministic interleaving tests then pin down the
 //! hot-key cooperation contract: a fronted key whose backing value is
-//! evicted or expires is poisoned *before* the blob is retired, so the
-//! front cache can never serve the retired bytes.
+//! evicted or expires has its front copy changed *before* the blob is
+//! retired, so the front cache can never serve the retired bytes.
 //!
 //! The last two tests are what the deleted `fig17_budget` bench checked
 //! about the tier's behaviour (its timings are the `cache.*` rungs of
@@ -192,7 +192,7 @@ proptest! {
 }
 
 /// A fronted (hot) key whose backing value is evicted must not be served
-/// from the front cache afterwards: eviction poisons the seqlock slot
+/// from the front cache afterwards: eviction removes under the slot word
 /// *before* retiring the handle, so the retired bytes are unreachable.
 #[test]
 fn evicting_a_fronted_key_never_serves_the_retired_blob() {
@@ -262,8 +262,8 @@ fn a_key_read_only_through_the_front_survives_two_laps_of_churn() {
 }
 
 /// The expiry flavour of the same contract: arming a TTL on a fronted key
-/// poisons its slot (TTL'd values are never front-cached), and once the
-/// deadline lapses the key reads as absent everywhere — the front cache
+/// leaves its slot pending (TTL'd values are never front-cached), and once
+/// the deadline lapses the key reads as absent everywhere — the front cache
 /// cannot resurrect the lease.
 #[test]
 fn a_lapsed_lease_on_a_fronted_key_reads_as_absent() {

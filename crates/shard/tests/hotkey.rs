@@ -2,7 +2,7 @@
 //!
 //! The engine's contract (see `shard/src/hotkey.rs`): a front-cache read
 //! never returns a value older than the last completed write to that key,
-//! and writes applied write-through under the slot lock keep
+//! and writes applied write-through under the slot word keep
 //! linearizable per-key outcomes. These tests attack the contract
 //! directly:
 //!

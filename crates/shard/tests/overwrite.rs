@@ -115,7 +115,7 @@ fn never_absent_over_the_skip_list() {
 #[test]
 fn never_absent_over_the_skip_list_with_hot_keys() {
     // k = 4 of 16 keys: fronted keys publish their sets under the front
-    // slot lock (write-through), the rest take the plain path and poison.
+    // slot word (write-through), the rest take the plain path and poison.
     never_absent(
         BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| FraserOptSkipList::new()),
         overwrite,
@@ -125,7 +125,8 @@ fn never_absent_over_the_skip_list_with_hot_keys() {
 #[test]
 fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
     // Fronted keys' overwrites go write-through; `expire` swaps a TTL'd
-    // copy in and poisons, so the key falls back to the backing.
+    // copy in under the slot word and leaves it pending, so the key falls
+    // back to the backing.
     never_absent(
         BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| FraserOptSkipList::new()),
         expire_and_persist,

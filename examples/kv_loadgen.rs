@@ -142,6 +142,7 @@ fn main() {
     };
 
     let (mix_name, mix) = mix_from_env();
+    let writes = mix.insert + mix.remove > 0;
     let values = ValueSize::from_env();
     let prefill = env_or("ASCYLIB_PREFILL", 4096);
     let key_range = (prefill * 2).max(1024);
@@ -216,7 +217,8 @@ fn main() {
     if let Some(server) = self_serve {
         // Scrape the hot-key section while the server is still up; the CI
         // skew smoke (`--self --dist zipf:1.2`) asserts the engine saw the
-        // traffic it was built for.
+        // traffic it was built for, and that writes to fronted keys went
+        // through their slot words.
         let mut probe = Client::connect(server.addr()).expect("hotkey probe connects");
         let hotkeys = probe.info(Some("hotkeys")).expect("INFO hotkeys");
         let _ = probe.quit();
@@ -231,6 +233,10 @@ fn main() {
                 assert!(
                     field("hotkey_promotions") > 0 && field("hotkey_front_hits") > 0,
                     "zipf({dist}) burst must promote and front-hit hot keys:\n{hotkeys}"
+                );
+                assert!(
+                    !writes || field("hotkey_delegated") > 0,
+                    "zipf({dist}) burst must write fronted keys through:\n{hotkeys}"
                 );
             }
         }
