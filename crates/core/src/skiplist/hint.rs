@@ -13,7 +13,12 @@
 //! `random_level` anyway) adds 64 to the list's approximate key count, and
 //! its remover takes 64 off. Past [`FLOOR`], a tall insert that finds the
 //! count above what the table was sized for swaps in one sized for the
-//! next power of two, at [`SLOT_EIGHTHS`] eighths of a slot per key.
+//! next power of two, at one slot per key: 8 to 16 table bytes per key as
+//! the count moves between two doublings. A table comes straight from the
+//! kernel ([`ssmem::pages`]), so it costs RSS only where hints land and
+//! leaves it the moment it is discarded; one of 2 MiB or more starts on a
+//! huge page and is advised as ssmem's node chunks are, so a hinted read
+//! pays no page walk for its bucket line either.
 
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -32,14 +37,14 @@ const WAYS: usize = 8;
 /// searched in a fixed random order, built with this floor at 0 and at
 /// `isize::MAX`, four rounds each (numbers in CHANGES.md): a hit costs
 /// 36–59, 134–153 and 192–774 ns with the table against 101–134, 200–284
-/// and 1 139–1 444 ns for the walk (at 5/8 slot per key a third of the keys
-/// still walk); a miss pays the bucket on top of its walk, +15–30 % at 1 k
-/// and within the noise at 256 k, where the walk's own misses dominate. So
-/// no size makes the table a loss for hits, and the floor is set by what
-/// it must leave alone: the paper's 1 024-key lists (Figure 5, the
-/// ASCY ablation) stay the unhinted `fraser-opt`, with a margin the
-/// sampled count never crosses, and shards of a few ten thousand keys
-/// (`embed_write`'s ~25 000) spend no memory on a table.
+/// and 1 139–1 444 ns for the walk (measured at 5/8 slot per key, when a
+/// third of the keys still walked); a miss pays the bucket on top of its
+/// walk, +15–30 % at 1 k and within the noise at 256 k, where the walk's
+/// own misses dominate. So no size makes the table a loss for hits, and
+/// the floor is set by what it must leave alone: the paper's 1 024-key
+/// lists (Figure 5, the ASCY ablation) stay the unhinted `fraser-opt`,
+/// with a margin the sampled count never crosses, and shards of a few ten
+/// thousand keys (`embed_write`'s ~25 000) spend no memory on a table.
 pub(crate) const FLOOR: isize = 32_768;
 
 /// Towers at least this tall are the count's sample: p = 2^-(SAMPLE_LEVEL-1).
@@ -71,16 +76,6 @@ pub(crate) fn live_tables() -> usize {
 
 #[repr(C, align(64))]
 struct Bucket([AtomicU64; WAYS]);
-
-/// Slots per key a table is sized for, in eighths: 5/8 of a slot, so
-/// 5–10 table bytes per key as the count moves between two doublings, and
-/// about 65 % of keys hinted (a GET on `embed_read` ~3.5× faster at the
-/// median). One slot per key hints ~90 % and serves ~40 % more ops per
-/// second there, but `embed_read`'s `peak_rss_mb` then read +12–14 %
-/// against its 10 % bound: that metric counts the benchmark's own latency
-/// samples (8 bytes per 16 ops), which grow with throughput, and the
-/// tables. Raise this once the benchmark reads the store's peak alone.
-const SLOT_EIGHTHS: usize = 5;
 
 /// A table's header line; its buckets follow it in the same allocation.
 #[repr(C, align(64))]
@@ -223,78 +218,6 @@ impl Table {
     }
 }
 
-/// Where tables come from. On Linux, straight from the kernel: fresh zero
-/// pages that cost RSS only once a hint lands on them, and leave it the
-/// moment the table is given back. Through `std::alloc`, glibc serves a
-/// table from its heap once a table of that size has been freed (its mmap
-/// threshold rises to the largest mapping freed), and `calloc` there
-/// touches every page and `free` keeps them: on `embed_read`'s four shards
-/// that held 9 MB of RSS beyond the live tables.
-#[cfg(target_os = "linux")]
-mod pages {
-    use std::alloc::Layout;
-    use std::ffi::{c_int, c_long, c_void};
-
-    extern "C" {
-        fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, off: c_long) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-    const PROT_READ_WRITE: c_int = 0x1 | 0x2;
-    const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
-    const MADV_DONTNEED: c_int = 4;
-
-    /// Zeroed, page-aligned memory for `layout`, or null.
-    pub(super) fn alloc_zeroed(layout: Layout) -> *mut u8 {
-        // SAFETY: a fresh anonymous mapping; no existing memory is touched.
-        let ptr = unsafe {
-            mmap(std::ptr::null_mut(), layout.size(), PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0)
-        };
-        if ptr as isize == -1 {
-            std::ptr::null_mut()
-        } else {
-            ptr.cast()
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `ptr` came from [`alloc_zeroed`] with `layout` and is not used again.
-    pub(super) unsafe fn dealloc(ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded caller contract: exactly one mapping.
-        unsafe { munmap(ptr.cast(), layout.size()) };
-    }
-
-    /// Bytes at the start of a table that [`discard`] keeps: its header
-    /// line lives there, and 64 KiB is a whole number of pages on every
-    /// Linux page size.
-    const KEEP: usize = 1 << 16;
-
-    /// Hands the pages behind a swapped-out table back to the kernel now,
-    /// ahead of its grace periods, all but the first [`KEEP`] bytes: its
-    /// slots read as zeros — empty — from here on, and a late write faults
-    /// in a fresh zero page.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` came from [`alloc_zeroed`] with `layout`, and every slot of
-    /// the table may be lost (it is a table no new reader can load).
-    pub(super) unsafe fn discard(ptr: *mut u8, layout: Layout) {
-        if layout.size() > KEEP {
-            // SAFETY: forwarded caller contract; `ptr + KEEP` is page
-            // aligned, and the mapping stays in place.
-            unsafe { madvise(ptr.add(KEEP).cast(), layout.size() - KEEP, MADV_DONTNEED) };
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod pages {
-    pub(super) use std::alloc::{alloc_zeroed, dealloc};
-
-    pub(super) unsafe fn discard(_ptr: *mut u8, _layout: std::alloc::Layout) {}
-}
-
 /// Gives a table back to the system: at teardown, for a grow's loser, and
 /// from ssmem once a retired table's grace periods are over.
 ///
@@ -305,7 +228,7 @@ mod pages {
 unsafe fn free_table(ptr: *mut u8, layout: Layout) {
     LIVE_TABLES.fetch_sub(1, Ordering::SeqCst);
     // SAFETY: forwarded caller contract.
-    unsafe { pages::dealloc(ptr, layout) };
+    unsafe { ssmem::pages::dealloc(ptr, layout) };
 }
 
 /// One list's table and the approximate key count that sizes it.
@@ -383,12 +306,10 @@ impl Hints {
     /// clear in the new table, and it publishes as any filler does. The
     /// loser of a race frees its table at once.
     fn grow(&self, current: *mut Table, keys: usize, refill: impl FnOnce(&Table, &Table)) {
-        let buckets = (keys * SLOT_EIGHTHS / 8).div_ceil(WAYS);
+        let buckets = keys.div_ceil(WAYS);
         let layout = Table::layout(buckets);
         // Zeroed memory is a table of empty slots.
-        #[allow(unused_unsafe)]
-        // SAFETY: a non-zero layout (the `std::alloc` fallback's contract).
-        let fresh = unsafe { pages::alloc_zeroed(layout) }.cast::<Table>();
+        let fresh = ssmem::pages::alloc_zeroed(layout).cast::<Table>();
         if fresh.is_null() {
             std::alloc::handle_alloc_error(layout);
         }
@@ -415,7 +336,7 @@ impl Hints {
         // mapping goes once the grace periods are over.
         unsafe {
             let layout = Table::layout(old.buckets);
-            pages::discard(current.cast(), layout);
+            ssmem::pages::discard(current.cast(), layout);
             ssmem::retire_with(current.cast(), layout, free_table);
         }
     }
@@ -453,6 +374,41 @@ mod tests {
         let room = keys.len().min(table.buckets * WAYS);
         assert!(placed as f64 > 0.9 * room as f64, "{placed} of {} placed in {room} slots", keys.len());
         assert!(fps.len() > 60_000, "only {} fingerprints", fps.len());
+    }
+
+    #[test]
+    fn a_table_takes_a_huge_page_from_2_mib_and_reads_empty_after_discard() {
+        const HUGE: usize = 2 << 20;
+        // 128 KiB of slots on ordinary pages, then 2 MiB on a huge page.
+        for keys in [1 << 14, 1 << 18] {
+            let hints = Hints::new();
+            hints.grow(std::ptr::null_mut(), keys, |_, _| ());
+            let _guard = ssmem::protect();
+            let table = hints.table().expect("grown");
+            assert_eq!(table.buckets * WAYS, keys, "one slot per key");
+            let at = table as *const Table as usize;
+            if table.bytes() >= HUGE {
+                assert_eq!(at % HUGE, 0, "a {} B table at {at:#x}", table.bytes());
+            }
+            let slots = || (0..table.buckets).flat_map(|b| &table.bucket_at(b).0);
+            assert!(slots().all(|s| s.load(Ordering::Relaxed) == 0), "a fresh table holds a hint");
+            let node = Box::into_raw(Box::new(0u64));
+            for key in 0..keys as u64 {
+                table.publish(key, node, true);
+            }
+            let hinted = (0..keys as u64).filter(|&key| table.probe::<u64>(key) == Some(node)).count();
+            assert!(hinted > keys / 2, "{hinted} of {keys} keys hinted");
+            // SAFETY: the table's own allocation; every slot may be lost.
+            unsafe { ssmem::pages::discard((table as *const Table).cast_mut().cast(), Table::layout(table.buckets)) };
+            // The first 64 KiB (the header line and the buckets after it)
+            // stay; every slot past them reads empty.
+            let kept = slots().filter(|s| s.load(Ordering::Relaxed) != 0).count();
+            assert!(kept * 8 < 64 << 10, "{kept} slots still hint after the discard");
+            let last = table.bucket_at(table.buckets - 1);
+            assert!(last.0.iter().all(|s| s.load(Ordering::Relaxed) == 0));
+            assert_eq!(table.keys, keys, "the header survives the discard");
+            drop(unsafe { Box::from_raw(node) });
+        }
     }
 
     #[test]

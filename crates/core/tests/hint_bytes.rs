@@ -1,6 +1,7 @@
 //! What `fraser-opt`'s hint table costs: at most 16 table bytes per key as
 //! the list grows through its doublings, and exactly one table live once
-//! the grace periods of the ones it replaced are over.
+//! the grace periods of the ones it replaced are over, and none once the
+//! list is dropped, also when that table was on huge pages.
 //!
 //! One `#[test]` only: the count of live tables is process-wide, and tests
 //! of one binary run in parallel.
@@ -33,6 +34,9 @@ fn a_grown_list_keeps_one_table_of_at_most_16_bytes_per_key() {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     assert_eq!(hint_tables_live(), 1, "tables outlived the grace periods of their retirement");
+    // The last table is one of 2 MiB or more, so the teardown below gives
+    // back a huge-page mapping.
+    assert!(list.hint_table_bytes() >= 2 << 20, "a {} B table", list.hint_table_bytes());
     drop(list);
     assert_eq!(hint_tables_live(), 0, "teardown leaked the table");
 }

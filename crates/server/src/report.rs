@@ -313,6 +313,7 @@ static TABLE: &[Row] = &[
     counter(Concurrency, "coherence_waits", ("ascy_coherence_waits_total", "Spin-wait episodes on in-flight concurrent work."), |s| int(s.conc.ops.waits)),
     counter(Concurrency, "coherence_nodes_traversed", ("ascy_coherence_nodes_traversed_total", "Nodes visited during structure traversals."), |s| int(s.conc.ops.nodes_traversed)),
     counter(Concurrency, "coherence_operations", ("ascy_coherence_operations_total", "Structure-level operations recorded."), |s| int(s.conc.ops.operations)),
+    counter(Concurrency, "hint_hits", ("ascy_hint_hits_total", "Point operations that reached their node through a skip-list hint, not a walk."), |s| int(s.conc.ops.hint_hits)),
     info_only(Concurrency, "coherence_stores_per_op", |s| per_op(s, s.conc.ops.shared_stores)),
     info_only(Concurrency, "coherence_atomics_per_op", |s| per_op(s, s.conc.ops.atomic_ops)),
     gauge(Concurrency, "monitor_subscribers", ("ascy_monitor_subscribers", "Connections subscribed to the MONITOR stream."), |s| int(s.monitor.subscribers)),
@@ -1125,6 +1126,13 @@ pub(crate) mod tests {
                     // capture.
                     expected.push("ssmem_arena_bytes");
                 }
+                if section == "concurrency" {
+                    // Point operations served through a skip-list hint,
+                    // added after the golden capture beside the count
+                    // they are a share of.
+                    let at = expected.iter().position(|key| *key == "coherence_operations").unwrap();
+                    expected.insert(at + 1, "hint_hits");
+                }
                 if section == "server" {
                     // The one reorder: `connections` now precedes
                     // `curr_connections`, as `conns`/`curr_conns` do on
@@ -1145,8 +1153,8 @@ pub(crate) mod tests {
                 assert_eq!(info_keys(&body), expected, "INFO {section}");
             }
             // METRICS keeps every series and type but the combiner's pass
-            // counter, and gains the two counters that were on STATS only
-            // and the ssmem arena's gauge.
+            // counter, and gains the two counters that were on STATS only,
+            // the ssmem arena's gauge and the skip-list hint counter.
             let body = metrics(&s);
             let mut series: BTreeSet<String> =
                 words(GOLDEN_SERIES).into_iter().map(String::from).collect();
@@ -1154,7 +1162,7 @@ pub(crate) mod tests {
                 words(GOLDEN_TYPES).into_iter().map(String::from).collect();
             series.remove("ascy_hotkey_combined_batches_total");
             types.remove("ascy_hotkey_combined_batches_total=counter");
-            for added in ["ascy_wakeups_total", "ascy_partial_writes_total"] {
+            for added in ["ascy_wakeups_total", "ascy_partial_writes_total", "ascy_hint_hits_total"] {
                 series.insert(added.to_string());
                 types.insert(format!("{added}=counter"));
             }

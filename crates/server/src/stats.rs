@@ -172,6 +172,7 @@ pub(crate) struct ConcurrencyStats {
     nodes_traversed: AtomicU64,
     waits: AtomicU64,
     operations: AtomicU64,
+    hint_hits: AtomicU64,
     ssmem_allocations: AtomicU64,
     ssmem_frees: AtomicU64,
     ssmem_reclaimed: AtomicU64,
@@ -194,6 +195,7 @@ impl ConcurrencyStats {
         WorkerStats::bump(&self.nodes_traversed, d.nodes_traversed);
         WorkerStats::bump(&self.waits, d.waits);
         WorkerStats::bump(&self.operations, d.operations);
+        WorkerStats::bump(&self.hint_hits, d.hint_hits);
     }
 
     /// Publishes the owning thread's current allocator stats (absolutes —
@@ -222,8 +224,7 @@ impl ConcurrencyStats {
                 nodes_traversed: self.nodes_traversed.load(Ordering::Relaxed),
                 waits: self.waits.load(Ordering::Relaxed),
                 operations: self.operations.load(Ordering::Relaxed),
-                // Not folded: no scrape surface renders hint hits.
-                hint_hits: 0,
+                hint_hits: self.hint_hits.load(Ordering::Relaxed),
             },
             ssmem: SsmemStats {
                 allocations: self.ssmem_allocations.load(Ordering::Relaxed),
@@ -302,7 +303,7 @@ mod tests {
     fn concurrency_block_folds_deltas_and_overwrites_ssmem_absolutes() {
         let block = ConcurrencyStats::default();
         block.fold_ops(&OpCounters { shared_stores: 3, atomic_ops: 2, ..OpCounters::ZERO });
-        block.fold_ops(&OpCounters { shared_stores: 1, atomic_failures: 1, ..OpCounters::ZERO });
+        block.fold_ops(&OpCounters { shared_stores: 1, atomic_failures: 1, hint_hits: 5, ..OpCounters::ZERO });
         block.set_ssmem(&SsmemStats { allocations: 10, pending: 4, ..Default::default() });
         // set_ssmem overwrites (absolutes), fold_ops accumulates (deltas).
         block.set_ssmem(&SsmemStats { allocations: 12, pending: 2, ..Default::default() });
@@ -310,6 +311,7 @@ mod tests {
         assert_eq!(snap.ops.shared_stores, 4);
         assert_eq!(snap.ops.atomic_ops, 2);
         assert_eq!(snap.ops.atomic_failures, 1);
+        assert_eq!(snap.ops.hint_hits, 5);
         assert_eq!(snap.ssmem.allocations, 12);
         assert_eq!(snap.ssmem.pending, 2);
         let mut total = snap;

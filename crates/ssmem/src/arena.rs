@@ -8,9 +8,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::allocator::POOL_CAP_PER_CLASS;
+use crate::pages;
 
 /// Bytes in a chunk, and its alignment: one x86-64 huge page.
-const CHUNK: usize = 2 << 20;
+const CHUNK: usize = pages::HUGE_PAGE;
 
 /// Bytes a thread takes from the current chunk at a time.
 const SEGMENT: usize = 64 << 10;
@@ -82,28 +83,9 @@ fn new_chunk() -> usize {
     if base.is_null() {
         std::alloc::handle_alloc_error(layout);
     }
-    advise_huge_pages(base);
+    pages::advise_huge_pages(base, CHUNK);
     base as usize
 }
-
-/// Asks Linux to back the chunk with one transparent huge page. Kernels
-/// that grant huge pages only on request (`enabled` = `[madvise]`) give
-/// none without it; a refusal leaves ordinary pages, which work the same.
-#[cfg(target_os = "linux")]
-fn advise_huge_pages(base: *mut u8) {
-    use std::ffi::{c_int, c_void};
-    extern "C" {
-        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-    const MADV_HUGEPAGE: c_int = 14;
-    // SAFETY: `[base, base + CHUNK)` is one live allocation owned by the
-    // arena, and `base` is page-aligned; the advice changes only how the
-    // kernel backs it, never its contents.
-    unsafe { madvise(base.cast(), CHUNK, MADV_HUGEPAGE) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn advise_huge_pages(_base: *mut u8) {}
 
 /// Is `ptr` inside a chunk the arena carved?
 fn owns(ptr: *mut u8) -> bool {

@@ -62,6 +62,9 @@
 //! layouts) take the system allocator and a per-layout pool that releases
 //! its overflow back to it. Memory retired with [`retire_with`] is never
 //! pooled: its own release function gets it back after the grace periods.
+//! A large table that must give its pages back early maps them itself
+//! through [`pages`], which aligns one of 2 MiB or more to a huge page and
+//! advises it as the arena advises its chunks.
 //!
 //! # Usage model
 //!
@@ -94,6 +97,7 @@
 
 mod allocator;
 mod arena;
+pub mod pages;
 mod registry;
 
 pub use allocator::{SsmemAllocator, SsmemStats};
