@@ -40,19 +40,40 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// The all-zero snapshot, usable in `const` contexts (thread-local
-    /// baselines) where `Default::default()` is not.
-    pub const ZERO: OpCounters = OpCounters {
-        shared_stores: 0,
-        atomic_ops: 0,
-        atomic_failures: 0,
-        lock_acquisitions: 0,
-        restarts: 0,
-        nodes_traversed: 0,
-        waits: 0,
-        operations: 0,
-        hint_hits: 0,
-    };
+    /// How many counters an `OpCounters` holds: the length of its array
+    /// form.
+    pub const FIELDS: usize = 9;
+
+    /// The all-zero snapshot, usable in `const` contexts where
+    /// `Default::default()` is not.
+    pub const ZERO: OpCounters = OpCounters::from_array([0; Self::FIELDS]);
+
+    /// The counters in declaration order. Code that handles every field
+    /// alike (merging, publishing into atomics) goes through this and
+    /// [`from_array`](Self::from_array), so a new counter is one more field
+    /// here and in the struct.
+    pub const fn to_array(&self) -> [u64; Self::FIELDS] {
+        let OpCounters {
+            shared_stores, atomic_ops, atomic_failures, lock_acquisitions, restarts,
+            nodes_traversed, waits, operations, hint_hits,
+        } = *self;
+        [
+            shared_stores, atomic_ops, atomic_failures, lock_acquisitions, restarts,
+            nodes_traversed, waits, operations, hint_hits,
+        ]
+    }
+
+    /// The inverse of [`to_array`](Self::to_array).
+    pub const fn from_array(counters: [u64; Self::FIELDS]) -> OpCounters {
+        let [
+            shared_stores, atomic_ops, atomic_failures, lock_acquisitions, restarts,
+            nodes_traversed, waits, operations, hint_hits,
+        ] = counters;
+        OpCounters {
+            shared_stores, atomic_ops, atomic_failures, lock_acquisitions, restarts,
+            nodes_traversed, waits, operations, hint_hits,
+        }
+    }
 
     /// Estimated cache-line transfers caused by this thread.
     ///
@@ -97,15 +118,8 @@ impl OpCounters {
     /// at `u64::MAX` keeps the aggregate obviously-saturated instead of
     /// quietly wrong, and avoids the debug-build overflow panic.
     pub fn merge(&mut self, other: &OpCounters) {
-        self.shared_stores = self.shared_stores.saturating_add(other.shared_stores);
-        self.atomic_ops = self.atomic_ops.saturating_add(other.atomic_ops);
-        self.atomic_failures = self.atomic_failures.saturating_add(other.atomic_failures);
-        self.lock_acquisitions = self.lock_acquisitions.saturating_add(other.lock_acquisitions);
-        self.restarts = self.restarts.saturating_add(other.restarts);
-        self.nodes_traversed = self.nodes_traversed.saturating_add(other.nodes_traversed);
-        self.waits = self.waits.saturating_add(other.waits);
-        self.operations = self.operations.saturating_add(other.operations);
-        self.hint_hits = self.hint_hits.saturating_add(other.hint_hits);
+        let (a, b) = (self.to_array(), other.to_array());
+        *self = OpCounters::from_array(std::array::from_fn(|i| a[i].saturating_add(b[i])));
     }
 
     /// Field-wise saturating subtraction: the events in `self` that are
@@ -114,17 +128,8 @@ impl OpCounters {
     /// saturation (rather than wrap) keeps a mid-air [`reset`] from
     /// producing astronomically large deltas.
     pub fn saturating_sub(&self, earlier: &OpCounters) -> OpCounters {
-        OpCounters {
-            shared_stores: self.shared_stores.saturating_sub(earlier.shared_stores),
-            atomic_ops: self.atomic_ops.saturating_sub(earlier.atomic_ops),
-            atomic_failures: self.atomic_failures.saturating_sub(earlier.atomic_failures),
-            lock_acquisitions: self.lock_acquisitions.saturating_sub(earlier.lock_acquisitions),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            nodes_traversed: self.nodes_traversed.saturating_sub(earlier.nodes_traversed),
-            waits: self.waits.saturating_sub(earlier.waits),
-            operations: self.operations.saturating_sub(earlier.operations),
-            hint_hits: self.hint_hits.saturating_sub(earlier.hint_hits),
-        }
+        let (a, b) = (self.to_array(), earlier.to_array());
+        OpCounters::from_array(std::array::from_fn(|i| a[i].saturating_sub(b[i])))
     }
 }
 
@@ -138,9 +143,6 @@ thread_local! {
     static WAITS: Cell<u64> = const { Cell::new(0) };
     static OPERATIONS: Cell<u64> = const { Cell::new(0) };
     static HINT_HITS: Cell<u64> = const { Cell::new(0) };
-    /// Baseline for [`drain_delta`]: everything already handed out by a
-    /// previous drain on this thread.
-    static DRAINED: Cell<OpCounters> = const { Cell::new(OpCounters::ZERO) };
 }
 
 /// Cross-thread safety: each counter is a thread-local `Cell` with exactly
@@ -227,30 +229,8 @@ pub fn snapshot() -> OpCounters {
     }
 }
 
-/// Returns the calling thread's counters accumulated since the previous
-/// `drain_delta` call (or since thread start for the first call) and
-/// advances the drain baseline, **without** touching the counters
-/// themselves. This is the serving-tier primitive: a worker drains after
-/// every connection pass and folds the delta into a shared per-worker
-/// block, while `snapshot()`/`reset()` users (the bench harness) keep
-/// their absolute view — the two protocols compose because draining never
-/// writes the underlying cells.
-pub fn drain_delta() -> OpCounters {
-    let now = snapshot();
-    DRAINED.with(|c| {
-        let before = c.get();
-        c.set(now);
-        now.saturating_sub(&before)
-    })
-}
-
 /// Resets the calling thread's counters to zero.
-///
-/// Also rewinds the [`drain_delta`] baseline, so a drain after a reset
-/// sees only events recorded since the reset (instead of saturating
-/// against a stale baseline and reporting zero until it catches up).
 pub fn reset() {
-    DRAINED.with(|c| c.set(OpCounters::ZERO));
     SHARED_STORES.with(|c| c.set(0));
     ATOMIC_OPS.with(|c| c.set(0));
     ATOMIC_FAILURES.with(|c| c.set(0));
@@ -294,26 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_delta_hands_out_each_event_exactly_once() {
-        reset();
-        record_stores(5);
-        record_operation();
-        let d1 = drain_delta();
-        assert_eq!(d1.shared_stores, 5);
-        assert_eq!(d1.operations, 1);
-        // Nothing new since the drain: empty delta, absolute view intact.
-        assert_eq!(drain_delta(), OpCounters::ZERO);
-        assert_eq!(snapshot().shared_stores, 5);
-        record_stores(2);
-        assert_eq!(drain_delta().shared_stores, 2);
-        // A reset rewinds the baseline as well as the counters.
-        reset();
-        record_store();
-        assert_eq!(drain_delta().shared_stores, 1);
-        reset();
-    }
-
-    #[test]
     fn hint_hits_count_apart_from_traffic() {
         reset();
         record_hint_hit();
@@ -321,7 +281,6 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.hint_hits, 2);
         assert_eq!(s.cache_line_transfers(), 0, "a hint hit is a read");
-        assert_eq!(drain_delta().hint_hits, 2);
         reset();
         assert_eq!(snapshot().hint_hits, 0);
     }

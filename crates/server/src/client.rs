@@ -432,9 +432,12 @@ mod tests {
     use std::sync::Arc;
 
     fn ordered_server() -> crate::server::ServerHandle {
+        ordered_server_with(ServerConfig::default())
+    }
+
+    fn ordered_server_with(config: ServerConfig) -> crate::server::ServerHandle {
         let map = Arc::new(BlobMap::new(2, |_| FraserOptSkipList::new()));
-        Server::start("127.0.0.1:0", BlobStore::new(map), ServerConfig::default())
-            .expect("bind ephemeral")
+        Server::start("127.0.0.1:0", BlobStore::new(map), config).expect("bind ephemeral")
     }
 
     #[test]
@@ -541,7 +544,11 @@ mod tests {
 
     #[test]
     fn observability_accessors_round_trip() {
-        let server = ordered_server();
+        // No slow-op capture: a debug-build scrape on a loaded runner can
+        // outlast the default 10 ms threshold
+        // (`slowlog_threshold_zero_captures_everything` covers capture).
+        let config = ServerConfig { slowlog_threshold: Duration::MAX, ..ServerConfig::default() };
+        let server = ordered_server_with(config);
         let mut c = Client::connect(server.addr()).unwrap();
         assert!(c.set(1, b"one").unwrap());
         assert_eq!(c.get(1).unwrap(), Some(b"one".to_vec()));
@@ -561,7 +568,7 @@ mod tests {
         ascylib_telemetry::expo::validate(&metrics).expect("scrape body validates");
         assert!(metrics.contains("ascy_read_hits_total 1"), "{metrics}");
 
-        assert_eq!(c.slowlog_len().unwrap(), 0, "default 10ms threshold captures nothing here");
+        assert_eq!(c.slowlog_len().unwrap(), 0, "a threshold nothing reaches captures nothing");
         assert_eq!(c.slowlog_get().unwrap(), "");
         c.slowlog_reset().unwrap();
         c.quit().unwrap();

@@ -55,7 +55,7 @@ use crate::monitor::{MonitorEvent, MonitorHub, MonitorSink, MONITOR_DRAIN_BACKLO
 use crate::protocol::{wire, Request, RequestParser};
 use crate::report;
 use crate::server::Shared;
-use crate::stats::WorkerStats;
+use crate::stats::{ConcurrencyStats, WorkerStats};
 use crate::store::{KvStore, KEY_RANGE};
 
 /// Everything a worker needs to serve one connection.
@@ -69,6 +69,9 @@ pub(crate) struct ConnCtx<'a> {
     pub stats: &'a WorkerStats,
     /// This worker's telemetry block (hot-path recording).
     pub tel: &'a WorkerTelemetry,
+    /// This worker's structure-level counters, published before every
+    /// flush of replies and every scrape.
+    pub conc: &'a ConcurrencyStats,
     /// The whole server, read by the scrape verbs (`STATS` / `INFO` /
     /// `SLOWLOG` / `METRICS`).
     pub shared: &'a Shared,
@@ -221,6 +224,8 @@ impl Connection {
             // blocked the machine never reads — that is the backpressure
             // that stops a non-draining peer from growing `wbuf` forever.
             if self.wpos < self.wbuf.len() {
+                // A peer holding a reply finds its operations counted.
+                ctx.conc.publish();
                 let flush_start = clock::now();
                 let flushed = self.flush_pending(ctx);
                 ctx.tel.record_phase(Phase::Flush, clock::delta_ns(flush_start, clock::now()));

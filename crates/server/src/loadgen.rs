@@ -1198,6 +1198,26 @@ mod tests {
         }
     }
 
+    /// Reads until `quiet` has passed by `Instant`, the clock latency is
+    /// measured on (a socket timeout counts kernel ticks and can end a few
+    /// ms early), and counts the whole request frames that arrived; `None`
+    /// once the peer hung up.
+    fn hold(
+        conn: &mut TcpStream,
+        parser: &mut crate::protocol::RequestParser,
+        quiet: Duration,
+    ) -> Option<usize> {
+        let deadline = Instant::now() + quiet;
+        let mut frames = 0;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Some(frames);
+            }
+            frames += read_frames(conn, parser, left)?;
+        }
+    }
+
     #[test]
     fn a_closed_loop_connection_sends_its_next_batch_only_after_the_last_reply() {
         const DEPTH: usize = 4;
@@ -1219,7 +1239,7 @@ mod tests {
                 }
                 assert_eq!(held, DEPTH, "more than pipeline_depth requests in flight");
                 assert_eq!(
-                    read_frames(&mut conn, &mut parser, QUIET),
+                    hold(&mut conn, &mut parser, QUIET),
                     Some(0),
                     "a request arrived while the whole batch was in flight"
                 );
@@ -1229,7 +1249,7 @@ mod tests {
                 }
                 conn.write_all(&replies).unwrap();
                 assert_eq!(
-                    read_frames(&mut conn, &mut parser, QUIET),
+                    hold(&mut conn, &mut parser, QUIET),
                     Some(0),
                     "the next batch went out before the last reply"
                 );

@@ -74,11 +74,11 @@ pub(crate) struct Scrape {
 }
 
 impl Scrape {
-    /// Reads the whole server once, the scraping worker's own pending
-    /// structure counters folded in first.
+    /// Reads the whole server once, the scraping worker's own structure
+    /// counters published first.
     pub(crate) fn gather(ctx: &ConnCtx<'_>) -> Scrape {
         let shared = ctx.shared;
-        shared.fold(ctx.worker as usize);
+        ctx.conc.publish();
         let totals = shared.totals();
         let window = shared.window(&totals);
         let Totals { server, tel, conc } = totals;

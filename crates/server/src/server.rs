@@ -171,9 +171,9 @@ impl Port {
 struct WorkerBlock {
     stats: WorkerStats,
     tel: WorkerTelemetry,
-    /// The worker's drained [`ascylib::stats::OpCounters`] deltas and its
-    /// allocator view, refreshed after every connection pass and before
-    /// every scrape it answers.
+    /// The worker thread's [`ascylib::stats::OpCounters`] and allocator
+    /// view, published before every flush of replies and every scrape it
+    /// answers.
     conc: ConcurrencyStats,
 }
 
@@ -272,15 +272,6 @@ impl Shared {
         t
     }
 
-    /// Folds worker `index`'s pending structure-counter delta into its
-    /// block and refreshes its allocator view. Only that worker's thread
-    /// may call this: the delta is drained from the calling thread.
-    pub(crate) fn fold(&self, index: usize) {
-        let conc = &self.blocks[index].conc;
-        conc.fold_ops(&ascylib::stats::drain_delta());
-        conc.set_ssmem(&ascylib_ssmem::thread_stats());
-    }
-
     /// Everything worker `index` needs to serve a connection.
     pub(crate) fn ctx(&self, index: usize) -> ConnCtx<'_> {
         let block = &self.blocks[index];
@@ -289,6 +280,7 @@ impl Shared {
             max_pipeline: self.config.max_pipeline,
             stats: &block.stats,
             tel: &block.tel,
+            conc: &block.conc,
             shared: self,
             slow_ns: self.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
             worker: index as u32,
@@ -444,7 +436,6 @@ struct Entry {
 /// A worker thread's private state: everything its connections touch.
 struct Worker<'a> {
     index: usize,
-    shared: &'a Shared,
     port: &'a Port,
     slab: Vec<Entry>,
     free: Vec<u32>,
@@ -465,7 +456,6 @@ impl<'a> Worker<'a> {
         });
         Worker {
             index,
-            shared,
             port: &shared.ports[index],
             slab: Vec::new(),
             free: Vec::new(),
@@ -541,8 +531,6 @@ impl<'a> Worker<'a> {
         let entry = &mut self.slab[idx as usize];
         let Some(conn) = entry.conn.as_mut() else { return };
         let outcome = conn.advance(ctx, &mut self.chunk);
-        // Per-pass drain: the store work of this pass ran on this thread.
-        self.shared.fold(self.index);
         match outcome {
             Advance::Arm(interest) if interest == entry.interest => {}
             Advance::Arm(interest) => {

@@ -152,107 +152,66 @@ impl ServerStatsSnapshot {
 
 /// Structure-level concurrency counters one worker publishes for scrapes.
 ///
-/// The paper's coherence counters (`ascylib::stats`) live in thread-local
-/// cells only the owning thread can read — which is exactly right for the
-/// bench harness, and exactly wrong for a live server that wants
-/// `INFO concurrency`. Each worker bridges the gap by draining its
-/// thread-local delta after every connection pass and before every scrape
-/// it answers ([`ascylib::stats::drain_delta`]) and folding it into its own
-/// cache-padded block here; the ssmem fields are refreshed as absolutes
-/// from [`ascylib_ssmem::thread_stats`] at the same point. Single writer,
-/// like [`WorkerStats`]: folds are [`WorkerStats::bump`]s, and readers
-/// aggregate statistically, like every other counter block.
+/// The paper's coherence counters (`ascylib::stats`) and the allocator's
+/// ([`ascylib_ssmem::thread_stats`]) live in thread-local state only the
+/// owning thread can read — which is exactly right for the bench harness,
+/// and exactly wrong for a live server that wants `INFO concurrency`. Each
+/// worker bridges the gap by [`publish`](Self::publish)ing both, cumulative
+/// since the thread started, into its own cache-padded block before it
+/// sends replies and before every scrape it answers. The block is the two
+/// snapshots' array forms as atomics; single writer, like [`WorkerStats`],
+/// so publishing is plain stores, and readers sum the blocks statistically.
 #[derive(Debug, Default)]
 pub(crate) struct ConcurrencyStats {
-    shared_stores: AtomicU64,
-    atomic_ops: AtomicU64,
-    atomic_failures: AtomicU64,
-    lock_acquisitions: AtomicU64,
-    restarts: AtomicU64,
-    nodes_traversed: AtomicU64,
-    waits: AtomicU64,
-    operations: AtomicU64,
-    hint_hits: AtomicU64,
-    ssmem_allocations: AtomicU64,
-    ssmem_frees: AtomicU64,
-    ssmem_reclaimed: AtomicU64,
-    ssmem_reused: AtomicU64,
-    ssmem_gc_passes: AtomicU64,
-    ssmem_pending: AtomicU64,
-    ssmem_pooled: AtomicU64,
-    ssmem_guard_depth: AtomicU64,
+    ops: [AtomicU64; OpCounters::FIELDS],
+    ssmem: [AtomicU64; SsmemStats::FIELDS],
 }
 
 impl ConcurrencyStats {
-    /// Folds one drained [`OpCounters`] delta into the block. Call only
-    /// from the owning worker thread.
-    pub(crate) fn fold_ops(&self, d: &OpCounters) {
-        WorkerStats::bump(&self.shared_stores, d.shared_stores);
-        WorkerStats::bump(&self.atomic_ops, d.atomic_ops);
-        WorkerStats::bump(&self.atomic_failures, d.atomic_failures);
-        WorkerStats::bump(&self.lock_acquisitions, d.lock_acquisitions);
-        WorkerStats::bump(&self.restarts, d.restarts);
-        WorkerStats::bump(&self.nodes_traversed, d.nodes_traversed);
-        WorkerStats::bump(&self.waits, d.waits);
-        WorkerStats::bump(&self.operations, d.operations);
-        WorkerStats::bump(&self.hint_hits, d.hint_hits);
+    /// Publishes the calling thread's counters. Call only from the owning
+    /// worker thread.
+    pub(crate) fn publish(&self) {
+        self.set(&ascylib::stats::snapshot(), &ascylib_ssmem::thread_stats());
     }
 
-    /// Publishes the owning thread's current allocator stats (absolutes —
-    /// `thread_stats()` is already cumulative for the counter fields and
-    /// point-in-time for `pending`/`pooled`/`guard_depth`).
-    pub(crate) fn set_ssmem(&self, s: &SsmemStats) {
-        self.ssmem_allocations.store(s.allocations, Ordering::Relaxed);
-        self.ssmem_frees.store(s.frees, Ordering::Relaxed);
-        self.ssmem_reclaimed.store(s.reclaimed, Ordering::Relaxed);
-        self.ssmem_reused.store(s.reused, Ordering::Relaxed);
-        self.ssmem_gc_passes.store(s.gc_passes, Ordering::Relaxed);
-        self.ssmem_pending.store(s.pending, Ordering::Relaxed);
-        self.ssmem_pooled.store(s.pooled, Ordering::Relaxed);
-        self.ssmem_guard_depth.store(s.guard_depth, Ordering::Relaxed);
+    /// Overwrites the block with `ops` and `ssmem`.
+    fn set(&self, ops: &OpCounters, ssmem: &SsmemStats) {
+        store(&self.ops, ops.to_array());
+        store(&self.ssmem, ssmem.to_array());
     }
 
     /// A point-in-time copy of the block.
     pub(crate) fn snapshot(&self) -> ConcurrencySnapshot {
         ConcurrencySnapshot {
-            ops: OpCounters {
-                shared_stores: self.shared_stores.load(Ordering::Relaxed),
-                atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-                atomic_failures: self.atomic_failures.load(Ordering::Relaxed),
-                lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-                restarts: self.restarts.load(Ordering::Relaxed),
-                nodes_traversed: self.nodes_traversed.load(Ordering::Relaxed),
-                waits: self.waits.load(Ordering::Relaxed),
-                operations: self.operations.load(Ordering::Relaxed),
-                hint_hits: self.hint_hits.load(Ordering::Relaxed),
-            },
-            ssmem: SsmemStats {
-                allocations: self.ssmem_allocations.load(Ordering::Relaxed),
-                frees: self.ssmem_frees.load(Ordering::Relaxed),
-                reclaimed: self.ssmem_reclaimed.load(Ordering::Relaxed),
-                reused: self.ssmem_reused.load(Ordering::Relaxed),
-                gc_passes: self.ssmem_gc_passes.load(Ordering::Relaxed),
-                pending: self.ssmem_pending.load(Ordering::Relaxed),
-                pooled: self.ssmem_pooled.load(Ordering::Relaxed),
-                guard_depth: self.ssmem_guard_depth.load(Ordering::Relaxed),
-            },
+            ops: OpCounters::from_array(load(&self.ops)),
+            ssmem: SsmemStats::from_array(load(&self.ssmem)),
         }
     }
+}
+
+fn store<const N: usize>(cells: &[AtomicU64; N], values: [u64; N]) {
+    for (cell, v) in cells.iter().zip(values) {
+        cell.store(v, Ordering::Relaxed);
+    }
+}
+
+fn load<const N: usize>(cells: &[AtomicU64; N]) -> [u64; N] {
+    std::array::from_fn(|i| cells[i].load(Ordering::Relaxed))
 }
 
 /// Point-in-time structure-level concurrency numbers (one worker's block
 /// or the sum over all workers).
 ///
 /// All `ops` fields are monotone counters. Within `ssmem`, the event
-/// fields are counters while `pending`/`pooled`/`guard_depth` are
-/// per-thread gauges — but unlike `curr_connections` these sum
-/// meaningfully across *distinct* workers' blocks (each worker owns a
-/// separate allocator), so [`merge`](Self::merge) adds every field.
+/// fields are counters while the point-in-time ones are per-thread gauges
+/// — but unlike `curr_connections` these sum meaningfully across
+/// *distinct* workers' blocks (each worker owns a separate allocator), so
+/// [`merge`](Self::merge) adds every field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConcurrencySnapshot {
-    /// Coherence-relevant structure events (stores, CAS, restarts, ...).
+    /// Coherence-relevant structure events.
     pub ops: OpCounters,
-    /// Epoch allocator activity (allocations, reclaimed, pending, ...).
+    /// Epoch allocator activity and limbo/pool gauges.
     pub ssmem: SsmemStats,
 }
 
@@ -300,13 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_block_folds_deltas_and_overwrites_ssmem_absolutes() {
+    fn concurrency_block_keeps_published_absolutes() {
         let block = ConcurrencyStats::default();
-        block.fold_ops(&OpCounters { shared_stores: 3, atomic_ops: 2, ..OpCounters::ZERO });
-        block.fold_ops(&OpCounters { shared_stores: 1, atomic_failures: 1, hint_hits: 5, ..OpCounters::ZERO });
-        block.set_ssmem(&SsmemStats { allocations: 10, pending: 4, ..Default::default() });
-        // set_ssmem overwrites (absolutes), fold_ops accumulates (deltas).
-        block.set_ssmem(&SsmemStats { allocations: 12, pending: 2, ..Default::default() });
+        let ops = OpCounters { shared_stores: 3, atomic_ops: 2, ..OpCounters::ZERO };
+        block.set(&ops, &SsmemStats { allocations: 10, pending: 4, ..Default::default() });
+        // Every publish overwrites: a thread's counts are cumulative.
+        let ops = OpCounters { shared_stores: 4, atomic_failures: 1, hint_hits: 5, ..ops };
+        block.set(&ops, &SsmemStats { allocations: 12, pending: 2, ..Default::default() });
         let snap = block.snapshot();
         assert_eq!(snap.ops.shared_stores, 4);
         assert_eq!(snap.ops.atomic_ops, 2);
@@ -318,6 +277,39 @@ mod tests {
         total.merge(&snap);
         assert_eq!(total.ops.shared_stores, 8);
         assert_eq!(total.ssmem.pending, 4, "per-worker gauges sum across distinct workers");
+    }
+
+    #[test]
+    fn array_forms_round_trip_every_field() {
+        let ops = OpCounters {
+            shared_stores: 1,
+            atomic_ops: 2,
+            atomic_failures: 3,
+            lock_acquisitions: 4,
+            restarts: 5,
+            nodes_traversed: 6,
+            waits: 7,
+            operations: 8,
+            hint_hits: 9,
+        };
+        let ssmem = SsmemStats {
+            allocations: 11,
+            frees: 12,
+            reclaimed: 13,
+            reused: 14,
+            gc_passes: 15,
+            pending: 16,
+            pooled: 17,
+            guard_depth: 18,
+        };
+        assert_eq!(ops.to_array(), [1, 2, 3, 4, 5, 6, 7, 8, 9], "declaration order");
+        assert_eq!(OpCounters::from_array(ops.to_array()), ops);
+        assert_eq!(ssmem.to_array(), [11, 12, 13, 14, 15, 16, 17, 18], "declaration order");
+        assert_eq!(SsmemStats::from_array(ssmem.to_array()), ssmem);
+        // And through a worker's block.
+        let block = ConcurrencyStats::default();
+        block.set(&ops, &ssmem);
+        assert_eq!(block.snapshot(), ConcurrencySnapshot { ops, ssmem });
     }
 
     #[test]

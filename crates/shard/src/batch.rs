@@ -6,26 +6,18 @@
 //! the whole batch, in input order, to the backing's
 //! [`ConcurrentMap::search_lanes`] — each key a lane on the shard it routes
 //! to — so a backing that interleaves its traversals overlaps the misses of
-//! every key, across shards. Stats are one `record_searches` per shard
-//! touched.
+//! every key, across shards. Each lane is counted as a point search is,
+//! by [`ShardStats::record_search`](crate::stats::ShardStats::record_search) on
+//! the shard it routed to.
 //!
 //! A batch is **not** atomic across keys: each search linearizes
 //! individually in its shard (the same guarantee a loop of `search` calls
 //! gives, minus the cache misses). A key named more than once is its own
 //! lane each time and is answered each time.
 
-use std::cell::RefCell;
-
 use ascylib::api::{ConcurrentMap, MAX_LANES};
 
 use crate::map::ShardedMap;
-
-thread_local! {
-    /// `(searches, hits)` per shard for the batch `multi_get_into` is
-    /// answering, so it records one stats RMW per shard touched without
-    /// allocating per batch.
-    static SEARCH_TALLY: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-}
 
 impl<M: ConcurrentMap> ShardedMap<M> {
     /// Looks up every key as one batch of lanes; results are in input
@@ -40,33 +32,22 @@ impl<M: ConcurrentMap> ShardedMap<M> {
     /// `out` and refills it with the per-key answers in input order. Keys
     /// become lanes of [`ConcurrentMap::search_lanes`] in input order,
     /// [`MAX_LANES`] at a time, each on the shard it routes to; nothing is
-    /// allocated once `out` and this thread's tally have grown to size.
+    /// allocated once `out` has grown to size.
     pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.resize(keys.len(), None);
-        SEARCH_TALLY.with(|tally| {
-            let mut tally = tally.borrow_mut();
-            tally.clear();
-            tally.resize(self.shard_count(), (0, 0));
-            for (keys, answers) in keys.chunks(MAX_LANES).zip(out.chunks_mut(MAX_LANES)) {
-                let mut shards = [0usize; MAX_LANES];
-                let mut lanes = [(self.shard(0), 0u64); MAX_LANES];
-                for (i, &key) in keys.iter().enumerate() {
-                    shards[i] = self.shard_of(key);
-                    lanes[i] = (self.shard(shards[i]), key);
-                }
-                M::search_lanes(&lanes[..keys.len()], answers);
-                for (&s, answer) in shards.iter().zip(answers.iter()) {
-                    tally[s].0 += 1;
-                    tally[s].1 += u64::from(answer.is_some());
-                }
+        for (keys, answers) in keys.chunks(MAX_LANES).zip(out.chunks_mut(MAX_LANES)) {
+            let mut shards = [0usize; MAX_LANES];
+            let mut lanes = [(self.shard(0), 0u64); MAX_LANES];
+            for (i, &key) in keys.iter().enumerate() {
+                shards[i] = self.shard_of(key);
+                lanes[i] = (self.shard(shards[i]), key);
             }
-            for (s, &(searches, hits)) in tally.iter().enumerate() {
-                if searches > 0 {
-                    self.stats_of(s).record_searches(searches, hits);
-                }
+            M::search_lanes(&lanes[..keys.len()], answers);
+            for (&s, answer) in shards.iter().zip(answers.iter()) {
+                self.stats_of(s).record_search(answer.is_some());
             }
-        });
+        }
     }
 }
 

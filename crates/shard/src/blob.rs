@@ -790,7 +790,7 @@ thread_local! {
     /// (`MGET`, pipelined `GET` runs) perform no per-batch allocation for
     /// the handle pass.
     static HANDLE_SCRATCH: RefCell<Vec<Option<u64>>> = const { RefCell::new(Vec::new()) };
-    /// Scratch for `multi_get_into` with a hot-key engine.
+    /// Scratch for `multi_get_into`: the keys the front left to the backing.
     static REST_SCRATCH: RefCell<Rest> =
         const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
     /// Scratch `(key, handle)` buffer for the index walks, so an eviction
@@ -937,23 +937,43 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// never front-cached, so a front hit cannot outlive its deadline.
     pub fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
         out.clear();
-        if let Some(hot) = &self.hot {
-            hot.record_access(key);
-            match hot.read(key, out) {
-                // Front-served reads skip the shard-stats RMWs (that's
-                // the point of the front path); `total_stats` folds the
-                // engine's own hit/absent counters back in.
-                FrontRead::Hit => return true,
-                FrontRead::Absent => return false,
-                FrontRead::Pending(ticket) => {
-                    let found = self.get_backing(key, out);
-                    hot.fill(&ticket, found.map(|ttl| (out.as_slice(), ttl)));
-                    return found.is_some();
-                }
-                FrontRead::Miss => {}
-            }
+        let lease = match self.read_front(key, out) {
+            Ok(found) => return found,
+            Err(lease) => lease,
+        };
+        let found = self.get_backing(key, out);
+        self.fill_front(lease, found.map(|ttl| (out.as_slice(), ttl)));
+        found.is_some()
+    }
+
+    /// The front cache's part of every read of `key`: feeds the sampler
+    /// and probes the front, appending a fronted value to `out`. `Ok` is
+    /// the front's answer (found or known absent); `Err` leaves the read
+    /// to the backing, with the fill lease its answer is offered back
+    /// under ([`fill_front`](Self::fill_front)) if the front holds one.
+    /// Front-answered reads skip the shard-stats adds (that's the point of
+    /// the front path); `total_stats` folds the engine's own hit/absent
+    /// counters back in.
+    #[inline]
+    fn read_front(&self, key: u64, out: &mut Vec<u8>) -> Result<bool, Option<FillTicket>> {
+        let Some(hot) = &self.hot else { return Err(None) };
+        hot.record_access(key);
+        match hot.read(key, out) {
+            FrontRead::Hit => Ok(true),
+            FrontRead::Absent => Ok(false),
+            FrontRead::Pending(ticket) => Err(Some(ticket)),
+            FrontRead::Miss => Err(None),
         }
-        self.get_backing(key, out).is_some()
+    }
+
+    /// Offers the backing's answer to a read back to the front slot its
+    /// lease was taken on: `found` is the value and whether it carries a
+    /// TTL.
+    #[inline]
+    fn fill_front(&self, lease: Option<FillTicket>, found: Option<(&[u8], bool)>) {
+        if let (Some(hot), Some(ticket)) = (&self.hot, lease) {
+            hot.fill(&ticket, found);
+        }
     }
 
     /// The engine-less read: [`lookup`](Self::lookup) and the arena copy
@@ -1368,56 +1388,34 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     // -- batched ops -------------------------------------------------------
 
     /// Batched lookup with copy-out: refills `out` with per-key answers in
-    /// input order. With a hot-key engine attached, fronted keys are
-    /// answered from their front-cache copies and only the remainder takes
-    /// the batched backing path (one epoch guard).
+    /// input order. Keys the front cache answers (see `get`) are answered
+    /// from their copies; the rest take the batched backing path (one
+    /// epoch guard).
     pub fn multi_get_into(&self, keys: &[u64], out: &mut BatchValues) {
         out.clear();
-        let Some(hot) = self.hot.as_deref() else {
-            out.spans.reserve(keys.len());
-            let spans = &mut out.spans;
-            self.resolve_batch(keys, &mut out.bytes, |_, found| {
-                spans.push(found.map(|(span, ..)| span));
-            });
-            return;
-        };
         REST_SCRATCH.with(|scratch| {
-            // The keys the front cache could not answer take the batched
-            // backing path.
             let rest = &mut *scratch.borrow_mut();
             rest.keys.clear();
             rest.slots.clear();
             for (i, &key) in keys.iter().enumerate() {
-                hot.record_access(key);
                 let start = out.bytes.len();
-                // As in `get`: front-served keys skip the shard-stats RMWs;
-                // `total_stats` folds the engine counters back in.
-                let ticket = match hot.read(key, &mut out.bytes) {
-                    FrontRead::Hit => {
-                        out.spans.push(Some((start, out.bytes.len())));
-                        continue;
-                    }
-                    FrontRead::Absent => {
+                match self.read_front(key, &mut out.bytes) {
+                    Ok(found) => out.spans.push(found.then_some((start, out.bytes.len()))),
+                    Err(lease) => {
                         out.spans.push(None);
-                        continue;
+                        rest.keys.push(key);
+                        rest.slots.push((i, lease));
                     }
-                    FrontRead::Pending(ticket) => Some(ticket),
-                    FrontRead::Miss => None,
-                };
-                out.spans.push(None);
-                rest.keys.push(key);
-                rest.slots.push((i, ticket));
+                }
             }
             if rest.keys.is_empty() {
                 return;
             }
             let (slots, spans) = (&rest.slots, &mut out.spans);
             self.resolve_batch(&rest.keys, &mut out.bytes, |j, found| {
-                let (pos, ticket) = &slots[j];
-                if let Some(ticket) = ticket {
-                    hot.fill(ticket, found.map(|(_, value, ttl)| (value, ttl)));
-                }
-                spans[*pos] = found.map(|(span, ..)| span);
+                let (pos, lease) = slots[j];
+                self.fill_front(lease, found.map(|(_, value, ttl)| (value, ttl)));
+                spans[pos] = found.map(|(span, ..)| span);
             });
         });
     }

@@ -274,16 +274,6 @@ impl ShardStats {
         }
     }
 
-    /// Records a batch of `n` searches of which `hits` found their key (one
-    /// add per counter instead of per key).
-    #[inline]
-    pub fn record_searches(&self, n: u64, hits: u64) {
-        self.stripes.add(|c| &c.searches, n);
-        if hits > 0 {
-            self.stripes.add(|c| &c.hits, hits);
-        }
-    }
-
     /// Records one per-shard sub-scan that contributed `keys` keys.
     #[inline]
     pub fn record_scan(&self, keys: u64) {

@@ -79,20 +79,37 @@ pub struct SsmemStats {
 }
 
 impl SsmemStats {
+    /// How many counters an `SsmemStats` holds: the length of its array
+    /// form.
+    pub const FIELDS: usize = 8;
+
+    /// The stats in declaration order. Code that handles every field alike
+    /// (merging, publishing into atomics) goes through this and
+    /// [`from_array`](Self::from_array).
+    pub const fn to_array(&self) -> [u64; Self::FIELDS] {
+        let SsmemStats {
+            allocations, frees, reclaimed, reused, gc_passes, pending, pooled, guard_depth,
+        } = *self;
+        [allocations, frees, reclaimed, reused, gc_passes, pending, pooled, guard_depth]
+    }
+
+    /// The inverse of [`to_array`](Self::to_array).
+    pub const fn from_array(stats: [u64; Self::FIELDS]) -> SsmemStats {
+        let [allocations, frees, reclaimed, reused, gc_passes, pending, pooled, guard_depth] =
+            stats;
+        SsmemStats {
+            allocations, frees, reclaimed, reused, gc_passes, pending, pooled, guard_depth,
+        }
+    }
+
     /// Adds another thread's stats into this one, field-wise and
     /// saturating, for whole-process aggregation (a server summing its
     /// workers' allocators). Every field sums meaningfully: the event
     /// counters are monotonic, and the point-in-time fields (`pending`,
     /// `pooled`, `guard_depth`) sum to the process-wide totals.
     pub fn merge(&mut self, other: &SsmemStats) {
-        self.allocations = self.allocations.saturating_add(other.allocations);
-        self.frees = self.frees.saturating_add(other.frees);
-        self.reclaimed = self.reclaimed.saturating_add(other.reclaimed);
-        self.reused = self.reused.saturating_add(other.reused);
-        self.gc_passes = self.gc_passes.saturating_add(other.gc_passes);
-        self.pending = self.pending.saturating_add(other.pending);
-        self.pooled = self.pooled.saturating_add(other.pooled);
-        self.guard_depth = self.guard_depth.saturating_add(other.guard_depth);
+        let (a, b) = (self.to_array(), other.to_array());
+        *self = SsmemStats::from_array(std::array::from_fn(|i| a[i].saturating_add(b[i])));
     }
 }
 
