@@ -6,6 +6,10 @@
 //! structure family the histograms report throughput and the scalability
 //! ratio versus the single-threaded run.
 //!
+//! At 16 384 elements (low contention) `fraser-opt` is past its hint-table
+//! floor, so that row measures the hinted list; the average- and
+//! high-contention rows measure the paper's unhinted one.
+//!
 //! The measured numbers come from the host machine; the projected columns
 //! use the coherence model of `ascylib_harness::model` to estimate the
 //! shape on the paper's six platforms.

@@ -2,9 +2,10 @@
 //! remove on a representative subset of the algorithms.
 //!
 //! `fraser-opt` runs at three sizes: 1 k keys (below its hint-table floor,
-//! the paper's list), 16 k and 256 k. Built once with the floor forced to 0
-//! and once to `isize::MAX` (`FLOOR` in `crates/core/src/skiplist/hint.rs`),
-//! the three rows are the sweep the floor was chosen from.
+//! the paper's list), 16 k and 256 k (both past it). Built once with the
+//! floor forced to 0 and once to `isize::MAX` (`FLOOR` in
+//! `crates/core/src/skiplist/hint.rs`), the three rows show a table never
+//! loses on a hit; the floor itself is set by the paper's list sizes.
 //!
 //! Every row loads and then draws its keys in the order of a permutation
 //! fixed before timing, so consecutive operations walk unrelated paths, as

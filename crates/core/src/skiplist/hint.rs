@@ -12,13 +12,14 @@
 //! tower is at least [`SAMPLE_LEVEL`] tall (one in 64, drawn by
 //! `random_level` anyway) adds 64 to the list's approximate key count, and
 //! its remover takes 64 off. Past [`FLOOR`], a tall insert that finds the
-//! count above what the table was sized for swaps in one sized for the
-//! next power of two, at one slot per key: 8 to 16 table bytes per key as
-//! the count moves between two doublings. A table comes straight from the
-//! kernel ([`ssmem::pages`]), so it costs RSS only where hints land and
-//! leaves it the moment it is discarded; one of 2 MiB or more starts on a
-//! huge page and is advised as ssmem's node chunks are, so a hinted read
-//! pays no page walk for its bucket line either.
+//! count an eighth ([`GROW_MARGIN`]) above what the table was sized for
+//! swaps in one sized for the next power of two, at one slot per key: 7 to
+//! 16 table bytes per key as the count moves between two doublings. A
+//! table comes straight from the kernel ([`ssmem::pages`]), so it costs
+//! RSS only where hints land and leaves it the moment it is discarded; one
+//! of 2 MiB or more starts on a huge page and is advised as ssmem's node
+//! chunks are, so a hinted read pays no page walk for its bucket line
+//! either.
 
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -33,25 +34,38 @@ const WAYS: usize = 8;
 
 /// The approximate key count past which a list allocates its table.
 ///
-/// `cargo bench --bench micro_ops` at 1 k, 16 k and 256 k keys, loaded and
-/// searched in a fixed random order, built with this floor at 0 and at
-/// `isize::MAX`, four rounds each (numbers in CHANGES.md): a hit costs
-/// 36–59, 134–153 and 192–774 ns with the table against 101–134, 200–284
-/// and 1 139–1 444 ns for the walk (measured at 5/8 slot per key, when a
+/// Set by the paper's skip-list sizes, which measure the unhinted
+/// `fraser-opt`: Figure 5 and the ASCY ablation run 1 024 elements, and
+/// Figure 2 at average contention 4 096 on an 8 192-key range. The floor
+/// is twice that. At 4 096 keys the sampled count stands for 64 ± 8 tall
+/// towers (binomial, one in 64); passing the floor takes 128 of them,
+/// eight standard deviations out, so those lists never allocate a table.
+/// Figure 2's low-contention row (16 384 elements) runs past the floor,
+/// hinted: clearing it by the same eight deviations (±1 024 keys there)
+/// would take a floor of 24 576, which leaves lists of ten to twenty
+/// thousand keys walking. Past the floor nothing argues for walking:
+/// `cargo bench --bench micro_ops` at 1 k, 16 k and 256 k keys, loaded
+/// and searched in a fixed random order, built with this floor at 0 and
+/// at `isize::MAX`, four rounds each (numbers in CHANGES.md), measured a
+/// hit at 36–59, 134–153 and 192–774 ns with the table against 101–134,
+/// 200–284 and 1 139–1 444 ns for the walk (at 5/8 slot per key, when a
 /// third of the keys still walked); a miss pays the bucket on top of its
 /// walk, +15–30 % at 1 k and within the noise at 256 k, where the walk's
-/// own misses dominate. So no size makes the table a loss for hits, and
-/// the floor is set by what it must leave alone: the paper's 1 024-key
-/// lists (Figure 5, the ASCY ablation) stay the unhinted `fraser-opt`,
-/// with a margin the sampled count never crosses, and shards of a few ten
-/// thousand keys (`embed_write`'s ~25 000) spend no memory on a table.
-pub(crate) const FLOOR: isize = 32_768;
+/// own misses dominate.
+pub(crate) const FLOOR: isize = 8_192;
 
 /// Towers at least this tall are the count's sample: p = 2^-(SAMPLE_LEVEL-1).
 pub(crate) const SAMPLE_LEVEL: usize = 7;
 
 /// Keys one sampled tower stands for.
 const SAMPLE_WEIGHT: isize = 1 << (SAMPLE_LEVEL - 1);
+
+/// A table sized for `keys` grows once the count passes `keys` by
+/// `keys / GROW_MARGIN`, an eighth. The count is a sample: a list just
+/// under a power of two reads above it now and then (±4 000 keys, one
+/// standard deviation, at 250 000), and growing at the power itself gave
+/// such a list a table for twice its keys.
+const GROW_MARGIN: usize = 8;
 
 /// The Fibonacci multiplier `ShardRouter::route` also uses. The router
 /// takes the top bits of the product, so every key of a shard shares
@@ -81,8 +95,8 @@ struct Bucket([AtomicU64; WAYS]);
 #[repr(C, align(64))]
 pub(crate) struct Table {
     buckets: usize,
-    /// The key count the table was sized for (a power of two): past it,
-    /// the list grows a new one.
+    /// The key count the table was sized for (a power of two): an eighth
+    /// past it, the list grows a new one.
     keys: usize,
 }
 
@@ -264,7 +278,8 @@ impl Hints {
     }
 
     /// Counts a linked tower of [`SAMPLE_LEVEL`] or more, and grows the
-    /// table when the count has passed what it was sized for;
+    /// table when the count has passed [`FLOOR`] with no table, or what the
+    /// table was sized for by more than an eighth ([`GROW_MARGIN`]);
     /// `refill(old, new)` copies what it can of the old table into the new
     /// one (see [`Self::grow`]).
     ///
@@ -277,8 +292,8 @@ impl Hints {
         }
         let current = self.table.load(Ordering::SeqCst);
         // SAFETY: under the caller's guard, as in `table`.
-        let sized_for = unsafe { current.as_ref() }.map_or(0, |t| t.keys);
-        if count as usize > sized_for {
+        let limit = unsafe { current.as_ref() }.map_or(0, |t| t.keys + t.keys / GROW_MARGIN);
+        if count as usize > limit {
             self.grow(current, (count as usize).next_power_of_two(), refill);
         }
     }
@@ -400,15 +415,43 @@ mod tests {
             assert!(hinted > keys / 2, "{hinted} of {keys} keys hinted");
             // SAFETY: the table's own allocation; every slot may be lost.
             unsafe { ssmem::pages::discard((table as *const Table).cast_mut().cast(), Table::layout(table.buckets)) };
-            // The first 64 KiB (the header line and the buckets after it)
-            // stay; every slot past them reads empty.
+            // The first page (the header line and the buckets after it)
+            // stays; every slot past it reads empty.
             let kept = slots().filter(|s| s.load(Ordering::Relaxed) != 0).count();
-            assert!(kept * 8 < 64 << 10, "{kept} slots still hint after the discard");
+            assert!(kept * 8 < ssmem::pages::page_size(), "{kept} slots still hint after the discard");
             let last = table.bucket_at(table.buckets - 1);
             assert!(last.0.iter().all(|s| s.load(Ordering::Relaxed) == 0));
             assert_eq!(table.keys, keys, "the header survives the discard");
             drop(unsafe { Box::from_raw(node) });
         }
+    }
+
+    #[test]
+    fn a_table_grows_only_an_eighth_past_the_keys_it_was_sized_for() {
+        let hints = Hints::new();
+        let _guard = ssmem::protect();
+        let count = || hints.count.load(Ordering::Relaxed) as usize;
+        let keys = || hints.table().map_or(0, |t| t.keys);
+        let tall_until = |stop: &dyn Fn(usize) -> bool| {
+            while !stop(count()) {
+                hints.tall_linked(|_, _| ());
+            }
+        };
+        tall_until(&|c| c >= FLOOR as usize);
+        assert_eq!(keys(), 0, "a table at the floor");
+        tall_until(&|c| c > FLOOR as usize);
+        let first = keys();
+        assert_eq!(first, 2 * FLOOR as usize, "the first table takes the next power of two");
+        // Past the power of two the table was sized for, up to the margin:
+        // the same table.
+        tall_until(&|c| c > first);
+        assert_eq!(keys(), first, "grew at {} keys, just past {first}", count());
+        tall_until(&|c| c + SAMPLE_WEIGHT as usize > first + first / GROW_MARGIN);
+        assert_eq!(keys(), first, "grew at {} keys, inside the margin", count());
+        // One more tall tower crosses the margin.
+        hints.tall_linked(|_, _| ());
+        assert!(count() > first + first / GROW_MARGIN);
+        assert_eq!(keys(), 2 * first, "no grow at {} keys, past the margin", count());
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //! | h | 2^-h | 24 + 8·h B | 32 + 8·h B |
 //! | mean (2 links) | | 40 B | 48 B |
 //! | [`MAX_LEVEL`] (sentinels) | | 216 B | 224 B |
-//! | `fraser-opt`'s hint table, past its floor | | + 8–16 B per key | |
+//! | `fraser-opt`'s hint table, past its floor | | + 7–16 B per key | |
 //!
 //! The lock-free and sequential header is `key | value | toplevel | next0`
 //! (32 B); the lock-based one adds the two flags and the lock before `next0`.
-//! Past an approximate count of 32 768 keys, [`FraserOptSkipList`] adds a
-//! lossy hint table (see the `fraser` module): 8-byte slots, one per key
-//! of the count rounded up to a power of two, so 8 to 16 B per key (8.4 B
-//! at 250 000 keys in one list), plus one 64-byte header line. A table of
-//! 2 MiB or more sits on huge pages, as the nodes do.
+//! Past an approximate count of 8 192 keys, twice the paper's
+//! average-contention skip list, [`FraserOptSkipList`] adds a lossy hint
+//! table (see the `fraser` module): 8-byte slots, one per key of the count
+//! rounded up to a power of two and grown an eighth past it, so 7 to 16 B
+//! per key (8.4 B at 250 000 keys in one list), plus one 64-byte header
+//! line. A table of 2 MiB or more sits on huge pages, as the nodes do.
 //!
 //! Nodes are word-aligned, not line-aligned: 15 of 16 are at most 56 B
 //! (64 B lock-based) and lie on one or two cache lines, where a node with

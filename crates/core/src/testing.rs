@@ -709,11 +709,14 @@ where
 pub const HINT_FILLERS_FROM: u64 = 1 << 40;
 
 /// A [`FraserOptSkipList`](crate::skiplist::FraserOptSkipList) grown past
-/// its hint-table floor with filler keys from [`HINT_FILLERS_FROM`] up,
-/// seen through the keys below them: `size` and the scans leave the
-/// fillers out. The batteries here build their lists far below the floor,
-/// so over a plain list they never reach the hint path; over this one every
-/// point operation probes a table whose buckets the fillers crowd.
+/// its hint-table floor (an approximate 8 192 keys, so some 8 300 fillers)
+/// with filler keys from [`HINT_FILLERS_FROM`] up, seen through the keys
+/// below them: `size` and the scans leave the fillers out. The batteries
+/// here build their lists far below the floor, so over a plain list they
+/// never reach the hint path; over this one every point operation probes
+/// a table whose buckets the fillers crowd. As a `BlobMap` backing it puts
+/// a small cache's keys on the path a shard of ten thousand keys or more
+/// takes.
 pub struct HintedFraserOpt {
     list: crate::skiplist::FraserOptSkipList,
     fillers: usize,

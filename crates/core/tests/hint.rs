@@ -1,7 +1,8 @@
 //! `fraser-opt`'s hint table seen from outside: what a hinted point
 //! operation costs in shared traffic (ASCY1, ASCY3, ASCY4 on the hinted
-//! path), that a list the size of the paper's Figure 5 has no table, and a
-//! four-thread stress over a hot range of a hinted list.
+//! path), that lists the size of the paper's Figure 5 and of Figure 2 at
+//! average contention have no table while one of 16 384 keys has one, and
+//! a four-thread stress over a hot range of a hinted list.
 
 use ascylib::api::{ConcurrentMap, ReplaceMap};
 use ascylib::skiplist::FraserOptSkipList;
@@ -88,8 +89,7 @@ fn one_slot_per_key_hints_most_keys_of_a_250k_key_list() {
     // each searched once. The count sizes the table for 262 144 keys, one
     // slot each; the keys whose bucket was full when they were loaded, or
     // that a grow's copy could not place, walk. A plain list, not
-    // `HintedFraserOpt`: its ~34 000 fillers would push the count past
-    // 262 144 and size the table for twice the keys.
+    // `HintedFraserOpt`, whose fillers would crowd the same table.
     // Measured: 218 183 of 250 000 searches hinted (87.3 %); at 5/8 of a
     // slot per key a table holds at most 65.5 % of them.
     const KEYS: u64 = 250_000;
@@ -124,6 +124,52 @@ fn a_list_the_size_of_figure_5_has_no_table() {
     assert_eq!(list.hint_table_bytes(), 0);
     let (_, c) = counted(|| list.search(2));
     assert_eq!(c.hint_hits, 0);
+}
+
+#[test]
+fn a_list_the_size_of_figure_2_at_average_contention_has_no_table() {
+    // `fig2_cross_platform`'s average-contention skip list: 4 096 keys on
+    // an 8 192-key range, 10 % updates split between inserts and removes.
+    // Each update draws a fresh tower, so the churn resamples the count
+    // over and over; a table, once allocated, is never given back, so one
+    // look at the end sees any crossing.
+    const RANGE: u64 = 8_192;
+    let list = FraserOptSkipList::new();
+    let mut rng = TestRng::new(0xF162);
+    while list.size() < RANGE as usize / 2 {
+        list.insert(rng.key(RANGE), 0);
+    }
+    for op in 0..200_000u64 {
+        let key = rng.key(RANGE);
+        match rng.next_u64() % 20 {
+            0 => {
+                list.insert(key, op);
+            }
+            1 => {
+                list.remove(key);
+            }
+            _ => {
+                list.search(key);
+            }
+        }
+    }
+    let size = list.size();
+    assert!((3_500..=4_700).contains(&size), "the churn drifted to {size} keys");
+    assert_eq!(list.hint_table_bytes(), 0, "a {size}-key list allocated a table");
+}
+
+#[test]
+fn a_list_of_16_384_keys_has_a_table() {
+    // Twice the floor (and Figure 2's low-contention size): the count
+    // stands for 256 ± 16 tall towers, and the floor is 128 of them.
+    // Several lists, each drawing its own towers.
+    for round in 0..4u64 {
+        let list = FraserOptSkipList::new();
+        for key in 1..=16_384 {
+            assert!(list.insert(key, round));
+        }
+        assert!(list.hint_table_bytes() > 0, "round {round}: 16 384 keys and no table");
+    }
 }
 
 /// Values carry their key: `key << 20 | seq`.

@@ -10,10 +10,13 @@
 //! evicted or expires has its front copy changed *before* the blob is
 //! retired, so the front cache can never serve the retired bytes.
 //!
-//! The last two tests are what the deleted `fig17_budget` bench checked
-//! about the tier's behaviour (its timings are the `cache.*` rungs of
+//! The last tests are what the deleted `fig17_budget` bench checked about
+//! the tier's behaviour (its timings are the `cache.*` rungs of
 //! `benchmark/` now): the hit rate a budget buys is monotone in the budget,
-//! and the budget holds at every sample of a multi-writer churn.
+//! and the budget holds at every sample of a multi-writer churn, over the
+//! plain skip list and over one past its hint-table floor with an eager
+//! front (CLOCK's walk, an eviction clearing a hint, and front
+//! write-through around a hinted `replace`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,7 +25,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use ascylib::api::ReplaceMap;
+use ascylib::ordered::OrderedMap;
 use ascylib::skiplist::FraserOptSkipList;
+use ascylib::testing::HintedFraserOpt;
 use ascylib_harness::{KeyDist, KeySampler};
 use ascylib_shard::{BlobMap, CacheConfig, CacheStatsSnapshot, FakeClock, HotKeyConfig, MsClock};
 
@@ -360,9 +366,13 @@ const WS_KEYS: u64 = 4096;
 const VALUE_LEN: usize = 256;
 const WS_BYTES: u64 = WS_KEYS * VALUE_LEN as u64;
 
-fn budgeted(budget: u64, hot: HotKeyConfig) -> BlobMap<FraserOptSkipList> {
+fn budgeted<M: OrderedMap + ReplaceMap>(
+    budget: u64,
+    hot: HotKeyConfig,
+    backing: fn() -> M,
+) -> BlobMap<M> {
     let cfg = CacheConfig::unbounded().with_budget(budget);
-    BlobMap::with_config(2, hot, cfg, |_| FraserOptSkipList::new())
+    BlobMap::with_config(2, hot, cfg, |_| backing())
 }
 
 /// Prefills the working set through `budget`, then serves a read-mostly
@@ -370,7 +380,7 @@ fn budgeted(budget: u64, hot: HotKeyConfig) -> BlobMap<FraserOptSkipList> {
 /// cache in front of a backing store would. Hot-key fronting is off so the
 /// curve isolates the budget. Single-threaded and seeded: it repeats.
 fn hit_rate_at(budget: u64, dist: KeyDist, seed: u64) -> (f64, CacheStatsSnapshot) {
-    let map = budgeted(budget, HotKeyConfig::with_k(0));
+    let map = budgeted(budget, HotKeyConfig::with_k(0), FraserOptSkipList::new);
     let value = [0xA5u8; VALUE_LEN];
     for k in 1..=WS_KEYS {
         map.set(k, &value);
@@ -429,20 +439,40 @@ fn hit_rate_is_monotone_in_the_budget_and_every_point_stays_within_it() {
 /// the gauges: the budget must hold at *every* sample, not only at rest.
 #[test]
 fn the_budget_holds_at_every_sample_of_a_four_writer_churn() {
+    four_writer_churn(HotKeyConfig::default(), FraserOptSkipList::new);
+}
+
+/// The same churn over shards past their hint-table floor, with a front
+/// that promotes on the second sample: evictions, deletes and lapsed
+/// leases clear hints while fronted sets replace through them.
+#[test]
+fn the_budget_holds_at_every_sample_of_a_four_writer_churn_over_hinted_shards() {
+    let (map, hint_hits) = four_writer_churn(HotKeyConfig::eager(256), HintedFraserOpt::new);
+    assert!(hint_hits > 0, "no writer reached a key through its hint");
+    let hot = map.hotkey_stats().expect("a front");
+    assert!(hot.delegated > 0, "no set went write-through: {hot:?}");
+}
+
+/// Runs the churn; returns the map and the hint hits of its writers.
+fn four_writer_churn<M: OrderedMap + ReplaceMap>(
+    hot: HotKeyConfig,
+    backing: fn() -> M,
+) -> (BlobMap<M>, u64) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
     let budget = WS_BYTES / 4;
-    let map = budgeted(budget, HotKeyConfig::default());
+    let map = budgeted(budget, hot, backing);
     let value = [0xB7u8; VALUE_LEN];
     for k in 1..=WS_KEYS {
         map.set(k, &value);
     }
     let stop = AtomicBool::new(false);
-    let (samples, c) = std::thread::scope(|scope| {
+    let (samples, c, hint_hits) = std::thread::scope(|scope| {
+        let mut writers = Vec::new();
         for t in 0..4u64 {
             let (map, stop) = (&map, &stop);
-            scope.spawn(move || {
+            writers.push(scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(0xF17B ^ t.wrapping_mul(0x9E37));
                 while !stop.load(Ordering::Relaxed) {
                     let key = 1 + rng.random_range(0..WS_KEYS * 2);
@@ -460,7 +490,9 @@ fn the_budget_holds_at_every_sample_of_a_four_writer_churn() {
                         }
                     }
                 }
-            });
+                // Cumulative over this thread, which did nothing else.
+                ascylib::stats::snapshot().hint_hits
+            }));
         }
         // Sample until the churn has shown everything the test is about;
         // the deadline only turns a hang into a failure.
@@ -487,9 +519,14 @@ fn the_budget_holds_at_every_sample_of_a_four_writer_churn() {
             std::thread::yield_now();
         };
         stop.store(true, Ordering::Relaxed);
-        (samples, last)
+        let hint_hits = writers
+            .into_iter()
+            .map(|w| w.join().expect("writer panicked"))
+            .sum::<u64>();
+        (samples, last, hint_hits)
     });
     assert!(samples >= 1000);
     assert!(c.evictions > 0, "churn past the budget must evict: {c:?}");
     assert!(c.expired() > 0, "short leases must expire under churn: {c:?}");
+    (map, hint_hits)
 }

@@ -9,14 +9,19 @@
 //!   re-store, budget eviction), every stored blob is retired once, and the
 //!   arena's counters and its byte and blob gauges agree with the index at
 //!   quiescence.
+//!
+//! The fronted tests run again over shards past their hint-table floor
+//! (`HintedFraserOpt`), where an overwrite, `expire`'s swap and an
+//! eviction reach the key's node through a hint.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
+use ascylib::api::ReplaceMap;
+use ascylib::ordered::OrderedMap;
 use ascylib::skiplist::FraserOptSkipList;
+use ascylib::testing::HintedFraserOpt;
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
-
-type Map = BlobMap<FraserOptSkipList>;
 
 /// `[key | seq]` and a fill whose length varies with `seq`, so overwrites
 /// move between allocation size classes.
@@ -30,7 +35,7 @@ fn payload(key: u64, seq: u64) -> Vec<u8> {
 
 /// The writers' step in [`never_absent`]: an overwrite that must not
 /// report a create.
-fn overwrite(map: &Map, key: u64, seq: u64) {
+fn overwrite<M: OrderedMap + ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
     assert!(
         !map.set(key, &payload(key, seq)),
         "overwrite of key {key}, never deleted, reported a create"
@@ -40,13 +45,17 @@ fn overwrite(map: &Map, key: u64, seq: u64) {
 /// The writers' step in the EXPIRE/PERSIST battery: a deadline-free
 /// overwrite, so the `expire` after it has to re-store the value with an
 /// expiry word, then a deadline an hour out (never reached) and `persist`.
-fn expire_and_persist(map: &Map, key: u64, seq: u64) {
+fn expire_and_persist<M: OrderedMap + ReplaceMap>(map: &BlobMap<M>, key: u64, seq: u64) {
     overwrite(map, key, seq);
     assert!(map.expire(key, 3_600_000), "EXPIRE of key {key}, never deleted, found it absent");
     assert!(map.persist(key), "PERSIST of key {key}, never deleted, found it absent");
 }
 
-fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
+/// Runs the battery; returns its writers' hint hits.
+fn never_absent<M: OrderedMap + ReplaceMap>(
+    map: BlobMap<M>,
+    write: fn(&BlobMap<M>, u64, u64),
+) -> u64 {
     const KEYS: u64 = 16;
     const WRITERS: u64 = 2;
     const READERS: usize = 2;
@@ -56,7 +65,7 @@ fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
     }
     let done = AtomicBool::new(false);
     let start = Barrier::new(WRITERS as usize + READERS);
-    std::thread::scope(|s| {
+    let hint_hits = std::thread::scope(|s| {
         for _ in 0..READERS {
             s.spawn(|| {
                 let mut out = Vec::new();
@@ -87,6 +96,8 @@ fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
                     for seq in 1..=SETS_PER_WRITER {
                         write(map, 1 + (seq + w) % KEYS, seq);
                     }
+                    // Cumulative over this thread, which did nothing else.
+                    ascylib::stats::snapshot().hint_hits
                 })
             })
             .collect();
@@ -94,9 +105,10 @@ fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
         // would wait on them forever.
         let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
         done.store(true, Ordering::Relaxed);
-        for outcome in outcomes {
-            outcome.expect("writer panicked");
-        }
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("writer panicked"))
+            .sum::<u64>()
     });
     assert_eq!(map.len(), KEYS as usize);
     let arena = map.total_arena_stats();
@@ -105,6 +117,7 @@ fn never_absent(map: Map, write: fn(&Map, u64, u64)) {
         KEYS,
         "every overwrite retired exactly the blob it displaced"
     );
+    hint_hits
 }
 
 #[test]
@@ -123,6 +136,17 @@ fn never_absent_over_the_skip_list_with_hot_keys() {
 }
 
 #[test]
+fn never_absent_over_hinted_shards_with_hot_keys() {
+    // A fronted key's write-through and a plain key's overwrite are both a
+    // `replace` through the key's hint.
+    let hint_hits = never_absent(
+        BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| HintedFraserOpt::new()),
+        overwrite,
+    );
+    assert!(hint_hits > 0, "no overwrite reached its key through a hint");
+}
+
+#[test]
 fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
     // Fronted keys' overwrites go write-through; `expire` swaps a TTL'd
     // copy in under the slot word and leaves it pending, so the key falls
@@ -135,6 +159,19 @@ fn expire_and_persist_never_hide_a_key_over_the_skip_list_with_hot_keys() {
 
 #[test]
 fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
+    retire_each_blob_exactly_once(FraserOptSkipList::new);
+}
+
+#[test]
+fn set_del_expire_and_eviction_retire_each_blob_exactly_once_over_hinted_shards() {
+    // CLOCK's victims and deletes clear hints that fronted sets and
+    // `expire`'s swaps replace through.
+    let hint_hits = retire_each_blob_exactly_once(HintedFraserOpt::new);
+    assert!(hint_hits > 0, "no set, delete or expire reached its key through a hint");
+}
+
+/// Runs the race; returns the hint hits of the threads that raced.
+fn retire_each_blob_exactly_once<M: OrderedMap + ReplaceMap>(backing: fn() -> M) -> u64 {
     const KEYS: u64 = 6;
     const OPS: u64 = 40_000;
     // Two shards of 1 KiB each against values of up to 216 bytes: almost
@@ -143,34 +180,41 @@ fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
         2,
         HotKeyConfig::eager(2),
         CacheConfig::unbounded().with_budget(2048),
-        |_| FraserOptSkipList::new(),
+        |_| backing(),
     );
     let start = Barrier::new(4);
-    std::thread::scope(|s| {
+    // Cumulative over the calling thread, which did nothing else.
+    let own_hint_hits = || ascylib::stats::snapshot().hint_hits;
+    let hint_hits = std::thread::scope(|s| {
+        let mut racers = Vec::new();
         for w in 0..2u64 {
             let (map, start) = (&map, &start);
-            s.spawn(move || {
+            racers.push(s.spawn(move || {
                 start.wait();
                 for seq in 1..=OPS {
                     let key = 1 + (seq * 7 + w) % KEYS;
                     map.set(key, &payload(key, seq));
                 }
-            });
+                own_hint_hits()
+            }));
         }
-        s.spawn(|| {
+        racers.push(s.spawn(|| {
             start.wait();
             for seq in 1..=OPS {
                 map.del(1 + seq % KEYS);
             }
-        });
-        s.spawn(|| {
+            own_hint_hits()
+        }));
+        racers.push(s.spawn(|| {
             start.wait();
             // An hour: the deadline never passes, but a value stored without
             // one is copied into a TTL'd blob that is swapped in for it.
             for seq in 1..=OPS {
                 map.expire(1 + seq % KEYS, 3_600_000);
             }
-        });
+            own_hint_hits()
+        }));
+        racers.into_iter().map(|r| r.join().expect("racer panicked")).sum::<u64>()
     });
     let arena = map.total_arena_stats();
     assert_eq!(
@@ -188,4 +232,5 @@ fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
     // retired before and every payload access the blob's layout tag; the
     // drop frees the survivors through the index.
     drop(map);
+    hint_hits
 }

@@ -26,16 +26,17 @@ mod sys {
         pub(super) fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, off: c_long) -> *mut c_void;
         pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub(super) fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        pub(super) fn sysconf(name: c_int) -> c_long;
     }
     pub(super) const PROT_READ_WRITE: c_int = 0x1 | 0x2;
     pub(super) const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
     pub(super) const MADV_DONTNEED: c_int = 4;
     pub(super) const MADV_HUGEPAGE: c_int = 14;
+    pub(super) const SC_PAGESIZE: c_int = 30;
 }
 
-/// 64 KiB, a whole number of pages on every Linux page size: what
-/// [`discard`] keeps at the start of a mapping, and the grain the end of
-/// an aligned mapping is rounded to.
+/// 64 KiB, a whole number of pages on every Linux page size: the grain the
+/// end of an aligned mapping is rounded to.
 #[cfg(target_os = "linux")]
 const GRAIN: usize = 1 << 16;
 
@@ -106,20 +107,30 @@ pub unsafe fn dealloc(ptr: *mut u8, layout: Layout) {
     unsafe { sys::munmap(ptr.cast(), extent(layout.size())) };
 }
 
+/// The kernel's page size: what [`discard`] keeps.
+#[cfg(target_os = "linux")]
+pub fn page_size() -> usize {
+    // SAFETY: `sysconf` reads a constant of the running system.
+    unsafe { sys::sysconf(sys::SC_PAGESIZE) as usize }
+}
+
 /// Hands the pages behind `ptr` back to the kernel now, all but the first
-/// 64 KiB (a table's header line lives there): they read as zeros from
-/// here on, and a late write faults in a fresh zero page. The mapping
-/// stays in place until [`dealloc`].
+/// one (a table's header line lives there): they read as zeros from here
+/// on, and a late write faults in a fresh zero page. The mapping stays in
+/// place until [`dealloc`]. Only that page stays resident until then,
+/// which for a table retired by a thread that never passes through ssmem
+/// again is for good.
 ///
 /// # Safety
 ///
 /// `ptr` came from [`alloc_zeroed`] with `layout`, and nothing past its
-/// first 64 KiB needs its contents any more.
+/// first page needs its contents any more.
 #[cfg(target_os = "linux")]
 pub unsafe fn discard(ptr: *mut u8, layout: Layout) {
-    if layout.size() > GRAIN {
-        // SAFETY: forwarded caller contract; `ptr + GRAIN` is page aligned.
-        unsafe { sys::madvise(ptr.add(GRAIN).cast(), layout.size() - GRAIN, sys::MADV_DONTNEED) };
+    let page = page_size();
+    if layout.size() > page {
+        // SAFETY: forwarded caller contract; `ptr + page` is page aligned.
+        unsafe { sys::madvise(ptr.add(page).cast(), layout.size() - page, sys::MADV_DONTNEED) };
     }
 }
 
@@ -151,6 +162,12 @@ pub fn alloc_zeroed(layout: Layout) -> *mut u8 {
 pub unsafe fn dealloc(ptr: *mut u8, layout: Layout) {
     // SAFETY: forwarded caller contract.
     unsafe { std::alloc::dealloc(ptr, layout) };
+}
+
+/// The page size [`discard`] would keep, were it to give any back.
+#[cfg(not(target_os = "linux"))]
+pub fn page_size() -> usize {
+    4096
 }
 
 /// Keeps the memory: only Linux gives pages back early.
@@ -186,9 +203,9 @@ mod tests {
             assert!(all.iter().all(|&w| w == 0), "a fresh mapping reads non-zero");
             all.fill(!0);
             // SAFETY: from `alloc_zeroed` with `layout`; nothing past the
-            // first 64 KiB is needed.
+            // first page is needed.
             unsafe { discard(ptr, layout) };
-            let (kept, given_back) = words(ptr, layout.size()).split_at(GRAIN / 8);
+            let (kept, given_back) = words(ptr, layout.size()).split_at(page_size() / 8);
             assert!(kept.iter().all(|&w| w == !0), "discard dropped the header");
             assert!(given_back.iter().all(|&w| w == 0), "discarded words still read non-zero");
             // SAFETY: as above, and not used again.
