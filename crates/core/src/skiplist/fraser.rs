@@ -32,21 +32,23 @@
 //! A walk to a key is a chain of dependent cache misses, ~18 at a million
 //! keys. Past an approximate count of keys ([`super::hint`]'s floor), a
 //! `fraser-opt` list keeps a lossy hash table from key to node in front of
-//! it: 64-byte buckets of eight `node pointer | fingerprint` slots. Every
-//! point operation — `search`, `replace`, `compare_replace`, the victim
-//! lookup of `remove`/`remove_if`, `insert`'s read-only parse and each lane
-//! of `search_lanes` — probes it first: on a fingerprint match it checks
-//! the node's key and reads (or CASes) its value word, and a missing hint,
-//! a foreign key or a tombstone falls back to the walk. A hinted point
-//! operation is then a bucket line, a node line and what the value points
-//! to. The list stays the one record of what is live: range scans, and the
-//! CLOCK, TTL and teardown walks of the tiers above, never look at the
-//! table.
+//! it: 64-byte buckets of eight `node pointer | fingerprint` slots, and two
+//! candidate buckets per key. Every point operation — `search`, `replace`,
+//! `compare_replace`, the victim lookup of `remove`/`remove_if`, `insert`'s
+//! read-only parse and each lane of `search_lanes` — probes it first: on
+//! each fingerprint match it checks the node's key, and on the first node
+//! that holds the key it reads (or CASes) the value word; no such node, or
+//! a tombstone, falls back to the walk. A hinted point operation is then
+//! two bucket lines requested together, a node line and what the value
+//! points to. The list stays the one record of what is live: range scans,
+//! and the CLOCK, TTL and teardown walks of the tiers above, never look at
+//! the table.
 //!
 //! Fills. A walk that finds a node fills its hint only into an **empty**
-//! slot, so a steady-state search stores nothing (ASCY1) and keys that do
-//! not fit never thrash their bucket; an insert fills after it has linked
-//! its node, and may overwrite a slot.
+//! slot of its two buckets, so a steady-state search stores nothing (ASCY1)
+//! and keys that do not fit never thrash their buckets; an insert fills
+//! after it has linked its node, and when both buckets are full it
+//! overwrites a slot of the first.
 //!
 //! Why a read through a hint is linearizable. A node is hinted only after
 //! it was linked, and removal linearizes on the CAS of [`TOMB`] into the
@@ -59,8 +61,9 @@
 //! interval.
 //!
 //! Publication. A hint must not outlive its node's grace period.
-//! - The remover clears every slot that hints its node, with a CAS, after
-//!   its tombstone CAS and before `retire_node`.
+//! - The remover clears every slot of the key's two buckets that hints its
+//!   node, with a CAS, after its tombstone CAS and before `retire_node`; a
+//!   fill only ever publishes into one of those sixteen slots.
 //! - A filler re-reads the value word after publishing, and withdraws a
 //!   hint that meets the tombstone, inside the guard under which it reached
 //!   the node.
@@ -325,9 +328,9 @@ impl<const OPT: bool> Fraser<OPT> {
     }
 
     /// The node hinted for `key` and its live value. `None` — the caller
-    /// walks — when the list has no table, the bucket has no hint under
-    /// `key`'s fingerprint, the hinted node holds another key, or its value
-    /// word holds the tombstone (the key may live on in a newer node).
+    /// walks — when the list has no table, no node hinted under `key`'s
+    /// fingerprint in its two buckets holds `key`, or the first that does
+    /// holds the tombstone (the key may live on in a newer node).
     ///
     /// Caller must hold an SSMEM guard.
     #[inline]
@@ -335,16 +338,13 @@ impl<const OPT: bool> Fraser<OPT> {
         if !OPT {
             return None;
         }
-        let node: *mut Node = self.hints.table()?.probe(key)?;
+        let table = self.hints.table()?;
         // SAFETY: a hinted node was linked before it was hinted, and is
         // reused only two grace periods after its remover cleared the hint
         // (or its filler withdrew it); the guard holds those back.
-        let value = unsafe {
-            if (*node).key != key {
-                return None;
-            }
-            live_value((*node).value.load(Ordering::Acquire))?
-        };
+        let node = table.probe(key).find(|&node: &*mut Node| unsafe { (*node).key == key })?;
+        // SAFETY: as above.
+        let value = live_value(unsafe { (*node).value.load(Ordering::Acquire) })?;
         stats::record_hint_hit();
         Some((node, value))
     }
@@ -389,13 +389,14 @@ impl<const OPT: bool> Fraser<OPT> {
 
     /// The interleaved form of [`Self::search_op`] behind
     /// [`FraserOptSkipList::search_lanes`], for up to [`MAX_LANES`] keys,
-    /// possibly in different lists. Every lane's hint bucket is prefetched,
-    /// then every hinted node, then each lane reads its hint as
-    /// [`Self::hinted`] does. The lanes without one walk: their
-    /// [`Self::locate`] traversals advance one node per round each, and
-    /// every lane prefetches the node it compares next, so one lane's cache
-    /// miss overlaps the others'. Within a lane the loads are `locate`'s, in
-    /// its order; no retries, and no stores but the fill of a found node.
+    /// possibly in different lists. Both of every lane's hint buckets are
+    /// prefetched, then every lane's first hinted node, then each lane
+    /// reads its hint as [`Self::hinted`] does. The lanes without one
+    /// walk: their [`Self::locate`] traversals advance one node per round
+    /// each, and every lane prefetches the node it compares next, so one
+    /// lane's cache miss overlaps the others'. Within a lane the loads are
+    /// `locate`'s, in its order; no retries, and no stores but the fill of
+    /// a found node.
     fn search_interleaved<'a>(lanes: impl Iterator<Item = (&'a Self, u64)>, out: &mut [Option<u64>])
     where
         Self: 'a,
@@ -412,7 +413,7 @@ impl<const OPT: bool> Fraser<OPT> {
         }
         let lists = &lists[..width];
         for (list, &key) in lists.iter().flatten().zip(&keys) {
-            if let Some(node) = list.hints.table().and_then(|t| t.probe::<Node>(key)) {
+            if let Some(node) = list.hints.table().and_then(|t| t.probe::<Node>(key).next()) {
                 prefetch(node);
             }
         }
@@ -1056,6 +1057,7 @@ impl std::fmt::Debug for FraserOptSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::hint::WAYS;
 
     #[test]
     fn fraser_basic_semantics() {
@@ -1272,6 +1274,100 @@ mod tests {
         sl.fill(5, node, false);
         assert_eq!(hints_of(&sl, 5, node), 0, "a hint to a removed node outlived its filler");
         assert_eq!(sl.search_op(5), None);
+    }
+
+    /// Windows (i) and (ii) for a hint in its key's second bucket: eight
+    /// keys that share key 5's first bucket hold its slots, so 5's hints
+    /// land in the second one, which the remover's clear and a late
+    /// filler's withdraw must cover too.
+    #[test]
+    fn a_hint_in_the_second_bucket_is_cleared_and_withdrawn() {
+        let sl = grown();
+        let _guard = ssmem::protect();
+        let table = sl.hints.table().expect("grown");
+        let (first, _, fp) = table.place(5);
+        let crowd = ((1u64 << 41)..).filter(|&k| table.place(k).0 == first && table.place(k).2 != fp);
+        for (index, key) in crowd.take(WAYS).enumerate() {
+            assert!(sl.insert_op(key, 1));
+            table.put(key, sl.locate(key).expect("just inserted"), index);
+        }
+        let second = WAYS..2 * WAYS;
+        // (ii) The insert's hint, cleared by the remover.
+        assert!(sl.insert_op(5, 50));
+        let node = sl.locate(5).expect("just inserted");
+        let slots = table.slots_of(5, node);
+        assert!(slots.len() == 1 && second.contains(&slots[0]), "the insert hinted slots {slots:?}");
+        assert_eq!(sl.search_op(5), Some(50));
+        assert_eq!(sl.remove_op(5, None), Ok(50));
+        assert_eq!(hints_of(&sl, 5, node), 0, "a hint to a retired node stayed behind");
+        // (i) A reader that found the node publishes after the clear.
+        assert!(sl.insert_op(5, 51));
+        let node = sl.locate(5).expect("just inserted");
+        table.clear(5, node);
+        assert_eq!(hints_of(&sl, 5, node), 0);
+        assert_eq!(sl.remove_op(5, None), Ok(51));
+        let before = stats::snapshot();
+        sl.fill(5, node, false);
+        let c = stats::snapshot().saturating_sub(&before);
+        assert_eq!((c.atomic_ops, c.atomic_failures), (2, 0), "a publish and its withdraw: {c:?}");
+        assert_eq!(hints_of(&sl, 5, node), 0, "a hint to a removed node outlived its filler");
+        assert_eq!(sl.search_op(5), None);
+    }
+
+    /// After four threads churn keys that crowd one first bucket (so most
+    /// of their hints sit in second buckets), every slot of the table
+    /// hints a live, linked node under that node's own key: no remover
+    /// left a hint behind, in either bucket. A hint to a recycled node
+    /// holding another key is caught too, since its slot is under the old
+    /// key's fingerprint. The races themselves are `--test hint`'s stress;
+    /// it cannot see a missed clear, which only shows once the node is
+    /// reused.
+    #[test]
+    fn after_a_churn_every_hint_is_its_own_keys_and_its_node_is_linked() {
+        let sl = grown();
+        // A Fibonacci number: its multiple of the table's multiplier is
+        // within 2^36 of zero, so these keys' products lie within 2^42 of
+        // each other and they share one or two first buckets.
+        let key_of = |i: u64| 1 + i * 165_580_141;
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let sl = &sl;
+                s.spawn(move || {
+                    let mut rng = crate::testing::TestRng::new(0xC1EA + t);
+                    for seq in 0..20_000 {
+                        let key = key_of(rng.key(64) - 1);
+                        match rng.next_u64() % 3 {
+                            0 => {
+                                sl.insert_op(key, seq);
+                            }
+                            1 => {
+                                let _ = sl.remove_op(key, None);
+                            }
+                            _ => {
+                                sl.search_op(key);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let _guard = ssmem::protect();
+        let table = sl.hints.table().expect("grown");
+        let mut slots = 0;
+        let mut nodes = std::collections::HashSet::new();
+        table.for_each_node(|node: *mut Node| {
+            slots += 1;
+            nodes.insert(node);
+        });
+        let mut own = 0;
+        for node in nodes {
+            // SAFETY: a retired node's memory stays in ssmem's arena.
+            let (key, value) = unsafe { ((*node).key, (*node).value.load(Ordering::SeqCst)) };
+            assert_ne!(value, TOMB, "a hint to a removed node of key {key}");
+            assert_eq!(sl.locate(key), Some(node), "a hint to an unlinked node of key {key}");
+            own += table.hints_of(key, node);
+        }
+        assert_eq!(own, slots, "a slot hints a node under another key");
     }
 
     /// Window (ii): the hint was filled before the tombstone; the remover

@@ -1,8 +1,9 @@
 //! `fraser-opt`'s hint table seen from outside: what a hinted point
 //! operation costs in shared traffic (ASCY1, ASCY3, ASCY4 on the hinted
 //! path), that lists the size of the paper's Figure 5 and of Figure 2 at
-//! average contention have no table while one of 16 384 keys has one, and
-//! a four-thread stress over a hot range of a hinted list.
+//! average contention have no table while one of 16 384 keys has one, how
+//! many keys of a 250 000-key list and of one router shard the table
+//! hints, and a four-thread stress over a hot range of a hinted list.
 
 use ascylib::api::{ConcurrentMap, ReplaceMap};
 use ascylib::skiplist::FraserOptSkipList;
@@ -106,6 +107,38 @@ fn one_slot_per_key_hints_most_keys_of_a_250k_key_list() {
     }
     let share = hinted as f64 / KEYS as f64;
     assert!(share >= 0.82, "only {hinted} of {KEYS} searches were hinted ({:.1} %)", 100.0 * share);
+}
+
+#[test]
+fn one_shard_of_a_million_dense_keys_is_hinted_after_one_read() {
+    // `embed_read`'s shard 1 of four: the keys of 1..=1 000 000 whose
+    // Fibonacci product the router sends there, loaded in a scrambled
+    // order, read once (a read fills an empty slot), then read again. The
+    // table's bucket comes from the product's bits just below the
+    // router's, which one shard's keys do not spread evenly: its 8-slot
+    // buckets hold 5 to 14 of them. With one bucket per key, 227 771 of
+    // the 249 999 second-pass searches (91.1 %) were hinted; a second
+    // bucket, named by the fingerprint, raised that to 245 787 (98.3 %).
+    const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+    let keys: Vec<u64> = (1..=1_000_000u64).filter(|k| k.wrapping_mul(FIB) >> 62 == 1).collect();
+    let n = keys.len();
+    // 48 271 is prime and does not divide `n`: a permutation.
+    let scrambled: Vec<u64> = (0..n).map(|i| keys[i * 48_271 % n]).collect();
+    let list = FraserOptSkipList::new();
+    for &key in &scrambled {
+        assert!(list.insert(key, key));
+    }
+    for &key in &scrambled {
+        assert_eq!(list.search(key), Some(key));
+    }
+    let mut hinted = 0;
+    for &key in &scrambled {
+        let (found, c) = counted(|| list.search(key));
+        assert_eq!(found, Some(key));
+        hinted += c.hint_hits;
+    }
+    let share = hinted as f64 / n as f64;
+    assert!(share >= 0.97, "only {hinted} of {n} searches were hinted ({:.1} %)", 100.0 * share);
 }
 
 #[test]
