@@ -91,7 +91,7 @@ impl<M: OrderedMap + ?Sized> OrderedMap for Arc<M> {
 
 /// The traversal primitive a structure contributes to get [`OrderedMap`]
 /// for free (via [`range_search_walk`] / [`scan_walk`] and the
-/// [`impl_ordered_map!`](crate::impl_ordered_map) macro).
+/// [`impl_ordered_map!`] macro).
 ///
 /// Contract: visit live pairs with key `>= lo` in *approximately* ascending
 /// key order, stopping as soon as `visit` returns `false`. "Approximately"

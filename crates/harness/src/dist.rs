@@ -45,6 +45,9 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
+    /// The forms [`parse`](Self::parse) accepts, for error messages.
+    pub const FORMS: &'static str = "uniform | zipf:<theta> | hotspot:<frac>:<prob>";
+
     /// Parses a CLI/environment spec: `uniform`, `zipf:<theta>`, or
     /// `hotspot:<hot_fraction>:<hot_prob>`. Returns `None` on anything else
     /// (out-of-domain parameters included).
@@ -66,22 +69,6 @@ impl KeyDist {
                     .then_some(KeyDist::Hotspot { hot_fraction, hot_prob })
             }
             _ => None,
-        }
-    }
-
-    /// Reads the `ASCYLIB_DIST` environment spec (see
-    /// [`parse`](Self::parse)); defaults to `zipf:0.99` — the YCSB skew that
-    /// production serving traffic resembles far more than a uniform draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec (the examples want a loud failure, not a
-    /// silently substituted default).
-    pub fn from_env() -> KeyDist {
-        match std::env::var("ASCYLIB_DIST") {
-            Ok(spec) => KeyDist::parse(&spec)
-                .unwrap_or_else(|| panic!("bad ASCYLIB_DIST spec {spec:?}")),
-            Err(_) => KeyDist::Zipfian { theta: 0.99 },
         }
     }
 }

@@ -38,36 +38,47 @@ pub use model::{EnergyModel, PlatformProfile};
 pub use runner::{run_benchmark, run_benchmark_ordered, BenchmarkResult, LatencyStats, OpKind};
 pub use workload::{OpMix, Operation, Workload, WorkloadBuilder};
 
-/// Reads an unsigned integer knob from the environment, falling back to
-/// `default` when the variable is unset.
+/// Reads one configuration knob. Each of `names` is a command-line flag if
+/// it starts with `--` (given as `--flag value` or `--flag=value`), else an
+/// environment variable; the first one set wins, so list a knob's flag
+/// before its variable. `None` if none is set; the caller applies the
+/// default. This is the only place the workspace reads the environment:
+/// the binaries read every knob here once and hand libraries parsed values.
 ///
 /// # Panics
 ///
-/// If the variable is set to something that does not parse as a `u64`
-/// (`ASCYLIB_BENCH_MILLIS=50ms`): a typo must not silently run the default.
-pub fn env_or(name: &str, default: u64) -> u64 {
-    parse_env_or(name, std::env::var(name).ok(), default)
+/// If the winning value is one `parse` rejects (`ASCYLIB_BENCH_MILLIS=50ms`,
+/// `--budget 12tb`), naming the flag or variable and the accepted `forms`:
+/// a typo must not silently run the default.
+pub fn knob<T>(names: &[&str], forms: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    knob_in(names, &args, |var| std::env::var(var).ok(), forms, parse)
 }
 
-fn parse_env_or(name: &str, value: Option<String>, default: u64) -> u64 {
-    match value {
-        Some(v) => v.parse().unwrap_or_else(|_| panic!("bad {name} value {v:?}")),
-        None => default,
-    }
+fn knob_in<T>(
+    names: &[&str],
+    args: &[String],
+    env: impl Fn(&str) -> Option<String>,
+    forms: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let (name, spec) = names.iter().find_map(|&name| {
+        let value = if name.starts_with("--") { flag_in(args, name) } else { env(name) };
+        value.map(|v| (name, v))
+    })?;
+    Some(parse(&spec).unwrap_or_else(|| panic!("bad {name} spec {spec:?} (want {forms})")))
 }
 
-/// Looks up a command-line flag's value: `--flag value` or `--flag=value`.
-/// Shared by the example binaries so their flag handling stays uniform
-/// (environment variables configure defaults, flags override per run).
-pub fn arg_value(flag: &str) -> Option<String> {
-    arg_value_in(std::env::args().skip(1), flag)
+/// `true` if the switch `flag` (`--self`, `--demo`) is on the command line.
+pub fn switch(flag: &str) -> bool {
+    std::env::args().skip(1).any(|arg| arg == flag)
 }
 
-fn arg_value_in(args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
-    let mut args = args;
+fn flag_in(args: &[String], flag: &str) -> Option<String> {
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         if arg == flag {
-            return args.next();
+            return args.next().cloned();
         }
         if let Some(value) = arg.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
             return Some(value.to_string());
@@ -80,7 +91,7 @@ fn arg_value_in(args: impl Iterator<Item = String>, flag: &str) -> Option<String
 /// `ASCYLIB_BENCH_MILLIS` (default 300 ms so that the full figure suite
 /// completes quickly; the paper uses 5 s runs).
 pub fn bench_millis() -> u64 {
-    env_or("ASCYLIB_BENCH_MILLIS", 300)
+    knob(&["ASCYLIB_BENCH_MILLIS"], "a whole number of ms", |s| s.parse().ok()).unwrap_or(300)
 }
 
 /// Maximum number of threads to sweep, controlled by
@@ -88,7 +99,8 @@ pub fn bench_millis() -> u64 {
 /// at 16).
 pub fn max_threads() -> usize {
     let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    env_or("ASCYLIB_BENCH_THREADS", available.min(16) as u64) as usize
+    let threads = knob(&["ASCYLIB_BENCH_THREADS"], "a thread count", |s| s.parse().ok());
+    threads.unwrap_or(available.min(16))
 }
 
 /// The thread counts used for thread-sweep figures: 1, 2, 4, ... up to
@@ -119,28 +131,46 @@ mod tests {
         assert_eq!(*sweep.last().unwrap(), max_threads());
     }
 
-    #[test]
-    fn env_or_falls_back_to_default() {
-        assert_eq!(env_or("ASCYLIB_DOES_NOT_EXIST", 42), 42);
-        assert_eq!(parse_env_or("ASCYLIB_BENCH_MILLIS", None, 300), 300);
-        assert_eq!(parse_env_or("ASCYLIB_BENCH_MILLIS", Some("50".into()), 300), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad ASCYLIB_BENCH_MILLIS value \"50ms\"")]
-    fn env_or_rejects_a_malformed_value() {
-        parse_env_or("ASCYLIB_BENCH_MILLIS", Some("50ms".into()), 300);
+    /// Reads `--budget`, else `ASCYLIB_BUDGET`, as a plain count from
+    /// `argv` and an environment where the variable holds `var`.
+    fn read(argv: &[&str], var: Option<&str>) -> Option<u64> {
+        let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let env = |name: &str| {
+            assert_eq!(name, "ASCYLIB_BUDGET", "only the knob's own variable is read");
+            var.map(String::from)
+        };
+        knob_in(&["--budget", "ASCYLIB_BUDGET"], &args, env, "a count", |s| s.parse().ok())
     }
 
     #[test]
     fn arg_values_parse_in_both_spellings() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let got = |list: &[&str], flag: &str| arg_value_in(args(list).into_iter(), flag);
-        assert_eq!(got(&["--mode", "open:4000"], "--mode").as_deref(), Some("open:4000"));
-        assert_eq!(got(&["--mode=open:4000"], "--mode").as_deref(), Some("open:4000"));
-        assert_eq!(got(&["--conns", "8", "--mode", "closed"], "--mode").as_deref(), Some("closed"));
-        assert_eq!(got(&["--mode"], "--mode"), None, "flag with no value");
-        assert_eq!(got(&["--moderate=x"], "--mode"), None, "prefix must not match");
-        assert_eq!(got(&[], "--mode"), None);
+        assert_eq!(read(&["--budget", "7"], None), Some(7));
+        assert_eq!(read(&["--budget=7"], None), Some(7));
+        assert_eq!(read(&["--conns", "8", "--budget", "7"], None), Some(7));
+        assert_eq!(read(&["--budget"], None), None, "flag with no value");
+        assert_eq!(read(&["--budgets=7"], None), None, "prefix must not match");
+        assert_eq!(read(&["--conns", "7"], None), None, "another knob's flag");
+    }
+
+    #[test]
+    fn the_flag_beats_the_variable_and_unset_gives_the_default() {
+        assert_eq!(read(&["--budget", "7"], Some("9")), Some(7));
+        assert_eq!(read(&["--budget=7"], Some("9")), Some(7));
+        assert_eq!(read(&["--conns", "7"], Some("9")), Some(9), "no flag: the variable");
+        assert_eq!(read(&[], None).unwrap_or(300), 300);
+        let unset = knob(&["ASCYLIB_DOES_NOT_EXIST"], "a count", |s| s.parse::<u64>().ok());
+        assert_eq!(unset.unwrap_or(42), 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --budget spec \"12tb\" (want a count)")]
+    fn a_malformed_flag_panics_with_its_name_and_the_forms() {
+        read(&["--budget", "12tb"], Some("9"));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad ASCYLIB_BUDGET spec \"50ms\" (want a count)")]
+    fn a_malformed_variable_panics_with_its_name_and_the_forms() {
+        read(&[], Some("50ms"));
     }
 }

@@ -62,9 +62,6 @@ use crate::store::{KvStore, KEY_RANGE};
 pub(crate) struct ConnCtx<'a> {
     /// The keyspace being served.
     pub store: &'a dyn KvStore,
-    /// Most frames executed per batch (backpressure: a client that floods
-    /// frames faster than they execute is drained in chunks this large).
-    pub max_pipeline: usize,
     /// This worker's serving counters.
     pub stats: &'a WorkerStats,
     /// This worker's telemetry block (hot-path recording).
@@ -132,6 +129,10 @@ enum Flush {
 /// yielding. Bounds a single wakeup's work so ready connections round-robin
 /// within a worker.
 const ADVANCE_BUDGET: usize = 32;
+
+/// Most frames executed per batch (backpressure: a client that floods
+/// frames faster than they execute is drained in chunks this large).
+const MAX_PIPELINE: usize = 128;
 
 /// Service-time sampling stride inside a pipelined batch: point ops on
 /// slots `0, N, 2N, …` of each batch are timed, the rest only counted.
@@ -334,7 +335,7 @@ impl Connection {
         let batch_start = clock::now();
         let mut consumed = 0;
         let mut slot = 0usize;
-        while consumed < ctx.max_pipeline {
+        while consumed < MAX_PIPELINE {
             let Some(parsed) = self.parser.next() else { break };
             consumed += 1;
             match parsed {

@@ -98,6 +98,9 @@ impl ValueSize {
         raw.min(MAX_VALUE)
     }
 
+    /// The forms [`parse`](Self::parse) accepts, for error messages.
+    pub const FORMS: &'static str = "fixed:<n> | bimodal:<small>,<large>,<large_pct>";
+
     /// Parses a CLI/environment spec: `fixed:<n>` or
     /// `bimodal:<small>,<large>,<large_pct>` (a bare number means `fixed`).
     /// Returns `None` on anything else.
@@ -119,22 +122,6 @@ impl ValueSize {
                 large_pct: *pct as u32,
             }),
             _ => None,
-        }
-    }
-
-    /// Reads the `ASCYLIB_VALUES` environment spec (see
-    /// [`parse`](Self::parse)); defaults to `bimodal:16,256,10` — the
-    /// mostly-small-with-a-large-tail shape of production KV traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec (the examples want a loud failure, not a
-    /// silently substituted default).
-    pub fn from_env() -> ValueSize {
-        match std::env::var("ASCYLIB_VALUES") {
-            Ok(spec) => ValueSize::parse(&spec)
-                .unwrap_or_else(|| panic!("bad ASCYLIB_VALUES spec {spec:?}")),
-            Err(_) => ValueSize::Bimodal { small: 16, large: 256, large_pct: 10 },
         }
     }
 
@@ -182,6 +169,9 @@ pub enum LoadMode {
 }
 
 impl LoadMode {
+    /// The forms [`parse`](Self::parse) accepts, for error messages.
+    pub const FORMS: &'static str = "closed | open:<rate>";
+
     /// Parses a CLI/environment spec: `closed` or `open:<rate>`. Returns
     /// `None` on anything else (non-positive rates included).
     pub fn parse(spec: &str) -> Option<LoadMode> {
@@ -190,21 +180,6 @@ impl LoadMode {
         }
         let rate: f64 = spec.strip_prefix("open:")?.parse().ok()?;
         (rate.is_finite() && rate > 0.0).then_some(LoadMode::Open { rate })
-    }
-
-    /// Reads the `ASCYLIB_MODE` environment spec (see
-    /// [`parse`](Self::parse)); defaults to `closed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec (the examples want a loud failure, not a
-    /// silently substituted default).
-    pub fn from_env() -> LoadMode {
-        match std::env::var("ASCYLIB_MODE") {
-            Ok(spec) => LoadMode::parse(&spec)
-                .unwrap_or_else(|| panic!("bad ASCYLIB_MODE spec {spec:?}")),
-            Err(_) => LoadMode::Closed,
-        }
     }
 }
 

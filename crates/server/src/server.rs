@@ -81,8 +81,6 @@ pub struct ServerConfig {
     /// from the connection count: a few workers serve thousands of
     /// connections.
     pub workers: usize,
-    /// Most frames executed per pipelining batch.
-    pub max_pipeline: usize,
     /// Close connections with no socket progress for this long (`None`
     /// disables eviction). Enforced by a sweep of each worker's slab every
     /// eighth of the timeout (clamped to 5–500 ms), so eviction can run one
@@ -97,7 +95,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_pipeline: 128,
             idle_timeout: Some(Duration::from_secs(60)),
             slowlog_threshold: Duration::from_millis(10),
         }
@@ -233,13 +230,12 @@ impl Shared {
     }
 
     /// A one-worker server that is never started, for serving frames from
-    /// a test thread: pipeline depth 4, no slow-op capture, and a window
-    /// ring that rotates on every scrape.
+    /// a test thread: no slow-op capture, and a window ring that rotates on
+    /// every scrape.
     #[cfg(test)]
     pub(crate) fn for_tests(store: Arc<dyn KvStore>) -> Shared {
         let config = ServerConfig {
             workers: 1,
-            max_pipeline: 4,
             idle_timeout: None,
             slowlog_threshold: Duration::MAX,
         };
@@ -277,7 +273,6 @@ impl Shared {
         let block = &self.blocks[index];
         ConnCtx {
             store: &*self.store,
-            max_pipeline: self.config.max_pipeline,
             stats: &block.stats,
             tel: &block.tel,
             conc: &block.conc,

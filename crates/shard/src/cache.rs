@@ -126,43 +126,6 @@ impl CacheConfig {
         self.budget_bytes.is_some() || self.default_ttl_ms.is_some()
     }
 
-    /// Builds a config from `ASCYLIB_BUDGET` and `ASCYLIB_TTL`, panicking
-    /// loudly on malformed specs (same contract as `ValueSize::from_env`:
-    /// a typo'd limit must not silently become "unbounded").
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(spec) = std::env::var("ASCYLIB_BUDGET") {
-            cfg.budget_bytes = parse_budget(&spec).unwrap_or_else(|| {
-                panic!("bad ASCYLIB_BUDGET spec {spec:?} (want e.g. 64mb, 512kb, 1048576, or off)")
-            });
-        }
-        if let Ok(spec) = std::env::var("ASCYLIB_TTL") {
-            cfg.default_ttl_ms = parse_ttl(&spec).unwrap_or_else(|| {
-                panic!("bad ASCYLIB_TTL spec {spec:?} (want e.g. 500ms, 30s, 5m, 2h, or off)")
-            });
-        }
-        cfg
-    }
-
-    /// [`from_env`](Self::from_env) with optional command-line overrides:
-    /// a `--budget` / `--ttl` flag spec wins over its environment variable.
-    /// Malformed specs panic with the accepted forms, like the env path —
-    /// a typo'd limit must not silently become "unbounded".
-    pub fn resolve(budget_flag: Option<&str>, ttl_flag: Option<&str>) -> Self {
-        let mut cfg = Self::from_env();
-        if let Some(spec) = budget_flag {
-            cfg.budget_bytes = parse_budget(spec).unwrap_or_else(|| {
-                panic!("bad --budget spec {spec:?} (want e.g. 64mb, 512kb, 1048576, or off)")
-            });
-        }
-        if let Some(spec) = ttl_flag {
-            cfg.default_ttl_ms = parse_ttl(spec).unwrap_or_else(|| {
-                panic!("bad --ttl spec {spec:?} (want e.g. 500ms, 30s, 5m, 2h, or off)")
-            });
-        }
-        cfg
-    }
-
     /// Human-readable policy summary for startup banners.
     pub fn describe(&self) -> String {
         let budget = match self.budget_bytes {
@@ -176,35 +139,32 @@ impl CacheConfig {
     }
 }
 
+/// The forms [`parse_budget`] accepts, for error messages.
+pub const BUDGET_FORMS: &str = "e.g. 64mb, 512kb, 1048576, or off";
+
+/// The forms [`parse_ttl`] accepts, for error messages.
+pub const TTL_FORMS: &str = "e.g. 500ms, 30s, 5m, 2h, or off";
+
 /// Parses a byte-budget spec: a decimal count with an optional `kb`/`mb`/
 /// `gb` suffix (case-insensitive), or `off`/`none`/`0` for unbounded.
 /// Outer `None` = malformed; inner `None` = explicitly unbounded.
 pub fn parse_budget(spec: &str) -> Option<Option<u64>> {
-    let s = spec.trim().to_ascii_lowercase();
-    if s == "off" || s == "none" || s == "0" {
-        return Some(None);
-    }
-    let (digits, unit) = match s.find(|c: char| !c.is_ascii_digit()) {
-        Some(0) => return None,
-        Some(i) => s.split_at(i),
-        None => (s.as_str(), ""),
-    };
-    let n: u64 = digits.parse().ok()?;
-    let mul: u64 = match unit {
-        "" | "b" => 1,
-        "kb" | "k" => 1 << 10,
-        "mb" | "m" => 1 << 20,
-        "gb" | "g" => 1 << 30,
-        _ => return None,
-    };
-    let bytes = n.checked_mul(mul)?;
-    Some((bytes != 0).then_some(bytes))
+    let (k, m, g) = (1 << 10, 1 << 20, 1 << 30);
+    let units = [("", 1), ("b", 1), ("kb", k), ("k", k), ("mb", m), ("m", m), ("gb", g), ("g", g)];
+    parse_scaled(spec, &units)
 }
 
 /// Parses a TTL spec: a decimal count with an optional `ms`/`s`/`m`/`h`
 /// suffix (no suffix = seconds), or `off`/`none`/`0` for no default TTL.
 /// Outer `None` = malformed; inner `None` = explicitly no TTL.
 pub fn parse_ttl(spec: &str) -> Option<Option<u64>> {
+    parse_scaled(spec, &[("ms", 1), ("", 1_000), ("s", 1_000), ("m", 60_000), ("h", 3_600_000)])
+}
+
+/// A decimal count times the multiplier of its (case-insensitive) unit in
+/// `units`, or `off`/`none`/`0` for "no limit" (inner `None`); outer
+/// `None` on anything else, overflow included.
+fn parse_scaled(spec: &str, units: &[(&str, u64)]) -> Option<Option<u64>> {
     let s = spec.trim().to_ascii_lowercase();
     if s == "off" || s == "none" || s == "0" {
         return Some(None);
@@ -215,15 +175,9 @@ pub fn parse_ttl(spec: &str) -> Option<Option<u64>> {
         None => (s.as_str(), ""),
     };
     let n: u64 = digits.parse().ok()?;
-    let mul: u64 = match unit {
-        "ms" => 1,
-        "" | "s" => 1_000,
-        "m" => 60_000,
-        "h" => 3_600_000,
-        _ => return None,
-    };
-    let ms = n.checked_mul(mul)?;
-    Some((ms != 0).then_some(ms))
+    let &(_, mul) = units.iter().find(|(u, _)| *u == unit)?;
+    let value = n.checked_mul(mul)?;
+    Some((value != 0).then_some(value))
 }
 
 /// Point-in-time cache-tier counters (summed over shards by
@@ -340,26 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn flag_specs_override_and_describe_renders_the_policy() {
-        // No flags: whatever the (unset) environment says — inert here.
-        assert_eq!(CacheConfig::resolve(None, None).describe(), "no budget");
-        let cfg = CacheConfig::resolve(Some("64kb"), Some("30s"));
-        assert_eq!(cfg.budget_bytes, Some(64 << 10));
-        assert_eq!(cfg.default_ttl_ms, Some(30_000));
+    fn describe_renders_the_policy() {
+        assert_eq!(CacheConfig::unbounded().describe(), "no budget");
+        let cfg = CacheConfig::unbounded().with_budget(64 << 10).with_ttl_ms(30_000);
         assert_eq!(cfg.describe(), "budget 65536 B, default ttl 30000 ms");
-        assert_eq!(CacheConfig::resolve(Some("off"), Some("off")).describe(), "no budget");
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --budget spec")]
-    fn malformed_budget_flags_panic_loudly() {
-        let _ = CacheConfig::resolve(Some("12tb"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --ttl spec")]
-    fn malformed_ttl_flags_panic_loudly() {
-        let _ = CacheConfig::resolve(None, Some("ten"));
+        assert_eq!(CacheConfig::unbounded().with_budget(0).with_ttl_ms(0).describe(), "no budget");
     }
 
     #[test]

@@ -172,26 +172,6 @@ impl HotKeyConfig {
         HotKeyConfig { k, ..Default::default() }
     }
 
-    /// Reads the `ASCYLIB_HOTKEYS` environment variable (the `k` knob;
-    /// `0` disables); defaults to the stock configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-numeric spec (the examples want a loud failure,
-    /// not a silently substituted default).
-    pub fn from_env() -> HotKeyConfig {
-        match std::env::var("ASCYLIB_HOTKEYS") {
-            Ok(spec) => {
-                let k = spec
-                    .trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad ASCYLIB_HOTKEYS spec {spec:?}"));
-                HotKeyConfig::with_k(k)
-            }
-            Err(_) => HotKeyConfig::default(),
-        }
-    }
-
     /// An aggressive configuration for tests: everything sampled, instant
     /// promotion, fast decay.
     pub fn eager(k: usize) -> Self {

@@ -8,7 +8,7 @@
 //! deduplication.
 //!
 //! The consistency contract is inherited from
-//! [`ascylib::ordered`](ascylib::ordered): each shard's sub-scan is a
+//! [`ascylib::ordered`]: each shard's sub-scan is a
 //! non-snapshot scan, and the scatter adds no cross-shard atomicity — a pair
 //! from shard 0 and a pair from shard 1 may never have coexisted. This is
 //! the same trade the per-key operations already make (no cross-shard

@@ -1,6 +1,6 @@
 //! The per-thread SSMEM allocator: retire batches, timestamp snapshots,
 //! grace-period collection and a reuse pool per layout (the small layouts'
-//! pools are the thread's side of the [arena](crate::arena)).
+//! pools are the thread's side of the [arena]).
 
 use std::alloc::Layout;
 use std::collections::{HashMap, VecDeque};

@@ -16,105 +16,78 @@
 //! $ cargo run --release --example kv_loadgen -- --self
 //! ```
 //!
-//! Flags: `--mode closed|open:<rate>`, `--conns <n>`, and
-//! `--dist uniform|zipf:<theta>|hotspot:<frac>:<prob>` override the
-//! corresponding environment knobs per run; `--budget <spec>` and
-//! `--ttl <spec>` (only meaningful with `--self`) bound the in-process
-//! server's cache tier, overriding `ASCYLIB_BUDGET` / `ASCYLIB_TTL`; `--progress <secs>` prints a
-//! live status line to stderr that often while the burst runs (ops so far,
-//! current ops/s, errors, and the interval's latency quantiles) — the way
-//! to watch a multi-minute run without waiting for the final report.
-//!
-//! Environment knobs:
-//!
-//! * `ASCYLIB_ADDR` — server address (default `127.0.0.1:7878`; ignored
-//!   with `--self`);
-//! * `ASCYLIB_MODE` — driving discipline: `closed` (default) or
-//!   `open:<rate>` aggregate ops/s of Poisson arrivals. Latency runs from
-//!   each operation's *intended* send time: its batch's send time in closed
-//!   loop, its scheduled arrival in open loop, so server stalls surface in
-//!   the open loop's tail percentiles;
-//! * `ASCYLIB_CONNS` — concurrent connections (default 4; the event-driven
-//!   server no longer caps capacity at its worker count);
-//! * `ASCYLIB_BENCH_MILLIS` — burst duration (default 300);
-//! * `ASCYLIB_DEPTH` — pipeline depth (default 16; 1 = strict
-//!   request/response);
-//! * `ASCYLIB_MIX` — `a`, `b`, `c`, `e` (YCSB presets) or an update
-//!   percentage like `20` (default `b`);
-//! * `ASCYLIB_DIST` — key distribution: `uniform`, `zipf:<theta>`, or
-//!   `hotspot:<hot_fraction>:<hot_prob>` (default `zipf:0.99`, the YCSB
-//!   skew);
-//! * `ASCYLIB_VALUES` — value-size spec: `fixed:64` or `bimodal:16,256,10`
-//!   (default `bimodal:16,256,10` — mostly-small values with a 256 B
-//!   tail);
-//! * `ASCYLIB_PREFILL` — keys to MSET before the burst (default 4096;
-//!   0 skips);
-//! * `ASCYLIB_BUDGET` / `ASCYLIB_TTL` — cache-tier byte budget
-//!   (`64mb`, `512kb`, a bare count, `off`) and default TTL (`500ms`,
-//!   `30s`, `5m`, `off`) for the `--self` server (default: both off).
+//! Every knob — its `ASCYLIB_*` variable, its flag where it has one, its
+//! default and the forms it accepts — is in README's *Knobs* table:
+//! `--mode`, `--conns` and `--dist` override their variables per run,
+//! `--budget`/`--ttl` bound the `--self` server's cache tier, and
+//! `--progress <secs>` prints a live status line to stderr that often while
+//! the burst runs (ops so far, current ops/s, errors, and the interval's
+//! latency quantiles). Latency runs from each operation's *intended* send
+//! time: its batch's send time in closed loop, its scheduled arrival in
+//! open loop, so server stalls surface in the open loop's tail percentiles.
+//! A malformed value panics naming its flag or variable.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ascylib_harness::{arg_value, bench_millis, env_or, KeyDist, OpMix};
+use ascylib_harness::{bench_millis, knob, switch, KeyDist, OpMix};
 use ascylib_server::client::info_field;
 use ascylib_server::loadgen::{self, LoadGenConfig};
 use ascylib_server::{
     BlobStore, Client, LoadMode, Server, ServerConfig, ServerHandle, ValueSize,
 };
+use ascylib_shard::cache::{parse_budget, parse_ttl, BUDGET_FORMS, TTL_FORMS};
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
 
-fn resolve(addr: &str) -> SocketAddr {
-    addr.to_socket_addrs()
-        .unwrap_or_else(|e| panic!("cannot resolve {addr}: {e}"))
-        .next()
-        .unwrap_or_else(|| panic!("{addr} resolved to nothing"))
+/// A whole-number knob (see README's *Knobs* table).
+fn count(names: &[&str], default: u64) -> u64 {
+    knob(names, "a whole number", |s| s.parse().ok()).unwrap_or(default)
 }
 
-fn mix_from_env() -> (String, OpMix) {
-    let raw = std::env::var("ASCYLIB_MIX").unwrap_or_else(|_| "b".to_string());
-    let mix = match raw.as_str() {
+/// A YCSB preset (`a`, `b`, `c`, `e`) or an update percentage up to 100.
+fn parse_mix(spec: &str) -> Option<(String, OpMix)> {
+    let mix = match spec {
         "a" => OpMix::ycsb_a(),
         "b" => OpMix::ycsb_b(),
         "c" => OpMix::ycsb_c(),
         // YCSB-E needs an ordered store (the stock kv_server serves one).
         "e" => OpMix::ycsb_e(),
-        pct => OpMix::update(pct.parse().unwrap_or(10)),
+        pct => OpMix::update(pct.parse().ok().filter(|p| *p <= 100)?),
     };
-    (raw, mix)
+    Some((spec.to_string(), mix))
 }
 
 fn main() {
-    let conns = arg_value("--conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(env_or("ASCYLIB_CONNS", 4) as usize);
-    let mode = match arg_value("--mode") {
-        Some(spec) => LoadMode::parse(&spec)
-            .unwrap_or_else(|| panic!("bad --mode spec {spec:?} (closed | open:<rate>)")),
-        None => LoadMode::from_env(),
-    };
-    let dist = match arg_value("--dist") {
-        Some(spec) => KeyDist::parse(&spec).unwrap_or_else(|| {
-            panic!("bad --dist spec {spec:?} (uniform | zipf:<theta> | hotspot:<frac>:<prob>)")
-        }),
-        None => KeyDist::from_env(),
-    };
-    let progress = arg_value("--progress").map(|secs| {
-        let s: f64 = secs
-            .parse()
-            .ok()
-            .filter(|s: &f64| s.is_finite() && *s > 0.0)
-            .unwrap_or_else(|| panic!("bad --progress interval {secs:?} (positive seconds)"));
-        Duration::from_secs_f64(s)
+    let conns = count(&["--conns", "ASCYLIB_CONNS"], 4) as usize;
+    let mode = knob(&["--mode", "ASCYLIB_MODE"], LoadMode::FORMS, LoadMode::parse)
+        .unwrap_or(LoadMode::Closed);
+    let dist = knob(&["--dist", "ASCYLIB_DIST"], KeyDist::FORMS, KeyDist::parse)
+        .unwrap_or(KeyDist::Zipfian { theta: 0.99 });
+    let progress = knob(&["--progress"], "positive seconds", |secs| {
+        let s: f64 = secs.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)?;
+        Some(Duration::from_secs_f64(s))
     });
+    let (mix_name, mix) = knob(&["ASCYLIB_MIX"], "a, b, c, e or an update % (0-100)", parse_mix)
+        .unwrap_or_else(|| ("b".to_string(), OpMix::ycsb_b()));
+    let values = knob(&["ASCYLIB_VALUES"], ValueSize::FORMS, ValueSize::parse)
+        .unwrap_or(ValueSize::Bimodal { small: 16, large: 256, large_pct: 10 });
+    let prefill = count(&["ASCYLIB_PREFILL"], 4096);
+    let depth = count(&["ASCYLIB_DEPTH"], 16) as usize;
     // `--self`: host an in-process server on an ephemeral port, so one
     // command exercises the whole serving stack (CI smoke test).
-    let self_serve: Option<ServerHandle> = if std::env::args().any(|a| a == "--self") {
-        let cache =
-            CacheConfig::resolve(arg_value("--budget").as_deref(), arg_value("--ttl").as_deref());
+    let self_serve: Option<ServerHandle> = if switch("--self") {
+        let cache = CacheConfig {
+            budget_bytes: knob(&["--budget", "ASCYLIB_BUDGET"], BUDGET_FORMS, parse_budget)
+                .flatten(),
+            default_ttl_ms: knob(&["--ttl", "ASCYLIB_TTL"], TTL_FORMS, parse_ttl).flatten(),
+            ..CacheConfig::unbounded()
+        };
+        let hot = knob(&["ASCYLIB_HOTKEYS"], "a front size k, 0 for none", |s| {
+            s.trim().parse().ok().map(HotKeyConfig::with_k)
+        });
         let policy = cache.describe();
-        let map = Arc::new(BlobMap::with_config(4, HotKeyConfig::from_env(), cache, |_| {
+        let map = Arc::new(BlobMap::with_config(4, hot.unwrap_or_default(), cache, |_| {
             ascylib::skiplist::FraserOptSkipList::new()
         }));
         let hotkeys = match map.hotkey_engine() {
@@ -138,13 +111,14 @@ fn main() {
     };
     let addr = match &self_serve {
         Some(server) => server.addr(),
-        None => resolve(&std::env::var("ASCYLIB_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".into())),
+        None => {
+            let resolve = |s: &str| s.to_socket_addrs().ok()?.next();
+            knob(&["ASCYLIB_ADDR"], "a resolvable host:port", resolve)
+                .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 7878)))
+        }
     };
 
-    let (mix_name, mix) = mix_from_env();
     let writes = mix.insert + mix.remove > 0;
-    let values = ValueSize::from_env();
-    let prefill = env_or("ASCYLIB_PREFILL", 4096);
     let key_range = (prefill * 2).max(1024);
     if prefill > 0 {
         let inserted = loadgen::prefill(addr, prefill, key_range, values, 0x10AD)
@@ -159,7 +133,7 @@ fn main() {
         dist,
         key_range,
         value_size: values,
-        pipeline_depth: env_or("ASCYLIB_DEPTH", 16) as usize,
+        pipeline_depth: depth,
         progress,
         ..LoadGenConfig::default()
     };

@@ -38,34 +38,29 @@
 //!   burst served nothing or a scrape fails to validate — CI uses this as
 //!   the serving smoke test.
 //!
-//! Environment: `ASCYLIB_ADDR`, `ASCYLIB_SHARDS` (default 4),
-//! `ASCYLIB_WORKERS` (default 8; the event-driven tier serves any number
-//! of connections on them), `ASCYLIB_IDLE_MS` (idle-connection eviction
-//! timeout, default 60000; 0 disables), `ASCYLIB_SLOW_US` (slow-op log
-//! threshold in microseconds, default 10000; serve mode only — the demo
-//! pins it to 0), `ASCYLIB_SERVE_MILLIS` (0 = forever),
-//! `ASCYLIB_BENCH_MILLIS` (demo burst length, default 300),
-//! `ASCYLIB_VALUES` (value-size spec: `fixed:64` or `bimodal:16,256,10`;
-//! demo default `bimodal:16,256,10`),
-//! `ASCYLIB_HOTKEYS` (hot-key engine front-cache size `k`, default 1024;
-//! 0 disables the engine), `ASCYLIB_DIST` (demo key distribution:
-//! `uniform`, `zipf:<theta>`, or `hotspot:<frac>:<prob>`; default
-//! `zipf:0.99`), `ASCYLIB_BUDGET` (cache-tier byte budget: `64mb`,
-//! `512kb`, a bare byte count, or `off`; default unbounded — the demo
-//! applies 256 KiB if nothing is set so eviction is observable), and
-//! `ASCYLIB_TTL` (default TTL stamped on plain `SET`s: `500ms`, `30s`,
-//! `5m`, `2h`, or `off`; default none). The `--budget <spec>` and
-//! `--ttl <spec>` flags override the corresponding variables per run.
+//! Every knob — its `ASCYLIB_*` variable, its flag where it has one, its
+//! default and the forms it accepts — is in README's *Knobs* table; here
+//! `ASCYLIB_BENCH_MILLIS`, `ASCYLIB_VALUES` and `ASCYLIB_DIST` shape the
+//! demo's bursts, `ASCYLIB_SLOW_US` and `ASCYLIB_SERVE_MILLIS` apply to
+//! serve mode only, and the demo applies a 256 KiB budget if neither
+//! `--budget` nor `ASCYLIB_BUDGET` sets one, so eviction is observable. A
+//! malformed value panics naming its flag or variable.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ascylib::skiplist::FraserOptSkipList;
-use ascylib_harness::{arg_value, bench_millis, env_or, KeyDist, OpMix};
+use ascylib_harness::{bench_millis, knob, switch, KeyDist, OpMix};
 use ascylib_server::client::info_field;
 use ascylib_server::loadgen::{self, LoadGenConfig, LoadGenResult};
 use ascylib_server::{BlobStore, Client, Server, ServerConfig, ServerHandle, ValueSize};
+use ascylib_shard::cache::{parse_budget, parse_ttl, BUDGET_FORMS, TTL_FORMS};
 use ascylib_shard::{BlobMap, CacheConfig, HotKeyConfig};
+
+/// A whole-number knob (see README's *Knobs* table).
+fn count(names: &[&str], default: u64) -> u64 {
+    knob(names, "a whole number", |s| s.parse().ok()).unwrap_or(default)
+}
 
 fn start(
     addr: &str,
@@ -74,23 +69,21 @@ fn start(
     slowlog: Duration,
     cache: CacheConfig,
 ) -> ServerHandle {
-    let hot = HotKeyConfig::from_env();
+    let hot = knob(&["ASCYLIB_HOTKEYS"], "a front size k, 0 for none", |s| {
+        s.trim().parse().ok().map(HotKeyConfig::with_k)
+    });
+    let hot = hot.unwrap_or_default();
     let policy = cache.describe();
     let map = Arc::new(BlobMap::with_config(shards, hot, cache, |_| FraserOptSkipList::new()));
     let hotkeys = match map.hotkey_engine() {
         Some(engine) => format!("hot-key engine k={}", engine.k()),
         None => "hot-key engine off".to_string(),
     };
-    let idle_timeout = match env_or("ASCYLIB_IDLE_MS", 60_000) {
+    let idle_timeout = match count(&["ASCYLIB_IDLE_MS"], 60_000) {
         0 => None,
         ms => Some(std::time::Duration::from_millis(ms)),
     };
-    let config = ServerConfig {
-        workers,
-        idle_timeout,
-        slowlog_threshold: slowlog,
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { workers, idle_timeout, slowlog_threshold: slowlog };
     let server = Server::start(addr, BlobStore::new(map), config)
         .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
     println!(
@@ -133,7 +126,8 @@ fn demo(shards: usize, workers: usize, cache: CacheConfig) {
     let server = start("127.0.0.1:0", shards, workers, Duration::ZERO, cache);
     let addr = server.addr();
     let key_range = 8192u64;
-    let vsize = ValueSize::from_env();
+    let vsize = knob(&["ASCYLIB_VALUES"], ValueSize::FORMS, ValueSize::parse)
+        .unwrap_or(ValueSize::Bimodal { small: 16, large: 256, large_pct: 10 });
     let inserted =
         loadgen::prefill(addr, key_range / 2, key_range, vsize, 0xDE30).expect("prefill");
     println!("kv_server: prefilled {inserted} keys over the wire ({vsize} values)");
@@ -141,7 +135,8 @@ fn demo(shards: usize, workers: usize, cache: CacheConfig) {
     // YCSB-B-flavoured point mix plus a dash of scans, skewed keys — the
     // full protocol surface in one burst.
     let mix = OpMix { read: 85, insert: 5, remove: 5, scan: 5, scan_len: 16 };
-    let dist = KeyDist::from_env();
+    let dist = knob(&["ASCYLIB_DIST"], KeyDist::FORMS, KeyDist::parse)
+        .unwrap_or(KeyDist::Zipfian { theta: 0.99 });
     println!("kv_server: demo key distribution {dist}");
     let base = LoadGenConfig {
         connections: 4,
@@ -351,16 +346,21 @@ fn demo(shards: usize, workers: usize, cache: CacheConfig) {
 }
 
 fn main() {
-    let shards = env_or("ASCYLIB_SHARDS", 4) as usize;
-    let workers = env_or("ASCYLIB_WORKERS", 8) as usize;
-    let cache = CacheConfig::resolve(arg_value("--budget").as_deref(), arg_value("--ttl").as_deref());
-    if std::env::args().any(|a| a == "--demo") {
+    let shards = count(&["ASCYLIB_SHARDS"], 4) as usize;
+    let workers = count(&["ASCYLIB_WORKERS"], 8) as usize;
+    let cache = CacheConfig {
+        budget_bytes: knob(&["--budget", "ASCYLIB_BUDGET"], BUDGET_FORMS, parse_budget).flatten(),
+        default_ttl_ms: knob(&["--ttl", "ASCYLIB_TTL"], TTL_FORMS, parse_ttl).flatten(),
+        ..CacheConfig::unbounded()
+    };
+    if switch("--demo") {
         demo(shards, workers, cache);
         return;
     }
 
-    let addr = std::env::var("ASCYLIB_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let slowlog = Duration::from_micros(env_or("ASCYLIB_SLOW_US", 10_000));
+    let addr = knob(&["ASCYLIB_ADDR"], "host:port", |s| Some(s.to_string()));
+    let addr = addr.unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let slowlog = Duration::from_micros(count(&["ASCYLIB_SLOW_US"], 10_000));
     let server = start(&addr, shards, workers, slowlog, cache);
     println!(
         "kv_server: protocol GET/SET/DEL/MGET/MSET/SCAN/PING/STATS/QUIT with bulk values, \
@@ -369,7 +369,7 @@ fn main() {
          kv_server: drive with `cargo run --release --example kv_loadgen` or `nc {}`",
         server.addr()
     );
-    let serve_millis = env_or("ASCYLIB_SERVE_MILLIS", 0);
+    let serve_millis = count(&["ASCYLIB_SERVE_MILLIS"], 0);
     if serve_millis == 0 {
         // Serve until killed. The acceptor and workers own their threads;
         // park the main thread forever.
