@@ -28,7 +28,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::versioned::{Side, TreeLock, TreeLockSnapshot};
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_tree, RangeWalk, TreeNode};
+use crate::ordered::{walk_tree, OrderedMap, TreeNode};
 use crate::stats;
 
 #[repr(C)]
@@ -313,7 +313,7 @@ impl TreeNode for Node {
     }
 }
 
-impl RangeWalk for BstTk {
+impl OrderedMap for BstTk {
     /// Lock-free in-order leaf walk (ASCY1 discipline, like `search`): the
     /// versioned edge locks are ignored entirely; reachable leaves are
     /// live.
@@ -323,8 +323,6 @@ impl RangeWalk for BstTk {
         unsafe { walk_tree(self.root, lo, visit) }
     }
 }
-
-impl_ordered_map!(BstTk);
 
 impl Default for BstTk {
     fn default() -> Self {

@@ -17,7 +17,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::MarkedPtr;
-use crate::ordered::{impl_ordered_map, walk_tree, RangeWalk, TreeNode};
+use crate::ordered::{walk_tree, OrderedMap, TreeNode};
 use crate::stats;
 
 /// `update`-word states.
@@ -447,7 +447,7 @@ impl TreeNode for Node {
     }
 }
 
-impl RangeWalk for EllenBst {
+impl OrderedMap for EllenBst {
     /// In-order leaf walk that, like `search`, ignores the `update` words
     /// entirely: a leaf is present until the deletion's child-CAS unlinks
     /// it, which is within the scan-semantics tolerance.
@@ -457,8 +457,6 @@ impl RangeWalk for EllenBst {
         unsafe { walk_tree(self.root, lo, visit) }
     }
 }
-
-impl_ordered_map!(EllenBst);
 
 impl Default for EllenBst {
     fn default() -> Self {

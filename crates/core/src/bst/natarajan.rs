@@ -22,7 +22,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::{tag, MarkedPtr};
-use crate::ordered::{impl_ordered_map, RangeWalk};
+use crate::ordered::{ascending, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -395,7 +395,7 @@ impl ConcurrentMap for NatarajanBst {
     }
 }
 
-impl RangeWalk for NatarajanBst {
+impl OrderedMap for NatarajanBst {
     /// In-order leaf walk with the same liveness rule as `size`: a leaf
     /// hanging off a *flagged* edge was logically deleted at flag time, so
     /// its subtree is pruned. Store-free, like the point search; the shared
@@ -404,6 +404,7 @@ impl RangeWalk for NatarajanBst {
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let _guard = ssmem::protect();
         let mut traversed = 0u64;
+        let mut visit = ascending(lo, visit);
         let mut pending: Vec<*mut Node> = Vec::new();
         let mut curr = self.root;
         // SAFETY: the guard protects every traversed node.
@@ -453,8 +454,6 @@ impl RangeWalk for NatarajanBst {
         stats::record_traversal(traversed);
     }
 }
-
-impl_ordered_map!(NatarajanBst);
 
 impl Default for NatarajanBst {
     fn default() -> Self {

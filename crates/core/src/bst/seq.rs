@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_tree, RangeWalk, TreeNode};
+use crate::ordered::{ascending, walk_tree, OrderedMap, TreeNode};
 use crate::stats;
 
 // ---------------------------------------------------------------------------
@@ -215,11 +215,12 @@ impl ConcurrentMap for AsyncBstInternal {
     }
 }
 
-impl RangeWalk for AsyncBstInternal {
+impl OrderedMap for AsyncBstInternal {
     /// Classic pruned in-order traversal; data lives in every node, so the
     /// shared external-tree walker does not apply.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let mut traversed = 0u64;
+        let mut visit = ascending(lo, visit);
         let mut pending: Vec<*mut INode> = Vec::new();
         // SAFETY: nodes are never reclaimed while the structure is alive
         // (GC disabled for asynchronized baselines).
@@ -240,7 +241,7 @@ impl RangeWalk for AsyncBstInternal {
                 match pending.pop() {
                     Some(node) => {
                         let key = (*node).key.load(Ordering::Relaxed);
-                        if key >= lo && !visit(key, (*node).value.load(Ordering::Relaxed)) {
+                        if !visit(key, (*node).value.load(Ordering::Relaxed)) {
                             break 'walk;
                         }
                         curr = (*node).right.load(Ordering::Relaxed);
@@ -252,8 +253,6 @@ impl RangeWalk for AsyncBstInternal {
         stats::record_traversal(traversed);
     }
 }
-
-impl_ordered_map!(AsyncBstInternal);
 
 impl Default for AsyncBstInternal {
     fn default() -> Self {
@@ -485,15 +484,13 @@ impl TreeNode for ENode {
     }
 }
 
-impl RangeWalk for AsyncBstExternal {
+impl OrderedMap for AsyncBstExternal {
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         // SAFETY: nodes are never reclaimed while the structure is alive
         // (GC disabled for asynchronized baselines).
         unsafe { walk_tree(self.root, lo, visit) }
     }
 }
-
-impl_ordered_map!(AsyncBstExternal);
 
 impl Default for AsyncBstExternal {
     fn default() -> Self {

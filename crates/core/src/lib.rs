@@ -37,9 +37,11 @@
 //! All structures implement the [`ConcurrentMap`] trait:
 //! a set of `u64 → u64` key/value pairs with `search`/`insert`/`remove`, the
 //! exact interface of Figure 1 in the paper. The key-sorted families (lists,
-//! skip lists, BSTs) additionally implement [`OrderedMap`] —
-//! `range_search`/`scan` range queries with documented non-snapshot
-//! semantics (see [`ordered`]).
+//! skip lists, BSTs) additionally implement [`OrderedMap`], whose one
+//! required method is `walk`: the store-free search traversal carried on
+//! across keys, visiting live pairs in ascending order until the visitor
+//! stops it. `range_search`/`scan`/`scan_into` are provided on top of it,
+//! with documented non-snapshot semantics (see [`ordered`]).
 //!
 //! # Quick start
 //!

@@ -19,7 +19,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::TicketLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, RangeWalk};
+use crate::ordered::OrderedMap;
 use crate::stats;
 
 /// Array snapshot layout: `[len, k0, v0, k1, v1, ...]`, all `u64`, allocated
@@ -259,10 +259,11 @@ impl CopyList {
     }
 }
 
-impl RangeWalk for CopyList {
+impl OrderedMap for CopyList {
     /// Walks one published snapshot: binary-search to the first key `>= lo`,
     /// then emit the (already sorted, already unique) tail. The snapshot is
-    /// immutable, so this is the one backing whose scans *are* atomic.
+    /// immutable, so this is the one backing whose scans *are* atomic, and
+    /// the one walk that needs no strict-ascent filter.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let _guard = ssmem::protect();
         let snap = self.current.load(Ordering::Acquire);
@@ -283,8 +284,6 @@ impl RangeWalk for CopyList {
         }
     }
 }
-
-impl_ordered_map!(CopyList);
 
 impl Default for CopyList {
     fn default() -> Self {

@@ -13,7 +13,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::TicketLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -203,7 +203,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for CouplingList {
+impl OrderedMap for CouplingList {
     /// Lock-free diagnostic-style traversal (same discipline as `size`): a
     /// removed node we happen to stand on still points at its old successor
     /// and is kept alive by the guard, so the walk always finds its way
@@ -214,8 +214,6 @@ impl RangeWalk for CouplingList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(CouplingList);
 
 impl Default for CouplingList {
     fn default() -> Self {

@@ -14,7 +14,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::{tag, MarkedPtr};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -300,7 +300,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for HarrisList {
+impl OrderedMap for HarrisList {
     /// ASCY1-style wait-free range traversal: no stores, no retries; marked
     /// nodes are skipped (not cleaned up).
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
@@ -309,8 +309,6 @@ impl RangeWalk for HarrisList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(HarrisList);
 
 impl Default for HarrisList {
     fn default() -> Self {

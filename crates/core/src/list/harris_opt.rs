@@ -16,7 +16,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::{tag, MarkedPtr};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -294,7 +294,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for HarrisOptList {
+impl OrderedMap for HarrisOptList {
     /// The natural extension of the ASCY1 search: one wait-free pass over
     /// the chain, ignoring logically deleted nodes.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
@@ -303,8 +303,6 @@ impl RangeWalk for HarrisOptList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(HarrisOptList);
 
 impl Default for HarrisOptList {
     fn default() -> Self {

@@ -16,7 +16,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::TtasLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -259,7 +259,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for LazyList {
+impl OrderedMap for LazyList {
     /// Same ASCY1 discipline as `find`: traverse without stores, skipping
     /// marked nodes.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
@@ -268,8 +268,6 @@ impl RangeWalk for LazyList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(LazyList);
 
 impl Default for LazyList {
     fn default() -> Self {

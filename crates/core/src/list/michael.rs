@@ -14,7 +14,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::{tag, MarkedPtr};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -271,7 +271,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for MichaelList {
+impl OrderedMap for MichaelList {
     /// Range traversal without the clean-up/restart behaviour of `find`:
     /// marked nodes are simply skipped.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
@@ -280,8 +280,6 @@ impl RangeWalk for MichaelList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(MichaelList);
 
 impl Default for MichaelList {
     fn default() -> Self {

@@ -18,7 +18,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::TtasLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -259,10 +259,10 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for PughList {
+impl OrderedMap for PughList {
     /// Optimistic store-free traversal. A removed node's reversed `next`
-    /// pointer sends the walk *backwards* to its predecessor; the shared
-    /// scan wrappers filter the resulting re-visits, so the emitted
+    /// pointer sends the walk *backwards* to its predecessor; `walk_chain`'s
+    /// strict-ascent filter drops the resulting re-visits, so the visited
     /// sequence stays strictly ascending.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let _guard = ssmem::protect();
@@ -270,8 +270,6 @@ impl RangeWalk for PughList {
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(PughList);
 
 impl Default for PughList {
     fn default() -> Self {

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::stats;
 
 #[repr(C)]
@@ -179,15 +179,13 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for AsyncList {
+impl OrderedMap for AsyncList {
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         // SAFETY: nodes are never reclaimed while the structure is alive
         // (GC disabled for asynchronized baselines), so no guard is needed.
         unsafe { walk_chain(self.head, lo, visit) }
     }
 }
-
-impl_ordered_map!(AsyncList);
 
 impl Default for AsyncList {
     fn default() -> Self {

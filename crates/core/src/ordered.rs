@@ -1,70 +1,115 @@
-//! The ordered-map extension of the CSDS interface: range scans.
+//! The ordered-map extension of the CSDS interface: one ordered walk.
 //!
 //! [`crate::api`] defines the paper's three point operations. Every
 //! key-sorted structure in the library (linked lists, skip lists, BSTs —
 //! everything except the hash tables) can additionally answer *range*
 //! queries by continuing the very traversal its point operations already
-//! perform: the wait-free read-side walk the ASCY patterns mandate is
-//! exactly a range scan that stops after one key. This module productizes
-//! that observation as the [`OrderedMap`] trait plus a small set of reusable
-//! walkers, so each structure only contributes its traversal primitive
-//! instead of re-implementing the scan logic.
+//! perform: the wait-free read-side walk the ASCY patterns mandate (ASCY1:
+//! no stores, no waiting, no retries) is exactly a range scan that stops
+//! after one key. [`OrderedMap`] therefore has **one primitive**,
+//! [`OrderedMap::walk`]: visit the live pairs from a key on, in ascending
+//! order, until the visitor says stop. `range_search`, `scan` and
+//! `scan_into` are written once, on top of it, and every layer that walks
+//! keys (the blob tier's CLOCK hand, TTL sweep and teardown) calls the walk
+//! directly instead of fetching pages.
+//!
+//! # The visitor rule
+//!
+//! `visit` runs *inside* the traversal, while it holds the structure's
+//! epoch guard (or whatever else protects its nodes): the walk stores
+//! nothing on the visitor's behalf, and the visitor sees each pair as the
+//! traversal reaches it. So it must not start another walk of the same map,
+//! and it should be short, since the traversal waits for it.
 //!
 //! # Scan semantics
 //!
-//! Range operations are **not** snapshots. The guarantee is deliberately the
-//! weakest one that is still useful (and that every backing can provide
-//! without slowing down its point operations):
+//! Walks, and the range operations on them, are **not** snapshots. The
+//! guarantee is deliberately the weakest one that is still useful (and
+//! that every backing can provide without slowing down its point
+//! operations):
 //!
-//! * every returned pair `(k, v)` was present in the structure **at some
-//!   point during the scan** (no phantoms: a never-inserted pair is never
-//!   returned, and a pair removed *before* the scan started and not
+//! * every visited pair `(k, v)` was present in the structure **at some
+//!   point during the walk** (no phantoms: a never-inserted pair is never
+//!   returned, and a pair removed *before* the walk started and not
 //!   re-inserted is never returned);
-//! * returned keys are **strictly ascending** and within the requested
+//! * visited keys are **strictly ascending** and within the requested
 //!   bounds (no duplicates, no out-of-range keys);
-//! * a key that is present for the *entire duration* of the scan is
-//!   returned; keys inserted or removed *while* the scan runs may or may
+//! * a key that is present for the *entire duration* of the walk is
+//!   visited; keys inserted or removed *while* the walk runs may or may
 //!   not appear.
 //!
-//! There is no atomicity across the returned set: two pairs in one result
-//! may never have been in the structure at the same instant.
+//! There is no atomicity across the visited set: two pairs of one walk may
+//! never have been in the structure at the same instant. A raw traversal
+//! may step backwards or revisit a key under concurrent interference (e.g.
+//! Pugh's pointer reversal); the shared walkers below pass every pair
+//! through one filter, `ascending`, which restores the strict order.
 
 use std::sync::Arc;
 
 use crate::api::{ConcurrentMap, KEY_MAX, KEY_MIN};
 use crate::stats;
 
-/// A [`ConcurrentMap`] whose elements are key-ordered and support range
-/// scans.
+/// A [`ConcurrentMap`] whose elements are key-ordered: one walk, and the
+/// range scans built on it.
 ///
 /// See the [module documentation](self) for the (non-snapshot) consistency
-/// contract shared by all implementations.
+/// contract and the visitor rule shared by all implementations.
 pub trait OrderedMap: ConcurrentMap {
+    /// Visits the live pairs with key `>= lo` in strictly ascending key
+    /// order, stopping as soon as `visit` returns `false`.
+    ///
+    /// `visit` runs inside the traversal, under its epoch guard, and must
+    /// not start another walk of the same map. A walk records its
+    /// traversal length but counts no operation (the range operations
+    /// below each count one).
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool);
+
     /// Appends every element with key in `[lo, hi]` (both inclusive,
     /// clamped to the usable key range) to `out`, in strictly ascending key
     /// order. Returns the number of elements appended.
     ///
     /// `out` is caller-supplied so that hot paths can reuse one allocation
     /// across scans.
-    fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize;
+    fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
+        stats::record_operation();
+        let (lo, hi) = (lo.max(KEY_MIN), hi.min(KEY_MAX));
+        if lo > hi {
+            return 0;
+        }
+        let start_len = out.len();
+        self.walk(lo, &mut |key, value| {
+            if key > hi {
+                return false;
+            }
+            out.push((key, value));
+            true
+        });
+        out.len() - start_len
+    }
 
     /// Returns up to `n` elements with key `>= from`, in strictly ascending
     /// key order (the classic YCSB-E "short range scan": a cursor position
     /// and a limit).
-    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)>;
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
+        let mut out = Vec::with_capacity(n.min(64));
+        self.scan_into(from, n, &mut out);
+        out
+    }
 
     /// [`Self::scan`] into a caller-supplied buffer (appended, like
     /// [`Self::range_search`]), so hot paths can reuse one allocation across
     /// scans. Returns the number of elements appended.
-    ///
-    /// The default delegates to `scan` (and therefore still allocates);
-    /// implementations backed by the walker layer override it with a
-    /// zero-allocation version.
     fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        let got = self.scan(from, n);
-        let len = got.len();
-        out.extend(got);
-        len
+        stats::record_operation();
+        if n == 0 {
+            return 0;
+        }
+        let start_len = out.len();
+        self.walk(from.max(KEY_MIN), &mut |key, value| {
+            out.push((key, value));
+            out.len() - start_len < n
+        });
+        out.len() - start_len
     }
 }
 
@@ -72,16 +117,8 @@ pub trait OrderedMap: ConcurrentMap {
 /// `Arc<dyn OrderedMap>` is itself an `OrderedMap` (and composite layers
 /// such as sharded maps can be built over either).
 impl<M: OrderedMap + ?Sized> OrderedMap for Arc<M> {
-    fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
-        (**self).range_search(lo, hi, out)
-    }
-
-    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-        (**self).scan(from, n)
-    }
-
-    fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        (**self).scan_into(from, n, out)
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        (**self).walk(lo, visit)
     }
 }
 
@@ -89,124 +126,30 @@ impl<M: OrderedMap + ?Sized> OrderedMap for Arc<M> {
 // The reusable walker layer (crate-internal)
 // ---------------------------------------------------------------------------
 
-/// The traversal primitive a structure contributes to get [`OrderedMap`]
-/// for free (via [`range_search_walk`] / [`scan_walk`] and the
-/// [`impl_ordered_map!`] macro).
-///
-/// Contract: visit live pairs with key `>= lo` in *approximately* ascending
-/// key order, stopping as soon as `visit` returns `false`. "Approximately"
-/// means concurrent interference may make the walk revisit a key or step
-/// backwards (e.g. Pugh's pointer reversal); the wrappers restore the public
-/// strictly-ascending guarantee by filtering. Implementations must provide
-/// whatever memory protection their traversal needs (SSMEM guard, locks).
-pub(crate) trait RangeWalk {
-    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool);
-}
-
-/// [`OrderedMap::range_search`] on top of a [`RangeWalk`]: clamps the
-/// bounds, filters to strictly-ascending in-range keys, counts one
-/// operation.
-pub(crate) fn range_search_walk<W: RangeWalk + ?Sized>(
-    walker: &W,
+/// The one strict-ascent filter between a raw traversal and the visitor of
+/// [`OrderedMap::walk`]: wraps `visit` so that only keys at least `lo` and
+/// above every key passed on so far reach it, so a traversal that
+/// concurrent interference sends backwards or over a key twice still
+/// visits in strictly ascending order. Keys are user keys, never sentinels.
+pub(crate) fn ascending<'v>(
     lo: u64,
-    hi: u64,
-    out: &mut Vec<(u64, u64)>,
-) -> usize {
-    stats::record_operation();
-    let lo = lo.max(KEY_MIN);
-    let hi = hi.min(KEY_MAX);
-    if lo > hi {
-        return 0;
+    visit: &'v mut dyn FnMut(u64, u64) -> bool,
+) -> impl FnMut(u64, u64) -> bool + 'v {
+    let mut next = lo;
+    move |key, value| {
+        if key < next {
+            return true;
+        }
+        next = key + 1;
+        visit(key, value)
     }
-    let start_len = out.len();
-    let mut last: Option<u64> = None;
-    walker.walk(lo, &mut |key, value| {
-        if key > hi {
-            return false;
-        }
-        if key >= lo && last.map_or(true, |l| key > l) {
-            out.push((key, value));
-            last = Some(key);
-        }
-        true
-    });
-    out.len() - start_len
 }
-
-/// [`OrderedMap::scan`] on top of a [`RangeWalk`].
-pub(crate) fn scan_walk<W: RangeWalk + ?Sized>(walker: &W, from: u64, n: usize) -> Vec<(u64, u64)> {
-    let mut out = Vec::with_capacity(n.min(64));
-    scan_into_walk(walker, from, n, &mut out);
-    out
-}
-
-/// [`OrderedMap::scan_into`] on top of a [`RangeWalk`]: appends to `out`
-/// without allocating.
-pub(crate) fn scan_into_walk<W: RangeWalk + ?Sized>(
-    walker: &W,
-    from: u64,
-    n: usize,
-    out: &mut Vec<(u64, u64)>,
-) -> usize {
-    stats::record_operation();
-    if n == 0 {
-        return 0;
-    }
-    let start_len = out.len();
-    let from = from.max(KEY_MIN);
-    let mut last: Option<u64> = None;
-    walker.walk(from, &mut |key, value| {
-        if key >= from && last.map_or(true, |l| key > l) {
-            out.push((key, value));
-            last = Some(key);
-        }
-        out.len() - start_len < n
-    });
-    out.len() - start_len
-}
-
-/// Implements [`OrderedMap`] for a type, delegating to the shared walker
-/// wrappers. The one-argument form requires the type itself to implement
-/// [`RangeWalk`]; the `via` form delegates to a field that does (for
-/// new-type wrappers like the two Fraser variants).
-macro_rules! impl_ordered_map {
-    ($ty:ty) => {
-        impl $crate::ordered::OrderedMap for $ty {
-            fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
-                $crate::ordered::range_search_walk(self, lo, hi, out)
-            }
-
-            fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-                $crate::ordered::scan_walk(self, from, n)
-            }
-
-            fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-                $crate::ordered::scan_into_walk(self, from, n, out)
-            }
-        }
-    };
-    ($ty:ty, via $field:ident) => {
-        impl $crate::ordered::OrderedMap for $ty {
-            fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
-                $crate::ordered::range_search_walk(&self.$field, lo, hi, out)
-            }
-
-            fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-                $crate::ordered::scan_walk(&self.$field, from, n)
-            }
-
-            fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-                $crate::ordered::scan_into_walk(&self.$field, from, n, out)
-            }
-        }
-    };
-}
-pub(crate) use impl_ordered_map;
 
 /// A node in a key-sorted chain ending in a `u64::MAX` tail sentinel — the
 /// common shape of every linked list and of the level-0 lane of every skip
-/// list. Implementing this (plus [`RangeWalk`] in terms of [`walk_chain`])
-/// is all a chain-shaped structure needs to become an [`OrderedMap`].
+/// list. Implementing this (plus [`OrderedMap::walk`] in terms of
+/// [`walk_chain`]) is all a chain-shaped structure needs to become an
+/// [`OrderedMap`].
 pub(crate) trait ChainNode {
     /// This node's key (sentinels: `0` head, `u64::MAX` tail).
     fn chain_key(&self) -> u64;
@@ -225,8 +168,9 @@ pub(crate) trait ChainNode {
 
 /// Walks the chain starting *after* `start` (a node with key `< lo`, e.g.
 /// the head sentinel or a skip-list predecessor), visiting live pairs with
-/// key `>= lo` until the tail sentinel is reached or `visit` returns
-/// `false`. Records the traversal length.
+/// key `>= lo` in strictly ascending order (through [`ascending`]) until
+/// the tail sentinel is reached or `visit` returns `false`. Records the
+/// traversal length.
 ///
 /// # Safety
 ///
@@ -239,6 +183,7 @@ pub(crate) unsafe fn walk_chain<N: ChainNode>(
     visit: &mut dyn FnMut(u64, u64) -> bool,
 ) {
     let mut traversed = 0u64;
+    let mut visit = ascending(lo, visit);
     // SAFETY: per the function contract.
     unsafe {
         let mut curr = (*start).chain_next();
@@ -275,8 +220,9 @@ pub(crate) trait TreeNode {
 }
 
 /// In-order walk over the leaves of an external BST rooted at `root`,
-/// pruning subtrees that cannot contain keys `>= lo`, until `visit` returns
-/// `false`. Records the traversal length.
+/// pruning subtrees that cannot contain keys `>= lo`, visiting in strictly
+/// ascending order (through [`ascending`]) until `visit` returns `false`.
+/// Records the traversal length.
 ///
 /// # Safety
 ///
@@ -288,6 +234,7 @@ pub(crate) unsafe fn walk_tree<N: TreeNode>(
     visit: &mut dyn FnMut(u64, u64) -> bool,
 ) {
     let mut traversed = 0u64;
+    let mut visit = ascending(lo, visit);
     let mut pending: Vec<*mut N> = Vec::new();
     let mut curr = root;
     // SAFETY: per the function contract.
@@ -331,15 +278,32 @@ pub(crate) unsafe fn walk_tree<N: TreeNode>(
 mod tests {
     use super::*;
 
-    /// A scripted walker: replays a fixed visit sequence (which may contain
-    /// duplicates and backward jumps, like a concurrently-mutated chain
-    /// would) so the wrapper filtering is testable in isolation.
+    /// A scripted map: its walk replays a fixed visit sequence (which may
+    /// contain duplicates and backward jumps, like a concurrently-mutated
+    /// chain would) through [`ascending`], so the filter and the provided
+    /// range operations are testable in isolation.
     struct Scripted(Vec<(u64, u64)>);
 
-    impl RangeWalk for Scripted {
+    impl ConcurrentMap for Scripted {
+        fn search(&self, _: u64) -> Option<u64> {
+            unreachable!("scripted maps only walk")
+        }
+        fn insert(&self, _: u64, _: u64) -> bool {
+            unreachable!("scripted maps only walk")
+        }
+        fn remove(&self, _: u64) -> Option<u64> {
+            unreachable!("scripted maps only walk")
+        }
+        fn size(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    impl OrderedMap for Scripted {
         fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+            let mut visit = ascending(lo, visit);
             for &(k, v) in &self.0 {
-                if k >= lo && !visit(k, v) {
+                if !visit(k, v) {
                     return;
                 }
             }
@@ -347,10 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn range_search_walk_filters_to_sorted_unique_in_range() {
+    fn range_search_over_a_walk_filters_to_sorted_unique_in_range() {
         let w = Scripted(vec![(2, 20), (5, 50), (4, 40), (5, 51), (7, 70), (9, 90)]);
         let mut out = Vec::new();
-        let n = range_search_walk(&w, 3, 8, &mut out);
+        let n = w.range_search(3, 8, &mut out);
         // 4 arrives after 5 (backward jump) and the second 5 is a revisit:
         // both are filtered; 2 and 9 are out of range.
         assert_eq!(out, vec![(5, 50), (7, 70)]);
@@ -358,41 +322,41 @@ mod tests {
     }
 
     #[test]
-    fn range_search_walk_appends_and_counts_only_new_entries() {
+    fn range_search_over_a_walk_appends_and_counts_only_new_entries() {
         let w = Scripted(vec![(3, 30)]);
         let mut out = vec![(1, 10)];
-        let n = range_search_walk(&w, 1, 100, &mut out);
+        let n = w.range_search(1, 100, &mut out);
         assert_eq!(n, 1);
         assert_eq!(out.len(), 2);
     }
 
     #[test]
-    fn range_search_walk_empty_and_inverted_bounds() {
+    fn range_search_over_a_walk_empty_and_inverted_bounds() {
         let w = Scripted(vec![(3, 30)]);
         let mut out = Vec::new();
-        assert_eq!(range_search_walk(&w, 9, 2, &mut out), 0);
-        assert_eq!(range_search_walk(&w, 4, u64::MAX, &mut out), 0);
+        assert_eq!(w.range_search(9, 2, &mut out), 0);
+        assert_eq!(w.range_search(4, u64::MAX, &mut out), 0);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn scan_walk_honours_the_limit_and_clamps_from() {
+    fn scan_over_a_walk_honours_the_limit_and_clamps_from() {
         let w = Scripted((1..=20u64).map(|k| (k, k * 2)).collect());
-        let got = scan_walk(&w, 0, 5);
+        let got = w.scan(0, 5);
         assert_eq!(got, vec![(1, 2), (2, 4), (3, 6), (4, 8), (5, 10)]);
-        assert!(scan_walk(&w, 1, 0).is_empty());
-        assert_eq!(scan_walk(&w, 18, 10).len(), 3);
+        assert!(w.scan(1, 0).is_empty());
+        assert_eq!(w.scan(18, 10).len(), 3);
     }
 
     #[test]
-    fn scan_into_walk_appends_and_matches_scan() {
+    fn scan_into_over_a_walk_appends_and_matches_scan() {
         let w = Scripted((1..=20u64).map(|k| (k, k * 2)).collect());
         let mut out = vec![(0, 0)];
         // The limit counts newly appended pairs, not the buffer length.
-        assert_eq!(scan_into_walk(&w, 3, 4, &mut out), 4);
+        assert_eq!(w.scan_into(3, 4, &mut out), 4);
         assert_eq!(out.len(), 5);
-        assert_eq!(out[1..], scan_walk(&w, 3, 4));
-        assert_eq!(scan_into_walk(&w, 3, 0, &mut out), 0);
+        assert_eq!(out[1..], w.scan(3, 4));
+        assert_eq!(w.scan_into(3, 0, &mut out), 0);
     }
 
     #[test]

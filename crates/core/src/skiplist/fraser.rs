@@ -95,7 +95,7 @@ use ascylib_ssmem as ssmem;
 
 use crate::api::{debug_check_key, debug_check_value, ConcurrentMap, ReplaceMap, MAX_LANES};
 use crate::marked::{tag, MarkedPtr};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::prefetch;
 use crate::skiplist::hint::{Hints, Table, SAMPLE_LEVEL};
 use crate::skiplist::{
@@ -842,11 +842,11 @@ impl ChainNode for Node {
     }
 }
 
-impl<const OPT: bool> RangeWalk for Fraser<OPT> {
-    /// ASCY1-style range traversal: the upper levels position the walk at
-    /// the last node with key `< lo` in O(log n), then the level-0 lane is
-    /// walked like a linked list (no stores, no retries, for both
-    /// variants — range reads never help with clean-up).
+impl<const OPT: bool> Fraser<OPT> {
+    /// [`OrderedMap::walk`] for both variants: the upper levels position
+    /// the walk at the last node with key `< lo` in O(log n), then
+    /// [`walk_chain`] follows the level-0 lane (ASCY1: no stores, no
+    /// retries), handing `visit` each live pair under this one guard.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let _guard = ssmem::protect();
         // SAFETY: the guard protects every traversed node.
@@ -864,8 +864,17 @@ impl<const OPT: bool> RangeWalk for Fraser<OPT> {
     }
 }
 
-impl_ordered_map!(FraserSkipList, via inner);
-impl_ordered_map!(FraserOptSkipList, via inner);
+impl OrderedMap for FraserSkipList {
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        self.inner.walk(lo, visit)
+    }
+}
+
+impl OrderedMap for FraserOptSkipList {
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        self.inner.walk(lo, visit)
+    }
+}
 
 impl<const OPT: bool> Drop for Fraser<OPT> {
     fn drop(&mut self) {

@@ -19,7 +19,7 @@ use ascylib_ssmem as ssmem;
 use ascylib_sync::TtasLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::skiplist::{
     alloc_node, assert_node_bytes, free_node, link, random_level, retire_node, Tower, MAX_LEVEL,
 };
@@ -197,11 +197,11 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for SkipListBase {
-    /// Store-free range traversal shared by both lock-based algorithms
-    /// (the wait-free-search discipline, extended across a key range): the
-    /// upper levels find the last node with key `< lo`, the level-0 lane is
-    /// then walked like a list, skipping in-flight and marked towers.
+impl SkipListBase {
+    /// [`OrderedMap::walk`] for both lock-based algorithms, store-free like
+    /// their search: the upper levels find the last node with key `< lo`,
+    /// the level-0 lane is then walked like a list, skipping in-flight and
+    /// marked towers.
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         let _guard = ssmem::protect();
         // SAFETY: the guard protects every traversed node.
@@ -219,8 +219,17 @@ impl RangeWalk for SkipListBase {
     }
 }
 
-impl_ordered_map!(HerlihySkipList, via base);
-impl_ordered_map!(PughSkipList, via base);
+impl OrderedMap for HerlihySkipList {
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        self.base.walk(lo, visit)
+    }
+}
+
+impl OrderedMap for PughSkipList {
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        self.base.walk(lo, visit)
+    }
+}
 
 impl Drop for SkipListBase {
     fn drop(&mut self) {

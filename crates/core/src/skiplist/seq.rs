@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 
 use crate::api::{debug_check_key, ConcurrentMap};
-use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
+use crate::ordered::{walk_chain, ChainNode, OrderedMap};
 use crate::skiplist::{
     alloc_node, assert_node_bytes, free_node, link, random_level, Tower, MAX_LEVEL,
 };
@@ -219,7 +219,7 @@ impl ChainNode for Node {
     }
 }
 
-impl RangeWalk for AsyncSkipList {
+impl OrderedMap for AsyncSkipList {
     fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
         // SAFETY: nodes are never reclaimed while the structure is alive
         // (GC disabled for asynchronized baselines).
@@ -236,8 +236,6 @@ impl RangeWalk for AsyncSkipList {
         }
     }
 }
-
-impl_ordered_map!(AsyncSkipList);
 
 impl Default for AsyncSkipList {
     fn default() -> Self {

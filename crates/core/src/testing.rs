@@ -325,14 +325,15 @@ where
 
 /// Differential driver for the [`OrderedMap`] surface against the `BTreeMap`
 /// sequential model (single-threaded): decodes `(selector, a, b)` tuples
-/// into point updates and `range_search`/`scan`/`scan_into` calls, requiring
-/// exact agreement at every step, then checks a full-range sweep. Shared by
-/// the RNG-driven [`ordered_model_check`] battery and the proptest suites in
-/// the core and shard crates (so the scan contract is asserted in one
-/// place).
+/// into point updates and `range_search`/`scan`/`scan_into`/`walk` calls,
+/// requiring exact agreement at every step, then checks a full-range sweep
+/// and a full walk. Shared by the RNG-driven [`ordered_model_check`]
+/// battery and the proptest suites in the core and shard crates (so the
+/// scan contract is asserted in one place).
 ///
 /// Op decode: `selector % 6` → 0/1 insert, 2 remove, 3/4 `range_search`
-/// over `[min(a,b), max(a,b)]`, 5 `scan(a, b % 16)`; keys are `1 + x %
+/// over `[min(a,b), max(a,b)]`, 5 `scan(a, b % 16)`, the same through
+/// `scan_into` and a walk stopped after `b % 16` visits; keys are `1 + x %
 /// key_space`.
 pub fn ordered_ops_check<M: OrderedMap>(m: &M, ops: &[(u8, u64, u64)], key_space: u64) {
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -369,6 +370,16 @@ pub fn ordered_ops_check<M: OrderedMap>(m: &M, ops: &[(u8, u64, u64)], key_space
                 out.clear();
                 assert_eq!(m.scan_into(key, n, &mut out), want.len());
                 assert_eq!(out, want, "scan_into({key}, {n}) at step {i}");
+                // So must a walk stopped after `n` visits, with one call per
+                // pair: min(n, available) calls.
+                out.clear();
+                if n > 0 {
+                    m.walk(key, &mut |k, v| {
+                        out.push((k, v));
+                        out.len() < n
+                    });
+                }
+                assert_eq!(out, want, "walk({key}) stopped after {n} at step {i}");
             }
         }
     }
@@ -377,6 +388,13 @@ pub fn ordered_ops_check<M: OrderedMap>(m: &M, ops: &[(u8, u64, u64)], key_space
     let count = m.range_search(KEY_MIN, KEY_MAX, &mut all);
     assert_eq!(count, model.len());
     assert_eq!(all, model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+    // And so is a walk that never stops.
+    let mut walked = Vec::new();
+    m.walk(KEY_MIN, &mut |k, v| {
+        walked.push((k, v));
+        true
+    });
+    assert_eq!(walked, all, "full walk");
     assert_eq!(m.size(), model.len());
 }
 
@@ -397,7 +415,8 @@ where
 /// Concurrent scan-vs-mutation check for the documented (non-snapshot) scan
 /// semantics. A set of *stable* keys is inserted up front and never touched;
 /// writer threads churn a disjoint set of *volatile* keys while the main
-/// thread scans. Every scan must return strictly-ascending in-bounds keys,
+/// thread scans, and walks from each scan's lower bound to the end. Every
+/// scan and walk must return strictly-ascending in-bounds keys,
 /// no phantoms (only keys from the two sets, with the values the writers
 /// actually store), no resurrections (a third key set that was inserted and
 /// removed *before* the scans start must never appear), and every stable key
@@ -448,23 +467,35 @@ where
         let (lo, hi) = (a.min(b), a.max(b));
         let mut got = Vec::new();
         m.range_search(lo, hi, &mut got);
-        let mut prev = None;
-        for &(k, v) in &got {
-            assert!(k >= lo && k <= hi, "scan {i}: key {k} outside [{lo}, {hi}]");
-            assert!(prev.map_or(true, |p| k > p), "scan {i}: keys not strictly ascending at {k}");
-            prev = Some(k);
-            assert!(k <= span, "scan {i}: resurrected ghost key {k}");
-            if k % STABLE_STRIDE == 0 {
-                assert_eq!(v, k * 2, "scan {i}: stable key {k} has foreign value {v}");
-            } else {
-                assert_eq!(v, k * 7, "scan {i}: volatile key {k} has foreign value {v}");
+        // A walk from `lo` that never stops: the same checks with no upper
+        // bound, so it also crosses the whole ghost range.
+        let mut walked = Vec::new();
+        m.walk(lo, &mut |k, v| {
+            walked.push((k, v));
+            true
+        });
+        for (what, got, hi) in [("scan", &got, hi), ("walk", &walked, KEY_MAX)] {
+            let mut prev = None;
+            for &(k, v) in got {
+                assert!(k >= lo && k <= hi, "{what} {i}: key {k} outside [{lo}, {hi}]");
+                assert!(
+                    prev.map_or(true, |p| k > p),
+                    "{what} {i}: keys not strictly ascending at {k}"
+                );
+                prev = Some(k);
+                assert!(k <= span, "{what} {i}: resurrected ghost key {k}");
+                if k % STABLE_STRIDE == 0 {
+                    assert_eq!(v, k * 2, "{what} {i}: stable key {k} has foreign value {v}");
+                } else {
+                    assert_eq!(v, k * 7, "{what} {i}: volatile key {k} has foreign value {v}");
+                }
             }
-        }
-        // No stable key in range may be missed: each was present for the
-        // entire duration of the scan.
-        let returned: Vec<u64> = got.iter().map(|&(k, _)| k).collect();
-        for k in (lo..=hi.min(span)).filter(|k| k % STABLE_STRIDE == 0) {
-            assert!(returned.binary_search(&k).is_ok(), "scan {i}: stable key {k} missing");
+            // No stable key in range may be missed: each was present for
+            // the entire duration of the scan.
+            let returned: Vec<u64> = got.iter().map(|&(k, _)| k).collect();
+            for k in (lo..=hi.min(span)).filter(|k| k % STABLE_STRIDE == 0) {
+                assert!(returned.binary_search(&k).is_ok(), "{what} {i}: stable key {k} missing");
+            }
         }
     }
     stop.store(1, Ordering::Relaxed);
@@ -711,7 +742,7 @@ pub const HINT_FILLERS_FROM: u64 = 1 << 40;
 /// A [`FraserOptSkipList`](crate::skiplist::FraserOptSkipList) grown past
 /// its hint-table floor (an approximate 8 192 keys, so some 8 300 fillers)
 /// with filler keys from [`HINT_FILLERS_FROM`] up, seen through the keys
-/// below them: `size` and the scans leave the fillers out. The batteries
+/// below them: `size` and the walk leave the fillers out. The batteries
 /// here build their lists far below the floor, so over a plain list they
 /// never reach the hint path; over this one every point operation probes
 /// a table whose buckets the fillers crowd. As a `BlobMap` backing it puts
@@ -735,13 +766,6 @@ impl HintedFraserOpt {
             }
         }
         Self { list, fillers }
-    }
-
-    /// Drops the entries of fillers from the end of `out`, from `from` on.
-    fn without_fillers(out: &mut Vec<(u64, u64)>, from: usize) -> usize {
-        let kept = out[from..].partition_point(|&(key, _)| key < HINT_FILLERS_FROM);
-        out.truncate(from + kept);
-        kept
     }
 }
 
@@ -778,17 +802,8 @@ impl ReplaceMap for HintedFraserOpt {
 }
 
 impl OrderedMap for HintedFraserOpt {
-    fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
-        self.list.range_search(lo, hi.min(HINT_FILLERS_FROM - 1), out)
-    }
-    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-        let mut out = self.list.scan(from, n);
-        Self::without_fillers(&mut out, 0);
-        out
-    }
-    fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        let start = out.len();
-        self.list.scan_into(from, n, out);
-        Self::without_fillers(out, start)
+    /// The list's walk, stopped at the first filler.
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        self.list.walk(lo, &mut |key, value| key < HINT_FILLERS_FROM && visit(key, value));
     }
 }

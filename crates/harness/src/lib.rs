@@ -63,7 +63,7 @@ fn knob_in<T>(
     parse: impl Fn(&str) -> Option<T>,
 ) -> Option<T> {
     let (name, spec) = names.iter().find_map(|&name| {
-        let value = if name.starts_with("--") { flag_in(args, name) } else { env(name) };
+        let value = if name.starts_with("--") { flag_in(args, name, forms) } else { env(name) };
         value.map(|v| (name, v))
     })?;
     Some(parse(&spec).unwrap_or_else(|| panic!("bad {name} spec {spec:?} (want {forms})")))
@@ -74,11 +74,15 @@ pub fn switch(flag: &str) -> bool {
     std::env::args().skip(1).any(|arg| arg == flag)
 }
 
-fn flag_in(args: &[String], flag: &str) -> Option<String> {
+/// The value of `flag` in `args`; panics if `flag` comes last, with none.
+fn flag_in(args: &[String], flag: &str, forms: &str) -> Option<String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         if arg == flag {
-            return args.next().cloned();
+            let value = args.next().unwrap_or_else(|| {
+                panic!("bad {flag} spec: no value (want {forms})");
+            });
+            return Some(value.clone());
         }
         if let Some(value) = arg.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
             return Some(value.to_string());
@@ -147,7 +151,6 @@ mod tests {
         assert_eq!(read(&["--budget", "7"], None), Some(7));
         assert_eq!(read(&["--budget=7"], None), Some(7));
         assert_eq!(read(&["--conns", "8", "--budget", "7"], None), Some(7));
-        assert_eq!(read(&["--budget"], None), None, "flag with no value");
         assert_eq!(read(&["--budgets=7"], None), None, "prefix must not match");
         assert_eq!(read(&["--conns", "7"], None), None, "another knob's flag");
     }
@@ -166,6 +169,12 @@ mod tests {
     #[should_panic(expected = "bad --budget spec \"12tb\" (want a count)")]
     fn a_malformed_flag_panics_with_its_name_and_the_forms() {
         read(&["--budget", "12tb"], Some("9"));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --budget spec: no value (want a count)")]
+    fn a_flag_given_last_with_no_value_panics_with_its_name() {
+        read(&["--conns", "8", "--budget"], Some("9"));
     }
 
     #[test]

@@ -98,7 +98,10 @@
 //! whenever no `set` is between its reservation and its store. A
 //! reservation that would overflow the budget runs CLOCK eviction until it
 //! fits: a hand walks the shard's index in key order, clearing reference
-//! bits, and evicts the first unreferenced value it meets; the victim's
+//! bits, and evicts the first unreferenced value it meets. The hand rides
+//! the index's own [`OrderedMap::walk`] — one descent to the hand, then
+//! entry by entry for as long as it looks — so it reads no entry it does
+//! not use and copies none into a buffer; the victim's
 //! bytes land in the evicting thread's credit, which the retried
 //! reservation then takes. The gauge, credits included, therefore never
 //! exceeds the share, and live bytes never exceed the budget at any
@@ -118,9 +121,9 @@
 //! Expiry is **lazy**: a read that finds a dead value answers "missing",
 //! then unlinks and retires the corpse after its epoch guard drops. An
 //! incremental sweep piggybacks on the write path (every
-//! `SWEEP_EVERY`th `set` per shard walks a few index entries from a cursor
-//! — no new threads) and on `scan`, which reclaims any corpse it walks
-//! over.
+//! `SWEEP_EVERY`th `set` per shard walks a few index entries from a cursor,
+//! on the same index walk as the CLOCK hand — no new threads) and on
+//! `scan`, which reclaims any corpse it walks over.
 //!
 //! # Hot-key cooperation
 //!
@@ -155,8 +158,11 @@
 //!
 //! The index is the one record of which values are live: every live blob
 //! is the value of exactly one key. Dropping the map walks each shard's
-//! index and frees the blob behind every key; blobs already retired are
-//! owned by the epoch machinery and freed by its collector.
+//! index once, on the same walk as CLOCK and the sweep, and frees the blob
+//! behind every key as the walk reaches it; blobs already retired are
+//! owned by the epoch machinery and freed by its collector. None of these
+//! three walks counts as an index operation: only the point operations
+//! and `scan` do.
 
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell};
@@ -225,11 +231,6 @@ const SWEEP_EVERY: u64 = 64;
 
 /// Index entries examined per sweep step.
 const SWEEP_BATCH: usize = 8;
-
-/// Entries one fetch of an index walk asks for: a sweep step in one fetch.
-/// CLOCK stops sooner (about 1.4 entries per victim on the benchmark's
-/// `embed_write`), but only one `set` in ten evicts there.
-const WALK_CHUNK: usize = SWEEP_BATCH;
 
 /// Consecutive fruitless eviction attempts before a reservation is forced
 /// through over budget (progress guarantee; see `CacheStatsSnapshot::forced`).
@@ -793,9 +794,6 @@ thread_local! {
     /// Scratch for `multi_get_into`: the keys the front left to the backing.
     static REST_SCRATCH: RefCell<Rest> =
         const { RefCell::new(Rest { keys: Vec::new(), slots: Vec::new() }) };
-    /// Scratch `(key, handle)` buffer for the index walks, so an eviction
-    /// allocates nothing.
-    static WALK_SCRATCH: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Why a value is reclaimed; picks the counter the reclaim bumps.
@@ -1312,10 +1310,12 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
     /// `visit` returns `false`, `limit` pairs have been visited or the
     /// shard turns out empty; then leaves `cursor` just past the last pair
     /// visited, and answers whether the walk passed the end of the list.
-    /// One epoch guard, taken before the first fetch, covers the walk (the
-    /// contract [`scan_bounded`](Self::scan_bounded) keeps), so `visit` may
-    /// dereference every handle it is given; it must not start another
-    /// walk.
+    /// The index's own [`OrderedMap::walk`] does the visiting: one descent
+    /// from the cursor, and one more from [`KEY_MIN`] each time a lap runs
+    /// off the end. One epoch guard, taken before the first descent, covers
+    /// the walk (the contract [`scan_bounded`](Self::scan_bounded) keeps),
+    /// so `visit` may dereference every handle it is given; it runs inside
+    /// the index's traversal and must not start another walk.
     fn walk(
         &self,
         shard: usize,
@@ -1327,29 +1327,23 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         let mut from = cursor.load(Ordering::Relaxed).clamp(KEY_MIN, KEY_MAX);
         let (mut left, mut wrapped) = (limit, false);
         let _guard = ssmem::protect();
-        WALK_SCRATCH.with(|scratch| {
-            let buf = &mut *scratch.borrow_mut();
-            while left > 0 {
-                let want = WALK_CHUNK.min(left);
-                buf.clear();
-                let got = index.scan_into(from, want, buf);
-                if got == 0 && from == KEY_MIN {
-                    return;
-                }
-                for &(key, handle) in buf.iter() {
-                    left -= 1;
-                    from = if key < KEY_MAX { key + 1 } else { KEY_MIN };
-                    wrapped |= from == KEY_MIN;
-                    if !visit(key, handle) {
-                        return;
-                    }
-                }
-                if got < want {
-                    // The end of the list: the lap goes on from the start.
-                    (from, wrapped) = (KEY_MIN, true);
-                }
+        while left > 0 {
+            let (start, mut seen, mut stopped) = (from, 0, false);
+            index.walk(start, &mut |key, handle| {
+                seen += 1;
+                from = if key < KEY_MAX { key + 1 } else { KEY_MIN };
+                wrapped |= from == KEY_MIN;
+                stopped = !visit(key, handle);
+                !stopped && seen < left
+            });
+            left -= seen;
+            if stopped || left == 0 || (seen == 0 && start == KEY_MIN) {
+                // Asked to stop, out of visits, or the shard is empty.
+                break;
             }
-        });
+            // The end of the list: the lap goes on from the start.
+            (from, wrapped) = (KEY_MIN, true);
+        }
         cursor.store(from, Ordering::Relaxed);
         wrapped
     }
@@ -1868,6 +1862,45 @@ mod tests {
             assert!(map.del(k * 3));
         }
         assert_eq!(map.clock_victim(0), None);
+    }
+
+    #[test]
+    fn clock_sweep_and_teardown_wrap_at_key_max() {
+        // The last key is KEY_MAX, so visiting it moves a cursor past the
+        // end of the list without the walk running off it.
+        const KEYS: u64 = 40;
+        let (map, clock) = clocked_map(CacheConfig::unbounded().with_budget(1 << 20));
+        for k in 1..KEYS {
+            map.set(k * 3, &k.to_le_bytes());
+        }
+        map.set_ex(KEY_MAX, b"last", 100);
+        let all: Vec<u64> = (1..KEYS).map(|k| k * 3).chain([KEY_MAX]).collect();
+        // A CLOCK lap from a hand on KEY_MAX: reference bits start clear, so
+        // each call takes the entry under the hand. The first call wraps
+        // (resetting the lap's victim count), no later one does.
+        let cache = &map.arenas[0].cache;
+        cache.hand.store(KEY_MAX, Ordering::Relaxed);
+        let mut visited: Vec<u64> =
+            (0..KEYS).map(|_| map.clock_victim(0).expect("non-empty").0).collect();
+        assert_eq!(visited[0], KEY_MAX, "the lap starts at the hand");
+        let lap = cache.lap_victims.load(Ordering::Relaxed);
+        assert_eq!(lap, KEYS, "the lap wrapped more than once");
+        visited.sort_unstable();
+        assert_eq!(visited, all, "the lap missed or repeated a key");
+        // A sweep step from a cursor on KEY_MAX collects the corpse there and
+        // goes on from the start of the list.
+        clock.advance(100);
+        let ttl = &map.arenas[0].ttl;
+        ttl.sweep.store(KEY_MAX, Ordering::Relaxed);
+        ttl.sweep_tick.store(0, Ordering::Relaxed);
+        map.maybe_sweep(0);
+        assert_eq!(map.cache_stats().expired_swept, 1);
+        assert_eq!(map.map.search(KEY_MAX), None, "the corpse at KEY_MAX is still indexed");
+        assert_eq!(ttl.sweep.load(Ordering::Relaxed), 3 * (SWEEP_BATCH as u64 - 1) + 1);
+        // Teardown frees the blob at KEY_MAX too, or Drop's debug check that
+        // it freed every live blob fails.
+        map.set(KEY_MAX, b"last again");
+        drop(map);
     }
 
     // -- cache tier --------------------------------------------------------

@@ -26,7 +26,7 @@
 //!   surface: `range_search`/`scan` scatter to every shard and gather the
 //!   per-shard sorted results with a k-way merge into one globally
 //!   key-ordered answer (with the same non-snapshot semantics as a single
-//!   structure).
+//!   structure), and `walk` pages through those merged scans.
 //! * [`blob::BlobMap`] layers **variable-length byte values** on top: the
 //!   sharded index stores 64-bit handles into per-shard ssmem-backed
 //!   payload arenas, readers copy payloads out under epoch guards (a

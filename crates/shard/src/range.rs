@@ -17,9 +17,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use ascylib::api::KEY_MAX;
 use ascylib::ordered::OrderedMap;
 
 use crate::map::ShardedMap;
+
+/// Pairs per page of [`ShardedMap`]'s walk.
+const WALK_PAGE: usize = 64;
 
 /// K-way merge of per-shard, individually key-sorted result vectors into
 /// `out`. Returns the number of pairs appended. `limit` truncates the merged
@@ -56,6 +60,24 @@ fn merge_sorted(mut parts: Vec<Vec<(u64, u64)>>, out: &mut Vec<(u64, u64)>, limi
 /// every shard, gather with a k-way merge, so the serving tier exposes the
 /// same [`OrderedMap`] surface as a single structure.
 impl<M: OrderedMap> OrderedMap for ShardedMap<M> {
+    /// Pages through the merged [`scan_into`](OrderedMap::scan_into), so
+    /// `visit` runs between pages, outside every shard's traversal, and each
+    /// page counts as one scan per shard.
+    fn walk(&self, lo: u64, visit: &mut dyn FnMut(u64, u64) -> bool) {
+        let (mut page, mut from) = (Vec::with_capacity(WALK_PAGE), lo);
+        loop {
+            page.clear();
+            self.scan_into(from, WALK_PAGE, &mut page);
+            if !page.iter().all(|&(key, value)| visit(key, value)) {
+                return;
+            }
+            match page.last() {
+                Some(&(key, _)) if page.len() == WALK_PAGE && key < KEY_MAX => from = key + 1,
+                _ => return,
+            }
+        }
+    }
+
     fn range_search(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
         let parts: Vec<Vec<(u64, u64)>> = (0..self.shard_count())
             .map(|i| {
@@ -66,12 +88,6 @@ impl<M: OrderedMap> OrderedMap for ShardedMap<M> {
             })
             .collect();
         merge_sorted(parts, out, usize::MAX)
-    }
-
-    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(n.min(64));
-        self.scan_into(from, n, &mut out);
-        out
     }
 
     fn scan_into(&self, from: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {

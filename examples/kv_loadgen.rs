@@ -149,8 +149,8 @@ fn main() {
         r.mops, r.total_ops, r.gets, r.sets, r.dels, r.scans
     );
     println!(
-        "kv_loadgen: hit rate {:.0}%, {} scan keys returned, {} error replies",
-        100.0 * r.hit_rate(),
+        "kv_loadgen: hit rate {}, {} scan keys returned, {} error replies",
+        if r.gets == 0 { "n/a".to_string() } else { format!("{:.0}%", 100.0 * r.hit_rate()) },
         r.scan_keys_returned,
         r.errors
     );

@@ -8,9 +8,9 @@
 //! pattern is exactly what the `OrderedMap` layer provides:
 //!
 //! * readers issue `scan(key, 16)` iterator reads alongside point `search`es;
-//! * the flusher walks the table with a `scan` cursor and drains the keys it
-//!   returns — key-ordered, like a real SSTable write — instead of probing
-//!   the whole key space for resident keys.
+//! * the flusher `walk`s the table from a cursor and drains each key as the
+//!   walk reaches it — key-ordered, like a real SSTable write — instead of
+//!   probing the whole key space for resident keys.
 //!
 //! Runs the same mix on the ASCY-compliant `fraser-opt` skip list, the
 //! lock-based `herlihy` skip list, and BST-TK as an ordered-index
@@ -30,7 +30,6 @@ use ascylib::skiplist::{FraserOptSkipList, HerlihySkipList};
 const KEYSPACE: u64 = 64 * 1024;
 const OPS_PER_THREAD: u64 = 100_000;
 const FLUSH_THRESHOLD: usize = 16 * 1024;
-const FLUSH_CHUNK: usize = 256;
 const SCAN_LEN: usize = 16;
 
 fn run_memtable(name: &str, table: Arc<dyn OrderedMap>, threads: usize) {
@@ -86,23 +85,19 @@ fn run_memtable(name: &str, table: Arc<dyn OrderedMap>, threads: usize) {
                 if t == 0 && i % 4096 == 0 && table.size() > FLUSH_THRESHOLD {
                     let mut drained = 0usize;
                     while drained < FLUSH_THRESHOLD / 2 {
-                        let batch = table.scan(flush_cursor, FLUSH_CHUNK);
-                        match batch.last() {
-                            Some(&(last_key, _)) => {
-                                for &(k, _) in &batch {
-                                    if table.remove(k).is_some() {
-                                        drained += 1;
-                                    }
-                                }
-                                flush_cursor = last_key + 1;
+                        let from = flush_cursor;
+                        table.walk(from, &mut |k, _| {
+                            drained += usize::from(table.remove(k).is_some());
+                            flush_cursor = k + 1;
+                            drained < FLUSH_THRESHOLD / 2
+                        });
+                        if drained < FLUSH_THRESHOLD / 2 {
+                            // The walk ran off the top of the table: wrap,
+                            // unless the table is momentarily empty.
+                            if from == 1 && flush_cursor == 1 {
+                                break;
                             }
-                            // Cursor ran off the top of the table: wrap.
-                            None => {
-                                if flush_cursor == 1 {
-                                    break; // table momentarily empty
-                                }
-                                flush_cursor = 1;
-                            }
+                            flush_cursor = 1;
                         }
                     }
                     flushed_keys.fetch_add(drained as u64, Ordering::Relaxed);
