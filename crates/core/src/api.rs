@@ -105,7 +105,9 @@ pub trait ConcurrentMap: Send + Sync {
 /// found (ASCY4: a successful update writes what a sequential one would).
 /// `compare_replace` is the same update made conditional on the value it
 /// finds, for callers that must not overwrite a value they did not see, and
-/// `remove_if` is `remove` under the same condition.
+/// `remove_if` is `remove` under the same condition, and `upsert` is the
+/// store a cache's SET makes: the swap when the key is present, the
+/// insert when it is not, as one operation.
 ///
 /// # Value range
 ///
@@ -114,6 +116,15 @@ pub trait ReplaceMap: ConcurrentMap {
     /// Atomically swaps the value of a present key and returns the old
     /// value. An absent key is left absent and answers `None`.
     fn replace(&self, key: u64, value: u64) -> Option<u64>;
+
+    /// Makes `value` the value of `key`: atomically swaps it over a present
+    /// key's value and returns the old value, or inserts the key and
+    /// answers `None`. It linearizes as one `replace` or one `insert`,
+    /// never both, so a concurrent `remove` of the key cannot make it fail
+    /// or lose a value. A structure parses once for both outcomes where it
+    /// can (`fraser-opt`'s walk to an absent key is also its insert's
+    /// parse).
+    fn upsert(&self, key: u64, value: u64) -> Option<u64>;
 
     /// Atomically swaps the value of `key` to `value` if it is `expected`.
     /// A mismatch answers `Err(Some(current))` and an absent key
@@ -132,6 +143,10 @@ pub trait ReplaceMap: ConcurrentMap {
 impl<M: ReplaceMap + ?Sized> ReplaceMap for std::sync::Arc<M> {
     fn replace(&self, key: u64, value: u64) -> Option<u64> {
         (**self).replace(key, value)
+    }
+
+    fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        (**self).upsert(key, value)
     }
 
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {

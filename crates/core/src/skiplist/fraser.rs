@@ -18,14 +18,40 @@
 //! Removal linearizes on the node's value word: `remove` and `remove_if`
 //! swap the tombstone in, and the thread whose swap lands owns the node. It
 //! then marks the tower (logical deletion for the traversals) and unlinks
-//! it; an `insert` that meets a tombstoned node still unmarked helps mark it
-//! and retries, so a removed key is never reported present.
+//! it; an `insert` or `upsert` that meets a tombstoned node still unmarked
+//! helps mark it and retries, so a removed key is never reported present.
+//!
+//! # One parse per update (`fraser-opt`)
+//!
+//! `insert` and `upsert` share one body. A `fraser-opt` update parses
+//! read-only, like a search: the hint, and on a miss one walk that records
+//! `preds`/`succs` at every level and stores nothing. A live node answers
+//! "present" — `insert` writes nothing (ASCY3), `upsert` swaps the value
+//! word — and an absent key is linked by a level-0 CAS from the walk's own
+//! `preds[0]`/`succs[0]`. Only a failed level-0 CAS, a marked node holding
+//! the key or a tombstone sends the next round through `find`, which
+//! unlinks marked nodes; `fraser` takes `find` every round.
+//!
+//! Why linking from a read-only walk is safe. The walk may pass marked
+//! nodes, so `preds[0]` or `succs[0]` may be marked. The level-0 CAS
+//! succeeds only when `preds[0]` is unmarked and still points at
+//! `succs[0]`, because a marked predecessor's link carries the mark. So at
+//! that instant the new node goes between two adjacent level-0 nodes, with
+//! no node holding the key between them. If `succs[0]` is marked, its
+//! remover's level-0 `find` still has to pass through the new node, and it
+//! unlinks `succs[0]` there before retiring it. The upper levels are
+//! linked as before: never to a marked successor, re-parsing through
+//! `find` when a link fails.
 //!
 //! Memory reclamation: a removed tower is retired only after the remover's
 //! clean-up pass has unlinked it from every level. Concurrent inserters
 //! validate that the successor they are about to link to is not marked and
 //! repair the link if it became marked, which keeps retired towers
-//! unreachable.
+//! unreachable. An inserter whose own node was marked while it linked the
+//! upper levels may have landed a link after the remover's clean-up pass
+//! went by, so it runs `find` itself before it leaves its guard; a `SeqCst`
+//! fence on each side (after the remover's marks, after the inserter's
+//! last link) makes one of the two see the other.
 //!
 //! # The hint table (`fraser-opt` only)
 //!
@@ -34,13 +60,13 @@
 //! `fraser-opt` list keeps a lossy hash table from key to node in front of
 //! it: 64-byte buckets of eight `node pointer | fingerprint` slots, and two
 //! candidate buckets per key. Every point operation — `search`, `replace`,
-//! `compare_replace`, the victim lookup of `remove`/`remove_if`, `insert`'s
-//! read-only parse and each lane of `search_lanes` — probes it first: on
-//! each fingerprint match it checks the node's key, and on the first node
-//! that holds the key it reads (or CASes) the value word; no such node, or
-//! a tombstone, falls back to the walk. A hinted point operation is then
-//! two bucket lines requested together, a node line and what the value
-//! points to. The list stays the one record of what is live: range scans,
+//! `compare_replace`, the victim lookup of `remove`/`remove_if`, the
+//! single parse of `insert` and `upsert` and each lane of `search_lanes` —
+//! probes it first: on each fingerprint match it checks the node's key,
+//! and on the first node that holds the key it reads (or CASes) the value
+//! word; no such node, or a tombstone, falls back to the walk. A hinted
+//! point operation is then two bucket lines requested together, a node
+//! line and what the value points to. The list stays the one record of what is live: range scans,
 //! and the CLOCK, TTL and teardown walks of the tiers above, never look at
 //! the table.
 //!
@@ -89,7 +115,7 @@
 //!   (so its guard predates the node's unlink), then re-reads and
 //!   withdraws like any other.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use ascylib_ssmem as ssmem;
 
@@ -195,6 +221,39 @@ unsafe fn mark_tower(node: *mut Node) {
     }
 }
 
+/// Swaps `value` into `node`'s value word, last read as `old`: the value
+/// it replaced, or `None` once the word holds the tombstone (a `remove`
+/// got to it first). The one value-word CAS loop of every overwrite.
+///
+/// # Safety
+///
+/// `node` is protected by the caller's SSMEM guard.
+#[inline]
+unsafe fn swap_value(node: *mut Node, mut old: u64, value: u64) -> Option<u64> {
+    // SAFETY: forwarded caller contract.
+    let word = unsafe { &(*node).value };
+    while old != TOMB {
+        let swapped = word.compare_exchange_weak(old, value, Ordering::AcqRel, Ordering::Acquire);
+        stats::record_atomic(swapped.is_ok());
+        match swapped {
+            Ok(_) => return Some(old),
+            Err(seen) => old = seen,
+        }
+    }
+    None
+}
+
+/// What an update's parse ([`Fraser::parse`], or `find`) found for a key.
+enum Parse {
+    /// A node holding the key, unmarked at level 0, and its value word as
+    /// loaded (possibly the tombstone).
+    Found(*mut Node, u64),
+    /// No node holds the key; `preds`/`succs` are filled in at every level.
+    Absent,
+    /// A node holding the key is marked: `find` must unlink it first.
+    Marked,
+}
+
 /// Shared implementation; `OPT` selects the ASCY-compliant search/parse
 /// and the hint table in front of it.
 struct Fraser<const OPT: bool> {
@@ -290,17 +349,23 @@ impl<const OPT: bool> Fraser<OPT> {
         }
     }
 
-    /// ASCY1-compliant wait-free traversal (used by `fraser-opt` searches,
-    /// by both variants' update parses and by `replace`): the node holding
-    /// `key` if its level-0 pointer is unmarked at this instant. No stores,
-    /// no retries.
+    /// The walk behind [`Self::locate`] and [`Self::parse`]: descends to
+    /// `key` without a store or a retry, hands `record` each level it
+    /// leaves with the last node below `key` and the node after it, and
+    /// stops at the first node holding `key`, marked or not, which it
+    /// returns.
     ///
     /// Every `pred` it lands on above level 0 prefetches the node its
     /// down-link points at: when the right link overshoots, that node is
     /// the next one compared, and its line is already on the way.
     ///
     /// Caller must hold an SSMEM guard.
-    fn locate(&self, key: u64) -> Option<*mut Node> {
+    #[inline(always)]
+    fn descend(
+        &self,
+        key: u64,
+        mut record: impl FnMut(usize, *mut Node, *mut Node),
+    ) -> Option<*mut Node> {
         let mut traversed = 0u64;
         // SAFETY: guard protects every traversed node.
         unsafe {
@@ -316,14 +381,52 @@ impl<const OPT: bool> Fraser<OPT> {
                     traversed += 1;
                 }
                 if (*curr).key == key {
-                    if link(curr, 0).load(Ordering::Acquire).1 == tag::CLEAN {
-                        result = Some(curr);
-                    }
+                    result = Some(curr);
                     break;
                 }
+                record(level, pred, curr);
             }
             stats::record_traversal(traversed);
             result
+        }
+    }
+
+    /// ASCY1-compliant wait-free traversal (used by `fraser-opt` searches
+    /// and victim lookups, and by both variants' `replace` and
+    /// `compare_replace`): the node holding `key` if its level-0 pointer
+    /// is unmarked at this instant. No stores, no retries.
+    ///
+    /// Caller must hold an SSMEM guard.
+    fn locate(&self, key: u64) -> Option<*mut Node> {
+        let node = self.descend(key, |_, _, _| {})?;
+        // SAFETY: guard protects the node the walk reached.
+        (unsafe { link(node, 0).load(Ordering::Acquire).1 } == tag::CLEAN).then_some(node)
+    }
+
+    /// `fraser-opt`'s update parse past a hint miss: [`Self::locate`]'s
+    /// walk, which also fills `preds`/`succs` at every level when the key
+    /// is absent. A live node is hinted as `locate`'s callers hint it.
+    ///
+    /// Caller must hold an SSMEM guard.
+    fn parse(
+        &self,
+        key: u64,
+        preds: &mut [*mut Node; MAX_LEVEL],
+        succs: &mut [*mut Node; MAX_LEVEL],
+    ) -> Parse {
+        let Some(node) = self.descend(key, |level, pred, succ| {
+            preds[level] = pred;
+            succs[level] = succ;
+        }) else {
+            return Parse::Absent;
+        };
+        // SAFETY: guard protects the node the walk reached.
+        unsafe {
+            if link(node, 0).load(Ordering::Acquire).1 != tag::CLEAN {
+                return Parse::Marked;
+            }
+            self.fill(key, node, false);
+            Parse::Found(node, (*node).value.load(Ordering::Acquire))
         }
     }
 
@@ -479,25 +582,14 @@ impl<const OPT: bool> Fraser<OPT> {
     }
 
     /// In-place overwrite: the hint or a read-only parse finds the node,
-    /// then a CAS loop on its value word swaps the value. The word is the
-    /// only thing written, and a tombstone there means a `remove` got to it
-    /// first.
+    /// then [`swap_value`] swaps the value. The word is the only thing
+    /// written, and a tombstone there means a `remove` got to it first.
     fn replace_op(&self, key: u64, value: u64) -> Option<u64> {
         let _guard = ssmem::protect();
         stats::record_operation();
-        let (node, mut old) = self.lookup(key)?;
+        let (node, old) = self.lookup(key)?;
         // SAFETY: guard protects the located node.
-        let word = unsafe { &(*node).value };
-        while old != TOMB {
-            let swapped =
-                word.compare_exchange_weak(old, value, Ordering::AcqRel, Ordering::Acquire);
-            stats::record_atomic(swapped.is_ok());
-            match swapped {
-                Ok(_) => return Some(old),
-                Err(seen) => old = seen,
-            }
-        }
-        None
+        unsafe { swap_value(node, old, value) }
     }
 
     /// Conditional overwrite: the same read-only parse as
@@ -520,41 +612,87 @@ impl<const OPT: bool> Fraser<OPT> {
     }
 
     fn insert_op(&self, key: u64, value: u64) -> bool {
+        self.put::<false>(key, value).is_none()
+    }
+
+    fn upsert_op(&self, key: u64, value: u64) -> Option<u64> {
+        self.put::<true>(key, value)
+    }
+
+    /// `insert` (`SWAP = false`) and `upsert` (`SWAP = true`): the value
+    /// `key` held, which `insert` leaves in place and `upsert` swaps out by
+    /// [`swap_value`], or `None` when the key was absent and is now linked.
+    /// A hinted live node answers here, on the short path; anything else
+    /// takes [`Self::put_walk`].
+    #[inline]
+    fn put<const SWAP: bool>(&self, key: u64, value: u64) -> Option<u64> {
         let _guard = ssmem::protect();
-        let toplevel = random_level();
+        if let Some((node, old)) = self.hinted(key) {
+            // ASCY3: an `insert` of a present key writes nothing.
+            // SAFETY: guard protects the hinted node.
+            let held = if SWAP { unsafe { swap_value(node, old, value) } } else { Some(old) };
+            if held.is_some() {
+                stats::record_operation();
+                return held;
+            }
+        }
+        self.put_walk::<SWAP>(key, value)
+    }
+
+    /// [`Self::put`] past the hint: `fraser-opt` [`parse`](Self::parse)s
+    /// read-only and links an absent key with a level-0 CAS from the
+    /// parse's own `preds[0]`/`succs[0]`. Only a failed level-0 CAS, a
+    /// marked node or a tombstone sends the next round through `find`;
+    /// `fraser` takes `find` every round.
+    ///
+    /// Caller must hold an SSMEM guard.
+    #[inline(never)]
+    fn put_walk<const SWAP: bool>(&self, key: u64, value: u64) -> Option<u64> {
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
+        let mut read_only = OPT;
         // SAFETY: guard protects every node in preds/succs; the new node is
         // initialized before each publishing CAS.
         unsafe {
             loop {
-                if OPT {
-                    // ASCY3: the hint or a read-only parse decides
-                    // unsuccessful inserts.
-                    if self.traverse(key).is_some() {
-                        stats::record_operation();
-                        return false;
+                let parsed = if read_only {
+                    self.parse(key, &mut preds, &mut succs)
+                } else if self.find(key, &mut preds, &mut succs) {
+                    Parse::Found(succs[0], (*succs[0]).value.load(Ordering::Acquire))
+                } else {
+                    Parse::Absent
+                };
+                read_only = false;
+                match parsed {
+                    Parse::Found(found, word) => {
+                        let held =
+                            if SWAP { swap_value(found, word, value) } else { live_value(word) };
+                        if held.is_some() {
+                            stats::record_operation();
+                            return held;
+                        }
+                        // Removed but not yet marked: help mark it, so the
+                        // next `find` unlinks it, and try again.
+                        mark_tower(found);
+                        stats::record_restart();
+                        continue;
                     }
-                }
-                if self.find(key, &mut preds, &mut succs) {
-                    let found = succs[0];
-                    if (*found).value.load(Ordering::Acquire) != TOMB {
-                        stats::record_operation();
-                        return false;
+                    // `find` unlinks it.
+                    Parse::Marked => {
+                        stats::record_restart();
+                        continue;
                     }
-                    // Removed but not yet marked: help mark it, so the next
-                    // `find` unlinks it, and try again.
-                    mark_tower(found);
-                    stats::record_restart();
-                    continue;
+                    Parse::Absent => {}
                 }
+                let toplevel = random_level();
                 let node = new_node(key, value, toplevel);
                 // Relaxed: the node is private until the level-0 CAS below
                 // (AcqRel) publishes it.
                 for level in 0..toplevel {
                     link(node, level).store(succs[level], tag::CLEAN, Ordering::Relaxed);
                 }
-                // Publish at level 0.
+                // Publish at level 0: this lands only if `preds[0]` is
+                // unmarked and still points at `succs[0]`.
                 let ok = link(preds[0], 0)
                     .compare_exchange(
                         succs[0],
@@ -605,6 +743,18 @@ impl<const OPT: bool> Fraser<OPT> {
                         self.refresh_level(key, level, node, &mut preds, &mut succs);
                     }
                 }
+                // A remover that marked the node while these links were
+                // made may have run its unlinking `find` before one of them
+                // landed, and retired the tower: unlink it here, inside the
+                // guard that holds its reuse back. The fence pairs with the
+                // remover's: the load sees the mark, or the remover's
+                // `find` comes after every link.
+                if toplevel > 1 {
+                    fence(Ordering::SeqCst);
+                    if link(node, 0).load(Ordering::Acquire).1 != tag::CLEAN {
+                        let _ = self.find(key, &mut preds, &mut succs);
+                    }
+                }
                 if OPT {
                     self.fill(key, node, true);
                     // Its remover uncounts it whether or not it got this far.
@@ -613,7 +763,7 @@ impl<const OPT: bool> Fraser<OPT> {
                     }
                 }
                 stats::record_operation();
-                return true;
+                return None;
             }
         }
     }
@@ -700,8 +850,11 @@ impl<const OPT: bool> Fraser<OPT> {
             if let Some(table) = self.hints.table() {
                 table.clear(key, victim);
             }
-            // Mark the tower, unlink it everywhere, then retire it.
+            // Mark the tower, unlink it everywhere, then retire it. The
+            // fence pairs with the one an inserter takes after linking its
+            // upper levels (see `put_walk`).
             mark_tower(victim);
+            fence(Ordering::SeqCst);
             let _ = self.find(key, &mut preds, &mut succs);
             if OPT && (*victim).toplevel >= SAMPLE_LEVEL {
                 self.hints.tall_removed();
@@ -944,6 +1097,12 @@ impl ReplaceMap for FraserSkipList {
         self.inner.replace_op(key, value)
     }
 
+    fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        debug_check_key(key);
+        debug_check_value(value);
+        self.inner.upsert_op(key, value)
+    }
+
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         debug_check_key(key);
         debug_check_value(expected);
@@ -1035,6 +1194,12 @@ impl ReplaceMap for FraserOptSkipList {
         debug_check_key(key);
         debug_check_value(value);
         self.inner.replace_op(key, value)
+    }
+
+    fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        debug_check_key(key);
+        debug_check_value(value);
+        self.inner.upsert_op(key, value)
     }
 
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
@@ -1145,6 +1310,126 @@ mod tests {
     fn a_tombstoned_value_reads_as_absent_on_every_path() {
         tombstone_reads_as_absent::<false>();
         tombstone_reads_as_absent::<true>();
+    }
+
+    /// Stages a removal of `key` as its remover leaves it before the
+    /// unlinking `find`: the tombstone in, the tower marked, every level
+    /// still linked. The caller, which owns the removal, retires the node
+    /// once something has unlinked it.
+    fn mark_as_removed<const OPT: bool>(sl: &Fraser<OPT>, key: u64) -> *mut Node {
+        let _guard = ssmem::protect();
+        let node = sl.locate(key).expect("present");
+        // SAFETY: the guard protects the located node.
+        unsafe {
+            (*node).value.store(TOMB, Ordering::SeqCst);
+            mark_tower(node);
+        }
+        node
+    }
+
+    /// The nodes of the level-0 chain that hold `key`, marked or not.
+    fn linked_nodes_of<const OPT: bool>(sl: &Fraser<OPT>, key: u64) -> Vec<*mut Node> {
+        let _guard = ssmem::protect();
+        let mut nodes = Vec::new();
+        // SAFETY: the guard protects the traversal.
+        unsafe {
+            let mut curr = link(sl.head, 0).load(Ordering::Acquire).0;
+            while curr != sl.tail {
+                if (*curr).key == key {
+                    nodes.push(curr);
+                }
+                curr = link(curr, 0).load(Ordering::Acquire).0;
+            }
+        }
+        nodes
+    }
+
+    /// The counters `op` records on this thread.
+    fn counted<R>(op: impl FnOnce() -> R) -> (R, stats::OpCounters) {
+        let before = stats::snapshot();
+        let r = op();
+        (r, stats::snapshot().saturating_sub(&before))
+    }
+
+    /// An insert or upsert of a key whose node a remover has tombstoned,
+    /// then also marked, but not unlinked. It must not answer "present",
+    /// and it must not link beside the old node either: the remover's
+    /// `find` would stop at the new node, leave the old one on the level-0
+    /// chain and retire it there. Exactly one node holds the key after,
+    /// and it is the new one.
+    fn a_put_over_a_removed_node<const OPT: bool>(put: impl Fn(&Fraser<OPT>) -> bool) {
+        for marked in [false, true] {
+            let sl = Fraser::<OPT>::new();
+            for key in [10, 20, 30] {
+                assert!(sl.insert_op(key, key));
+            }
+            let old = if marked {
+                mark_as_removed(&sl, 20)
+            } else {
+                let _guard = ssmem::protect();
+                let node = sl.locate(20).expect("present");
+                // SAFETY: the guard protects the located node.
+                unsafe { (*node).value.store(TOMB, Ordering::SeqCst) };
+                node
+            };
+            let (created, c) = counted(|| put(&sl));
+            assert!(created, "marked {marked}: a removed key read as present");
+            assert_eq!(sl.search_op(20), Some(21));
+            let nodes = linked_nodes_of(&sl, 20);
+            assert!(
+                nodes.len() == 1 && nodes[0] != old,
+                "marked {marked}: level 0 holds {} nodes of the key (the removed one: {})",
+                nodes.len(),
+                nodes.contains(&old)
+            );
+            // `fraser`'s first `find` unlinks a marked node on its way.
+            let rounds = if OPT || !marked { 2 } else { 1 };
+            assert_eq!(c.restarts, rounds - 1, "marked {marked}: {c:?}");
+            assert_eq!(sl.size(), 3);
+            // SAFETY: unlinked from every level by the put's `find`; the
+            // test owns the removal and retires the node as its remover
+            // would.
+            unsafe { retire_node(old) };
+        }
+    }
+
+    #[test]
+    fn a_put_over_a_removed_node_unlinks_it_before_linking() {
+        a_put_over_a_removed_node::<false>(|sl| sl.insert_op(20, 21));
+        a_put_over_a_removed_node::<true>(|sl| sl.insert_op(20, 21));
+        a_put_over_a_removed_node::<false>(|sl| sl.upsert_op(20, 21).is_none());
+        a_put_over_a_removed_node::<true>(|sl| sl.upsert_op(20, 21).is_none());
+    }
+
+    /// A removal staged just before the key an insert links: `fraser-opt`'s
+    /// parse passes the marked node and takes it as `preds[0]`, whose
+    /// marked link fails the level-0 CAS. The retry must go through
+    /// `find`, which unlinks the node; parsing again would meet the same
+    /// predecessor forever, so the insert runs on a thread of its own and
+    /// a hang fails the test.
+    #[test]
+    fn an_insert_behind_a_marked_predecessor_retries_through_find() {
+        let sl = std::sync::Arc::new(Fraser::<true>::new());
+        for key in [10, 20, 30] {
+            assert!(sl.insert_op(key, key));
+        }
+        let old = mark_as_removed(&sl, 20);
+        let (done, finished) = std::sync::mpsc::channel();
+        let list = std::sync::Arc::clone(&sl);
+        let inserter = std::thread::spawn(move || {
+            let _ = done.send(counted(|| list.upsert_op(25, 250)));
+        });
+        let (old_value, c) = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the insert never linked past a marked predecessor");
+        inserter.join().expect("inserter panicked");
+        assert_eq!(old_value, None);
+        assert_eq!((c.restarts, c.operations), (1, 1), "a failed level-0 CAS, then `find`: {c:?}");
+        assert_eq!(sl.search_op(25), Some(250));
+        assert!(linked_nodes_of(&sl, 20).is_empty(), "the marked node is still on level 0");
+        assert_eq!(sl.size(), 3);
+        // SAFETY: as in `a_put_over_a_removed_node`.
+        unsafe { retire_node(old) };
     }
 
     /// A node whose tower a `remove` has marked but not yet unlinked: the

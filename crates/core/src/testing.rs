@@ -505,7 +505,8 @@ where
 }
 
 /// The battery for [`ReplaceMap`] implementations: sequential semantics,
-/// then the two concurrent guarantees in-place overwrite exists for.
+/// then the concurrent guarantees in-place overwrite and `upsert` exist
+/// for.
 pub fn replace_suite<M, F>(ctor: F)
 where
     M: ReplaceMap,
@@ -558,8 +559,22 @@ where
     assert_eq!(m.remove(8), Some(81));
     assert_eq!(m.size(), 0);
 
+    assert_eq!(m.upsert(9, 90), None, "an upsert of an absent key inserts it");
+    assert_eq!(m.search(9), Some(90));
+    assert_eq!(m.size(), 1);
+    assert_eq!(m.upsert(9, 91), Some(90), "an upsert of a present key answers its old value");
+    assert_eq!(m.search(9), Some(91));
+    assert!(!m.insert(9, 92), "an upserted key is still present");
+    assert_eq!(m.size(), 1);
+    assert_eq!(m.remove(9), Some(91));
+    assert_eq!(m.upsert(9, 93), None, "an upsert of a removed key inserts it again");
+    assert_eq!(m.search(9), Some(93));
+    assert_eq!(m.remove(9), Some(93));
+    assert_eq!(m.size(), 0);
+
     replace_never_hides_a_present_key(&ctor());
     replace_and_remove_take_each_value_once(&ctor());
+    upsert_and_remove_take_each_value_once(&ctor());
     compare_replace_counts_every_swap(&ctor());
 }
 
@@ -682,6 +697,73 @@ fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
     );
 }
 
+/// Two upserters, a remover and a conditional remover race on a few keys.
+/// Every value an upsert puts in must come out exactly once (from the
+/// upsert that displaced it, from `remove`, from a `remove_if` of the
+/// value its search saw, or by being there at the end): an upsert that
+/// both swapped and inserted, or that lost to a `remove` without storing,
+/// shows as a difference.
+fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
+    const ROUNDS: u64 = 50_000;
+    const KEYS: u64 = 3;
+    let start = &Barrier::new(4);
+    let (mut put, mut taken) = std::thread::scope(|s| {
+        let upserters: Vec<_> = (0..2u64)
+            .map(|t| {
+                s.spawn(move || {
+                    let (mut put, mut taken) = (Vec::new(), Vec::new());
+                    start.wait();
+                    for i in 0..ROUNDS {
+                        let value = 2 * i + t;
+                        put.push(value);
+                        taken.extend(m.upsert(1 + (i + t) % KEYS, value));
+                    }
+                    (put, taken)
+                })
+            })
+            .collect();
+        let remover = s.spawn(|| {
+            start.wait();
+            (0..ROUNDS).filter_map(|i| m.remove(1 + i % KEYS)).collect::<Vec<_>>()
+        });
+        let conditional = s.spawn(|| {
+            let mut taken = Vec::new();
+            start.wait();
+            for i in 0..ROUNDS {
+                let key = 1 + i % KEYS;
+                if let Some(seen) = m.search(key) {
+                    assert!(seen <= VALUE_MAX, "search returned the reserved value");
+                    if m.remove_if(key, seen).is_ok() {
+                        taken.push(seen);
+                    }
+                }
+            }
+            taken
+        });
+        let (mut put, mut taken) = (Vec::new(), Vec::new());
+        for upserter in upserters {
+            let (p, t) = upserter.join().expect("upserter panicked");
+            put.extend(p);
+            taken.extend(t);
+        }
+        taken.extend(remover.join().expect("remover panicked"));
+        taken.extend(conditional.join().expect("conditional remover panicked"));
+        (put, taken)
+    });
+    for key in 1..=KEYS {
+        taken.extend(m.remove(key));
+    }
+    put.sort_unstable();
+    taken.sort_unstable();
+    // Not `assert_eq!`: a failure would print both 100k-element vectors.
+    assert!(
+        put == taken,
+        "an upserted value was lost or handed out twice ({} went in, {} came out)",
+        put.len(),
+        taken.len()
+    );
+}
+
 /// Two threads increment one key by compare-and-swap: `compare_replace`
 /// from the value they last saw to one more, taking the current value from
 /// a mismatch. Each `Ok` is exactly one increment, so the final value must
@@ -792,6 +874,10 @@ impl ConcurrentMap for HintedFraserOpt {
 impl ReplaceMap for HintedFraserOpt {
     fn replace(&self, key: u64, value: u64) -> Option<u64> {
         self.list.replace(key, value)
+    }
+    fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        assert!(key < HINT_FILLERS_FROM, "key {key} is a filler's");
+        self.list.upsert(key, value)
     }
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         self.list.compare_replace(key, expected, value)

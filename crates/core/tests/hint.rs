@@ -1,9 +1,10 @@
 //! `fraser-opt`'s hint table seen from outside: what a hinted point
 //! operation costs in shared traffic (ASCY1, ASCY3, ASCY4 on the hinted
-//! path), that lists the size of the paper's Figure 5 and of Figure 2 at
-//! average contention have no table while one of 16 384 keys has one, how
-//! many keys of a 250 000-key list and of one router shard the table
-//! hints, and a four-thread stress over a hot range of a hinted list.
+//! path), that an insert of an absent key walks once, that lists the size
+//! of the paper's Figure 5 and of Figure 2 at average contention have no
+//! table while one of 16 384 keys has one, how many keys of a 250 000-key
+//! list and of one router shard the table hints, and four-thread stresses
+//! over a hot range of a hinted list.
 
 use ascylib::api::{ConcurrentMap, ReplaceMap};
 use ascylib::skiplist::FraserOptSkipList;
@@ -276,4 +277,108 @@ fn hinted_list_stress_every_read_belongs_to_its_key() {
             assert_belongs(key, v, "final search");
         }
     }
+}
+
+#[test]
+fn an_insert_of_an_absent_key_walks_once() {
+    // The even keys, past the floor; each odd key is absent, so its insert
+    // is a hint miss, one read-only walk and the level-0 CAS from that
+    // walk's own predecessors: the walk a search of the key makes, and no
+    // second one through `find`.
+    let list = FraserOptSkipList::new();
+    for key in (2..=2 * KEYS).step_by(2) {
+        assert!(list.insert(key, key));
+    }
+    assert!(list.hint_table_bytes() > 0, "{KEYS} keys did not pass the floor");
+    for key in (1..2 * KEYS).step_by(2) {
+        let (found, search) = counted(|| list.search(key));
+        assert_eq!(found, None);
+        let (inserted, c) = counted(|| list.insert(key, key));
+        assert!(inserted);
+        assert_eq!(
+            (c.nodes_traversed, c.restarts, c.operations),
+            (search.nodes_traversed, 0, 1),
+            "key {key}: the search walked {} nodes, the insert recorded {c:?}",
+            search.nodes_traversed
+        );
+    }
+    assert_eq!(list.size(), 2 * KEYS as usize);
+}
+
+#[test]
+fn an_upsert_of_a_hinted_present_key_is_one_cas() {
+    let list = grown_and_read();
+    let mut hinted = 0;
+    for key in 1..=KEYS {
+        let (old, c) = counted(|| list.upsert(key, key + 1));
+        assert_eq!(old, Some(key));
+        if c.hint_hits == 1 {
+            hinted += 1;
+            assert_eq!((c.atomic_ops, c.shared_stores, c.nodes_traversed), (1, 0, 0), "key {key}: {c:?}");
+        }
+    }
+    assert!(hinted > KEYS / 2, "only {hinted} of {KEYS} upserts were hinted");
+    assert_eq!(list.size(), KEYS as usize);
+}
+
+#[test]
+fn hinted_list_stress_with_upserts_every_read_belongs_to_its_key() {
+    // As the stress above, with upserts in the mix: an upsert that misses
+    // its hint links a new node from its own read-only walk, racing the
+    // removes that mark and unlink the nodes around it, and every value
+    // any operation hands back must still carry its own key.
+    const HOT: u64 = 64;
+    const OPS: usize = 60_000;
+    let list = HintedFraserOpt::new();
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let list = &list;
+            s.spawn(move || {
+                let mut rng = TestRng::new(0x0B5E + t);
+                for seq in 0..OPS as u64 {
+                    let key = rng.key(HOT);
+                    match rng.next_u64() % 6 {
+                        0 | 1 => {
+                            if let Some(v) = list.upsert(key, value_of(key, seq)) {
+                                assert_belongs(key, v, "upsert");
+                            }
+                        }
+                        2 => {
+                            list.insert(key, value_of(key, seq));
+                        }
+                        3 => {
+                            if let Some(v) = list.remove(key) {
+                                assert_belongs(key, v, "remove");
+                            }
+                        }
+                        4 => {
+                            let keys: Vec<u64> = (0..8).map(|_| rng.key(HOT)).collect();
+                            let lanes: Vec<_> = keys.iter().map(|&k| (list, k)).collect();
+                            let mut out = vec![None; keys.len()];
+                            HintedFraserOpt::search_lanes(&lanes, &mut out);
+                            for (&k, v) in keys.iter().zip(out) {
+                                if let Some(v) = v {
+                                    assert_belongs(k, v, "search_lanes");
+                                }
+                            }
+                        }
+                        _ => {
+                            if let Some(v) = list.search(key) {
+                                assert_belongs(key, v, "search");
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    for key in 1..=HOT {
+        if let Some(v) = list.search(key) {
+            assert_belongs(key, v, "final search");
+        }
+    }
+    // One live node per key: `size` counts the level-0 chain's live nodes,
+    // so a key linked twice counts twice.
+    let present = (1..=HOT).filter(|&key| list.search(key).is_some()).count();
+    assert_eq!(list.size(), present, "a key is linked twice");
 }

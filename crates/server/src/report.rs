@@ -842,7 +842,7 @@ pub(crate) mod tests {
             let conc = ctx.shared.totals().conc;
             assert!(
                 conc.ops.operations > 0,
-                "served sets/gets must fold into the concurrency block: {conc:?}"
+                "served sets/gets must publish into the concurrency block: {conc:?}"
             );
             // The second scrape has two window samples and renders rates.
             let second = render_info(ctx, Some("concurrency")).unwrap();

@@ -804,7 +804,7 @@ pub(crate) mod tests {
 
         // The served traffic also moved the structure-level counters.
         let conc = server.concurrency();
-        assert!(conc.ops.operations > 0, "worker folds must surface: {conc:?}");
+        assert!(conc.ops.operations > 0, "worker publishes must surface: {conc:?}");
 
         // Clean disconnect: QUIT answers +BYE in-band even mid-stream.
         sub.write_all(b"QUIT\r\n").unwrap();

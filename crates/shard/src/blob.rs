@@ -13,7 +13,9 @@
 //!   `DEL`/overwrite is not reused until every thread that could still be
 //!   copying it has left its operation.
 //! * [`BlobMap`] is the safe facade: `set` writes the blob, publishes its
-//!   handle through the sharded map, and retires the displaced blob;
+//!   handle through the sharded map with one `upsert` (an overwrite of a
+//!   present key or an insert of an absent one), and retires the
+//!   displaced blob;
 //!   `get`/`multi_get`/`scan` fetch handles and copy payloads out **under
 //!   one [`ssmem::protect`] guard**, so a concurrent delete can never free a
 //!   blob mid-read. Readers therefore never observe torn, truncated, or
@@ -143,13 +145,14 @@
 //!
 //! # Consistency
 //!
-//! Per-key operations keep the shard layer's linearizability. An
-//! **overwrite** (`set` on a present key) swaps the handle in place with
-//! [`ReplaceMap::replace`], so a reader of a key that is never deleted
-//! never misses. So does `expire` on a value stored without a deadline:
-//! such a blob has no expiry word, so `expire` stores a TTL'd copy and
-//! swaps it in with [`ReplaceMap::compare_replace`], looking again if an
-//! overwrite took the key first. Readers never see a mix of old and new
+//! Per-key operations keep the shard layer's linearizability. A `set` is
+//! one [`ReplaceMap::upsert`]: it inserts an absent key, and an
+//! **overwrite** (of a present key) swaps the handle in place, so a reader
+//! of a key that is never deleted never misses. So does `expire` on a
+//! value stored without a deadline: such a blob has no expiry word, so
+//! `expire` stores a TTL'd copy and swaps it in with
+//! [`ReplaceMap::compare_replace`], looking again if an overwrite took the
+//! key first. Readers never see a mix of old and new
 //! payload bytes — payloads are immutable after publish (the expiry word
 //! is the one mutable, atomic field). `expire`/`persist` racing an
 //! overwrite of the same key resolve in an arbitrary order.
@@ -1056,22 +1059,18 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
         self.write(key, Some(value), expire_at, || self.publish(key, handle))
     }
 
-    /// Makes `handle` the value of `key`: swaps it over a present handle in
-    /// place (retiring the displaced blob), else inserts it; loops while a
-    /// concurrent `del`/`set` of the key wins between the two. `true` if
-    /// the key was created — overwriting an expired corpse is a create, not
-    /// a replace.
+    /// Makes `handle` the value of `key` with one
+    /// [`ReplaceMap::upsert`]: it swaps over a present handle in place
+    /// (retiring the displaced blob) or inserts the key. `true` if the key
+    /// was created — overwriting an expired corpse is a create, not a
+    /// replace.
     fn publish(&self, key: u64, handle: u64) -> bool {
-        loop {
-            if let Some(old) = self.map.replace(key, handle) {
-                // SAFETY: `replace` returned `old` to this thread alone, so
-                // it is unlinked, readable, and retired exactly once.
-                return !unsafe { self.arena_of(key).retire_was_live(old) };
-            }
-            if self.map.insert(key, handle) {
-                return true;
-            }
-        }
+        let Some(old) = self.map.upsert(key, handle) else {
+            return true;
+        };
+        // SAFETY: `upsert` returned `old` to this thread alone, so it is
+        // unlinked, readable, and retired exactly once.
+        !unsafe { self.arena_of(key).retire_was_live(old) }
     }
 
     /// Removes `key`; `true` if a live value was present (the blob is

@@ -152,14 +152,23 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
 impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
     /// Routes to the owning shard's `replace`. A swap is recorded as one
     /// insert attempt that did not create a key (so `inserts_ok −
-    /// removes_ok` keeps tracking `size`); a miss records nothing, the
-    /// caller's follow-up `insert` is the attempt.
+    /// removes_ok` keeps tracking `size`); a miss changes nothing and
+    /// records nothing.
     fn replace(&self, key: u64, value: u64) -> Option<u64> {
         let (shard, stats) = self.shard_and_stats(key);
         let old = shard.replace(key, value);
         if old.is_some() {
             stats.record_insert(false);
         }
+        old
+    }
+
+    /// Routes to the owning shard's `upsert`, recorded as one insert
+    /// attempt that is `ok` only when it created the key.
+    fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        let (shard, stats) = self.shard_and_stats(key);
+        let old = shard.upsert(key, value);
+        stats.record_insert(old.is_none());
         old
     }
 
@@ -246,6 +255,22 @@ mod tests {
         assert_eq!(map.remove_if(9, 92), Ok(()));
         let stats = map.total_stats();
         assert_eq!((stats.removes, stats.removes_ok), (2, 1));
+        assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
+    }
+
+    #[test]
+    fn an_upsert_is_one_insert_attempt_ok_only_when_it_creates() {
+        let map = ShardedMap::new(4, |_| FraserOptSkipList::new());
+        assert_eq!(map.upsert(9, 90), None);
+        assert_eq!(map.upsert(9, 91), Some(90));
+        assert_eq!(map.search(9), Some(91));
+        let stats = map.total_stats();
+        assert_eq!((stats.inserts, stats.inserts_ok), (2, 1));
+        assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
+        assert_eq!(map.remove(9), Some(91));
+        assert_eq!(map.upsert(9, 92), None, "a removed key is created again");
+        let stats = map.total_stats();
+        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes_ok), (3, 2, 1));
         assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
     }
 
