@@ -18,9 +18,9 @@ pub const KEY_MAX: u64 = u64::MAX - 1;
 
 /// Largest value usable with a [`ReplaceMap`]. `u64::MAX` is reserved: the
 /// Fraser skip lists store it in a removed node's value word as a
-/// tombstone, so that a `replace` racing a `remove` cannot hand the same
+/// tombstone, so that an `upsert` racing a `remove` cannot hand the same
 /// old value to both callers. Implementations `debug_assert!` this on
-/// `insert` and `replace`.
+/// every value they are given to store or compare.
 pub const VALUE_MAX: u64 = u64::MAX - 1;
 
 /// Most lanes a native [`ConcurrentMap::search_lanes`] interleaves at once.
@@ -101,25 +101,21 @@ pub trait ConcurrentMap: Send + Sync {
 /// `insert` is insert-if-absent, so without this an overwrite is a
 /// `remove` followed by an `insert`: two structural updates, and a window
 /// in which a concurrent `search` of a key that is never deleted misses.
-/// `replace` is one value-word update on the element the parse phase
-/// found (ASCY4: a successful update writes what a sequential one would).
-/// `compare_replace` is the same update made conditional on the value it
-/// finds, for callers that must not overwrite a value they did not see, and
-/// `remove_if` is `remove` under the same condition, and `upsert` is the
-/// store a cache's SET makes: the swap when the key is present, the
-/// insert when it is not, as one operation.
+/// `upsert` is the store a cache's SET makes: on a present key, one
+/// value-word update on the element the parse phase found (ASCY4: a
+/// successful update writes what a sequential one would), and on an absent
+/// one the insert, as one operation. `compare_replace` is that in-place
+/// update made conditional on the value it finds, for callers that must
+/// not overwrite a value they did not see, and `remove_if` is `remove`
+/// under the same condition.
 ///
 /// # Value range
 ///
 /// Values must be at most [`VALUE_MAX`].
 pub trait ReplaceMap: ConcurrentMap {
-    /// Atomically swaps the value of a present key and returns the old
-    /// value. An absent key is left absent and answers `None`.
-    fn replace(&self, key: u64, value: u64) -> Option<u64>;
-
     /// Makes `value` the value of `key`: atomically swaps it over a present
     /// key's value and returns the old value, or inserts the key and
-    /// answers `None`. It linearizes as one `replace` or one `insert`,
+    /// answers `None`. It linearizes as one swap or one `insert`,
     /// never both, so a concurrent `remove` of the key cannot make it fail
     /// or lose a value. A structure parses once for both outcomes where it
     /// can (`fraser-opt`'s walk to an absent key is also its insert's
@@ -141,10 +137,6 @@ pub trait ReplaceMap: ConcurrentMap {
 
 /// Shared handles delegate, like the [`ConcurrentMap`] impl below.
 impl<M: ReplaceMap + ?Sized> ReplaceMap for std::sync::Arc<M> {
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        (**self).replace(key, value)
-    }
-
     fn upsert(&self, key: u64, value: u64) -> Option<u64> {
         (**self).upsert(key, value)
     }

@@ -59,7 +59,7 @@
 //! keys. Past an approximate count of keys ([`super::hint`]'s floor), a
 //! `fraser-opt` list keeps a lossy hash table from key to node in front of
 //! it: 64-byte buckets of eight `node pointer | fingerprint` slots, and two
-//! candidate buckets per key. Every point operation — `search`, `replace`,
+//! candidate buckets per key. Every point operation — `search`,
 //! `compare_replace`, the victim lookup of `remove`/`remove_if`, the
 //! single parse of `insert` and `upsert` and each lane of `search_lanes` —
 //! probes it first: on each fingerprint match it checks the node's key,
@@ -81,7 +81,7 @@
 //! value word. A value word read through a hint that is not the tombstone
 //! is therefore a value the key held at that instant; a hinted operation
 //! that reads the tombstone walks instead, since the key may live on in a
-//! newer node. A hinted `replace`, `compare_replace` or `remove` that reads
+//! newer node. A hinted `upsert`, `compare_replace` or `remove` that reads
 //! a live value and then loses its CAS to the tombstone answers "absent"
 //! as the walk path always has: the removal took effect inside its
 //! interval.
@@ -130,7 +130,7 @@ use crate::skiplist::{
 use crate::stats;
 
 /// Value word of a removed node. Swapping it in is the removal's
-/// linearization point, so whichever of a racing `remove` and `replace`
+/// linearization point, so whichever of a racing `remove` and `upsert`
 /// reaches the word first takes the old value and the other sees the loss.
 /// It is [`crate::api::VALUE_MAX`]` + 1`, which callers may not store.
 const TOMB: u64 = u64::MAX;
@@ -392,9 +392,9 @@ impl<const OPT: bool> Fraser<OPT> {
     }
 
     /// ASCY1-compliant wait-free traversal (used by `fraser-opt` searches
-    /// and victim lookups, and by both variants' `replace` and
-    /// `compare_replace`): the node holding `key` if its level-0 pointer
-    /// is unmarked at this instant. No stores, no retries.
+    /// and victim lookups, and by both variants' `compare_replace`): the
+    /// node holding `key` if its level-0 pointer is unmarked at this
+    /// instant. No stores, no retries.
     ///
     /// Caller must hold an SSMEM guard.
     fn locate(&self, key: u64) -> Option<*mut Node> {
@@ -581,21 +581,10 @@ impl<const OPT: bool> Fraser<OPT> {
         }
     }
 
-    /// In-place overwrite: the hint or a read-only parse finds the node,
-    /// then [`swap_value`] swaps the value. The word is the only thing
-    /// written, and a tombstone there means a `remove` got to it first.
-    fn replace_op(&self, key: u64, value: u64) -> Option<u64> {
-        let _guard = ssmem::protect();
-        stats::record_operation();
-        let (node, old) = self.lookup(key)?;
-        // SAFETY: guard protects the located node.
-        unsafe { swap_value(node, old, value) }
-    }
-
-    /// Conditional overwrite: the same read-only parse as
-    /// [`Self::replace_op`], then one CAS of `expected` to `value` on the
-    /// node's value word. A tombstone there (a `remove` got to it first)
-    /// answers as absent.
+    /// Conditional overwrite: the hint or a read-only parse
+    /// ([`Self::lookup`]) finds the node, then one CAS of `expected` to
+    /// `value` on its value word, the only thing written. A tombstone there
+    /// (a `remove` got to it first) answers as absent.
     fn compare_replace_op(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         let _guard = ssmem::protect();
         stats::record_operation();
@@ -856,6 +845,18 @@ impl<const OPT: bool> Fraser<OPT> {
             mark_tower(victim);
             fence(Ordering::SeqCst);
             let _ = self.find(key, &mut preds, &mut succs);
+            if cfg!(debug_assertions) {
+                // `find` unlinked every marked node before `succs[0]`, so
+                // the victim must not be among the nodes of its key from
+                // there on: a node of the key linked in front of it hides
+                // it from every later `find`, and it would stay linked
+                // after its retire.
+                let mut curr = succs[0];
+                while (*curr).key == key {
+                    debug_assert!(curr != victim, "key {key}: a retired tower is still linked at level 0");
+                    curr = link(curr, 0).load(Ordering::Acquire).0;
+                }
+            }
             if OPT && (*victim).toplevel >= SAMPLE_LEVEL {
                 self.hints.tall_removed();
             }
@@ -1091,12 +1092,6 @@ impl ConcurrentMap for FraserSkipList {
 }
 
 impl ReplaceMap for FraserSkipList {
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        debug_check_key(key);
-        debug_check_value(value);
-        self.inner.replace_op(key, value)
-    }
-
     fn upsert(&self, key: u64, value: u64) -> Option<u64> {
         debug_check_key(key);
         debug_check_value(value);
@@ -1190,12 +1185,6 @@ impl ConcurrentMap for FraserOptSkipList {
 }
 
 impl ReplaceMap for FraserOptSkipList {
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        debug_check_key(key);
-        debug_check_value(value);
-        self.inner.replace_op(key, value)
-    }
-
     fn upsert(&self, key: u64, value: u64) -> Option<u64> {
         debug_check_key(key);
         debug_check_value(value);
@@ -1285,7 +1274,6 @@ mod tests {
         let mut lanes = [Some(0)];
         Fraser::search_interleaved([(&sl, 5)].into_iter(), &mut lanes);
         assert_eq!(lanes, [None], "an interleaved lane yielded the tombstone");
-        assert_eq!(sl.replace_op(5, 51), None);
         assert_eq!(sl.compare_replace_op(5, 50, 51), Err(None));
         let mut seen = Vec::new();
         sl.walk(1, &mut |k, v| {
@@ -1717,7 +1705,7 @@ mod tests {
             assert_eq!(new.hints_of(5, node), 0);
             assert_eq!(old.hints_of(5, node), 1, "stranded in the old table");
             assert_eq!(sl.search_op(5), None);
-            assert_eq!(sl.replace_op(5, 51), None);
+            assert_eq!(sl.compare_replace_op(5, 50, 51), Err(None));
             for _ in 0..20 {
                 ssmem::collect();
             }

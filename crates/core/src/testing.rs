@@ -513,16 +513,12 @@ where
     F: Fn() -> M,
 {
     let m = ctor();
-    assert_eq!(m.replace(5, 50), None);
-    assert_eq!(m.search(5), None, "replace of an absent key must not insert it");
-    assert_eq!(m.size(), 0);
     assert!(m.insert(5, 50));
-    assert_eq!(m.replace(5, 51), Some(50));
+    assert_eq!(m.upsert(5, 51), Some(50), "an upsert swaps an inserted key's value");
     assert_eq!(m.search(5), Some(51));
-    assert!(!m.insert(5, 52), "a replaced key is still present");
+    assert!(!m.insert(5, 52), "an overwritten key is still present");
     assert_eq!(m.size(), 1);
     assert_eq!(m.remove(5), Some(51));
-    assert_eq!(m.replace(5, 53), None, "replace of a removed key must fail");
     assert_eq!(m.size(), 0);
 
     assert_eq!(m.compare_replace(6, 60, 61), Err(None), "absent key");
@@ -572,16 +568,16 @@ where
     assert_eq!(m.remove(9), Some(93));
     assert_eq!(m.size(), 0);
 
-    replace_never_hides_a_present_key(&ctor());
-    replace_and_remove_take_each_value_once(&ctor());
+    upsert_never_hides_a_present_key(&ctor());
     upsert_and_remove_take_each_value_once(&ctor());
     compare_replace_counts_every_swap(&ctor());
 }
 
-/// One thread overwrites a key that is never removed while another searches
-/// it: every search must hit, and — the writer's values only grow — must
-/// never see an older value after a newer one.
-fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
+/// One thread upserts a key that is never removed while another searches
+/// it: every upsert must find the value before it in place, every search
+/// must hit, and — the writer's values only grow — no search may see an
+/// older value after a newer one.
+fn upsert_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
     const KEY: u64 = 7;
     const WRITES: u64 = 200_000;
     // Neighbours, so a one-bucket hash table has the key in a shared chain.
@@ -596,7 +592,7 @@ fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
             let mut newest = 0;
             // Relaxed: `done` publishes nothing, it only ends the loop.
             while !done.load(Ordering::Relaxed) {
-                let seen = m.search(KEY).expect("a key under continuous replace read as absent");
+                let seen = m.search(KEY).expect("a key under continuous upsert read as absent");
                 assert!(seen >= newest, "search returned {seen} after {newest}");
                 newest = seen;
             }
@@ -604,7 +600,7 @@ fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
         let writer = s.spawn(|| {
             start.wait();
             for v in 1..=WRITES {
-                assert_eq!(m.replace(KEY, v), Some(v - 1));
+                assert_eq!(m.upsert(KEY, v), Some(v - 1));
             }
         });
         // Stop the reader before reporting the writer's panic, or the scope
@@ -616,93 +612,13 @@ fn replace_never_hides_a_present_key<M: ReplaceMap>(m: &M) {
     assert_eq!(m.search(KEY), Some(WRITES));
 }
 
-/// An insert/remove cycler, a replacer and a conditional remover race on a
-/// few keys. Every value that went in (by `insert` or `replace`) must come
-/// out exactly once (from `remove`, from `replace`, from a `remove_if` of
-/// the value its search saw, or by being there at the end), and no search
-/// may return the reserved value.
-fn replace_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
-    const ROUNDS: u64 = 50_000;
-    const KEYS: u64 = 3;
-    let done = AtomicBool::new(false);
-    let start = Barrier::new(4);
-    let (mut put, mut taken) = std::thread::scope(|s| {
-        let cycler = s.spawn(|| {
-            let (mut put, mut taken) = (Vec::new(), Vec::new());
-            start.wait();
-            for i in 0..ROUNDS {
-                let key = 1 + i % KEYS;
-                if m.insert(key, 2 * i) {
-                    put.push(2 * i);
-                }
-                taken.extend(m.remove(key));
-            }
-            (put, taken)
-        });
-        let replacer = s.spawn(|| {
-            let (mut put, mut taken) = (Vec::new(), Vec::new());
-            start.wait();
-            for i in 0..ROUNDS {
-                if let Some(old) = m.replace(1 + i % KEYS, 2 * i + 1) {
-                    put.push(2 * i + 1);
-                    taken.push(old);
-                }
-            }
-            (put, taken)
-        });
-        let conditional = s.spawn(|| {
-            let mut taken = Vec::new();
-            start.wait();
-            for i in 0..ROUNDS {
-                let key = 1 + i % KEYS;
-                if let Some(seen) = m.search(key) {
-                    if m.remove_if(key, seen).is_ok() {
-                        taken.push(seen);
-                    }
-                }
-            }
-            taken
-        });
-        s.spawn(|| {
-            start.wait();
-            let mut key = 1;
-            // Relaxed: `done` publishes nothing, it only ends the loop.
-            while !done.load(Ordering::Relaxed) {
-                if let Some(v) = m.search(key) {
-                    assert!(v <= VALUE_MAX, "search returned the reserved value");
-                }
-                key = 1 + key % KEYS;
-            }
-        });
-        let (cycled, replaced, removed) = (cycler.join(), replacer.join(), conditional.join());
-        done.store(true, Ordering::Relaxed);
-        let (mut put, mut taken) = cycled.expect("cycler panicked");
-        let (put_b, taken_b) = replaced.expect("replacer panicked");
-        put.extend(put_b);
-        taken.extend(taken_b);
-        taken.extend(removed.expect("conditional remover panicked"));
-        (put, taken)
-    });
-    for key in 1..=KEYS {
-        taken.extend(m.remove(key));
-    }
-    put.sort_unstable();
-    taken.sort_unstable();
-    // Not `assert_eq!`: a failure would print both 100k-element vectors.
-    assert!(
-        put == taken,
-        "a displaced value was lost or handed out twice ({} went in, {} came out)",
-        put.len(),
-        taken.len()
-    );
-}
-
-/// Two upserters, a remover and a conditional remover race on a few keys.
-/// Every value an upsert puts in must come out exactly once (from the
-/// upsert that displaced it, from `remove`, from a `remove_if` of the
-/// value its search saw, or by being there at the end): an upsert that
-/// both swapped and inserted, or that lost to a `remove` without storing,
-/// shows as a difference.
+/// Two upserters, an insert/remove cycler and a conditional remover race
+/// on a few keys. Every value that went in (by `upsert` or `insert`) must
+/// come out exactly once (from the upsert that displaced it, from
+/// `remove`, from a `remove_if` of the value its search saw, or by being
+/// there at the end): an upsert that both swapped and inserted, or that
+/// lost to a `remove` without storing, shows as a difference, and no
+/// search may return the reserved value.
 fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
     const ROUNDS: u64 = 50_000;
     const KEYS: u64 = 3;
@@ -714,7 +630,7 @@ fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
                     let (mut put, mut taken) = (Vec::new(), Vec::new());
                     start.wait();
                     for i in 0..ROUNDS {
-                        let value = 2 * i + t;
+                        let value = 3 * i + t;
                         put.push(value);
                         taken.extend(m.upsert(1 + (i + t) % KEYS, value));
                     }
@@ -722,9 +638,17 @@ fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
                 })
             })
             .collect();
-        let remover = s.spawn(|| {
+        let cycler = s.spawn(|| {
+            let (mut put, mut taken) = (Vec::new(), Vec::new());
             start.wait();
-            (0..ROUNDS).filter_map(|i| m.remove(1 + i % KEYS)).collect::<Vec<_>>()
+            for i in 0..ROUNDS {
+                let key = 1 + i % KEYS;
+                if m.insert(key, 3 * i + 2) {
+                    put.push(3 * i + 2);
+                }
+                taken.extend(m.remove(key));
+            }
+            (put, taken)
         });
         let conditional = s.spawn(|| {
             let mut taken = Vec::new();
@@ -740,13 +664,12 @@ fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
             }
             taken
         });
-        let (mut put, mut taken) = (Vec::new(), Vec::new());
+        let (mut put, mut taken) = cycler.join().expect("cycler panicked");
         for upserter in upserters {
             let (p, t) = upserter.join().expect("upserter panicked");
             put.extend(p);
             taken.extend(t);
         }
-        taken.extend(remover.join().expect("remover panicked"));
         taken.extend(conditional.join().expect("conditional remover panicked"));
         (put, taken)
     });
@@ -758,7 +681,7 @@ fn upsert_and_remove_take_each_value_once<M: ReplaceMap>(m: &M) {
     // Not `assert_eq!`: a failure would print both 100k-element vectors.
     assert!(
         put == taken,
-        "an upserted value was lost or handed out twice ({} went in, {} came out)",
+        "a displaced value was lost or handed out twice ({} went in, {} came out)",
         put.len(),
         taken.len()
     );
@@ -872,9 +795,6 @@ impl ConcurrentMap for HintedFraserOpt {
 }
 
 impl ReplaceMap for HintedFraserOpt {
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        self.list.replace(key, value)
-    }
     fn upsert(&self, key: u64, value: u64) -> Option<u64> {
         assert!(key < HINT_FILLERS_FROM, "key {key} is a filler's");
         self.list.upsert(key, value)

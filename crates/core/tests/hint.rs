@@ -59,16 +59,17 @@ fn a_hinted_replace_on_a_present_key_is_one_cas() {
     let list = grown_and_read();
     let mut hinted = 0;
     for key in 1..=KEYS {
-        let (old, c) = counted(|| list.replace(key, key + 1));
-        assert_eq!(old, Some(key));
+        let (swapped, c) = counted(|| list.compare_replace(key, key, key + 1));
+        assert_eq!(swapped, Ok(()));
         if c.hint_hits == 1 {
             hinted += 1;
             assert_eq!((c.atomic_ops, c.shared_stores, c.nodes_traversed), (1, 0, 0), "key {key}: {c:?}");
         }
-        let (swapped, c) = counted(|| list.compare_replace(key, key + 1, key + 2));
-        assert_eq!(swapped, Ok(()));
+        let (stale, c) = counted(|| list.compare_replace(key, key, key + 2));
+        assert_eq!(stale, Err(Some(key + 1)));
         if c.hint_hits == 1 {
-            assert_eq!((c.atomic_ops, c.shared_stores), (1, 0), "key {key}: {c:?}");
+            // A replace whose expected value is stale is one failed CAS.
+            assert_eq!((c.atomic_ops, c.atomic_failures, c.shared_stores, c.nodes_traversed), (1, 1, 0, 0), "key {key}: {c:?}");
         }
     }
     assert!(hinted > KEYS / 2, "only {hinted} of {KEYS} replaces were hinted");
@@ -217,8 +218,8 @@ fn assert_belongs(key: u64, value: u64, what: &str) {
 
 #[test]
 fn hinted_list_stress_every_read_belongs_to_its_key() {
-    // Four threads over 64 hot keys of a list past its floor: inserts,
-    // removes, replaces, compare-replaces and batched searches race on the
+    // Four threads over 64 hot keys of a list past its floor: upserts,
+    // inserts, removes, compare-replaces and batched searches race on the
     // same nodes, hints and buckets. A read through a hint to a recycled
     // node would hand out another key's value.
     const HOT: u64 = 64;
@@ -233,16 +234,16 @@ fn hinted_list_stress_every_read_belongs_to_its_key() {
                     let key = rng.key(HOT);
                     match rng.next_u64() % 6 {
                         0 => {
-                            list.insert(key, value_of(key, seq));
-                        }
-                        1 => {
-                            if let Some(v) = list.remove(key) {
-                                assert_belongs(key, v, "remove");
+                            if let Some(v) = list.upsert(key, value_of(key, seq)) {
+                                assert_belongs(key, v, "upsert");
                             }
                         }
+                        1 => {
+                            list.insert(key, value_of(key, seq));
+                        }
                         2 => {
-                            if let Some(v) = list.replace(key, value_of(key, seq)) {
-                                assert_belongs(key, v, "replace");
+                            if let Some(v) = list.remove(key) {
+                                assert_belongs(key, v, "remove");
                             }
                         }
                         3 => {
@@ -277,6 +278,10 @@ fn hinted_list_stress_every_read_belongs_to_its_key() {
             assert_belongs(key, v, "final search");
         }
     }
+    // One live node per key: `size` counts the level-0 chain's live nodes,
+    // so a key linked twice counts twice.
+    let present = (1..=HOT).filter(|&key| list.search(key).is_some()).count();
+    assert_eq!(list.size(), present, "a key is linked twice");
 }
 
 #[test]
@@ -323,10 +328,11 @@ fn an_upsert_of_a_hinted_present_key_is_one_cas() {
 
 #[test]
 fn hinted_list_stress_with_upserts_every_read_belongs_to_its_key() {
-    // As the stress above, with upserts in the mix: an upsert that misses
-    // its hint links a new node from its own read-only walk, racing the
-    // removes that mark and unlink the nodes around it, and every value
-    // any operation hands back must still carry its own key.
+    // As the stress above, with upserts weighted up and no compare-replace:
+    // an upsert that misses its hint links a new node from its own
+    // read-only walk, racing the removes that mark and unlink the nodes
+    // around it, and every value any operation hands back must still carry
+    // its own key.
     const HOT: u64 = 64;
     const OPS: usize = 60_000;
     let list = HintedFraserOpt::new();

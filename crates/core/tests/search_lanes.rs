@@ -84,11 +84,12 @@ fn fraser_opt_agrees_natively() {
     let maps: Vec<FraserOptSkipList> = (0..INSTANCES).map(|_| FraserOptSkipList::new()).collect();
     populate(&maps);
     assert_agrees(&maps, "fraser-opt");
-    // Overwritten values are read back, not the ones first inserted.
-    for key in (2..=KEYS).step_by(11) {
-        let _ = maps[key as usize % INSTANCES].replace(key, key + 1);
+    // Overwritten values are read back, not the ones first inserted. Only
+    // present keys are upserted, so the removed ones stay absent.
+    for key in (2..=KEYS).step_by(11).filter(|key| key % 7 != 0) {
+        assert_eq!(maps[key as usize % INSTANCES].upsert(key, key + 1), Some(key * 10));
     }
-    assert_agrees(&maps, "fraser-opt after replaces");
+    assert_agrees(&maps, "fraser-opt after upserts");
 }
 
 #[test]
@@ -118,8 +119,8 @@ fn concurrent_overwrites_never_read_as_absent() {
                 while !done.load(Ordering::Relaxed) {
                     round += 1;
                     let key = rng.key(KEYS);
-                    let old = maps[key as usize % INSTANCES].replace(key, key + KEYS * round);
-                    assert!(old.is_some(), "key {key} vanished under replace");
+                    let old = maps[key as usize % INSTANCES].upsert(key, key + KEYS * round);
+                    assert!(old.is_some(), "key {key} vanished under upsert");
                 }
             });
         }

@@ -150,19 +150,6 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
 }
 
 impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
-    /// Routes to the owning shard's `replace`. A swap is recorded as one
-    /// insert attempt that did not create a key (so `inserts_ok −
-    /// removes_ok` keeps tracking `size`); a miss changes nothing and
-    /// records nothing.
-    fn replace(&self, key: u64, value: u64) -> Option<u64> {
-        let (shard, stats) = self.shard_and_stats(key);
-        let old = shard.replace(key, value);
-        if old.is_some() {
-            stats.record_insert(false);
-        }
-        old
-    }
-
     /// Routes to the owning shard's `upsert`, recorded as one insert
     /// attempt that is `ok` only when it created the key.
     fn upsert(&self, key: u64, value: u64) -> Option<u64> {
@@ -172,8 +159,10 @@ impl<M: ReplaceMap> ReplaceMap for ShardedMap<M> {
         old
     }
 
-    /// Routes to the owning shard's `compare_replace`; a swap is recorded
-    /// as `replace` records one, a failure records nothing.
+    /// Routes to the owning shard's `compare_replace`. A swap is recorded
+    /// as an `upsert` of a present key is, one insert attempt that did not
+    /// create a key (so `inserts_ok − removes_ok` keeps tracking `size`); a
+    /// failure records nothing.
     fn compare_replace(&self, key: u64, expected: u64, value: u64) -> Result<(), Option<u64>> {
         let (shard, stats) = self.shard_and_stats(key);
         let swapped = shard.compare_replace(key, expected, value);
@@ -238,17 +227,15 @@ mod tests {
     #[test]
     fn replace_swaps_in_place_and_counts_as_a_non_creating_insert() {
         let map = ShardedMap::new(4, |_| FraserOptSkipList::new());
-        assert_eq!(map.replace(9, 90), None, "absent key: no-op");
-        assert_eq!(map.size(), 0);
-        assert!(map.insert(9, 90));
-        assert_eq!(map.replace(9, 91), Some(90));
-        assert_eq!(map.search(9), Some(91));
-        assert_eq!(map.compare_replace(9, 90, 92), Err(Some(91)), "mismatch: no-op");
         assert_eq!(map.compare_replace(8, 0, 92), Err(None), "absent key: no-op");
+        assert_eq!(map.size(), 0);
+        assert!(map.insert(9, 91));
+        assert_eq!(map.compare_replace(9, 90, 92), Err(Some(91)), "mismatch: no-op");
+        assert_eq!(map.search(9), Some(91));
         assert_eq!(map.compare_replace(9, 91, 92), Ok(()));
         assert_eq!(map.search(9), Some(92));
         let stats = map.total_stats();
-        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (3, 1, 0));
+        assert_eq!((stats.inserts, stats.inserts_ok, stats.removes), (2, 1, 0));
         assert_eq!(stats.inserts_ok - stats.removes_ok, map.size() as u64);
         // `remove_if` counts as a remove attempt, successful only on a match.
         assert_eq!(map.remove_if(9, 91), Err(Some(92)));

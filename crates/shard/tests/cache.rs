@@ -16,7 +16,7 @@
 //! and the budget holds at every sample of a multi-writer churn, over the
 //! plain skip list and over one past its hint-table floor with an eager
 //! front (CLOCK's walk, an eviction clearing a hint, and front
-//! write-through around a hinted `replace`).
+//! write-through around a hinted `upsert`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -444,7 +444,7 @@ fn the_budget_holds_at_every_sample_of_a_four_writer_churn() {
 
 /// The same churn over shards past their hint-table floor, with a front
 /// that promotes on the second sample: evictions, deletes and lapsed
-/// leases clear hints while fronted sets replace through them.
+/// leases clear hints while fronted sets upsert through them.
 #[test]
 fn the_budget_holds_at_every_sample_of_a_four_writer_churn_over_hinted_shards() {
     let (map, hint_hits) = four_writer_churn(HotKeyConfig::eager(256), HintedFraserOpt::new);

@@ -137,8 +137,8 @@ fn never_absent_over_the_skip_list_with_hot_keys() {
 
 #[test]
 fn never_absent_over_hinted_shards_with_hot_keys() {
-    // A fronted key's write-through and a plain key's overwrite are both a
-    // `replace` through the key's hint.
+    // A fronted key's write-through and a plain key's overwrite are both an
+    // `upsert` through the key's hint.
     let hint_hits = never_absent(
         BlobMap::with_hotkeys(2, HotKeyConfig::eager(4), |_| HintedFraserOpt::new()),
         overwrite,
@@ -165,7 +165,7 @@ fn set_del_expire_and_eviction_retire_each_blob_exactly_once() {
 #[test]
 fn set_del_expire_and_eviction_retire_each_blob_exactly_once_over_hinted_shards() {
     // CLOCK's victims and deletes clear hints that fronted sets and
-    // `expire`'s swaps replace through.
+    // `expire`'s swaps reach through.
     let hint_hits = retire_each_blob_exactly_once(HintedFraserOpt::new);
     assert!(hint_hits > 0, "no set, delete or expire reached its key through a hint");
 }

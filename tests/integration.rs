@@ -261,19 +261,19 @@ fn registry_structure_coverage() {
     }
 }
 
-/// `ReplaceMap::replace` of a structure that has one.
-type Replace<M> = fn(&M, u64, u64) -> Option<u64>;
+/// `ReplaceMap::upsert` of a structure that has one.
+type Upsert<M> = fn(&M, u64, u64) -> Option<u64>;
 
 /// Property-based differential testing: arbitrary operation sequences applied
 /// to a CSDS and to a `BTreeMap` model must agree. One representative per
 /// structure family is checked (the full matrix runs in the unit tests).
-/// Structures that implement `ReplaceMap` pass their `replace`, and a quarter
+/// Structures that implement `ReplaceMap` pass their `upsert`, and a quarter
 /// of the ops exercise it; for the others those ops are searches.
-fn check_against_model<M: ConcurrentMap>(map: M, ops: &[(u8, u64)], replace: Option<Replace<M>>) {
+fn check_against_model<M: ConcurrentMap>(map: M, ops: &[(u8, u64)], upsert: Option<Upsert<M>>) {
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, &(op, key)) in ops.iter().enumerate() {
         let key = 1 + key % 64;
-        match (op % 4, replace) {
+        match (op % 4, upsert) {
             (0, _) => {
                 let expected = !model.contains_key(&key);
                 assert_eq!(map.insert(key, i as u64), expected, "insert({key}) step {i}");
@@ -282,9 +282,9 @@ fn check_against_model<M: ConcurrentMap>(map: M, ops: &[(u8, u64)], replace: Opt
             (1, _) => {
                 assert_eq!(map.remove(key), model.remove(&key), "remove({key}) step {i}");
             }
-            (2, Some(replace)) => {
-                let expected = model.get_mut(&key).map(|v| std::mem::replace(v, i as u64));
-                assert_eq!(replace(&map, key, i as u64), expected, "replace({key}) step {i}");
+            (2, Some(upsert)) => {
+                let expected = model.insert(key, i as u64);
+                assert_eq!(upsert(&map, key, i as u64), expected, "upsert({key}) step {i}");
             }
             _ => {
                 assert_eq!(map.search(key), model.get(&key).copied(), "search({key}) step {i}");
@@ -322,12 +322,12 @@ proptest! {
 
     #[test]
     fn prop_fraser_skiplist_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(ascylib::skiplist::FraserSkipList::new(), &ops, Some(ReplaceMap::replace));
+        check_against_model(ascylib::skiplist::FraserSkipList::new(), &ops, Some(ReplaceMap::upsert));
     }
 
     #[test]
     fn prop_fraser_opt_skiplist_matches_model(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400)) {
-        check_against_model(ascylib::skiplist::FraserOptSkipList::new(), &ops, Some(ReplaceMap::replace));
+        check_against_model(ascylib::skiplist::FraserOptSkipList::new(), &ops, Some(ReplaceMap::upsert));
     }
 
     #[test]
