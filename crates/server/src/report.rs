@@ -303,6 +303,7 @@ static TABLE: &[Row] = &[
     counter(Cache, "cache_forced_admissions", ("ascy_cache_forced_admissions_total", "Over-budget stores admitted when nothing was evictable."), |s| int(s.cache.forced)),
     counter(Cache, "cache_expired_lazy", CACHE_EXPIRED, |s| int(s.cache.expired_lazy)).labels(&[("mode", "lazy")]).stats("cache_expired_lazy"),
     counter(Cache, "cache_expired_swept", CACHE_EXPIRED, |s| int(s.cache.expired_swept)).labels(&[("mode", "swept")]).stats("cache_expired_swept"),
+    counter(Cache, "cache_clock_visits", ("ascy_cache_clock_visits_total", "Index entries the CLOCK hand examined to choose its victims."), |s| int(s.cache.clock_visits)).stats("cache_clock_visits"),
     info_only(Cache, "cache_expired_total", |s| int(s.cache.expired())),
     gauge(Cache, "cache_ttl_live", ("ascy_cache_ttl_live", "Live values currently carrying an expiry deadline."), |s| int(s.cache.ttl_live)),
     counter(Concurrency, "coherence_shared_stores", ("ascy_coherence_shared_stores_total", "Stores to shared cache lines inside the structures."), |s| int(s.conc.ops.shared_stores)),
@@ -1108,10 +1109,12 @@ pub(crate) mod tests {
     fn names_and_order_match_the_hand_written_renderers() {
         equipped(|ctx| {
             let s = Scrape::gather(ctx);
-            // STATS gains nothing and loses one field: the flat
-            // combiner's pass count (writes to hot keys no longer batch).
+            // STATS loses one field, the flat combiner's pass count (writes
+            // to hot keys no longer batch), and appends one, the entries
+            // CLOCK's hand examined.
             let mut expected = words(GOLDEN_STATS);
             expected.retain(|key| *key != "hotkey_batches");
+            expected.push("cache_clock_visits");
             assert_eq!(stats_keys(&stats_line(&s)), expected);
             for (section, golden) in GOLDEN_INFO {
                 let mut expected = words(golden);
@@ -1125,6 +1128,13 @@ pub(crate) mod tests {
                     // The ssmem arena's gauge, added after the golden
                     // capture.
                     expected.push("ssmem_arena_bytes");
+                }
+                if section == "cache" {
+                    // The hand's visits, added after the golden capture.
+                    // The row follows the last cache row on STATS, since
+                    // STATS is positional and only ever appends.
+                    let at = expected.iter().position(|key| *key == "cache_expired_swept").unwrap();
+                    expected.insert(at + 1, "cache_clock_visits");
                 }
                 if section == "concurrency" {
                     // Point operations served through a skip-list hint,
@@ -1154,7 +1164,8 @@ pub(crate) mod tests {
             }
             // METRICS keeps every series and type but the combiner's pass
             // counter, and gains the two counters that were on STATS only,
-            // the ssmem arena's gauge and the skip-list hint counter.
+            // the ssmem arena's gauge, the skip-list hint counter and the
+            // CLOCK hand's visits.
             let body = metrics(&s);
             let mut series: BTreeSet<String> =
                 words(GOLDEN_SERIES).into_iter().map(String::from).collect();
@@ -1162,7 +1173,12 @@ pub(crate) mod tests {
                 words(GOLDEN_TYPES).into_iter().map(String::from).collect();
             series.remove("ascy_hotkey_combined_batches_total");
             types.remove("ascy_hotkey_combined_batches_total=counter");
-            for added in ["ascy_wakeups_total", "ascy_partial_writes_total", "ascy_hint_hits_total"] {
+            for added in [
+                "ascy_wakeups_total",
+                "ascy_partial_writes_total",
+                "ascy_hint_hits_total",
+                "ascy_cache_clock_visits_total",
+            ] {
                 series.insert(added.to_string());
                 types.insert(format!("{added}=counter"));
             }

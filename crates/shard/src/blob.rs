@@ -70,7 +70,8 @@
 //! The CLOCK reference bit lives in the header word the read path already
 //! loads for the length, so tracking a hit costs **one relaxed bit-set and
 //! zero extra cache lines** — and only when a byte budget is configured and
-//! the bit isn't already set (hot blobs settle into a read-only state).
+//! the bit isn't already set (hot blobs settle into a read-only state). An
+//! overwrite's blob is stored with the bit set, which costs nothing.
 //!
 //! # Budget enforcement
 //!
@@ -111,8 +112,17 @@
 //! separately, when nothing is evictable (e.g. one value larger than a
 //! shard's whole share).
 //!
-//! A value starts unreferenced, so an unread newcomer is evicted when the
-//! hand first reaches it. A run of ascending inserts lands just ahead of
+//! A read or an overwrite earns survival; a newcomer does not. A `set`
+//! that replaces a live value stores the new blob with its reference bit
+//! already set, so a key that is written on every lap keeps the survival
+//! its last access earned (as memcached's and Redis's LRUs count a write
+//! as an access), and so does EXPIRE's TTL'd copy. A `set` that creates
+//! its key — absent, or over an expired corpse — clears the bit once the
+//! upsert has told it so, and an unread newcomer is evicted when the hand
+//! first reaches it, so a churn of never-read inserts evicts itself
+//! instead of lapping the hand over the keys that are in use. Unbudgeted
+//! maps never look at the bit, and their `set` neither sets nor clears
+//! it. A run of ascending inserts lands just ahead of
 //! the hand, which would then evict only those newcomers and never wrap;
 //! so a lap chooses at most twice as many victims as the shard holds (as
 //! many as a lap can meet when newcomers spread evenly over the keys), and
@@ -396,6 +406,8 @@ struct ArenaStripe {
     /// the bytes it reserved.
     credit: AtomicU64,
     evictions: AtomicU64,
+    /// Index entries CLOCK's hand examined, victims included.
+    clock_visits: AtomicU64,
     expired_lazy: AtomicU64,
     expired_swept: AtomicU64,
     forced: AtomicU64,
@@ -487,6 +499,12 @@ impl ValueArena {
     /// on it); a nonzero `expire_at_ms` gives the blob an expiry word
     /// holding it and the handle its TTL flag. The caller has reserved
     /// `value.len()` bytes (see [`BlobMap`]'s reservation path).
+    ///
+    /// Under a byte budget the blob starts referenced: it replaces a live
+    /// value (an overwrite, or EXPIRE's copy), and a replacement keeps the
+    /// survival its key earned. A `set` that turns out to create its key
+    /// clears the bit after its publish (module docs, "Budget
+    /// enforcement").
     fn store(&self, value: &[u8], expire_at_ms: u64) -> u64 {
         let ttl = expire_at_ms != 0;
         let ptr = ssmem::alloc_raw(blob_layout(value.len(), ttl));
@@ -498,6 +516,9 @@ impl ValueArena {
         let generation = GENERATION.with(|g| g.replace(g.get().wrapping_add(1)));
         let mut handle = (ptr as u64) | ((generation << 48) & TAG_GEN_MASK);
         let mut meta = value.len() as u64;
+        if self.budget.is_some() {
+            meta |= META_REF;
+        }
         if ttl {
             handle |= TAG_TTL;
             meta |= META_TTL;
@@ -506,10 +527,7 @@ impl ValueArena {
         // SAFETY: `ptr` is a fresh (or recycled past its grace period)
         // allocation of `blob_layout(len, ttl)`, which holds the header, the
         // expiry word if `ttl` and the payload; nothing else references it
-        // until we publish the handle. The reference bit starts clear —
-        // only an actual read earns survival, so a churn stream of
-        // never-read inserts evicts itself instead of lapping the hand over
-        // (and past) the genuinely hot entries.
+        // until we publish the handle.
         unsafe {
             meta_cell(ptr).store(meta, Ordering::Relaxed);
             if ttl {
@@ -729,6 +747,7 @@ impl ValueArena {
             budget_bytes: self.budget.unwrap_or(0),
             live_bytes: self.stats().bytes,
             evictions: s.sum(|s| &s.evictions),
+            clock_visits: s.sum(|s| &s.clock_visits),
             expired_lazy: s.sum(|s| &s.expired_lazy),
             expired_swept: s.sum(|s| &s.expired_swept),
             forced: s.sum(|s| &s.forced),
@@ -1053,10 +1072,24 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             Some(t) => arena.now_ms().saturating_add(t).max(1),
             None => 0,
         };
+        // Under a budget the blob is stored referenced, and a create clears
+        // the bit after the publish, when an eviction or an overwrite may
+        // already have retired the blob: one guard covers the store, the
+        // publish and the clear (`upsert`'s own guard nests in it, which
+        // costs no atomic). Without a budget there is nothing to clear.
+        let budgeted = arena.budget.is_some();
+        let _guard = budgeted.then(ssmem::protect);
         // Store the blob before any front-slot word is taken (arena stores
         // are uncontended); only the index publish runs under it.
         let handle = arena.store(value, expire_at);
-        self.write(key, Some(value), expire_at, || self.publish(key, handle))
+        let created = self.write(key, Some(value), expire_at, || self.publish(key, handle));
+        if budgeted && created {
+            // SAFETY: the guard predates the publish, so the blob is not
+            // reused while this runs; the bit-clear races only with other
+            // bit ops on the same word.
+            unsafe { meta_cell(blob_addr(handle)) }.fetch_and(!META_REF, Ordering::Relaxed);
+        }
+        created
     }
 
     /// Makes `handle` the value of `key` with one
@@ -1294,6 +1327,7 @@ impl<M: OrderedMap + ReplaceMap> BlobMap<M> {
             victim = Some((key, handle));
             false
         });
+        arena.stripes.add(|s| &s.clock_visits, seen as u64);
         if wrapped {
             c.lap_victims.store(0, Ordering::Relaxed);
         }
@@ -1842,12 +1876,14 @@ mod tests {
         assert_eq!(visited[0], 49 * 3, "the lap starts at the hand");
         visited.sort_unstable();
         assert_eq!(visited, (1..=KEYS).map(|k| k * 3).collect::<Vec<_>>());
+        assert_eq!(map.cache_stats().clock_visits, KEYS, "one visit per victim");
         // With every bit set, the first lap clears them all and the two-lap
-        // rule still ends the walk with a victim.
+        // rule still ends the walk with a victim, the lap's first key again.
         for k in 1..=KEYS {
             assert!(map.get_owned(k * 3).is_some());
         }
         assert!(map.clock_victim(0).is_some());
+        assert_eq!(map.cache_stats().clock_visits, KEYS + KEYS + 1, "a lap, then the victim");
         let marked = (1..=KEYS)
             .filter(|k| {
                 let handle = map.map.search(k * 3).expect("present");
@@ -2166,6 +2202,60 @@ mod tests {
             assert!(map.get_owned(1).is_some(), "hot key evicted at round {round}");
             map.set(100 + round, &[0u8; 256]);
         }
+    }
+
+    #[test]
+    fn clock_eviction_spares_overwritten_values() {
+        let map = BlobMap::with_config(
+            1,
+            HotKeyConfig::with_k(0),
+            CacheConfig::unbounded().with_budget(8 * 1024),
+            |_| FraserOptSkipList::new(),
+        );
+        for k in 1..=16u64 {
+            map.set(k, &[k as u8; 256]);
+        }
+        // Key 1 is overwritten, never read, between any two never-read
+        // newcomers. A lap chooses at most two victims per value held, so
+        // four evictions per value held span at least two laps.
+        let (mut newcomer, mut held) = (100u64, 0);
+        while held == 0 || map.cache_stats().evictions < 4 * held {
+            let evictions = map.cache_stats().evictions;
+            assert!(!map.set(1, &[1u8; 256]), "overwritten key evicted after {evictions} evictions");
+            assert!(map.set(newcomer, &[0u8; 256]), "a newcomer was already there");
+            newcomer += 1;
+            if held == 0 && map.cache_stats().evictions > 0 {
+                held = map.total_arena_stats().live_blobs();
+            }
+            assert!(newcomer < 100 + 100_000, "churn never evicted enough");
+        }
+    }
+
+    #[test]
+    fn a_never_read_newcomer_is_the_hands_first_victim() {
+        let clock = Arc::new(FakeClock::new());
+        let cfg = CacheConfig::unbounded().with_budget(1 << 20).with_clock(clock.clone());
+        let map = BlobMap::with_config(1, HotKeyConfig::with_k(0), cfg, |_| {
+            FraserOptSkipList::new()
+        });
+        // Every key is created, then overwritten; key 8's overwrite carries
+        // a deadline that lapses, so its next set creates it over a corpse.
+        for k in 1..=16u64 {
+            assert!(map.set(k, &[k as u8; 64]));
+        }
+        for k in (1..=16u64).filter(|&k| k != 8) {
+            assert!(!map.set(k, &[k as u8; 64]));
+        }
+        assert!(!map.set_ex(8, &[8u8; 64], 100));
+        clock.advance(100);
+        assert!(map.set(8, &[8u8; 64]), "a set over an expired corpse is a create");
+        assert!(map.set(100, &[100u8; 64]));
+        // The hand starts at the smallest key: the overwritten keys before
+        // each newcomer are referenced, the newcomers are not.
+        let (key, handle) = map.clock_victim(0).expect("non-empty");
+        assert_eq!(key, 8, "the newcomer over a corpse is not the first victim");
+        assert!(map.reclaim(key, handle, Reclaim::Evicted));
+        assert_eq!(map.clock_victim(0).expect("non-empty").0, 100, "the absent key's newcomer");
     }
 
     #[test]

@@ -199,6 +199,9 @@ pub struct CacheStatsSnapshot {
     pub live_bytes: u64,
     /// Values evicted by CLOCK to make room under the budget.
     pub evictions: u64,
+    /// Index entries CLOCK's hand examined to choose those victims (the
+    /// victims included): the hand's work, per eviction.
+    pub clock_visits: u64,
     /// Expired values reclaimed lazily by a read that found them dead.
     pub expired_lazy: u64,
     /// Expired values reclaimed by the piggybacked write/scan sweep.
@@ -216,6 +219,7 @@ impl CacheStatsSnapshot {
         self.budget_bytes = self.budget_bytes.saturating_add(other.budget_bytes);
         self.live_bytes = self.live_bytes.saturating_add(other.live_bytes);
         self.evictions = self.evictions.saturating_add(other.evictions);
+        self.clock_visits = self.clock_visits.saturating_add(other.clock_visits);
         self.expired_lazy = self.expired_lazy.saturating_add(other.expired_lazy);
         self.expired_swept = self.expired_swept.saturating_add(other.expired_swept);
         self.forced = self.forced.saturating_add(other.forced);
@@ -307,6 +311,7 @@ mod tests {
             budget_bytes: 100,
             live_bytes: 40,
             evictions: 1,
+            clock_visits: 5,
             expired_lazy: 2,
             expired_swept: 3,
             forced: 0,
@@ -316,6 +321,7 @@ mod tests {
             budget_bytes: 100,
             live_bytes: 60,
             evictions: 10,
+            clock_visits: 50,
             expired_lazy: 20,
             expired_swept: 30,
             forced: 1,
@@ -325,6 +331,7 @@ mod tests {
         assert_eq!(a.budget_bytes, 200);
         assert_eq!(a.live_bytes, 100);
         assert_eq!(a.evictions, 11);
+        assert_eq!(a.clock_visits, 55);
         assert_eq!(a.expired(), 55);
         assert_eq!(a.forced, 1);
         assert_eq!(a.ttl_live, 44);
